@@ -5,8 +5,8 @@ instance), ``check`` (first- and second-order diagnostics at a bundled
 reference point), ``rate-sweep`` (contraction ratios over a penalty
 grid plus a log-log fit), ``generate`` (synthetic instances with an
 exact reference point).  Results land in the output directory as JSON
-reports and CSV tables; with a fixed seed every artifact is
-byte-identical across reruns.
+reports and CSV tables; with a fixed seed and a fixed BLAS thread count
+every artifact is byte-identical across reruns.
 
 Exit codes: 0 success, 1 input error, 2 outer-iteration cap, 3 inner
 solve failure, 4 every sweep grid point diverged.  The ``SDNOP_LOG``

@@ -21,6 +21,7 @@ from .spectral import (
     EigenDecomposition,
     SignPartition,
     as_symmetric,
+    choice_table,
     default_tol,
     eig_sym,
     group_distinct,
@@ -210,41 +211,48 @@ def _check_convention(convention):
         raise InvalidInput(f"unknown moreau convention {convention!r}")
 
 
-def prox_nuclear(Z, tau):
+def prox_nuclear(Z, tau, eig=None):
     """Proximal mapping of the nuclear norm: eigenvalue soft-thresholding.
 
     Returns the minimizer of ||X'||_* + ||X' - Z||^2/(2 tau) together with
-    the eigendecomposition of Z used to form it.
+    the eigendecomposition of Z used to form it.  Pass ``eig = eig_sym(Z)``
+    to reuse a decomposition already at hand.
     """
     _check_tau(tau)
-    eig = eig_sym(Z)
+    if eig is None:
+        eig = eig_sym(Z)
     X = (eig.basis * _soft_threshold(eig.values, tau)) @ eig.basis.T
     return 0.5 * (X + X.T), eig
 
 
-def moreau_env(Z, tau, convention="half"):
+def moreau_env(Z, tau, convention="half", eig=None):
     """Moreau envelope of the nuclear norm at Z.
 
     The default convention uses the quadratic penalty ||X'-Z||^2/(2 tau);
     ``convention="literal"`` uses ||X'-Z||^2/tau, which is the same
-    envelope at half the smoothing level.
+    envelope at half the smoothing level.  ``eig`` is an optional
+    ``eig_sym(Z)`` to reuse.
     """
     _check_tau(tau)
     _check_convention(convention)
     if convention == "literal":
-        return moreau_env(Z, 0.5 * tau)
-    eig = eig_sym(Z)
+        return moreau_env(Z, 0.5 * tau, eig=eig)
+    if eig is None:
+        eig = eig_sym(Z)
     p = _soft_threshold(eig.values, tau)
     return float(np.abs(p).sum() + np.sum((p - eig.values) ** 2) / (2.0 * tau))
 
 
-def grad_moreau_env(Z, tau, convention="half"):
-    """Gradient of the Moreau envelope: the scaled prox residual."""
+def grad_moreau_env(Z, tau, convention="half", eig=None):
+    """Gradient of the Moreau envelope: the scaled prox residual.
+
+    ``eig`` is an optional ``eig_sym(Z)`` to reuse.
+    """
     _check_tau(tau)
     _check_convention(convention)
     if convention == "literal":
-        return grad_moreau_env(Z, 0.5 * tau)
-    X, _ = prox_nuclear(Z, tau)
+        return grad_moreau_env(Z, 0.5 * tau, eig=eig)
+    X, _ = prox_nuclear(Z, tau, eig=eig)
     Z = as_symmetric(Z, "Z")
     return (Z - X) / tau
 
@@ -378,9 +386,14 @@ class ProxDividedDiff:
     tau: float
 
 
-def prox_divided_diff(Z, tau, group_tol=1e-8):
+def prox_divided_diff(Z, tau, group_tol=1e-8, eig=None):
+    """Soft-threshold divided-difference table over the spectrum of Z.
+
+    ``eig`` is an optional ``eig_sym(Z)`` to reuse.
+    """
     _check_tau(tau)
-    eig = eig_sym(Z)
+    if eig is None:
+        eig = eig_sym(Z)
     blocks = group_distinct(eig, group_tol)
     reps = blocks.values
     scale = 1.0 + (np.abs(reps).max() if reps.size else 0.0) + tau
@@ -417,23 +430,6 @@ def prox_dir_deriv(Z, tau, H, group_tol=1e-8):
 # ----------------------------------------------------------------------------
 # generalized Jacobian elements at structured points Z = X + tau Y
 # ----------------------------------------------------------------------------
-
-def _choice_table(choice, k, name):
-    if isinstance(choice, str):
-        if choice == "zero":
-            return np.zeros((k, k))
-        if choice == "identity":
-            return np.ones((k, k))
-        raise InvalidInput(f"unknown {name} {choice!r}")
-    omega = np.asarray(choice, dtype=np.float64)
-    if omega.shape != (k, k):
-        raise InvalidInput(f"{name} table must be {k}x{k}, got {omega.shape}")
-    if np.abs(omega - omega.T).max(initial=0.0) > 1e-12:
-        raise InvalidInput(f"{name} table must be symmetric")
-    if omega.size and (omega.min() < 0.0 or omega.max() > 1.0):
-        raise InvalidInput(f"{name} entries must lie in [0, 1]")
-    return omega
-
 
 @dataclass(frozen=True)
 class ProxJacobianElement:
@@ -506,8 +502,8 @@ def prox_bsub_element(X, Y, tau, up_choice="zero", low_choice="zero",
     sp = subdiff_partition(X, Y, tol=tol, split_tol=split_tol)
     T = _structured_table(sp, tau)
     up, low = list(sp.b_up), list(sp.b_low)
-    T[np.ix_(up, up)] = _choice_table(up_choice, len(up), "up_choice")
-    T[np.ix_(low, low)] = _choice_table(low_choice, len(low), "low_choice")
+    T[np.ix_(up, up)] = choice_table(up_choice, len(up), "up_choice")
+    T[np.ix_(low, low)] = choice_table(low_choice, len(low), "low_choice")
     return ProxJacobianElement(sp.basis, T, sp, float(tau))
 
 

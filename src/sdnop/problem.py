@@ -13,20 +13,20 @@ elements of the augmented Lagrangian, and the local dual function.
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
 from .errors import InvalidInput
 from .nuclear import (
-    _choice_table,
     grad_moreau_env,
     moreau_env,
     nuclear_norm,
     prox_divided_diff,
 )
 from .psd_cone import proj_bsub_element, project_psd
-from .spectral import as_symmetric
+from .spectral import as_symmetric, choice_table, eig_sym
 
 __all__ = [
     "ProblemOracle",
@@ -35,6 +35,7 @@ __all__ = [
     "MultiplierTriple",
     "KKTResidual",
     "KKTPoint",
+    "ShiftedPoint",
     "triple_diff_norm",
     "lagrangian",
     "grad_x_lagrangian",
@@ -364,67 +365,126 @@ def hess_xx_lagrangian(problem, x, Y, mu, Gamma):
     return 0.5 * (H + H.T)
 
 
-def aug_lagrangian_value(problem, x, Y, mu, Gamma, c):
+class ShiftedPoint:
+    """Shifted spectra of the augmented Lagrangian at one point x.
+
+    Everything the augmented Lagrangian and its derivatives need at x comes
+    from two spectral operators: the nuclear-norm prox at
+    Z = F(x) + Y/c and the PSD projection at M = Gamma - c g(x).  Each is a
+    function of one eigendecomposition, taken here once and shared by the
+    value, the gradient, the Newton element and the multiplier update.
+    The envelope gradient Yhat, the projection Ghat and the Jacobians are
+    formed on first use.
+    """
+
+    def __init__(self, problem, x, Y, mu, Gamma, c):
+        _check_c(c)
+        self.problem = problem
+        self.x = x
+        self.tau = 1.0 / c
+        if problem.q:
+            self.Z = problem.F(x) + Y / c
+            self.eig_Z = eig_sym(self.Z)
+        self.hx = problem.h(x) if problem.m else np.zeros(0)
+        self.muhat = mu + c * self.hx if problem.m else np.zeros(0)
+        if problem.p:
+            self.M = Gamma - c * problem.g(x)
+            self.eig_M = eig_sym(self.M)
+
+    @cached_property
+    def Yhat(self):
+        """Envelope gradient at Z: the updated nuclear-norm multiplier."""
+        if not self.problem.q:
+            return np.zeros((0, 0))
+        return grad_moreau_env(self.Z, self.tau, eig=self.eig_Z)
+
+    @cached_property
+    def Ghat(self):
+        """Projection of M onto the PSD cone: the updated cone multiplier."""
+        if not self.problem.p:
+            return np.zeros((0, 0))
+        return project_psd(self.M, eig=self.eig_M)[0]
+
+    @cached_property
+    def jac_F(self):
+        return self.problem.jac_F(self.x)
+
+    @cached_property
+    def jac_g(self):
+        return self.problem.jac_g(self.x)
+
+
+def _shifted(problem, x, Y, mu, Gamma, c, point):
+    return point if point is not None \
+        else ShiftedPoint(problem, x, Y, mu, Gamma, c)
+
+
+def aug_lagrangian_value(problem, x, Y, mu, Gamma, c, *, point=None):
     """Augmented Lagrangian with penalty c.
 
     Objective plus the smoothed nuclear-norm term at the shifted argument
     F(x) + Y/c, the quadratic equality penalty, and the shifted projection
-    penalty for the semidefinite constraint.
+    penalty for the semidefinite constraint.  ``point`` is an optional
+    ShiftedPoint built from the same arguments, to reuse its spectra.
     """
-    _check_c(c)
+    pt = _shifted(problem, x, Y, mu, Gamma, c, point)
     val = problem.f(x)
     if problem.q:
-        Z = problem.F(x) + Y / c
-        val += moreau_env(Z, 1.0 / c) - np.sum(Y * Y) / (2.0 * c)
+        val += moreau_env(pt.Z, pt.tau, eig=pt.eig_Z) - np.sum(Y * Y) / (2.0 * c)
     if problem.m:
-        hx = problem.h(x)
+        hx = pt.hx
         val += float(mu @ hx) + 0.5 * c * float(hx @ hx)
     if problem.p:
-        M = Gamma - c * problem.g(x)
-        P = project_psd(M)[0]
+        P = pt.Ghat
         val += (np.sum(P * P) - np.sum(Gamma * Gamma)) / (2.0 * c)
     return float(val)
 
 
-def aug_lagrangian_grad(problem, x, Y, mu, Gamma, c):
-    """Gradient in x of the augmented Lagrangian (continuously differentiable)."""
-    _check_c(c)
+def aug_lagrangian_grad(problem, x, Y, mu, Gamma, c, *, point=None):
+    """Gradient in x of the augmented Lagrangian (continuously differentiable).
+
+    ``point`` is an optional ShiftedPoint built from the same arguments.
+    """
+    pt = _shifted(problem, x, Y, mu, Gamma, c, point)
     grad = problem.grad_f(x)
     if problem.q:
-        Z = problem.F(x) + Y / c
-        Yhat = grad_moreau_env(Z, 1.0 / c)
-        grad = grad + adjoint_jac(problem.jac_F(x), Yhat)
+        grad = grad + adjoint_jac(pt.jac_F, pt.Yhat)
     if problem.m:
-        grad = grad + problem.jac_h(x).T @ (mu + c * problem.h(x))
+        grad = grad + problem.jac_h(x).T @ pt.muhat
     if problem.p:
-        Ghat = project_psd(Gamma - c * problem.g(x))[0]
-        grad = grad - adjoint_jac(problem.jac_g(x), Ghat)
+        grad = grad - adjoint_jac(pt.jac_g, pt.Ghat)
     return grad
 
 
-def multiplier_maps(problem, x, Y, mu, Gamma, c):
+def multiplier_maps(problem, x, Y, mu, Gamma, c, *, point=None):
     """One multiplier update at the point x with penalty c.
 
     Y+ is the envelope gradient at the shifted argument, mu+ the shifted
     equality multiplier, Gamma+ the projection of the shifted semidefinite
     multiplier.  At an exact saddle point the map is a fixed point.
+    ``point`` is an optional ShiftedPoint built from the same arguments.
     """
-    _check_c(c)
-    Yp = grad_moreau_env(problem.F(x) + Y / c, 1.0 / c) if problem.q \
-        else np.zeros((0, 0))
-    mup = mu + c * problem.h(x) if problem.m else np.zeros(0)
-    Gp = project_psd(Gamma - c * problem.g(x))[0] if problem.p \
-        else np.zeros((0, 0))
-    return MultiplierTriple(Yp, mup, Gp)
+    pt = _shifted(problem, x, Y, mu, Gamma, c, point)
+    return MultiplierTriple(pt.Yhat, pt.muhat, pt.Ghat)
 
 
 # ----------------------------------------------------------------------------
 # generalized Hessian of the augmented Lagrangian
 # ----------------------------------------------------------------------------
 
+def _hadamard_gram(Q, jac, W):
+    """Matrix of pairings <Q^T J_i Q, W o (Q^T J_j Q)> over a Jacobian stack.
+
+    One batched congruence of the stack into the eigenbasis Q, then one
+    Hadamard-weighted Gram product of the flattened slices.
+    """
+    G = np.matmul(np.matmul(Q.T, jac), Q).reshape(jac.shape[0], -1)
+    return (G * W.reshape(-1)) @ G.T
+
+
 def newton_matrix_element(problem, x, Y, mu, Gamma, c,
                           up_choice="zero", low_choice="zero",
-                          beta_choice="zero", group_tol=1e-8):
+                          beta_choice="zero", group_tol=1e-8, *, point=None):
     """One element of the generalized Hessian of the augmented Lagrangian.
 
     Lagrangian curvature at the updated multipliers plus the three
@@ -432,41 +492,32 @@ def newton_matrix_element(problem, x, Y, mu, Gamma, c,
     through DF, the exact equality block c Jh^T Jh, and a projection
     B-subdifferential element pushed through Dg.  The ``*_choice``
     arguments commit the free Hadamard blocks where the shifted spectra
-    sit exactly on a kink.
+    sit exactly on a kink.  ``point`` is an optional ShiftedPoint built
+    from the same arguments.
     """
-    _check_c(c)
-    tau = 1.0 / c
-    Yhat = grad_moreau_env(problem.F(x) + Y / c, tau) if problem.q \
-        else np.zeros((0, 0))
-    muhat = mu + c * problem.h(x) if problem.m else np.zeros(0)
-    Ghat = project_psd(Gamma - c * problem.g(x))[0] if problem.p \
-        else np.zeros((0, 0))
-    A = hess_xx_lagrangian(problem, x, Yhat, muhat, Ghat)
+    pt = _shifted(problem, x, Y, mu, Gamma, c, point)
+    A = hess_xx_lagrangian(problem, x, pt.Yhat, pt.muhat, pt.Ghat)
 
     if problem.q:
-        dd = prox_divided_diff(problem.F(x) + Y / c, tau, group_tol)
+        dd = prox_divided_diff(pt.Z, pt.tau, group_tol, eig=pt.eig_Z)
         T = dd.table.copy()
         for k, sign in dd.kink_blocks:
             idx = list(dd.blocks.blocks[k])
             choice = up_choice if sign > 0 else low_choice
             name = "up_choice" if sign > 0 else "low_choice"
-            T[np.ix_(idx, idx)] = _choice_table(choice, len(idx), name)
-        Gs = np.einsum("ra,iab,bs->irs", dd.eig.basis.T, problem.jac_F(x),
-                       dd.eig.basis, optimize=True)
-        A = A + c * np.einsum("ikl,kl,jkl->ij", Gs, 1.0 - T, Gs, optimize=True)
+            T[np.ix_(idx, idx)] = choice_table(choice, len(idx), name)
+        A = A + c * _hadamard_gram(pt.eig_Z.basis, pt.jac_F, 1.0 - T)
 
     if problem.m:
         J = problem.jac_h(x)
         A = A + c * (J.T @ J)
 
     if problem.p:
-        M = Gamma - c * problem.g(x)
-        scale = 1.0 + float(np.linalg.norm(M, 2)) if M.size else 1.0
-        elem = proj_bsub_element(M, beta_choice, tol=group_tol * scale)
-        P = elem.basis
-        Cs = np.einsum("ra,iab,bs->irs", P.T, problem.jac_g(x), P, optimize=True)
-        A = A + c * np.einsum("ikl,kl,jkl->ij", Cs, elem.theta.entries, Cs,
-                              optimize=True)
+        # spectral norm of the symmetric M, read off its spectrum
+        scale = 1.0 + float(np.abs(pt.eig_M.values).max(initial=0.0))
+        elem = proj_bsub_element(pt.M, beta_choice, tol=group_tol * scale,
+                                 eig=pt.eig_M)
+        A = A + c * _hadamard_gram(elem.basis, pt.jac_g, elem.theta.entries)
     return 0.5 * (A + A.T)
 
 
@@ -519,9 +570,11 @@ def dual_value_and_grad(problem, Y, mu, Gamma, c, x0, inner_cfg=None):
     y = MultiplierTriple(np.asarray(Y, dtype=np.float64),
                          np.asarray(mu, dtype=np.float64),
                          np.asarray(Gamma, dtype=np.float64))
-    xc, _stats = inner_minimize(problem, y, c, x0, cfg)
-    val = aug_lagrangian_value(problem, xc, y.Y, y.mu, y.Gamma, c)
-    plus = multiplier_maps(problem, xc, y.Y, y.mu, y.Gamma, c)
+    xc, stats = inner_minimize(problem, y, c, x0, cfg)
+    val = aug_lagrangian_value(problem, xc, y.Y, y.mu, y.Gamma, c,
+                               point=stats.point)
+    plus = multiplier_maps(problem, xc, y.Y, y.mu, y.Gamma, c,
+                           point=stats.point)
     grad = MultiplierTriple(
         (plus.Y - y.Y) / c,
         problem.h(xc) if problem.m else np.zeros(0),
@@ -533,6 +586,13 @@ def dual_value_and_grad(problem, Y, mu, Gamma, c, x0, inner_cfg=None):
 # ----------------------------------------------------------------------------
 # JSON instance schema
 # ----------------------------------------------------------------------------
+
+def _finite(A, name):
+    """Reject NaN and infinite entries, naming the offending field."""
+    if not np.all(np.isfinite(A)):
+        raise InvalidInput(f"{name} contains non-finite entries")
+    return A
+
 
 def _matrix_map_from_dict(d, n, k, name):
     if d is None:
@@ -547,10 +607,16 @@ def _matrix_map_from_dict(d, n, k, name):
         raise InvalidInput(f"{name}.A0 must be {k}x{k}, got {A0.shape}")
     if Ai.shape != (n, k, k):
         raise InvalidInput(f"{name}.Ai must be ({n},{k},{k}), got {Ai.shape}")
+    _finite(A0, f"{name}.A0")
+    _finite(Ai, f"{name}.Ai")
     if Aij is not None:
-        Aij = np.asarray(Aij, dtype=np.float64)
+        try:
+            Aij = np.asarray(Aij, dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise InvalidInput(f"bad {name}.Aij: {exc}")
         if Aij.shape != (n, n, k, k):
             raise InvalidInput(f"{name}.Aij must be ({n},{n},{k},{k})")
+        _finite(Aij, f"{name}.Aij")
     return QuadraticMatrixMap(A0, Ai, Aij)
 
 
@@ -571,15 +637,22 @@ def instance_from_dict(data):
         raise InvalidInput(f"malformed instance: {exc}")
     if f_b.shape != (n,) or f_H.shape != (n, n):
         raise InvalidInput("f block dims disagree with n")
+    _finite(f_c0, "f.c0")
+    _finite(f_b, "f.b")
+    _finite(f_H, "f.H")
     rows = data.get("h", [])
     if len(rows) != m:
         raise InvalidInput(f"expected {m} equality rows, got {len(rows)}")
     h_A = np.zeros((m, n))
     h_r = np.zeros(m)
     for i, row in enumerate(rows):
-        row = np.asarray(row, dtype=np.float64)
+        try:
+            row = np.asarray(row, dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise InvalidInput(f"bad h row {i}: {exc}")
         if row.shape != (n + 1,):
             raise InvalidInput(f"h row {i} must have {n + 1} entries")
+        _finite(row, f"h row {i}")
         h_A[i] = row[:n]
         h_r[i] = row[n]
     F_map = _matrix_map_from_dict(data.get("F"), n, q, "F")
@@ -600,6 +673,8 @@ def instance_from_dict(data):
             raise InvalidInput(f"malformed reference_kkt: {exc}")
         if x.shape != (n,):
             raise InvalidInput("reference_kkt.x has wrong length")
+        for field, value in (("x", x), ("Y", Yr), ("mu", mur), ("Gamma", Gr)):
+            _finite(value, f"reference_kkt.{field}")
         reference = KKTPoint(x, MultiplierTriple(Yr, mur, Gr))
     return QuadraticProblem(f_c0, f_b, f_H, F_map, h_A, h_r, g_map, reference)
 

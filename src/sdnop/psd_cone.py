@@ -16,6 +16,7 @@ from .spectral import (
     EigenDecomposition,
     SignPartition,
     as_symmetric,
+    choice_table,
     default_tol,
     eig_sym,
     partition_by_sign,
@@ -64,15 +65,18 @@ class ProjBsubElement:
         return self.basis @ (self.theta.entries * Hh) @ self.basis.T
 
 
-def project_psd(M):
+def project_psd(M, eig=None):
     """Metric projection of a symmetric matrix onto the PSD cone.
+
+    Pass ``eig = eig_sym(M)`` to reuse a decomposition already at hand.
 
     Returns
     -------
     (ndarray, EigenDecomposition)
         The projection and the decomposition of ``M`` used to form it.
     """
-    eig = eig_sym(M)
+    if eig is None:
+        eig = eig_sym(M)
     plus = (eig.basis * np.maximum(eig.values, 0.0)) @ eig.basis.T
     return 0.5 * (plus + plus.T), eig
 
@@ -112,7 +116,7 @@ def _zero_mask(eig, part):
     return mask
 
 
-def proj_bsub_element(M, beta_choice="zero", tol=None):
+def proj_bsub_element(M, beta_choice="zero", tol=None, eig=None):
     """Construct an element of the B-subdifferential of the PSD projection.
 
     Parameters
@@ -124,28 +128,16 @@ def proj_bsub_element(M, beta_choice="zero", tol=None):
         give an explicit symmetric table with entries in [0, 1].
     tol : float, optional
         Sign tolerance for the partition.
+    eig : EigenDecomposition, optional
+        ``eig_sym(M)``, to reuse a decomposition already at hand.
     """
-    eig = eig_sym(M)
+    if eig is None:
+        eig = eig_sym(M)
     part = partition_by_sign(eig, tol)
     zero = list(part.zero)
     table = psd_pair_table(eig.values, _zero_mask(eig, part))
-    k = len(zero)
-    if isinstance(beta_choice, str):
-        if beta_choice == "zero":
-            omega = np.zeros((k, k))
-        elif beta_choice == "identity":
-            omega = np.ones((k, k))
-        else:
-            raise InvalidInput(f"unknown beta_choice {beta_choice!r}")
-    else:
-        omega = np.asarray(beta_choice, dtype=np.float64)
-        if omega.shape != (k, k):
-            raise InvalidInput(f"beta block must be {k}x{k}, got {omega.shape}")
-        if np.abs(omega - omega.T).max(initial=0.0) > 1e-12:
-            raise InvalidInput("beta block table must be symmetric")
-        if omega.size and (omega.min() < 0.0 or omega.max() > 1.0):
-            raise InvalidInput("beta block entries must lie in [0, 1]")
-    if k:
+    omega = choice_table(beta_choice, len(zero), "beta_choice")
+    if zero:
         table[np.ix_(zero, zero)] = omega
     return ProjBsubElement(eig.basis, ThetaMatrix(table, part))
 

@@ -6,7 +6,7 @@ the KKT residual.  Inner loop: Newton's method on the continuously
 differentiable (but not twice differentiable) augmented Lagrangian, using
 generalized-Hessian elements with a Levenberg shift and an Armijo line
 search.  Everything here is deterministic: identical inputs produce
-bit-identical traces.
+bit-identical traces at a fixed BLAS thread count.
 """
 
 from dataclasses import dataclass, field
@@ -18,6 +18,7 @@ from .errors import InnerSolveError, InvalidInput, MaxIterations
 from .problem import (
     KKTPoint,
     MultiplierTriple,
+    ShiftedPoint,
     aug_lagrangian_grad,
     aug_lagrangian_value,
     kkt_residual,
@@ -87,11 +88,16 @@ class InnerConfig:
 
 @dataclass(frozen=True)
 class InnerStats:
+    """Inner-loop counters; ``point`` is the ShiftedPoint at the returned x,
+    which the multiplier update reuses."""
+
     iterations: int
     grad_norm: float
     value: float
     shifted_steps: int
     steepest_steps: int
+    point: Optional[ShiftedPoint] = field(default=None, compare=False,
+                                          repr=False)
 
 
 @dataclass(frozen=True)
@@ -164,12 +170,28 @@ class ALMTrace:
 # inner Newton loop
 # ----------------------------------------------------------------------------
 
+def _eigenvalue_below_floor(A, floor):
+    """Smallest eigenvalue of A if it lies below ``floor``, else None.
+
+    One Cholesky attempt on A - floor I settles the usual positive-definite
+    case; the spectrum is computed only when that attempt fails.
+    """
+    if A.size:
+        try:
+            np.linalg.cholesky(A - floor * np.eye(A.shape[0]))
+            return None
+        except np.linalg.LinAlgError:
+            pass
+    lmin = float(np.linalg.eigvalsh(A).min()) if A.size else 0.0
+    return lmin if lmin < floor else None
+
+
 def _newton_direction(A, grad, cfg):
     """Levenberg-shifted Newton direction; returns (d, shifted, steepest)."""
-    lmin = float(np.linalg.eigvalsh(A).min()) if A.size else 0.0
     shift = 0.0
     shifted = False
-    if lmin < cfg.pd_floor:
+    lmin = _eigenvalue_below_floor(A, cfg.pd_floor)
+    if lmin is not None:
         shift = cfg.levenberg_shift_initial
         doublings = 0
         while lmin + shift < cfg.pd_floor and doublings < _MAX_SHIFT_DOUBLINGS:
@@ -197,14 +219,22 @@ def inner_minimize(problem, y, c, x0, cfg, outer_residual=None):
         tol = max(tol, cfg.grad_tol_rel * outer_residual)
     shifted_steps = 0
     steepest_steps = 0
-    grad = aug_lagrangian_grad(problem, x, y.Y, y.mu, y.Gamma, c)
-    val = aug_lagrangian_value(problem, x, y.Y, y.mu, y.Gamma, c)
+
+    def at(z):
+        return ShiftedPoint(problem, z, y.Y, y.mu, y.Gamma, c)
+
+    # one ShiftedPoint per evaluated point; an accepted trial point's state
+    # becomes the current one, so its gradient and Newton element reuse it
+    pt = at(x)
+    grad = aug_lagrangian_grad(problem, x, y.Y, y.mu, y.Gamma, c, point=pt)
+    val = aug_lagrangian_value(problem, x, y.Y, y.mu, y.Gamma, c, point=pt)
     for it in range(cfg.max_iter):
         gnorm = float(np.linalg.norm(grad))
         if gnorm <= tol:
-            return x, InnerStats(it, gnorm, val, shifted_steps, steepest_steps)
+            return x, InnerStats(it, gnorm, val, shifted_steps,
+                                 steepest_steps, pt)
         A = newton_matrix_element(problem, x, y.Y, y.mu, y.Gamma, c,
-                                  group_tol=_KINK_TOL)
+                                  group_tol=_KINK_TOL, point=pt)
         d, shifted, steepest = _newton_direction(A, grad, cfg)
         shifted_steps += int(shifted)
         steepest_steps += int(steepest)
@@ -217,17 +247,21 @@ def inner_minimize(problem, y, c, x0, cfg, outer_residual=None):
             # can no longer measure progress; accept the full step on
             # gradient contraction instead
             trial = x + d
-            tgrad = aug_lagrangian_grad(problem, trial, y.Y, y.mu, y.Gamma, c)
+            tpt = at(trial)
+            tgrad = aug_lagrangian_grad(problem, trial, y.Y, y.mu, y.Gamma, c,
+                                        point=tpt)
             if float(np.linalg.norm(tgrad)) <= 0.5 * gnorm:
-                x = trial
-                grad = tgrad
-                val = aug_lagrangian_value(problem, x, y.Y, y.mu, y.Gamma, c)
+                x, pt, grad = trial, tpt, tgrad
+                val = aug_lagrangian_value(problem, x, y.Y, y.mu, y.Gamma, c,
+                                           point=pt)
                 continue
         t = 1.0
         accepted = False
         for _ in range(_MAX_BACKTRACKS):
             trial = x + t * d
-            tval = aug_lagrangian_value(problem, trial, y.Y, y.mu, y.Gamma, c)
+            tpt = at(trial)
+            tval = aug_lagrangian_value(problem, trial, y.Y, y.mu, y.Gamma, c,
+                                        point=tpt)
             if tval <= val + cfg.armijo_slope * t * slope + noise:
                 accepted = True
                 break
@@ -238,12 +272,12 @@ def inner_minimize(problem, y, c, x0, cfg, outer_residual=None):
                 best_x=x,
                 stats=InnerStats(it, gnorm, val, shifted_steps, steepest_steps),
             )
-        x = x + t * d
-        val = tval
-        grad = aug_lagrangian_grad(problem, x, y.Y, y.mu, y.Gamma, c)
+        x, pt, val = trial, tpt, tval
+        grad = aug_lagrangian_grad(problem, x, y.Y, y.mu, y.Gamma, c, point=pt)
     gnorm = float(np.linalg.norm(grad))
     if gnorm <= tol:
-        return x, InnerStats(cfg.max_iter, gnorm, val, shifted_steps, steepest_steps)
+        return x, InnerStats(cfg.max_iter, gnorm, val, shifted_steps,
+                             steepest_steps, pt)
     raise InnerSolveError(
         f"inner loop exhausted {cfg.max_iter} iterations (grad {gnorm:.3e} > {tol:.1e})",
         best_x=x,
@@ -288,7 +322,8 @@ def alm_solve(problem, y0, config, x0, reference=None, trust_radius=None):
         except InnerSolveError as exc:
             exc.trace = trace
             raise
-        y_next = multiplier_maps(problem, x, y.Y, y.mu, y.Gamma, c)
+        y_next = multiplier_maps(problem, x, y.Y, y.mu, y.Gamma, c,
+                                 point=istats.point)
         res = kkt_residual(problem, x, y_next.Y, y_next.mu, y_next.Gamma)
         dx = dy = float("nan")
         if reference is not None:

@@ -22,6 +22,7 @@ __all__ = [
     "partition_by_sign",
     "DistinctBlocks",
     "group_distinct",
+    "choice_table",
     "svec",
     "smat",
     "vec_block",
@@ -152,20 +153,37 @@ def group_distinct(eig, group_tol=1e-8, zero_tol=None):
     scale = 1.0 + np.abs(vals).max()
     gap_tol = group_tol * scale
     z_tol = gap_tol if zero_tol is None else zero_tol
-    blocks = []
-    start = 0
-    for i in range(1, vals.size):
-        if vals[i - 1] - vals[i] > gap_tol:
-            blocks.append(tuple(range(start, i)))
-            start = i
-    blocks.append(tuple(range(start, vals.size)))
-    reps = np.array([vals[list(b)].mean() for b in blocks])
-    zero_block = None
-    for k, rep in enumerate(reps):
-        if abs(rep) <= z_tol:
-            zero_block = k
-            break
-    return DistinctBlocks(reps, tuple(blocks), zero_block)
+    cuts = [0, *(np.flatnonzero(vals[:-1] - vals[1:] > gap_tol) + 1), vals.size]
+    blocks = tuple(tuple(range(a, b)) for a, b in zip(cuts[:-1], cuts[1:]))
+    if len(blocks) == vals.size:
+        reps = vals.copy()
+    else:
+        reps = np.array([vals[b[0]:b[-1] + 1].mean() for b in blocks])
+    zero = np.flatnonzero(np.abs(reps) <= z_tol)
+    zero_block = int(zero[0]) if zero.size else None
+    return DistinctBlocks(reps, blocks, zero_block)
+
+
+def choice_table(choice, k, name):
+    """Free Hadamard block of a generalized-derivative element.
+
+    ``choice`` is "zero", "identity", or an explicit symmetric k-by-k
+    table with entries in [0, 1]; ``name`` labels the argument in errors.
+    """
+    if isinstance(choice, str):
+        if choice == "zero":
+            return np.zeros((k, k))
+        if choice == "identity":
+            return np.ones((k, k))
+        raise InvalidInput(f"unknown {name} {choice!r}")
+    omega = np.asarray(choice, dtype=np.float64)
+    if omega.shape != (k, k):
+        raise InvalidInput(f"{name} table must be {k}x{k}, got {omega.shape}")
+    if np.abs(omega - omega.T).max(initial=0.0) > 1e-12:
+        raise InvalidInput(f"{name} table must be symmetric")
+    if omega.size and (omega.min() < 0.0 or omega.max() > 1.0):
+        raise InvalidInput(f"{name} entries must lie in [0, 1]")
+    return omega
 
 
 def svec(M):

@@ -275,3 +275,61 @@ class TestLogging:
             capture_output=True, text=True, env=env)
         assert proc.returncode == 0
         assert "outer 1:" in proc.stderr
+
+
+# ---------------------------------------------------------------------------
+# non-finite instance data
+# ---------------------------------------------------------------------------
+
+def _mutated(tmp_path, edit):
+    data = json.loads(_read(NONDEGEN))
+    edit(data)
+    path = tmp_path / "mutated.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+class TestNonFiniteData:
+    def test_check_rejects_nan_in_f_b(self, tmp_path, capsys):
+        def edit(data):
+            data["f"]["b"][0] = float("nan")
+        path = _mutated(tmp_path, edit)
+        code = cli.main(["check", path, "--out", str(tmp_path / "o")])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err.strip() == \
+            "input error: f.b contains non-finite entries"
+        assert captured.out == ""
+
+    def test_solve_rejects_inf_in_h_row(self, tmp_path, capsys):
+        def edit(data):
+            data["h"][0][0] = float("inf")
+        path = _mutated(tmp_path, edit)
+        code = cli.main(["solve", path, "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert capsys.readouterr().err.strip() == \
+            "input error: h row 0 contains non-finite entries"
+
+    @pytest.mark.parametrize("field", [
+        ("f", "c0"), ("f", "H"), ("F", "A0"), ("F", "Ai"), ("F", "Aij"),
+        ("g", "A0"), ("g", "Ai"), ("reference_kkt", "Gamma"),
+    ])
+    def test_every_field_is_named(self, tmp_path, capsys, field):
+        block, key = field
+
+        def edit(data):
+            if key == "Aij":  # the bundled maps are affine: add a zero Aij
+                n, q = data["n"], data["q"]
+                data[block][key] = [[[[0.0] * q] * q] * n] * n
+            arr = data[block][key]
+            if not isinstance(arr, list):
+                data[block][key] = float("nan")
+                return
+            while isinstance(arr[0], list):
+                arr = arr[0]
+            arr[0] = float("-inf")
+        path = _mutated(tmp_path, edit)
+        code = cli.main(["check", path, "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert f"{block}.{key} contains non-finite entries" in \
+            capsys.readouterr().err

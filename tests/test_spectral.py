@@ -145,6 +145,14 @@ class TestGroupDistinct:
         assert blocks.zero_block is None
         assert blocks.blocks == ((0,), (1,))
 
+    def test_representatives_are_block_means(self):
+        for vals in ([3.0, 1.0, -2.0], [2.0 + 1e-12, 2.0, 2.0 - 1e-12, 0.5]):
+            eig = eig_sym(np.diag(vals))
+            blocks = group_distinct(eig)
+            means = [eig.values[list(b)].mean() for b in blocks.blocks]
+            np.testing.assert_array_equal(blocks.values, means)
+            assert blocks.values is not eig.values
+
     def test_random_blocks_cover_all_indices(self):
         rng = np.random.RandomState(6)
         for _ in range(50):
