@@ -8,8 +8,9 @@ exact reference point).  Results land in the output directory as JSON
 reports and CSV tables; with a fixed seed and a fixed BLAS thread count
 every artifact is byte-identical across reruns.
 
-Exit codes: 0 success, 1 input error, 2 outer-iteration cap, 3 inner
-solve failure, 4 every sweep grid point diverged.  The ``SDNOP_LOG``
+Exit codes: 0 success, 1 input error (including any package error a
+subcommand does not handle itself), 2 outer-iteration cap, 3 inner solve
+failure, 4 every sweep grid point diverged.  The ``SDNOP_LOG``
 environment variable (error, info, debug) sets log verbosity.
 """
 
@@ -257,20 +258,27 @@ def cmd_rate_sweep(args):
     ]
     _write_csv(os.path.join(out, "rate.csv"), _RATE_COLUMNS, rows)
     fit_data = fit.as_dict()
+    points = fit.fit_points
     fit_data["flags"] = {
         "assumptions_unverified": fit.assumptions_unverified,
         "excluded": [c for c, ok in zip(fit.penalties, fit.converged)
                      if not ok],
+        "fit_points": len(points),
+        "underdetermined": len(points) < 3,
     }
     _write_json(os.path.join(out, "fit.json"), fit_data)
     if not any(fit.converged):
         log.error("every grid point diverged")
         return EXIT_SWEEP
     if fit.slope is not None:
-        print("slope %.4f, r_squared %.4f over %d grid points"
-              % (fit.slope, fit.r_squared, len(grid)))
+        print("slope %.4f, r_squared %.4f over %d usable grid points"
+              % (fit.slope, fit.r_squared, len(points)))
+    elif points:
+        j = points[0]
+        print("single usable grid point c=%g, ratio %.3e"
+              % (fit.penalties[j], fit.ratios[j]))
     else:
-        print("single usable grid point, ratio %.3e" % fit.ratios[0])
+        print("no usable grid point")
     return EXIT_OK
 
 
@@ -374,11 +382,13 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InvalidInput as exc:
+    except (InvalidInput, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except OSError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
+    except SDNOPError as exc:
+        # anything the subcommand did not turn into an exit code itself,
+        # such as a reference point that is not a KKT point
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
 

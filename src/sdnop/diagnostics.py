@@ -212,24 +212,6 @@ def _svec_rows(jac_Q, rows):
     return np.stack([svec_block(jac_Q[l], rows) for l in range(n)], axis=1)
 
 
-def _svec_weights(table):
-    """Diagonal weights aligned with the svec ordering of a symmetric table.
-
-    No sqrt(2) factor: the svec rows already carry the isometric scaling,
-    so the plain table entries give the correct doubled off-diagonal count.
-    """
-    k = table.shape[0]
-    out = np.empty(k * (k + 1) // 2)
-    pos = 0
-    for j in range(k):
-        for i in range(j):
-            out[pos] = table[i, j]
-            pos += 1
-        out[pos] = table[j, j]
-        pos += 1
-    return out
-
-
 # ----------------------------------------------------------------------------
 # nondegeneracy: the stacked active-block matrix and its rank
 # ----------------------------------------------------------------------------
@@ -365,8 +347,8 @@ def _distinct_value_runs(values, group_tol):
     return _equal_runs(values.reshape(-1, 1), np.array([group_tol * scale]))
 
 
-def _matrix_term_curvature(blocks, Hc, group_tol=1e-8):
-    """Quadratic curvature anchor of the nuclear-norm term.
+def _nuclear_curvature_matrix(blocks, J, group_tol):
+    """Reduced matrix of the nuclear-norm curvature term.
 
     For a compressed direction Hc (in the F basis) lying in the affine
     hull of the residual cone, the second-order contribution of the
@@ -375,71 +357,55 @@ def _matrix_term_curvature(blocks, Hc, group_tol=1e-8):
         2 sum_k < Y_kk, Hc_{k,l} Hc_{k,l}^T / (v_l - v_k) >  over l != k,
 
     summed over distinct eigenvalue groups of F(x) with representatives
-    v_k.  This enters the second-order test with a minus sign.
+    v_k (the group means).  With W[a, c] = 1/(v_{g(c)} - v_{g(a)}) across
+    groups (0 inside one) and Yhat the same-group diagonal blocks of Y_Q,
+    this is 2 <W o Hc, Yhat Hc>; its bilinear form on the stacked
+    compressed directions ``J`` (k, q, q) is returned unsymmetrized.
     """
     lam = blocks.values_F
-    if lam.size == 0:
-        return 0.0
-    runs = _distinct_value_runs(lam, group_tol)
-    reps = [float(lam[list(r)].mean()) for r in runs]
-    total = 0.0
-    for k, gk in enumerate(runs):
-        ik = list(gk)
-        K = np.zeros((len(ik), len(ik)))
-        for l, gl in enumerate(runs):
-            if l == k:
-                continue
-            Hkl = Hc[np.ix_(ik, list(gl))]
-            K += (Hkl @ Hkl.T) / (reps[l] - reps[k])
-        total += 2.0 * float(np.sum(blocks.Y_Q[np.ix_(ik, ik)] * K))
-    return total
-
-
-def _quadratic_probe(problem, x, Gamma, blocks, hess_L, jac_g, pinv_g,
-                     group_tol):
-    """Closure computing the second-order test value q(d)."""
-
-    def q_of(d):
-        val = float(d @ hess_L @ d)
-        if problem.q:
-            Hc = np.einsum("lij,l->ij", blocks.jac_F_Q, d)
-            val -= _matrix_term_curvature(blocks, Hc, group_tol)
-        if problem.p:
-            G = apply_jac(jac_g, d)
-            val += 2.0 * float(np.sum(Gamma * (G @ pinv_g @ G)))
-        return val
-
-    return q_of
+    gid = np.empty(lam.size, dtype=np.intp)
+    reps = []
+    for g, run in enumerate(_distinct_value_runs(lam, group_tol)):
+        gid[list(run)] = g
+        reps.append(float(lam[list(run)].mean()))
+    v = np.asarray(reps)[gid]
+    same = gid[:, None] == gid[None, :]
+    W = np.where(same, 0.0, 1.0 / np.where(same, 1.0, v[None, :] - v[:, None]))
+    Yhat = np.where(same, blocks.Y_Q, 0.0)
+    return 2.0 * np.einsum("iab,jab->ij", J * W, Yhat @ J)
 
 
 def sosc_reduced_matrix(problem, x, multipliers, blocks=None, basis=None,
                         group_tol=1e-8):
     """Reduced symmetric matrix of the second-order test.
 
-    Assembled by polarization probes q(b_i + b_j) of the test value on an
-    orthonormal basis of the reduced subspace; every term of q is
-    quadratic there, so the reduction is exact.  Returns (matrix, basis).
+    The test value q(d) is a quadratic form, so on the columns B of
+    ``basis`` its matrix is assembled in closed form,
+
+        M = B^T (hess_L - Sigma_F + Sigma_g) B,
+
+    where Sigma_F is the nuclear-norm curvature
+    (:func:`_nuclear_curvature_matrix`) and Sigma_g the cone curvature
+    2 sym <Gamma, Dg b_i g(x)^+ Dg b_j>.  The basis defaults to the
+    orthonormal :func:`app_cone_basis` of the reduced subspace.  Returns
+    (matrix, basis).
     """
     b = blocks if blocks is not None else cone_blocks(
         problem, x, multipliers, group_tol)
     if basis is None:
         basis = app_cone_basis(problem, x, multipliers, blocks=b)
-    k = basis.shape[1]
     x = np.asarray(x, dtype=np.float64)
     hess_L = hess_xx_lagrangian(problem, x, multipliers.Y, multipliers.mu,
                                 multipliers.Gamma)
-    jac_g = problem.jac_g(x) if problem.p else None
-    pinv_g = pinv_sym(problem.g(x)) if problem.p else None
-    q_of = _quadratic_probe(problem, x, multipliers.Gamma, b, hess_L,
-                            jac_g, pinv_g, group_tol)
-    diag = [q_of(basis[:, i]) for i in range(k)]
-    M = np.zeros((k, k))
-    for i in range(k):
-        M[i, i] = diag[i]
-        for j in range(i + 1, k):
-            val = 0.5 * (q_of(basis[:, i] + basis[:, j]) - diag[i] - diag[j])
-            M[i, j] = M[j, i] = val
-    return M, basis
+    M = basis.T @ hess_L @ basis
+    if problem.q:
+        J = np.tensordot(basis.T, b.jac_F_Q, axes=1)
+        M -= _nuclear_curvature_matrix(b, J, group_tol)
+    if problem.p:
+        G = np.tensordot(basis.T, problem.jac_g(x), axes=1)
+        GGp = multipliers.Gamma @ G @ pinv_sym(problem.g(x))
+        M += 2.0 * np.einsum("iab,jba->ij", GGp, G)
+    return 0.5 * (M + M.T), basis
 
 
 @dataclass(frozen=True)
@@ -506,17 +472,11 @@ def second_order_necessary_check(problem, x, multipliers, samples=200,
     when no sampled direction is critical.
     """
     b = cone_blocks(problem, x, multipliers, group_tol)
-    basis = app_cone_basis(problem, x, multipliers, blocks=b)
+    M, basis = sosc_reduced_matrix(problem, x, multipliers, blocks=b,
+                                   group_tol=group_tol)
     k = basis.shape[1]
     if k == 0:
         return True
-    x = np.asarray(x, dtype=np.float64)
-    hess_L = hess_xx_lagrangian(problem, x, multipliers.Y, multipliers.mu,
-                                multipliers.Gamma)
-    jac_g = problem.jac_g(x) if problem.p else None
-    pinv_g = pinv_sym(problem.g(x)) if problem.p else None
-    q_of = _quadratic_probe(problem, x, multipliers.Gamma, b, hess_L,
-                            jac_g, pinv_g, group_tol)
     rng = np.random.RandomState(seed)
     for _ in range(samples):
         d = basis @ rng.randn(k)
@@ -526,7 +486,8 @@ def second_order_necessary_check(problem, x, multipliers, samples=200,
         d /= norm
         if not _critical_member(b, d, 1e-10):
             continue
-        if q_of(d) < -tol:
+        z = basis.T @ d
+        if z @ M @ z < -tol:
             return False
     return True
 
@@ -895,6 +856,11 @@ class RateFit:
     predicted: Tuple[float, ...]
     assumptions_unverified: bool
 
+    @property
+    def fit_points(self):
+        """Grid indices whose ratios enter the fit."""
+        return _fit_points(self.ratios, self.converged)
+
     def as_dict(self):
         return {
             "penalties": list(self.penalties),
@@ -908,6 +874,13 @@ class RateFit:
             "predicted": list(self.predicted),
             "assumptions_unverified": self.assumptions_unverified,
         }
+
+
+def _fit_points(ratios, converged):
+    """Indices of converged grid points with a finite positive ratio."""
+    return tuple(
+        j for j, (r, ok) in enumerate(zip(ratios, converged))
+        if ok and math.isfinite(r) and r > 0.0)
 
 
 def _unit_perturbation(problem, seed):
@@ -1007,11 +980,7 @@ def rate_sweep(problem, reference, grid, delta=1e-2, config=None, seed=0,
     iterations = tuple(i for _, i, _ in results)
     converged = tuple(c for _, _, c in results)
 
-    usable = [
-        (c, r)
-        for c, r, ok in zip(grid, ratios, converged)
-        if ok and math.isfinite(r) and r > 0.0
-    ]
+    usable = [(grid[j], ratios[j]) for j in _fit_points(ratios, converged)]
     slope = intercept = r_squared = rho2_proxy = None
     if len(usable) == 1:
         rho2_proxy = usable[0][1] * usable[0][0]

@@ -139,6 +139,24 @@ class TestCheck:
         assert code == 1
         assert "reference" in capsys.readouterr().err
 
+    def test_non_kkt_reference_is_one_line_error(self, tmp_path):
+        # a scaled multiplier is no subgradient of the nuclear norm at
+        # F(x); the package error must surface as exit 1, not a traceback
+        data = json.loads(_read(NONDEGEN))
+        data["reference_kkt"]["Y"] = [
+            [3.0 * v for v in row] for row in data["reference_kkt"]["Y"]]
+        path = tmp_path / "scaled.json"
+        path.write_text(json.dumps(data))
+        proc = subprocess.run(
+            [sys.executable, "-m", "sdnop", "check", str(path),
+             "--out", str(tmp_path / "o")],
+            capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.strip().splitlines() == [
+            "error: NotASubgradient: subgradient defect 2.000e+00 "
+            "exceeds 1.0e-08"]
+
 
 # ---------------------------------------------------------------------------
 # rate-sweep
@@ -158,6 +176,8 @@ class TestRateSweep:
         assert fit["r_squared"] > 0.9
         assert fit["flags"]["assumptions_unverified"] is False
         assert fit["flags"]["excluded"] == []
+        assert fit["flags"]["fit_points"] == 4
+        assert fit["flags"]["underdetermined"] is False
 
     def test_single_point_slope_null(self, tmp_path):
         out = str(tmp_path / "run")
@@ -167,6 +187,31 @@ class TestRateSweep:
         fit = json.loads(_read(os.path.join(out, "fit.json")))
         assert fit["slope"] is None
         assert len(fit["ratios"]) == 1
+
+    def test_summary_names_the_usable_point(self, tmp_path, capsys):
+        # c=0.001 hits the outer cap, so c=10 is the only fitted point
+        out = str(tmp_path / "run")
+        code = cli.main(["rate-sweep", NONDEGEN, "--grid", "0.001,10",
+                         "--seed", "7", "--out", out])
+        assert code == 0
+        assert capsys.readouterr().out.strip() == \
+            "single usable grid point c=10, ratio 5.465e-01"
+        fit = json.loads(_read(os.path.join(out, "fit.json")))
+        assert fit["converged"] == [False, True]
+        assert fit["flags"]["excluded"] == [0.001]
+        assert fit["flags"]["fit_points"] == 1
+        assert fit["flags"]["underdetermined"] is True
+
+    def test_slope_line_counts_usable_points(self, tmp_path, capsys):
+        out = str(tmp_path / "run")
+        code = cli.main(["rate-sweep", NONDEGEN, "--grid", "0.001,10,100",
+                         "--seed", "7", "--out", out])
+        assert code == 0
+        assert capsys.readouterr().out.strip().endswith(
+            "over 2 usable grid points")
+        fit = json.loads(_read(os.path.join(out, "fit.json")))
+        assert fit["flags"]["fit_points"] == 2
+        assert fit["flags"]["underdetermined"] is True
 
     def test_rerun_is_byte_identical(self, tmp_path):
         out_a = str(tmp_path / "a")

@@ -1,5 +1,7 @@
 """Tests for the synthetic instance generator."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,9 @@ from sdnop.diagnostics import (
 from sdnop.errors import InvalidInput
 from sdnop.generator import block_matrix_rows, generate_instance
 from sdnop.problem import kkt_residual, load_instance, save_instance
+
+INSTANCES = os.path.join(os.path.dirname(os.path.dirname(__file__)),
+                         "instances")
 
 
 def _residual(problem):
@@ -62,6 +67,20 @@ class TestProfiles:
         so = strong_sosc_check(problem, ref.x, ref.multipliers)
         assert not so.holds
         assert so.min_value < 0.0
+
+    @pytest.mark.parametrize("profile", ["nondegen", "degen"])
+    def test_mid_size(self, profile):
+        # (40,16,4,14) is the benchmark's solve shape; the closed-form
+        # reduced matrix makes generating it cheap enough to test
+        problem = generate_instance(40, 16, 4, 14, profile=profile, seed=7)
+        assert _residual(problem) <= 1e-12
+        ref = problem.reference
+        nd = nondegeneracy_check(problem, ref.x, ref.multipliers)
+        assert nd.holds == (profile == "nondegen")
+        so = strong_sosc_check(problem, ref.x, ref.multipliers)
+        assert so.holds
+        assert so.dimension > 30
+        assert so.min_value > 0.5
 
     def test_nondegen_shape_sweep(self):
         shapes = [(8, 3, 1, 3), (6, 2, 0, 2), (5, 0, 2, 3),
@@ -127,6 +146,15 @@ class TestDeterminism:
                                       b.reference.multipliers.mu)
         np.testing.assert_array_equal(a.reference.multipliers.Gamma,
                                       b.reference.multipliers.Gamma)
+
+    @pytest.mark.parametrize("profile", ["nondegen", "degen", "saddle"])
+    def test_reproduces_bundled_instance(self, tmp_path, profile):
+        problem = generate_instance(8, 3, 1, 3, profile=profile, seed=7)
+        path = tmp_path / "instance.json"
+        save_instance(problem, path)
+        bundled = os.path.join(INSTANCES, f"{profile}_small.json")
+        with open(path, "rb") as fresh, open(bundled, "rb") as kept:
+            assert fresh.read() == kept.read()
 
     def test_different_seed_different_instance(self):
         a = generate_instance(8, 3, 1, 3, seed=7)
