@@ -9,9 +9,10 @@ reports and CSV tables; with a fixed seed and a fixed BLAS thread count
 every artifact is byte-identical across reruns.
 
 Exit codes: 0 success, 1 input error (including any package error a
-subcommand does not handle itself), 2 outer-iteration cap, 3 inner solve
-failure, 4 every sweep grid point diverged.  The ``SDNOP_LOG``
-environment variable (error, info, debug) sets log verbosity.
+subcommand does not handle itself and a linear-algebra failure on the
+data), 2 outer-iteration cap, 3 inner solve failure, 4 every sweep grid
+point diverged.  The ``SDNOP_LOG`` environment variable (error, info,
+debug) sets log verbosity.
 """
 
 import argparse
@@ -25,6 +26,7 @@ import sys
 import numpy as np
 
 from .diagnostics import (
+    cone_blocks,
     nondegeneracy_check,
     rate_constants,
     rate_sweep,
@@ -224,8 +226,9 @@ def cmd_check(args):
     ref = problem.reference
     y = ref.multipliers
     res = kkt_residual(problem, ref.x, y.Y, y.mu, y.Gamma)
-    nondeg = nondegeneracy_check(problem, ref.x, y)
-    sosc = strong_sosc_check(problem, ref.x, y)
+    blocks = cone_blocks(problem, ref.x, y)
+    nondeg = nondegeneracy_check(problem, ref.x, y, blocks=blocks)
+    sosc = strong_sosc_check(problem, ref.x, y, blocks=blocks)
     try:
         constants = rate_constants(problem, ref.x, y).as_dict()
     except SDNOPError as exc:
@@ -382,7 +385,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InvalidInput, OSError) as exc:
+    except (InvalidInput, OSError, np.linalg.LinAlgError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except SDNOPError as exc:

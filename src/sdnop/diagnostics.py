@@ -154,12 +154,13 @@ def cone_blocks(problem, x, multipliers, group_tol=1e-8, rng=None):
         P = _rotate_within(P, runs_M, rng)
 
     n = problem.n
+    # batched congruences Q^T J_l Q: two O(n q^3) products
     if problem.q:
-        jac_F_Q = np.einsum("lij,ia,jb->lab", problem.jac_F(x), Q, Q)
+        jac_F_Q = np.matmul(np.matmul(Q.T, problem.jac_F(x)), Q)
     else:
         jac_F_Q = np.zeros((n, 0, 0))
     if problem.p:
-        jac_g_P = np.einsum("lij,ia,jb->lab", problem.jac_g(x), P, P)
+        jac_g_P = np.matmul(np.matmul(P.T, problem.jac_g(x)), P)
     else:
         jac_g_P = np.zeros((n, 0, 0))
     return ConeBlocks(
@@ -234,11 +235,9 @@ class AQPMatrix:
     blocks: ConeBlocks
 
 
-def build_AQP(problem, x, multipliers, blocks=None, group_tol=1e-8):
-    """Assemble the active-constraint block matrix at a reference point."""
-    b = blocks if blocks is not None else cone_blocks(
-        problem, x, multipliers, group_tol)
-    rows = [
+def _active_rows(b):
+    """The row groups of :class:`AQPMatrix`, stacked, for one basis."""
+    return np.vstack([
         b.jac_h,
         _svec_rows(b.jac_F_Q, b.b_up),
         _vec_rows(b.jac_F_Q, b.b_up, b.b_mid),
@@ -249,8 +248,14 @@ def build_AQP(problem, x, multipliers, blocks=None, group_tol=1e-8):
         -_svec_rows(b.jac_g_P, b.alpha),
         -_svec_rows(b.jac_g_P, b.beta),
         -_vec_rows(b.jac_g_P, b.alpha, b.beta),
-    ]
-    A = np.vstack(rows)
+    ])
+
+
+def build_AQP(problem, x, multipliers, blocks=None, group_tol=1e-8):
+    """Assemble the active-constraint block matrix at a reference point."""
+    b = blocks if blocks is not None else cone_blocks(
+        problem, x, multipliers, group_tol)
+    A = _active_rows(b)
     nb = len(b.b_all)
     nab = len(b.alpha) + len(b.beta)
     n1 = b.jac_h.shape[0] + nb * (nb + 1) // 2
@@ -642,18 +647,7 @@ def split_penalty_matrix(problem, x, multipliers, c_base, c, free=0.0,
 
 def _sigma_nu_at(blocks):
     """Singular-value and cross-block spectral brackets for one basis."""
-    A = np.vstack([
-        blocks.jac_h,
-        _svec_rows(blocks.jac_F_Q, blocks.b_up),
-        _vec_rows(blocks.jac_F_Q, blocks.b_up, blocks.b_mid),
-        _vec_rows(blocks.jac_F_Q, blocks.b_up, blocks.b_low),
-        _svec_rows(blocks.jac_F_Q, blocks.b_mid),
-        _vec_rows(blocks.jac_F_Q, blocks.b_mid, blocks.b_low),
-        _svec_rows(blocks.jac_F_Q, blocks.b_low),
-        -_svec_rows(blocks.jac_g_P, blocks.alpha),
-        -_svec_rows(blocks.jac_g_P, blocks.beta),
-        -_vec_rows(blocks.jac_g_P, blocks.alpha, blocks.beta),
-    ])
+    A = _active_rows(blocks)
     C = np.vstack([
         _vec_rows(blocks.jac_F_Q, blocks.a, blocks.b_mid),
         _vec_rows(blocks.jac_F_Q, blocks.a, blocks.b_low),
@@ -962,9 +956,11 @@ def rate_sweep(problem, reference, grid, delta=1e-2, config=None, seed=0,
             f"reference KKT residual {ref_res.total:.3e} exceeds 1e-10")
 
     try:
+        blocks = cone_blocks(problem, reference.x, reference.multipliers)
         nondeg = nondegeneracy_check(problem, reference.x,
-                                     reference.multipliers)
-        sosc = strong_sosc_check(problem, reference.x, reference.multipliers)
+                                     reference.multipliers, blocks=blocks)
+        sosc = strong_sosc_check(problem, reference.x, reference.multipliers,
+                                 blocks=blocks)
         unverified = not (nondeg.holds and sosc.holds)
     except (NotAKKTPoint, NotASubgradient, DegenerateSpectrum, InvalidInput):
         unverified = True

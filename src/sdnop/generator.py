@@ -26,7 +26,7 @@ saddle
 
 import numpy as np
 
-from .diagnostics import nondegeneracy_check, sosc_reduced_matrix
+from .diagnostics import cone_blocks, nondegeneracy_check, sosc_reduced_matrix
 from .errors import InvalidInput
 from .problem import (
     KKTPoint,
@@ -255,8 +255,10 @@ def generate_instance(n, q, m, p, profile="nondegen", seed=0):
             )
 
         base = build(np.zeros((n, n)))
+        # the blocks read F, h and g only, which base and problem share
+        blocks = cone_blocks(base, reference.x, reference.multipliers)
         M0, basis = sosc_reduced_matrix(base, reference.x,
-                                        reference.multipliers)
+                                        reference.multipliers, blocks=blocks)
         if profile == "saddle" and basis.shape[1] == 0:
             raise InvalidInput(
                 "reduced subspace is empty at these dimensions, so the "
@@ -279,7 +281,7 @@ def generate_instance(n, q, m, p, profile="nondegen", seed=0):
             continue
         if profile == "nondegen":
             rep = nondegeneracy_check(problem, reference.x,
-                                      reference.multipliers)
+                                      reference.multipliers, blocks=blocks)
             if not rep.holds or rep.sigma_min <= 1e-6:
                 last_reason = f"rank margin {rep.sigma_min:.2e}"
                 continue

@@ -1,11 +1,13 @@
 """The nuclear norm of a symmetric matrix and its variational machinery.
 
 Value, subdifferential, first and second directional derivatives, critical
-cone, proximal mapping, Moreau envelope, divided-difference tables, and
-constructible generalized-Jacobian elements of the prox and of the envelope
-gradient.  The conjugate of the second directional derivative (the
-curvature correction used by second-order optimality conditions) is also
-evaluated here in three equivalent closed forms.
+cone, proximal mapping, Moreau envelope, the soft-threshold
+divided-difference table, and constructible generalized-Jacobian elements
+of the prox and of the envelope gradient.  Every prox Jacobian element is
+the Hadamard table of :func:`prox_divided_diff` with committed slope
+choices on its kink blocks.  The conjugate of the second directional
+derivative (the curvature correction used by second-order optimality
+conditions) is also evaluated here in three equivalent closed forms.
 """
 
 from dataclasses import dataclass
@@ -13,7 +15,6 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from ._kernels import soft_pair_table
 from .errors import DomainError, InvalidInput, NotASubgradient
 from .psd_cone import project_psd
 from .spectral import (
@@ -40,6 +41,7 @@ __all__ = [
     "eig_dir_derivs",
     "eig_second_dir_derivs",
     "theta_second_dir_deriv",
+    "soft_pair_table",
     "ProxDividedDiff",
     "prox_divided_diff",
     "prox_dir_deriv",
@@ -369,6 +371,30 @@ def theta_second_dir_deriv(X, H, W, group_tol=1e-8):
 # divided differences and directional derivative of the prox
 # ----------------------------------------------------------------------------
 
+def soft_pair_table(vals, tau, kink_flags):
+    """Difference-quotient table of the scalar soft threshold at level tau.
+
+    ``vals`` holds distinct eigenvalue representatives.  Off-diagonal entry
+    (k, l) is (p(v_k) - p(v_l)) / (v_k - v_l) with p the soft threshold.
+    Diagonal entries carry the slope (1 outside [-tau, tau], 0 inside);
+    entries whose ``kink_flags`` is nonzero (+1 at +tau, -1 at -tau) get 0,
+    and the caller overlays its committed slope element there.
+
+    Returns
+    -------
+    ndarray, shape (r, r)
+    """
+    vals = np.where(kink_flags > 0, tau, np.where(kink_flags < 0, -tau, vals))
+    pv = _soft_threshold(vals, tau)
+    num = pv[:, None] - pv[None, :]
+    den = vals[:, None] - vals[None, :]
+    out = np.zeros((vals.size, vals.size))
+    np.divide(num, den, out=out, where=den != 0.0)
+    slope = np.where((np.abs(vals) > tau) & (kink_flags == 0), 1.0, 0.0)
+    np.fill_diagonal(out, slope)
+    return out
+
+
 @dataclass(frozen=True)
 class ProxDividedDiff:
     """Divided-difference table of the soft threshold over a spectrum.
@@ -376,7 +402,8 @@ class ProxDividedDiff:
     ``table`` is expanded to eigenvalue-index pairs; ``kink_blocks`` lists
     (block position, sign) for blocks sitting exactly on a threshold kink,
     where the scalar table cannot represent the one-sided derivative and
-    the assembler substitutes a definite-part projection.
+    the assembler substitutes a definite-part projection or a committed
+    slope table (:meth:`committed_table`).
     """
 
     table: np.ndarray
@@ -384,6 +411,18 @@ class ProxDividedDiff:
     blocks: DistinctBlocks
     eig: EigenDecomposition
     tau: float
+
+    def committed_table(self, up_choice, low_choice):
+        """Copy of ``table`` with the committed slope tables overlaid on
+        the kink blocks: ``up_choice`` at +tau, ``low_choice`` at -tau
+        (see :func:`spectral.choice_table`)."""
+        T = self.table.copy()
+        for k, sign in self.kink_blocks:
+            idx = list(self.blocks.blocks[k])
+            choice = up_choice if sign > 0 else low_choice
+            name = "up_choice" if sign > 0 else "low_choice"
+            T[np.ix_(idx, idx)] = choice_table(choice, len(idx), name)
+        return T
 
 
 def prox_divided_diff(Z, tau, group_tol=1e-8, eig=None):
@@ -453,41 +492,19 @@ class ProxJacobianElement:
 
 
 def _structured_values(sp, tau):
-    """Spectrum of X + tau Y in the refined basis, with kink kinds."""
+    """Spectrum of X + tau Y in the refined basis, descending; the
+    saturated null rows sit exactly at +-tau."""
     q = sp.w.size
     vals = np.empty(q)
-    kind = np.zeros(q, dtype=np.int8)
     for i in sp.partition.pos:
         vals[i] = sp.values[i] + tau
     for i in sp.partition.neg:
         vals[i] = sp.values[i] - tau
     for i in sp.partition.zero:
         vals[i] = tau * sp.w[i]
-    for i in sp.b_up:
-        vals[i] = tau
-        kind[i] = 1
-    for i in sp.b_low:
-        vals[i] = -tau
-        kind[i] = -1
-    return vals, kind
-
-
-def _structured_table(sp, tau):
-    vals, kind = _structured_values(sp, tau)
-    q = vals.size
-    p = _soft_threshold(vals, tau)
-    eps = 1e-12 * (1.0 + np.abs(vals).max(initial=0.0))
-    T = np.zeros((q, q))
-    for i in range(q):
-        for j in range(i, q):
-            if kind[i] != 0 and kind[i] == kind[j]:
-                entry = 0.0  # committed choice is overlaid on this block
-            elif abs(vals[i] - vals[j]) <= eps:
-                entry = 1.0 if abs(vals[i]) > tau else 0.0
-            else:
-                entry = (p[i] - p[j]) / (vals[i] - vals[j])
-            T[i, j] = T[j, i] = entry
-    return T
+    vals[list(sp.b_up)] = tau
+    vals[list(sp.b_low)] = -tau
+    return vals
 
 
 def prox_bsub_element(X, Y, tau, up_choice="zero", low_choice="zero",
@@ -500,10 +517,12 @@ def prox_bsub_element(X, Y, tau, up_choice="zero", low_choice="zero",
     """
     _check_tau(tau)
     sp = subdiff_partition(X, Y, tol=tol, split_tol=split_tol)
-    T = _structured_table(sp, tau)
-    up, low = list(sp.b_up), list(sp.b_low)
-    T[np.ix_(up, up)] = choice_table(up_choice, len(up), "up_choice")
-    T[np.ix_(low, low)] = choice_table(low_choice, len(low), "low_choice")
+    vals = _structured_values(sp, tau)
+    # spectra closer than 1e-12 (1 + max |v|) are one group, so the two
+    # saturated groups sit exactly on the kinks at +-tau
+    dd = prox_divided_diff(None, tau, group_tol=1e-12,
+                           eig=EigenDecomposition(vals, sp.basis))
+    T = dd.committed_table(up_choice, low_choice)
     return ProxJacobianElement(sp.basis, T, sp, float(tau))
 
 

@@ -26,7 +26,7 @@ from .nuclear import (
     prox_divided_diff,
 )
 from .psd_cone import proj_bsub_element, project_psd
-from .spectral import as_symmetric, choice_table, eig_sym
+from .spectral import as_symmetric, eig_sym
 
 __all__ = [
     "ProblemOracle",
@@ -500,12 +500,7 @@ def newton_matrix_element(problem, x, Y, mu, Gamma, c,
 
     if problem.q:
         dd = prox_divided_diff(pt.Z, pt.tau, group_tol, eig=pt.eig_Z)
-        T = dd.table.copy()
-        for k, sign in dd.kink_blocks:
-            idx = list(dd.blocks.blocks[k])
-            choice = up_choice if sign > 0 else low_choice
-            name = "up_choice" if sign > 0 else "low_choice"
-            T[np.ix_(idx, idx)] = choice_table(choice, len(idx), name)
+        T = dd.committed_table(up_choice, low_choice)
         A = A + c * _hadamard_gram(pt.eig_Z.basis, pt.jac_F, 1.0 - T)
 
     if problem.m:

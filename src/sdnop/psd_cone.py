@@ -1,16 +1,17 @@
 """Projection onto the positive semidefinite cone and its derivatives.
 
-Provides the metric projection, its directional derivative, constructible
-elements of its B-subdifferential, and membership predicates for the
-tangent cone, the lineality space of the tangent cone, the critical cone,
-and the critical cone's affine hull.
+Provides the metric projection, the positive-part divided-difference
+table over a spectrum (the Hadamard table behind every derivative of the
+projection), its directional derivative, constructible elements of its
+B-subdifferential, and membership predicates for the tangent cone, the
+lineality space of the tangent cone, the critical cone, and the critical
+cone's affine hull.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import psd_pair_table
 from .errors import InvalidInput
 from .spectral import (
     EigenDecomposition,
@@ -26,6 +27,7 @@ __all__ = [
     "ThetaMatrix",
     "ProjBsubElement",
     "project_psd",
+    "psd_pair_table",
     "proj_dir_deriv",
     "proj_bsub_element",
     "tangent_contains",
@@ -79,6 +81,34 @@ def project_psd(M, eig=None):
         eig = eig_sym(M)
     plus = (eig.basis * np.maximum(eig.values, 0.0)) @ eig.basis.T
     return 0.5 * (plus + plus.T), eig
+
+
+def psd_pair_table(lam, zero_mask):
+    """Difference-quotient table of t -> max(t, 0) on eigenvalue pairs.
+
+    Entry (i, j) is (max(lam_i,0) + max(lam_j,0)) / (|lam_i| + |lam_j|),
+    the slope of the positive part between lam_i and -lam_j.  Pairs where
+    both eigenvalues are flagged zero get 0; the caller overlays whatever
+    element of the interval [0, 1] it has committed to on that block.
+
+    Parameters
+    ----------
+    lam : ndarray, shape (p,)
+        Eigenvalues.
+    zero_mask : ndarray of bool, shape (p,)
+        Marks eigenvalues treated as exactly zero.
+
+    Returns
+    -------
+    ndarray, shape (p, p)
+    """
+    lam = np.where(zero_mask, 0.0, lam)
+    pos = np.maximum(lam, 0.0)
+    num = pos[:, None] + pos[None, :]
+    den = np.abs(lam)[:, None] + np.abs(lam)[None, :]
+    out = np.zeros((lam.size, lam.size))
+    np.divide(num, den, out=out, where=den > 0.0)
+    return out
 
 
 def _hat(eig, H):

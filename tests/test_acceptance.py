@@ -112,7 +112,8 @@ def make_subgradient_pair(rng, pos, zero, neg, w_mid=None):
 
 @pytest.fixture(scope="module", autouse=True)
 def warm_kernels():
-    # compile the numba pair tables before any timed section
+    # run each operator once so first-call costs (lazy imports, BLAS
+    # set-up) stay out of the timed sections
     M = np.diag([1.0, 0.0, -1.0])
     H = np.eye(3)
     proj_dir_deriv(M, H)

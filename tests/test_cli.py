@@ -378,3 +378,69 @@ class TestNonFiniteData:
         assert code == 1
         assert f"{block}.{key} contains non-finite entries" in \
             capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# mutated instances: a documented exit code, never a traceback
+# ---------------------------------------------------------------------------
+
+_EXIT_CODES = {cli.EXIT_OK, cli.EXIT_INPUT, cli.EXIT_MAX_OUTER,
+               cli.EXIT_INNER, cli.EXIT_SWEEP}
+_SITES = (("f", "H", 0, 0), ("f", "b", 0), ("h", 0, 0), ("F", "A0", 0, 0),
+          ("g", "Ai", 0, 0, 0), ("reference_kkt", "Y", 0, 0))
+
+
+def _mutate(data, site, mutation):
+    parent = data
+    for key in site[:-1]:
+        parent = parent[key]
+    if mutation == "shape":  # one entry too many in the site's row
+        parent.append(parent[0])
+    else:
+        parent[site[-1]] = mutation
+
+
+class TestMutatedInstances:
+    def test_linalg_failure_is_input_error(self, tmp_path):
+        # eigvalsh does not converge on the reduced second-order matrix
+        # when the Hessian holds an entry near the float limit
+        data = json.loads(_read(NONDEGEN))
+        data["f"]["H"][0][0] = 1e308
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(data))
+        proc = subprocess.run(
+            [sys.executable, "-m", "sdnop", "check", str(path),
+             "--out", str(tmp_path / "o")],
+            capture_output=True, text=True)
+        assert proc.returncode == cli.EXIT_INPUT
+        assert "Traceback" not in proc.stderr
+        # numpy's overflow warnings may precede the message
+        assert proc.stderr.strip().splitlines()[-1] == \
+            "input error: Eigenvalues did not converge"
+
+    @pytest.mark.parametrize("profile", ["nondegen", "degen", "saddle"])
+    @pytest.mark.parametrize("mutation", [
+        float("nan"), float("inf"), 1e308, "shape", "x"],
+        ids=["nan", "inf", "huge", "shape", "string"])
+    def test_documented_exit_code(self, tmp_path, capsys, profile,
+                                  mutation):
+        instance = os.path.join(INSTANCES, f"{profile}_small.json")
+        out = str(tmp_path / "o")
+        for site in _SITES:
+            data = json.loads(_read(instance))
+            _mutate(data, site, mutation)
+            path = tmp_path / "mutated.json"
+            path.write_text(json.dumps(data))
+            for command in (["solve"], ["check"],
+                            ["rate-sweep", "--grid", "10"]):
+                code = cli.main(command + [str(path), "--out", out])
+                err = capsys.readouterr().err
+                case = (site, command[0], code, err)
+                assert code in _EXIT_CODES, case
+                assert "Traceback" not in err, case
+                if code == cli.EXIT_INPUT:
+                    last = err.strip().splitlines()[-1]
+                    assert last.startswith(("input error: ", "error: ")), case
+                if mutation != 1e308:
+                    # non-finite, ragged and non-numeric data never load
+                    assert code == cli.EXIT_INPUT, case

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from sdnop.diagnostics import (
+    cone_blocks,
     nondegeneracy_check,
     rate_sweep,
     strong_sosc_check,
@@ -81,6 +82,20 @@ class TestProfiles:
         assert so.holds
         assert so.dimension > 30
         assert so.min_value > 0.5
+
+    def test_large_nondegen(self):
+        # the roadmap's largest ladder shape; the jacobian compression in
+        # cone_blocks is two batched products, so this takes well under 1 s
+        problem = generate_instance(120, 40, 10, 40, profile="nondegen",
+                                    seed=7)
+        assert _residual(problem) <= 1e-12
+        ref = problem.reference
+        blocks = cone_blocks(problem, ref.x, ref.multipliers)
+        nd = nondegeneracy_check(problem, ref.x, ref.multipliers,
+                                 blocks=blocks)
+        assert nd.holds and nd.sigma_min > 1e-6
+        so = strong_sosc_check(problem, ref.x, ref.multipliers, blocks=blocks)
+        assert so.holds and so.min_value > 0.5
 
     def test_nondegen_shape_sweep(self):
         shapes = [(8, 3, 1, 3), (6, 2, 0, 2), (5, 0, 2, 3),

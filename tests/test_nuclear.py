@@ -64,6 +64,40 @@ def make_subgradient_pair(rng, pos, zero, neg, w_mid=None):
     return 0.5 * (X + X.T), 0.5 * (Y + Y.T)
 
 
+def structured_table_oracle(sp, tau):
+    """Prox Jacobian table at X + tau Y from its subgradient structure, one
+    eigenvalue pair at a time: quotients of the soft threshold, slopes on
+    equal pairs, and 0 inside each saturated group."""
+    q = sp.w.size
+    vals = np.empty(q)
+    kind = np.zeros(q, dtype=np.int8)
+    for i in sp.partition.pos:
+        vals[i] = sp.values[i] + tau
+    for i in sp.partition.neg:
+        vals[i] = sp.values[i] - tau
+    for i in sp.partition.zero:
+        vals[i] = tau * sp.w[i]
+    for i in sp.b_up:
+        vals[i] = tau
+        kind[i] = 1
+    for i in sp.b_low:
+        vals[i] = -tau
+        kind[i] = -1
+    p = np.sign(vals) * np.maximum(np.abs(vals) - tau, 0.0)
+    eps = 1e-12 * (1.0 + np.abs(vals).max(initial=0.0))
+    T = np.zeros((q, q))
+    for i in range(q):
+        for j in range(i, q):
+            if kind[i] != 0 and kind[i] == kind[j]:
+                entry = 0.0
+            elif abs(vals[i] - vals[j]) <= eps:
+                entry = 1.0 if abs(vals[i]) > tau else 0.0
+            else:
+                entry = (p[i] - p[j]) / (vals[i] - vals[j])
+            T[i, j] = T[j, i] = entry
+    return T
+
+
 class TestValue:
     def test_known_values(self):
         assert nuclear_norm(np.diag([1.0, -2.0])) == pytest.approx(3.0)
@@ -514,6 +548,52 @@ class TestBsubElements:
             prox_bsub_element(X, Y, 1.0, up_choice="other")
         with pytest.raises(InvalidInput):
             prox_bsub_element(X, Y, 1.0, up_choice=np.array([[1.5]]))
+
+    def test_table_matches_pairwise_oracle(self):
+        # random sign splits, saturated null rows and repeated eigenvalues;
+        # off the two saturated blocks the table is the pairwise soft
+        # threshold quotient, on them exactly the committed choice
+        rng = np.random.RandomState(72)
+        saturated = repeated = 0
+        for _ in range(400):
+            pos, zero, neg = (rng.randint(0, 4) for _ in range(3))
+            if pos + zero + neg == 0:
+                continue
+            gaps = rng.uniform(0.05, 0.5, pos + neg)
+            if pos > 1 and rng.rand() < 0.3:
+                gaps[1] = 0.0  # a repeated positive eigenvalue
+                repeated += 1
+            lam = np.concatenate([
+                0.2 + np.cumsum(gaps[:pos])[::-1],
+                np.zeros(zero),
+                -0.2 - np.cumsum(gaps[pos:]),
+            ])
+            w_mid = rng.uniform(-0.9, 0.9, zero)
+            w_mid[rng.rand(zero) < 0.25] = 1.0
+            w_mid[rng.rand(zero) < 0.25] = -1.0
+            if zero and rng.rand() < 0.3:
+                w_mid[0] = 1.0 - 1e-5  # interior, 1e-5 tau below the kink
+            w_mid = np.sort(w_mid)[::-1]
+            w = np.concatenate([np.ones(pos), w_mid, -np.ones(neg)])
+            Q = rand_orth(rng, lam.size)
+            X = (Q * lam) @ Q.T
+            Y = (Q * w) @ Q.T
+            tau = 10.0 ** rng.uniform(-3.0, 1.0)
+            sp = subdiff_partition(X, Y)
+            up, low = list(sp.b_up), list(sp.b_low)
+            saturated += bool(up or low)
+            up_t = rng.rand(len(up), len(up))
+            low_t = rng.rand(len(low), len(low))
+            up_t, low_t = 0.5 * (up_t + up_t.T), 0.5 * (low_t + low_t.T)
+            W = prox_bsub_element(X, Y, tau, up_choice=up_t, low_choice=low_t)
+            ref = structured_table_oracle(W.structure, tau)
+            off = np.ones(ref.shape, dtype=bool)
+            off[np.ix_(up, up)] = off[np.ix_(low, low)] = False
+            np.testing.assert_allclose(W.table[off], ref[off], rtol=0,
+                                       atol=1e-14)
+            assert np.array_equal(W.table[np.ix_(up, up)], up_t)
+            assert np.array_equal(W.table[np.ix_(low, low)], low_t)
+        assert saturated > 100 and repeated > 20
 
 
 class TestCriticalCone:
