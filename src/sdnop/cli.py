@@ -230,7 +230,7 @@ def cmd_check(args):
     nondeg = nondegeneracy_check(problem, ref.x, y, blocks=blocks)
     sosc = strong_sosc_check(problem, ref.x, y, blocks=blocks)
     try:
-        constants = rate_constants(problem, ref.x, y).as_dict()
+        constants = rate_constants(problem, ref.x, y, blocks=blocks).as_dict()
     except SDNOPError as exc:
         log.info("constants not computable: %s", exc)
         constants = None

@@ -27,15 +27,20 @@ from .errors import (
     NotAKKTPoint,
     NotASubgradient,
 )
-from .nuclear import subdiff_partition
+from .nuclear import critical_blocks_contain, curvature_form, subdiff_partition
 from .problem import (
     MultiplierTriple,
-    apply_jac,
     hess_xx_lagrangian,
     kkt_residual,
 )
 from .solver import ALMConfig, alm_solve
-from .spectral import eig_sym, partition_by_sign, pinv_sym, svec_block
+from .spectral import (
+    EigenDecomposition,
+    eig_sym,
+    partition_by_sign,
+    pinv_sym,
+    svec_block,
+)
 
 
 # ----------------------------------------------------------------------------
@@ -333,51 +338,25 @@ def app_cone_basis(problem, x, multipliers, blocks=None, rank_tol=1e-10):
     return Vt[rank:].T
 
 
+def _psd_curvature_matrix(problem, x, Gamma, D):
+    """Bilinear form 2 <Gamma, G_i g(x)^+ G_j> of the cone curvature term
+    on the columns of D, with G_i = Dg(x) D[:, i]; unsymmetrized."""
+    G = np.tensordot(D.T, problem.jac_g(x), axes=1)
+    GGp = Gamma @ G @ pinv_sym(problem.g(x))
+    return 2.0 * np.einsum("iab,jba->ij", GGp, G)
+
+
 def sigma_term_psd(problem, x, Gamma, d):
     """Curvature contribution of the semidefinite constraint along d.
 
-    Evaluates 2 <Gamma, (Dg d) g(x)^+ (Dg d)> with the pseudo-inverse of
-    the constraint value; zero when the constraint is absent.
+    Evaluates 2 <Gamma, (Dg d) g(x)^+ (Dg d)>, the one-direction case of
+    the cone curvature term of :func:`sosc_reduced_matrix`; zero when the
+    constraint is absent.
     """
     if problem.p == 0:
         return 0.0
     d = np.asarray(d, dtype=np.float64)
-    G = apply_jac(problem.jac_g(x), d)
-    return 2.0 * float(np.sum(Gamma * (G @ pinv_sym(problem.g(x)) @ G)))
-
-
-def _distinct_value_runs(values, group_tol):
-    """Runs of (descending) values whose consecutive gap is below tol."""
-    scale = 1.0 + (np.abs(values).max() if values.size else 0.0)
-    return _equal_runs(values.reshape(-1, 1), np.array([group_tol * scale]))
-
-
-def _nuclear_curvature_matrix(blocks, J, group_tol):
-    """Reduced matrix of the nuclear-norm curvature term.
-
-    For a compressed direction Hc (in the F basis) lying in the affine
-    hull of the residual cone, the second-order contribution of the
-    nuclear norm is the quadratic form
-
-        2 sum_k < Y_kk, Hc_{k,l} Hc_{k,l}^T / (v_l - v_k) >  over l != k,
-
-    summed over distinct eigenvalue groups of F(x) with representatives
-    v_k (the group means).  With W[a, c] = 1/(v_{g(c)} - v_{g(a)}) across
-    groups (0 inside one) and Yhat the same-group diagonal blocks of Y_Q,
-    this is 2 <W o Hc, Yhat Hc>; its bilinear form on the stacked
-    compressed directions ``J`` (k, q, q) is returned unsymmetrized.
-    """
-    lam = blocks.values_F
-    gid = np.empty(lam.size, dtype=np.intp)
-    reps = []
-    for g, run in enumerate(_distinct_value_runs(lam, group_tol)):
-        gid[list(run)] = g
-        reps.append(float(lam[list(run)].mean()))
-    v = np.asarray(reps)[gid]
-    same = gid[:, None] == gid[None, :]
-    W = np.where(same, 0.0, 1.0 / np.where(same, 1.0, v[None, :] - v[:, None]))
-    Yhat = np.where(same, blocks.Y_Q, 0.0)
-    return 2.0 * np.einsum("iab,jab->ij", J * W, Yhat @ J)
+    return float(_psd_curvature_matrix(problem, x, Gamma, d[:, None])[0, 0])
 
 
 def sosc_reduced_matrix(problem, x, multipliers, blocks=None, basis=None,
@@ -390,7 +369,7 @@ def sosc_reduced_matrix(problem, x, multipliers, blocks=None, basis=None,
         M = B^T (hess_L - Sigma_F + Sigma_g) B,
 
     where Sigma_F is the nuclear-norm curvature
-    (:func:`_nuclear_curvature_matrix`) and Sigma_g the cone curvature
+    (:func:`nuclear.curvature_form`) and Sigma_g the cone curvature
     2 sym <Gamma, Dg b_i g(x)^+ Dg b_j>.  The basis defaults to the
     orthonormal :func:`app_cone_basis` of the reduced subspace.  Returns
     (matrix, basis).
@@ -405,11 +384,10 @@ def sosc_reduced_matrix(problem, x, multipliers, blocks=None, basis=None,
     M = basis.T @ hess_L @ basis
     if problem.q:
         J = np.tensordot(basis.T, b.jac_F_Q, axes=1)
-        M -= _nuclear_curvature_matrix(b, J, group_tol)
+        M -= curvature_form(EigenDecomposition(b.values_F, b.basis_F), b.Y_Q,
+                            J, group_tol)
     if problem.p:
-        G = np.tensordot(basis.T, problem.jac_g(x), axes=1)
-        GGp = multipliers.Gamma @ G @ pinv_sym(problem.g(x))
-        M += 2.0 * np.einsum("iab,jba->ij", GGp, G)
+        M += _psd_curvature_matrix(problem, x, multipliers.Gamma, basis)
     return 0.5 * (M + M.T), basis
 
 
@@ -450,14 +428,13 @@ def strong_sosc_check(problem, x, multipliers, tol=1e-10, kkt_tol=1e-6,
 
 
 def _critical_member(blocks, d, member_tol):
-    """Cone membership of a direction already inside the reduced subspace."""
+    """Cone membership of a direction already inside the reduced subspace:
+    the critical-cone test on its F image and the sign of its g image on
+    the beta block (the other g blocks vanish on the subspace)."""
     if blocks.jac_F_Q.shape[1]:
         Hc = np.einsum("lij,l->ij", blocks.jac_F_Q, d)
-        up = list(blocks.b_up)
-        if up and np.linalg.eigvalsh(Hc[np.ix_(up, up)])[0] < -member_tol:
-            return False
-        low = list(blocks.b_low)
-        if low and np.linalg.eigvalsh(Hc[np.ix_(low, low)])[-1] > member_tol:
+        if not critical_blocks_contain(Hc, blocks.b_up, blocks.b_mid,
+                                       blocks.b_low, member_tol):
             return False
     if blocks.jac_g_P.shape[1]:
         Gc = np.einsum("lij,l->ij", blocks.jac_g_P, d)
@@ -743,7 +720,7 @@ class RateConstants:
 
 def rate_constants(problem, x, multipliers, c0=10.0,
                    c_grid=(10.0, 100.0, 1000.0, 10000.0), rotations=32,
-                   seed=0, group_tol=1e-8, deg_tol=1e-10):
+                   seed=0, group_tol=1e-8, deg_tol=1e-10, blocks=None):
     """Evaluate the constants entering the contraction-rate bound.
 
     The singular-value bracket is exact when the relevant spectra are
@@ -751,14 +728,17 @@ def rate_constants(problem, x, multipliers, c0=10.0,
     random intra-group rotations widen the bracket (flagged in the
     result).  The uniform curvature bracket (eta) is estimated from the
     split-penalty curvature model over ``c_grid`` with the base weight
-    ``c0``; it is an estimate, not a certified constant.
+    ``c0``; it is an estimate, not a certified constant.  ``blocks`` is
+    an optional :func:`cone_blocks` at (x, multipliers) to reuse; the
+    rotated brackets build their own.
 
     Raises
     ------
     DegenerateSpectrum
         When a ratio-table denominator falls below ``deg_tol``.
     """
-    blocks = cone_blocks(problem, x, multipliers, group_tol)
+    if blocks is None:
+        blocks = cone_blocks(problem, x, multipliers, group_tol)
     nus = _nu_tables(blocks, deg_tol)
     if nus:
         nu_lower_0 = min(lo for lo, _ in nus.values())

@@ -7,11 +7,13 @@ of the prox and of the envelope gradient.  Every prox Jacobian element is
 the Hadamard table of :func:`prox_divided_diff` with committed slope
 choices on its kink blocks.  The conjugate of the second directional
 derivative (the curvature correction used by second-order optimality
-conditions) is also evaluated here in three equivalent closed forms.
+conditions) has one evaluator, the bilinear form :func:`curvature_form`
+over a stack of directions; :func:`psi_conjugate` is its one-direction
+case, and every critical-cone test is :func:`critical_blocks_contain`.
 """
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -23,7 +25,6 @@ from .spectral import (
     SignPartition,
     as_symmetric,
     choice_table,
-    default_tol,
     eig_sym,
     group_distinct,
     partition_by_sign,
@@ -49,8 +50,10 @@ __all__ = [
     "prox_bsub_element",
     "EnvGradBsubElement",
     "grad_env_bsub_element",
+    "critical_blocks_contain",
     "critical_cone_theta_contains",
     "critical_cone_theta_project",
+    "curvature_form",
     "psi_conjugate",
 ]
 
@@ -561,52 +564,40 @@ def grad_env_bsub_element(X, Y, tau, up_choice="zero", low_choice="zero",
 # critical cone of the nuclear norm
 # ----------------------------------------------------------------------------
 
-def _critical_blocks(sp, H):
-    Qb = sp.basis
-    b = list(sp.partition.zero)
-    up, mid, low = list(sp.b_up), list(sp.b_mid), list(sp.b_low)
-    Hh = Qb.T @ H @ Qb
-    mid_all = Hh[np.ix_(mid, b)] if mid and b else np.zeros((0, 0))
-    up_low = Hh[np.ix_(up, low)] if up and low else np.zeros((0, 0))
-    up_up = Hh[np.ix_(up, up)]
-    low_low = Hh[np.ix_(low, low)]
-    return mid_all, up_low, up_up, low_low
+def critical_blocks_contain(Hc, b_up, b_mid, b_low, tol):
+    """Critical-cone membership of a direction compressed into the refined
+    basis of a subgradient structure.
+
+    ``b_up``/``b_mid``/``b_low`` index the saturated-up, interior and
+    saturated-down null rows of that basis.  The interior rows of ``Hc``
+    vanish against the whole null block, the two saturated groups
+    decouple, and their diagonal blocks are PSD (up) and NSD (down), all
+    within ``tol``.
+    """
+    up, mid, low = list(b_up), list(b_mid), list(b_low)
+    if mid and np.abs(Hc[np.ix_(mid, up + mid + low)]).max() > tol:
+        return False
+    if up and low and np.abs(Hc[np.ix_(up, low)]).max() > tol:
+        return False
+    if up and np.linalg.eigvalsh(Hc[np.ix_(up, up)])[0] < -tol:
+        return False
+    if low and np.linalg.eigvalsh(Hc[np.ix_(low, low)])[-1] > tol:
+        return False
+    return True
 
 
 def critical_cone_theta_contains(X, Y, H, tol=None, split_tol=_DEFAULT_SPLIT_TOL):
     """Whether H lies in the critical cone of the nuclear norm at (X, Y).
 
-    In the refined null-space basis: the interior rows of H vanish against
-    the whole null block, the two saturated groups decouple, and their
-    diagonal blocks are PSD (up) and NSD (down).
+    The blockwise test of :func:`critical_blocks_contain` on H compressed
+    into the refined basis; ``tol`` defaults to 1e-8 (1 + max |H|).
     """
     H = as_symmetric(H, "H")
     sp = subdiff_partition(X, Y, split_tol=split_tol)
     if tol is None:
         tol = 1e-8 * (1.0 + np.abs(H).max(initial=0.0))
-    mid_all, up_low, up_up, low_low = _critical_blocks(sp, H)
-    if mid_all.size and np.abs(mid_all).max() > tol:
-        return False
-    if up_low.size and np.abs(up_low).max() > tol:
-        return False
-    if up_up.size and np.linalg.eigvalsh(up_up).min() < -tol:
-        return False
-    if low_low.size and np.linalg.eigvalsh(low_low).max() > tol:
-        return False
-    return True
-
-
-def critical_cone_equality_gap(X, Y, H, split_tol=_DEFAULT_SPLIT_TOL):
-    """Gap in the equivalent trace characterization of critical-cone
-    membership: the nuclear norm of the null-block compression of H minus
-    its pairing with the subgradient weights there."""
-    H = as_symmetric(H, "H")
-    sp = subdiff_partition(X, Y, split_tol=split_tol)
-    b = list(sp.partition.zero)
-    if not b:
-        return 0.0
-    Hbb = sp.basis[:, b].T @ H @ sp.basis[:, b]
-    return float(nuclear_norm(Hbb) - np.sum(sp.w[b] * np.diag(Hbb)))
+    return critical_blocks_contain(sp.basis.T @ H @ sp.basis,
+                                   sp.b_up, sp.b_mid, sp.b_low, tol)
 
 
 def critical_cone_theta_project(X, Y, H, split_tol=_DEFAULT_SPLIT_TOL):
@@ -641,185 +632,67 @@ def critical_cone_theta_project(X, Y, H, split_tol=_DEFAULT_SPLIT_TOL):
 # conjugate of the second directional derivative (sigma-term)
 # ----------------------------------------------------------------------------
 
-def _cross_compressions(eig, blocks, H):
-    """All block compressions K_k of H (X - value_k I)^+ H, in the hat basis."""
-    Hh = eig.basis.T @ H @ eig.basis
-    out = []
-    for k in range(len(blocks.blocks)):
-        idx = list(blocks.blocks[k])
-        d = _pinv_weights(blocks, k)
-        K = (Hh[idx, :] * d) @ Hh[:, idx]
-        out.append(0.5 * (K + K.T))
-    return out
+def curvature_form(eig, Yc, J, group_tol=1e-8):
+    """Bilinear form of the nuclear-norm curvature term ("sigma term").
+
+    ``eig`` holds the descending spectrum of X and an eigenbasis;
+    ``Yc`` is the multiplier and ``J`` (k, q, q) a stack of directions,
+    both compressed into ``eig.basis``.  For one direction Hc in the
+    critical cone the conjugate of the second directional derivative is
+
+        2 sum_k < Y_kk, sum_{l != k} Hc_kl Hc_kl^T / (v_l - v_k) >,
+
+    summed over the distinct eigenvalue groups of
+    :func:`spectral.group_distinct` with representatives v_k (the group
+    means).  With W[a, c] = 1/(v_{g(c)} - v_{g(a)}) across groups (0
+    inside one) and Yhat the same-group diagonal blocks of Yc, this is
+    2 <W o Hc, Yhat Hc>; its (k, k) matrix on the stack is returned
+    unsymmetrized.
+    """
+    groups = group_distinct(eig, group_tol)
+    gid = np.empty(eig.dim, dtype=np.intp)
+    for g, blk in enumerate(groups.blocks):
+        gid[list(blk)] = g
+    v = groups.values[gid]
+    same = gid[:, None] == gid[None, :]
+    W = np.where(same, 0.0, 1.0 / np.where(same, 1.0, v[None, :] - v[:, None]))
+    Yhat = np.where(same, Yc, 0.0)
+    return 2.0 * np.einsum("iab,jab->ij", J * W, Yhat @ J)
 
 
-def _domain_fail(condition, violation, domain_mode):
-    if domain_mode == "zero":
-        return 0.0
-    raise DomainError(condition, violation)
-
-
-def psi_conjugate(X, H, Y, form="full", domain_mode="error", tol=None,
-                  group_tol=1e-8, split_tol=_DEFAULT_SPLIT_TOL):
+def psi_conjugate(X, H, Y, tol=None, group_tol=1e-8,
+                  split_tol=_DEFAULT_SPLIT_TOL):
     """Conjugate, at Y, of the second directional derivative of the
     nuclear norm at X along (H, .).
 
     This is the curvature correction ("sigma term") entering second-order
-    optimality conditions.  Three equivalent evaluators are provided:
+    optimality conditions.  On its domain, Y a subgradient at X and H in
+    the critical cone at (X, Y), it is the one-direction case of
+    :func:`curvature_form`: 2 sum_k <Y_kk, K_k> over the distinct
+    eigenvalue groups of X, where K_k compresses H (X - v_k I)^+ H to
+    group k.
 
-    - ``form="full"``: verifies the effective-domain conditions on Y
-      directly (blockwise identity/negated-identity structure and the
-      contraction bound on the part aligned with the null directions of
-      the compressed H) and evaluates the signed-trace closed form.
-    - ``form="critical"``: assumes Y is a subgradient and H lies in the
-      critical cone at (X, Y); evaluates via the saturated/interior split.
-    - ``form="reduced"``: the compact pairing 2 sum_k <Y_kk, K_k> over the
-      distinct blocks, where K_k compresses H (X - value_k I)^+ H.
-
-    Off-domain arguments raise DomainError unless ``domain_mode="zero"``,
-    which returns 0.0 (the literal convention of the piecewise formula).
+    Raises
+    ------
+    DomainError
+        Condition "subgradient" when Y fails the subgradient test beyond
+        ``tol`` (default 1e-7 (1 + max |Y|)), "critical_cone" when H is
+        not in the critical cone.
     """
     X = as_symmetric(X, "X")
     H = as_symmetric(H, "H")
     Y = as_symmetric(Y, "Y")
-    if form not in ("full", "critical", "reduced"):
-        raise InvalidInput(f"unknown form {form!r}")
-    if domain_mode not in ("error", "zero"):
-        raise InvalidInput(f"unknown domain_mode {domain_mode!r}")
     if tol is None:
         tol = 1e-7 * (1.0 + np.abs(Y).max(initial=0.0))
-
-    eig = eig_sym(X)
-    blocks = group_distinct(eig, group_tol)
-    Ks = _cross_compressions(eig, blocks, H)
-    Yh = eig.basis.T @ Y @ eig.basis
-    s = blocks.zero_block
-
-    if form == "reduced":
-        if not subdiff_contains(X, Y, tol=tol):
-            return _domain_fail("subgradient", _subdiff_defect(X, Y, None)[0], domain_mode)
-        if not critical_cone_theta_contains(X, Y, H, split_tol=split_tol):
-            return _domain_fail("critical_cone", np.nan, domain_mode)
-        total = 0.0
-        for k, blk in enumerate(blocks.blocks):
-            idx = list(blk)
-            total += np.sum(Yh[np.ix_(idx, idx)] * Ks[k])
-        return float(2.0 * total)
-
-    if form == "critical":
-        defect = _subdiff_defect(X, Y, None)[0]
-        if defect > tol:
-            return _domain_fail("subgradient", defect, domain_mode)
+    try:
         sp = subdiff_partition(X, Y, tol=tol, split_tol=split_tol)
-        if not critical_cone_theta_contains(X, Y, H, split_tol=split_tol):
-            return _domain_fail("critical_cone", np.nan, domain_mode)
-        total = 0.0
-        for k in range(len(blocks.blocks)):
-            if k == s:
-                continue
-            tr = float(np.trace(Ks[k]))
-            total += tr if blocks.values[k] > 0.0 else -tr
-        b = list(sp.partition.zero)
-        if b:
-            # zero-block compression of H X^+ H in the refined basis
-            Hr = sp.basis.T @ H @ sp.basis
-            d = np.zeros(eig.dim)
-            nz = list(sp.partition.pos) + list(sp.partition.neg)
-            d[nz] = 1.0 / sp.values[nz]
-            Kt = (Hr[b, :] * d) @ Hr[:, b]
-            Kt = 0.5 * (Kt + Kt.T)
-            loc = {i: r for r, i in enumerate(b)}
-            up = [loc[i] for i in sp.b_up]
-            mid = [loc[i] for i in sp.b_mid]
-            low = [loc[i] for i in sp.b_low]
-            if up:
-                total += np.trace(Kt[np.ix_(up, up)])
-            if low:
-                total -= np.trace(Kt[np.ix_(low, low)])
-            if mid:
-                wm = sp.w[list(sp.b_mid)]
-                total += float(np.sum(wm * np.diag(Kt[np.ix_(mid, mid)])))
-        return float(2.0 * total)
-
-    # full form: explicit domain verification against the nested split of H
-    for k, blk in enumerate(blocks.blocks):
-        idx = list(blk)
-        for l in range(k + 1, len(blocks.blocks)):
-            jdx = list(blocks.blocks[l])
-            off = np.abs(Yh[np.ix_(idx, jdx)]).max(initial=0.0)
-            if off > tol:
-                return _domain_fail("off_diagonal_block", off, domain_mode)
-        if k == s:
-            continue
-        target = np.eye(len(idx)) if blocks.values[k] > 0.0 else -np.eye(len(idx))
-        gap = np.abs(Yh[np.ix_(idx, idx)] - target).max()
-        if gap > tol:
-            side = "positive" if blocks.values[k] > 0.0 else "negative"
-            return _domain_fail(f"{side}_block_identity", gap, domain_mode)
-    total = 0.0
-    for k in range(len(blocks.blocks)):
-        if k == s:
-            continue
-        tr = float(np.trace(Ks[k]))
-        total += tr if blocks.values[k] > 0.0 else -tr
-    if s is not None:
-        b = list(blocks.blocks[s])
-        Hs = eig.basis[:, b].T @ H @ eig.basis[:, b]
-        inner = eig_sym(0.5 * (Hs + Hs.T))
-        split = partition_by_sign(inner)
-        G = inner.basis.T @ Yh[np.ix_(b, b)] @ inner.basis
-        Kr = inner.basis.T @ Ks[s] @ inner.basis
-        p, z, n = list(split.pos), list(split.zero), list(split.neg)
-        for rows, cols in ((p, z), (p, n), (z, n)):
-            if rows and cols:
-                off = np.abs(G[np.ix_(rows, cols)]).max()
-                if off > tol:
-                    return _domain_fail("null_block_coupling", off, domain_mode)
-        if p:
-            gap = np.abs(G[np.ix_(p, p)] - np.eye(len(p))).max()
-            if gap > tol:
-                return _domain_fail("null_block_up_identity", gap, domain_mode)
-            total += np.trace(Kr[np.ix_(p, p)])
-        if n:
-            gap = np.abs(G[np.ix_(n, n)] + np.eye(len(n))).max()
-            if gap > tol:
-                return _domain_fail("null_block_down_identity", gap, domain_mode)
-            total -= np.trace(Kr[np.ix_(n, n)])
-        if z:
-            Gz = G[np.ix_(z, z)]
-            top = np.abs(np.linalg.eigvalsh(0.5 * (Gz + Gz.T))).max()
-            if top > 1.0 + tol:
-                return _domain_fail("null_block_contraction", top - 1.0, domain_mode)
-            total += np.sum(Gz * Kr[np.ix_(z, z)])
-    return float(2.0 * total)
-
-
-def _psi_interior_cross(X, H, Y, group_tol=1e-8, split_tol=_DEFAULT_SPLIT_TOL):
-    """Interior-rows shortcut for the conjugate value.
-
-    Valid when the only nonvanishing cross couplings of H against the
-    nonzero blocks run through the interior null rows (the saturated rows
-    and the positive-negative couplings of H must vanish).  Expressed as a
-    weighted sum of squared couplings between the interior rows and each
-    nonzero block.
-    """
-    sp = subdiff_partition(X, Y, split_tol=split_tol)
-    eig = EigenDecomposition(sp.values, sp.basis)
-    blocks = group_distinct(eig, group_tol)
-    Hh = sp.basis.T @ H @ sp.basis
-    mid = list(sp.b_mid)
-    if not mid:
-        return 0.0
-    wm = sp.w[mid]
-    total = 0.0
-    for k, blk in enumerate(blocks.blocks):
-        if k == blocks.zero_block:
-            continue
-        idx = list(blk)
-        G = Hh[np.ix_(mid, idx)]
-        row_sq = np.sum(G * G, axis=1)
-        if blocks.values[k] > 0.0:
-            total += np.sum((1.0 - wm) * row_sq) / blocks.values[k]
-        else:
-            total += np.sum((1.0 + wm) * row_sq) / abs(blocks.values[k])
-    return float(-2.0 * total)
+    except NotASubgradient:
+        raise DomainError("subgradient", _subdiff_defect(X, Y, None)[0]) from None
+    Q = sp.basis
+    Hc = Q.T @ H @ Q
+    if not critical_blocks_contain(Hc, sp.b_up, sp.b_mid, sp.b_low,
+                                   1e-8 * (1.0 + np.abs(H).max(initial=0.0))):
+        raise DomainError("critical_cone", np.nan)
+    form = curvature_form(EigenDecomposition(sp.values, Q), Q.T @ Y @ Q,
+                          Hc[None], group_tol)
+    return float(form[0, 0])

@@ -52,7 +52,9 @@ def as_symmetric(M, name="matrix"):
         gap = np.abs(M - M.T).max()
         if gap > _SYM_TOL * scale:
             raise InvalidInput(f"{name} is not symmetric (asymmetry {gap:.3e})")
-    return 0.5 * (M + M.T)
+    # halve before adding, so finite entries near the float limit stay finite
+    H = 0.5 * M
+    return H + H.T
 
 
 def default_tol(values):

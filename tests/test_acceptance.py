@@ -50,6 +50,8 @@ from sdnop.psd_cone import proj_bsub_element, proj_dir_deriv, project_psd
 from sdnop.solver import ALMConfig, InnerConfig, alm_solve
 from sdnop.errors import MaxIterations
 
+from psi_oracles import psi_critical, psi_full
+
 INSTANCES = os.path.join(os.path.dirname(os.path.dirname(__file__)),
                          "instances")
 BUNDLED = os.path.join(INSTANCES, "nondegen_small.json")
@@ -306,6 +308,8 @@ def test_criterion_3_directional_derivatives():
 # ---------------------------------------------------------------------------
 
 def test_criterion_4_sigma_term_forms():
+    # psi_conjugate (the one-direction curvature form) against the full
+    # and critical closed forms kept as test oracles
     rng = np.random.RandomState(104)
     start = time.perf_counter()
     worst_forms = 0.0
@@ -315,9 +319,9 @@ def test_criterion_4_sigma_term_forms():
         neg = rng.randint(1, 3)
         X, Y = make_subgradient_pair(rng, pos, zero, neg)
         H = critical_cone_theta_project(X, Y, rand_sym(rng, X.shape[0]))
-        a = psi_conjugate(X, H, Y, form="full")
-        b = psi_conjugate(X, H, Y, form="critical")
-        c = psi_conjugate(X, H, Y, form="reduced")
+        a = psi_full(X, H, Y)
+        b = psi_critical(X, H, Y)
+        c = psi_conjugate(X, H, Y)
         worst_forms = max(worst_forms, abs(a - b), abs(a - c))
 
     # direct numeric conjugate oracle: sup over a 1e4-point W grid.  The

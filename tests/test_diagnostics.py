@@ -36,7 +36,7 @@ from sdnop.problem import (
     newton_matrix_element,
 )
 from sdnop.psd_cone import aff_critical_contains
-from sdnop.spectral import eig_sym, partition_by_sign, svec_block
+from sdnop.spectral import eig_sym, partition_by_sign, pinv_sym, svec_block
 from conftest import make_full_blocks_instance, make_mixed_instance
 
 
@@ -480,6 +480,22 @@ class TestSigmaTerm:
             val = sigma_term_psd(prob, ref.x, ref.multipliers.Gamma, d)
             assert val >= -1e-10
 
+    def test_matches_single_direction_formula(self):
+        # the one-direction case of the batched cone curvature term against
+        # 2 <Gamma, G g(x)^+ G> evaluated directly
+        prob = make_full_blocks_instance()
+        ref = prob.reference
+        x = np.asarray(ref.x, dtype=np.float64)
+        Gamma = ref.multipliers.Gamma
+        g_pinv = pinv_sym(prob.g(x))
+        rng = np.random.RandomState(4)
+        for _ in range(20):
+            d = rng.randn(prob.n)
+            G = apply_jac(prob.jac_g(x), d)
+            expected = 2.0 * float(np.sum(Gamma * (G @ g_pinv @ G)))
+            val = sigma_term_psd(prob, x, Gamma, d)
+            assert abs(val - expected) <= 1e-12 * max(1.0, abs(expected))
+
 
 class TestStrongSOSC:
     def test_holds_at_constructed_minimizer(self):
@@ -642,6 +658,15 @@ class TestRateConstants:
         rc = rate_constants(prob, ref.x, ref.multipliers)
         np.testing.assert_allclose(rc.nu_lower_0, 0.25, atol=1e-12)
         np.testing.assert_allclose(rc.nu_upper_0, 1.5, atol=1e-12)
+
+    def test_given_blocks_change_nothing(self):
+        prob = make_full_blocks_instance()
+        ref = prob.reference
+        blocks = cone_blocks(prob, ref.x, ref.multipliers)
+        own = rate_constants(prob, ref.x, ref.multipliers).as_dict()
+        given = rate_constants(prob, ref.x, ref.multipliers,
+                               blocks=blocks).as_dict()
+        assert repr(given) == repr(own)
 
     def test_empty_families_are_skipped(self):
         # no negative eigenvalues of F and no cone constraint: only the

@@ -2,7 +2,8 @@
 
 Oracles: finite differences for every directional derivative, a local grid
 search for the prox/envelope variational characterizations, and a sampled
-maximization for the conjugate curvature term.
+maximization for the conjugate curvature term, which is also compared with
+the closed forms kept in ``psi_oracles``.
 """
 
 import numpy as np
@@ -10,7 +11,6 @@ import pytest
 
 from sdnop.errors import DomainError, InvalidInput, NotASubgradient
 from sdnop.nuclear import (
-    critical_cone_equality_gap,
     critical_cone_theta_contains,
     critical_cone_theta_project,
     eig_dir_derivs,
@@ -28,8 +28,17 @@ from sdnop.nuclear import (
     subdiff_partition,
     theta_dir_deriv,
     theta_second_dir_deriv,
-    _psi_interior_cross,
 )
+
+from psi_oracles import (
+    critical_cone_equality_gap,
+    psi_critical,
+    psi_full,
+    psi_interior_cross,
+)
+
+# psi_conjugate and the two closed-form oracles it replaced
+PSI_FORMS = (psi_conjugate, psi_full, psi_critical)
 
 
 def rand_sym(rng, k, scale=1.0):
@@ -651,31 +660,31 @@ class TestPsiConjugate:
         X = np.diag([2.0, 0.0])
         Y = np.diag([1.0, 0.0])
         H = np.array([[0.0, 1.0], [1.0, 0.0]])
-        for form in ("full", "critical", "reduced"):
-            assert psi_conjugate(X, H, Y, form=form) == pytest.approx(-1.0, abs=1e-10)
+        for psi in PSI_FORMS:
+            assert psi(X, H, Y) == pytest.approx(-1.0, abs=1e-10)
 
     def test_nonsingular_case(self):
         X = np.diag([1.0, -1.0])
         Y = np.diag([1.0, -1.0])
         H = np.array([[0.0, 1.0], [1.0, 0.0]])
-        for form in ("full", "critical", "reduced"):
-            assert psi_conjugate(X, H, Y, form=form) == pytest.approx(-2.0, abs=1e-10)
+        for psi in PSI_FORMS:
+            assert psi(X, H, Y) == pytest.approx(-2.0, abs=1e-10)
 
     def test_saturated_example_all_forms(self):
         # hand-computed value with one saturated and one interior null row
         X = np.diag([1.0, 0.0, 0.0])
         Y = np.diag([1.0, 1.0, 0.3])
         H = np.array([[0.1, 0.5, 0.7], [0.5, 0.8, 0.0], [0.7, 0.0, 0.0]])
-        for form in ("full", "critical", "reduced"):
-            assert psi_conjugate(X, H, Y, form=form) == pytest.approx(-0.686, abs=1e-10)
+        for psi in PSI_FORMS:
+            assert psi(X, H, Y) == pytest.approx(-0.686, abs=1e-10)
 
     def test_rotation_invariance(self):
         rng = np.random.RandomState(78)
         X, Y = make_subgradient_pair(rng, 1, 2, 1)
         H = critical_cone_theta_project(X, Y, rand_sym(rng, 4))
         R = rand_orth(rng, 4)
-        a = psi_conjugate(X, H, Y, form="reduced")
-        b = psi_conjugate(R @ X @ R.T, R @ H @ R.T, R @ Y @ R.T, form="reduced")
+        a = psi_conjugate(X, H, Y)
+        b = psi_conjugate(R @ X @ R.T, R @ H @ R.T, R @ Y @ R.T)
         assert a == pytest.approx(b, abs=1e-8)
 
     def test_zero_direction(self):
@@ -704,7 +713,7 @@ class TestPsiConjugate:
         for _ in range(5):
             X, Y = make_subgradient_pair(rng, 1, 1, 1)
             H = critical_cone_theta_project(X, Y, rand_sym(rng, 3))
-            val = psi_conjugate(X, H, Y, form="reduced")
+            val = psi_conjugate(X, H, Y)
             best = -np.inf
             for _ in range(3000):
                 W = rand_sym(rng, 3, scale=4.0)
@@ -719,9 +728,9 @@ class TestPsiConjugate:
             neg = rng.randint(1, 3)
             X, Y = make_subgradient_pair(rng, pos, zero, neg)
             H = critical_cone_theta_project(X, Y, rand_sym(rng, pos + zero + neg))
-            a = psi_conjugate(X, H, Y, form="full")
-            b = psi_conjugate(X, H, Y, form="critical")
-            c = psi_conjugate(X, H, Y, form="reduced")
+            a = psi_full(X, H, Y)
+            b = psi_critical(X, H, Y)
+            c = psi_conjugate(X, H, Y)
             assert a == pytest.approx(b, abs=1e-8)
             assert a == pytest.approx(c, abs=1e-8)
             assert a <= 1e-10  # the conjugate is nonpositive on its domain
@@ -737,22 +746,27 @@ class TestPsiConjugate:
                 for j in list(sp.partition.pos) + list(sp.partition.neg):
                     Hh[i, j] = Hh[j, i] = rng.randn()
             H = sp.basis @ Hh @ sp.basis.T
-            a = psi_conjugate(X, H, Y, form="reduced")
-            b = _psi_interior_cross(X, H, Y)
+            a = psi_conjugate(X, H, Y)
+            b = psi_interior_cross(X, H, Y)
             assert a == pytest.approx(b, abs=1e-9)
 
     def test_domain_violation_raises(self):
         X = np.diag([2.0, 0.0])
         H = np.array([[0.0, 1.0], [1.0, 0.0]])
         bad_Y = np.diag([0.5, 0.0])  # not identity on the positive block
-        with pytest.raises(DomainError):
-            psi_conjugate(X, H, bad_Y, form="full")
-        assert psi_conjugate(X, H, bad_Y, form="full", domain_mode="zero") == 0.0
+        with pytest.raises(DomainError) as exc:
+            psi_conjugate(X, H, bad_Y)
+        assert exc.value.condition == "subgradient"
+        assert exc.value.violation == pytest.approx(0.5)
+        with pytest.raises(DomainError) as exc:
+            psi_full(X, H, bad_Y)
+        assert exc.value.condition == "positive_block_identity"
 
-    def test_noncritical_direction_raises_for_reduced(self):
+    def test_noncritical_direction_raises(self):
         X = np.diag([1.0, 0.0, 0.0])
         Y = np.diag([1.0, 0.2, 0.2])
         H = np.zeros((3, 3))
         H[1, 2] = H[2, 1] = 1.0  # interior rows couple inside the null block
-        with pytest.raises(DomainError):
-            psi_conjugate(X, H, Y, form="reduced")
+        with pytest.raises(DomainError) as exc:
+            psi_conjugate(X, H, Y)
+        assert exc.value.condition == "critical_cone"

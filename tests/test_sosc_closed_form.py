@@ -4,7 +4,9 @@
 in one batched pass.  The oracle below is the construction it replaced:
 the second-order test value q(d) evaluated direction by direction, with
 the nuclear-norm curvature summed in a loop over eigenvalue-group pairs,
-and the matrix recovered from the polarization probes q(b_i + b_j).
+and the matrix recovered from the polarization probes q(b_i + b_j).  The
+last test checks that ``psi_conjugate`` along a critical direction is the
+quadratic of the nuclear curvature form Sigma_F.
 """
 
 import os
@@ -14,16 +16,18 @@ import numpy as np
 import pytest
 
 from sdnop.diagnostics import (
-    _distinct_value_runs,
+    _critical_member,
     app_cone_basis,
     cone_blocks,
     sosc_reduced_matrix,
 )
 from sdnop.generator import generate_instance
+from sdnop.nuclear import curvature_form, psi_conjugate
 from sdnop.problem import apply_jac, hess_xx_lagrangian, load_instance
-from sdnop.spectral import pinv_sym
+from sdnop.spectral import EigenDecomposition, group_distinct, pinv_sym
 
 from conftest import make_full_blocks_instance, make_mixed_instance
+from psi_oracles import psi_critical, psi_full
 
 INSTANCES = os.path.join(os.path.dirname(os.path.dirname(__file__)),
                          "instances")
@@ -34,12 +38,18 @@ BUNDLED = ("nondegen_small", "degen_small", "saddle_small")
 # oracle: direction-by-direction test value and polarization probes
 # ----------------------------------------------------------------------------
 
+def _value_groups(blocks, group_tol):
+    """Index runs of the distinct eigenvalue groups of F(x)."""
+    eig = EigenDecomposition(blocks.values_F, blocks.basis_F)
+    return group_distinct(eig, group_tol).blocks
+
+
 def _matrix_term_curvature(blocks, Hc, group_tol=1e-8):
     """2 sum_k <Y_kk, sum_{l != k} Hc_kl Hc_kl^T / (v_l - v_k)>."""
     lam = blocks.values_F
     if lam.size == 0:
         return 0.0
-    runs = _distinct_value_runs(lam, group_tol)
+    runs = _value_groups(blocks, group_tol)
     reps = [float(lam[list(r)].mean()) for r in runs]
     total = 0.0
     for k, gk in enumerate(runs):
@@ -105,7 +115,7 @@ def _rotate_value_groups(blocks, rng):
     """
     q = blocks.values_F.size
     R = np.eye(q)
-    for run in _distinct_value_runs(blocks.values_F, 1e-8):
+    for run in _value_groups(blocks, 1e-8):
         idx = list(run)
         R[np.ix_(idx, idx)], _ = np.linalg.qr(rng.randn(len(idx), len(idx)))
     return replace(
@@ -196,3 +206,39 @@ def test_rotation_reaches_group_blocks(case):
         assert off > 1e-2
     else:
         assert off < 1e-12
+
+
+# ----------------------------------------------------------------------------
+# psi_conjugate is the one-direction case of the nuclear curvature form
+# ----------------------------------------------------------------------------
+
+@pytest.mark.parametrize("case", list(BUNDLED) + ["generated_24"])
+def test_psi_conjugate_is_quadratic_of_sigma_F(case):
+    # critical directions d of the reduced subspace, filtered as
+    # second_order_necessary_check does: the sigma term of F along
+    # DF(x) d equals z^T Sigma_F z, and so do the closed-form oracles
+    problem = CASES[case][0]()
+    ref = problem.reference
+    x = np.asarray(ref.x, dtype=np.float64)
+    Y = ref.multipliers.Y
+    blocks = cone_blocks(problem, x, ref.multipliers)
+    basis = app_cone_basis(problem, x, ref.multipliers, blocks=blocks)
+    J = np.tensordot(basis.T, blocks.jac_F_Q, axes=1)
+    eig = EigenDecomposition(blocks.values_F, blocks.basis_F)
+    sigma_F = curvature_form(eig, blocks.Y_Q, J, 1e-8)
+    X, jac_F = problem.F(x), problem.jac_F(x)
+    rng = np.random.RandomState(5)
+    critical = 0
+    for _ in range(50):
+        d = basis @ rng.randn(basis.shape[1])
+        d /= np.linalg.norm(d)
+        if not _critical_member(blocks, d, 1e-10):
+            continue
+        critical += 1
+        z = basis.T @ d
+        expected = float(z @ sigma_F @ z)
+        H = apply_jac(jac_F, d)
+        scale = max(abs(expected), float(np.abs(sigma_F).max()))
+        for psi in (psi_conjugate, psi_full, psi_critical):
+            assert abs(psi(X, H, Y) - expected) <= 1e-12 * scale
+    assert critical >= 10

@@ -1,5 +1,7 @@
 """Spectral utility tests."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -186,3 +188,13 @@ def test_as_symmetric_averages():
     M = np.array([[1.0, 2.0 + 1e-12], [2.0, 3.0]])
     S = as_symmetric(M)
     np.testing.assert_allclose(S, S.T, atol=0)
+
+
+def test_as_symmetric_near_float_limit():
+    # finite entries near the float limit must not overflow while averaging
+    M = np.diag([1e308, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        S = as_symmetric(M)
+    assert np.all(np.isfinite(S))
+    np.testing.assert_array_equal(S, M)
