@@ -9,10 +9,11 @@ reports and CSV tables; with a fixed seed and a fixed BLAS thread count
 every artifact is byte-identical across reruns.
 
 Exit codes: 0 success, 1 input error (including any package error a
-subcommand does not handle itself and a linear-algebra failure on the
-data), 2 outer-iteration cap, 3 inner solve failure, 4 every sweep grid
-point diverged.  The ``SDNOP_LOG`` environment variable (error, info,
-debug) sets log verbosity.
+subcommand does not handle itself, a linear-algebra failure on the data
+and a second-order verdict inside round-off), 2 outer-iteration cap,
+3 inner solve failure, 4 every sweep grid point diverged.  The
+``SDNOP_LOG`` environment variable (error, info, debug) sets log
+verbosity.
 """
 
 import argparse
@@ -129,7 +130,7 @@ def _log_trace(trace):
                             in zip(_TRACE_COLUMNS[3:9], row[3:9])))
 
 
-def _solution_dict(point, converged, outer_iterations, final_penalty):
+def _solution_dict(point, converged, stop, outer_iterations, final_penalty):
     res = point.residual
     return {
         "x": point.x,
@@ -138,6 +139,7 @@ def _solution_dict(point, converged, outer_iterations, final_penalty):
         "Gamma": point.multipliers.Gamma,
         "residual": dict(res.as_dict(), total=res.total),
         "converged": converged,
+        "stop": stop,
         "outer_iterations": outer_iterations,
         "final_penalty": final_penalty,
     }
@@ -196,7 +198,7 @@ def cmd_solve(args):
         _write_csv(os.path.join(out, "trace.csv"), _TRACE_COLUMNS,
                    _trace_rows(exc.trace))
         _write_json(os.path.join(out, "solution.json"),
-                    _solution_dict(exc.point, False,
+                    _solution_dict(exc.point, False, "max_outer",
                                    len(exc.trace.residuals),
                                    exc.trace.penalties[-1]))
         return EXIT_MAX_OUTER
@@ -212,9 +214,11 @@ def cmd_solve(args):
                _trace_rows(trace))
     penalty = trace.penalties[-1] if trace.penalties else config.c0
     _write_json(os.path.join(out, "solution.json"),
-                _solution_dict(point, True, len(trace.residuals), penalty))
-    print("converged: residual %.3e after %d outer iterations"
-          % (point.residual.total, len(trace.residuals)))
+                _solution_dict(point, True, trace.stop,
+                               len(trace.residuals), penalty))
+    print("converged: residual %.3e after %d outer iterations%s"
+          % (point.residual.total, len(trace.residuals),
+             " (round-off floor)" if trace.stop == "floor" else ""))
     return EXIT_OK
 
 

@@ -149,7 +149,7 @@ def cone_blocks(problem, x, multipliers, group_tol=1e-8, rng=None):
         np.column_stack([lam_F, w]) if lam_F.size else np.zeros((0, 2)),
         np.array([group_tol * scale_F, group_tol]),
     )
-    scale_M = 1.0 + (np.abs(eig_M.values).max() if eig_M.values.size else 0.0)
+    scale_M = 1.0 + eig_M.norm
     runs_M = _equal_runs(
         eig_M.values.reshape(-1, 1), np.array([group_tol * scale_M])
     )
@@ -413,6 +413,10 @@ def strong_sosc_check(problem, x, multipliers, tol=1e-10, kkt_tol=1e-6,
     ------
     NotAKKTPoint
         When the KKT residual at (x, multipliers) exceeds ``kkt_tol``.
+    InvalidInput
+        When the smallest eigenvalue of the reduced matrix lies within its
+        round-off, eps * dim * ||M||_2, of ``tol``: data near the float
+        limit leave the verdict to rounding.
     """
     res = kkt_residual(problem, x, multipliers.Y, multipliers.mu,
                        multipliers.Gamma)
@@ -423,7 +427,14 @@ def strong_sosc_check(problem, x, multipliers, tol=1e-10, kkt_tol=1e-6,
                                    group_tol=group_tol)
     if basis.shape[1] == 0:
         return SOSCReport(True, float("inf"), 0)
-    min_value = float(np.linalg.eigvalsh(M)[0])
+    eigs = np.linalg.eigvalsh(M)
+    min_value = float(eigs[0])
+    roundoff = (np.finfo(np.float64).eps * eigs.size
+                * float(np.abs(eigs).max()))
+    if not abs(min_value - tol) > roundoff:
+        raise InvalidInput(
+            f"second-order verdict below round-off: smallest reduced "
+            f"eigenvalue {min_value:.3e}, resolution {roundoff:.1e}")
     return SOSCReport(min_value > tol, min_value, basis.shape[1])
 
 
@@ -816,13 +827,16 @@ class RateFit:
     distance for grid point j (NaN when the run is excluded);
     ``predicted[j]`` is ``rho2_proxy / c_j`` with the proxy taken from the
     fit intercept.  ``slope`` is None when fewer than two grid points
-    produced usable ratios.
+    produced usable ratios.  ``stops[j]`` says how grid point j ended:
+    "tol" (KKT residual below the target), "floor" (at the round-off
+    floor; converged too), "max_outer" or "inner_failure".
     """
 
     penalties: Tuple[float, ...]
     ratios: Tuple[float, ...]
     iterations: Tuple[int, ...]
     converged: Tuple[bool, ...]
+    stops: Tuple[str, ...]
     slope: Optional[float]
     intercept: Optional[float]
     r_squared: Optional[float]
@@ -841,6 +855,7 @@ class RateFit:
             "ratios": list(self.ratios),
             "iterations": list(self.iterations),
             "converged": list(self.converged),
+            "stops": list(self.stops),
             "slope": self.slope,
             "intercept": self.intercept,
             "r_squared": self.r_squared,
@@ -873,8 +888,25 @@ def _unit_perturbation(problem, seed):
     return MultiplierTriple(DY / norm, dmu / norm, DG / norm)
 
 
+def _contraction_ratios(dists, floor):
+    """Per-step ratios of the dual distances while both lie above ``floor``,
+    up to the first step that does not contract: from there on the run
+    wanders at its round-off floor and the ratios measure noise."""
+    ratios = []
+    for e0, e1 in zip(dists, dists[1:]):
+        if not (e0 > floor and e1 > floor):
+            continue
+        if e1 >= e0:
+            break
+        ratios.append(e1 / e0)
+    return ratios
+
+
 def _sweep_one(problem, reference, c, delta, u, base_config, floor):
-    """Run one fixed-penalty grid point; pure function of its arguments."""
+    """Run one fixed-penalty grid point; pure function of its arguments.
+
+    Returns (median ratio, outer iterations, converged, stop reason).
+    """
     ref_y = reference.multipliers
     y0 = MultiplierTriple(ref_y.Y + delta * u.Y, ref_y.mu + delta * u.mu,
                           ref_y.Gamma + delta * u.Gamma)
@@ -884,21 +916,19 @@ def _sweep_one(problem, reference, c, delta, u, base_config, floor):
         _, trace = alm_solve(problem, y0, config,
                              np.array(reference.x, dtype=np.float64),
                              reference=reference)
-    except (MaxIterations, InnerSolveError) as exc:
-        trace = exc.trace
-        converged = False
+        stop = trace.stop
+    except MaxIterations as exc:
+        trace, stop, converged = exc.trace, "max_outer", False
+    except InnerSolveError as exc:
+        trace, stop, converged = exc.trace, "inner_failure", False
     dists = [float(delta)] + (list(trace.dist_y) if trace is not None else [])
-    ratios = [
-        e1 / e0
-        for e0, e1 in zip(dists, dists[1:])
-        if e0 > floor and e1 > floor
-    ]
+    ratios = _contraction_ratios(dists, floor)
     iterations = len(trace) if trace is not None else 0
     if converged and ratios:
         ratio = float(np.median(ratios))
     else:
         ratio = float("nan")
-    return ratio, iterations, converged
+    return ratio, iterations, converged, stop
 
 
 def rate_sweep(problem, reference, grid, delta=1e-2, config=None, seed=0,
@@ -908,11 +938,15 @@ def rate_sweep(problem, reference, grid, delta=1e-2, config=None, seed=0,
     Every grid value starts from the reference multipliers displaced by
     ``delta`` along the same deterministic unit direction derived from
     ``seed``, so the direction-dependent part of the contraction
-    constant cancels between grid points, and runs until the KKT
-    residual drops below ``target``.  Per-iteration ratios of the dual
-    distance are collected while above ``ratio_floor`` and summarized by
-    their median; a log-log line through the usable points gives the
-    decay slope and the proxy constant for the predicted ratio.
+    constant cancels between grid points.  Each runs until the KKT
+    residual drops below ``target`` or, at large penalties where
+    ``target`` lies below what the arithmetic resolves, until it reaches
+    the solver's round-off floor (``alm_solve``); both count as
+    converged, and ``RateFit.stops`` records which.  Per-iteration ratios
+    of the dual distance are collected while it lies above
+    ``ratio_floor`` and keeps contracting, and summarized by their
+    median; a log-log line through the usable points gives the decay
+    slope and the proxy constant for the predicted ratio.
 
     Non-convergent grid points are excluded from the fit and reported
     with a NaN ratio.  The ``assumptions_unverified`` flag is set when
@@ -952,9 +986,7 @@ def rate_sweep(problem, reference, grid, delta=1e-2, config=None, seed=0,
         _sweep_one(problem, reference, c, delta, u, base, ratio_floor)
         for c in grid
     ]
-    ratios = tuple(r for r, _, _ in results)
-    iterations = tuple(i for _, i, _ in results)
-    converged = tuple(c for _, _, c in results)
+    ratios, iterations, converged, stops = (tuple(v) for v in zip(*results))
 
     usable = [(grid[j], ratios[j]) for j in _fit_points(ratios, converged)]
     slope = intercept = r_squared = rho2_proxy = None
@@ -980,6 +1012,7 @@ def rate_sweep(problem, reference, grid, delta=1e-2, config=None, seed=0,
         ratios=ratios,
         iterations=iterations,
         converged=converged,
+        stops=stops,
         slope=slope,
         intercept=intercept,
         r_squared=r_squared,

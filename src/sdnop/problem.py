@@ -142,7 +142,9 @@ def _sym_stack(A, name):
     for M in flat:
         if np.abs(M - M.T).max(initial=0.0) > 1e-8 * (1.0 + np.abs(M).max(initial=0.0)):
             raise InvalidInput(f"{name} has a non-symmetric slice")
-    return 0.5 * (A + np.swapaxes(A, -2, -1))
+    # halve before adding: finite entries near the float limit stay finite
+    H = 0.5 * A
+    return H + np.swapaxes(H, -2, -1)
 
 
 class QuadraticMatrixMap:
@@ -362,7 +364,8 @@ def hess_xx_lagrangian(problem, x, Y, mu, Gamma):
         H = H + problem.hess_h_contract(x, mu)
     if problem.p:
         H = H - problem.hess_g_contract(x, Gamma)
-    return 0.5 * (H + H.T)
+    H = 0.5 * H
+    return H + H.T
 
 
 class ShiftedPoint:
@@ -508,8 +511,7 @@ def newton_matrix_element(problem, x, Y, mu, Gamma, c,
         A = A + c * (J.T @ J)
 
     if problem.p:
-        # spectral norm of the symmetric M, read off its spectrum
-        scale = 1.0 + float(np.abs(pt.eig_M.values).max(initial=0.0))
+        scale = 1.0 + pt.eig_M.norm
         elem = proj_bsub_element(pt.M, beta_choice, tol=group_tol * scale,
                                  eig=pt.eig_M)
         A = A + c * _hadamard_gram(elem.basis, pt.jac_g, elem.theta.entries)

@@ -5,10 +5,15 @@ triple through the closed-form maps, optionally grow the penalty, stop on
 the KKT residual.  Inner loop: Newton's method on the continuously
 differentiable (but not twice differentiable) augmented Lagrangian, using
 generalized-Hessian elements with a Levenberg shift and an Armijo line
-search.  Everything here is deterministic: identical inputs produce
-bit-identical traces at a fixed BLAS thread count.
+search.  Both loops also stop at the round-off floor of the gradient,
+eps (||grad f|| + c ||DF|| ||Z||_2 + ||Jh|| ||muhat|| + ||Dg|| ||M||_2),
+where Z and M are the shifted matrices of the current point: with a large
+penalty an absolute tolerance can lie below what the arithmetic resolves.
+Everything here is deterministic: identical inputs produce bit-identical
+traces at a fixed BLAS thread count.
 """
 
+import math
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -39,6 +44,10 @@ __all__ = [
 
 _MAX_SHIFT_DOUBLINGS = 20
 _MAX_BACKTRACKS = 60
+_EPS = float(np.finfo(np.float64).eps)
+# the outer loop counts a KKT residual within this multiple of the last
+# inner solve's round-off floor as converged
+_OUTER_FLOOR_FACTOR = 10.0
 # kink classification inside the iteration matrix: the Newton model must be
 # the derivative of the gradient map as computed, so eigenvalues are
 # classified by their computed sign exactly and the free-choice tables apply
@@ -55,7 +64,9 @@ class InnerConfig:
 
     ``grad_tol`` is absolute; ``grad_tol_rel`` scales the previous outer
     residual into an additional (looser) target, giving a forcing sequence
-    when positive.  The Levenberg shift starts at
+    when positive.  The loop also stops once the gradient norm reaches its
+    round-off floor, which large penalties can lift above ``grad_tol``
+    (see ``inner_minimize``).  The Levenberg shift starts at
     ``levenberg_shift_initial`` and doubles until the generalized Hessian
     clears ``pd_floor``; after 20 doublings the step falls back to
     steepest descent.
@@ -89,13 +100,21 @@ class InnerConfig:
 @dataclass(frozen=True)
 class InnerStats:
     """Inner-loop counters; ``point`` is the ShiftedPoint at the returned x,
-    which the multiplier update reuses."""
+    which the multiplier update reuses.
+
+    ``stop`` says how the loop ended: "tol" when the gradient norm met the
+    configured tolerance, "floor" when it met only the round-off floor,
+    None when it failed.  ``floor`` is the round-off floor at the last
+    point.
+    """
 
     iterations: int
     grad_norm: float
     value: float
     shifted_steps: int
     steepest_steps: int
+    stop: Optional[str] = None
+    floor: float = 0.0
     point: Optional[ShiftedPoint] = field(default=None, compare=False,
                                           repr=False)
 
@@ -141,7 +160,9 @@ class ALMTrace:
 
     Distances to the reference KKT point are NaN when no reference is
     supplied; ``exceeded_trust`` flips if an iterate leaves the reference
-    ball of radius ``trust_radius``.
+    ball of radius ``trust_radius``.  ``stop`` is "tol" when the run ended
+    on ``outer_tol``, "floor" when it ended at the round-off floor, and
+    None while it runs or after it failed.
     """
 
     penalties: List[float] = field(default_factory=list)
@@ -152,6 +173,7 @@ class ALMTrace:
     dist_x: List[float] = field(default_factory=list)
     dist_y: List[float] = field(default_factory=list)
     exceeded_trust: bool = False
+    stop: Optional[str] = None
 
     def append_row(self, c, x, y, res, inner_iters, dx, dy):
         self.penalties.append(float(c))
@@ -206,12 +228,58 @@ def _newton_direction(A, grad, cfg):
     return d, shifted, False
 
 
+def _data_scales(problem, x, pt):
+    """Norms of the data the gradient's summands scale with near x:
+    ||grad f(x)|| and the Frobenius norms of the stacks DF, Jh and Dg."""
+    return (float(np.linalg.norm(problem.grad_f(x))),
+            float(np.linalg.norm(pt.jac_F)) if problem.q else 0.0,
+            float(np.linalg.norm(problem.jac_h(x))) if problem.m else 0.0,
+            float(np.linalg.norm(pt.jac_g)) if problem.p else 0.0)
+
+
+def _roundoff_floor(pt, c, scales):
+    """Round-off floor of the computed gradient at the ShiftedPoint ``pt``.
+
+    eps (||grad f|| + c ||DF|| ||Z||_2 + ||Jh|| ||muhat|| + ||Dg|| ||M||_2):
+    the envelope gradient is c times a function of Z's spectrum and the
+    projection a function of M's, each resolved to about eps times the
+    spectral norm, which the cached spectra give for free.
+    """
+    grad_f, dF, jh, dg = scales
+    problem = pt.problem
+    floor = grad_f
+    if problem.q:
+        floor += c * dF * pt.eig_Z.norm
+    if problem.m:
+        floor += jh * math.sqrt(float(pt.muhat @ pt.muhat))
+    if problem.p:
+        floor += dg * pt.eig_M.norm
+    return _EPS * floor
+
+
+def _inner_stop(gnorm, tol, floor):
+    """Stop reason for a gradient norm: "tol", "floor", or None to go on.
+
+    A floor stop needs a finite floor (and so a finite gradient norm):
+    data near the float limit give an infinite floor that any finite
+    gradient would meet.
+    """
+    if gnorm <= tol:
+        return "tol"
+    if gnorm <= floor < math.inf:
+        return "floor"
+    return None
+
+
 def inner_minimize(problem, y, c, x0, cfg, outer_residual=None):
     """Minimize the augmented Lagrangian in x at the multiplier block y.
 
     Stops when the gradient norm falls below
-    max(grad_tol, grad_tol_rel * outer_residual).  Raises InnerSolveError
-    with the best iterate if max_iter is exhausted first.
+    max(grad_tol, grad_tol_rel * outer_residual, floor), where floor is the
+    gradient's round-off floor at the current point (see
+    ``_roundoff_floor``; the data scales in it are taken once, at x0).
+    ``InnerStats.stop`` records which bound was met.  Raises
+    InnerSolveError with the best iterate if max_iter is exhausted first.
     """
     x = np.array(x0, dtype=np.float64)
     tol = cfg.grad_tol
@@ -226,13 +294,16 @@ def inner_minimize(problem, y, c, x0, cfg, outer_residual=None):
     # one ShiftedPoint per evaluated point; an accepted trial point's state
     # becomes the current one, so its gradient and Newton element reuse it
     pt = at(x)
+    scales = _data_scales(problem, x, pt)
     grad = aug_lagrangian_grad(problem, x, y.Y, y.mu, y.Gamma, c, point=pt)
     val = aug_lagrangian_value(problem, x, y.Y, y.mu, y.Gamma, c, point=pt)
     for it in range(cfg.max_iter):
         gnorm = float(np.linalg.norm(grad))
-        if gnorm <= tol:
+        floor = _roundoff_floor(pt, c, scales)
+        stop = _inner_stop(gnorm, tol, floor)
+        if stop is not None:
             return x, InnerStats(it, gnorm, val, shifted_steps,
-                                 steepest_steps, pt)
+                                 steepest_steps, stop, floor, pt)
         A = newton_matrix_element(problem, x, y.Y, y.mu, y.Gamma, c,
                                   group_tol=_KINK_TOL, point=pt)
         d, shifted, steepest = _newton_direction(A, grad, cfg)
@@ -270,18 +341,23 @@ def inner_minimize(problem, y, c, x0, cfg, outer_residual=None):
             raise InnerSolveError(
                 f"line search failed at inner iteration {it}",
                 best_x=x,
-                stats=InnerStats(it, gnorm, val, shifted_steps, steepest_steps),
+                stats=InnerStats(it, gnorm, val, shifted_steps, steepest_steps,
+                                 floor=floor),
             )
         x, pt, val = trial, tpt, tval
         grad = aug_lagrangian_grad(problem, x, y.Y, y.mu, y.Gamma, c, point=pt)
     gnorm = float(np.linalg.norm(grad))
-    if gnorm <= tol:
+    floor = _roundoff_floor(pt, c, scales)
+    stop = _inner_stop(gnorm, tol, floor)
+    if stop is not None:
         return x, InnerStats(cfg.max_iter, gnorm, val, shifted_steps,
-                             steepest_steps, pt)
+                             steepest_steps, stop, floor, pt)
     raise InnerSolveError(
-        f"inner loop exhausted {cfg.max_iter} iterations (grad {gnorm:.3e} > {tol:.1e})",
+        f"inner loop exhausted {cfg.max_iter} iterations "
+        f"(grad {gnorm:.3e} > {max(tol, floor):.1e})",
         best_x=x,
-        stats=InnerStats(cfg.max_iter, gnorm, val, shifted_steps, steepest_steps),
+        stats=InnerStats(cfg.max_iter, gnorm, val, shifted_steps,
+                         steepest_steps, floor=floor),
     )
 
 
@@ -302,6 +378,10 @@ def penalty_update(residual_now, residual_prev, c_k, config):
 def alm_solve(problem, y0, config, x0, reference=None, trust_radius=None):
     """Run the augmented Lagrangian method from (x0, y0).
 
+    A run converges when the KKT residual drops below ``outer_tol``, or
+    when it is finite and within a small multiple of the last inner
+    solve's round-off floor, which a large penalty can lift above
+    ``outer_tol``; ``ALMTrace.stop`` records which.
     Returns (KKTPoint, ALMTrace) on convergence.  Raises MaxIterations
     (carrying the trace and last iterate) if max_outer is exhausted, and
     propagates InnerSolveError (with the partial trace attached) if an
@@ -313,6 +393,7 @@ def alm_solve(problem, y0, config, x0, reference=None, trust_radius=None):
     c = config.c0
     res = kkt_residual(problem, x, y.Y, y.mu, y.Gamma)
     if res.total <= config.outer_tol:
+        trace.stop = "tol"
         return KKTPoint(x, y, res), trace
     res_prev = None
     for _k in range(config.max_outer):
@@ -334,6 +415,10 @@ def alm_solve(problem, y0, config, x0, reference=None, trust_radius=None):
         trace.append_row(c, x, y_next, res, istats.iterations, dx, dy)
         y = y_next
         if res.total <= config.outer_tol:
+            trace.stop = "tol"
+        elif res.total <= _OUTER_FLOOR_FACTOR * istats.floor < math.inf:
+            trace.stop = "floor"
+        if trace.stop is not None:
             return KKTPoint(x, y, res), trace
         c = penalty_update(res.total, res_prev, c, config)
         res_prev = res.total

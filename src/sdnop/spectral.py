@@ -79,6 +79,14 @@ class EigenDecomposition:
     def dim(self):
         return self.values.size
 
+    @property
+    def norm(self):
+        """Spectral norm: the larger end of the descending spectrum in
+        magnitude (0 for an empty one)."""
+        if not self.values.size:
+            return 0.0
+        return max(float(self.values[0]), -float(self.values[-1]))
+
     def reconstruct(self):
         return (self.basis * self.values) @ self.basis.T
 
@@ -246,7 +254,6 @@ def pinv_sym(M, cutoff=None):
     """
     eig = eig_sym(M)
     if cutoff is None:
-        top = np.abs(eig.values).max() if eig.values.size else 0.0
-        cutoff = 1e-12 * (1.0 + top)
+        cutoff = 1e-12 * (1.0 + eig.norm)
     inv = np.where(np.abs(eig.values) > cutoff, 1.0 / np.where(eig.values == 0.0, 1.0, eig.values), 0.0)
     return (eig.basis * inv) @ eig.basis.T

@@ -1,6 +1,7 @@
 """Tests for the reference-point verification tools."""
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from sdnop.problem import (
     QuadraticProblem,
     apply_jac,
     hess_xx_lagrangian,
+    load_instance,
     newton_matrix_element,
 )
 from sdnop.psd_cone import aff_critical_contains
@@ -554,6 +556,21 @@ class TestStrongSOSC:
         with pytest.raises(NotAKKTPoint):
             strong_sosc_check(prob, np.asarray(ref.x) + 0.1,
                               ref.multipliers)
+
+    def test_no_verdict_inside_round_off(self):
+        # x_ref[0] = 0, so a Hessian entry near the float limit keeps the
+        # reference a KKT point but swamps the reduced matrix: its smallest
+        # eigenvalue is rounding noise of magnitude 1e288 or so
+        path = os.path.join(os.path.dirname(os.path.dirname(__file__)),
+                            "instances", "nondegen_small.json")
+        prob = load_instance(path)
+        ref = prob.reference
+        assert ref.x[0] == 0.0
+        assert strong_sosc_check(prob, ref.x, ref.multipliers).holds
+        prob.f_H = prob.f_H.copy()
+        prob.f_H[0, 0] = 1e308
+        with pytest.raises(InvalidInput, match="below round-off"):
+            strong_sosc_check(prob, ref.x, ref.multipliers)
 
     def test_reduced_matrix_symmetric_and_consistent(self):
         prob = make_full_blocks_instance()

@@ -1,6 +1,8 @@
 """Problem-model tests: oracles, Lagrangians, KKT residuals, multiplier
 maps, Newton-matrix elements, JSON schema, and the local dual function."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -108,6 +110,16 @@ class TestQuadraticMatrixMap:
         with pytest.raises(InvalidInput):
             QuadraticMatrixMap(np.zeros((1, 1)), np.zeros((2, 1, 1)), Aij)
 
+    def test_near_float_limit_stays_finite(self):
+        # symmetrizing halves before adding, so finite data stay finite
+        Ai = np.zeros((1, 2, 2))
+        Ai[0, 1, 1] = -1e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            mp = QuadraticMatrixMap(np.diag([1e308, 1.0]), Ai)
+        assert mp.A0[0, 0] == 1e308
+        assert mp.Ai[0, 1, 1] == -1e308
+
 
 class TestOracleConsistency:
     def test_adjoint_identity(self, mixed_quadratic_instance):
@@ -179,6 +191,18 @@ class TestLagrangian:
             fd = (grad_x_lagrangian(problem, x + t * e, Y, mu, G)
                   - grad_x_lagrangian(problem, x - t * e, Y, mu, G)) / (2.0 * t)
             np.testing.assert_allclose(H[:, i], fd, atol=1e-7)
+
+    def test_hessian_near_float_limit_stays_finite(self, mixed_instance):
+        problem = mixed_instance
+        problem.f_H = problem.f_H.copy()
+        problem.f_H[0, 0] = 1e308
+        y = problem.reference.multipliers
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            H = hess_xx_lagrangian(problem, problem.reference.x, y.Y, y.mu,
+                                   y.Gamma)
+        assert H[0, 0] == 1e308
+        assert np.all(np.isfinite(H))
 
 
 class TestAugmentedLagrangian:

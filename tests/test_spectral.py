@@ -111,6 +111,17 @@ class TestEig:
     def test_empty(self):
         eig = eig_sym(np.zeros((0, 0)))
         assert eig.dim == 0
+        assert eig.norm == 0.0
+
+    def test_norm_is_largest_magnitude(self):
+        rng = np.random.RandomState(5)
+        for k in (1, 2, 7):
+            for shift in (-3.0, 0.0, 3.0):
+                M = rand_sym(rng, k) + shift * np.eye(k)
+                eig = eig_sym(M)
+                assert eig.norm == np.abs(eig.values).max()
+                assert eig.norm == pytest.approx(np.linalg.norm(M, 2),
+                                                 rel=1e-12)
 
 
 class TestPartition:
