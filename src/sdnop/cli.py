@@ -8,12 +8,12 @@ exact reference point).  Results land in the output directory as JSON
 reports and CSV tables; with a fixed seed and a fixed BLAS thread count
 every artifact is byte-identical across reruns.
 
-Exit codes: 0 success, 1 input error (including any package error a
-subcommand does not handle itself, a linear-algebra failure on the data
-and a second-order verdict inside round-off), 2 outer-iteration cap,
-3 inner solve failure, 4 every sweep grid point diverged.  The
-``SDNOP_LOG`` environment variable (error, info, debug) sets log
-verbosity.
+Exit codes: 0 success, 1 input error (including a usage error on the
+command line, any package error a subcommand does not handle itself, a
+linear-algebra failure on the data and a second-order verdict inside
+round-off), 2 outer-iteration cap, 3 inner solve failure, 4 every sweep
+grid point diverged.  The ``SDNOP_LOG`` environment variable (error,
+info, debug) sets log verbosity.
 """
 
 import argparse
@@ -23,6 +23,7 @@ import logging
 import math
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -149,6 +150,13 @@ def _solution_dict(point, converged, stop, outer_iterations, final_penalty):
 # configuration
 # ----------------------------------------------------------------------------
 
+def _check_keys(data, cls, prefix):
+    known = {f.name for f in fields(cls)}
+    for key in data:
+        if key not in known:
+            raise InvalidInput(f"unknown config key '{prefix}{key}'")
+
+
 def _build_config(args):
     """ALMConfig from the optional --config JSON plus flag overrides."""
     data = {}
@@ -160,19 +168,16 @@ def _build_config(args):
                 raise InvalidInput(f"config is not valid JSON: {exc}")
         if not isinstance(data, dict):
             raise InvalidInput("config must be a JSON object")
+    _check_keys(data, ALMConfig, "")
     inner_data = data.pop("inner", {})
     if not isinstance(inner_data, dict):
         raise InvalidInput("config key 'inner' must be a JSON object")
-    if args.tol is not None:
-        data["outer_tol"] = args.tol
-    if getattr(args, "max_outer", None) is not None:
-        data["max_outer"] = args.max_outer
-    if getattr(args, "c0", None) is not None:
-        data["c0"] = args.c0
-    try:
-        return ALMConfig(inner=InnerConfig(**inner_data), **data)
-    except TypeError as exc:
-        raise InvalidInput(f"unknown config key: {exc}")
+    _check_keys(inner_data, InnerConfig, "inner.")
+    for key, value in (("outer_tol", args.tol), ("max_outer", args.max_outer),
+                       ("c0", args.c0)):
+        if value is not None:
+            data[key] = value
+    return ALMConfig(inner=InnerConfig(**inner_data), **data)
 
 
 def _out_dir(args):
@@ -313,39 +318,59 @@ def _parse_grid(text):
 # parser and entry point
 # ----------------------------------------------------------------------------
 
-def build_parser():
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", default=None,
-                        help="JSON file of solver configuration overrides")
-    common.add_argument("--out", default=".",
-                        help="output directory (created if missing)")
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed for every random draw")
-    common.add_argument("--tol", type=float, default=None,
-                        help="outer KKT residual tolerance")
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as an input error: exit 1, one stderr line."""
 
-    parser = argparse.ArgumentParser(
+    def error(self, message):
+        raise InvalidInput(f"{self.prog}: {message}")
+
+
+def _seed(text):
+    """A seed numpy's RandomState accepts: an integer in [0, 2**32)."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or not 0 <= value < 2 ** 32:
+        raise argparse.ArgumentTypeError(
+            f"seed must be an integer in [0, 2**32), got {text!r}")
+    return value
+
+
+def build_parser():
+    out = _Parser(add_help=False)
+    out.add_argument("--out", default=".",
+                     help="output directory (created if missing)")
+    seed = _Parser(add_help=False)
+    seed.add_argument("--seed", type=_seed, default=0,
+                      help="seed for every random draw")
+
+    parser = _Parser(
         prog="sdnop",
         description="Augmented Lagrangian solver for composite "
                     "semidefinite programs with a nuclear-norm term.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    ps = sub.add_parser("solve", parents=[common],
+    ps = sub.add_parser("solve", parents=[out],
                         help="run the solver on a JSON instance")
     ps.add_argument("instance", help="path to the instance JSON")
+    ps.add_argument("--config", default=None,
+                    help="JSON file of solver configuration overrides")
+    ps.add_argument("--tol", type=float, default=None,
+                    help="outer KKT residual tolerance")
     ps.add_argument("--max-outer", type=int, default=None,
                     help="outer iteration cap")
     ps.add_argument("--c0", type=float, default=None,
                     help="initial penalty parameter")
     ps.set_defaults(func=cmd_solve)
 
-    pc = sub.add_parser("check", parents=[common],
+    pc = sub.add_parser("check", parents=[out],
                         help="verify the bundled reference point")
     pc.add_argument("instance", help="path to the instance JSON")
     pc.set_defaults(func=cmd_check)
 
-    pr = sub.add_parser("rate-sweep", parents=[common],
+    pr = sub.add_parser("rate-sweep", parents=[out, seed],
                         help="contraction ratios over a penalty grid")
     pr.add_argument("instance", help="path to the instance JSON")
     pr.add_argument("--grid", default="10,100,1000,10000",
@@ -354,7 +379,7 @@ def build_parser():
                     help="multiplier perturbation radius")
     pr.set_defaults(func=cmd_rate_sweep)
 
-    pg = sub.add_parser("generate", parents=[common],
+    pg = sub.add_parser("generate", parents=[out, seed],
                         help="synthesize an instance with an exact "
                              "reference point")
     pg.add_argument("--n", type=int, required=True,
@@ -385,9 +410,8 @@ def _setup_logging():
 def main(argv=None):
     logging.basicConfig(level=_setup_logging(),
                         format="%(levelname)s %(name)s: %(message)s")
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (InvalidInput, OSError, np.linalg.LinAlgError) as exc:
         print(f"input error: {exc}", file=sys.stderr)

@@ -14,7 +14,7 @@ sign split encodes strict complementarity of the conic constraint.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
@@ -41,6 +41,24 @@ from .spectral import (
     pinv_sym,
     svec_block,
 )
+
+# relative gap below which eigenvalues (and nuclear weights) form one group
+_GROUP_TOL = 1e-8
+# relative singular-value cutoffs: nondegeneracy needs
+# sigma_min > _RANK_TOL sigma_max; the reduced subspace is the null space of
+# its constraint rows above _BASIS_RANK_TOL times the largest
+_RANK_TOL = 1e-8
+_BASIS_RANK_TOL = 1e-10
+# largest KKT residual at which the second-order check gives a verdict
+_KKT_TOL = 1e-6
+# penalties over which rate_constants brackets the curvature model
+_ETA_GRID = (10.0, 100.0, 1000.0, 10000.0)
+# rate_sweep: each grid point runs to this KKT residual (or the round-off
+# floor) within _SWEEP_MAX_OUTER outer iterations, and dual distances at or
+# below _RATIO_FLOOR give no ratio
+_SWEEP_TARGET = 1e-12
+_SWEEP_MAX_OUTER = 60
+_RATIO_FLOOR = 1e-11
 
 
 # ----------------------------------------------------------------------------
@@ -111,7 +129,7 @@ def _rotate_within(basis, runs, rng):
     return out
 
 
-def cone_blocks(problem, x, multipliers, group_tol=1e-8, rng=None):
+def cone_blocks(problem, x, multipliers, rng=None):
     """Assemble the joint eigen-structure at (x, multipliers).
 
     Parameters
@@ -147,11 +165,11 @@ def cone_blocks(problem, x, multipliers, group_tol=1e-8, rng=None):
     scale_F = 1.0 + (np.abs(lam_F).max() if lam_F.size else 0.0)
     runs_F = _equal_runs(
         np.column_stack([lam_F, w]) if lam_F.size else np.zeros((0, 2)),
-        np.array([group_tol * scale_F, group_tol]),
+        np.array([_GROUP_TOL * scale_F, _GROUP_TOL]),
     )
     scale_M = 1.0 + eig_M.norm
     runs_M = _equal_runs(
-        eig_M.values.reshape(-1, 1), np.array([group_tol * scale_M])
+        eig_M.values.reshape(-1, 1), np.array([_GROUP_TOL * scale_M])
     )
     multiplicity = any(len(r) > 1 for r in runs_F + runs_M)
     if rng is not None:
@@ -256,10 +274,9 @@ def _active_rows(b):
     ])
 
 
-def build_AQP(problem, x, multipliers, blocks=None, group_tol=1e-8):
+def build_AQP(problem, x, multipliers, blocks=None):
     """Assemble the active-constraint block matrix at a reference point."""
-    b = blocks if blocks is not None else cone_blocks(
-        problem, x, multipliers, group_tol)
+    b = blocks if blocks is not None else cone_blocks(problem, x, multipliers)
     A = _active_rows(b)
     nb = len(b.b_all)
     nab = len(b.alpha) + len(b.beta)
@@ -286,11 +303,11 @@ class NondegeneracyReport:
         }
 
 
-def nondegeneracy_check(problem, x, multipliers, rank_tol=1e-8, blocks=None):
+def nondegeneracy_check(problem, x, multipliers, blocks=None):
     """Test constraint nondegeneracy via the active-block matrix rank.
 
     The check holds when the smallest singular value of the stacked matrix
-    exceeds ``rank_tol`` times the largest; with more rows than primal
+    exceeds 1e-8 times the largest; with more rows than primal
     coordinates it fails outright.  Zero rows hold vacuously.
     """
     A = build_AQP(problem, x, multipliers, blocks=blocks)
@@ -302,7 +319,7 @@ def nondegeneracy_check(problem, x, multipliers, rank_tol=1e-8, blocks=None):
     if A.n2 > A.matrix.shape[1]:
         return NondegeneracyReport(False, 0.0, sigma_max, A.n2, mult)
     sigma_min = float(s[-1])
-    holds = sigma_min > rank_tol * sigma_max
+    holds = sigma_min > _RANK_TOL * sigma_max
     return NondegeneracyReport(holds, sigma_min, sigma_max, A.n2, mult)
 
 
@@ -310,7 +327,7 @@ def nondegeneracy_check(problem, x, multipliers, rank_tol=1e-8, blocks=None):
 # reduced second-order machinery
 # ----------------------------------------------------------------------------
 
-def app_cone_basis(problem, x, multipliers, blocks=None, rank_tol=1e-10):
+def app_cone_basis(problem, x, multipliers, blocks=None):
     """Orthonormal basis of the reduced second-order subspace.
 
     The subspace collects primal directions annihilated by the equality
@@ -334,7 +351,7 @@ def app_cone_basis(problem, x, multipliers, blocks=None, rank_tol=1e-10):
         return np.eye(n)
     _, s, Vt = np.linalg.svd(L, full_matrices=True)
     top = s[0] if s.size and s[0] > 0.0 else 1.0
-    rank = int(np.sum(s > rank_tol * top))
+    rank = int(np.sum(s > _BASIS_RANK_TOL * top))
     return Vt[rank:].T
 
 
@@ -359,8 +376,7 @@ def sigma_term_psd(problem, x, Gamma, d):
     return float(_psd_curvature_matrix(problem, x, Gamma, d[:, None])[0, 0])
 
 
-def sosc_reduced_matrix(problem, x, multipliers, blocks=None, basis=None,
-                        group_tol=1e-8):
+def sosc_reduced_matrix(problem, x, multipliers, blocks=None, basis=None):
     """Reduced symmetric matrix of the second-order test.
 
     The test value q(d) is a quadratic form, so on the columns B of
@@ -374,8 +390,7 @@ def sosc_reduced_matrix(problem, x, multipliers, blocks=None, basis=None,
     orthonormal :func:`app_cone_basis` of the reduced subspace.  Returns
     (matrix, basis).
     """
-    b = blocks if blocks is not None else cone_blocks(
-        problem, x, multipliers, group_tol)
+    b = blocks if blocks is not None else cone_blocks(problem, x, multipliers)
     if basis is None:
         basis = app_cone_basis(problem, x, multipliers, blocks=b)
     x = np.asarray(x, dtype=np.float64)
@@ -385,7 +400,7 @@ def sosc_reduced_matrix(problem, x, multipliers, blocks=None, basis=None,
     if problem.q:
         J = np.tensordot(basis.T, b.jac_F_Q, axes=1)
         M -= curvature_form(EigenDecomposition(b.values_F, b.basis_F), b.Y_Q,
-                            J, group_tol)
+                            J, _GROUP_TOL)
     if problem.p:
         M += _psd_curvature_matrix(problem, x, multipliers.Gamma, basis)
     return 0.5 * (M + M.T), basis
@@ -405,14 +420,13 @@ class SOSCReport:
         }
 
 
-def strong_sosc_check(problem, x, multipliers, tol=1e-10, kkt_tol=1e-6,
-                      blocks=None, group_tol=1e-8):
+def strong_sosc_check(problem, x, multipliers, tol=1e-10, blocks=None):
     """Strong second-order sufficiency on the reduced subspace.
 
     Raises
     ------
     NotAKKTPoint
-        When the KKT residual at (x, multipliers) exceeds ``kkt_tol``.
+        When the KKT residual at (x, multipliers) exceeds 1e-6.
     InvalidInput
         When the smallest eigenvalue of the reduced matrix lies within its
         round-off, eps * dim * ||M||_2, of ``tol``: data near the float
@@ -420,11 +434,10 @@ def strong_sosc_check(problem, x, multipliers, tol=1e-10, kkt_tol=1e-6,
     """
     res = kkt_residual(problem, x, multipliers.Y, multipliers.mu,
                        multipliers.Gamma)
-    if res.total > kkt_tol:
+    if res.total > _KKT_TOL:
         raise NotAKKTPoint(
-            f"KKT residual {res.total:.3e} exceeds {kkt_tol:.1e}")
-    M, basis = sosc_reduced_matrix(problem, x, multipliers, blocks=blocks,
-                                   group_tol=group_tol)
+            f"KKT residual {res.total:.3e} exceeds {_KKT_TOL:.1e}")
+    M, basis = sosc_reduced_matrix(problem, x, multipliers, blocks=blocks)
     if basis.shape[1] == 0:
         return SOSCReport(True, float("inf"), 0)
     eigs = np.linalg.eigvalsh(M)
@@ -456,7 +469,7 @@ def _critical_member(blocks, d, member_tol):
 
 
 def second_order_necessary_check(problem, x, multipliers, samples=200,
-                                 tol=1e-8, seed=0, group_tol=1e-8):
+                                 tol=1e-8, seed=0):
     """Sampled second-order necessary condition over critical directions.
 
     Draws directions from the reduced subspace, keeps those inside the
@@ -464,9 +477,8 @@ def second_order_necessary_check(problem, x, multipliers, samples=200,
     second-order test value to be at least -tol on each.  Vacuously true
     when no sampled direction is critical.
     """
-    b = cone_blocks(problem, x, multipliers, group_tol)
-    M, basis = sosc_reduced_matrix(problem, x, multipliers, blocks=b,
-                                   group_tol=group_tol)
+    b = cone_blocks(problem, x, multipliers)
+    M, basis = sosc_reduced_matrix(problem, x, multipliers, blocks=b)
     k = basis.shape[1]
     if k == 0:
         return True
@@ -586,7 +598,7 @@ _CROSS_FAMILIES = (
 
 
 def split_penalty_matrix(problem, x, multipliers, c_base, c, free=0.0,
-                         blocks=None, group_tol=1e-8):
+                         blocks=None):
     """Curvature model with separately weighted row and table terms.
 
     The active-block rows enter with weight ``c_base`` while the
@@ -598,8 +610,7 @@ def split_penalty_matrix(problem, x, multipliers, c_base, c, free=0.0,
     """
     if not 0.0 <= free <= 1.0:
         raise InvalidInput("free table entries must lie in [0, 1]")
-    b = blocks if blocks is not None else cone_blocks(
-        problem, x, multipliers, group_tol)
+    b = blocks if blocks is not None else cone_blocks(problem, x, multipliers)
     x = np.asarray(x, dtype=np.float64)
     out = hess_xx_lagrangian(problem, x, multipliers.Y, multipliers.mu,
                              multipliers.Gamma)
@@ -729,17 +740,16 @@ class RateConstants:
         }
 
 
-def rate_constants(problem, x, multipliers, c0=10.0,
-                   c_grid=(10.0, 100.0, 1000.0, 10000.0), rotations=32,
-                   seed=0, group_tol=1e-8, deg_tol=1e-10, blocks=None):
+def rate_constants(problem, x, multipliers, c0=10.0, rotations=32, seed=0,
+                   deg_tol=1e-10, blocks=None):
     """Evaluate the constants entering the contraction-rate bound.
 
     The singular-value bracket is exact when the relevant spectra are
     simple; with multiplicities the bases are non-unique and ``rotations``
     random intra-group rotations widen the bracket (flagged in the
     result).  The uniform curvature bracket (eta) is estimated from the
-    split-penalty curvature model over ``c_grid`` with the base weight
-    ``c0``; it is an estimate, not a certified constant.  ``blocks`` is
+    split-penalty curvature model over c = 10, 100, 1e3, 1e4 with the base
+    weight ``c0``; it is an estimate, not a certified constant.  ``blocks`` is
     an optional :func:`cone_blocks` at (x, multipliers) to reuse; the
     rotated brackets build their own.
 
@@ -749,7 +759,7 @@ def rate_constants(problem, x, multipliers, c0=10.0,
         When a ratio-table denominator falls below ``deg_tol``.
     """
     if blocks is None:
-        blocks = cone_blocks(problem, x, multipliers, group_tol)
+        blocks = cone_blocks(problem, x, multipliers)
     nus = _nu_tables(blocks, deg_tol)
     if nus:
         nu_lower_0 = min(lo for lo, _ in nus.values())
@@ -761,7 +771,7 @@ def rate_constants(problem, x, multipliers, c0=10.0,
     if blocks.multiplicity and rotations > 0:
         rng = np.random.RandomState(seed)
         for _ in range(rotations):
-            rotated = cone_blocks(problem, x, multipliers, group_tol, rng=rng)
+            rotated = cone_blocks(problem, x, multipliers, rng=rng)
             s_lo, s_hi, n_lo, n_hi = _sigma_nu_at(rotated)
             sig_lo = min(sig_lo, s_lo)
             sig_hi = max(sig_hi, s_hi)
@@ -770,10 +780,10 @@ def rate_constants(problem, x, multipliers, c0=10.0,
 
     eta_lower = float("inf")
     eta_upper = float("-inf")
-    for c in c_grid:
-        low = split_penalty_matrix(problem, x, multipliers, c0, float(c),
+    for c in _ETA_GRID:
+        low = split_penalty_matrix(problem, x, multipliers, c0, c,
                                    free=0.0, blocks=blocks)
-        high = split_penalty_matrix(problem, x, multipliers, c0, float(c),
+        high = split_penalty_matrix(problem, x, multipliers, c0, c,
                                     free=1.0, blocks=blocks)
         eta_lower = min(eta_lower, float(np.linalg.eigvalsh(low)[0]))
         eta_upper = max(eta_upper, float(np.linalg.eigvalsh(high)[-1]))
@@ -902,7 +912,7 @@ def _contraction_ratios(dists, floor):
     return ratios
 
 
-def _sweep_one(problem, reference, c, delta, u, base_config, floor):
+def _sweep_one(problem, reference, c, delta, u):
     """Run one fixed-penalty grid point; pure function of its arguments.
 
     Returns (median ratio, outer iterations, converged, stop reason).
@@ -910,7 +920,8 @@ def _sweep_one(problem, reference, c, delta, u, base_config, floor):
     ref_y = reference.multipliers
     y0 = MultiplierTriple(ref_y.Y + delta * u.Y, ref_y.mu + delta * u.mu,
                           ref_y.Gamma + delta * u.Gamma)
-    config = replace(base_config, c0=float(c), penalty_mode="fixed")
+    config = ALMConfig(c0=c, outer_tol=_SWEEP_TARGET,
+                       max_outer=_SWEEP_MAX_OUTER, c_max=c)
     converged = True
     try:
         _, trace = alm_solve(problem, y0, config,
@@ -922,7 +933,7 @@ def _sweep_one(problem, reference, c, delta, u, base_config, floor):
     except InnerSolveError as exc:
         trace, stop, converged = exc.trace, "inner_failure", False
     dists = [float(delta)] + (list(trace.dist_y) if trace is not None else [])
-    ratios = _contraction_ratios(dists, floor)
+    ratios = _contraction_ratios(dists, _RATIO_FLOOR)
     iterations = len(trace) if trace is not None else 0
     if converged and ratios:
         ratio = float(np.median(ratios))
@@ -931,20 +942,20 @@ def _sweep_one(problem, reference, c, delta, u, base_config, floor):
     return ratio, iterations, converged, stop
 
 
-def rate_sweep(problem, reference, grid, delta=1e-2, config=None, seed=0,
-               ratio_floor=1e-11, target=1e-12):
+def rate_sweep(problem, reference, grid, delta=1e-2, seed=0):
     """Measure dual contraction ratios over an increasing penalty grid.
 
     Every grid value starts from the reference multipliers displaced by
     ``delta`` along the same deterministic unit direction derived from
     ``seed``, so the direction-dependent part of the contraction
-    constant cancels between grid points.  Each runs until the KKT
-    residual drops below ``target`` or, at large penalties where
-    ``target`` lies below what the arithmetic resolves, until it reaches
-    the solver's round-off floor (``alm_solve``); both count as
-    converged, and ``RateFit.stops`` records which.  Per-iteration ratios
-    of the dual distance are collected while it lies above
-    ``ratio_floor`` and keeps contracting, and summarized by their
+    constant cancels between grid points.  Each runs with the penalty
+    held at its grid value until the KKT residual drops below 1e-12 or,
+    at large penalties where 1e-12 lies below what the arithmetic
+    resolves, until it reaches the solver's round-off floor
+    (``alm_solve``); both count as converged, and ``RateFit.stops``
+    records which.  A point still running after 60 outer iterations
+    fails.  Per-iteration ratios of the dual distance are collected while
+    it lies above 1e-11 and keeps contracting, and summarized by their
     median; a log-log line through the usable points gives the decay
     slope and the proxy constant for the predicted ratio.
 
@@ -956,12 +967,16 @@ def rate_sweep(problem, reference, grid, delta=1e-2, config=None, seed=0,
     grid = [float(c) for c in grid]
     if not grid:
         raise InvalidInput("penalty grid is empty")
-    if any(c <= 0.0 for c in grid):
-        raise InvalidInput("penalty grid values must be positive")
+    for c in grid:
+        if not (math.isfinite(c) and c > 0.0):
+            raise InvalidInput(
+                f"penalty grid values must be finite and positive, got {c!r}")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise InvalidInput("penalty grid must be strictly increasing")
-    if not delta > 0.0:
-        raise InvalidInput("perturbation radius must be positive")
+    if not (math.isfinite(delta) and delta > 0.0):
+        raise InvalidInput(
+            f"perturbation radius delta must be finite and positive, "
+            f"got {delta!r}")
     ref_res = kkt_residual(problem, reference.x, reference.multipliers.Y,
                            reference.multipliers.mu,
                            reference.multipliers.Gamma)
@@ -979,13 +994,8 @@ def rate_sweep(problem, reference, grid, delta=1e-2, config=None, seed=0,
     except (NotAKKTPoint, NotASubgradient, DegenerateSpectrum, InvalidInput):
         unverified = True
 
-    base = config if config is not None else ALMConfig(
-        outer_tol=target, max_outer=60)
     u = _unit_perturbation(problem, seed)
-    results = [
-        _sweep_one(problem, reference, c, delta, u, base, ratio_floor)
-        for c in grid
-    ]
+    results = [_sweep_one(problem, reference, c, delta, u) for c in grid]
     ratios, iterations, converged, stops = (tuple(v) for v in zip(*results))
 
     usable = [(grid[j], ratios[j]) for j in _fit_points(ratios, converged)]

@@ -57,7 +57,8 @@ __all__ = [
     "psi_conjugate",
 ]
 
-_DEFAULT_SPLIT_TOL = 1e-6
+# null-row weights within this distance of +-1 count as saturated
+_SPLIT_TOL = 1e-6
 
 
 # ----------------------------------------------------------------------------
@@ -108,7 +109,8 @@ class SubgradientPartition:
     diagonal with weights ``w`` (descending).  Weights are 1 on the
     positive rows, -1 on the negative rows, and in [-1, 1] on the null
     rows, which split into ``b_up`` (saturated at +1), ``b_mid`` (strict
-    interior) and ``b_low`` (saturated at -1).
+    interior) and ``b_low`` (saturated at -1); a weight within 1e-6 of
+    +-1 counts as saturated.
     """
 
     partition: SignPartition
@@ -116,18 +118,17 @@ class SubgradientPartition:
     b_up: Tuple[int, ...]
     b_mid: Tuple[int, ...]
     b_low: Tuple[int, ...]
-    split_tol: float
     basis: np.ndarray
     values: np.ndarray  # eigenvalues of X, aligned with basis columns
 
 
-def _subdiff_defect(X, Y, tol):
+def _subdiff_defect(X, Y):
     """Largest violation of the subgradient characterization, plus context."""
     eig = eig_sym(X)
     Y = as_symmetric(Y, "Y")
     if Y.shape != eig.basis.shape:
         raise InvalidInput("Y dimension does not match X")
-    part = partition_by_sign(eig, tol)
+    part = partition_by_sign(eig)
     Q = eig.basis
     Yh = Q.T @ Y @ Q
     pos, zero, neg = list(part.pos), list(part.zero), list(part.neg)
@@ -149,11 +150,11 @@ def subdiff_contains(X, Y, tol=None):
     """Membership test for the nuclear-norm subdifferential at X."""
     if tol is None:
         tol = 1e-8
-    defect, _, _, _ = _subdiff_defect(X, Y, None)
+    defect, _, _, _ = _subdiff_defect(X, Y)
     return defect <= tol
 
 
-def subdiff_partition(X, Y, tol=None, split_tol=_DEFAULT_SPLIT_TOL):
+def subdiff_partition(X, Y, tol=None):
     """Extract the weight structure of a subgradient Y at X.
 
     Raises
@@ -163,7 +164,7 @@ def subdiff_partition(X, Y, tol=None, split_tol=_DEFAULT_SPLIT_TOL):
     """
     if tol is None:
         tol = 1e-8
-    defect, eig, part, Yh = _subdiff_defect(X, Y, None)
+    defect, eig, part, Yh = _subdiff_defect(X, Y)
     if defect > tol:
         raise NotASubgradient(f"subgradient defect {defect:.3e} exceeds {tol:.1e}")
     q = eig.dim
@@ -180,9 +181,9 @@ def subdiff_partition(X, Y, tol=None, split_tol=_DEFAULT_SPLIT_TOL):
         w[zero] = wb
         basis[:, zero] = basis[:, zero] @ sub.basis
         for k, i in enumerate(zero):
-            if wb[k] >= 1.0 - split_tol:
+            if wb[k] >= 1.0 - _SPLIT_TOL:
                 b_up.append(i)
-            elif wb[k] <= -1.0 + split_tol:
+            elif wb[k] <= -1.0 + _SPLIT_TOL:
                 b_low.append(i)
             else:
                 b_mid.append(i)
@@ -192,7 +193,6 @@ def subdiff_partition(X, Y, tol=None, split_tol=_DEFAULT_SPLIT_TOL):
         tuple(b_up),
         tuple(b_mid),
         tuple(b_low),
-        float(split_tol),
         basis,
         eig.values.copy(),
     )
@@ -211,11 +211,6 @@ def _check_tau(tau):
         raise InvalidInput(f"tau must be positive, got {tau}")
 
 
-def _check_convention(convention):
-    if convention not in ("half", "literal"):
-        raise InvalidInput(f"unknown moreau convention {convention!r}")
-
-
 def prox_nuclear(Z, tau, eig=None):
     """Proximal mapping of the nuclear norm: eigenvalue soft-thresholding.
 
@@ -230,33 +225,25 @@ def prox_nuclear(Z, tau, eig=None):
     return 0.5 * (X + X.T), eig
 
 
-def moreau_env(Z, tau, convention="half", eig=None):
+def moreau_env(Z, tau, eig=None):
     """Moreau envelope of the nuclear norm at Z.
 
-    The default convention uses the quadratic penalty ||X'-Z||^2/(2 tau);
-    ``convention="literal"`` uses ||X'-Z||^2/tau, which is the same
-    envelope at half the smoothing level.  ``eig`` is an optional
+    The quadratic penalty is ||X'-Z||^2/(2 tau).  ``eig`` is an optional
     ``eig_sym(Z)`` to reuse.
     """
     _check_tau(tau)
-    _check_convention(convention)
-    if convention == "literal":
-        return moreau_env(Z, 0.5 * tau, eig=eig)
     if eig is None:
         eig = eig_sym(Z)
     p = _soft_threshold(eig.values, tau)
     return float(np.abs(p).sum() + np.sum((p - eig.values) ** 2) / (2.0 * tau))
 
 
-def grad_moreau_env(Z, tau, convention="half", eig=None):
+def grad_moreau_env(Z, tau, eig=None):
     """Gradient of the Moreau envelope: the scaled prox residual.
 
     ``eig`` is an optional ``eig_sym(Z)`` to reuse.
     """
     _check_tau(tau)
-    _check_convention(convention)
-    if convention == "literal":
-        return grad_moreau_env(Z, 0.5 * tau, eig=eig)
     X, _ = prox_nuclear(Z, tau, eig=eig)
     Z = as_symmetric(Z, "Z")
     return (Z - X) / tau
@@ -511,7 +498,7 @@ def _structured_values(sp, tau):
 
 
 def prox_bsub_element(X, Y, tau, up_choice="zero", low_choice="zero",
-                      tol=None, split_tol=_DEFAULT_SPLIT_TOL):
+                      tol=None):
     """B-subdifferential element of the prox at the structured point X + tau Y.
 
     ``up_choice`` / ``low_choice`` commit the free slope blocks where the
@@ -519,7 +506,7 @@ def prox_bsub_element(X, Y, tau, up_choice="zero", low_choice="zero",
     with entries in [0, 1] ("zero", "identity", or explicit).
     """
     _check_tau(tau)
-    sp = subdiff_partition(X, Y, tol=tol, split_tol=split_tol)
+    sp = subdiff_partition(X, Y, tol=tol)
     vals = _structured_values(sp, tau)
     # spectra closer than 1e-12 (1 + max |v|) are one group, so the two
     # saturated groups sit exactly on the kinks at +-tau
@@ -554,9 +541,9 @@ class EnvGradBsubElement:
 
 
 def grad_env_bsub_element(X, Y, tau, up_choice="zero", low_choice="zero",
-                          tol=None, split_tol=_DEFAULT_SPLIT_TOL):
+                          tol=None):
     W = prox_bsub_element(X, Y, tau, up_choice=up_choice, low_choice=low_choice,
-                          tol=tol, split_tol=split_tol)
+                          tol=tol)
     return EnvGradBsubElement(W)
 
 
@@ -586,21 +573,21 @@ def critical_blocks_contain(Hc, b_up, b_mid, b_low, tol):
     return True
 
 
-def critical_cone_theta_contains(X, Y, H, tol=None, split_tol=_DEFAULT_SPLIT_TOL):
+def critical_cone_theta_contains(X, Y, H, tol=None):
     """Whether H lies in the critical cone of the nuclear norm at (X, Y).
 
     The blockwise test of :func:`critical_blocks_contain` on H compressed
     into the refined basis; ``tol`` defaults to 1e-8 (1 + max |H|).
     """
     H = as_symmetric(H, "H")
-    sp = subdiff_partition(X, Y, split_tol=split_tol)
+    sp = subdiff_partition(X, Y)
     if tol is None:
         tol = 1e-8 * (1.0 + np.abs(H).max(initial=0.0))
     return critical_blocks_contain(sp.basis.T @ H @ sp.basis,
                                    sp.b_up, sp.b_mid, sp.b_low, tol)
 
 
-def critical_cone_theta_project(X, Y, H, split_tol=_DEFAULT_SPLIT_TOL):
+def critical_cone_theta_project(X, Y, H):
     """Metric projection of H onto the critical cone at (X, Y).
 
     The cone is a product of blockwise constraints in the refined basis, so
@@ -609,7 +596,7 @@ def critical_cone_theta_project(X, Y, H, split_tol=_DEFAULT_SPLIT_TOL):
     saturated diagonal blocks.
     """
     H = as_symmetric(H, "H")
-    sp = subdiff_partition(X, Y, split_tol=split_tol)
+    sp = subdiff_partition(X, Y)
     Q = sp.basis
     Hh = Q.T @ H @ Q
     b = list(sp.partition.zero)
@@ -660,8 +647,7 @@ def curvature_form(eig, Yc, J, group_tol=1e-8):
     return 2.0 * np.einsum("iab,jab->ij", J * W, Yhat @ J)
 
 
-def psi_conjugate(X, H, Y, tol=None, group_tol=1e-8,
-                  split_tol=_DEFAULT_SPLIT_TOL):
+def psi_conjugate(X, H, Y, tol=None, group_tol=1e-8):
     """Conjugate, at Y, of the second directional derivative of the
     nuclear norm at X along (H, .).
 
@@ -685,9 +671,9 @@ def psi_conjugate(X, H, Y, tol=None, group_tol=1e-8,
     if tol is None:
         tol = 1e-7 * (1.0 + np.abs(Y).max(initial=0.0))
     try:
-        sp = subdiff_partition(X, Y, tol=tol, split_tol=split_tol)
+        sp = subdiff_partition(X, Y, tol=tol)
     except NotASubgradient:
-        raise DomainError("subgradient", _subdiff_defect(X, Y, None)[0]) from None
+        raise DomainError("subgradient", _subdiff_defect(X, Y)[0]) from None
     Q = sp.basis
     Hc = Q.T @ H @ Q
     if not critical_blocks_contain(Hc, sp.b_up, sp.b_mid, sp.b_low,

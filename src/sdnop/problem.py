@@ -29,7 +29,6 @@ from .psd_cone import proj_bsub_element, project_psd
 from .spectral import as_symmetric, eig_sym
 
 __all__ = [
-    "ProblemOracle",
     "QuadraticMatrixMap",
     "QuadraticProblem",
     "MultiplierTriple",
@@ -69,71 +68,7 @@ def adjoint_jac(jac, S):
 
 
 # ----------------------------------------------------------------------------
-# oracle interface
-# ----------------------------------------------------------------------------
-
-class ProblemOracle:
-    """Evaluation oracle for one problem instance.
-
-    Subclasses set the dimensions ``n`` (primal), ``q`` (matrix size of F),
-    ``m`` (equality count), ``p`` (matrix size of g) and override the
-    evaluators for the parts they use.  The defaults below implement the
-    empty blocks, so an equality-only problem only needs f and h.
-
-    Oracles must be re-entrant: evaluations may run concurrently and must
-    not mutate shared state.
-    """
-
-    n = 0
-    q = 0
-    m = 0
-    p = 0
-
-    # -- objective ----------------------------------------------------------
-    def f(self, x):
-        raise NotImplementedError
-
-    def grad_f(self, x):
-        raise NotImplementedError
-
-    def hess_f(self, x):
-        raise NotImplementedError
-
-    # -- matrix map under the nuclear norm -----------------------------------
-    def F(self, x):
-        return np.zeros((self.q, self.q))
-
-    def jac_F(self, x):
-        """Stacked partial derivatives, shape (n, q, q)."""
-        return np.zeros((self.n, self.q, self.q))
-
-    def hess_F_contract(self, x, Y):
-        """Matrix of pairings <Y, d^2 F / dx_i dx_j>, shape (n, n)."""
-        return np.zeros((self.n, self.n))
-
-    # -- equality constraints -------------------------------------------------
-    def h(self, x):
-        return np.zeros(self.m)
-
-    def jac_h(self, x):
-        return np.zeros((self.m, self.n))
-
-    def hess_h_contract(self, x, mu):
-        return np.zeros((self.n, self.n))
-
-    # -- semidefinite constraint ----------------------------------------------
-    def g(self, x):
-        return np.zeros((self.p, self.p))
-
-    def jac_g(self, x):
-        return np.zeros((self.n, self.p, self.p))
-
-    def hess_g_contract(self, x, Gamma):
-        return np.zeros((self.n, self.n))
-
-
-# ----------------------------------------------------------------------------
-# quadratic maps: the serializable concrete oracle
+# quadratic maps and the problem oracle
 # ----------------------------------------------------------------------------
 
 def _sym_stack(A, name):
@@ -196,12 +131,18 @@ def _empty_map(n, k):
     return QuadraticMatrixMap(np.zeros((k, k)), np.zeros((n, k, k)))
 
 
-class QuadraticProblem(ProblemOracle):
+class QuadraticProblem:
     """Serializable instance with quadratic f, F, g and affine h.
 
     ``f`` is c0 + b.x + (1/2) x.H.x; ``h`` rows are affine (A x + r); F and
     g are QuadraticMatrixMap.  An optional reference KKT point rides along
     for diagnostics and rate experiments.
+
+    The dimensions are ``n`` (primal), ``q`` (matrix size of F), ``m``
+    (equality count) and ``p`` (matrix size of g).  Stacked Jacobians have
+    shape (n, k, k), and ``hess_*_contract`` return the (n, n) matrix of
+    pairings of a multiplier with the second partials.  Evaluations do
+    not mutate the instance, so they may run concurrently.
     """
 
     def __init__(self, f_c0, f_b, f_H, F_map, h_A, h_r, g_map, reference=None):
@@ -250,6 +191,10 @@ class QuadraticProblem(ProblemOracle):
 
     def jac_h(self, x):
         return self.h_A.copy()
+
+    def hess_h_contract(self, x, mu):
+        # h is affine
+        return np.zeros((self.n, self.n))
 
     def g(self, x):
         return self.g_map.value(x)

@@ -1,11 +1,12 @@
 """Augmented Lagrangian method.
 
 Outer loop: minimize the augmented Lagrangian in x, update the multiplier
-triple through the closed-form maps, optionally grow the penalty, stop on
-the KKT residual.  Inner loop: Newton's method on the continuously
-differentiable (but not twice differentiable) augmented Lagrangian, using
-generalized-Hessian elements with a Levenberg shift and an Armijo line
-search.  Both loops also stop at the round-off floor of the gradient,
+triple through the closed-form maps, grow the penalty tenfold (up to
+``c_max``) when the KKT residual stalls, stop on the KKT residual.  Inner
+loop: Newton's method on the continuously differentiable (but not twice
+differentiable) augmented Lagrangian, using generalized-Hessian elements
+with a Levenberg shift and an Armijo line search.  Both loops also stop
+at the round-off floor of the gradient,
 eps (||grad f|| + c ||DF|| ||Z||_2 + ||Jh|| ||muhat|| + ||Dg|| ||M||_2),
 where Z and M are the shifted matrices of the current point: with a large
 penalty an absolute tolerance can lie below what the arithmetic resolves.
@@ -14,6 +15,7 @@ traces at a fixed BLAS thread count.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -42,8 +44,19 @@ __all__ = [
     "alm_solve",
 ]
 
+# Levenberg shift: start at _SHIFT_INITIAL and double until the generalized
+# Hessian clears _PD_FLOOR; past _MAX_SHIFT_DOUBLINGS take steepest descent
+_SHIFT_INITIAL = 1e-8
+_PD_FLOOR = 1e-10
 _MAX_SHIFT_DOUBLINGS = 20
+# Armijo line search: sufficient-decrease slope and step contraction
+_ARMIJO_SLOPE = 1e-4
+_BACKTRACK = 0.5
 _MAX_BACKTRACKS = 60
+# the penalty grows tenfold when the KKT residual fails to drop below this
+# fraction of the previous one
+_PENALTY_GROWTH = 10.0
+_RESIDUAL_DECREASE = 0.25
 _EPS = float(np.finfo(np.float64).eps)
 # the outer loop counts a KKT residual within this multiple of the last
 # inner solve's round-off floor as converged
@@ -58,6 +71,19 @@ _OUTER_FLOOR_FACTOR = 10.0
 _KINK_TOL = 0.0
 
 
+def _require_int(name, value, low):
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InvalidInput(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise InvalidInput(f"{name} must be at least {low}, got {value}")
+
+
+def _require_finite(name, value):
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+            or not math.isfinite(value):
+        raise InvalidInput(f"{name} must be a finite number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class InnerConfig:
     """Newton inner-loop parameters.
@@ -66,35 +92,21 @@ class InnerConfig:
     residual into an additional (looser) target, giving a forcing sequence
     when positive.  The loop also stops once the gradient norm reaches its
     round-off floor, which large penalties can lift above ``grad_tol``
-    (see ``inner_minimize``).  The Levenberg shift starts at
-    ``levenberg_shift_initial`` and doubles until the generalized Hessian
-    clears ``pd_floor``; after 20 doublings the step falls back to
-    steepest descent.
+    (see ``inner_minimize``).
     """
 
     grad_tol: float = 1e-12
     grad_tol_rel: float = 0.0
     max_iter: int = 100
-    armijo_slope: float = 1e-4
-    backtrack: float = 0.5
-    levenberg_shift_initial: float = 1e-8
-    pd_floor: float = 1e-10
 
     def __post_init__(self):
+        _require_finite("grad_tol", self.grad_tol)
         if not self.grad_tol > 0.0:
             raise InvalidInput("grad_tol must be positive")
+        _require_finite("grad_tol_rel", self.grad_tol_rel)
         if self.grad_tol_rel < 0.0:
             raise InvalidInput("grad_tol_rel must be nonnegative")
-        if self.max_iter < 1:
-            raise InvalidInput("max_iter must be at least 1")
-        if not 0.0 < self.armijo_slope < 0.5:
-            raise InvalidInput("armijo_slope must lie in (0, 1/2)")
-        if not 0.0 < self.backtrack < 1.0:
-            raise InvalidInput("backtrack must lie in (0, 1)")
-        if not self.levenberg_shift_initial > 0.0:
-            raise InvalidInput("levenberg_shift_initial must be positive")
-        if not self.pd_floor > 0.0:
-            raise InvalidInput("pd_floor must be positive")
+        _require_int("max_iter", self.max_iter, 1)
 
 
 @dataclass(frozen=True)
@@ -123,35 +135,29 @@ class InnerStats:
 class ALMConfig:
     """Outer-loop parameters.
 
-    ``penalty_mode`` is "fixed" (c stays at c0, used by rate experiments)
-    or "adaptive" (multiply by kappa whenever the KKT residual fails to
-    drop by residual_decrease_ratio).
+    The penalty starts at ``c0`` and grows tenfold whenever the KKT
+    residual fails to drop to a quarter of the previous one, up to
+    ``c_max``; ``c_max == c0`` holds it fixed, as rate experiments need.
     """
 
     c0: float = 10.0
-    kappa: float = 10.0
-    penalty_mode: str = "adaptive"
     outer_tol: float = 1e-8
     max_outer: int = 50
     inner: InnerConfig = field(default_factory=InnerConfig)
-    residual_decrease_ratio: float = 0.25
     c_max: float = 1e12
 
     def __post_init__(self):
+        _require_finite("c0", self.c0)
         if not self.c0 > 0.0:
             raise InvalidInput("c0 must be positive")
-        if not self.kappa > 1.0:
-            raise InvalidInput("kappa must exceed 1")
-        if self.penalty_mode not in ("fixed", "adaptive"):
-            raise InvalidInput(f"unknown penalty_mode {self.penalty_mode!r}")
+        _require_finite("outer_tol", self.outer_tol)
         if not self.outer_tol > 0.0:
             raise InvalidInput("outer_tol must be positive")
-        if self.max_outer < 1:
-            raise InvalidInput("max_outer must be at least 1")
-        if not 0.0 < self.residual_decrease_ratio < 1.0:
-            raise InvalidInput("residual_decrease_ratio must lie in (0, 1)")
+        _require_int("max_outer", self.max_outer, 1)
+        _require_finite("c_max", self.c_max)
         if not self.c_max >= self.c0:
-            raise InvalidInput("c_max must be at least c0")
+            raise InvalidInput(f"c_max must be at least c0, got c_max "
+                               f"{self.c_max!r} and c0 {self.c0!r}")
 
 
 @dataclass
@@ -159,10 +165,9 @@ class ALMTrace:
     """Per-outer-iteration record of an ALM run.
 
     Distances to the reference KKT point are NaN when no reference is
-    supplied; ``exceeded_trust`` flips if an iterate leaves the reference
-    ball of radius ``trust_radius``.  ``stop`` is "tol" when the run ended
-    on ``outer_tol``, "floor" when it ended at the round-off floor, and
-    None while it runs or after it failed.
+    supplied.  ``stop`` is "tol" when the run ended on ``outer_tol``,
+    "floor" when it ended at the round-off floor, and None while it runs
+    or after it failed.
     """
 
     penalties: List[float] = field(default_factory=list)
@@ -172,7 +177,6 @@ class ALMTrace:
     inner_iterations: List[int] = field(default_factory=list)
     dist_x: List[float] = field(default_factory=list)
     dist_y: List[float] = field(default_factory=list)
-    exceeded_trust: bool = False
     stop: Optional[str] = None
 
     def append_row(self, c, x, y, res, inner_iters, dx, dy):
@@ -208,18 +212,18 @@ def _eigenvalue_below_floor(A, floor):
     return lmin if lmin < floor else None
 
 
-def _newton_direction(A, grad, cfg):
+def _newton_direction(A, grad):
     """Levenberg-shifted Newton direction; returns (d, shifted, steepest)."""
     shift = 0.0
     shifted = False
-    lmin = _eigenvalue_below_floor(A, cfg.pd_floor)
+    lmin = _eigenvalue_below_floor(A, _PD_FLOOR)
     if lmin is not None:
-        shift = cfg.levenberg_shift_initial
+        shift = _SHIFT_INITIAL
         doublings = 0
-        while lmin + shift < cfg.pd_floor and doublings < _MAX_SHIFT_DOUBLINGS:
+        while lmin + shift < _PD_FLOOR and doublings < _MAX_SHIFT_DOUBLINGS:
             shift *= 2.0
             doublings += 1
-        if lmin + shift < cfg.pd_floor:
+        if lmin + shift < _PD_FLOOR:
             return -grad, False, True
         shifted = True
     d = np.linalg.solve(A + shift * np.eye(A.shape[0]), -grad)
@@ -306,7 +310,7 @@ def inner_minimize(problem, y, c, x0, cfg, outer_residual=None):
                                  steepest_steps, stop, floor, pt)
         A = newton_matrix_element(problem, x, y.Y, y.mu, y.Gamma, c,
                                   group_tol=_KINK_TOL, point=pt)
-        d, shifted, steepest = _newton_direction(A, grad, cfg)
+        d, shifted, steepest = _newton_direction(A, grad)
         shifted_steps += int(shifted)
         steepest_steps += int(steepest)
         slope = float(grad @ d)
@@ -333,10 +337,10 @@ def inner_minimize(problem, y, c, x0, cfg, outer_residual=None):
             tpt = at(trial)
             tval = aug_lagrangian_value(problem, trial, y.Y, y.mu, y.Gamma, c,
                                         point=tpt)
-            if tval <= val + cfg.armijo_slope * t * slope + noise:
+            if tval <= val + _ARMIJO_SLOPE * t * slope + noise:
                 accepted = True
                 break
-            t *= cfg.backtrack
+            t *= _BACKTRACK
         if not accepted:
             raise InnerSolveError(
                 f"line search failed at inner iteration {it}",
@@ -366,16 +370,14 @@ def inner_minimize(problem, y, c, x0, cfg, outer_residual=None):
 # ----------------------------------------------------------------------------
 
 def penalty_update(residual_now, residual_prev, c_k, config):
-    """Next penalty: grow by kappa when the residual stalls (adaptive mode)."""
-    if config.penalty_mode == "fixed":
-        return c_k
+    """Next penalty: tenfold, up to ``c_max``, when the residual stalls."""
     if residual_prev is not None and \
-            residual_now > config.residual_decrease_ratio * residual_prev:
-        return min(config.kappa * c_k, config.c_max)
+            residual_now > _RESIDUAL_DECREASE * residual_prev:
+        return min(_PENALTY_GROWTH * c_k, config.c_max)
     return c_k
 
 
-def alm_solve(problem, y0, config, x0, reference=None, trust_radius=None):
+def alm_solve(problem, y0, config, x0, reference=None):
     """Run the augmented Lagrangian method from (x0, y0).
 
     A run converges when the KKT residual drops below ``outer_tol``, or
@@ -410,8 +412,6 @@ def alm_solve(problem, y0, config, x0, reference=None, trust_radius=None):
         if reference is not None:
             dx = float(np.linalg.norm(x - reference.x))
             dy = triple_diff_norm(y_next, reference.multipliers)
-            if trust_radius is not None and dx > trust_radius:
-                trace.exceeded_trust = True
         trace.append_row(c, x, y_next, res, istats.iterations, dx, dy)
         y = y_next
         if res.total <= config.outer_tol:

@@ -150,26 +150,25 @@ class DistinctBlocks:
     zero_block: Optional[int]
 
 
-def group_distinct(eig, group_tol=1e-8, zero_tol=None):
+def group_distinct(eig, group_tol=1e-8):
     """Group consecutive eigenvalues whose gap is below ``group_tol``.
 
-    Tolerances are scaled by (1 + largest magnitude).  ``zero_tol`` controls
-    which block, if any, is flagged as the zero block; it defaults to the
-    scaled ``group_tol``.
+    The tolerance is scaled by (1 + largest magnitude); the first block
+    whose representative lies within it of zero is flagged as the zero
+    block.
     """
     vals = eig.values
     if vals.size == 0:
         return DistinctBlocks(np.zeros(0), (), None)
     scale = 1.0 + np.abs(vals).max()
     gap_tol = group_tol * scale
-    z_tol = gap_tol if zero_tol is None else zero_tol
     cuts = [0, *(np.flatnonzero(vals[:-1] - vals[1:] > gap_tol) + 1), vals.size]
     blocks = tuple(tuple(range(a, b)) for a, b in zip(cuts[:-1], cuts[1:]))
     if len(blocks) == vals.size:
         reps = vals.copy()
     else:
         reps = np.array([vals[b[0]:b[-1] + 1].mean() for b in blocks])
-    zero = np.flatnonzero(np.abs(reps) <= z_tol)
+    zero = np.flatnonzero(np.abs(reps) <= gap_tol)
     zero_block = int(zero[0]) if zero.size else None
     return DistinctBlocks(reps, blocks, zero_block)
 

@@ -35,8 +35,6 @@ from sdnop.spectral import (
     partition_by_sign,
 )
 
-SPLIT_TOL = 1e-6
-
 
 def _cross_compressions(eig, blocks, H):
     """All block compressions K_k of H (X - value_k I)^+ H, in the hat basis."""
@@ -72,15 +70,15 @@ def _signed_traces(blocks, Ks):
     return total
 
 
-def psi_critical(X, H, Y, tol=None, group_tol=1e-8, split_tol=SPLIT_TOL):
+def psi_critical(X, H, Y, tol=None, group_tol=1e-8):
     """Sigma term through the saturated/interior split (Y a subgradient,
     H critical); raises DomainError off that domain."""
     X, H, Y, tol, eig, blocks, Ks = _setup(X, H, Y, tol, group_tol)
-    defect = _subdiff_defect(X, Y, None)[0]
+    defect = _subdiff_defect(X, Y)[0]
     if defect > tol:
         raise DomainError("subgradient", defect)
-    sp = subdiff_partition(X, Y, tol=tol, split_tol=split_tol)
-    if not critical_cone_theta_contains(X, Y, H, split_tol=split_tol):
+    sp = subdiff_partition(X, Y, tol=tol)
+    if not critical_cone_theta_contains(X, Y, H):
         raise DomainError("critical_cone", np.nan)
     total = _signed_traces(blocks, Ks)
     b = list(sp.partition.zero)
@@ -160,7 +158,7 @@ def psi_full(X, H, Y, tol=None, group_tol=1e-8):
     return float(2.0 * total)
 
 
-def psi_interior_cross(X, H, Y, group_tol=1e-8, split_tol=SPLIT_TOL):
+def psi_interior_cross(X, H, Y, group_tol=1e-8):
     """Interior-rows shortcut for the sigma term.
 
     Valid when the only nonvanishing cross couplings of H against the
@@ -168,7 +166,7 @@ def psi_interior_cross(X, H, Y, group_tol=1e-8, split_tol=SPLIT_TOL):
     and the positive-negative couplings of H must vanish): a weighted sum
     of squared couplings between the interior rows and each nonzero block.
     """
-    sp = subdiff_partition(X, Y, split_tol=split_tol)
+    sp = subdiff_partition(X, Y)
     eig = EigenDecomposition(sp.values, sp.basis)
     blocks = group_distinct(eig, group_tol)
     Hh = sp.basis.T @ H @ sp.basis
@@ -189,12 +187,12 @@ def psi_interior_cross(X, H, Y, group_tol=1e-8, split_tol=SPLIT_TOL):
     return float(-2.0 * total)
 
 
-def critical_cone_equality_gap(X, Y, H, split_tol=SPLIT_TOL):
+def critical_cone_equality_gap(X, Y, H):
     """Gap in the trace characterization of critical-cone membership: the
     nuclear norm of the null-block compression of H minus its pairing with
     the subgradient weights there."""
     H = as_symmetric(H, "H")
-    sp = subdiff_partition(X, Y, split_tol=split_tol)
+    sp = subdiff_partition(X, Y)
     b = list(sp.partition.zero)
     if not b:
         return 0.0

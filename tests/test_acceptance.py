@@ -505,8 +505,7 @@ def test_criterion_7_assumption_checkers():
 def test_criterion_8_equality_only_regression(equality_instance):
     problem = equality_instance
     c = 10.0
-    config = ALMConfig(c0=c, penalty_mode="fixed", outer_tol=1e-300,
-                       max_outer=10)
+    config = ALMConfig(c0=c, c_max=c, outer_tol=1e-300, max_outer=10)
     y0 = MultiplierTriple(np.zeros((0, 0)), np.array([0.3]),
                           np.zeros((0, 0)))
     with pytest.raises(MaxIterations) as info:

@@ -299,6 +299,82 @@ class TestGenerate:
 
 
 # ---------------------------------------------------------------------------
+# bad command lines, config values and sweep arguments: exit 1, one line
+# ---------------------------------------------------------------------------
+
+_CONFIG = "<config>"
+
+_INPUT_ERRORS = [
+    # config values: wrong type, non-finite or a removed key
+    pytest.param(["solve", NONDEGEN], {"max_outer": 2.5}, "max_outer must be",
+                 id="config-max_outer-float"),
+    pytest.param(["solve", NONDEGEN], {"inner": {"max_iter": 2.5}},
+                 "max_iter must be", id="config-inner-max_iter-float"),
+    pytest.param(["solve", NONDEGEN], {"c0": "10"}, "c0 must be",
+                 id="config-c0-string"),
+    pytest.param(["solve", NONDEGEN], {"outer_tol": None}, "outer_tol must be",
+                 id="config-outer_tol-null"),
+    pytest.param(["solve", NONDEGEN], {"penalty_mode": "fixed"},
+                 "'penalty_mode'", id="config-removed-key"),
+    pytest.param(["solve", NONDEGEN, "--tol", "inf"], None,
+                 "outer_tol must be", id="tol-inf"),
+    pytest.param(["solve", NONDEGEN, "--c0", "inf"], None, "c0 must be",
+                 id="c0-inf"),
+    # non-finite sweep arguments
+    pytest.param(["rate-sweep", NONDEGEN, "--grid", "10,nan"], None,
+                 "got nan", id="grid-nan"),
+    pytest.param(["rate-sweep", NONDEGEN, "--grid", "inf"], None, "got inf",
+                 id="grid-inf"),
+    pytest.param(["rate-sweep", NONDEGEN, "--delta", "inf"], None, "delta",
+                 id="delta-inf"),
+    # usage errors
+    pytest.param(["solve"], None, "instance", id="usage-no-instance"),
+    pytest.param(["solve", NONDEGEN, "--bogus"], None, "--bogus",
+                 id="usage-unknown-flag"),
+    pytest.param(["check", NONDEGEN, "--tol", "1e-3"], None, "--tol",
+                 id="usage-check-tol"),
+    pytest.param(["rate-sweep", NONDEGEN, "--config", _CONFIG], {},
+                 "--config", id="usage-sweep-config"),
+    pytest.param(["solve", NONDEGEN, "--seed", "3"], None, "--seed",
+                 id="usage-solve-seed"),
+    pytest.param(["generate", "--q", "3", "--m", "1", "--p", "3"], None,
+                 "--n", id="usage-generate-no-n"),
+    pytest.param(["rate-sweep", NONDEGEN, "--seed", "-1"], None, "--seed",
+                 id="usage-negative-seed"),
+    pytest.param(["generate", "--n", "8", "--q", "3", "--m", "1", "--p", "3",
+                  "--seed", "x"], None, "--seed", id="usage-seed-not-int"),
+]
+
+
+class TestInputErrors:
+    @pytest.mark.parametrize("args, config, fragment", _INPUT_ERRORS)
+    def test_one_line_naming_the_cause(self, tmp_path, args, config,
+                                       fragment):
+        args = list(args) + ["--out", str(tmp_path / "o")]
+        if config is not None:
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(config))
+            if _CONFIG in args:
+                args[args.index(_CONFIG)] = str(path)
+            else:
+                args += ["--config", str(path)]
+        proc = subprocess.run([sys.executable, "-m", "sdnop"] + args,
+                              capture_output=True, text=True)
+        assert proc.returncode == cli.EXIT_INPUT, proc.stderr
+        assert "Traceback" not in proc.stderr
+        lines = proc.stderr.strip().splitlines()
+        assert len(lines) == 1, lines
+        assert lines[0].startswith("input error: ")
+        assert fragment in lines[0], lines
+        assert proc.stdout == ""
+
+    def test_help_exits_zero(self):
+        with pytest.raises(SystemExit) as info:
+            cli.main(["solve", "-h"])
+        assert info.value.code == 0
+
+
+# ---------------------------------------------------------------------------
 # environment
 # ---------------------------------------------------------------------------
 

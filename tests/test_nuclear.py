@@ -309,25 +309,6 @@ class TestMoreau:
             np.testing.assert_allclose(G, fd, rtol=1e-6, atol=1e-8)
             checked += 1
 
-    def test_literal_convention_is_half_smoothing(self):
-        rng = np.random.RandomState(55)
-        Z = rand_sym(rng, 3, scale=2.0)
-        assert moreau_env(Z, 1.0, convention="literal") == pytest.approx(
-            moreau_env(Z, 0.5), abs=1e-12
-        )
-        np.testing.assert_allclose(
-            grad_moreau_env(Z, 1.0, convention="literal"),
-            grad_moreau_env(Z, 0.5),
-            atol=1e-12,
-        )
-        # the literal penalty is 1/tau: check the infimum inequality directly
-        env = moreau_env(Z, 1.0, convention="literal")
-        for _ in range(100):
-            Zp = rand_sym(rng, 3, scale=2.0)
-            assert env <= nuclear_norm(Zp) + np.sum((Zp - Z) ** 2) + 1e-12
-        with pytest.raises(InvalidInput):
-            moreau_env(Z, 1.0, convention="double")
-
 
 class TestEigDerivs:
     def test_simple_eigenvalues(self):

@@ -119,8 +119,7 @@ class TestOuterStop:
         # target alone c=1e3 wanders 7 more outer iterations and c=1e4
         # never finishes its first inner solve
         problem = sweep_instance
-        config = ALMConfig(c0=c, penalty_mode="fixed", outer_tol=1e-12,
-                           max_outer=60)
+        config = ALMConfig(c0=c, c_max=c, outer_tol=1e-12, max_outer=60)
         point, trace = alm_solve(problem, _perturbed_start(problem), config,
                                  problem.reference.x,
                                  reference=problem.reference)

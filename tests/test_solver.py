@@ -30,10 +30,6 @@ class TestConfigs:
         with pytest.raises(InvalidInput):
             InnerConfig(grad_tol=0.0)
         with pytest.raises(InvalidInput):
-            InnerConfig(armijo_slope=0.5)
-        with pytest.raises(InvalidInput):
-            InnerConfig(backtrack=1.0)
-        with pytest.raises(InvalidInput):
             InnerConfig(max_iter=0)
 
     def test_alm_validation(self):
@@ -41,13 +37,23 @@ class TestConfigs:
         with pytest.raises(InvalidInput):
             ALMConfig(c0=-1.0)
         with pytest.raises(InvalidInput):
-            ALMConfig(kappa=1.0)
-        with pytest.raises(InvalidInput):
-            ALMConfig(penalty_mode="other")
-        with pytest.raises(InvalidInput):
-            ALMConfig(residual_decrease_ratio=1.0)
-        with pytest.raises(InvalidInput):
             ALMConfig(c0=10.0, c_max=1.0)
+
+    @pytest.mark.parametrize("cls, key, value", [
+        (InnerConfig, "max_iter", 2.5),
+        (InnerConfig, "max_iter", True),
+        (InnerConfig, "grad_tol", float("inf")),
+        (InnerConfig, "grad_tol_rel", float("nan")),
+        (ALMConfig, "max_outer", 2.5),
+        (ALMConfig, "c0", "10"),
+        (ALMConfig, "c0", float("inf")),
+        (ALMConfig, "outer_tol", None),
+        (ALMConfig, "outer_tol", float("inf")),
+        (ALMConfig, "c_max", float("inf")),
+    ])
+    def test_type_and_finiteness_name_the_key(self, cls, key, value):
+        with pytest.raises(InvalidInput, match=f"^{key} must be"):
+            cls(**{key: value})
 
 
 class TestInnerMinimize:
@@ -114,24 +120,24 @@ class TestInnerMinimize:
 
 class TestPenaltyUpdate:
     def test_fixed_mode_keeps_c(self):
-        cfg = ALMConfig(penalty_mode="fixed")
+        # a cap at c0 holds the penalty fixed
+        cfg = ALMConfig(c0=10.0, c_max=10.0)
         assert penalty_update(1.0, 0.5, 10.0, cfg) == 10.0
 
     def test_stall_grows_c(self):
-        cfg = ALMConfig(penalty_mode="adaptive", kappa=10.0,
-                        residual_decrease_ratio=0.25)
+        cfg = ALMConfig()
         assert penalty_update(0.9, 1.0, 10.0, cfg) == 100.0
 
     def test_good_decrease_keeps_c(self):
-        cfg = ALMConfig(penalty_mode="adaptive")
+        cfg = ALMConfig()
         assert penalty_update(0.01, 1.0, 10.0, cfg) == 10.0
 
     def test_first_iteration_keeps_c(self):
-        cfg = ALMConfig(penalty_mode="adaptive")
+        cfg = ALMConfig()
         assert penalty_update(1.0, None, 10.0, cfg) == 10.0
 
     def test_cap(self):
-        cfg = ALMConfig(penalty_mode="adaptive", c0=10.0, kappa=10.0, c_max=50.0)
+        cfg = ALMConfig(c0=10.0, c_max=50.0)
         assert penalty_update(1.0, 1.0, 10.0, cfg) == 50.0
 
 
@@ -154,8 +160,7 @@ class TestALM:
     def test_equality_only_matches_reference_loop(self, equality_instance):
         problem = equality_instance
         c = 10.0
-        config = ALMConfig(c0=c, penalty_mode="fixed", outer_tol=1e-300,
-                           max_outer=10)
+        config = ALMConfig(c0=c, c_max=c, outer_tol=1e-300, max_outer=10)
         y0 = MultiplierTriple(np.zeros((0, 0)), np.array([0.3]), np.zeros((0, 0)))
         with pytest.raises(MaxIterations) as info:
             alm_solve(problem, y0, config, np.zeros(2))
@@ -193,12 +198,29 @@ class TestALM:
     def test_max_iterations_carries_trace(self, mixed_instance):
         problem = mixed_instance
         y0 = MultiplierTriple.zeros(problem)
-        config = ALMConfig(outer_tol=1e-14, max_outer=2, penalty_mode="fixed",
-                           c0=1.0)
+        config = ALMConfig(outer_tol=1e-14, max_outer=2, c0=1.0, c_max=1.0)
         with pytest.raises(MaxIterations) as info:
             alm_solve(problem, y0, config, np.ones(3))
         assert len(info.value.trace) == 2
         assert info.value.point is not None
+
+    def test_cap_at_c0_holds_penalty_on_stalled_residual(self,
+                                                         mixed_instance):
+        # from this start the residual stalls at c=1, so the default cap
+        # lets the penalty grow; a cap at c0 holds it at c0 throughout
+        problem = mixed_instance
+        traces = []
+        for c_max in (1e12, 1.0):
+            config = ALMConfig(c0=1.0, c_max=c_max, outer_tol=1e-9,
+                               max_outer=6)
+            with pytest.raises(MaxIterations) as info:
+                alm_solve(problem, MultiplierTriple.zeros(problem), config,
+                          np.ones(3))
+            traces.append(info.value.trace)
+        grown, held = traces
+        assert max(grown.penalties) > 1.0
+        assert len(held) == 6
+        assert held.penalties == [1.0] * 6
 
     def test_inner_failure_attaches_partial_trace(self, mixed_instance):
         problem = mixed_instance

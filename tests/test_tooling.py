@@ -2,12 +2,14 @@
 
 The benchmark tracer (``perfbench/tracing.py``) wraps sdnop functions by
 (module, attribute) name, so a rename would quietly drop a layer from its
-split; the package's ``__all__`` is what ``from sdnop import *`` reads.
+split; the ``__all__`` of the package and of each module is what
+``from ... import *`` reads.
 """
 
 import importlib
 import importlib.util
 import os
+import pkgutil
 
 import sdnop
 
@@ -32,4 +34,14 @@ def test_traced_names_resolve():
 
 def test_public_names_resolve():
     missing = [name for name in sdnop.__all__ if not hasattr(sdnop, name)]
+    assert not missing, missing
+
+
+def test_module_public_names_resolve():
+    missing = []
+    for info in pkgutil.iter_modules(sdnop.__path__):
+        module = importlib.import_module(f"sdnop.{info.name}")
+        missing += [f"sdnop.{info.name}.{name}"
+                    for name in getattr(module, "__all__", ())
+                    if not hasattr(module, name)]
     assert not missing, missing
