@@ -20,7 +20,6 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .errors import (
-    DegenerateSpectrum,
     InnerSolveError,
     InvalidInput,
     MaxIterations,
@@ -33,7 +32,7 @@ from .problem import (
     hess_xx_lagrangian,
     kkt_residual,
 )
-from .solver import ALMConfig, alm_solve
+from .solver import ALMConfig, alm_solve, require_resolvable_penalty
 from .spectral import (
     EigenDecomposition,
     eig_sym,
@@ -162,9 +161,9 @@ def cone_blocks(problem, x, multipliers, rng=None):
     sign_M = partition_by_sign(eig_M)
     P = eig_M.basis
 
-    scale_F = 1.0 + (np.abs(lam_F).max() if lam_F.size else 0.0)
+    scale_F = 1.0 + np.abs(lam_F).max(initial=0.0)
     runs_F = _equal_runs(
-        np.column_stack([lam_F, w]) if lam_F.size else np.zeros((0, 2)),
+        np.column_stack([lam_F, w]),
         np.array([_GROUP_TOL * scale_F, _GROUP_TOL]),
     )
     scale_M = 1.0 + eig_M.norm
@@ -176,21 +175,11 @@ def cone_blocks(problem, x, multipliers, rng=None):
         Q = _rotate_within(Q, runs_F, rng)
         P = _rotate_within(P, runs_M, rng)
 
-    n = problem.n
-    # batched congruences Q^T J_l Q: two O(n q^3) products
-    if problem.q:
-        jac_F_Q = np.matmul(np.matmul(Q.T, problem.jac_F(x)), Q)
-    else:
-        jac_F_Q = np.zeros((n, 0, 0))
-    if problem.p:
-        jac_g_P = np.matmul(np.matmul(P.T, problem.jac_g(x)), P)
-    else:
-        jac_g_P = np.zeros((n, 0, 0))
     return ConeBlocks(
         basis_F=Q,
         values_F=lam_F,
         w=w,
-        Y_Q=Q.T @ Y @ Q if problem.q else np.zeros((0, 0)),
+        Y_Q=Q.T @ Y @ Q,
         a=part.partition.pos,
         b_up=part.b_up,
         b_mid=part.b_mid,
@@ -201,8 +190,9 @@ def cone_blocks(problem, x, multipliers, rng=None):
         alpha=sign_M.pos,
         beta=sign_M.zero,
         gamma=sign_M.neg,
-        jac_F_Q=jac_F_Q,
-        jac_g_P=jac_g_P,
+        # batched congruences Q^T J_l Q: two O(n q^3) products
+        jac_F_Q=np.matmul(np.matmul(Q.T, problem.jac_F(x)), Q),
+        jac_g_P=np.matmul(np.matmul(P.T, problem.jac_g(x)), P),
         jac_h=problem.jac_h(x),
         multiplicity=multiplicity,
     )
@@ -370,8 +360,6 @@ def sigma_term_psd(problem, x, Gamma, d):
     the cone curvature term of :func:`sosc_reduced_matrix`; zero when the
     constraint is absent.
     """
-    if problem.p == 0:
-        return 0.0
     d = np.asarray(d, dtype=np.float64)
     return float(_psd_curvature_matrix(problem, x, Gamma, d[:, None])[0, 0])
 
@@ -397,12 +385,10 @@ def sosc_reduced_matrix(problem, x, multipliers, blocks=None, basis=None):
     hess_L = hess_xx_lagrangian(problem, x, multipliers.Y, multipliers.mu,
                                 multipliers.Gamma)
     M = basis.T @ hess_L @ basis
-    if problem.q:
-        J = np.tensordot(basis.T, b.jac_F_Q, axes=1)
-        M -= curvature_form(EigenDecomposition(b.values_F, b.basis_F), b.Y_Q,
-                            J, _GROUP_TOL)
-    if problem.p:
-        M += _psd_curvature_matrix(problem, x, multipliers.Gamma, basis)
+    J = np.tensordot(basis.T, b.jac_F_Q, axes=1)
+    M -= curvature_form(EigenDecomposition(b.values_F, b.basis_F), b.Y_Q,
+                        J, _GROUP_TOL)
+    M += _psd_curvature_matrix(problem, x, multipliers.Gamma, basis)
     return 0.5 * (M + M.T), basis
 
 
@@ -455,16 +441,14 @@ def _critical_member(blocks, d, member_tol):
     """Cone membership of a direction already inside the reduced subspace:
     the critical-cone test on its F image and the sign of its g image on
     the beta block (the other g blocks vanish on the subspace)."""
-    if blocks.jac_F_Q.shape[1]:
-        Hc = np.einsum("lij,l->ij", blocks.jac_F_Q, d)
-        if not critical_blocks_contain(Hc, blocks.b_up, blocks.b_mid,
-                                       blocks.b_low, member_tol):
-            return False
-    if blocks.jac_g_P.shape[1]:
-        Gc = np.einsum("lij,l->ij", blocks.jac_g_P, d)
-        bt = list(blocks.beta)
-        if bt and np.linalg.eigvalsh(Gc[np.ix_(bt, bt)])[0] < -member_tol:
-            return False
+    Hc = np.einsum("lij,l->ij", blocks.jac_F_Q, d)
+    if not critical_blocks_contain(Hc, blocks.b_up, blocks.b_mid,
+                                   blocks.b_low, member_tol):
+        return False
+    Gc = np.einsum("lij,l->ij", blocks.jac_g_P, d)
+    bt = list(blocks.beta)
+    if bt and np.linalg.eigvalsh(Gc[np.ix_(bt, bt)])[0] < -member_tol:
+        return False
     return True
 
 
@@ -501,17 +485,12 @@ def second_order_necessary_check(problem, x, multipliers, samples=200,
 # rate constants
 # ----------------------------------------------------------------------------
 
-def _guard_denominator(vals, guard, what):
-    if vals.size and vals.min() < guard:
-        raise DegenerateSpectrum(
-            f"eigen-gap {vals.min():.3e} in {what} is below {guard:.1e}")
-
-
-def _nu_tables(blocks, deg_tol):
+def _nu_tables(blocks):
     """The six block ratio tables of the spectra, as (min, max) pairs.
 
-    Empty index-set families are omitted.  Denominators too close to zero
-    raise DegenerateSpectrum.
+    Empty index-set families are omitted.  No denominator comes near zero:
+    the sign partitions admit into a, c_neg and gamma only eigenvalues
+    beyond 1e-8 (1 + the largest magnitude).
     """
     lam = blocks.values_F
     a_vals = lam[list(blocks.a)]
@@ -520,33 +499,22 @@ def _nu_tables(blocks, deg_tol):
     lam_M = blocks.values_M
     al_vals = lam_M[list(blocks.alpha)]
     ga_vals = lam_M[list(blocks.gamma)]
-    scale_F = 1.0 + (np.abs(lam).max() if lam.size else 0.0)
-    scale_M = 1.0 + (np.abs(lam_M).max() if lam_M.size else 0.0)
-    guard_F = deg_tol * scale_F
-    guard_M = deg_tol * scale_M
     out = {}
 
     def put(name, table):
         out[name] = (float(table.min()), float(table.max()))
 
-    if a_vals.size:
-        _guard_denominator(a_vals, guard_F, "the positive spectrum of F")
-    if c_vals.size:
-        _guard_denominator(-c_vals, guard_F, "the negative spectrum of F")
     if a_vals.size and wm.size:
         put("a_bS", (1.0 - wm[None, :]) / a_vals[:, None])
     if a_vals.size and blocks.b_low:
         put("a_bL", 2.0 / a_vals)
     if a_vals.size and c_vals.size:
-        den = a_vals[:, None] - c_vals[None, :]
-        _guard_denominator(den.ravel(), guard_F, "the spread of F")
-        put("a_c", 2.0 / den)
+        put("a_c", 2.0 / (a_vals[:, None] - c_vals[None, :]))
     if c_vals.size and blocks.b_up:
         put("c_bU", 2.0 / (-c_vals))
     if c_vals.size and wm.size:
         put("c_bS", (1.0 + wm[None, :]) / (-c_vals[:, None]))
     if al_vals.size and ga_vals.size:
-        _guard_denominator(-ga_vals, guard_M, "the negative spectrum of M")
         put("al_ga", al_vals[:, None] / (-ga_vals[None, :]))
     return out
 
@@ -741,7 +709,7 @@ class RateConstants:
 
 
 def rate_constants(problem, x, multipliers, c0=10.0, rotations=32, seed=0,
-                   deg_tol=1e-10, blocks=None):
+                   blocks=None):
     """Evaluate the constants entering the contraction-rate bound.
 
     The singular-value bracket is exact when the relevant spectra are
@@ -752,15 +720,10 @@ def rate_constants(problem, x, multipliers, c0=10.0, rotations=32, seed=0,
     weight ``c0``; it is an estimate, not a certified constant.  ``blocks`` is
     an optional :func:`cone_blocks` at (x, multipliers) to reuse; the
     rotated brackets build their own.
-
-    Raises
-    ------
-    DegenerateSpectrum
-        When a ratio-table denominator falls below ``deg_tol``.
     """
     if blocks is None:
         blocks = cone_blocks(problem, x, multipliers)
-    nus = _nu_tables(blocks, deg_tol)
+    nus = _nu_tables(blocks)
     if nus:
         nu_lower_0 = min(lo for lo, _ in nus.values())
         nu_upper_0 = max(hi for _, hi in nus.values())
@@ -971,6 +934,7 @@ def rate_sweep(problem, reference, grid, delta=1e-2, seed=0):
         if not (math.isfinite(c) and c > 0.0):
             raise InvalidInput(
                 f"penalty grid values must be finite and positive, got {c!r}")
+        require_resolvable_penalty("penalty grid values", c)
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise InvalidInput("penalty grid must be strictly increasing")
     if not (math.isfinite(delta) and delta > 0.0):
@@ -991,7 +955,7 @@ def rate_sweep(problem, reference, grid, delta=1e-2, seed=0):
         sosc = strong_sosc_check(problem, reference.x, reference.multipliers,
                                  blocks=blocks)
         unverified = not (nondeg.holds and sosc.holds)
-    except (NotAKKTPoint, NotASubgradient, DegenerateSpectrum, InvalidInput):
+    except (NotAKKTPoint, NotASubgradient, InvalidInput):
         unverified = True
 
     u = _unit_perturbation(problem, seed)

@@ -34,10 +34,6 @@ class NotAKKTPoint(SDNOPError):
     """A reference point fails the stationarity system beyond tolerance."""
 
 
-class DegenerateSpectrum(SDNOPError):
-    """An eigenvalue configuration makes the requested quantity ill-defined."""
-
-
 class InnerSolveError(SDNOPError):
     """The inner smooth minimization stalled before reaching its tolerance.
 

@@ -106,8 +106,6 @@ def block_matrix_rows(n, q, m, p):
 
 
 def _random_basis(rng, k):
-    if k == 0:
-        return np.zeros((0, 0))
     Q, _ = np.linalg.qr(rng.randn(k, k))
     return Q
 
@@ -126,7 +124,7 @@ def _designed_tensors(rng, n, k, frame, support, slots):
     gradient at large penalties) low.
     """
     out = np.zeros((n, k, k))
-    if k == 0 or not support:
+    if not support:
         return out
     comp = {l: _NOISE_SCALE * _sym(rng.randn(k, k)) for l in support}
     for r, (i, j) in enumerate(slots):
@@ -226,10 +224,10 @@ def generate_instance(n, q, m, p, profile="nondegen", seed=0):
     for _ in range(_MAX_ATTEMPTS):
         QF = _random_basis(rng, q)
         PM = _random_basis(rng, p)
-        F0 = QF @ np.diag(f_values) @ QF.T if q else np.zeros((0, 0))
-        Ybar = QF @ np.diag(f_weights) @ QF.T if q else np.zeros((0, 0))
-        g0 = PM @ np.diag(g_values) @ PM.T if p else np.zeros((0, 0))
-        Gbar = PM @ np.diag(g_gamma) @ PM.T if p else np.zeros((0, 0))
+        F0 = QF @ np.diag(f_values) @ QF.T
+        Ybar = QF @ np.diag(f_weights) @ QF.T
+        g0 = PM @ np.diag(g_values) @ PM.T
+        Gbar = PM @ np.diag(g_gamma) @ PM.T
         F_Ai = _designed_tensors(rng, n, q, QF, f_pool, f_slots)
         g_Ai = _designed_tensors(rng, n, p, PM, g_pool, g_slots)
         h_A = _ROW_SCALE * rng.randn(m, n)
@@ -239,18 +237,16 @@ def generate_instance(n, q, m, p, profile="nondegen", seed=0):
                 h_A[-1] = h_A[0]
             else:
                 h_A[0] = 0.0
-        grad = (np.einsum("lij,ij->l", F_Ai, Ybar) if q else np.zeros(n)) \
-            + h_A.T @ mubar \
-            - (np.einsum("lij,ij->l", g_Ai, Gbar) if p else np.zeros(n))
+        grad = np.einsum("lij,ij->l", F_Ai, Ybar) + h_A.T @ mubar \
+            - np.einsum("lij,ij->l", g_Ai, Gbar)
         reference = KKTPoint(np.zeros(n),
                              MultiplierTriple(Ybar, mubar, Gbar))
 
         def build(f_H):
             return QuadraticProblem(
                 0.0, -grad, f_H,
-                QuadraticMatrixMap(F0, F_Ai) if q else None,
-                h_A, np.zeros(m),
-                QuadraticMatrixMap(g0, g_Ai) if p else None,
+                QuadraticMatrixMap(F0, F_Ai), h_A, np.zeros(m),
+                QuadraticMatrixMap(g0, g_Ai),
                 reference=reference,
             )
 

@@ -143,6 +143,11 @@ class QuadraticProblem:
     shape (n, k, k), and ``hess_*_contract`` return the (n, n) matrix of
     pairings of a multiplier with the second partials.  Evaluations do
     not mutate the instance, so they may run concurrently.
+
+    Any block may be absent: ``F_map=None`` or ``g_map=None`` becomes a
+    0x0 map (q or p is 0) and ``m = 0`` gives a (0, n) ``h_A``.  This
+    constructor is the one place that knows; every formula downstream runs
+    on the zero-size arrays unchanged, and they contribute exact zeros.
     """
 
     def __init__(self, f_c0, f_b, f_H, F_map, h_A, h_r, g_map, reference=None):
@@ -280,36 +285,19 @@ class KKTPoint:
 
 def lagrangian(problem, x, Y, mu, Gamma):
     """f + <Y, F> + <mu, h> - <Gamma, g>."""
-    val = problem.f(x)
-    if problem.q:
-        val += float(np.sum(Y * problem.F(x)))
-    if problem.m:
-        val += float(mu @ problem.h(x))
-    if problem.p:
-        val -= float(np.sum(Gamma * problem.g(x)))
-    return val
+    return (problem.f(x) + float(np.sum(Y * problem.F(x)))
+            + float(mu @ problem.h(x)) - float(np.sum(Gamma * problem.g(x))))
 
 
 def grad_x_lagrangian(problem, x, Y, mu, Gamma):
-    grad = problem.grad_f(x)
-    if problem.q:
-        grad = grad + adjoint_jac(problem.jac_F(x), Y)
-    if problem.m:
-        grad = grad + problem.jac_h(x).T @ mu
-    if problem.p:
-        grad = grad - adjoint_jac(problem.jac_g(x), Gamma)
-    return grad
+    return (problem.grad_f(x) + adjoint_jac(problem.jac_F(x), Y)
+            + problem.jac_h(x).T @ mu - adjoint_jac(problem.jac_g(x), Gamma))
 
 
 def hess_xx_lagrangian(problem, x, Y, mu, Gamma):
-    H = problem.hess_f(x)
-    if problem.q:
-        H = H + problem.hess_F_contract(x, Y)
-    if problem.m:
-        H = H + problem.hess_h_contract(x, mu)
-    if problem.p:
-        H = H - problem.hess_g_contract(x, Gamma)
-    H = 0.5 * H
+    H = 0.5 * (problem.hess_f(x) + problem.hess_F_contract(x, Y)
+               + problem.hess_h_contract(x, mu)
+               - problem.hess_g_contract(x, Gamma))
     return H + H.T
 
 
@@ -322,7 +310,9 @@ class ShiftedPoint:
     function of one eigendecomposition, taken here once and shared by the
     value, the gradient, the Newton element and the multiplier update.
     The envelope gradient Yhat, the projection Ghat and the Jacobians are
-    formed on first use.
+    formed on first use.  Every attribute is set for every problem: an
+    absent F or g gives a 0x0 Z or M (whose decomposition calls no
+    eigensolver) and m = 0 gives empty ``hx`` and ``muhat``.
     """
 
     def __init__(self, problem, x, Y, mu, Gamma, c):
@@ -330,27 +320,21 @@ class ShiftedPoint:
         self.problem = problem
         self.x = x
         self.tau = 1.0 / c
-        if problem.q:
-            self.Z = problem.F(x) + Y / c
-            self.eig_Z = eig_sym(self.Z)
-        self.hx = problem.h(x) if problem.m else np.zeros(0)
-        self.muhat = mu + c * self.hx if problem.m else np.zeros(0)
-        if problem.p:
-            self.M = Gamma - c * problem.g(x)
-            self.eig_M = eig_sym(self.M)
+        self.Z = problem.F(x) + Y / c
+        self.eig_Z = eig_sym(self.Z)
+        self.hx = problem.h(x)
+        self.muhat = mu + c * self.hx
+        self.M = Gamma - c * problem.g(x)
+        self.eig_M = eig_sym(self.M)
 
     @cached_property
     def Yhat(self):
         """Envelope gradient at Z: the updated nuclear-norm multiplier."""
-        if not self.problem.q:
-            return np.zeros((0, 0))
         return grad_moreau_env(self.Z, self.tau, eig=self.eig_Z)
 
     @cached_property
     def Ghat(self):
         """Projection of M onto the PSD cone: the updated cone multiplier."""
-        if not self.problem.p:
-            return np.zeros((0, 0))
         return project_psd(self.M, eig=self.eig_M)[0]
 
     @cached_property
@@ -376,15 +360,11 @@ def aug_lagrangian_value(problem, x, Y, mu, Gamma, c, *, point=None):
     ShiftedPoint built from the same arguments, to reuse its spectra.
     """
     pt = _shifted(problem, x, Y, mu, Gamma, c, point)
+    hx, P = pt.hx, pt.Ghat
     val = problem.f(x)
-    if problem.q:
-        val += moreau_env(pt.Z, pt.tau, eig=pt.eig_Z) - np.sum(Y * Y) / (2.0 * c)
-    if problem.m:
-        hx = pt.hx
-        val += float(mu @ hx) + 0.5 * c * float(hx @ hx)
-    if problem.p:
-        P = pt.Ghat
-        val += (np.sum(P * P) - np.sum(Gamma * Gamma)) / (2.0 * c)
+    val += moreau_env(pt.Z, pt.tau, eig=pt.eig_Z) - np.sum(Y * Y) / (2.0 * c)
+    val += float(mu @ hx) + 0.5 * c * float(hx @ hx)
+    val += (np.sum(P * P) - np.sum(Gamma * Gamma)) / (2.0 * c)
     return float(val)
 
 
@@ -394,14 +374,8 @@ def aug_lagrangian_grad(problem, x, Y, mu, Gamma, c, *, point=None):
     ``point`` is an optional ShiftedPoint built from the same arguments.
     """
     pt = _shifted(problem, x, Y, mu, Gamma, c, point)
-    grad = problem.grad_f(x)
-    if problem.q:
-        grad = grad + adjoint_jac(pt.jac_F, pt.Yhat)
-    if problem.m:
-        grad = grad + problem.jac_h(x).T @ pt.muhat
-    if problem.p:
-        grad = grad - adjoint_jac(pt.jac_g, pt.Ghat)
-    return grad
+    return (problem.grad_f(x) + adjoint_jac(pt.jac_F, pt.Yhat)
+            + problem.jac_h(x).T @ pt.muhat - adjoint_jac(pt.jac_g, pt.Ghat))
 
 
 def multiplier_maps(problem, x, Y, mu, Gamma, c, *, point=None):
@@ -446,20 +420,17 @@ def newton_matrix_element(problem, x, Y, mu, Gamma, c,
     pt = _shifted(problem, x, Y, mu, Gamma, c, point)
     A = hess_xx_lagrangian(problem, x, pt.Yhat, pt.muhat, pt.Ghat)
 
-    if problem.q:
-        dd = prox_divided_diff(pt.Z, pt.tau, group_tol, eig=pt.eig_Z)
-        T = dd.committed_table(up_choice, low_choice)
-        A = A + c * _hadamard_gram(pt.eig_Z.basis, pt.jac_F, 1.0 - T)
+    dd = prox_divided_diff(pt.Z, pt.tau, group_tol, eig=pt.eig_Z)
+    T = dd.committed_table(up_choice, low_choice)
+    A = A + c * _hadamard_gram(pt.eig_Z.basis, pt.jac_F, 1.0 - T)
 
-    if problem.m:
-        J = problem.jac_h(x)
-        A = A + c * (J.T @ J)
+    J = problem.jac_h(x)
+    A = A + c * (J.T @ J)
 
-    if problem.p:
-        scale = 1.0 + pt.eig_M.norm
-        elem = proj_bsub_element(pt.M, beta_choice, tol=group_tol * scale,
-                                 eig=pt.eig_M)
-        A = A + c * _hadamard_gram(elem.basis, pt.jac_g, elem.theta.entries)
+    scale = 1.0 + pt.eig_M.norm
+    elem = proj_bsub_element(pt.M, beta_choice, tol=group_tol * scale,
+                             eig=pt.eig_M)
+    A = A + c * _hadamard_gram(elem.basis, pt.jac_g, elem.theta.entries)
     return 0.5 * (A + A.T)
 
 
@@ -476,20 +447,18 @@ def kkt_residual(problem, x, Y, mu, Gamma):
     would jump when eigenvalues of F(x) cross zero.
     """
     stat = float(np.linalg.norm(grad_x_lagrangian(problem, x, Y, mu, Gamma)))
-    sub = 0.0
-    if problem.q:
-        Fx = problem.F(x)
-        Ys = as_symmetric(Y, "Y")
-        ball = max(0.0, float(np.abs(np.linalg.eigvalsh(Ys)).max()) - 1.0)
-        gap = abs(float(nuclear_norm(Fx)) - float(np.sum(Fx * Ys)))
-        sub = max(ball, gap)
-    eq = float(np.linalg.norm(problem.h(x))) if problem.m else 0.0
-    cone = dual = comp = 0.0
-    if problem.p:
-        gx = problem.g(x)
-        cone = float(np.linalg.norm(gx - project_psd(gx)[0]))
-        dual = float(max(0.0, -np.linalg.eigvalsh(as_symmetric(Gamma, "Gamma")).min()))
-        comp = float(abs(np.sum(gx * Gamma)))
+    Fx = problem.F(x)
+    Ys = as_symmetric(Y, "Y")
+    ball = max(0.0, float(np.abs(np.linalg.eigvalsh(Ys)).max(initial=0.0))
+               - 1.0)
+    gap = abs(float(nuclear_norm(Fx)) - float(np.sum(Fx * Ys)))
+    sub = max(ball, gap)
+    eq = float(np.linalg.norm(problem.h(x)))
+    gx = problem.g(x)
+    cone = float(np.linalg.norm(gx - project_psd(gx)[0]))
+    Gs = as_symmetric(Gamma, "Gamma")
+    dual = float(max(0.0, -np.linalg.eigvalsh(Gs).min(initial=0.0)))
+    comp = float(abs(np.sum(gx * Gamma)))
     return KKTResidual(stat, sub, eq, cone, dual, comp)
 
 
@@ -519,7 +488,7 @@ def dual_value_and_grad(problem, Y, mu, Gamma, c, x0, inner_cfg=None):
                            point=stats.point)
     grad = MultiplierTriple(
         (plus.Y - y.Y) / c,
-        problem.h(xc) if problem.m else np.zeros(0),
+        problem.h(xc),
         (plus.Gamma - y.Gamma) / c,
     )
     return val, grad, xc
@@ -622,7 +591,7 @@ def instance_from_dict(data):
 
 
 def _matrix_map_to_dict(mp):
-    if mp is None or mp.k == 0:
+    if mp.k == 0:
         return None
     out = {"A0": mp.A0.tolist(), "Ai": mp.Ai.tolist()}
     out["Aij"] = mp.Aij.tolist() if mp.Aij is not None else None
@@ -642,8 +611,7 @@ def instance_to_dict(problem):
             "H": problem.f_H.tolist(),
         },
         "F": _matrix_map_to_dict(problem.F_map),
-        "h": np.hstack([problem.h_A, problem.h_r[:, None]]).tolist()
-            if problem.m else [],
+        "h": np.hstack([problem.h_A, problem.h_r[:, None]]).tolist(),
         "g": _matrix_map_to_dict(problem.g_map),
     }
     if problem.reference is not None:

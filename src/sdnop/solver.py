@@ -39,6 +39,7 @@ __all__ = [
     "InnerStats",
     "ALMConfig",
     "ALMTrace",
+    "MAX_PENALTY",
     "inner_minimize",
     "penalty_update",
     "alm_solve",
@@ -58,6 +59,9 @@ _MAX_BACKTRACKS = 60
 _PENALTY_GROWTH = 10.0
 _RESIDUAL_DECREASE = 0.25
 _EPS = float(np.finfo(np.float64).eps)
+# largest penalty the arithmetic resolves: above 1/eps the shift Y/c and the
+# prox threshold 1/c fall below the round-off of F(x)
+MAX_PENALTY = 1.0 / _EPS
 # the outer loop counts a KKT residual within this multiple of the last
 # inner solve's round-off floor as converged
 _OUTER_FLOOR_FACTOR = 10.0
@@ -82,6 +86,13 @@ def _require_finite(name, value):
     if isinstance(value, bool) or not isinstance(value, numbers.Real) \
             or not math.isfinite(value):
         raise InvalidInput(f"{name} must be a finite number, got {value!r}")
+
+
+def require_resolvable_penalty(name, c):
+    """Reject a penalty above ``MAX_PENALTY``, naming it."""
+    if c > MAX_PENALTY:
+        raise InvalidInput(f"{name} must be at most 1/eps = "
+                           f"{MAX_PENALTY:.4g}, got {c!r}")
 
 
 @dataclass(frozen=True)
@@ -138,6 +149,7 @@ class ALMConfig:
     The penalty starts at ``c0`` and grows tenfold whenever the KKT
     residual fails to drop to a quarter of the previous one, up to
     ``c_max``; ``c_max == c0`` holds it fixed, as rate experiments need.
+    Neither may exceed ``MAX_PENALTY``.
     """
 
     c0: float = 10.0
@@ -150,11 +162,13 @@ class ALMConfig:
         _require_finite("c0", self.c0)
         if not self.c0 > 0.0:
             raise InvalidInput("c0 must be positive")
+        require_resolvable_penalty("c0", self.c0)
         _require_finite("outer_tol", self.outer_tol)
         if not self.outer_tol > 0.0:
             raise InvalidInput("outer_tol must be positive")
         _require_int("max_outer", self.max_outer, 1)
         _require_finite("c_max", self.c_max)
+        require_resolvable_penalty("c_max", self.c_max)
         if not self.c_max >= self.c0:
             raise InvalidInput(f"c_max must be at least c0, got c_max "
                                f"{self.c_max!r} and c0 {self.c0!r}")
@@ -236,9 +250,9 @@ def _data_scales(problem, x, pt):
     """Norms of the data the gradient's summands scale with near x:
     ||grad f(x)|| and the Frobenius norms of the stacks DF, Jh and Dg."""
     return (float(np.linalg.norm(problem.grad_f(x))),
-            float(np.linalg.norm(pt.jac_F)) if problem.q else 0.0,
-            float(np.linalg.norm(problem.jac_h(x))) if problem.m else 0.0,
-            float(np.linalg.norm(pt.jac_g)) if problem.p else 0.0)
+            float(np.linalg.norm(pt.jac_F)),
+            float(np.linalg.norm(problem.jac_h(x))),
+            float(np.linalg.norm(pt.jac_g)))
 
 
 def _roundoff_floor(pt, c, scales):
@@ -250,15 +264,9 @@ def _roundoff_floor(pt, c, scales):
     spectral norm, which the cached spectra give for free.
     """
     grad_f, dF, jh, dg = scales
-    problem = pt.problem
-    floor = grad_f
-    if problem.q:
-        floor += c * dF * pt.eig_Z.norm
-    if problem.m:
-        floor += jh * math.sqrt(float(pt.muhat @ pt.muhat))
-    if problem.p:
-        floor += dg * pt.eig_M.norm
-    return _EPS * floor
+    return _EPS * (grad_f + c * dF * pt.eig_Z.norm
+                   + jh * math.sqrt(float(pt.muhat @ pt.muhat))
+                   + dg * pt.eig_M.norm)
 
 
 def _inner_stop(gnorm, tol, floor):

@@ -327,6 +327,17 @@ _INPUT_ERRORS = [
                  id="grid-inf"),
     pytest.param(["rate-sweep", NONDEGEN, "--delta", "inf"], None, "delta",
                  id="delta-inf"),
+    # penalties above 1/eps, which the arithmetic cannot resolve
+    pytest.param(["rate-sweep", NONDEGEN, "--grid", "1e300"], None,
+                 "got 1e+300", id="grid-above-1/eps"),
+    pytest.param(["rate-sweep", NONDEGEN, "--grid", "10,1e16"], None,
+                 "got 1e+16", id="grid-1e16"),
+    pytest.param(["solve", NONDEGEN], {"c0": 1e300, "c_max": 1e300},
+                 "c0 must be at most 1/eps", id="config-c0-above-1/eps"),
+    pytest.param(["solve", NONDEGEN, "--c0", "1e300"], None,
+                 "c0 must be at most 1/eps", id="c0-above-1/eps"),
+    pytest.param(["solve", NONDEGEN], {"c_max": 1e16},
+                 "c_max must be at most 1/eps", id="config-c_max-1e16"),
     # usage errors
     pytest.param(["solve"], None, "instance", id="usage-no-instance"),
     pytest.param(["solve", NONDEGEN, "--bogus"], None, "--bogus",

@@ -16,6 +16,7 @@ from sdnop.problem import (
     multiplier_maps,
 )
 from sdnop.solver import (
+    MAX_PENALTY,
     ALMConfig,
     InnerConfig,
     alm_solve,
@@ -54,6 +55,15 @@ class TestConfigs:
     def test_type_and_finiteness_name_the_key(self, cls, key, value):
         with pytest.raises(InvalidInput, match=f"^{key} must be"):
             cls(**{key: value})
+
+    def test_penalty_bound_is_one_over_eps(self):
+        assert MAX_PENALTY == 1.0 / np.finfo(np.float64).eps
+        ALMConfig(c0=MAX_PENALTY, c_max=MAX_PENALTY)
+        above = float(np.nextafter(MAX_PENALTY, np.inf))
+        with pytest.raises(InvalidInput, match="^c0 must be at most"):
+            ALMConfig(c0=above, c_max=above)
+        with pytest.raises(InvalidInput, match="^c_max must be at most"):
+            ALMConfig(c_max=above)
 
 
 class TestInnerMinimize:

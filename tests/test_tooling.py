@@ -2,16 +2,23 @@
 
 The benchmark tracer (``perfbench/tracing.py``) wraps sdnop functions by
 (module, attribute) name, so a rename would quietly drop a layer from its
-split; the ``__all__`` of the package and of each module is what
+split; its line-search notes read the evaluated point as the second
+positional argument of the augmented-Lagrangian value and gradient, so a
+reordered signature or a keyword call would corrupt the trial count.  The
+``__all__`` of the package and of each module is what
 ``from ... import *`` reads.
 """
 
 import importlib
 import importlib.util
+import inspect
 import os
 import pkgutil
 
+import numpy as np
+
 import sdnop
+from sdnop import problem, solver
 
 TRACING = os.path.join(os.path.dirname(os.path.dirname(__file__)),
                        "perfbench", "tracing.py")
@@ -45,3 +52,34 @@ def test_module_public_names_resolve():
                     for name in getattr(module, "__all__", ())
                     if not hasattr(module, name)]
     assert not missing, missing
+
+
+_NOTED_BY_POINT = ("aug_lagrangian_value", "aug_lagrangian_grad")
+
+
+def test_traced_point_is_second_positional_argument(monkeypatch,
+                                                    mixed_instance):
+    notes = {attr: note for mod, attr, _, note in _wrapped()
+             if mod == "sdnop.solver"}
+    for name in _NOTED_BY_POINT:
+        assert notes[name] is not None, name
+        params = list(inspect.signature(getattr(problem, name)).parameters
+                      .values())
+        assert params[1].name == "x", name
+        assert params[1].kind is inspect.Parameter.POSITIONAL_OR_KEYWORD
+
+    # the solver passes the point positionally, where the notes read it
+    seen = {name: [] for name in _NOTED_BY_POINT}
+    for name in _NOTED_BY_POINT:
+        def recording(*args, _fn=getattr(problem, name), _name=name,
+                      **kwargs):
+            seen[_name].append(args[1])
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(solver, name, recording)
+    P = mixed_instance
+    solver.inner_minimize(P, P.reference.multipliers, 10.0,
+                          np.full(P.n, 0.1), solver.InnerConfig())
+    for name, points in seen.items():
+        assert points, name
+        assert all(isinstance(x, np.ndarray) and x.shape == (P.n,)
+                   for x in points), name
