@@ -38,7 +38,7 @@ from .spectral import (
     eig_sym,
     partition_by_sign,
     pinv_sym,
-    svec_block,
+    svec,
 )
 
 # relative gap below which eigenvalues (and nuclear weights) form one group
@@ -199,31 +199,64 @@ def cone_blocks(problem, x, multipliers, rng=None):
 
 
 # ----------------------------------------------------------------------------
-# compressed jacobian block rows
+# block families of the compressed jacobians
 # ----------------------------------------------------------------------------
 
-def _vec_rows(jac_Q, rows, cols):
-    """Stack vec of the (rows, cols) block of every coordinate partial.
+# Row families of the active-block matrix after the equality jacobian:
+# (map, row set, column set or None for a principal block, weight of the
+# family in the curvature model, None for the free table value).  The cone
+# map enters negated ("-g").
+_ACTIVE_FAMILIES = (
+    ("F", "b_up", None, None),
+    ("F", "b_up", "b_mid", 2.0),
+    ("F", "b_up", "b_low", 2.0),
+    ("F", "b_mid", None, 1.0),
+    ("F", "b_mid", "b_low", 2.0),
+    ("F", "b_low", None, None),
+    ("-g", "alpha", None, 1.0),
+    ("-g", "beta", None, None),
+    ("-g", "alpha", "beta", 2.0),
+)
 
-    Returns a (len(rows)*len(cols)) x n matrix whose l-th column is the
-    column-stacked block of the l-th compressed partial.
+# Cross-block families between the active and the inactive parts of the
+# spectra: (key, map, row set, column set, factor of the squared table
+# maximum in rho0, None for a family that enters rho0 only through the
+# largest ratio over all families).
+_CROSS_FAMILIES = (
+    ("a_bS", "F", "a", "b_mid", 8.0),
+    ("a_bL", "F", "a", "b_low", 16.0),
+    ("a_c", "F", "a", "c_neg", 32.0),
+    ("c_bU", "F", "c_neg", "b_up", 64.0),
+    ("c_bS", "F", "c_neg", "b_mid", 128.0),
+    ("al_ga", "-g", "alpha", "gamma", None),
+)
+
+
+def _family_rows(b, which, rows, cols):
+    """Rows of one block family, one column per primal coordinate.
+
+    ``which`` picks the compressed jacobian: "F", "g", or "-g" for the
+    negated cone map of the active-block matrix.  ``rows`` and ``cols`` name
+    index sets of ``b``: the (rows, cols) block of every partial is
+    column-stacked, and with ``cols`` None the principal block on ``rows``
+    is half-vectorized by :func:`svec`.
     """
-    n = jac_Q.shape[0]
-    r, s = len(rows), len(cols)
-    if r == 0 or s == 0:
-        return np.zeros((r * s, n))
-    sub = jac_Q[:, list(rows), :][:, :, list(cols)]
-    return np.transpose(sub, (0, 2, 1)).reshape(n, r * s).T
+    jac = b.jac_F_Q if which == "F" else b.jac_g_P
+    n = jac.shape[0]
+    r = list(getattr(b, rows))
+    if cols is None:
+        out = svec(jac[:, r][:, :, r]).T
+    else:
+        s = list(getattr(b, cols))
+        sub = jac[:, r][:, :, s]
+        out = np.transpose(sub, (0, 2, 1)).reshape(n, len(r) * len(s)).T
+    return -out if which == "-g" else out
 
 
-def _svec_rows(jac_Q, rows):
-    """Isometric half-vectorization rows of a principal block, one per
-    coordinate, as a (len(rows)(len(rows)+1)/2) x n matrix."""
-    n = jac_Q.shape[0]
-    r = len(rows)
-    if r == 0:
-        return np.zeros((0, n))
-    return np.stack([svec_block(jac_Q[l], rows) for l in range(n)], axis=1)
+def _cross_rows(b):
+    """The cross families' rows, stacked in :data:`_CROSS_FAMILIES` order."""
+    return np.vstack([_family_rows(b, which, rows, cols)
+                      for _, which, rows, cols, _ in _CROSS_FAMILIES])
 
 
 # ----------------------------------------------------------------------------
@@ -248,26 +281,24 @@ class AQPMatrix:
     blocks: ConeBlocks
 
 
-def _active_rows(b):
-    """The row groups of :class:`AQPMatrix`, stacked, for one basis."""
-    return np.vstack([
-        b.jac_h,
-        _svec_rows(b.jac_F_Q, b.b_up),
-        _vec_rows(b.jac_F_Q, b.b_up, b.b_mid),
-        _vec_rows(b.jac_F_Q, b.b_up, b.b_low),
-        _svec_rows(b.jac_F_Q, b.b_mid),
-        _vec_rows(b.jac_F_Q, b.b_mid, b.b_low),
-        _svec_rows(b.jac_F_Q, b.b_low),
-        -_svec_rows(b.jac_g_P, b.alpha),
-        -_svec_rows(b.jac_g_P, b.beta),
-        -_vec_rows(b.jac_g_P, b.alpha, b.beta),
-    ])
+def _active_rows(b, free=0.0):
+    """The row groups of :class:`AQPMatrix`, stacked, for one basis, and
+    the weight of each row in the curvature model (``free`` for the
+    families whose table entries the generalized derivative leaves
+    free)."""
+    groups = [(b.jac_h, 1.0)] + [
+        (_family_rows(b, which, rows, cols),
+         free if weight is None else weight)
+        for which, rows, cols, weight in _ACTIVE_FAMILIES]
+    A = np.vstack([R for R, _ in groups])
+    omega = np.concatenate([np.full(R.shape[0], wt) for R, wt in groups])
+    return A, omega
 
 
 def build_AQP(problem, x, multipliers, blocks=None):
     """Assemble the active-constraint block matrix at a reference point."""
     b = blocks if blocks is not None else cone_blocks(problem, x, multipliers)
-    A = _active_rows(b)
+    A, _ = _active_rows(b)
     nb = len(b.b_all)
     nab = len(b.alpha) + len(b.beta)
     n1 = b.jac_h.shape[0] + nb * (nb + 1) // 2
@@ -328,14 +359,13 @@ def app_cone_basis(problem, x, multipliers, blocks=None):
     the residual cone of the semidefinite constraint.
     """
     b = blocks if blocks is not None else cone_blocks(problem, x, multipliers)
-    rows = [
+    L = np.vstack([
         b.jac_h,
-        _vec_rows(b.jac_F_Q, b.b_mid, b.b_all),
-        _vec_rows(b.jac_F_Q, b.b_up, b.b_low),
-        _svec_rows(b.jac_g_P, b.alpha),
-        _vec_rows(b.jac_g_P, b.alpha, b.beta),
-    ]
-    L = np.vstack(rows)
+        _family_rows(b, "F", "b_mid", "b_all"),
+        _family_rows(b, "F", "b_up", "b_low"),
+        _family_rows(b, "g", "alpha", None),
+        _family_rows(b, "g", "alpha", "beta"),
+    ])
     n = L.shape[1]
     if L.shape[0] == 0:
         return np.eye(n)
@@ -485,152 +515,95 @@ def second_order_necessary_check(problem, x, multipliers, samples=200,
 # rate constants
 # ----------------------------------------------------------------------------
 
+def _cross_tables(b, c=None):
+    """The cross-family tables, by key: ratio tables nu, or with a penalty
+    ``c`` the divided-difference tables delta of the curvature model.
+
+    The F tables are one difference quotient over structured spectra:
+    eigenvalues lam (0 on the zero block) and weights w (1 on a and b_up,
+    the interior weights on b_mid, -1 on b_low and c_neg).  Entry (i, j)
+    has dw = w_i - w_j, dl = lam_i - lam_j, nu = dw / dl and, with
+    tau = 1/c, delta = tau dw / (dl + tau dw), so c delta tends to nu as
+    the penalty grows.  The g table is alpha_i / (-gamma_j), and
+    alpha_i / (alpha_i + c (-gamma_j)) with a penalty.  An empty family
+    gives an empty table.  No denominator comes near zero: the sign
+    partitions admit into a, c_neg and gamma only eigenvalues beyond
+    1e-8 (1 + the largest magnitude).
+    """
+    lam = b.values_F.copy()
+    lam[list(b.b_all)] = 0.0
+    w = b.w.copy()
+    w[list(b.a + b.b_up)] = 1.0
+    w[list(b.b_low + b.c_neg)] = -1.0
+    out = {}
+    for key, which, rows, cols, _ in _CROSS_FAMILIES:
+        r, s = list(getattr(b, rows)), list(getattr(b, cols))
+        if which == "F":
+            dw = w[r][:, None] - w[s][None, :]
+            dl = lam[r][:, None] - lam[s][None, :]
+            if c is None:
+                out[key] = dw / dl
+            else:
+                tau = 1.0 / c
+                out[key] = tau * dw / (dl + tau * dw)
+        else:
+            al = b.values_M[r][:, None]
+            neg_ga = -b.values_M[s][None, :]
+            out[key] = al / neg_ga if c is None else al / (al + c * neg_ga)
+    return out
+
+
 def _nu_tables(blocks):
-    """The six block ratio tables of the spectra, as (min, max) pairs.
-
-    Empty index-set families are omitted.  No denominator comes near zero:
-    the sign partitions admit into a, c_neg and gamma only eigenvalues
-    beyond 1e-8 (1 + the largest magnitude).
-    """
-    lam = blocks.values_F
-    a_vals = lam[list(blocks.a)]
-    c_vals = lam[list(blocks.c_neg)]
-    wm = blocks.w[list(blocks.b_mid)]
-    lam_M = blocks.values_M
-    al_vals = lam_M[list(blocks.alpha)]
-    ga_vals = lam_M[list(blocks.gamma)]
-    out = {}
-
-    def put(name, table):
-        out[name] = (float(table.min()), float(table.max()))
-
-    if a_vals.size and wm.size:
-        put("a_bS", (1.0 - wm[None, :]) / a_vals[:, None])
-    if a_vals.size and blocks.b_low:
-        put("a_bL", 2.0 / a_vals)
-    if a_vals.size and c_vals.size:
-        put("a_c", 2.0 / (a_vals[:, None] - c_vals[None, :]))
-    if c_vals.size and blocks.b_up:
-        put("c_bU", 2.0 / (-c_vals))
-    if c_vals.size and wm.size:
-        put("c_bS", (1.0 + wm[None, :]) / (-c_vals[:, None]))
-    if al_vals.size and ga_vals.size:
-        put("al_ga", al_vals[:, None] / (-ga_vals[None, :]))
-    return out
-
-
-def _delta_tables(blocks, c):
-    """Penalty-dependent divided-difference tables for the cross blocks.
-
-    Keys mirror :func:`_nu_tables`; each table multiplied by c converges to
-    the corresponding ratio table as the penalty grows.
-    """
-    lam = blocks.values_F
-    a_vals = lam[list(blocks.a)]
-    c_vals = lam[list(blocks.c_neg)]
-    wm = blocks.w[list(blocks.b_mid)]
-    lam_M = blocks.values_M
-    al_vals = lam_M[list(blocks.alpha)]
-    ga_vals = lam_M[list(blocks.gamma)]
-    inv = 1.0 / c
-    out = {}
-    if a_vals.size and wm.size:
-        num = inv * (1.0 - wm)[None, :]
-        out["a_bS"] = num / (a_vals[:, None] + num)
-    if a_vals.size and blocks.b_low:
-        col = (2.0 * inv) / (a_vals + 2.0 * inv)
-        out["a_bL"] = np.repeat(col[:, None], len(blocks.b_low), axis=1)
-    if a_vals.size and c_vals.size:
-        den = a_vals[:, None] - c_vals[None, :] + 2.0 * inv
-        out["a_c"] = (2.0 * inv) / den
-    if c_vals.size and blocks.b_up:
-        col = (2.0 * inv) / (-c_vals + 2.0 * inv)
-        out["c_bU"] = np.repeat(col[:, None], len(blocks.b_up), axis=1)
-    if c_vals.size and wm.size:
-        num = inv * (1.0 + wm)[None, :]
-        out["c_bS"] = num / (num - c_vals[:, None])
-    if al_vals.size and ga_vals.size:
-        out["al_ga"] = al_vals[:, None] / (
-            al_vals[:, None] + c * (-ga_vals)[None, :])
-    return out
-
-
-_CROSS_FAMILIES = (
-    ("a_bS", "a", "b_mid", "F"),
-    ("a_bL", "a", "b_low", "F"),
-    ("a_c", "a", "c_neg", "F"),
-    ("c_bU", "c_neg", "b_up", "F"),
-    ("c_bS", "c_neg", "b_mid", "F"),
-    ("al_ga", "alpha", "gamma", "g"),
-)
+    """The nonempty ratio tables of :func:`_cross_tables` as (min, max)
+    pairs."""
+    return {key: (float(t.min()), float(t.max()))
+            for key, t in _cross_tables(blocks).items() if t.size}
 
 
 def split_penalty_matrix(problem, x, multipliers, c_base, c, free=0.0,
                          blocks=None):
     """Curvature model with separately weighted row and table terms.
 
-    The active-block rows enter with weight ``c_base`` while the
-    penalty-dependent cross-block corrections are evaluated at penalty
-    ``c``; with ``c_base == c`` this reproduces the regularized Newton
-    matrix of the method at the reference point.  ``free`` fills the
-    divided-difference table entries that the generalized derivative
-    leaves unconstrained in [0, 1].
+    With A the active-block rows (weights omega: 1 on the equality and
+    principal blocks, 2 on the off-diagonal blocks, ``free`` on the
+    principal blocks whose table entries the generalized derivative
+    leaves unconstrained in [0, 1]) and C the cross-family rows with
+    their divided-difference weights delta (:func:`_cross_tables` at
+    penalty ``c``: tau dw / (dl + tau dw) over the structured spectra,
+    tau = 1/c, and alpha / (alpha + c (-gamma)) for the cone family),
+
+        hess_L + c_base A^T (omega o A) + 2 c C^T (delta o C).
+
+    With ``c_base == c`` this reproduces the regularized Newton matrix of
+    the method at the reference point.
     """
     if not 0.0 <= free <= 1.0:
         raise InvalidInput("free table entries must lie in [0, 1]")
     b = blocks if blocks is not None else cone_blocks(problem, x, multipliers)
     x = np.asarray(x, dtype=np.float64)
+    A, omega = _active_rows(b, free)
+    C = _cross_rows(b)
+    delta = np.concatenate(
+        [t.flatten(order="F") for t in _cross_tables(b, c).values()])
     out = hess_xx_lagrangian(problem, x, multipliers.Y, multipliers.mu,
                              multipliers.Gamma)
-    out = out + c_base * b.jac_h.T @ b.jac_h
-    for rows, weight in ((b.b_up, free), (b.b_mid, 1.0), (b.b_low, free)):
-        R = _svec_rows(b.jac_F_Q, rows)
-        if R.shape[0]:
-            out += c_base * weight * R.T @ R
-    for rows, cols in ((b.b_up, b.b_mid), (b.b_up, b.b_low),
-                       (b.b_mid, b.b_low)):
-        R = _vec_rows(b.jac_F_Q, rows, cols)
-        if R.shape[0]:
-            out += 2.0 * c_base * R.T @ R
-    for rows, weight in ((b.alpha, 1.0), (b.beta, free)):
-        R = _svec_rows(b.jac_g_P, rows)
-        if R.shape[0]:
-            out += c_base * weight * R.T @ R
-    R = _vec_rows(b.jac_g_P, b.alpha, b.beta)
-    if R.shape[0]:
-        out += 2.0 * c_base * R.T @ R
-    tables = _delta_tables(b, c)
-    for key, row_name, col_name, which in _CROSS_FAMILIES:
-        if key not in tables:
-            continue
-        rows = getattr(b, row_name)
-        cols = getattr(b, col_name)
-        jac = b.jac_F_Q if which == "F" else b.jac_g_P
-        R = _vec_rows(jac, rows, cols)
-        weights = tables[key].flatten(order="F")
-        out += 2.0 * c * R.T @ (weights[:, None] * R)
+    out = (out + c_base * A.T @ (omega[:, None] * A)
+           + 2.0 * c * C.T @ (delta[:, None] * C))
     return 0.5 * (out + out.T)
 
 
 def _sigma_nu_at(blocks):
     """Singular-value and cross-block spectral brackets for one basis."""
-    A = _active_rows(blocks)
-    C = np.vstack([
-        _vec_rows(blocks.jac_F_Q, blocks.a, blocks.b_mid),
-        _vec_rows(blocks.jac_F_Q, blocks.a, blocks.b_low),
-        _vec_rows(blocks.jac_F_Q, blocks.a, blocks.c_neg),
-        _vec_rows(blocks.jac_F_Q, blocks.c_neg, blocks.b_up),
-        _vec_rows(blocks.jac_F_Q, blocks.c_neg, blocks.b_mid),
-        -_vec_rows(blocks.jac_g_P, blocks.alpha, blocks.gamma),
-    ])
+    A, _ = _active_rows(blocks)
+    C = _cross_rows(blocks)
     n = A.shape[1]
     n2 = A.shape[0]
     R_tilde = np.eye(n)
     sig_lo, sig_hi = 1.0, 1.0
     if n2:
         U, s, Vt = np.linalg.svd(A, full_matrices=True)
-        if n2 > n or s[-1] <= 1e-12 * s[0]:
-            # rank deficient: the inverse-square bound does not exist
+        if n2 > n or s[-1] <= _RANK_TOL * s[0]:
+            # nondegeneracy fails: the inverse-square bound does not exist
             sig_lo = min(1.0, float(s[0] ** -2.0)) if s[0] > 0 else 1.0
             sig_hi = float("inf")
             R_tilde = None
@@ -712,14 +685,24 @@ def rate_constants(problem, x, multipliers, c0=10.0, rotations=32, seed=0,
                    blocks=None):
     """Evaluate the constants entering the contraction-rate bound.
 
-    The singular-value bracket is exact when the relevant spectra are
-    simple; with multiplicities the bases are non-unique and ``rotations``
-    random intra-group rotations widen the bracket (flagged in the
+    The ratio brackets nu_0 are the extremes of the cross-family tables
+    of :func:`_cross_tables`, difference quotients dw / dl of the
+    structured weights over the structured eigenvalues (alpha / (-gamma)
+    for the cone family); each family's squared maximum enters rho0 with
+    its factor from ``_CROSS_FAMILIES``.  The singular-value bracket
+    sigma comes from the active-block matrix and the spectral bracket nu
+    from the cross-family rows.  Both are exact when the relevant spectra
+    are simple; with multiplicities the bases are non-unique and
+    ``rotations`` random intra-group rotations widen them (flagged in the
     result).  The uniform curvature bracket (eta) is estimated from the
-    split-penalty curvature model over c = 10, 100, 1e3, 1e4 with the base
-    weight ``c0``; it is an estimate, not a certified constant.  ``blocks`` is
-    an optional :func:`cone_blocks` at (x, multipliers) to reuse; the
-    rotated brackets build their own.
+    split-penalty curvature model (:func:`split_penalty_matrix`) over
+    c = 10, 100, 1e3, 1e4 with the base weight ``c0``; it is an estimate,
+    not a certified constant.  Wherever nondegeneracy fails (sigma_min of
+    the active-block matrix at most 1e-8 sigma_max, the cutoff of
+    :func:`nondegeneracy_check`), ``sigma_upper``, ``c_bar`` and
+    ``kappa0`` are infinite and ``rho0``/``rho1`` NaN.  ``blocks`` is an
+    optional :func:`cone_blocks` at (x, multipliers) to reuse; the rotated
+    brackets build their own.
     """
     if blocks is None:
         blocks = cone_blocks(problem, x, multipliers)
@@ -758,9 +741,8 @@ def rate_constants(problem, x, multipliers, c0=10.0, rotations=32, seed=0,
     )
     kappa0 = kappa0_constant(sig_lo, sig_hi, eta_lower, eta_upper)
     terms = [128.0 * nu_upper_0 ** 2, 4.0 * kappa0 ** 2]
-    for key, factor in (("a_bS", 8.0), ("a_bL", 16.0), ("a_c", 32.0),
-                        ("c_bU", 64.0), ("c_bS", 128.0)):
-        if key in nus:
+    for key, _, _, _, factor in _CROSS_FAMILIES:
+        if factor is not None and key in nus:
             terms.append(factor * nus[key][1] ** 2)
     if eta_lower > 0.0 and math.isfinite(sig_hi):
         rho0 = math.sqrt(

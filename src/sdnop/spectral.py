@@ -25,7 +25,6 @@ __all__ = [
     "choice_table",
     "svec",
     "smat",
-    "vec_block",
     "svec_block",
     "pinv_sym",
 ]
@@ -195,24 +194,25 @@ def choice_table(choice, k, name):
     return omega
 
 
+def _triangle(q):
+    """Row and column indices of the upper triangle of a q x q matrix,
+    column by column, and the isometric scale of each entry (sqrt(2) off
+    the diagonal, 1 on it)."""
+    j, i = np.tril_indices(q)
+    return i, j, np.where(i == j, 1.0, np.sqrt(2.0))
+
+
 def svec(M):
     """Isometric half-vectorization.
 
     Stacks the columns of the upper triangle, scaling off-diagonal entries
     by sqrt(2) so that inner products of vectorizations match Frobenius
-    inner products of the matrices.
+    inner products of the matrices.  A stack of shape (..., q, q) maps to
+    (..., q(q+1)/2).
     """
     M = np.asarray(M, dtype=np.float64)
-    q = M.shape[0]
-    out = np.empty(q * (q + 1) // 2)
-    k = 0
-    for j in range(q):
-        for i in range(j):
-            out[k] = np.sqrt(2.0) * M[i, j]
-            k += 1
-        out[k] = M[j, j]
-        k += 1
-    return out
+    i, j, scale = _triangle(M.shape[-1])
+    return M[..., i, j] * scale
 
 
 def smat(v):
@@ -221,22 +221,10 @@ def smat(v):
     q = int(round((np.sqrt(8.0 * v.size + 1.0) - 1.0) / 2.0))
     if q * (q + 1) // 2 != v.size:
         raise InvalidInput(f"length {v.size} is not a triangular number")
+    i, j, scale = _triangle(q)
     M = np.zeros((q, q))
-    k = 0
-    for j in range(q):
-        for i in range(j):
-            M[i, j] = M[j, i] = v[k] / np.sqrt(2.0)
-            k += 1
-        M[j, j] = v[k]
-        k += 1
+    M[i, j] = M[j, i] = v / scale
     return M
-
-
-def vec_block(M, rows, cols):
-    """Column-stacked vectorization of the submatrix M[rows, cols]."""
-    M = np.asarray(M)
-    sub = M[np.ix_(list(rows), list(cols))]
-    return sub.flatten(order="F")
 
 
 def svec_block(M, rows):

@@ -119,6 +119,50 @@ def make_full_blocks_instance(profile="nondegen", seed=11):
     return build(t * np.eye(n))
 
 
+def make_weighted_zero_instance():
+    """Spectrum (2, 0, -1) with interior weight 0.5 on the zero eigenvalue."""
+    n = 2
+    rng = np.random.RandomState(5)
+    F0 = np.diag([2.0, 0.0, -1.0])
+    F_Ai = np.zeros((n, 3, 3))
+    for l in range(n):
+        Z = rng.randn(3, 3)
+        F_Ai[l] = 0.3 * (Z + Z.T)
+    Ybar = np.diag([1.0, 0.5, -1.0])
+    f_b = -np.einsum("lij,ij->l", F_Ai, Ybar)
+    reference = KKTPoint(
+        np.zeros(n), MultiplierTriple(Ybar, np.zeros(0), np.zeros((0, 0))))
+    return QuadraticProblem(
+        0.0, f_b, np.eye(n),
+        QuadraticMatrixMap(F0, F_Ai),
+        np.zeros((0, n)), np.zeros(0),
+        None,
+        reference=reference,
+    )
+
+
+def make_repeated_eigenvalue_instance():
+    """F(0) has a doubled positive eigenvalue, so the basis is non-unique."""
+    n = 2
+    rng = np.random.RandomState(9)
+    F0 = np.diag([2.0, 2.0, -1.0])
+    F_Ai = np.zeros((n, 3, 3))
+    for l in range(n):
+        Z = rng.randn(3, 3)
+        F_Ai[l] = 0.3 * (Z + Z.T)
+    Ybar = np.diag([1.0, 1.0, -1.0])
+    f_b = -np.einsum("lij,ij->l", F_Ai, Ybar)
+    reference = KKTPoint(
+        np.zeros(n), MultiplierTriple(Ybar, np.zeros(0), np.zeros((0, 0))))
+    return QuadraticProblem(
+        0.0, f_b, np.eye(n),
+        QuadraticMatrixMap(F0, F_Ai),
+        np.zeros((0, n)), np.zeros(0),
+        None,
+        reference=reference,
+    )
+
+
 def make_equality_instance():
     """2-variable equality-only instance (p = 0, F absent)."""
     return QuadraticProblem(

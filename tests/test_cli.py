@@ -510,6 +510,9 @@ class TestMutatedInstances:
             "input error: second-order verdict below round-off: ")
         assert proc.stdout == ""
 
+    # entries near the float limit still overflow inside numpy on the way
+    # to the documented exit code; shown, not raised
+    @pytest.mark.filterwarnings("default::RuntimeWarning")
     @pytest.mark.parametrize("profile", ["nondegen", "degen", "saddle"])
     @pytest.mark.parametrize("mutation", [
         float("nan"), float("inf"), 1e308, "shape", "x"],

@@ -25,6 +25,7 @@ from sdnop.errors import (
     InvalidInput,
     NotAKKTPoint,
 )
+from sdnop.generator import generate_instance
 from sdnop.nuclear import subdiff_partition
 from sdnop.problem import (
     KKTPoint,
@@ -33,12 +34,19 @@ from sdnop.problem import (
     QuadraticProblem,
     apply_jac,
     hess_xx_lagrangian,
+    instance_from_dict,
+    instance_to_dict,
     load_instance,
     newton_matrix_element,
 )
 from sdnop.psd_cone import aff_critical_contains
 from sdnop.spectral import eig_sym, partition_by_sign, pinv_sym, svec_block
-from conftest import make_full_blocks_instance, make_mixed_instance
+from conftest import (
+    make_full_blocks_instance,
+    make_mixed_instance,
+    make_repeated_eigenvalue_instance,
+    make_weighted_zero_instance,
+)
 
 
 # ----------------------------------------------------------------------------
@@ -98,28 +106,6 @@ def make_diagonal_g_instance():
     )
 
 
-def make_weighted_zero_instance():
-    """Spectrum (2, 0, -1) with interior weight 0.5 on the zero eigenvalue."""
-    n = 2
-    rng = np.random.RandomState(5)
-    F0 = np.diag([2.0, 0.0, -1.0])
-    F_Ai = np.zeros((n, 3, 3))
-    for l in range(n):
-        Z = rng.randn(3, 3)
-        F_Ai[l] = 0.3 * (Z + Z.T)
-    Ybar = np.diag([1.0, 0.5, -1.0])
-    f_b = -np.einsum("lij,ij->l", F_Ai, Ybar)
-    reference = KKTPoint(
-        np.zeros(n), MultiplierTriple(Ybar, np.zeros(0), np.zeros((0, 0))))
-    return QuadraticProblem(
-        0.0, f_b, np.eye(n),
-        QuadraticMatrixMap(F0, F_Ai),
-        np.zeros((0, n)), np.zeros(0),
-        None,
-        reference=reference,
-    )
-
-
 def make_wide_zero_block_instance():
     """One primal coordinate against a 2x2 interior zero block of F."""
     n = 1
@@ -150,28 +136,6 @@ def make_full_rank_equality_instance():
                                       np.zeros((0, 0))))
     return QuadraticProblem(
         0.0, f_b, np.eye(n), None, h_A, np.zeros(n), None,
-        reference=reference,
-    )
-
-
-def make_repeated_eigenvalue_instance():
-    """F(0) has a doubled positive eigenvalue, so the basis is non-unique."""
-    n = 2
-    rng = np.random.RandomState(9)
-    F0 = np.diag([2.0, 2.0, -1.0])
-    F_Ai = np.zeros((n, 3, 3))
-    for l in range(n):
-        Z = rng.randn(3, 3)
-        F_Ai[l] = 0.3 * (Z + Z.T)
-    Ybar = np.diag([1.0, 1.0, -1.0])
-    f_b = -np.einsum("lij,ij->l", F_Ai, Ybar)
-    reference = KKTPoint(
-        np.zeros(n), MultiplierTriple(Ybar, np.zeros(0), np.zeros((0, 0))))
-    return QuadraticProblem(
-        0.0, f_b, np.eye(n),
-        QuadraticMatrixMap(F0, F_Ai),
-        np.zeros((0, n)), np.zeros(0),
-        None,
         reference=reference,
     )
 
@@ -709,6 +673,22 @@ class TestRateConstants:
         rc = rate_constants(prob, reference.x, reference.multipliers)
         np.testing.assert_allclose(rc.nu_lower_0, 0.25, atol=1e-12)
         np.testing.assert_allclose(rc.nu_upper_0, 0.25, atol=1e-12)
+
+    def test_no_bound_where_nondegeneracy_fails(self):
+        # a 1e-10 nudge to the collinear equality row leaves the active
+        # matrix at sigma_min / sigma_max ~ 7.6e-12: nondegeneracy fails,
+        # so no inverse-square bound exists and rho0 has no value
+        data = instance_to_dict(
+            generate_instance(24, 10, 3, 8, "degen", seed=7))
+        data["h"][-1][0] += 1e-10
+        prob = instance_from_dict(data)
+        ref = prob.reference
+        assert not nondegeneracy_check(prob, ref.x, ref.multipliers).holds
+        rc = rate_constants(prob, ref.x, ref.multipliers)
+        assert rc.sigma_upper == math.inf
+        assert rc.c_bar == math.inf
+        assert rc.kappa0 == math.inf
+        assert math.isnan(rc.rho0) and math.isnan(rc.rho1)
 
     def test_kappa0_plug_in(self):
         np.testing.assert_allclose(kappa0_constant(1.0, 1.0, 1.0, 1.0),

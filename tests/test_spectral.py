@@ -15,7 +15,6 @@ from sdnop.spectral import (
     smat,
     svec,
     svec_block,
-    vec_block,
 )
 
 
@@ -52,17 +51,19 @@ class TestSvec:
             A = rand_sym(rng, rng.randint(1, 8))
             np.testing.assert_allclose(smat(svec(A)), A, atol=1e-14)
 
+    def test_stack_maps_each_matrix(self):
+        rng = np.random.RandomState(4)
+        for k in range(5):
+            S = rng.randn(2, 3, k, k)
+            out = svec(S)
+            assert out.shape == (2, 3, k * (k + 1) // 2)
+            for a in range(2):
+                for b in range(3):
+                    np.testing.assert_array_equal(out[a, b], svec(S[a, b]))
+
     def test_smat_rejects_bad_length(self):
         with pytest.raises(InvalidInput):
             smat(np.zeros(4))
-
-
-def test_vec_block_is_column_stacked():
-    M = np.arange(16.0).reshape(4, 4)
-    M = 0.5 * (M + M.T)
-    v = vec_block(M, (0, 2), (1, 3))
-    expected = np.array([M[0, 1], M[2, 1], M[0, 3], M[2, 3]])
-    np.testing.assert_allclose(v, expected, atol=0)
 
 
 def test_svec_block_matches_submatrix():
