@@ -281,24 +281,26 @@ class AQPMatrix:
     blocks: ConeBlocks
 
 
-def _active_rows(b, free=0.0):
-    """The row groups of :class:`AQPMatrix`, stacked, for one basis, and
-    the weight of each row in the curvature model (``free`` for the
-    families whose table entries the generalized derivative leaves
-    free)."""
+def _active_rows(b):
+    """The row groups of :class:`AQPMatrix`, stacked, for one basis; the
+    weight of each row in the curvature model; and the mask of the rows
+    of the families whose table entries the generalized derivative leaves
+    free (weight 0 there, the caller's ``free`` in the model)."""
     groups = [(b.jac_h, 1.0)] + [
-        (_family_rows(b, which, rows, cols),
-         free if weight is None else weight)
+        (_family_rows(b, which, rows, cols), weight)
         for which, rows, cols, weight in _ACTIVE_FAMILIES]
     A = np.vstack([R for R, _ in groups])
-    omega = np.concatenate([np.full(R.shape[0], wt) for R, wt in groups])
-    return A, omega
+    free_rows = np.concatenate(
+        [np.full(R.shape[0], wt is None) for R, wt in groups])
+    omega = np.concatenate(
+        [np.full(R.shape[0], 0.0 if wt is None else wt) for R, wt in groups])
+    return A, omega, free_rows
 
 
 def build_AQP(problem, x, multipliers, blocks=None):
     """Assemble the active-constraint block matrix at a reference point."""
     b = blocks if blocks is not None else cone_blocks(problem, x, multipliers)
-    A, _ = _active_rows(b)
+    A = _active_rows(b)[0]
     nb = len(b.b_all)
     nab = len(b.alpha) + len(b.beta)
     n1 = b.jac_h.shape[0] + nb * (nb + 1) // 2
@@ -436,6 +438,13 @@ class SOSCReport:
         }
 
 
+def _roundoff(eigs):
+    """Round-off of computed eigenvalues of a symmetric matrix,
+    eps * dim * ||M||_2: within it of a threshold, a value has no sign."""
+    return (np.finfo(np.float64).eps * eigs.size
+            * float(np.abs(eigs).max()))
+
+
 def strong_sosc_check(problem, x, multipliers, tol=1e-10, blocks=None):
     """Strong second-order sufficiency on the reduced subspace.
 
@@ -458,8 +467,7 @@ def strong_sosc_check(problem, x, multipliers, tol=1e-10, blocks=None):
         return SOSCReport(True, float("inf"), 0)
     eigs = np.linalg.eigvalsh(M)
     min_value = float(eigs[0])
-    roundoff = (np.finfo(np.float64).eps * eigs.size
-                * float(np.abs(eigs).max()))
+    roundoff = _roundoff(eigs)
     if not abs(min_value - tol) > roundoff:
         raise InvalidInput(
             f"second-order verdict below round-off: smallest reduced "
@@ -580,21 +588,41 @@ def split_penalty_matrix(problem, x, multipliers, c_base, c, free=0.0,
     if not 0.0 <= free <= 1.0:
         raise InvalidInput("free table entries must lie in [0, 1]")
     b = blocks if blocks is not None else cone_blocks(problem, x, multipliers)
+    return _curvature_model(problem, x, multipliers, b)(c_base, c, free)
+
+
+def _curvature_model(problem, x, multipliers, b):
+    """:func:`split_penalty_matrix` as a function of (c_base, c, free).
+
+    The Lagrangian Hessian, the active-block rows and the cross-family
+    rows are built once; each call forms only the weights omega and delta.
+    """
     x = np.asarray(x, dtype=np.float64)
-    A, omega = _active_rows(b, free)
+    hess = hess_xx_lagrangian(problem, x, multipliers.Y, multipliers.mu,
+                              multipliers.Gamma)
+    A, fixed, free_rows = _active_rows(b)
     C = _cross_rows(b)
-    delta = np.concatenate(
-        [t.flatten(order="F") for t in _cross_tables(b, c).values()])
-    out = hess_xx_lagrangian(problem, x, multipliers.Y, multipliers.mu,
-                             multipliers.Gamma)
-    out = (out + c_base * A.T @ (omega[:, None] * A)
-           + 2.0 * c * C.T @ (delta[:, None] * C))
-    return 0.5 * (out + out.T)
+
+    def model(c_base, c, free):
+        omega = np.where(free_rows, free, fixed)
+        delta = np.concatenate(
+            [t.flatten(order="F") for t in _cross_tables(b, c).values()])
+        out = (hess + c_base * A.T @ (omega[:, None] * A)
+               + 2.0 * c * C.T @ (delta[:, None] * C))
+        return 0.5 * (out + out.T)
+
+    return model
 
 
 def _sigma_nu_at(blocks):
-    """Singular-value and cross-block spectral brackets for one basis."""
-    A, _ = _active_rows(blocks)
+    """Singular-value and cross-block spectral brackets for one basis.
+
+    The nu bracket is the spectrum of the Gram matrix C C^T of the
+    cross-family rows, which is positive semidefinite: a smallest
+    eigenvalue within its round-off (:func:`_roundoff`) of 0 is reported
+    as 0.
+    """
+    A = _active_rows(blocks)[0]
     C = _cross_rows(blocks)
     n = A.shape[1]
     n2 = A.shape[0]
@@ -616,13 +644,20 @@ def _sigma_nu_at(blocks):
     if C.shape[0] == 0:
         return sig_lo, sig_hi, 0.0, 0.0
     ev = np.linalg.eigvalsh(C @ C.T)
-    nu_lo, nu_hi = float(ev[0]), float(ev[-1])
+    nu_lo, nu_hi = _gram_floor(ev), float(ev[-1])
     if R_tilde is not None:
         Ct = C @ R_tilde
         evt = np.linalg.eigvalsh(Ct @ Ct.T)
-        nu_lo = max(nu_lo, float(evt[0]))
+        nu_lo = max(nu_lo, _gram_floor(evt))
         nu_hi = max(nu_hi, float(evt[-1]))
     return sig_lo, sig_hi, nu_lo, nu_hi
+
+
+def _gram_floor(eigs):
+    """Smallest of the ascending eigenvalues of a Gram matrix; 0 when it
+    lies within their round-off of 0, where its sign is rounding's."""
+    low = float(eigs[0])
+    return 0.0 if abs(low) <= _roundoff(eigs) else low
 
 
 def kappa0_constant(sigma_lower, sigma_upper, eta_lower, eta_upper):
@@ -726,11 +761,10 @@ def rate_constants(problem, x, multipliers, c0=10.0, rotations=32, seed=0,
 
     eta_lower = float("inf")
     eta_upper = float("-inf")
+    model = _curvature_model(problem, x, multipliers, blocks)
     for c in _ETA_GRID:
-        low = split_penalty_matrix(problem, x, multipliers, c0, c,
-                                   free=0.0, blocks=blocks)
-        high = split_penalty_matrix(problem, x, multipliers, c0, c,
-                                    free=1.0, blocks=blocks)
+        low = model(c0, c, 0.0)
+        high = model(c0, c, 1.0)
         eta_lower = min(eta_lower, float(np.linalg.eigvalsh(low)[0]))
         eta_upper = max(eta_upper, float(np.linalg.eigvalsh(high)[-1]))
 

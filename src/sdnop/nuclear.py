@@ -430,11 +430,12 @@ def prox_divided_diff(Z, tau, group_tol=1e-8, eig=None):
     flags = np.zeros(reps.size, dtype=np.int8)
     flags[np.abs(reps - tau) <= kink_tol] = 1
     flags[np.abs(reps + tau) <= kink_tol] = -1
-    small = soft_pair_table(reps, tau, flags)
-    expand = np.empty(eig.dim, dtype=int)
-    for k, blk in enumerate(blocks.blocks):
-        expand[list(blk)] = k
-    table = small[np.ix_(expand, expand)]
+    table = soft_pair_table(reps, tau, flags)
+    if reps.size < eig.dim:
+        # blocks are consecutive runs: repeat each row and column of the
+        # block table once per eigenvalue of its block
+        sizes = [len(blk) for blk in blocks.blocks]
+        table = np.repeat(np.repeat(table, sizes, axis=0), sizes, axis=1)
     kinks = tuple((k, int(f)) for k, f in enumerate(flags) if f)
     return ProxDividedDiff(table, kinks, blocks, eig, float(tau))
 

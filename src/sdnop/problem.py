@@ -62,9 +62,19 @@ def apply_jac(jac, d):
     return np.tensordot(d, jac, axes=1)
 
 
+def _contract(a, b, shape):
+    """Product of two operands flattened to at most two axes, reshaped to
+    ``shape``: the product ``np.tensordot`` forms, without its per-call
+    index bookkeeping.  Every contraction of a coefficient stack is this
+    one call, so an overflowing one warns once, whichever map it is."""
+    return np.dot(a, b).reshape(shape)
+
+
 def adjoint_jac(jac, S):
     """Adjoint of a stacked Jacobian: coordinate pairings <(d/dx_i), S>."""
-    return np.tensordot(jac, S, axes=([1, 2], [0, 1]))
+    S = np.asarray(S)
+    n = jac.shape[0]
+    return _contract(jac.reshape(n, S.size), S.reshape(-1), n)
 
 
 # ----------------------------------------------------------------------------
@@ -73,7 +83,7 @@ def adjoint_jac(jac, S):
 
 def _sym_stack(A, name):
     A = np.asarray(A, dtype=np.float64)
-    flat = A.reshape(-1, A.shape[-2], A.shape[-1]) if A.size else A
+    flat = A.reshape(-1, A.shape[-2], A.shape[-1]) if A.size else ()
     for M in flat:
         if np.abs(M - M.T).max(initial=0.0) > 1e-8 * (1.0 + np.abs(M).max(initial=0.0)):
             raise InvalidInput(f"{name} has a non-symmetric slice")
@@ -89,6 +99,10 @@ class QuadraticMatrixMap:
     (affine map) and must be symmetric under swapping i and j.  Quadratic
     maps have exact constant second derivatives, which keeps oracle error
     out of rate experiments.
+
+    Each contraction with x or with a matrix is one product of a flat
+    view of the stack, (n, k*k) for ``Ai`` and (n, n*k*k) or (n*n, k*k)
+    for ``Aij``.
     """
 
     def __init__(self, A0, Ai, Aij=None):
@@ -106,25 +120,31 @@ class QuadraticMatrixMap:
                 raise InvalidInput(f"Aij must be ({n}, {n}, {k}, {k})")
             if np.abs(self.Aij - np.swapaxes(self.Aij, 0, 1)).max(initial=0.0) > 1e-12:
                 raise InvalidInput("Aij must be symmetric in the index pair")
+            self._Aij_flat = self.Aij.reshape(n, n * k * k)
+        self._Ai_flat = self.Ai.reshape(n, k * k)
         self.n = n
         self.k = k
 
     def value(self, x):
-        V = self.A0 + np.tensordot(x, self.Ai, axes=1)
+        n, k = self.n, self.k
+        V = self.A0 + _contract(x, self._Ai_flat, (k, k))
         if self.Aij is not None:
-            V = V + 0.5 * np.tensordot(x, np.tensordot(x, self.Aij, axes=(0, 0)), axes=(0, 0))
+            Jx = _contract(x, self._Aij_flat, (n, k * k))
+            V = V + 0.5 * _contract(x, Jx, (k, k))
         return V
 
     def jac(self, x):
         J = self.Ai
         if self.Aij is not None:
-            J = J + np.tensordot(x, self.Aij, axes=(0, 0))
+            J = J + _contract(x, self._Aij_flat, (self.n, self.k, self.k))
         return J
 
     def hess_contract(self, S):
+        n, k = self.n, self.k
         if self.Aij is None:
-            return np.zeros((self.n, self.n))
-        return np.tensordot(self.Aij, S, axes=([2, 3], [0, 1]))
+            return np.zeros((n, n))
+        return _contract(self.Aij.reshape(n * n, k * k),
+                         np.asarray(S).reshape(-1), (n, n))
 
 
 def _empty_map(n, k):

@@ -25,7 +25,6 @@ __all__ = [
     "choice_table",
     "svec",
     "smat",
-    "svec_block",
     "pinv_sym",
 ]
 
@@ -44,12 +43,13 @@ def as_symmetric(M, name="matrix"):
     M = np.asarray(M, dtype=np.float64)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise InvalidInput(f"{name} must be square, got shape {M.shape}")
-    if M.size and not np.all(np.isfinite(M)):
-        raise InvalidInput(f"{name} contains non-finite entries")
     if M.size:
-        scale = 1.0 + np.abs(M).max()
+        # the largest magnitude is inf or NaN exactly when some entry is
+        top = np.abs(M).max()
+        if not np.isfinite(top):
+            raise InvalidInput(f"{name} contains non-finite entries")
         gap = np.abs(M - M.T).max()
-        if gap > _SYM_TOL * scale:
+        if gap > _SYM_TOL * (1.0 + top):
             raise InvalidInput(f"{name} is not symmetric (asymmetry {gap:.3e})")
     # halve before adding, so finite entries near the float limit stay finite
     H = 0.5 * M
@@ -91,18 +91,24 @@ class EigenDecomposition:
 
 
 def eig_sym(M):
-    """Eigendecomposition of a symmetric matrix, descending, sign-fixed."""
+    """Eigendecomposition of a symmetric matrix, descending, sign-fixed.
+
+    Relies on ``np.linalg.eigh`` returning the eigenvalues in ascending
+    order (LAPACK's guarantee), so reversing the columns is the
+    descending order, ties included, without a sort.
+    """
     M = as_symmetric(M)
     if M.size == 0:
         return EigenDecomposition(np.zeros(0), np.zeros((0, 0)))
     vals, vecs = np.linalg.eigh(M)
-    order = np.argsort(vals, kind="stable")[::-1]
-    vals = vals[order]
-    vecs = vecs[:, order]
+    vals = vals[::-1].copy()
+    vecs = vecs[:, ::-1]
     anchor = np.argmax(np.abs(vecs), axis=0)
     signs = np.sign(vecs[anchor, np.arange(vecs.shape[1])])
     signs[signs == 0.0] = 1.0
-    return EigenDecomposition(vals, vecs * signs)
+    # column-major, the layout a column gather leaves, so that every
+    # product downstream takes the same BLAS path
+    return EigenDecomposition(vals, np.multiply(vecs, signs, order="F"))
 
 
 @dataclass(frozen=True)
@@ -225,12 +231,6 @@ def smat(v):
     M = np.zeros((q, q))
     M[i, j] = M[j, i] = v / scale
     return M
-
-
-def svec_block(M, rows):
-    """Isometric half-vectorization of the principal submatrix on ``rows``."""
-    M = np.asarray(M)
-    return svec(M[np.ix_(list(rows), list(rows))])
 
 
 def pinv_sym(M, cutoff=None):

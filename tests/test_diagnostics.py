@@ -40,7 +40,7 @@ from sdnop.problem import (
     newton_matrix_element,
 )
 from sdnop.psd_cone import aff_critical_contains
-from sdnop.spectral import eig_sym, partition_by_sign, pinv_sym, svec_block
+from sdnop.spectral import eig_sym, partition_by_sign, pinv_sym, svec
 from conftest import (
     make_full_blocks_instance,
     make_mixed_instance,
@@ -238,14 +238,13 @@ class TestBuildAQP:
         A = build_AQP(prob, ref.x, ref.multipliers, blocks=blocks)
         # alpha = {0}, beta = {1}: rows are -svec of the compressed blocks
         jac = prob.jac_g(ref.x)
+        al, bt = list(blocks.alpha), list(blocks.beta)
         for l in range(prob.n):
             comp = blocks.basis_M.T @ jac[l] @ blocks.basis_M
             np.testing.assert_allclose(
-                A.matrix[0, l], -svec_block(comp, list(blocks.alpha))[0],
-                atol=1e-12)
+                A.matrix[0, l], -svec(comp[np.ix_(al, al)])[0], atol=1e-12)
             np.testing.assert_allclose(
-                A.matrix[1, l], -svec_block(comp, list(blocks.beta))[0],
-                atol=1e-12)
+                A.matrix[1, l], -svec(comp[np.ix_(bt, bt)])[0], atol=1e-12)
 
 
 class TestNondegeneracy:
@@ -695,15 +694,28 @@ class TestRateConstants:
                                    2.0 * math.sqrt(2.0), atol=1e-14)
 
     def test_positivity_and_threshold_invariants(self):
-        for prob in (make_mixed_instance(), make_full_blocks_instance()):
+        hand_built = [make_mixed_instance(), make_full_blocks_instance()]
+        # the generated reference points have more cross-family rows than
+        # rank: the smallest Gram eigenvalue is round-off there, and it must
+        # not come out negative
+        generated = [generate_instance(*dims, profile, seed=7)
+                     for dims in ((24, 10, 3, 8), (40, 16, 4, 14))
+                     for profile in ("nondegen", "degen", "saddle")]
+        for k, prob in enumerate(hand_built + generated):
             ref = prob.reference
             rc = rate_constants(prob, ref.x, ref.multipliers)
-            assert rc.rho0 > 0.0
-            assert rc.rho1 == 2.0 * rc.rho0
+            if k < len(hand_built):
+                assert math.isfinite(rc.sigma_upper) and rc.eta_lower > 0.0
+            if math.isfinite(rc.sigma_upper) and rc.eta_lower > 0.0:
+                assert rc.rho0 > 0.0
+                assert rc.rho1 == 2.0 * rc.rho0
+            else:
+                assert math.isnan(rc.rho0) and math.isnan(rc.rho1)
             assert rc.c_bar >= (2.0 + math.sqrt(2.0)) * rc.c0
             assert rc.sigma_lower <= 1.0 <= rc.sigma_upper
             assert rc.nu_upper >= rc.nu_lower >= 0.0
-            assert rc.eta_upper >= rc.eta_lower > 0.0
+            assert rc.nu_upper_0 >= rc.nu_lower_0 >= 0.0
+            assert rc.eta_upper >= rc.eta_lower
             assert math.isnan(rc.rho2_proxy)
 
     def test_multiplicity_widens_bracket(self):

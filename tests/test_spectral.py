@@ -14,7 +14,6 @@ from sdnop.spectral import (
     pinv_sym,
     smat,
     svec,
-    svec_block,
 )
 
 
@@ -64,15 +63,6 @@ class TestSvec:
     def test_smat_rejects_bad_length(self):
         with pytest.raises(InvalidInput):
             smat(np.zeros(4))
-
-
-def test_svec_block_matches_submatrix():
-    rng = np.random.RandomState(2)
-    M = rand_sym(rng, 5)
-    rows = (1, 3, 4)
-    np.testing.assert_allclose(
-        svec_block(M, rows), svec(M[np.ix_(rows, rows)]), atol=0
-    )
 
 
 class TestEig:
