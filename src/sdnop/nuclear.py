@@ -394,6 +394,12 @@ class ProxDividedDiff:
     where the scalar table cannot represent the one-sided derivative and
     the assembler substitutes a definite-part projection or a committed
     slope table (:meth:`committed_table`).
+
+    ``complement_support`` holds bounds (lo, hi) such that 1 - table
+    vanishes to round-off on [0, lo)^2 and [hi, k)^2: lo counts the
+    eigenvalues in unflagged blocks above tau, k - hi those in unflagged
+    blocks below -tau, where the soft threshold has slope 1.  Kink blocks
+    lie between, since a committed slope table can be anything there.
     """
 
     table: np.ndarray
@@ -401,6 +407,7 @@ class ProxDividedDiff:
     blocks: DistinctBlocks
     eig: EigenDecomposition
     tau: float
+    complement_support: Tuple[int, int]
 
     def committed_table(self, up_choice, low_choice):
         """Copy of ``table`` with the committed slope tables overlaid on
@@ -427,17 +434,34 @@ def prox_divided_diff(Z, tau, group_tol=1e-8, eig=None):
     reps = blocks.values
     scale = 1.0 + (np.abs(reps).max() if reps.size else 0.0) + tau
     kink_tol = group_tol * scale
+    above, below = reps - tau, reps + tau
     flags = np.zeros(reps.size, dtype=np.int8)
-    flags[np.abs(reps - tau) <= kink_tol] = 1
-    flags[np.abs(reps + tau) <= kink_tol] = -1
+    flags[np.abs(above) <= kink_tol] = 1
+    flags[np.abs(below) <= kink_tol] = -1
     table = soft_pair_table(reps, tau, flags)
     if reps.size < eig.dim:
         # blocks are consecutive runs: repeat each row and column of the
         # block table once per eigenvalue of its block
         sizes = [len(blk) for blk in blocks.blocks]
         table = np.repeat(np.repeat(table, sizes, axis=0), sizes, axis=1)
-    kinks = tuple((k, int(f)) for k, f in enumerate(flags) if f)
-    return ProxDividedDiff(table, kinks, blocks, eig, float(tau))
+    # reps descend and a flagged block lies within kink_tol of +-tau, so
+    # the unflagged blocks above tau, those more than kink_tol above it,
+    # are a prefix and those below -tau a suffix.  Both are read off
+    # Python lists: at the solver's sizes one numpy call on these short
+    # arrays costs more than the whole loop.
+    kinks = tuple((k, f) for k, f in enumerate(flags.tolist()) if f)
+    n_up = n_low = 0
+    for a in above.tolist():
+        if a <= kink_tol:
+            break
+        n_up += 1
+    for b in reversed(below.tolist()):
+        if b >= -kink_tol:
+            break
+        n_low += 1
+    lo = blocks.blocks[n_up - 1][-1] + 1 if n_up else 0
+    hi = blocks.blocks[-n_low][0] if n_low else eig.dim
+    return ProxDividedDiff(table, kinks, blocks, eig, float(tau), (lo, hi))
 
 
 def prox_dir_deriv(Z, tau, H, group_tol=1e-8):

@@ -414,14 +414,23 @@ def multiplier_maps(problem, x, Y, mu, Gamma, c, *, point=None):
 # generalized Hessian of the augmented Lagrangian
 # ----------------------------------------------------------------------------
 
-def _hadamard_gram(Q, jac, W):
+def _hadamard_gram(Q, jac, W, lo, hi):
     """Matrix of pairings <Q^T J_i Q, W o (Q^T J_j Q)> over a Jacobian stack.
 
-    One batched congruence of the stack into the eigenbasis Q, then one
-    Hadamard-weighted Gram product of the flattened slices.
+    The symmetric table W must vanish on the corner blocks [0, lo)^2 and
+    [hi, k)^2, with lo <= hi.  Every pair that can carry weight then has
+    itself or its mirror image in the rectangle rows [0, hi) x columns
+    [lo, k): one batched congruence Q[:, :hi]^T J_i Q[:, lo:] of the
+    stack, then one Hadamard-weighted Gram product over the rectangle.
+    Outside the middle block [lo, hi)^2 the rectangle holds one pair of
+    each mirror pair, so its weights count twice.  An empty rectangle
+    gives zeros.
     """
-    G = np.matmul(np.matmul(Q.T, jac), Q).reshape(jac.shape[0], -1)
-    return (G * W.reshape(-1)) @ G.T
+    G = np.matmul(np.matmul(Q[:, :hi].T, jac), Q[:, lo:])
+    G = G.reshape(jac.shape[0], -1)
+    R = 2.0 * W[:hi, lo:]
+    R[lo:, :hi - lo] = W[lo:hi, lo:hi]
+    return (G * R.reshape(-1)) @ G.T
 
 
 def newton_matrix_element(problem, x, Y, mu, Gamma, c,
@@ -436,13 +445,19 @@ def newton_matrix_element(problem, x, Y, mu, Gamma, c,
     arguments commit the free Hadamard blocks where the shifted spectra
     sit exactly on a kink.  ``point`` is an optional ShiftedPoint built
     from the same arguments.
+
+    Both constraint blocks are Hadamard-weighted Gram products taken over
+    the support rectangle of their table (see :func:`_hadamard_gram`):
+    1 - T vanishes, to round-off, where both eigenvalues shrink on the
+    same side of the threshold, and theta where both are negative.
     """
     pt = _shifted(problem, x, Y, mu, Gamma, c, point)
     A = hess_xx_lagrangian(problem, x, pt.Yhat, pt.muhat, pt.Ghat)
 
     dd = prox_divided_diff(pt.Z, pt.tau, group_tol, eig=pt.eig_Z)
     T = dd.committed_table(up_choice, low_choice)
-    A = A + c * _hadamard_gram(pt.eig_Z.basis, pt.jac_F, 1.0 - T)
+    A = A + c * _hadamard_gram(pt.eig_Z.basis, pt.jac_F, 1.0 - T,
+                               *dd.complement_support)
 
     J = problem.jac_h(x)
     A = A + c * (J.T @ J)
@@ -450,7 +465,8 @@ def newton_matrix_element(problem, x, Y, mu, Gamma, c,
     scale = 1.0 + pt.eig_M.norm
     elem = proj_bsub_element(pt.M, beta_choice, tol=group_tol * scale,
                              eig=pt.eig_M)
-    A = A + c * _hadamard_gram(elem.basis, pt.jac_g, elem.theta.entries)
+    A = A + c * _hadamard_gram(elem.basis, pt.jac_g, elem.theta.entries,
+                               *elem.theta.support)
     return 0.5 * (A + A.T)
 
 

@@ -49,6 +49,14 @@ class ThetaMatrix:
     entries: np.ndarray
     partition: SignPartition
 
+    @property
+    def support(self):
+        """Bounds (lo, hi) with ``entries`` exactly zero on [hi, p)^2: the
+        negative rows of the descending spectrum, whose positive parts
+        vanish.  lo is 0."""
+        part = self.partition
+        return 0, len(part.pos) + len(part.zero)
+
 
 @dataclass(frozen=True)
 class ProjBsubElement:

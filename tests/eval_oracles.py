@@ -5,9 +5,11 @@ views of the coefficient stacks with one matrix product,
 ``spectral.eig_sym`` reverses ``eigh``'s ascending order instead of
 sorting, and ``nuclear.prox_divided_diff`` repeats the rows and columns
 of its block table instead of gathering them through an index built
-block by block.  The functions below are the formulas those replaced:
-``np.tensordot`` contractions, a stable argsort reorder and a loop-built
-block index.  Each rewrite must agree with its oracle bit for bit.
+block by block, and lists its kinks from a Python list of the flags.
+The functions below are the formulas those replaced: ``np.tensordot``
+contractions, a stable argsort reorder, a loop-built block index and a
+loop over the numpy flags for the kinks.  Each rewrite must agree with
+its oracle bit for bit.
 """
 
 import numpy as np
@@ -56,19 +58,31 @@ def eig_sym(M):
     return EigenDecomposition(vals, vecs * signs)
 
 
-def prox_table(eig, tau, group_tol):
-    """Soft-threshold divided-difference table over the spectrum of
-    ``eig``, expanded to eigenvalue-index pairs through a block index
-    filled block by block."""
-    blocks = group_distinct(eig, group_tol)
+def _kink_flags(blocks, tau, group_tol):
     reps = blocks.values
     scale = 1.0 + (np.abs(reps).max() if reps.size else 0.0) + tau
     kink_tol = group_tol * scale
     flags = np.zeros(reps.size, dtype=np.int8)
     flags[np.abs(reps - tau) <= kink_tol] = 1
     flags[np.abs(reps + tau) <= kink_tol] = -1
-    small = soft_pair_table(reps, tau, flags)
+    return flags
+
+
+def prox_table(eig, tau, group_tol):
+    """Soft-threshold divided-difference table over the spectrum of
+    ``eig``, expanded to eigenvalue-index pairs through a block index
+    filled block by block."""
+    blocks = group_distinct(eig, group_tol)
+    small = soft_pair_table(blocks.values, tau,
+                            _kink_flags(blocks, tau, group_tol))
     expand = np.empty(eig.dim, dtype=int)
     for k, blk in enumerate(blocks.blocks):
         expand[list(blk)] = k
     return small[np.ix_(expand, expand)]
+
+
+def kink_blocks(eig, tau, group_tol):
+    """(block position, sign) of each block on a threshold kink, listed by
+    a loop over every block."""
+    flags = _kink_flags(group_distinct(eig, group_tol), tau, group_tol)
+    return tuple((k, int(f)) for k, f in enumerate(flags) if f)

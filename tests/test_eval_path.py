@@ -98,6 +98,10 @@ def test_prox_table_matches_loop_expansion(group_tol):
             dd = prox_divided_diff(Z, tau, group_tol)
             np.testing.assert_array_equal(
                 dd.table, oracle.prox_table(dd.eig, tau, group_tol))
+            kinks = oracle.kink_blocks(dd.eig, tau, group_tol)
+            assert dd.kink_blocks == kinks
+            assert all(type(v) is int for pair in dd.kink_blocks
+                       for v in pair)
             if group_tol and len(set(vals)) < len(vals):
                 # the grouped case really expands a smaller block table
                 assert len(dd.blocks.blocks) < dd.eig.dim

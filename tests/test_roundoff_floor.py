@@ -137,7 +137,7 @@ class TestSweep:
         assert fit.iterations == (27, 8, 4, 2)
         # the three smaller penalties keep the ratios of the tol-only rule
         assert fit.ratios[:3] == pytest.approx(
-            (0.5555381793178966, 0.10285104885140617, 0.004753981651187891),
+            (0.5555381806855726, 0.10285104885140617, 0.004753999564368182),
             rel=1e-9)
         ratios = np.array(fit.ratios)
         assert np.all((ratios > 0.0) & (ratios < 1.0))

@@ -3,9 +3,18 @@
 The augmented Lagrangian's value, gradient, Newton element and multiplier
 update all read the spectra of Z = F(x) + Y/c and M = Gamma - c g(x) from
 one ShiftedPoint.  These tests check the batched Newton assembly against
-the einsum formulation it replaced, that sharing a point changes no
-result, that the bundled solves keep their iteration counts, and that a
-solve stays within its eigendecomposition budget.
+the full-table einsum formulation it replaced, that sharing a point
+changes no result, that the bundled solves keep their iteration counts,
+and that a solve stays within its eigendecomposition budget.
+
+The assembly takes each Hadamard-weighted Gram product over the support
+rectangle its table owner reports: 1 - T vanishes, to round-off, on the
+corner blocks where both eigenvalues shrink on the same side of the
+threshold, and theta on the block where both are negative.  The oracle
+sums over every entry, so it is checked at random points, at points whose
+spectra sit on the kinks with each committed choice, at spectra that
+leave the rectangle empty or without a middle block, and with F or g
+absent.  The owners' bounds are checked against their tables directly.
 """
 
 import os
@@ -15,6 +24,7 @@ import pytest
 
 import sdnop.solver as solver
 from sdnop.errors import InnerSolveError
+from sdnop.generator import generate_instance
 from sdnop.nuclear import (
     grad_moreau_env,
     moreau_env,
@@ -33,20 +43,29 @@ from sdnop.problem import (
 )
 from sdnop.psd_cone import proj_bsub_element, project_psd
 from sdnop.solver import ALMConfig, alm_solve
-from sdnop.spectral import choice_table, eig_sym
+from sdnop.spectral import EigenDecomposition, choice_table, eig_sym
 
 INSTANCES = os.path.join(os.path.dirname(os.path.dirname(__file__)),
                          "instances")
 BUNDLED = ("nondegen_small", "degen_small", "saddle_small")
 
 
+# generated nondegen shapes (n, q, m, p) with F absent and with g absent
+ABSENT = {"n8-q0-m3-p3": (8, 0, 3, 3), "n8-q3-m3-p0": (8, 3, 3, 0)}
+
+
 def _load(name):
+    if name in ABSENT:
+        return generate_instance(*ABSENT[name], profile="nondegen", seed=7)
     return load_instance(os.path.join(INSTANCES, name + ".json"))
 
 
-def newton_element_einsum(problem, x, Y, mu, Gamma, c, group_tol=1e-8):
+def newton_element_einsum(problem, x, Y, mu, Gamma, c, group_tol=1e-8,
+                          up_choice="zero", low_choice="zero",
+                          beta_choice="zero"):
     """Reference assembly: every operator decomposes its own argument and
-    the curvature blocks are contracted with einsum."""
+    the curvature blocks are contracted with einsum over the full
+    tables."""
     tau = 1.0 / c
     Yhat = grad_moreau_env(problem.F(x) + Y / c, tau) if problem.q \
         else np.zeros((0, 0))
@@ -57,9 +76,10 @@ def newton_element_einsum(problem, x, Y, mu, Gamma, c, group_tol=1e-8):
     if problem.q:
         dd = prox_divided_diff(problem.F(x) + Y / c, tau, group_tol)
         T = dd.table.copy()
-        for k, _sign in dd.kink_blocks:
+        for k, sign in dd.kink_blocks:
             idx = list(dd.blocks.blocks[k])
-            T[np.ix_(idx, idx)] = choice_table("zero", len(idx), "choice")
+            choice = up_choice if sign > 0 else low_choice
+            T[np.ix_(idx, idx)] = choice_table(choice, len(idx), "choice")
         Gs = np.einsum("ra,iab,bs->irs", dd.eig.basis.T, problem.jac_F(x),
                        dd.eig.basis, optimize=True)
         A = A + c * np.einsum("ikl,kl,jkl->ij", Gs, 1.0 - T, Gs,
@@ -70,7 +90,7 @@ def newton_element_einsum(problem, x, Y, mu, Gamma, c, group_tol=1e-8):
     if problem.p:
         M = Gamma - c * problem.g(x)
         scale = 1.0 + float(np.linalg.norm(M, 2)) if M.size else 1.0
-        elem = proj_bsub_element(M, "zero", tol=group_tol * scale)
+        elem = proj_bsub_element(M, beta_choice, tol=group_tol * scale)
         P = elem.basis
         Cs = np.einsum("ra,iab,bs->irs", P.T, problem.jac_g(x), P,
                        optimize=True)
@@ -91,19 +111,155 @@ def _random_points(problem, rng, count):
         yield x, Y, mu, Gamma
 
 
-@pytest.mark.parametrize("name", BUNDLED)
+def _assert_matches_oracle(problem, x, Y, mu, Gamma, c, group_tol,
+                          **choices):
+    A = newton_matrix_element(problem, x, Y, mu, Gamma, c,
+                              group_tol=group_tol, **choices)
+    ref = newton_element_einsum(problem, x, Y, mu, Gamma, c,
+                                group_tol=group_tol, **choices)
+    err = np.abs(A - ref).max()
+    assert err <= 1e-12 * np.abs(ref).max(), (c, group_tol, err)
+
+
+def _with_spectrum(values, rng):
+    """Symmetric matrix with the given spectrum in a random orthonormal
+    basis."""
+    k = values.size
+    U = np.linalg.qr(rng.randn(k, k))[0] if k else np.zeros((0, 0))
+    return (U * values) @ U.T
+
+
+def _shifted_at(problem, x, c, z_values, m_values, rng):
+    """Multipliers Y and Gamma that put Z = F(x) + Y/c and
+    M = Gamma - c g(x) on the given spectra."""
+    Z = _with_spectrum(z_values, rng)
+    M = _with_spectrum(m_values, rng)
+    return c * (Z - problem.F(x)), M + c * problem.g(x)
+
+
+def _table(k, rng):
+    E = rng.uniform(size=(k, k))
+    return 0.5 * (E + E.T)
+
+
+@pytest.mark.parametrize("name", BUNDLED + tuple(ABSENT))
 def test_newton_element_matches_einsum_oracle(name):
     problem = _load(name)
     rng = np.random.RandomState(31)
     for c in (1.0, 10.0, 1e3, 1e5):
         for x, Y, mu, Gamma in _random_points(problem, rng, 4):
-            for group_tol in (0.0, 1e-8):
-                A = newton_matrix_element(problem, x, Y, mu, Gamma, c,
-                                          group_tol=group_tol)
-                ref = newton_element_einsum(problem, x, Y, mu, Gamma, c,
-                                            group_tol=group_tol)
-                err = np.abs(A - ref).max()
-                assert err <= 1e-12 * np.abs(ref).max(), (c, err)
+            for group_tol in (0.0, 1e-8, 1e-3):
+                _assert_matches_oracle(problem, x, Y, mu, Gamma, c,
+                                       group_tol)
+
+
+@pytest.mark.parametrize("choice", ["zero", "identity", "table"])
+@pytest.mark.parametrize("name", BUNDLED + tuple(ABSENT))
+def test_committed_kink_choices_match_einsum_oracle(name, choice):
+    # double eigenvalues on +tau, on -tau and on 0 of M: the committed
+    # slope tables sit inside the rectangle, and with "zero" the kink
+    # blocks carry weight 1 in 1 - T
+    problem = _load(name)
+    rng = np.random.RandomState(34)
+    ref = problem.reference
+    x, mu = ref.x, ref.multipliers.mu
+    for c in (1.0, 10.0, 1e3):
+        tau = 1.0 / c
+        z = np.array([tau, tau, -tau, -tau, 2.0, 0.3 * tau, -1.5])
+        z = z[:problem.q]
+        m = np.array([0.0, 0.0, -1.0, 1.5, -2.0])[:problem.p]
+        Y, Gamma = _shifted_at(problem, x, c, z, m, rng)
+        pt = ShiftedPoint(problem, x, Y, mu, Gamma, c)
+        for group_tol in (1e-8, 1e-3):
+            dd = prox_divided_diff(pt.Z, tau, group_tol, eig=pt.eig_Z)
+            kinks = {sign: len(dd.blocks.blocks[k])
+                     for k, sign in dd.kink_blocks}
+            assert kinks == {sign: int(np.sum(z == sign * tau))
+                             for sign in (1, -1) if np.any(z == sign * tau)}
+            zero = int(np.sum(m == 0.0))
+            if choice == "table":
+                choices = dict(up_choice=_table(kinks.get(1, 0), rng),
+                               low_choice=_table(kinks.get(-1, 0), rng),
+                               beta_choice=_table(zero, rng))
+            else:
+                choices = dict(up_choice=choice, low_choice=choice,
+                               beta_choice=choice)
+            _assert_matches_oracle(problem, x, Y, mu, Gamma, c, group_tol,
+                                   **choices)
+
+
+@pytest.mark.parametrize("layout", ["above", "below", "split"])
+@pytest.mark.parametrize("name", BUNDLED + tuple(ABSENT))
+def test_rectangle_edges_match_einsum_oracle(name, layout):
+    # "above" and "below" put every eigenvalue of Z beyond one kink, an
+    # empty rectangle for 1 - T, with M negative (an empty one for theta)
+    # or positive (the full table); "split" puts them on both sides, so
+    # neither table has a middle block
+    problem = _load(name)
+    rng = np.random.RandomState(35)
+    ref = problem.reference
+    x, mu = ref.x, ref.multipliers.mu
+    for c in (1.0, 10.0, 1e3):
+        tau = 1.0 / c
+        signs = {"above": np.ones(7), "below": -np.ones(7),
+                 "split": np.array([1.0, -1.0] * 4)[:7]}[layout]
+        z = signs[:problem.q] * (tau + rng.uniform(0.5, 2.0, problem.q))
+        m = -signs[:problem.p] * rng.uniform(0.5, 2.0, problem.p)
+        Y, Gamma = _shifted_at(problem, x, c, z, m, rng)
+        pt = ShiftedPoint(problem, x, Y, mu, Gamma, c)
+        elem = proj_bsub_element(pt.M, eig=pt.eig_M)
+        assert elem.theta.support == (0, int(np.sum(m > 0.0)))
+        above = int(np.sum(z > 0.0))
+        for group_tol in (0.0, 1e-8, 1e-3):
+            dd = prox_divided_diff(pt.Z, tau, group_tol, eig=pt.eig_Z)
+            assert dd.complement_support == (above, above)
+            _assert_matches_oracle(problem, x, Y, mu, Gamma, c, group_tol)
+
+
+def _test_spectra(rng):
+    """Descending spectra with a threshold tau: random ones, and ones
+    built from eigenvalues on +-tau, at 0, within 1e-10 of +-tau and in
+    near-equal pairs."""
+    for _ in range(60):
+        tau = 10.0 ** rng.uniform(-3.0, 0.0)
+        k = rng.randint(1, 12)
+        E = rng.randn(k, k)
+        yield tau, eig_sym(E + E.T).values * 10.0 ** rng.uniform(-1.0, 1.0)
+        pool = np.array([tau, -tau, 0.0, tau * (1.0 + 1e-10),
+                         -tau * (1.0 + 1e-10), 0.5 * tau, 3.0 * tau,
+                         3.0 * tau * (1.0 + 1e-9), -2.0, -2.0 - 1e-9])
+        yield tau, np.sort(rng.choice(pool, size=k))[::-1]
+
+
+def test_tables_vanish_outside_their_support():
+    # theta is exactly 0 on [hi, p)^2.  1 - T is 0 up to the round-off of
+    # a difference quotient of two rounded differences, about
+    # eps (|v_a| + |v_b|) / |v_a - v_b|, which exceeds 4 eps at close
+    # eigenvalues; equal representatives give exactly 0
+    eps = np.finfo(float).eps
+    rng = np.random.RandomState(36)
+    for tau, values in _test_spectra(rng):
+        eig = EigenDecomposition(values, np.eye(values.size))
+        for group_tol in (0.0, 1e-8, 1e-3):
+            dd = prox_divided_diff(None, tau, group_tol, eig=eig)
+            lo, hi = dd.complement_support
+            assert 0 <= lo <= hi <= values.size
+            v = np.repeat(dd.blocks.values, [len(b) for b in dd.blocks.blocks])
+            gap = np.abs(v[:, None] - v[None, :])
+            mag = np.abs(v)[:, None] + np.abs(v)[None, :]
+            bound = 4.0 * eps * np.maximum(
+                1.0, mag / np.where(gap > 0.0, gap, np.inf))
+            for choice in ("zero", "identity"):
+                W = 1.0 - dd.committed_table(choice, choice)
+                for corner in (np.s_[:lo, :lo], np.s_[hi:, hi:]):
+                    assert np.all(np.abs(W[corner]) <= bound[corner]), \
+                        (tau, values, group_tol)
+            for tol in (None, group_tol * (1.0 + eig.norm)):
+                for beta in ("zero", "identity"):
+                    theta = proj_bsub_element(None, beta, tol, eig=eig).theta
+                    lo, hi = theta.support
+                    assert lo == 0
+                    assert not theta.entries[hi:, hi:].any()
 
 
 @pytest.mark.parametrize("name", BUNDLED)
