@@ -32,7 +32,12 @@ from .problem import (
     hess_xx_lagrangian,
     kkt_residual,
 )
-from .solver import ALMConfig, alm_solve, require_resolvable_penalty
+from .solver import (
+    ALMConfig,
+    InnerConfig,
+    alm_solve,
+    require_resolvable_penalty,
+)
 from .spectral import (
     EigenDecomposition,
     eig_sym,
@@ -58,6 +63,9 @@ _ETA_GRID = (10.0, 100.0, 1000.0, 10000.0)
 _SWEEP_TARGET = 1e-12
 _SWEEP_MAX_OUTER = 60
 _RATIO_FLOOR = 1e-11
+# the sweep measures the contraction of the exact multiplier method, so
+# every inner solve runs to grad_tol (or the floor), not to a forcing term
+SWEEP_INNER = InnerConfig(grad_tol_rel=0.0)
 
 
 # ----------------------------------------------------------------------------
@@ -900,7 +908,8 @@ def _sweep_one(problem, reference, c, delta, u):
     y0 = MultiplierTriple(ref_y.Y + delta * u.Y, ref_y.mu + delta * u.mu,
                           ref_y.Gamma + delta * u.Gamma)
     config = ALMConfig(c0=c, outer_tol=_SWEEP_TARGET,
-                       max_outer=_SWEEP_MAX_OUTER, c_max=c)
+                       max_outer=_SWEEP_MAX_OUTER, inner=SWEEP_INNER,
+                       c_max=c)
     converged = True
     try:
         _, trace = alm_solve(problem, y0, config,

@@ -329,10 +329,12 @@ class ShiftedPoint:
     Z = F(x) + Y/c and the PSD projection at M = Gamma - c g(x).  Each is a
     function of one eigendecomposition, taken here once and shared by the
     value, the gradient, the Newton element and the multiplier update.
-    The envelope gradient Yhat, the projection Ghat and the Jacobians are
-    formed on first use.  Every attribute is set for every problem: an
-    absent F or g gives a 0x0 Z or M (whose decomposition calls no
-    eigensolver) and m = 0 gives empty ``hx`` and ``muhat``.
+    The envelope gradient Yhat, the projection Ghat, the Jacobians and
+    the gradient are formed on first use; F(x), h(x) and g(x) are kept
+    for the KKT residual at the multiplier update.  Every attribute is
+    set for every problem: an absent F or g gives a 0x0 Z or M (whose
+    decomposition calls no eigensolver) and m = 0 gives empty ``hx`` and
+    ``muhat``.
     """
 
     def __init__(self, problem, x, Y, mu, Gamma, c):
@@ -340,11 +342,13 @@ class ShiftedPoint:
         self.problem = problem
         self.x = x
         self.tau = 1.0 / c
-        self.Z = problem.F(x) + Y / c
+        self.Fx = problem.F(x)
+        self.Z = self.Fx + Y / c
         self.eig_Z = eig_sym(self.Z)
         self.hx = problem.h(x)
         self.muhat = mu + c * self.hx
-        self.M = Gamma - c * problem.g(x)
+        self.gx = problem.g(x)
+        self.M = Gamma - c * self.gx
         self.eig_M = eig_sym(self.M)
 
     @cached_property
@@ -364,6 +368,15 @@ class ShiftedPoint:
     @cached_property
     def jac_g(self):
         return self.problem.jac_g(self.x)
+
+    @cached_property
+    def grad(self):
+        """Gradient in x of the augmented Lagrangian, which is the
+        Lagrangian gradient at the multiplier update (Yhat, muhat, Ghat)."""
+        p, x = self.problem, self.x
+        return (p.grad_f(x) + adjoint_jac(self.jac_F, self.Yhat)
+                + p.jac_h(x).T @ self.muhat
+                - adjoint_jac(self.jac_g, self.Ghat))
 
 
 def _shifted(problem, x, Y, mu, Gamma, c, point):
@@ -393,9 +406,7 @@ def aug_lagrangian_grad(problem, x, Y, mu, Gamma, c, *, point=None):
 
     ``point`` is an optional ShiftedPoint built from the same arguments.
     """
-    pt = _shifted(problem, x, Y, mu, Gamma, c, point)
-    return (problem.grad_f(x) + adjoint_jac(pt.jac_F, pt.Yhat)
-            + problem.jac_h(x).T @ pt.muhat - adjoint_jac(pt.jac_g, pt.Ghat))
+    return _shifted(problem, x, Y, mu, Gamma, c, point).grad
 
 
 def multiplier_maps(problem, x, Y, mu, Gamma, c, *, point=None):
@@ -474,23 +485,33 @@ def newton_matrix_element(problem, x, Y, mu, Gamma, c,
 # KKT residual
 # ----------------------------------------------------------------------------
 
-def kkt_residual(problem, x, Y, mu, Gamma):
+def kkt_residual(problem, x, Y, mu, Gamma, *, point=None):
     """Componentwise KKT residual at (x, Y, mu, Gamma).
 
     The subgradient component uses the norm characterization of the
     nuclear-norm subdifferential (dual-ball feasibility plus the pairing
     gap), which is continuous in (x, Y); a blockwise eigenstructure test
     would jump when eigenvalues of F(x) cross zero.
+
+    ``point`` is an optional ShiftedPoint at x whose multiplier update
+    (``multiplier_maps``) is (Y, mu, Gamma).  Its gradient is then the
+    Lagrangian gradient here, and its F(x), h(x) and g(x) are reused.
+    Y and Gamma are still decomposed as formed: the spectra of Z and M
+    give their eigenvalues only up to the round-off of forming them,
+    which can decide a residual near the round-off floor.
     """
-    stat = float(np.linalg.norm(grad_x_lagrangian(problem, x, Y, mu, Gamma)))
-    Fx = problem.F(x)
+    if point is None:
+        grad = grad_x_lagrangian(problem, x, Y, mu, Gamma)
+        Fx, hx, gx = problem.F(x), problem.h(x), problem.g(x)
+    else:
+        grad, Fx, hx, gx = point.grad, point.Fx, point.hx, point.gx
+    stat = float(np.linalg.norm(grad))
     Ys = as_symmetric(Y, "Y")
     ball = max(0.0, float(np.abs(np.linalg.eigvalsh(Ys)).max(initial=0.0))
                - 1.0)
     gap = abs(float(nuclear_norm(Fx)) - float(np.sum(Fx * Ys)))
     sub = max(ball, gap)
-    eq = float(np.linalg.norm(problem.h(x)))
-    gx = problem.g(x)
+    eq = float(np.linalg.norm(hx))
     cone = float(np.linalg.norm(gx - project_psd(gx)[0]))
     Gs = as_symmetric(Gamma, "Gamma")
     dual = float(max(0.0, -np.linalg.eigvalsh(Gs).min(initial=0.0)))
@@ -508,7 +529,10 @@ def dual_value_and_grad(problem, Y, mu, Gamma, c, x0, inner_cfg=None):
     Minimizes the augmented Lagrangian in x from x0 and differentiates the
     dual: the gradient components are the scaled multiplier moves, so one
     dual gradient-ascent step with stepsize c reproduces multiplier_maps
-    exactly.  Returns (value, gradient triple, inner minimizer).
+    exactly.  The inner solve gets no outer residual, so it runs to the
+    absolute ``grad_tol`` (or the round-off floor) whatever
+    ``grad_tol_rel`` is.  Returns (value, gradient triple, inner
+    minimizer).
     """
     from .solver import InnerConfig, inner_minimize
 

@@ -5,8 +5,10 @@ triple through the closed-form maps, grow the penalty tenfold (up to
 ``c_max``) when the KKT residual stalls, stop on the KKT residual.  Inner
 loop: Newton's method on the continuously differentiable (but not twice
 differentiable) augmented Lagrangian, using generalized-Hessian elements
-with a Levenberg shift and an Armijo line search.  Both loops also stop
-at the round-off floor of the gradient,
+with a Levenberg shift and an Armijo line search, run by default only to
+1e-2 times the last KKT residual (a forcing sequence; the first inner
+solve, with no residual before it, runs to the absolute tolerance).  Both
+loops also stop at the round-off floor of the gradient,
 eps (||grad f|| + c ||DF|| ||Z||_2 + ||Jh|| ||muhat|| + ||Dg|| ||M||_2),
 where Z and M are the shifted matrices of the current point: with a large
 penalty an absolute tolerance can lie below what the arithmetic resolves.
@@ -100,14 +102,17 @@ class InnerConfig:
     """Newton inner-loop parameters.
 
     ``grad_tol`` is absolute; ``grad_tol_rel`` scales the previous outer
-    residual into an additional (looser) target, giving a forcing sequence
-    when positive.  The loop also stops once the gradient norm reaches its
-    round-off floor, which large penalties can lift above ``grad_tol``
-    (see ``inner_minimize``).
+    residual into a looser target, a forcing sequence that solves each
+    subproblem only as accurately as the outer residual calls for
+    (Rockafellar's inexact criteria).  The first outer iteration has no
+    previous residual and solves to ``grad_tol``; ``grad_tol_rel = 0``
+    makes every solve exact, as rate experiments need.  The loop also
+    stops once the gradient norm reaches its round-off floor, which
+    large penalties can lift above ``grad_tol`` (see ``inner_minimize``).
     """
 
     grad_tol: float = 1e-12
-    grad_tol_rel: float = 0.0
+    grad_tol_rel: float = 1e-2
     max_iter: int = 100
 
     def __post_init__(self):
@@ -415,7 +420,8 @@ def alm_solve(problem, y0, config, x0, reference=None):
             raise
         y_next = multiplier_maps(problem, x, y.Y, y.mu, y.Gamma, c,
                                  point=istats.point)
-        res = kkt_residual(problem, x, y_next.Y, y_next.mu, y_next.Gamma)
+        res = kkt_residual(problem, x, y_next.Y, y_next.mu, y_next.Gamma,
+                           point=istats.point)
         dx = dy = float("nan")
         if reference is not None:
             dx = float(np.linalg.norm(x - reference.x))

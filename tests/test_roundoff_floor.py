@@ -17,6 +17,7 @@ import pytest
 
 from sdnop import cli
 from sdnop.diagnostics import (
+    SWEEP_INNER,
     _contraction_ratios,
     _unit_perturbation,
     rate_sweep,
@@ -117,9 +118,11 @@ class TestOuterStop:
                                           iterations):
         # the 1e-12 target lies at the KKT residual's floor here: on the
         # target alone c=1e3 wanders 7 more outer iterations and c=1e4
-        # never finishes its first inner solve
+        # never finishes its first inner solve.  The sweep's exact inner
+        # solves are used: with the forcing default c=1e4 takes 3
         problem = sweep_instance
-        config = ALMConfig(c0=c, c_max=c, outer_tol=1e-12, max_outer=60)
+        config = ALMConfig(c0=c, c_max=c, outer_tol=1e-12, max_outer=60,
+                           inner=SWEEP_INNER)
         point, trace = alm_solve(problem, _perturbed_start(problem), config,
                                  problem.reference.x,
                                  reference=problem.reference)

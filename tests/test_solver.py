@@ -5,14 +5,18 @@ classical multiplier-method loop whose inner minimizer is an exact linear
 solve.
 """
 
+import os
+
 import numpy as np
 import pytest
 
+from sdnop import diagnostics
 from sdnop.errors import InnerSolveError, InvalidInput, MaxIterations
 from sdnop.problem import (
     MultiplierTriple,
     aug_lagrangian_value,
     dual_value_and_grad,
+    load_instance,
     multiplier_maps,
 )
 from sdnop.solver import (
@@ -23,6 +27,9 @@ from sdnop.solver import (
     inner_minimize,
     penalty_update,
 )
+
+INSTANCES = os.path.join(os.path.dirname(os.path.dirname(__file__)),
+                         "instances")
 
 
 class TestConfigs:
@@ -126,6 +133,41 @@ class TestInnerMinimize:
         x, stats = inner_minimize(problem, y, 10.0, np.array([1.0, 1.0, 1.0]),
                                   cfg, outer_residual=1.0)
         assert stats.grad_norm <= 0.1
+
+
+class TestForcingDefault:
+    """A default solve stops each inner loop at 1e-2 times the previous KKT
+    residual; the rate sweep keeps exact inner solves."""
+
+    def test_default_relative_tolerance(self):
+        assert InnerConfig().grad_tol_rel == 1e-2
+        assert ALMConfig().inner.grad_tol_rel == 1e-2
+
+    def test_rate_sweep_solves_exactly(self, monkeypatch):
+        problem = load_instance(os.path.join(INSTANCES, "nondegen_small.json"))
+        seen = []
+
+        def recording(problem, y0, config, x0, reference=None):
+            seen.append(config.inner.grad_tol_rel)
+            return alm_solve(problem, y0, config, x0, reference=reference)
+
+        monkeypatch.setattr(diagnostics, "alm_solve", recording)
+        diagnostics.rate_sweep(problem, problem.reference, (10.0, 100.0),
+                               seed=7)
+        assert seen == [0.0, 0.0]
+
+    @pytest.mark.parametrize("name", ["nondegen_small", "degen_small"])
+    def test_fewer_newton_steps_than_exact(self, name):
+        problem = load_instance(os.path.join(INSTANCES, name + ".json"))
+        y0 = MultiplierTriple.zeros(problem)
+        x0 = np.zeros(problem.n)
+        exact_cfg = ALMConfig(inner=diagnostics.SWEEP_INNER)
+        _, exact = alm_solve(problem, y0, exact_cfg, x0)
+        point, forced = alm_solve(problem, y0, ALMConfig(), x0)
+        assert sum(forced.inner_iterations) < sum(exact.inner_iterations)
+        assert len(forced) == len(exact)
+        assert forced.stop == exact.stop == "tol"
+        assert point.residual.total <= 1e-8
 
 
 class TestPenaltyUpdate:

@@ -23,6 +23,7 @@ import numpy as np
 import pytest
 
 import sdnop.solver as solver
+from sdnop.diagnostics import SWEEP_INNER
 from sdnop.errors import InnerSolveError
 from sdnop.generator import generate_instance
 from sdnop.nuclear import (
@@ -36,7 +37,9 @@ from sdnop.problem import (
     ShiftedPoint,
     aug_lagrangian_grad,
     aug_lagrangian_value,
+    grad_x_lagrangian,
     hess_xx_lagrangian,
+    kkt_residual,
     load_instance,
     multiplier_maps,
     newton_matrix_element,
@@ -281,17 +284,21 @@ def test_shared_point_changes_nothing(name):
         for a, b in ((shared.Y, fresh.Y), (shared.mu, fresh.mu),
                      (shared.Gamma, fresh.Gamma)):
             np.testing.assert_array_equal(a, b)
+        # the residual at the update reuses the point's gradient and values
+        update = (problem, x, shared.Y, shared.mu, shared.Gamma)
+        np.testing.assert_array_equal(pt.grad, grad_x_lagrangian(*update))
+        assert kkt_residual(*update, point=pt) == kkt_residual(*update)
 
 
-def _solve_bundled(name):
+def _solve_bundled(name, config=None):
     problem = _load(name)
     y0 = MultiplierTriple.zeros(problem)
-    return alm_solve(problem, y0, ALMConfig(), np.zeros(problem.n))
+    return alm_solve(problem, y0, config or ALMConfig(), np.zeros(problem.n))
 
 
 @pytest.mark.parametrize("name, inner", [
-    ("nondegen_small", [5, 4, 3, 3, 3, 2, 2, 2]),
-    ("degen_small", [5, 3, 4, 4, 4, 2, 2, 1]),
+    ("nondegen_small", [5, 2, 2, 2, 2, 2, 2, 2]),
+    ("degen_small", [5, 2, 2, 3, 3, 1, 1, 1]),
 ])
 def test_bundled_iteration_counts_pinned(name, inner):
     _point, trace = _solve_bundled(name)
@@ -305,8 +312,10 @@ def test_saddle_inner_failure_pinned():
     assert info.value.stats.iterations == 100
 
 
-def test_eigendecomposition_budget(monkeypatch):
-    counts = {"eig": 0, "newton": 0}
+def _counted_solve(monkeypatch, config):
+    """Decompositions, Newton steps, ShiftedPoints and KKT residuals of a
+    solve of nondegen_small from the origin, with its trace."""
+    counts = {"eig": 0, "newton": 0, "point": 0, "residual": 0}
 
     def counting(fn, key):
         def wrapped(*args, **kwargs):
@@ -317,11 +326,30 @@ def test_eigendecomposition_budget(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", counting(np.linalg.eigh, "eig"))
     monkeypatch.setattr(np.linalg, "eigvalsh",
                         counting(np.linalg.eigvalsh, "eig"))
-    monkeypatch.setattr(solver, "_newton_direction",
-                        counting(solver._newton_direction, "newton"))
-    _point, trace = _solve_bundled("nondegen_small")
+    for name, key in (("_newton_direction", "newton"),
+                      ("ShiftedPoint", "point"), ("kkt_residual", "residual")):
+        monkeypatch.setattr(solver, name,
+                            counting(getattr(solver, name), key))
+    _point, trace = _solve_bundled("nondegen_small", config)
     assert counts["newton"] == sum(trace.inner_iterations)
+    assert counts["residual"] == len(trace) + 1
+    return counts
+
+
+def test_eigendecomposition_budget(monkeypatch):
+    counts = _counted_solve(monkeypatch, ALMConfig(inner=SWEEP_INNER))
     assert counts["eig"] <= 4.5 * counts["newton"]
+
+
+def test_eigendecomposition_count_under_forcing(monkeypatch):
+    # the forcing default takes fewer Newton steps per outer iteration,
+    # while each outer residual still makes its four calls, so the ratio
+    # per step is no budget here; the count itself is exact: one
+    # decomposition of Z and one of M per point, four per residual
+    counts = _counted_solve(monkeypatch, ALMConfig())
+    assert counts["eig"] == 2 * counts["point"] + 4 * counts["residual"]
+    assert (counts["eig"], counts["point"], counts["residual"]) == \
+        (90, 27, 9)
 
 
 def test_operators_skip_decomposition_when_given_one(monkeypatch):
