@@ -431,31 +431,31 @@ def prox_divided_diff(Z, tau, group_tol=1e-8, eig=None):
     if eig is None:
         eig = eig_sym(Z)
     blocks = group_distinct(eig, group_tol)
-    reps = blocks.values
-    scale = 1.0 + (np.abs(reps).max() if reps.size else 0.0) + tau
-    kink_tol = group_tol * scale
-    above, below = reps - tau, reps + tau
-    flags = np.zeros(reps.size, dtype=np.int8)
-    flags[np.abs(above) <= kink_tol] = 1
-    flags[np.abs(below) <= kink_tol] = -1
-    table = soft_pair_table(reps, tau, flags)
-    if reps.size < eig.dim:
+    # the kink flags and the support bounds are read off Python lists: at
+    # the solver's sizes one numpy call on these short arrays costs more
+    # than the whole loop
+    reps = blocks.values.tolist()
+    kink_tol = group_tol * (1.0 + max(map(abs, reps), default=0.0) + tau)
+    above = [v - tau for v in reps]
+    below = [v + tau for v in reps]
+    flags = [-1 if abs(b) <= kink_tol else 1 if abs(a) <= kink_tol else 0
+             for a, b in zip(above, below)]
+    table = soft_pair_table(blocks.values, tau, np.array(flags, dtype=np.int8))
+    if len(reps) < eig.dim:
         # blocks are consecutive runs: repeat each row and column of the
         # block table once per eigenvalue of its block
         sizes = [len(blk) for blk in blocks.blocks]
         table = np.repeat(np.repeat(table, sizes, axis=0), sizes, axis=1)
     # reps descend and a flagged block lies within kink_tol of +-tau, so
     # the unflagged blocks above tau, those more than kink_tol above it,
-    # are a prefix and those below -tau a suffix.  Both are read off
-    # Python lists: at the solver's sizes one numpy call on these short
-    # arrays costs more than the whole loop.
-    kinks = tuple((k, f) for k, f in enumerate(flags.tolist()) if f)
+    # are a prefix and those below -tau a suffix
+    kinks = tuple((k, f) for k, f in enumerate(flags) if f)
     n_up = n_low = 0
-    for a in above.tolist():
+    for a in above:
         if a <= kink_tol:
             break
         n_up += 1
-    for b in reversed(below.tolist()):
+    for b in reversed(below):
         if b >= -kink_tol:
             break
         n_low += 1

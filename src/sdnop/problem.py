@@ -12,6 +12,7 @@ elements of the augmented Lagrangian, and the local dual function.
 """
 
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -26,7 +27,12 @@ from .nuclear import (
     prox_divided_diff,
 )
 from .psd_cone import proj_bsub_element, project_psd
-from .spectral import as_symmetric, eig_sym
+from .spectral import (
+    as_symmetric,
+    check_symmetric,
+    eig_symmetrized,
+    symmetric_part,
+)
 
 __all__ = [
     "QuadraticMatrixMap",
@@ -35,6 +41,7 @@ __all__ = [
     "KKTResidual",
     "KKTPoint",
     "ShiftedPoint",
+    "check_multipliers",
     "triple_diff_norm",
     "lagrangian",
     "grad_x_lagrangian",
@@ -266,7 +273,11 @@ def triple_diff_norm(a, b):
 
 @dataclass(frozen=True)
 class KKTResidual:
-    """Componentwise first-order optimality residual (all nonnegative)."""
+    """Componentwise first-order optimality residual (all nonnegative).
+
+    ``total`` is the largest component, and NaN when any component is:
+    a residual on NaN data never meets a tolerance.
+    """
 
     stationarity: float
     subgradient: float
@@ -277,8 +288,11 @@ class KKTResidual:
 
     @property
     def total(self):
-        return max(self.stationarity, self.subgradient, self.equality,
-                   self.cone, self.dual, self.complementarity)
+        parts = (self.stationarity, self.subgradient, self.equality,
+                 self.cone, self.dual, self.complementarity)
+        if any(math.isnan(v) for v in parts):
+            return math.nan
+        return max(parts)
 
     def as_dict(self):
         return {
@@ -329,6 +343,10 @@ class ShiftedPoint:
     Z = F(x) + Y/c and the PSD projection at M = Gamma - c g(x).  Each is a
     function of one eigendecomposition, taken here once and shared by the
     value, the gradient, the Newton element and the multiplier update.
+    ``Z`` and ``M`` are kept symmetrized; a non-finite entry in either is
+    an InvalidInput that names it.  Y and Gamma are not tested for
+    symmetry here: the callers check them once, where they enter
+    (``check_multipliers``).
     The envelope gradient Yhat, the projection Ghat, the Jacobians and
     the gradient are formed on first use; F(x), h(x) and g(x) are kept
     for the KKT residual at the multiplier update.  Every attribute is
@@ -343,13 +361,13 @@ class ShiftedPoint:
         self.x = x
         self.tau = 1.0 / c
         self.Fx = problem.F(x)
-        self.Z = self.Fx + Y / c
-        self.eig_Z = eig_sym(self.Z)
+        self.Z = symmetric_part(self.Fx + Y / c, "F(x) + Y/c")
+        self.eig_Z = eig_symmetrized(self.Z)
         self.hx = problem.h(x)
         self.muhat = mu + c * self.hx
         self.gx = problem.g(x)
-        self.M = Gamma - c * self.gx
-        self.eig_M = eig_sym(self.M)
+        self.M = symmetric_part(Gamma - c * self.gx, "Gamma - c g(x)")
+        self.eig_M = eig_symmetrized(self.M)
 
     @cached_property
     def Yhat(self):
@@ -379,9 +397,18 @@ class ShiftedPoint:
                 - adjoint_jac(self.jac_g, self.Ghat))
 
 
+def check_multipliers(Y, Gamma):
+    """Reject a Y or Gamma that is not square, finite and symmetric to
+    round-off (see :func:`spectral.check_symmetric`), naming it."""
+    check_symmetric(Y, "Y")
+    check_symmetric(Gamma, "Gamma")
+
+
 def _shifted(problem, x, Y, mu, Gamma, c, point):
-    return point if point is not None \
-        else ShiftedPoint(problem, x, Y, mu, Gamma, c)
+    if point is not None:
+        return point
+    check_multipliers(Y, Gamma)
+    return ShiftedPoint(problem, x, Y, mu, Gamma, c)
 
 
 def aug_lagrangian_value(problem, x, Y, mu, Gamma, c, *, point=None):

@@ -163,7 +163,8 @@ def proj_bsub_element(M, beta_choice="zero", tol=None, eig=None):
     beta_choice : {"zero", "identity"} or ndarray
         The Hadamard block on the zero-zero rows, a free choice inside
         [0, 1]: "zero" damps them out, "identity" passes them through, or
-        give an explicit symmetric table with entries in [0, 1].
+        give an explicit symmetric table with entries in [0, 1].  It is
+        read, and validated, only when M has a zero block.
     tol : float, optional
         Sign tolerance for the partition.
     eig : EigenDecomposition, optional
@@ -174,9 +175,9 @@ def proj_bsub_element(M, beta_choice="zero", tol=None, eig=None):
     part = partition_by_sign(eig, tol)
     zero = list(part.zero)
     table = psd_pair_table(eig.values, _zero_mask(eig, part))
-    omega = choice_table(beta_choice, len(zero), "beta_choice")
     if zero:
-        table[np.ix_(zero, zero)] = omega
+        table[np.ix_(zero, zero)] = choice_table(beta_choice, len(zero),
+                                                 "beta_choice")
     return ProjBsubElement(eig.basis, ThetaMatrix(table, part))
 
 

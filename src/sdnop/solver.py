@@ -7,8 +7,8 @@ loop: Newton's method on the continuously differentiable (but not twice
 differentiable) augmented Lagrangian, using generalized-Hessian elements
 with a Levenberg shift and an Armijo line search, run by default only to
 1e-2 times the last KKT residual (a forcing sequence; the first inner
-solve, with no residual before it, runs to the absolute tolerance).  Both
-loops also stop at the round-off floor of the gradient,
+solve is forced by the residual at the starting point).  Both loops also
+stop at the round-off floor of the gradient,
 eps (||grad f|| + c ||DF|| ||Z||_2 + ||Jh|| ||muhat|| + ||Dg|| ||M||_2),
 where Z and M are the shifted matrices of the current point: with a large
 penalty an absolute tolerance can lie below what the arithmetic resolves.
@@ -30,6 +30,7 @@ from .problem import (
     ShiftedPoint,
     aug_lagrangian_grad,
     aug_lagrangian_value,
+    check_multipliers,
     kkt_residual,
     multiplier_maps,
     newton_matrix_element,
@@ -104,9 +105,10 @@ class InnerConfig:
     ``grad_tol`` is absolute; ``grad_tol_rel`` scales the previous outer
     residual into a looser target, a forcing sequence that solves each
     subproblem only as accurately as the outer residual calls for
-    (Rockafellar's inexact criteria).  The first outer iteration has no
-    previous residual and solves to ``grad_tol``; ``grad_tol_rel = 0``
-    makes every solve exact, as rate experiments need.  The loop also
+    (Rockafellar's inexact criteria).  ``alm_solve`` forces its first
+    subproblem by the KKT residual at the starting point; a non-finite
+    residual forces nothing, and ``grad_tol_rel = 0`` makes every solve
+    exact, as rate experiments need.  The loop also
     stops once the gradient norm reaches its round-off floor, which
     large penalties can lift above ``grad_tol`` (see ``inner_minimize``).
     """
@@ -233,7 +235,6 @@ def _eigenvalue_below_floor(A, floor):
 
 def _newton_direction(A, grad):
     """Levenberg-shifted Newton direction; returns (d, shifted, steepest)."""
-    shift = 0.0
     shifted = False
     lmin = _eigenvalue_below_floor(A, _PD_FLOOR)
     if lmin is not None:
@@ -245,7 +246,8 @@ def _newton_direction(A, grad):
         if lmin + shift < _PD_FLOOR:
             return -grad, False, True
         shifted = True
-    d = np.linalg.solve(A + shift * np.eye(A.shape[0]), -grad)
+        A = A + shift * np.eye(A.shape[0])
+    d = np.linalg.solve(A, -grad)
     if grad @ d >= 0.0:
         return -grad, shifted, True
     return d, shifted, False
@@ -295,12 +297,15 @@ def inner_minimize(problem, y, c, x0, cfg, outer_residual=None):
     max(grad_tol, grad_tol_rel * outer_residual, floor), where floor is the
     gradient's round-off floor at the current point (see
     ``_roundoff_floor``; the data scales in it are taken once, at x0).
-    ``InnerStats.stop`` records which bound was met.  Raises
-    InnerSolveError with the best iterate if max_iter is exhausted first.
+    An ``outer_residual`` that is None, infinite or NaN drops the middle
+    term.  ``InnerStats.stop`` records which bound was met.  Raises
+    InnerSolveError with the best iterate if max_iter is exhausted first,
+    and InvalidInput if y.Y or y.Gamma is not a finite symmetric matrix.
     """
+    check_multipliers(y.Y, y.Gamma)
     x = np.array(x0, dtype=np.float64)
     tol = cfg.grad_tol
-    if outer_residual is not None and cfg.grad_tol_rel > 0.0:
+    if outer_residual is not None and math.isfinite(outer_residual):
         tol = max(tol, cfg.grad_tol_rel * outer_residual)
     shifted_steps = 0
     steepest_steps = 0
@@ -396,7 +401,9 @@ def alm_solve(problem, y0, config, x0, reference=None):
     A run converges when the KKT residual drops below ``outer_tol``, or
     when it is finite and within a small multiple of the last inner
     solve's round-off floor, which a large penalty can lift above
-    ``outer_tol``; ``ALMTrace.stop`` records which.
+    ``outer_tol``; ``ALMTrace.stop`` records which.  Each inner solve is
+    forced by the residual before it, the first by the residual at
+    (x0, y0), while the penalty first grows after two outer residuals.
     Returns (KKTPoint, ALMTrace) on convergence.  Raises MaxIterations
     (carrying the trace and last iterate) if max_outer is exhausted, and
     propagates InnerSolveError (with the partial trace attached) if an
@@ -414,7 +421,7 @@ def alm_solve(problem, y0, config, x0, reference=None):
     for _k in range(config.max_outer):
         try:
             x, istats = inner_minimize(problem, y, c, x, config.inner,
-                                       outer_residual=res_prev)
+                                       outer_residual=res.total)
         except InnerSolveError as exc:
             exc.trace = trace
             raise

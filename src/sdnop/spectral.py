@@ -14,10 +14,13 @@ import numpy as np
 from .errors import InvalidInput
 
 __all__ = [
+    "check_symmetric",
     "as_symmetric",
     "default_tol",
     "EigenDecomposition",
+    "symmetric_part",
     "eig_sym",
+    "eig_symmetrized",
     "SignPartition",
     "partition_by_sign",
     "DistinctBlocks",
@@ -31,8 +34,8 @@ __all__ = [
 _SYM_TOL = 1e-8
 
 
-def as_symmetric(M, name="matrix"):
-    """Validate and symmetrize a square matrix.
+def check_symmetric(M, name="matrix"):
+    """Validate a square matrix and return it as a float64 array.
 
     Raises
     ------
@@ -51,6 +54,13 @@ def as_symmetric(M, name="matrix"):
         gap = np.abs(M - M.T).max()
         if gap > _SYM_TOL * (1.0 + top):
             raise InvalidInput(f"{name} is not symmetric (asymmetry {gap:.3e})")
+    return M
+
+
+def as_symmetric(M, name="matrix"):
+    """Validate (see :func:`check_symmetric`) and symmetrize a square
+    matrix."""
+    M = check_symmetric(M, name)
     # halve before adding, so finite entries near the float limit stay finite
     H = 0.5 * M
     return H + H.T
@@ -90,25 +100,50 @@ class EigenDecomposition:
         return (self.basis * self.values) @ self.basis.T
 
 
+def symmetric_part(A, name):
+    """(A + A^T) / 2 of a square matrix, checked finite.
+
+    Halves before adding, so finite entries near the float limit stay
+    finite, and raises InvalidInput naming ``name`` when an entry is not
+    finite.  Unlike :func:`as_symmetric` it does not test the asymmetry:
+    it is for matrices formed from operands that were checked already.
+    """
+    H = 0.5 * A
+    S = H + H.T
+    if not np.isfinite(S).all():
+        raise InvalidInput(f"{name} contains non-finite entries")
+    return S
+
+
 def eig_sym(M):
     """Eigendecomposition of a symmetric matrix, descending, sign-fixed.
 
+    ``M`` is validated and symmetrized by :func:`as_symmetric` first.
+    """
+    return eig_symmetrized(as_symmetric(M))
+
+
+def eig_symmetrized(S):
+    """:func:`eig_sym` of a matrix that is exactly symmetric and finite
+    already, as :func:`as_symmetric` and :func:`symmetric_part` return
+    it, without validating it again.
+
     Relies on ``np.linalg.eigh`` returning the eigenvalues in ascending
     order (LAPACK's guarantee), so reversing the columns is the
-    descending order, ties included, without a sort.
+    descending order, ties included, without a sort.  The largest entry
+    of a unit column is not zero, so its sign is +1 or -1.
     """
-    M = as_symmetric(M)
-    if M.size == 0:
+    k = S.shape[0]
+    if k == 0:
         return EigenDecomposition(np.zeros(0), np.zeros((0, 0)))
-    vals, vecs = np.linalg.eigh(M)
-    vals = vals[::-1].copy()
+    vals, vecs = np.linalg.eigh(S)
     vecs = vecs[:, ::-1]
-    anchor = np.argmax(np.abs(vecs), axis=0)
-    signs = np.sign(vecs[anchor, np.arange(vecs.shape[1])])
-    signs[signs == 0.0] = 1.0
+    anchor = vecs[np.abs(vecs).argmax(axis=0), np.arange(k)]
     # column-major, the layout a column gather leaves, so that every
     # product downstream takes the same BLAS path
-    return EigenDecomposition(vals, np.multiply(vecs, signs, order="F"))
+    return EigenDecomposition(
+        vals[::-1].copy(),
+        np.multiply(vecs, np.copysign(1.0, anchor), order="F"))
 
 
 @dataclass(frozen=True)
@@ -134,10 +169,12 @@ def partition_by_sign(eig, tol=None):
         tol = default_tol(eig.values)
     if tol < 0:
         raise InvalidInput("sign tolerance must be nonnegative")
-    vals = eig.values
-    pos = tuple(int(i) for i in np.flatnonzero(vals > tol))
-    neg = tuple(int(i) for i in np.flatnonzero(vals < -tol))
-    zero = tuple(int(i) for i in np.flatnonzero(np.abs(vals) <= tol))
+    # a loop over a Python list: at the solver's sizes one numpy call on
+    # the spectrum costs more than the whole loop
+    vals = eig.values.tolist()
+    pos = tuple(i for i, v in enumerate(vals) if v > tol)
+    neg = tuple(i for i, v in enumerate(vals) if v < -tol)
+    zero = tuple(i for i, v in enumerate(vals) if abs(v) <= tol)
     return SignPartition(pos, zero, neg, float(tol))
 
 
@@ -162,20 +199,22 @@ def group_distinct(eig, group_tol=1e-8):
     whose representative lies within it of zero is flagged as the zero
     block.
     """
-    vals = eig.values
-    if vals.size == 0:
+    # loops over a Python list, as in partition_by_sign
+    vals = eig.values.tolist()
+    if not vals:
         return DistinctBlocks(np.zeros(0), (), None)
-    scale = 1.0 + np.abs(vals).max()
-    gap_tol = group_tol * scale
-    cuts = [0, *(np.flatnonzero(vals[:-1] - vals[1:] > gap_tol) + 1), vals.size]
+    gap_tol = group_tol * (1.0 + max(map(abs, vals)))
+    cuts = [0, *(i for i in range(1, len(vals))
+                 if vals[i - 1] - vals[i] > gap_tol), len(vals)]
     blocks = tuple(tuple(range(a, b)) for a, b in zip(cuts[:-1], cuts[1:]))
-    if len(blocks) == vals.size:
-        reps = vals.copy()
+    if len(blocks) == len(vals):
+        reps = vals
     else:
-        reps = np.array([vals[b[0]:b[-1] + 1].mean() for b in blocks])
-    zero = np.flatnonzero(np.abs(reps) <= gap_tol)
-    zero_block = int(zero[0]) if zero.size else None
-    return DistinctBlocks(reps, blocks, zero_block)
+        reps = [vals[b[0]] if len(b) == 1
+                else float(eig.values[b[0]:b[-1] + 1].mean()) for b in blocks]
+    zero_block = next((k for k, v in enumerate(reps) if abs(v) <= gap_tol),
+                      None)
+    return DistinctBlocks(np.array(reps), blocks, zero_block)
 
 
 def choice_table(choice, k, name):

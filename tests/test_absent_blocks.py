@@ -37,11 +37,11 @@ from sdnop.solver import ALMConfig, alm_solve
 # (n, q, m, p) -> (inner iterations per outer iteration of a default solve
 # from the origin, stop of each sweep grid point)
 PINNED = {
-    (8, 0, 3, 3): ([4, 1, 1, 2, 2, 2, 2, 2], ("tol", "tol", "tol", "tol")),
-    (8, 3, 0, 3): ([5, 2, 2, 3, 3, 1, 1, 1], ("tol", "tol", "tol", "tol")),
-    (8, 3, 3, 0): ([3, 1, 1, 2, 1, 1, 1, 1], ("tol", "tol", "tol", "tol")),
-    (8, 0, 0, 3): ([5, 1, 2, 2, 2, 1, 1], ("tol", "tol", "tol", "tol")),
-    (8, 3, 0, 0): ([3, 1, 1, 1, 1, 1, 1], ("tol", "tol", "tol", "floor")),
+    (8, 0, 3, 3): ([2, 1, 1, 2, 2, 2, 2, 2], ("tol", "tol", "tol", "tol")),
+    (8, 3, 0, 3): ([2, 1, 2, 3, 3, 1, 1, 1], ("tol", "tol", "tol", "tol")),
+    (8, 3, 3, 0): ([1, 1, 1, 2, 1, 1, 1, 1], ("tol", "tol", "tol", "tol")),
+    (8, 0, 0, 3): ([2, 1, 2, 2, 2, 1, 1], ("tol", "tol", "tol", "tol")),
+    (8, 3, 0, 0): ([1, 1, 1, 1, 1, 1, 1], ("tol", "tol", "tol", "floor")),
     (8, 0, 3, 0): ([1, 1, 1, 1, 1, 1, 1], ("tol", "tol", "tol", "tol")),
 }
 SHAPES = sorted(PINNED)

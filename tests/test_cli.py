@@ -510,6 +510,23 @@ class TestMutatedInstances:
             "input error: second-order verdict below round-off: ")
         assert proc.stdout == ""
 
+    def test_overflowing_shifted_matrix_is_named(self, tmp_path):
+        # F.A0 near the float limit makes the first Newton step overflow,
+        # and the next shifted matrix F(x) + Y/c is no longer finite; the
+        # error names that matrix.  Overflow warnings still come before
+        # it (ROADMAP item 7), so only the last line is fixed
+        data = json.loads(_read(NONDEGEN))
+        data["F"]["A0"][0][0] = 1e308
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(data))
+        proc = subprocess.run(
+            [sys.executable, "-W", "ignore::RuntimeWarning", "-m", "sdnop",
+             "solve", str(path), "--out", str(tmp_path / "o")],
+            capture_output=True, text=True)
+        assert proc.returncode == cli.EXIT_INPUT
+        assert proc.stderr.strip().splitlines() == [
+            "input error: F(x) + Y/c contains non-finite entries"]
+
     # entries near the float limit still overflow inside numpy on the way
     # to the documented exit code; shown, not raised
     @pytest.mark.filterwarnings("default::RuntimeWarning")

@@ -10,6 +10,7 @@ from sdnop.errors import InvalidInput
 from sdnop.nuclear import nuclear_norm
 from sdnop.problem import (
     KKTPoint,
+    KKTResidual,
     MultiplierTriple,
     QuadraticMatrixMap,
     QuadraticProblem,
@@ -364,6 +365,10 @@ class TestNewtonMatrixElement:
             assert np.linalg.eigvalsh(A).min() > 0.5  # f-Hessian is the identity
 
 
+_COMPONENTS = ("stationarity", "subgradient", "equality", "cone", "dual",
+               "complementarity")
+
+
 class TestKKTResidual:
     def test_constructed_point(self, mixed_instance):
         problem = mixed_instance
@@ -393,6 +398,17 @@ class TestKKTResidual:
                                rng.randn(1), rand_sym(rng, 2))
             for v in res.as_dict().values():
                 assert v >= 0.0
+
+    @pytest.mark.parametrize("component", _COMPONENTS)
+    def test_total_is_nan_when_a_component_is(self, component):
+        # Python's max keeps an earlier value over a later NaN, so a stop
+        # test on the total could pass on NaN data
+        parts = dict.fromkeys(_COMPONENTS, 1e-13)
+        parts[component] = float("nan")
+        res = KKTResidual(**parts)
+        assert np.isnan(res.total)
+        assert np.isnan(res.as_dict()["total"])
+        assert not res.total <= 1e-12
 
 
 class TestInstanceSchema:

@@ -10,12 +10,13 @@ import os
 import numpy as np
 import pytest
 
-from sdnop import diagnostics
+from sdnop import diagnostics, solver
 from sdnop.errors import InnerSolveError, InvalidInput, MaxIterations
 from sdnop.problem import (
     MultiplierTriple,
     aug_lagrangian_value,
     dual_value_and_grad,
+    kkt_residual,
     load_instance,
     multiplier_maps,
 )
@@ -134,6 +135,22 @@ class TestInnerMinimize:
                                   cfg, outer_residual=1.0)
         assert stats.grad_norm <= 0.1
 
+    @pytest.mark.parametrize("residual", [float("inf"), float("nan")],
+                             ids=["inf", "nan"])
+    def test_nonfinite_outer_residual_keeps_absolute_tolerance(self,
+                                                               residual):
+        # a non-finite residual scales into no tolerance: the loop must
+        # not accept the start (gradient 0.353 here) on an infinite target
+        problem = load_instance(os.path.join(INSTANCES, "nondegen_small.json"))
+        y = MultiplierTriple.zeros(problem)
+        cfg = InnerConfig()
+        x, stats = inner_minimize(problem, y, 10.0, np.zeros(problem.n), cfg,
+                                  outer_residual=residual)
+        _, exact = inner_minimize(problem, y, 10.0, np.zeros(problem.n), cfg)
+        assert stats.iterations == exact.iterations > 0
+        assert stats.stop == "tol"
+        assert stats.grad_norm <= cfg.grad_tol
+
 
 class TestForcingDefault:
     """A default solve stops each inner loop at 1e-2 times the previous KKT
@@ -168,6 +185,53 @@ class TestForcingDefault:
         assert len(forced) == len(exact)
         assert forced.stop == exact.stop == "tol"
         assert point.residual.total <= 1e-8
+
+    def test_first_inner_tolerance_forced_by_starting_residual(
+            self, monkeypatch):
+        problem = load_instance(os.path.join(INSTANCES, "nondegen_small.json"))
+        y0 = MultiplierTriple.zeros(problem)
+        x0 = np.zeros(problem.n)
+        start = kkt_residual(problem, x0, y0.Y, y0.mu, y0.Gamma).total
+        seen = []
+
+        def recording(problem, y, c, x0, cfg, outer_residual=None):
+            x, stats = inner_minimize(problem, y, c, x0, cfg,
+                                      outer_residual=outer_residual)
+            seen.append((outer_residual, stats))
+            return x, stats
+
+        monkeypatch.setattr(solver, "inner_minimize", recording)
+        alm_solve(problem, y0, ALMConfig(), x0)
+        residual, first = seen[0]
+        assert residual == start
+        # the target 1e-2 * start lies far above grad_tol and the floor
+        assert 1e-2 * start > 1e6 * max(ALMConfig().inner.grad_tol,
+                                        first.floor)
+        assert first.stop == "tol"
+        assert 1e-4 * start < first.grad_norm <= 1e-2 * start
+
+    def test_sweep_first_solve_stays_exact(self, monkeypatch):
+        problem = load_instance(os.path.join(INSTANCES, "nondegen_small.json"))
+        events = []
+
+        def solving(*args, **kwargs):
+            events.append(None)
+            return alm_solve(*args, **kwargs)
+
+        def inner(*args, **kwargs):
+            x, stats = inner_minimize(*args, **kwargs)
+            events.append(stats)
+            return x, stats
+
+        monkeypatch.setattr(diagnostics, "alm_solve", solving)
+        monkeypatch.setattr(solver, "inner_minimize", inner)
+        diagnostics.rate_sweep(problem, problem.reference, (10.0, 100.0),
+                               seed=7)
+        firsts = [events[i + 1] for i, e in enumerate(events) if e is None]
+        assert len(firsts) == 2
+        for stats in firsts:
+            assert stats.stop == "tol"
+            assert stats.grad_norm <= diagnostics.SWEEP_INNER.grad_tol
 
 
 class TestPenaltyUpdate:

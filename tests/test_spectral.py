@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from sdnop.errors import InvalidInput
+from sdnop.nuclear import prox_divided_diff
 from sdnop.spectral import (
+    EigenDecomposition,
     as_symmetric,
     eig_sym,
     group_distinct,
@@ -164,6 +166,86 @@ class TestGroupDistinct:
             blocks = group_distinct(eig_sym(M))
             flat = [i for b in blocks.blocks for i in b]
             assert flat == list(range(M.shape[0]))
+
+
+def _oracle_spectra(rng):
+    """Descending spectra and a threshold tau: random ones, and ones drawn
+    from a pool with exact and near ties, zeros and values on +-tau, some
+    with blocks of more than eight equal eigenvalues."""
+    for _ in range(200):
+        tau = 10.0 ** rng.uniform(-3.0, 0.0)
+        k = rng.randint(1, 20)
+        yield tau, np.sort(rng.randn(k) * 10.0 ** rng.uniform(-1.0, 1.0))[::-1]
+        pool = np.array([tau, -tau, 0.0, 1e-13, tau * (1.0 + 1e-10),
+                         -tau * (1.0 + 1e-10), 0.5 * tau, 3.0 * tau,
+                         3.0 * tau * (1.0 + 1e-9), -2.0, -2.0 - 1e-9])
+        yield tau, np.sort(rng.choice(pool, size=k))[::-1]
+
+
+class TestListLoopsMatchNumpy:
+    """The sign partition, the grouping, the kink flags and the sign
+    convention run as loops over Python lists or in fewer numpy calls;
+    each must equal the numpy formulation it replaced, bit for bit."""
+
+    def test_partition_by_sign(self):
+        rng = np.random.RandomState(41)
+        for _, vals in _oracle_spectra(rng):
+            eig = EigenDecomposition(vals, np.eye(vals.size))
+            for tol in (None, 0.0, 1e-10, 1e-3):
+                part = partition_by_sign(eig, tol)
+                cut = 1e-8 * (1.0 + np.abs(vals).max()) if tol is None \
+                    else tol
+                assert part.pos == tuple(np.flatnonzero(vals > cut))
+                assert part.zero == tuple(np.flatnonzero(np.abs(vals) <= cut))
+                assert part.neg == tuple(np.flatnonzero(vals < -cut))
+
+    def test_group_distinct(self):
+        rng = np.random.RandomState(42)
+        for _, vals in _oracle_spectra(rng):
+            eig = EigenDecomposition(vals, np.eye(vals.size))
+            for group_tol in (0.0, 1e-12, 1e-8, 1e-3):
+                got = group_distinct(eig, group_tol)
+                gap_tol = group_tol * (1.0 + np.abs(vals).max())
+                cuts = [0, *(np.flatnonzero(vals[:-1] - vals[1:] > gap_tol)
+                             + 1), vals.size]
+                blocks = tuple(tuple(range(a, b))
+                               for a, b in zip(cuts[:-1], cuts[1:]))
+                reps = np.array([vals[b[0]:b[-1] + 1].mean() for b in blocks])
+                zero = np.flatnonzero(np.abs(reps) <= gap_tol)
+                assert got.blocks == blocks
+                np.testing.assert_array_equal(got.values, reps)
+                assert got.zero_block == (int(zero[0]) if zero.size else None)
+
+    def test_prox_kink_flags(self):
+        rng = np.random.RandomState(43)
+        for tau, vals in _oracle_spectra(rng):
+            eig = EigenDecomposition(vals, np.eye(vals.size))
+            for group_tol in (0.0, 1e-8, 1e-3):
+                dd = prox_divided_diff(None, tau, group_tol, eig=eig)
+                reps = dd.blocks.values
+                kink_tol = group_tol * (1.0 + np.abs(reps).max() + tau)
+                flags = np.zeros(reps.size, dtype=np.int8)
+                flags[np.abs(reps - tau) <= kink_tol] = 1
+                flags[np.abs(reps + tau) <= kink_tol] = -1
+                assert dd.kink_blocks == tuple(
+                    (int(k), int(flags[k])) for k in np.flatnonzero(flags))
+
+    def test_eig_sign_convention(self):
+        rng = np.random.RandomState(44)
+        for _ in range(100):
+            k = rng.randint(1, 17)
+            U = np.linalg.qr(rng.randn(k, k))[0]
+            vals = rng.choice([-1.0, 0.0, 2.0, rng.randn()], size=k)
+            for M in (rand_sym(rng, k), (U * vals) @ U.T):
+                eig = eig_sym(M)
+                w, V = np.linalg.eigh(as_symmetric(M))
+                V = V[:, ::-1]
+                anchor = np.argmax(np.abs(V), axis=0)
+                signs = np.sign(V[anchor, np.arange(k)])
+                signs[signs == 0.0] = 1.0
+                np.testing.assert_array_equal(eig.values, w[::-1])
+                np.testing.assert_array_equal(eig.basis, V * signs)
+                assert eig.basis.flags.f_contiguous
 
 
 class TestPinv:
