@@ -32,6 +32,7 @@ from .spectral import (
 
 __all__ = [
     "nuclear_norm",
+    "nuclear_norm_symmetrized",
     "theta_dir_deriv",
     "SubgradientPartition",
     "subdiff_contains",
@@ -39,6 +40,7 @@ __all__ = [
     "prox_nuclear",
     "moreau_env",
     "grad_moreau_env",
+    "grad_moreau_env_symmetrized",
     "eig_dir_derivs",
     "eig_second_dir_derivs",
     "theta_second_dir_deriv",
@@ -67,10 +69,16 @@ _SPLIT_TOL = 1e-6
 
 def nuclear_norm(X):
     """Sum of absolute eigenvalues of a symmetric matrix."""
-    X = as_symmetric(X, "X")
-    if X.size == 0:
+    return nuclear_norm_symmetrized(as_symmetric(X, "X"))
+
+
+def nuclear_norm_symmetrized(S):
+    """:func:`nuclear_norm` of a matrix that is exactly symmetric and
+    finite already (see :func:`spectral.eig_symmetrized`), without
+    validating it again."""
+    if S.size == 0:
         return 0.0
-    return float(np.abs(np.linalg.eigvalsh(X)).sum())
+    return float(np.abs(np.linalg.eigvalsh(S)).sum())
 
 
 def theta_dir_deriv(X, H, tol=None):
@@ -244,9 +252,17 @@ def grad_moreau_env(Z, tau, eig=None):
     ``eig`` is an optional ``eig_sym(Z)`` to reuse.
     """
     _check_tau(tau)
-    X, _ = prox_nuclear(Z, tau, eig=eig)
-    Z = as_symmetric(Z, "Z")
-    return (Z - X) / tau
+    if eig is None:
+        eig = eig_sym(Z)
+    return grad_moreau_env_symmetrized(as_symmetric(Z, "Z"), tau, eig)
+
+
+def grad_moreau_env_symmetrized(S, tau, eig):
+    """:func:`grad_moreau_env` at a matrix ``S`` that is exactly symmetric
+    and finite already, with ``eig`` its decomposition (sign-fixed or
+    not), without validating ``S`` again."""
+    X, _ = prox_nuclear(S, tau, eig=eig)
+    return (S - X) / tau
 
 
 # ----------------------------------------------------------------------------
@@ -369,19 +385,26 @@ def soft_pair_table(vals, tau, kink_flags):
     Diagonal entries carry the slope (1 outside [-tau, tau], 0 inside);
     entries whose ``kink_flags`` is nonzero (+1 at +tau, -1 at -tau) get 0,
     and the caller overlays its committed slope element there.
+    ``kink_flags`` is a sequence of integers, one per value.
 
     Returns
     -------
     ndarray, shape (r, r)
     """
-    vals = np.where(kink_flags > 0, tau, np.where(kink_flags < 0, -tau, vals))
+    vals = np.asarray(vals, dtype=np.float64)
+    flags = [int(f) for f in kink_flags]
+    # the flags and the diagonal are Python lists: at the solver's sizes
+    # one numpy call on these short arrays costs more than the whole loop
+    if any(flags):
+        vals = np.array([tau if f > 0 else -tau if f < 0 else v
+                         for v, f in zip(vals.tolist(), flags)])
     pv = _soft_threshold(vals, tau)
     num = pv[:, None] - pv[None, :]
     den = vals[:, None] - vals[None, :]
     out = np.zeros((vals.size, vals.size))
     np.divide(num, den, out=out, where=den != 0.0)
-    slope = np.where((np.abs(vals) > tau) & (kink_flags == 0), 1.0, 0.0)
-    np.fill_diagonal(out, slope)
+    np.fill_diagonal(out, [1.0 if f == 0 and abs(v) > tau else 0.0
+                           for v, f in zip(vals.tolist(), flags)])
     return out
 
 
@@ -440,7 +463,7 @@ def prox_divided_diff(Z, tau, group_tol=1e-8, eig=None):
     below = [v + tau for v in reps]
     flags = [-1 if abs(b) <= kink_tol else 1 if abs(a) <= kink_tol else 0
              for a, b in zip(above, below)]
-    table = soft_pair_table(blocks.values, tau, np.array(flags, dtype=np.int8))
+    table = soft_pair_table(blocks.values, tau, flags)
     if len(reps) < eig.dim:
         # blocks are consecutive runs: repeat each row and column of the
         # block table once per eigenvalue of its block

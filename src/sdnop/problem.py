@@ -20,10 +20,15 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidInput
-from .nuclear import (
+# grad_moreau_env and nuclear_norm stay importable from this module, where
+# perfbench/tracing.py looks them up; the solver's path uses the
+# *_symmetrized forms
+from .nuclear import (  # noqa: F401
     grad_moreau_env,
+    grad_moreau_env_symmetrized,
     moreau_env,
     nuclear_norm,
+    nuclear_norm_symmetrized,
     prox_divided_diff,
 )
 from .psd_cone import proj_bsub_element, project_psd
@@ -169,7 +174,11 @@ class QuadraticProblem:
     (equality count) and ``p`` (matrix size of g).  Stacked Jacobians have
     shape (n, k, k), and ``hess_*_contract`` return the (n, n) matrix of
     pairings of a multiplier with the second partials.  Evaluations do
-    not mutate the instance, so they may run concurrently.
+    not mutate the instance, so they may run concurrently; the only state
+    they add is the constants of the data the solver caches on first use
+    (``affine_curvature``, ``jac_h_gram``, ``jac_norms``), which every
+    evaluation computes alike.  So the data must not be changed after a
+    solve has read them.
 
     Any block may be absent: ``F_map=None`` or ``g_map=None`` becomes a
     0x0 map (q or p is 0) and ``m = 0`` gives a (0, n) ``h_A``.  This
@@ -198,6 +207,37 @@ class QuadraticProblem:
         self.m = self.h_A.shape[0]
         self.p = self.g_map.k
         self.reference = reference
+
+    # -- constants of the data ------------------------------------------------
+    # formed on first use by the same expressions the oracles evaluate, so
+    # with the same bits, and kept: the solver reads them at every point
+    @cached_property
+    def affine_curvature(self):
+        """Hessian in x of the Lagrangian when F and g have no ``Aij``:
+        then it is the same at every point and multiplier.  None
+        otherwise."""
+        if self.F_map.Aij is not None or self.g_map.Aij is not None:
+            return None
+        y = MultiplierTriple.zeros(self)
+        return hess_xx_lagrangian(self, np.zeros(self.n), y.Y, y.mu, y.Gamma)
+
+    @cached_property
+    def jac_h_gram(self):
+        """Jh^T Jh, the same at every x since h is affine."""
+        J = self.jac_h(None)
+        return J.T @ J
+
+    @cached_property
+    def jac_norms(self):
+        """Frobenius norms of the Jacobian stacks DF, Jh and Dg where they
+        are the same at every x; None for a map with ``Aij``."""
+        def stack_norm(qmap):
+            if qmap.Aij is not None:
+                return None
+            return float(np.linalg.norm(qmap.Ai))
+        return (stack_norm(self.F_map),
+                float(np.linalg.norm(self.jac_h(None))),
+                stack_norm(self.g_map))
 
     # -- oracle implementation ------------------------------------------------
     def f(self, x):
@@ -346,7 +386,9 @@ class ShiftedPoint:
     ``Z`` and ``M`` are kept symmetrized; a non-finite entry in either is
     an InvalidInput that names it.  Y and Gamma are not tested for
     symmetry here: the callers check them once, where they enter
-    (``check_multipliers``).
+    (``check_multipliers``).  ``sq_norms`` holds
+    (np.sum(Y * Y), np.sum(Gamma * Gamma)) for the value; a caller that
+    evaluates many points of one subproblem forms it once and passes it.
     The envelope gradient Yhat, the projection Ghat, the Jacobians and
     the gradient are formed on first use; F(x), h(x) and g(x) are kept
     for the KKT residual at the multiplier update.  Every attribute is
@@ -355,7 +397,7 @@ class ShiftedPoint:
     ``muhat``.
     """
 
-    def __init__(self, problem, x, Y, mu, Gamma, c):
+    def __init__(self, problem, x, Y, mu, Gamma, c, *, sq_norms=None):
         _check_c(c)
         self.problem = problem
         self.x = x
@@ -368,11 +410,14 @@ class ShiftedPoint:
         self.gx = problem.g(x)
         self.M = symmetric_part(Gamma - c * self.gx, "Gamma - c g(x)")
         self.eig_M = eig_symmetrized(self.M)
+        if sq_norms is None:
+            sq_norms = (np.sum(Y * Y), np.sum(Gamma * Gamma))
+        self.sq_norms = sq_norms
 
     @cached_property
     def Yhat(self):
         """Envelope gradient at Z: the updated nuclear-norm multiplier."""
-        return grad_moreau_env(self.Z, self.tau, eig=self.eig_Z)
+        return grad_moreau_env_symmetrized(self.Z, self.tau, self.eig_Z)
 
     @cached_property
     def Ghat(self):
@@ -421,10 +466,11 @@ def aug_lagrangian_value(problem, x, Y, mu, Gamma, c, *, point=None):
     """
     pt = _shifted(problem, x, Y, mu, Gamma, c, point)
     hx, P = pt.hx, pt.Ghat
+    Y_sq, Gamma_sq = pt.sq_norms
     val = problem.f(x)
-    val += moreau_env(pt.Z, pt.tau, eig=pt.eig_Z) - np.sum(Y * Y) / (2.0 * c)
+    val += moreau_env(pt.Z, pt.tau, eig=pt.eig_Z) - Y_sq / (2.0 * c)
     val += float(mu @ hx) + 0.5 * c * float(hx @ hx)
-    val += (np.sum(P * P) - np.sum(Gamma * Gamma)) / (2.0 * c)
+    val += (np.sum(P * P) - Gamma_sq) / (2.0 * c)
     return float(val)
 
 
@@ -487,18 +533,21 @@ def newton_matrix_element(problem, x, Y, mu, Gamma, c,
     Both constraint blocks are Hadamard-weighted Gram products taken over
     the support rectangle of their table (see :func:`_hadamard_gram`):
     1 - T vanishes, to round-off, where both eigenvalues shrink on the
-    same side of the threshold, and theta where both are negative.
+    same side of the threshold, and theta where both are negative.  The
+    Lagrangian curvature of affine F and g, and Jh^T Jh, are the
+    problem's constants.
     """
     pt = _shifted(problem, x, Y, mu, Gamma, c, point)
-    A = hess_xx_lagrangian(problem, x, pt.Yhat, pt.muhat, pt.Ghat)
+    A = problem.affine_curvature
+    if A is None:
+        A = hess_xx_lagrangian(problem, x, pt.Yhat, pt.muhat, pt.Ghat)
 
     dd = prox_divided_diff(pt.Z, pt.tau, group_tol, eig=pt.eig_Z)
     T = dd.committed_table(up_choice, low_choice)
     A = A + c * _hadamard_gram(pt.eig_Z.basis, pt.jac_F, 1.0 - T,
                                *dd.complement_support)
 
-    J = problem.jac_h(x)
-    A = A + c * (J.T @ J)
+    A = A + c * problem.jac_h_gram
 
     scale = 1.0 + pt.eig_M.norm
     elem = proj_bsub_element(pt.M, beta_choice, tol=group_tol * scale,
@@ -518,14 +567,18 @@ def kkt_residual(problem, x, Y, mu, Gamma, *, point=None):
     The subgradient component uses the norm characterization of the
     nuclear-norm subdifferential (dual-ball feasibility plus the pairing
     gap), which is continuous in (x, Y); a blockwise eigenstructure test
-    would jump when eigenvalues of F(x) cross zero.
+    would jump when eigenvalues of F(x) cross zero.  F(x) and g(x) are
+    symmetrized and decomposed as formed; a non-finite one is an
+    InvalidInput that names it.
 
     ``point`` is an optional ShiftedPoint at x whose multiplier update
     (``multiplier_maps``) is (Y, mu, Gamma).  Its gradient is then the
     Lagrangian gradient here, and its F(x), h(x) and g(x) are reused.
-    Y and Gamma are still decomposed as formed: the spectra of Z and M
-    give their eigenvalues only up to the round-off of forming them,
-    which can decide a residual near the round-off floor.
+    Y and Gamma are then taken as formed, exactly symmetric, and still
+    decomposed: the spectra of Z and M give their eigenvalues only up to
+    the round-off of forming them, which can decide a residual near the
+    round-off floor.  Without a point, Y and Gamma are validated and
+    symmetrized first (see :func:`spectral.as_symmetric`).
     """
     if point is None:
         grad = grad_x_lagrangian(problem, x, Y, mu, Gamma)
@@ -533,14 +586,17 @@ def kkt_residual(problem, x, Y, mu, Gamma, *, point=None):
     else:
         grad, Fx, hx, gx = point.grad, point.Fx, point.hx, point.gx
     stat = float(np.linalg.norm(grad))
-    Ys = as_symmetric(Y, "Y")
+    Ys = Y if point is not None else as_symmetric(Y, "Y")
     ball = max(0.0, float(np.abs(np.linalg.eigvalsh(Ys)).max(initial=0.0))
                - 1.0)
-    gap = abs(float(nuclear_norm(Fx)) - float(np.sum(Fx * Ys)))
+    Fs = symmetric_part(Fx, "F(x)")
+    gap = abs(nuclear_norm_symmetrized(Fs) - float(np.sum(Fx * Ys)))
     sub = max(ball, gap)
     eq = float(np.linalg.norm(hx))
-    cone = float(np.linalg.norm(gx - project_psd(gx)[0]))
-    Gs = as_symmetric(Gamma, "Gamma")
+    gs = symmetric_part(gx, "g(x)")
+    cone = float(np.linalg.norm(
+        gx - project_psd(gs, eig=eig_symmetrized(gs))[0]))
+    Gs = Gamma if point is not None else as_symmetric(Gamma, "Gamma")
     dual = float(max(0.0, -np.linalg.eigvalsh(Gs).min(initial=0.0)))
     comp = float(abs(np.sum(gx * Gamma)))
     return KKTResidual(stat, sub, eq, cone, dual, comp)

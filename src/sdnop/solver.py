@@ -255,11 +255,13 @@ def _newton_direction(A, grad):
 
 def _data_scales(problem, x, pt):
     """Norms of the data the gradient's summands scale with near x:
-    ||grad f(x)|| and the Frobenius norms of the stacks DF, Jh and Dg."""
+    ||grad f(x)|| and the Frobenius norms of the stacks DF, Jh and Dg
+    (the problem's constants where they do not depend on x)."""
+    dF, jh, dg = problem.jac_norms
     return (float(np.linalg.norm(problem.grad_f(x))),
-            float(np.linalg.norm(pt.jac_F)),
-            float(np.linalg.norm(problem.jac_h(x))),
-            float(np.linalg.norm(pt.jac_g)))
+            float(np.linalg.norm(pt.jac_F)) if dF is None else dF,
+            jh,
+            float(np.linalg.norm(pt.jac_g)) if dg is None else dg)
 
 
 def _roundoff_floor(pt, c, scales):
@@ -310,12 +312,16 @@ def inner_minimize(problem, y, c, x0, cfg, outer_residual=None):
     shifted_steps = 0
     steepest_steps = 0
 
-    def at(z):
-        return ShiftedPoint(problem, z, y.Y, y.mu, y.Gamma, c)
-
     # one ShiftedPoint per evaluated point; an accepted trial point's state
-    # becomes the current one, so its gradient and Newton element reuse it
-    pt = at(x)
+    # becomes the current one, so its gradient and Newton element reuse it.
+    # The multiplier norms of the value are formed once, at the first
+    pt = ShiftedPoint(problem, x, y.Y, y.mu, y.Gamma, c)
+    sq_norms = pt.sq_norms
+
+    def at(z):
+        return ShiftedPoint(problem, z, y.Y, y.mu, y.Gamma, c,
+                            sq_norms=sq_norms)
+
     scales = _data_scales(problem, x, pt)
     grad = aug_lagrangian_grad(problem, x, y.Y, y.mu, y.Gamma, c, point=pt)
     val = aug_lagrangian_value(problem, x, y.Y, y.mu, y.Gamma, c, point=pt)

@@ -77,8 +77,14 @@ def default_tol(values):
 class EigenDecomposition:
     """Spectral factorization M = basis @ diag(values) @ basis.T.
 
-    ``values`` are sorted descending; ``basis`` columns are orthonormal with
-    a deterministic sign (largest-magnitude entry of each column positive).
+    ``values`` are sorted descending; ``basis`` columns are orthonormal and
+    column-major.  :func:`eig_sym` fixes each column's sign (its
+    largest-magnitude entry positive), so that public callers see a
+    deterministic basis.  :func:`eig_symmetrized` leaves the sign as
+    LAPACK returns it: what the solver forms from a basis (the prox, the
+    projection, the Hadamard-weighted Grams of the Newton element) is
+    even in each column, and IEEE rounding is symmetric in sign, so a
+    flipped column gives the same bits.
     """
 
     values: np.ndarray
@@ -118,32 +124,37 @@ def symmetric_part(A, name):
 def eig_sym(M):
     """Eigendecomposition of a symmetric matrix, descending, sign-fixed.
 
-    ``M`` is validated and symmetrized by :func:`as_symmetric` first.
+    ``M`` is validated and symmetrized by :func:`as_symmetric` first.  The
+    largest entry of a unit column is not zero, so its sign is +1 or -1.
     """
-    return eig_symmetrized(as_symmetric(M))
+    eig = eig_symmetrized(as_symmetric(M))
+    if not eig.dim:
+        return eig
+    Q = eig.basis
+    anchor = Q[np.abs(Q).argmax(axis=0), np.arange(eig.dim)]
+    return EigenDecomposition(
+        eig.values, np.multiply(Q, np.copysign(1.0, anchor), order="F"))
 
 
 def eig_symmetrized(S):
-    """:func:`eig_sym` of a matrix that is exactly symmetric and finite
-    already, as :func:`as_symmetric` and :func:`symmetric_part` return
-    it, without validating it again.
+    """Descending eigendecomposition of a matrix that is exactly symmetric
+    and finite already, as :func:`as_symmetric` and
+    :func:`symmetric_part` return it, without validating it again.
 
+    Unlike :func:`eig_sym` it does not fix the column signs (see
+    :class:`EigenDecomposition`): the solver decomposes its shifted
+    matrices here and only forms sign-even quantities from the basis.
     Relies on ``np.linalg.eigh`` returning the eigenvalues in ascending
     order (LAPACK's guarantee), so reversing the columns is the
-    descending order, ties included, without a sort.  The largest entry
-    of a unit column is not zero, so its sign is +1 or -1.
+    descending order, ties included, without a sort.
     """
-    k = S.shape[0]
-    if k == 0:
+    if S.shape[0] == 0:
         return EigenDecomposition(np.zeros(0), np.zeros((0, 0)))
     vals, vecs = np.linalg.eigh(S)
-    vecs = vecs[:, ::-1]
-    anchor = vecs[np.abs(vecs).argmax(axis=0), np.arange(k)]
-    # column-major, the layout a column gather leaves, so that every
-    # product downstream takes the same BLAS path
-    return EigenDecomposition(
-        vals[::-1].copy(),
-        np.multiply(vecs, np.copysign(1.0, anchor), order="F"))
+    # column-major, so that every product downstream takes the same BLAS
+    # path whichever way the columns point
+    return EigenDecomposition(vals[::-1].copy(),
+                              np.asfortranarray(vecs[:, ::-1]))
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,15 @@
 """Problem-model tests: oracles, Lagrangians, KKT residuals, multiplier
 maps, Newton-matrix elements, JSON schema, and the local dual function."""
 
+import os
+import re
 import warnings
 
 import numpy as np
 import pytest
 
 from sdnop.errors import InvalidInput
+from sdnop.generator import generate_instance
 from sdnop.nuclear import nuclear_norm
 from sdnop.problem import (
     KKTPoint,
@@ -14,6 +17,7 @@ from sdnop.problem import (
     MultiplierTriple,
     QuadraticMatrixMap,
     QuadraticProblem,
+    ShiftedPoint,
     adjoint_jac,
     apply_jac,
     aug_lagrangian_grad,
@@ -25,12 +29,16 @@ from sdnop.problem import (
     instance_to_dict,
     kkt_residual,
     lagrangian,
+    load_instance,
     multiplier_maps,
     newton_matrix_element,
     triple_diff_norm,
 )
 
 from conftest import make_mixed_instance
+
+NONDEGEN = os.path.join(os.path.dirname(os.path.dirname(__file__)),
+                        "instances", "nondegen_small.json")
 
 
 def rand_sym(rng, k, scale=1.0):
@@ -409,6 +417,32 @@ class TestKKTResidual:
         assert np.isnan(res.total)
         assert np.isnan(res.as_dict()["total"])
         assert not res.total <= 1e-12
+
+    @staticmethod
+    def _residual_names(problem, field, path):
+        # a point's F(x) and g(x) are finite whenever its shifted matrices
+        # are, so on the point path the kept matrix is made non-finite
+        x = np.full(problem.n, np.nan)
+        y = MultiplierTriple.zeros(problem)
+        point = None
+        if path == "point":
+            point = ShiftedPoint(problem, np.zeros(problem.n), y.Y, y.mu,
+                                 y.Gamma, 10.0)
+            setattr(point, field, np.full_like(getattr(point, field), np.nan))
+        name = {"Fx": "F(x)", "gx": "g(x)"}[field]
+        with pytest.raises(InvalidInput,
+                           match=rf"^{re.escape(name)} contains non-finite"):
+            kkt_residual(problem, x, y.Y, y.mu, y.Gamma, point=point)
+
+    @pytest.mark.parametrize("path", ["none", "point"])
+    def test_names_non_finite_F_of_x(self, path):
+        self._residual_names(load_instance(NONDEGEN), "Fx", path)
+
+    @pytest.mark.parametrize("path", ["none", "point"])
+    def test_names_non_finite_g_of_x(self, path):
+        # F absent, so g(x) is the first matrix the residual forms
+        problem = generate_instance(8, 0, 3, 3, profile="nondegen", seed=7)
+        self._residual_names(problem, "gx", path)
 
 
 class TestInstanceSchema:

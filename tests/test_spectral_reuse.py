@@ -5,7 +5,15 @@ update all read the spectra of Z = F(x) + Y/c and M = Gamma - c g(x) from
 one ShiftedPoint.  These tests check the batched Newton assembly against
 the full-table einsum formulation it replaced, that sharing a point
 changes no result, that the bundled solves keep their iteration counts,
-and that a solve stays within its eigendecomposition budget.
+and that a solve stays within its eigendecomposition and validation
+budgets.
+
+The solver's path takes each matrix as formed: Yhat without a second
+symmetrization, the residual's Y+ and Gamma+ without validation, the
+multiplier norms of the value once per subproblem, the problem's
+constant curvature blocks once, and bases whose column signs are left
+as LAPACK returns them.  Each is checked to give the bits of the
+validated, uncached path.
 
 The assembly takes each Hadamard-weighted Gram product over the support
 rectangle its table owner reports: 1 - T vanishes, to round-off, on the
@@ -22,7 +30,9 @@ import os
 import numpy as np
 import pytest
 
+import sdnop.problem as problem_module
 import sdnop.solver as solver
+import sdnop.spectral as spectral
 from sdnop.diagnostics import SWEEP_INNER
 from sdnop.errors import InnerSolveError
 from sdnop.generator import generate_instance
@@ -35,6 +45,7 @@ from sdnop.nuclear import (
 from sdnop.problem import (
     MultiplierTriple,
     ShiftedPoint,
+    _hadamard_gram,
     aug_lagrangian_grad,
     aug_lagrangian_value,
     grad_x_lagrangian,
@@ -47,6 +58,8 @@ from sdnop.problem import (
 from sdnop.psd_cone import proj_bsub_element, project_psd
 from sdnop.solver import ALMConfig, alm_solve
 from sdnop.spectral import EigenDecomposition, choice_table, eig_sym
+
+from conftest import make_mixed_instance
 
 INSTANCES = os.path.join(os.path.dirname(os.path.dirname(__file__)),
                          "instances")
@@ -373,3 +386,128 @@ def test_operators_skip_decomposition_when_given_one(monkeypatch):
     assert got[0] == expected[0]
     for a, b in zip(got[1:], expected[1:]):
         np.testing.assert_array_equal(a, b)
+
+
+def test_validation_budget(monkeypatch):
+    # Y and Gamma are validated where they enter: once by each inner
+    # solve and once by the residual at the start, which has no point.
+    # Every other matrix of a solve is formed by the library, and only
+    # checked finite where it is symmetrized
+    counts = {"check": 0, "inner": 0}
+
+    def counting(fn, key):
+        def wrapped(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    problem = _load("nondegen_small")
+    check = counting(spectral.check_symmetric, "check")
+    for module in (spectral, problem_module):
+        monkeypatch.setattr(module, "check_symmetric", check)
+    monkeypatch.setattr(solver, "inner_minimize",
+                        counting(solver.inner_minimize, "inner"))
+    _point, trace = alm_solve(problem, MultiplierTriple.zeros(problem),
+                              ALMConfig(), np.zeros(problem.n))
+    assert counts["inner"] == len(trace)
+    assert counts["check"] == 2 * counts["inner"] + 2
+    assert (counts["check"], counts["inner"]) == (18, 8)
+
+
+# the bundled instances, the absent-block shapes, and F and g with Aij
+QUADRATIC = "mixed-quadratic"
+
+
+def _load_any(name):
+    if name == QUADRATIC:
+        return make_mixed_instance(quadratic=True)
+    return _load(name)
+
+
+def newton_element_uncached(problem, x, c, pt):
+    """The Newton element (default choices, group_tol 0) with the
+    Lagrangian curvature from ``hess_xx_lagrangian`` and Jh^T Jh formed
+    at x, as before the problem kept them."""
+    A = hess_xx_lagrangian(problem, x, pt.Yhat, pt.muhat, pt.Ghat)
+    dd = prox_divided_diff(pt.Z, pt.tau, 0.0, eig=pt.eig_Z)
+    A = A + c * _hadamard_gram(pt.eig_Z.basis, pt.jac_F,
+                               1.0 - dd.committed_table("zero", "zero"),
+                               *dd.complement_support)
+    J = problem.jac_h(x)
+    A = A + c * (J.T @ J)
+    elem = proj_bsub_element(pt.M, tol=0.0, eig=pt.eig_M)
+    A = A + c * _hadamard_gram(elem.basis, pt.jac_g, elem.theta.entries,
+                               *elem.theta.support)
+    return 0.5 * (A + A.T)
+
+
+@pytest.mark.parametrize("name", BUNDLED + tuple(ABSENT) + (QUADRATIC,))
+def test_hot_path_equals_validated_path(name):
+    problem = _load_any(name)
+    rng = np.random.RandomState(37)
+    for c in (10.0, 1e3):
+        points = list(_random_points(problem, rng, 4))
+        x0, Y, mu, Gamma = points[0]
+        first = ShiftedPoint(problem, x0, Y, mu, Gamma, c)
+        for x, _, _, _ in points[1:]:
+            args = (problem, x, Y, mu, Gamma, c)
+            # as inner_minimize builds its points: the norms of Y and
+            # Gamma come from the subproblem's first point
+            pt = ShiftedPoint(*args, sq_norms=first.sq_norms)
+            assert np.array_equal(pt.Yhat, grad_moreau_env(pt.Z, 1.0 / c))
+            assert aug_lagrangian_value(*args, point=pt) == \
+                aug_lagrangian_value(*args)
+            assert np.array_equal(
+                newton_matrix_element(*args, group_tol=0.0, point=pt),
+                newton_element_uncached(problem, x, c, pt))
+            up = multiplier_maps(*args, point=pt)
+            update = (problem, x, up.Y, up.mu, up.Gamma)
+            shared = kkt_residual(*update, point=pt).as_dict()
+            fresh = kkt_residual(*update).as_dict()
+            assert np.array_equal(list(shared.values()),
+                                  list(fresh.values()))
+
+
+def _flipped(eig, rng):
+    """``eig`` with random column signs, the first column always flipped,
+    kept column-major."""
+    signs = rng.choice((-1.0, 1.0), eig.dim)
+    signs[:1] = -1.0
+    return EigenDecomposition(eig.values,
+                              np.multiply(eig.basis, signs, order="F"))
+
+
+@pytest.mark.parametrize("name", BUNDLED + tuple(ABSENT) + (QUADRATIC,))
+def test_column_signs_change_no_bit(name):
+    # what the solver forms from a basis is even in each column, and IEEE
+    # rounding is symmetric in sign, so the sign fix can be left out
+    problem = _load_any(name)
+    rng = np.random.RandomState(38)
+    for c in (10.0, 1e3):
+        tau = 1.0 / c
+        for x, Y, mu, Gamma in _random_points(problem, rng, 3):
+            pt = ShiftedPoint(problem, x, Y, mu, Gamma, c)
+            flip = ShiftedPoint(problem, x, Y, mu, Gamma, c)
+            flip.eig_Z = _flipped(pt.eig_Z, rng)
+            flip.eig_M = _flipped(pt.eig_M, rng)
+            for eig in (pt.eig_Z, pt.eig_M, flip.eig_Z, flip.eig_M):
+                assert eig.basis.flags.f_contiguous
+            H = rng.randn(problem.p, problem.p)
+            H = H + H.T
+            pairs = [
+                (prox_nuclear(pt.Z, tau, eig=e)[0] for e in
+                 (pt.eig_Z, flip.eig_Z)),
+                (project_psd(pt.M, eig=e)[0] for e in
+                 (pt.eig_M, flip.eig_M)),
+                (prox_divided_diff(pt.Z, tau, 0.0, eig=e).table for e in
+                 (pt.eig_Z, flip.eig_Z)),
+                (proj_bsub_element(pt.M, tol=0.0, eig=e).apply(H) for e in
+                 (pt.eig_M, flip.eig_M)),
+                (p.Yhat for p in (pt, flip)),
+                (p.Ghat for p in (pt, flip)),
+                (newton_matrix_element(problem, x, Y, mu, Gamma, c,
+                                       group_tol=0.0, point=p)
+                 for p in (pt, flip)),
+            ]
+            for a, b in pairs:
+                assert np.array_equal(a, b)
