@@ -132,13 +132,12 @@ def _log_trace(trace):
 
 
 def _solution_dict(point, converged, stop, outer_iterations, final_penalty):
-    res = point.residual
     return {
         "x": point.x,
         "Y": point.multipliers.Y,
         "mu": point.multipliers.mu,
         "Gamma": point.multipliers.Gamma,
-        "residual": dict(res.as_dict(), total=res.total),
+        "residual": point.residual.as_dict(),
         "converged": converged,
         "stop": stop,
         "outer_iterations": outer_iterations,
@@ -244,7 +243,7 @@ def cmd_check(args):
         log.info("constants not computable: %s", exc)
         constants = None
     report = {
-        "residual": dict(res.as_dict(), total=res.total),
+        "residual": res.as_dict(),
         "nondegeneracy": nondeg.as_dict(),
         "second_order": sosc.as_dict(),
         "constants": constants,

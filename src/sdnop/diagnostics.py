@@ -26,7 +26,7 @@ from .errors import (
     NotAKKTPoint,
     NotASubgradient,
 )
-from .nuclear import critical_blocks_contain, curvature_form, subdiff_partition
+from .nuclear import curvature_form, subdiff_partition
 from .problem import (
     MultiplierTriple,
     hess_xx_lagrangian,
@@ -393,17 +393,6 @@ def _psd_curvature_matrix(problem, x, Gamma, D):
     return 2.0 * np.einsum("iab,jba->ij", GGp, G)
 
 
-def sigma_term_psd(problem, x, Gamma, d):
-    """Curvature contribution of the semidefinite constraint along d.
-
-    Evaluates 2 <Gamma, (Dg d) g(x)^+ (Dg d)>, the one-direction case of
-    the cone curvature term of :func:`sosc_reduced_matrix`; zero when the
-    constraint is absent.
-    """
-    d = np.asarray(d, dtype=np.float64)
-    return float(_psd_curvature_matrix(problem, x, Gamma, d[:, None])[0, 0])
-
-
 def sosc_reduced_matrix(problem, x, multipliers, blocks=None, basis=None):
     """Reduced symmetric matrix of the second-order test.
 
@@ -481,50 +470,6 @@ def strong_sosc_check(problem, x, multipliers, tol=1e-10, blocks=None):
             f"second-order verdict below round-off: smallest reduced "
             f"eigenvalue {min_value:.3e}, resolution {roundoff:.1e}")
     return SOSCReport(min_value > tol, min_value, basis.shape[1])
-
-
-def _critical_member(blocks, d, member_tol):
-    """Cone membership of a direction already inside the reduced subspace:
-    the critical-cone test on its F image and the sign of its g image on
-    the beta block (the other g blocks vanish on the subspace)."""
-    Hc = np.einsum("lij,l->ij", blocks.jac_F_Q, d)
-    if not critical_blocks_contain(Hc, blocks.b_up, blocks.b_mid,
-                                   blocks.b_low, member_tol):
-        return False
-    Gc = np.einsum("lij,l->ij", blocks.jac_g_P, d)
-    bt = list(blocks.beta)
-    if bt and np.linalg.eigvalsh(Gc[np.ix_(bt, bt)])[0] < -member_tol:
-        return False
-    return True
-
-
-def second_order_necessary_check(problem, x, multipliers, samples=200,
-                                 tol=1e-8, seed=0):
-    """Sampled second-order necessary condition over critical directions.
-
-    Draws directions from the reduced subspace, keeps those inside the
-    critical cone (corner blocks correctly signed), and requires the
-    second-order test value to be at least -tol on each.  Vacuously true
-    when no sampled direction is critical.
-    """
-    b = cone_blocks(problem, x, multipliers)
-    M, basis = sosc_reduced_matrix(problem, x, multipliers, blocks=b)
-    k = basis.shape[1]
-    if k == 0:
-        return True
-    rng = np.random.RandomState(seed)
-    for _ in range(samples):
-        d = basis @ rng.randn(k)
-        norm = np.linalg.norm(d)
-        if norm == 0.0:
-            continue
-        d /= norm
-        if not _critical_member(b, d, 1e-10):
-            continue
-        z = basis.T @ d
-        if z @ M @ z < -tol:
-            return False
-    return True
 
 
 # ----------------------------------------------------------------------------

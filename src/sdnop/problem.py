@@ -48,7 +48,6 @@ __all__ = [
     "ShiftedPoint",
     "check_multipliers",
     "triple_diff_norm",
-    "lagrangian",
     "grad_x_lagrangian",
     "hess_xx_lagrangian",
     "aug_lagrangian_value",
@@ -67,11 +66,6 @@ __all__ = [
 def _check_c(c):
     if not c > 0.0:
         raise InvalidInput(f"penalty parameter must be positive, got {c}")
-
-
-def apply_jac(jac, d):
-    """Directional image sum_i d_i (d/dx_i) of a stacked Jacobian (n, k, k)."""
-    return np.tensordot(d, jac, axes=1)
 
 
 def _contract(a, b, shape):
@@ -118,7 +112,7 @@ class QuadraticMatrixMap:
     """
 
     def __init__(self, A0, Ai, Aij=None):
-        self.A0 = _sym_stack(as_symmetric(A0, "A0"), "A0")
+        self.A0 = as_symmetric(A0, "A0")
         self.Ai = _sym_stack(Ai, "Ai")
         k = self.A0.shape[0]
         n = self.Ai.shape[0]
@@ -357,12 +351,6 @@ class KKTPoint:
 # Lagrangian and augmented Lagrangian
 # ----------------------------------------------------------------------------
 
-def lagrangian(problem, x, Y, mu, Gamma):
-    """f + <Y, F> + <mu, h> - <Gamma, g>."""
-    return (problem.f(x) + float(np.sum(Y * problem.F(x)))
-            + float(mu @ problem.h(x)) - float(np.sum(Gamma * problem.g(x))))
-
-
 def grad_x_lagrangian(problem, x, Y, mu, Gamma):
     return (problem.grad_f(x) + adjoint_jac(problem.jac_F(x), Y)
             + problem.jac_h(x).T @ mu - adjoint_jac(problem.jac_g(x), Gamma))
@@ -517,18 +505,19 @@ def _hadamard_gram(Q, jac, W, lo, hi):
     return (G * R.reshape(-1)) @ G.T
 
 
-def newton_matrix_element(problem, x, Y, mu, Gamma, c,
-                          up_choice="zero", low_choice="zero",
-                          beta_choice="zero", group_tol=1e-8, *, point=None):
+def newton_matrix_element(problem, x, Y, mu, Gamma, c, group_tol=1e-8, *,
+                          point=None):
     """One element of the generalized Hessian of the augmented Lagrangian.
 
     Lagrangian curvature at the updated multipliers plus the three
     constraint-curvature blocks: the envelope generalized Hessian pushed
     through DF, the exact equality block c Jh^T Jh, and a projection
-    B-subdifferential element pushed through Dg.  The ``*_choice``
-    arguments commit the free Hadamard blocks where the shifted spectra
-    sit exactly on a kink.  ``point`` is an optional ShiftedPoint built
-    from the same arguments.
+    B-subdifferential element pushed through Dg.  Where the shifted
+    spectra sit exactly on a kink, the element commits the zero table on
+    the free Hadamard blocks: ``prox_divided_diff``'s table is already 0
+    on its kink blocks, and ``proj_bsub_element``'s default on its zero
+    block.  ``point`` is an optional ShiftedPoint built from the same
+    arguments.
 
     Both constraint blocks are Hadamard-weighted Gram products taken over
     the support rectangle of their table (see :func:`_hadamard_gram`):
@@ -543,15 +532,13 @@ def newton_matrix_element(problem, x, Y, mu, Gamma, c,
         A = hess_xx_lagrangian(problem, x, pt.Yhat, pt.muhat, pt.Ghat)
 
     dd = prox_divided_diff(pt.Z, pt.tau, group_tol, eig=pt.eig_Z)
-    T = dd.committed_table(up_choice, low_choice)
-    A = A + c * _hadamard_gram(pt.eig_Z.basis, pt.jac_F, 1.0 - T,
+    A = A + c * _hadamard_gram(pt.eig_Z.basis, pt.jac_F, 1.0 - dd.table,
                                *dd.complement_support)
 
     A = A + c * problem.jac_h_gram
 
     scale = 1.0 + pt.eig_M.norm
-    elem = proj_bsub_element(pt.M, beta_choice, tol=group_tol * scale,
-                             eig=pt.eig_M)
+    elem = proj_bsub_element(pt.M, tol=group_tol * scale, eig=pt.eig_M)
     A = A + c * _hadamard_gram(elem.basis, pt.jac_g, elem.theta.entries,
                                *elem.theta.support)
     return 0.5 * (A + A.T)

@@ -2,10 +2,8 @@
 
 Provides the metric projection, the positive-part divided-difference
 table over a spectrum (the Hadamard table behind every derivative of the
-projection), its directional derivative, constructible elements of its
-B-subdifferential, and membership predicates for the tangent cone, the
-lineality space of the tangent cone, the critical cone, and the critical
-cone's affine hull.
+projection), its directional derivative, and constructible elements of
+its B-subdifferential.
 """
 
 from dataclasses import dataclass
@@ -14,11 +12,9 @@ import numpy as np
 
 from .errors import InvalidInput
 from .spectral import (
-    EigenDecomposition,
     SignPartition,
     as_symmetric,
     choice_table,
-    default_tol,
     eig_sym,
     partition_by_sign,
 )
@@ -30,10 +26,6 @@ __all__ = [
     "psd_pair_table",
     "proj_dir_deriv",
     "proj_bsub_element",
-    "tangent_contains",
-    "lineality_contains",
-    "critical_contains",
-    "aff_critical_contains",
 ]
 
 
@@ -179,71 +171,3 @@ def proj_bsub_element(M, beta_choice="zero", tol=None, eig=None):
         table[np.ix_(zero, zero)] = choice_table(beta_choice, len(zero),
                                                  "beta_choice")
     return ProjBsubElement(eig.basis, ThetaMatrix(table, part))
-
-
-def _null_block(M_plus, B, tol):
-    eig = eig_sym(M_plus)
-    if np.any(eig.values < -default_tol(eig.values)):
-        raise InvalidInput("matrix is not positive semidefinite")
-    B = as_symmetric(B, "B")
-    if tol is None:
-        tol = 1e-8 * (1.0 + np.abs(B).max(initial=0.0))
-    part = partition_by_sign(eig)
-    null = list(part.zero) + list(part.neg)
-    sub = eig.basis[:, null].T @ B @ eig.basis[:, null]
-    return sub, tol
-
-
-def tangent_contains(M_plus, B, tol=None):
-    """Whether B lies in the tangent cone of the PSD cone at M_plus."""
-    sub, tol = _null_block(M_plus, B, tol)
-    if sub.size == 0:
-        return True
-    return np.linalg.eigvalsh(sub).min() >= -tol
-
-
-def lineality_contains(M_plus, B, tol=None):
-    """Whether B lies in the largest linear space inside that tangent cone."""
-    sub, tol = _null_block(M_plus, B, tol)
-    if sub.size == 0:
-        return True
-    return np.abs(sub).max() <= tol
-
-
-def _critical_blocks(M, B, tol):
-    eig = eig_sym(M)
-    B = as_symmetric(B, "B")
-    if tol is None:
-        tol = 1e-8 * (1.0 + np.abs(B).max(initial=0.0))
-    part = partition_by_sign(eig)
-    zero, neg = list(part.zero), list(part.neg)
-    Bz = eig.basis[:, zero].T @ B @ eig.basis[:, zero]
-    Bzn = eig.basis[:, zero].T @ B @ eig.basis[:, neg]
-    Bn = eig.basis[:, neg].T @ B @ eig.basis[:, neg]
-    return Bz, Bzn, Bn, tol
-
-
-def critical_contains(M, B, tol=None):
-    """Whether B lies in the critical cone of the PSD cone induced by M.
-
-    The sign split of M supplies the active structure: the zero block of B
-    must be PSD and every block touching the negative rows must vanish.
-    """
-    Bz, Bzn, Bn, tol = _critical_blocks(M, B, tol)
-    if Bzn.size and np.abs(Bzn).max() > tol:
-        return False
-    if Bn.size and np.abs(Bn).max() > tol:
-        return False
-    if Bz.size and np.linalg.eigvalsh(Bz).min() < -tol:
-        return False
-    return True
-
-
-def aff_critical_contains(M, B, tol=None):
-    """Whether B lies in the affine hull of that critical cone."""
-    _, Bzn, Bn, tol = _critical_blocks(M, B, tol)
-    if Bzn.size and np.abs(Bzn).max() > tol:
-        return False
-    if Bn.size and np.abs(Bn).max() > tol:
-        return False
-    return True

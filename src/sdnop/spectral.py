@@ -59,8 +59,15 @@ def check_symmetric(M, name="matrix"):
 
 def as_symmetric(M, name="matrix"):
     """Validate (see :func:`check_symmetric`) and symmetrize a square
-    matrix."""
+    matrix.
+
+    Returns a new array.  A matrix that is symmetric bit for bit comes
+    back unchanged: halving would lose the last bit of a subnormal entry.
+    """
     M = check_symmetric(M, name)
+    bits = M.view(np.uint64)
+    if np.array_equal(bits, bits.T):
+        return M.copy()
     # halve before adding, so finite entries near the float limit stay finite
     H = 0.5 * M
     return H + H.T
@@ -101,9 +108,6 @@ class EigenDecomposition:
         if not self.values.size:
             return 0.0
         return max(float(self.values[0]), -float(self.values[-1]))
-
-    def reconstruct(self):
-        return (self.basis * self.values) @ self.basis.T
 
 
 def symmetric_part(A, name):

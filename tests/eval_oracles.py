@@ -1,4 +1,4 @@
-"""The evaluation path's earlier formulas, as oracles.
+"""The evaluation path's earlier and reference formulas, as oracles.
 
 ``problem.QuadraticMatrixMap`` and ``problem.adjoint_jac`` contract flat
 views of the coefficient stacks with one matrix product,
@@ -10,12 +10,26 @@ The functions below are the formulas those replaced: ``np.tensordot``
 contractions, a stable argsort reorder, a loop-built block index and a
 loop over the numpy flags for the kinks.  Each rewrite must agree with
 its oracle bit for bit.
+
+``apply_jac``, ``lagrangian`` and ``newton_element_einsum`` are the
+reference formulas the tests check the library against: the directional
+image of a Jacobian stack, the Lagrangian value, and the Newton element
+assembled with einsum over the full tables, with every operator
+decomposing its own argument and a free committed table on each kink
+block.
 """
 
 import numpy as np
 
-from sdnop.nuclear import soft_pair_table
-from sdnop.spectral import EigenDecomposition, as_symmetric, group_distinct
+from sdnop.nuclear import grad_moreau_env, prox_divided_diff, soft_pair_table
+from sdnop.problem import hess_xx_lagrangian
+from sdnop.psd_cone import proj_bsub_element, project_psd
+from sdnop.spectral import (
+    EigenDecomposition,
+    as_symmetric,
+    choice_table,
+    group_distinct,
+)
 
 
 def map_value(mp, x):
@@ -86,3 +100,56 @@ def kink_blocks(eig, tau, group_tol):
     a loop over every block."""
     flags = _kink_flags(group_distinct(eig, group_tol), tau, group_tol)
     return tuple((k, int(f)) for k, f in enumerate(flags) if f)
+
+
+def apply_jac(jac, d):
+    """Directional image sum_i d_i (d/dx_i) of a stacked Jacobian (n, k, k)."""
+    return np.tensordot(d, jac, axes=1)
+
+
+def lagrangian(problem, x, Y, mu, Gamma):
+    """f + <Y, F> + <mu, h> - <Gamma, g>."""
+    return (problem.f(x) + float(np.sum(Y * problem.F(x)))
+            + float(mu @ problem.h(x)) - float(np.sum(Gamma * problem.g(x))))
+
+
+def newton_element_einsum(problem, x, Y, mu, Gamma, c, group_tol=1e-8,
+                          up_choice="zero", low_choice="zero",
+                          beta_choice="zero"):
+    """Reference assembly of the Newton element: every operator
+    decomposes its own argument and the curvature blocks are contracted
+    with einsum over the full tables.  The ``*_choice`` arguments commit
+    the free Hadamard blocks where the shifted spectra sit exactly on a
+    kink (see :func:`spectral.choice_table`); the library's element
+    commits "zero" on each."""
+    tau = 1.0 / c
+    Yhat = grad_moreau_env(problem.F(x) + Y / c, tau) if problem.q \
+        else np.zeros((0, 0))
+    muhat = mu + c * problem.h(x) if problem.m else np.zeros(0)
+    Ghat = project_psd(Gamma - c * problem.g(x))[0] if problem.p \
+        else np.zeros((0, 0))
+    A = hess_xx_lagrangian(problem, x, Yhat, muhat, Ghat)
+    if problem.q:
+        dd = prox_divided_diff(problem.F(x) + Y / c, tau, group_tol)
+        T = dd.table.copy()
+        for k, sign in dd.kink_blocks:
+            idx = list(dd.blocks.blocks[k])
+            choice = up_choice if sign > 0 else low_choice
+            T[np.ix_(idx, idx)] = choice_table(choice, len(idx), "choice")
+        Gs = np.einsum("ra,iab,bs->irs", dd.eig.basis.T, problem.jac_F(x),
+                       dd.eig.basis, optimize=True)
+        A = A + c * np.einsum("ikl,kl,jkl->ij", Gs, 1.0 - T, Gs,
+                              optimize=True)
+    if problem.m:
+        J = problem.jac_h(x)
+        A = A + c * (J.T @ J)
+    if problem.p:
+        M = Gamma - c * problem.g(x)
+        scale = 1.0 + float(np.linalg.norm(M, 2)) if M.size else 1.0
+        elem = proj_bsub_element(M, beta_choice, tol=group_tol * scale)
+        P = elem.basis
+        Cs = np.einsum("ra,iab,bs->irs", P.T, problem.jac_g(x), P,
+                       optimize=True)
+        A = A + c * np.einsum("ikl,kl,jkl->ij", Cs, elem.theta.entries, Cs,
+                              optimize=True)
+    return 0.5 * (A + A.T)

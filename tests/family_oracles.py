@@ -8,10 +8,15 @@ constructions those tables replaced: one explicit row builder per block,
 one formula per ratio table, and one accumulation per family in the
 curvature model.  The half-vectorization loops over the upper triangle
 itself, so the oracle shares no index code with ``spectral.svec``.
+
+``critical_member`` tests whether a direction of the reduced subspace
+lies in the critical cone, block by block; tests use it to pick critical
+directions.
 """
 
 import numpy as np
 
+from sdnop.nuclear import critical_blocks_contain
 from sdnop.problem import hess_xx_lagrangian
 
 
@@ -185,3 +190,18 @@ def split_penalty_matrix(problem, x, multipliers, c_base, c, free, b):
         weights = tables[key].flatten(order="F")
         out += 2.0 * c * R.T @ (weights[:, None] * R)
     return 0.5 * (out + out.T)
+
+
+def critical_member(blocks, d, member_tol):
+    """Cone membership of a direction already inside the reduced subspace:
+    the critical-cone test on its F image and the sign of its g image on
+    the beta block (the other g blocks vanish on the subspace)."""
+    Hc = np.einsum("lij,l->ij", blocks.jac_F_Q, d)
+    if not critical_blocks_contain(Hc, blocks.b_up, blocks.b_mid,
+                                   blocks.b_low, member_tol):
+        return False
+    Gc = np.einsum("lij,l->ij", blocks.jac_g_P, d)
+    bt = list(blocks.beta)
+    if bt and np.linalg.eigvalsh(Gc[np.ix_(bt, bt)])[0] < -member_tol:
+        return False
+    return True

@@ -16,9 +16,9 @@ from sdnop.diagnostics import (
     cone_blocks,
     nondegeneracy_check,
     rate_sweep,
-    sigma_term_psd,
     sosc_reduced_matrix,
     strong_sosc_check,
+    _psd_curvature_matrix,
 )
 from sdnop.generator import generate_instance
 from sdnop.problem import (
@@ -29,10 +29,11 @@ from sdnop.problem import (
     instance_from_dict,
     instance_to_dict,
     kkt_residual,
-    lagrangian,
     newton_matrix_element,
 )
 from sdnop.solver import ALMConfig, alm_solve
+
+from eval_oracles import lagrangian
 
 # (n, q, m, p) -> (inner iterations per outer iteration of a default solve
 # from the origin, stop of each sweep grid point)
@@ -112,7 +113,8 @@ def test_absent_blocks_are_empty_and_contribute_zero(dims):
         assert res.equality == 0.0
     if not problem.p:
         assert res.cone == res.dual == res.complementarity == 0.0
-        assert sigma_term_psd(problem, x, Gamma, np.ones(problem.n)) == 0.0
+        d = np.ones((problem.n, 1))
+        assert _psd_curvature_matrix(problem, x, Gamma, d)[0, 0] == 0.0
 
 
 def test_equality_only_formulas_match_closed_forms():

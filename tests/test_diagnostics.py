@@ -14,12 +14,11 @@ from sdnop.diagnostics import (
     nondegeneracy_check,
     rate_constants,
     rate_sweep,
-    second_order_necessary_check,
-    sigma_term_psd,
     sosc_reduced_matrix,
     split_penalty_matrix,
     strong_sosc_check,
     _nu_tables,
+    _psd_curvature_matrix,
 )
 from sdnop.errors import (
     InvalidInput,
@@ -32,14 +31,10 @@ from sdnop.problem import (
     MultiplierTriple,
     QuadraticMatrixMap,
     QuadraticProblem,
-    apply_jac,
-    hess_xx_lagrangian,
     instance_from_dict,
     instance_to_dict,
     load_instance,
-    newton_matrix_element,
 )
-from sdnop.psd_cone import aff_critical_contains
 from sdnop.spectral import eig_sym, partition_by_sign, pinv_sym, svec
 from conftest import (
     make_full_blocks_instance,
@@ -47,6 +42,7 @@ from conftest import (
     make_repeated_eigenvalue_instance,
     make_weighted_zero_instance,
 )
+from eval_oracles import apply_jac, newton_element_einsum
 
 
 # ----------------------------------------------------------------------------
@@ -395,27 +391,22 @@ class TestAppConeBasis:
             assert np.abs(G[np.ix_(al, al)]).max() <= 1e-9
             assert np.abs(G[np.ix_(al, be)]).max() <= 1e-9
 
-    def test_contained_in_critical_cone_affine_hulls(self):
-        prob = make_full_blocks_instance()
-        ref = prob.reference
-        x = np.asarray(ref.x, dtype=np.float64)
-        basis = app_cone_basis(prob, ref.x, ref.multipliers)
-        pre = prob.g(x) - ref.multipliers.Gamma
-        for j in range(basis.shape[1]):
-            d = basis[:, j]
-            assert aff_critical_contains(
-                pre, apply_jac(prob.jac_g(x), d), tol=1e-9)
-
 
 # ----------------------------------------------------------------------------
 # curvature pieces
 # ----------------------------------------------------------------------------
 
+def _sigma_term(problem, x, Gamma, d):
+    """The cone curvature term 2 <Gamma, (Dg d) g(x)^+ (Dg d)> along one
+    direction d."""
+    return _psd_curvature_matrix(problem, x, Gamma, d[:, None])[0, 0]
+
+
 class TestSigmaTerm:
     def test_zero_multiplier_gives_zero(self):
         prob = make_strict_complementary_instance()
-        val = sigma_term_psd(prob, prob.reference.x, np.zeros((2, 2)),
-                             np.array([0.7, -0.2]))
+        val = _sigma_term(prob, prob.reference.x, np.zeros((2, 2)),
+                          np.array([0.7, -0.2]))
         assert val == 0.0
 
     def test_worked_two_by_two(self):
@@ -427,13 +418,13 @@ class TestSigmaTerm:
             np.zeros((0, 1)), np.zeros(0),
             QuadraticMatrixMap(np.diag([0.0, 1.0]), g_Ai),
         )
-        val = sigma_term_psd(prob, np.zeros(1), np.diag([1.0, 0.0]),
-                             np.array([1.0]))
+        val = _sigma_term(prob, np.zeros(1), np.diag([1.0, 0.0]),
+                          np.array([1.0]))
         np.testing.assert_allclose(val, 2.0, atol=1e-12)
 
     def test_absent_cone_gives_zero(self, equality_instance):
-        assert sigma_term_psd(equality_instance, np.zeros(2),
-                              np.zeros((0, 0)), np.array([1.0, 1.0])) == 0.0
+        assert _sigma_term(equality_instance, np.zeros(2),
+                           np.zeros((0, 0)), np.array([1.0, 1.0])) == 0.0
 
     def test_nonnegative_on_feasible_data(self):
         prob = make_full_blocks_instance()
@@ -441,7 +432,7 @@ class TestSigmaTerm:
         rng = np.random.RandomState(2)
         for _ in range(50):
             d = rng.randn(prob.n)
-            val = sigma_term_psd(prob, ref.x, ref.multipliers.Gamma, d)
+            val = _sigma_term(prob, ref.x, ref.multipliers.Gamma, d)
             assert val >= -1e-10
 
     def test_matches_single_direction_formula(self):
@@ -457,7 +448,7 @@ class TestSigmaTerm:
             d = rng.randn(prob.n)
             G = apply_jac(prob.jac_g(x), d)
             expected = 2.0 * float(np.sum(Gamma * (G @ g_pinv @ G)))
-            val = sigma_term_psd(prob, x, Gamma, d)
+            val = _sigma_term(prob, x, Gamma, d)
             assert abs(val - expected) <= 1e-12 * max(1.0, abs(expected))
 
 
@@ -549,26 +540,6 @@ class TestStrongSOSC:
                 Mij[0, 0], M[i, i] + M[j, j] - 2.0 * M[i, j], atol=1e-9)
 
 
-class TestSecondOrderNecessary:
-    def test_passes_at_minimizer(self):
-        prob = make_full_blocks_instance()
-        ref = prob.reference
-        assert second_order_necessary_check(prob, ref.x, ref.multipliers,
-                                            samples=200)
-
-    def test_fails_at_saddle(self):
-        prob = make_full_blocks_instance("saddle")
-        ref = prob.reference
-        assert not second_order_necessary_check(prob, ref.x,
-                                                ref.multipliers,
-                                                samples=200)
-
-    def test_vacuous_when_no_critical_directions(self):
-        prob = make_full_rank_equality_instance()
-        ref = prob.reference
-        assert second_order_necessary_check(prob, ref.x, ref.multipliers)
-
-
 # ----------------------------------------------------------------------------
 # penalty-split curvature model
 # ----------------------------------------------------------------------------
@@ -586,7 +557,7 @@ class TestSplitPenaltyMatrix:
         for c in (10.0, 1000.0):
             for free, up, low, beta in pairs:
                 B = split_penalty_matrix(prob, x, mult, c, c, free=free)
-                N = newton_matrix_element(
+                N = newton_element_einsum(
                     prob, x, mult.Y, mult.mu, mult.Gamma, c,
                     up_choice=up, low_choice=low, beta_choice=beta)
                 np.testing.assert_allclose(B, N, atol=1e-9 * c)
@@ -596,7 +567,7 @@ class TestSplitPenaltyMatrix:
         x = np.asarray(ref.x, dtype=np.float64)
         mult = ref.multipliers
         B = split_penalty_matrix(mixed_instance, x, mult, 100.0, 100.0)
-        N = newton_matrix_element(
+        N = newton_element_einsum(
             mixed_instance, x, mult.Y, mult.mu, mult.Gamma, 100.0,
             up_choice="identity", low_choice="identity", beta_choice="zero")
         np.testing.assert_allclose(B, N, atol=1e-10)

@@ -19,7 +19,6 @@ from sdnop.problem import (
     QuadraticProblem,
     ShiftedPoint,
     adjoint_jac,
-    apply_jac,
     aug_lagrangian_grad,
     aug_lagrangian_value,
     dual_value_and_grad,
@@ -28,7 +27,6 @@ from sdnop.problem import (
     instance_from_dict,
     instance_to_dict,
     kkt_residual,
-    lagrangian,
     load_instance,
     multiplier_maps,
     newton_matrix_element,
@@ -36,6 +34,7 @@ from sdnop.problem import (
 )
 
 from conftest import make_mixed_instance
+from eval_oracles import apply_jac, lagrangian
 
 NONDEGEN = os.path.join(os.path.dirname(os.path.dirname(__file__)),
                         "instances", "nondegen_small.json")

@@ -1,18 +1,10 @@
-"""PSD projection tests: closed-form oracles, finite differences, cone predicates."""
+"""PSD projection tests: closed-form oracles and finite differences."""
 
 import numpy as np
 import pytest
 
 from sdnop.errors import InvalidInput
-from sdnop.psd_cone import (
-    aff_critical_contains,
-    critical_contains,
-    lineality_contains,
-    proj_bsub_element,
-    proj_dir_deriv,
-    project_psd,
-    tangent_contains,
-)
+from sdnop.psd_cone import proj_bsub_element, proj_dir_deriv, project_psd
 from sdnop.spectral import eig_sym
 
 
@@ -162,70 +154,3 @@ def partition_zero(M):
     eig = eig_sym(M)
     tol = 1e-8 * (1.0 + np.abs(eig.values).max())
     return [i for i, v in enumerate(eig.values) if abs(v) <= tol]
-
-
-class TestCones:
-    def test_tangent_everything_when_positive_definite(self):
-        rng = np.random.RandomState(30)
-        M_plus = np.eye(3)
-        assert tangent_contains(M_plus, rand_sym(rng, 3))
-
-    def test_known_critical_examples(self):
-        M = np.diag([1.0, -1.0])
-        assert critical_contains(M, np.diag([1.0, 0.0]))
-        assert not critical_contains(M, np.diag([1.0, 1.0]))
-
-    def test_tangent_via_dir_deriv_identity(self):
-        # B is tangent at M_plus exactly when the projection derivative fixes it
-        rng = np.random.RandomState(31)
-        hits = 0
-        for _ in range(200):
-            k = rng.randint(2, 6)
-            M = rand_sym_with_kernel(rng, k, rng.randint(0, k))
-            M_plus, _ = project_psd(M)
-            B = rand_sym(rng, k)
-            member = tangent_contains(M_plus, B)
-            fixes = np.linalg.norm(proj_dir_deriv(M_plus, B) - B) <= 1e-8 * (
-                1.0 + np.linalg.norm(B)
-            )
-            assert member == fixes
-            hits += member
-        assert 0 < hits < 200
-
-    def test_lineality_inside_tangent(self):
-        rng = np.random.RandomState(32)
-        M_plus = np.diag([1.0, 0.0, 0.0])
-        # lineality members: zero on the null block
-        B = np.zeros((3, 3))
-        B[0, 1] = B[1, 0] = rng.randn()
-        B[0, 0] = rng.randn()
-        assert lineality_contains(M_plus, B)
-        assert tangent_contains(M_plus, B)
-        assert not lineality_contains(M_plus, np.diag([0.0, 1.0, 0.0]))
-
-    def test_constructed_critical_members_nest(self):
-        # members built inside the critical cone pass the larger predicates
-        rng = np.random.RandomState(33)
-        for _ in range(500):
-            k = rng.randint(2, 6)
-            M = rand_sym_with_kernel(rng, k, rng.randint(1, k))
-            eig = eig_sym(M)
-            tol = 1e-8 * (1.0 + np.abs(eig.values).max())
-            zero = [i for i, v in enumerate(eig.values) if abs(v) <= tol]
-            neg = [i for i, v in enumerate(eig.values) if v < -tol]
-            Bh = rand_sym(rng, k)
-            if zero:
-                zz = np.ix_(zero, zero)
-                Bh[zz] = project_psd(Bh[zz])[0]
-            for i in neg:
-                Bh[i, :] = 0.0
-                Bh[:, i] = 0.0
-            B = eig.basis @ Bh @ eig.basis.T
-            assert critical_contains(M, B, tol=1e-7)
-            assert aff_critical_contains(M, B, tol=1e-7)
-            M_plus, _ = project_psd(M)
-            assert tangent_contains(M_plus, B, tol=1e-7)
-
-    def test_tangent_rejects_indefinite_input(self):
-        with pytest.raises(InvalidInput):
-            tangent_contains(np.diag([1.0, -1.0]), np.eye(2))

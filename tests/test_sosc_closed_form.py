@@ -15,18 +15,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from sdnop.diagnostics import (
-    _critical_member,
-    app_cone_basis,
-    cone_blocks,
-    sosc_reduced_matrix,
-)
+from sdnop.diagnostics import app_cone_basis, cone_blocks, sosc_reduced_matrix
 from sdnop.generator import generate_instance
 from sdnop.nuclear import curvature_form, psi_conjugate
-from sdnop.problem import apply_jac, hess_xx_lagrangian, load_instance
+from sdnop.problem import hess_xx_lagrangian, load_instance
 from sdnop.spectral import EigenDecomposition, group_distinct, pinv_sym
 
 from conftest import make_full_blocks_instance, make_mixed_instance
+from eval_oracles import apply_jac
+from family_oracles import critical_member
 from psi_oracles import psi_critical, psi_full
 
 INSTANCES = os.path.join(os.path.dirname(os.path.dirname(__file__)),
@@ -214,8 +211,8 @@ def test_rotation_reaches_group_blocks(case):
 
 @pytest.mark.parametrize("case", list(BUNDLED) + ["generated_24"])
 def test_psi_conjugate_is_quadratic_of_sigma_F(case):
-    # critical directions d of the reduced subspace, filtered as
-    # second_order_necessary_check does: the sigma term of F along
+    # critical directions d of the reduced subspace, filtered by
+    # critical_member: the sigma term of F along
     # DF(x) d equals z^T Sigma_F z, and so do the closed-form oracles
     problem = CASES[case][0]()
     ref = problem.reference
@@ -232,7 +229,7 @@ def test_psi_conjugate_is_quadratic_of_sigma_F(case):
     for _ in range(50):
         d = basis @ rng.randn(basis.shape[1])
         d /= np.linalg.norm(d)
-        if not _critical_member(blocks, d, 1e-10):
+        if not critical_member(blocks, d, 1e-10):
             continue
         critical += 1
         z = basis.T @ d

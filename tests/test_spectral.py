@@ -6,7 +6,11 @@ import numpy as np
 import pytest
 
 from sdnop.errors import InvalidInput
-from sdnop.nuclear import prox_divided_diff
+from sdnop.nuclear import (
+    grad_moreau_env,
+    grad_moreau_env_symmetrized,
+    prox_divided_diff,
+)
 from sdnop.spectral import (
     EigenDecomposition,
     as_symmetric,
@@ -73,7 +77,8 @@ class TestEig:
         for _ in range(100):
             M = rand_sym(rng, rng.randint(1, 9))
             eig = eig_sym(M)
-            np.testing.assert_allclose(eig.reconstruct(), M, atol=1e-12)
+            np.testing.assert_allclose((eig.basis * eig.values) @ eig.basis.T,
+                                       M, atol=1e-12)
 
     def test_descending_and_orthonormal(self):
         rng = np.random.RandomState(4)
@@ -277,8 +282,27 @@ def test_as_symmetric_averages():
 def test_as_symmetric_near_float_limit():
     # finite entries near the float limit must not overflow while averaging
     M = np.diag([1e308, 1.0])
+    big = 1.7e308
+    A = np.array([[1.0, big], [np.nextafter(big, np.inf), 1.0]])
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         S = as_symmetric(M)
+        T = as_symmetric(A)
     assert np.all(np.isfinite(S))
     np.testing.assert_array_equal(S, M)
+    # the asymmetric pair is halved before it is added
+    assert np.all(np.isfinite(T))
+    np.testing.assert_array_equal(T, T.T)
+
+
+def test_as_symmetric_keeps_exactly_symmetric_input():
+    # halving would round the smallest subnormal to zero
+    tiny = np.nextafter(0.0, 1.0)
+    M = np.array([[1.0, tiny], [tiny, 1.0]])
+    S = as_symmetric(M)
+    assert S is not M
+    np.testing.assert_array_equal(S, M)
+    # so the validating envelope gradient keeps it too
+    np.testing.assert_array_equal(
+        grad_moreau_env(M, 0.5),
+        grad_moreau_env_symmetrized(M, 0.5, eig_sym(M)))

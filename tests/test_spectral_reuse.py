@@ -20,7 +20,7 @@ rectangle its table owner reports: 1 - T vanishes, to round-off, on the
 corner blocks where both eigenvalues shrink on the same side of the
 threshold, and theta on the block where both are negative.  The oracle
 sums over every entry, so it is checked at random points, at points whose
-spectra sit on the kinks with each committed choice, at spectra that
+spectra sit on the kinks with the committed zero choice, at spectra that
 leave the rectangle empty or without a middle block, and with F or g
 absent.  The owners' bounds are checked against their tables directly.
 """
@@ -57,9 +57,10 @@ from sdnop.problem import (
 )
 from sdnop.psd_cone import proj_bsub_element, project_psd
 from sdnop.solver import ALMConfig, alm_solve
-from sdnop.spectral import EigenDecomposition, choice_table, eig_sym
+from sdnop.spectral import EigenDecomposition, eig_sym
 
 from conftest import make_mixed_instance
+from eval_oracles import newton_element_einsum
 
 INSTANCES = os.path.join(os.path.dirname(os.path.dirname(__file__)),
                          "instances")
@@ -76,45 +77,6 @@ def _load(name):
     return load_instance(os.path.join(INSTANCES, name + ".json"))
 
 
-def newton_element_einsum(problem, x, Y, mu, Gamma, c, group_tol=1e-8,
-                          up_choice="zero", low_choice="zero",
-                          beta_choice="zero"):
-    """Reference assembly: every operator decomposes its own argument and
-    the curvature blocks are contracted with einsum over the full
-    tables."""
-    tau = 1.0 / c
-    Yhat = grad_moreau_env(problem.F(x) + Y / c, tau) if problem.q \
-        else np.zeros((0, 0))
-    muhat = mu + c * problem.h(x) if problem.m else np.zeros(0)
-    Ghat = project_psd(Gamma - c * problem.g(x))[0] if problem.p \
-        else np.zeros((0, 0))
-    A = hess_xx_lagrangian(problem, x, Yhat, muhat, Ghat)
-    if problem.q:
-        dd = prox_divided_diff(problem.F(x) + Y / c, tau, group_tol)
-        T = dd.table.copy()
-        for k, sign in dd.kink_blocks:
-            idx = list(dd.blocks.blocks[k])
-            choice = up_choice if sign > 0 else low_choice
-            T[np.ix_(idx, idx)] = choice_table(choice, len(idx), "choice")
-        Gs = np.einsum("ra,iab,bs->irs", dd.eig.basis.T, problem.jac_F(x),
-                       dd.eig.basis, optimize=True)
-        A = A + c * np.einsum("ikl,kl,jkl->ij", Gs, 1.0 - T, Gs,
-                              optimize=True)
-    if problem.m:
-        J = problem.jac_h(x)
-        A = A + c * (J.T @ J)
-    if problem.p:
-        M = Gamma - c * problem.g(x)
-        scale = 1.0 + float(np.linalg.norm(M, 2)) if M.size else 1.0
-        elem = proj_bsub_element(M, beta_choice, tol=group_tol * scale)
-        P = elem.basis
-        Cs = np.einsum("ra,iab,bs->irs", P.T, problem.jac_g(x), P,
-                       optimize=True)
-        A = A + c * np.einsum("ikl,kl,jkl->ij", Cs, elem.theta.entries, Cs,
-                              optimize=True)
-    return 0.5 * (A + A.T)
-
-
 def _random_points(problem, rng, count):
     ref = problem.reference
     for _ in range(count):
@@ -128,11 +90,13 @@ def _random_points(problem, rng, count):
 
 
 def _assert_matches_oracle(problem, x, Y, mu, Gamma, c, group_tol,
-                          **choices):
+                          choice="zero"):
+    # ``choice`` commits the oracle's kink blocks
     A = newton_matrix_element(problem, x, Y, mu, Gamma, c,
-                              group_tol=group_tol, **choices)
+                              group_tol=group_tol)
     ref = newton_element_einsum(problem, x, Y, mu, Gamma, c,
-                                group_tol=group_tol, **choices)
+                                group_tol=group_tol, up_choice=choice,
+                                low_choice=choice, beta_choice=choice)
     err = np.abs(A - ref).max()
     assert err <= 1e-12 * np.abs(ref).max(), (c, group_tol, err)
 
@@ -153,11 +117,6 @@ def _shifted_at(problem, x, c, z_values, m_values, rng):
     return c * (Z - problem.F(x)), M + c * problem.g(x)
 
 
-def _table(k, rng):
-    E = rng.uniform(size=(k, k))
-    return 0.5 * (E + E.T)
-
-
 @pytest.mark.parametrize("name", BUNDLED + tuple(ABSENT))
 def test_newton_element_matches_einsum_oracle(name):
     problem = _load(name)
@@ -169,12 +128,12 @@ def test_newton_element_matches_einsum_oracle(name):
                                        group_tol)
 
 
-@pytest.mark.parametrize("choice", ["zero", "identity", "table"])
+# the element commits the zero table on every kink block
+@pytest.mark.parametrize("choice", ["zero"])
 @pytest.mark.parametrize("name", BUNDLED + tuple(ABSENT))
 def test_committed_kink_choices_match_einsum_oracle(name, choice):
-    # double eigenvalues on +tau, on -tau and on 0 of M: the committed
-    # slope tables sit inside the rectangle, and with "zero" the kink
-    # blocks carry weight 1 in 1 - T
+    # double eigenvalues on +tau, on -tau and on 0 of M: the kink blocks
+    # sit inside the rectangle and carry weight 1 in 1 - T
     problem = _load(name)
     rng = np.random.RandomState(34)
     ref = problem.reference
@@ -192,16 +151,8 @@ def test_committed_kink_choices_match_einsum_oracle(name, choice):
                      for k, sign in dd.kink_blocks}
             assert kinks == {sign: int(np.sum(z == sign * tau))
                              for sign in (1, -1) if np.any(z == sign * tau)}
-            zero = int(np.sum(m == 0.0))
-            if choice == "table":
-                choices = dict(up_choice=_table(kinks.get(1, 0), rng),
-                               low_choice=_table(kinks.get(-1, 0), rng),
-                               beta_choice=_table(zero, rng))
-            else:
-                choices = dict(up_choice=choice, low_choice=choice,
-                               beta_choice=choice)
             _assert_matches_oracle(problem, x, Y, mu, Gamma, c, group_tol,
-                                   **choices)
+                                   choice)
 
 
 @pytest.mark.parametrize("layout", ["above", "below", "split"])
@@ -466,6 +417,29 @@ def test_hot_path_equals_validated_path(name):
             fresh = kkt_residual(*update).as_dict()
             assert np.array_equal(list(shared.values()),
                                   list(fresh.values()))
+
+
+def test_hot_path_keeps_subnormal_entries():
+    # Z = F(0) + Y/c has a subnormal off-diagonal entry, and Yhat there
+    # an odd multiple of the smallest subnormal, which halving would
+    # round; as_symmetric leaves an exactly symmetric matrix unchanged,
+    # so the validated path gives the same bits
+    problem = make_mixed_instance()
+    x = np.zeros(problem.n)
+    ref = problem.reference.multipliers
+    least = np.nextafter(0.0, 1.0)
+    Y = np.array([[0.3, 6 * least], [6 * least, -0.2]])
+    for c, odd in ((2.5, 5), (3.5, 7)):
+        args = (problem, x, Y, ref.mu, ref.Gamma, c)
+        pt = ShiftedPoint(*args)
+        assert 0.0 < pt.Z[0, 1] < np.finfo(np.float64).tiny
+        assert pt.Yhat[0, 1] == odd * least
+        assert np.array_equal(pt.Yhat, grad_moreau_env(pt.Z, 1.0 / c))
+        up = multiplier_maps(*args, point=pt)
+        update = (problem, x, up.Y, up.mu, up.Gamma)
+        shared = kkt_residual(*update, point=pt).as_dict()
+        fresh = kkt_residual(*update).as_dict()
+        assert np.array_equal(list(shared.values()), list(fresh.values()))
 
 
 def _flipped(eig, rng):

@@ -6,9 +6,12 @@ split; its line-search notes read the evaluated point as the second
 positional argument of the augmented-Lagrangian value and gradient, so a
 reordered signature or a keyword call would corrupt the trial count.  The
 ``__all__`` of the package and of each module is what
-``from ... import *`` reads.
+``from ... import *`` reads.  Every name the package exports is used by
+the package itself or by the acceptance suite, or is on a short list of
+names kept on purpose.
 """
 
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -20,8 +23,16 @@ import numpy as np
 import sdnop
 from sdnop import problem, solver
 
-TRACING = os.path.join(os.path.dirname(os.path.dirname(__file__)),
-                       "perfbench", "tracing.py")
+ROOT = os.path.dirname(os.path.dirname(__file__))
+TRACING = os.path.join(ROOT, "perfbench", "tracing.py")
+ACCEPTANCE = os.path.join(ROOT, "tests", "test_acceptance.py")
+
+# exported names that neither the package nor the acceptance suite uses
+KEPT_UNUSED = {
+    "smat",  # the inverse of svec, which the diagnostics use
+    # the membership test that pairs with critical_cone_theta_project
+    "critical_cone_theta_contains",
+}
 
 
 def _wrapped():
@@ -42,6 +53,30 @@ def test_traced_names_resolve():
 def test_public_names_resolve():
     missing = [name for name in sdnop.__all__ if not hasattr(sdnop, name)]
     assert not missing, missing
+
+
+def _referenced_names(path):
+    """Names a source file reads, looks up as attributes or imports."""
+    with open(path) as fh:
+        tree = ast.parse(fh.read())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_public_names_are_used():
+    package = os.path.dirname(sdnop.__file__)
+    paths = [os.path.join(package, f"{info.name}.py")
+             for info in pkgutil.iter_modules(sdnop.__path__)]
+    used = set().union(*map(_referenced_names, paths + [ACCEPTANCE]))
+    unused = sorted(set(sdnop.__all__) - used - KEPT_UNUSED)
+    assert not unused, unused
 
 
 def test_module_public_names_resolve():
