@@ -3,9 +3,11 @@
 Value, subdifferential, first and second directional derivatives, critical
 cone, proximal mapping, Moreau envelope, the soft-threshold
 divided-difference table, and constructible generalized-Jacobian elements
-of the prox and of the envelope gradient.  Every prox Jacobian element is
-the Hadamard table of :func:`prox_divided_diff` with committed slope
-choices on its kink blocks.  The conjugate of the second directional
+of the prox and of the envelope gradient.  The prox, the envelope and
+the table are functions of an eigendecomposition; the public matrix forms
+validate and decompose their argument, then call them.  Every prox
+Jacobian element is the Hadamard table of :func:`prox_divided_diff` with
+committed slope choices on its kink blocks.  The conjugate of the second directional
 derivative (the curvature correction used by second-order optimality
 conditions) has one evaluator, the bilinear form :func:`curvature_form`
 over a stack of directions; :func:`psi_conjugate` is its one-direction
@@ -26,21 +28,23 @@ from .spectral import (
     as_symmetric,
     choice_table,
     eig_sym,
+    eig_symmetrized,
     group_distinct,
     partition_by_sign,
 )
 
 __all__ = [
     "nuclear_norm",
-    "nuclear_norm_symmetrized",
     "theta_dir_deriv",
     "SubgradientPartition",
     "subdiff_contains",
     "subdiff_partition",
+    "soft_threshold",
+    "envelope_value",
+    "envelope_grad",
     "prox_nuclear",
     "moreau_env",
     "grad_moreau_env",
-    "grad_moreau_env_symmetrized",
     "eig_dir_derivs",
     "eig_second_dir_derivs",
     "theta_second_dir_deriv",
@@ -69,16 +73,7 @@ _SPLIT_TOL = 1e-6
 
 def nuclear_norm(X):
     """Sum of absolute eigenvalues of a symmetric matrix."""
-    return nuclear_norm_symmetrized(as_symmetric(X, "X"))
-
-
-def nuclear_norm_symmetrized(S):
-    """:func:`nuclear_norm` of a matrix that is exactly symmetric and
-    finite already (see :func:`spectral.eig_symmetrized`), without
-    validating it again."""
-    if S.size == 0:
-        return 0.0
-    return float(np.abs(np.linalg.eigvalsh(S)).sum())
+    return float(np.abs(np.linalg.eigvalsh(as_symmetric(X, "X"))).sum())
 
 
 def theta_dir_deriv(X, H, tol=None):
@@ -210,7 +205,7 @@ def subdiff_partition(X, Y, tol=None):
 # prox and Moreau envelope
 # ----------------------------------------------------------------------------
 
-def _soft_threshold(vals, tau):
+def _shrink(vals, tau):
     return np.sign(vals) * np.maximum(np.abs(vals) - tau, 0.0)
 
 
@@ -219,50 +214,52 @@ def _check_tau(tau):
         raise InvalidInput(f"tau must be positive, got {tau}")
 
 
-def prox_nuclear(Z, tau, eig=None):
-    """Proximal mapping of the nuclear norm: eigenvalue soft-thresholding.
-
-    Returns the minimizer of ||X'||_* + ||X' - Z||^2/(2 tau) together with
-    the eigendecomposition of Z used to form it.  Pass ``eig = eig_sym(Z)``
-    to reuse a decomposition already at hand.
-    """
-    _check_tau(tau)
-    if eig is None:
-        eig = eig_sym(Z)
-    X = (eig.basis * _soft_threshold(eig.values, tau)) @ eig.basis.T
-    return 0.5 * (X + X.T), eig
+def soft_threshold(eig, tau):
+    """Nuclear-norm prox at level tau of the matrix Z that ``eig``
+    decomposes.  The basis may have either sign in each column; tau > 0
+    is not checked."""
+    X = (eig.basis * _shrink(eig.values, tau)) @ eig.basis.T
+    return 0.5 * (X + X.T)
 
 
-def moreau_env(Z, tau, eig=None):
-    """Moreau envelope of the nuclear norm at Z.
-
-    The quadratic penalty is ||X'-Z||^2/(2 tau).  ``eig`` is an optional
-    ``eig_sym(Z)`` to reuse.
-    """
-    _check_tau(tau)
-    if eig is None:
-        eig = eig_sym(Z)
-    p = _soft_threshold(eig.values, tau)
+def envelope_value(eig, tau):
+    """Moreau envelope at Z, with ``eig`` and tau as in
+    :func:`soft_threshold`."""
+    p = _shrink(eig.values, tau)
     return float(np.abs(p).sum() + np.sum((p - eig.values) ** 2) / (2.0 * tau))
 
 
-def grad_moreau_env(Z, tau, eig=None):
-    """Gradient of the Moreau envelope: the scaled prox residual.
+def envelope_grad(eig, Z, tau):
+    """Envelope gradient at Z, given exactly symmetric, with ``eig`` and
+    tau as in :func:`soft_threshold`."""
+    return (Z - soft_threshold(eig, tau)) / tau
 
-    ``eig`` is an optional ``eig_sym(Z)`` to reuse.
+
+def prox_nuclear(Z, tau):
+    """Proximal mapping of the nuclear norm: eigenvalue soft-thresholding.
+
+    Returns the minimizer of ||X'||_* + ||X' - Z||^2/(2 tau) together with
+    the eigendecomposition of Z used to form it.
     """
     _check_tau(tau)
-    if eig is None:
-        eig = eig_sym(Z)
-    return grad_moreau_env_symmetrized(as_symmetric(Z, "Z"), tau, eig)
+    eig = eig_sym(Z)
+    return soft_threshold(eig, tau), eig
 
 
-def grad_moreau_env_symmetrized(S, tau, eig):
-    """:func:`grad_moreau_env` at a matrix ``S`` that is exactly symmetric
-    and finite already, with ``eig`` its decomposition (sign-fixed or
-    not), without validating ``S`` again."""
-    X, _ = prox_nuclear(S, tau, eig=eig)
-    return (S - X) / tau
+def moreau_env(Z, tau):
+    """Moreau envelope of the nuclear norm at Z.
+
+    The quadratic penalty is ||X'-Z||^2/(2 tau).
+    """
+    _check_tau(tau)
+    return envelope_value(eig_sym(Z), tau)
+
+
+def grad_moreau_env(Z, tau):
+    """Gradient of the Moreau envelope: the scaled prox residual."""
+    _check_tau(tau)
+    S = as_symmetric(Z)  # the gradient needs no column sign fix
+    return envelope_grad(eig_symmetrized(S), S, tau)
 
 
 # ----------------------------------------------------------------------------
@@ -398,7 +395,7 @@ def soft_pair_table(vals, tau, kink_flags):
     if any(flags):
         vals = np.array([tau if f > 0 else -tau if f < 0 else v
                          for v, f in zip(vals.tolist(), flags)])
-    pv = _soft_threshold(vals, tau)
+    pv = _shrink(vals, tau)
     num = pv[:, None] - pv[None, :]
     den = vals[:, None] - vals[None, :]
     out = np.zeros((vals.size, vals.size))
@@ -428,8 +425,6 @@ class ProxDividedDiff:
     table: np.ndarray
     kink_blocks: Tuple[Tuple[int, int], ...]
     blocks: DistinctBlocks
-    eig: EigenDecomposition
-    tau: float
     complement_support: Tuple[int, int]
 
     def committed_table(self, up_choice, low_choice):
@@ -445,14 +440,8 @@ class ProxDividedDiff:
         return T
 
 
-def prox_divided_diff(Z, tau, group_tol=1e-8, eig=None):
-    """Soft-threshold divided-difference table over the spectrum of Z.
-
-    ``eig`` is an optional ``eig_sym(Z)`` to reuse.
-    """
-    _check_tau(tau)
-    if eig is None:
-        eig = eig_sym(Z)
+def prox_divided_diff(eig, tau, group_tol=1e-8):
+    """Soft-threshold divided-difference table over the spectrum ``eig``."""
     blocks = group_distinct(eig, group_tol)
     # the kink flags and the support bounds are read off Python lists: at
     # the solver's sizes one numpy call on these short arrays costs more
@@ -484,14 +473,16 @@ def prox_divided_diff(Z, tau, group_tol=1e-8, eig=None):
         n_low += 1
     lo = blocks.blocks[n_up - 1][-1] + 1 if n_up else 0
     hi = blocks.blocks[-n_low][0] if n_low else eig.dim
-    return ProxDividedDiff(table, kinks, blocks, eig, float(tau), (lo, hi))
+    return ProxDividedDiff(table, kinks, blocks, (lo, hi))
 
 
 def prox_dir_deriv(Z, tau, H, group_tol=1e-8):
     """Directional derivative of the nuclear-norm prox at Z along H."""
-    dd = prox_divided_diff(Z, tau, group_tol)
+    _check_tau(tau)
+    eig = eig_sym(Z)
+    dd = prox_divided_diff(eig, tau, group_tol)
     H = as_symmetric(H, "H")
-    Hh = dd.eig.basis.T @ H @ dd.eig.basis
+    Hh = eig.basis.T @ H @ eig.basis
     out = dd.table * Hh
     for k, sign in dd.kink_blocks:
         idx = list(dd.blocks.blocks[k])
@@ -500,7 +491,7 @@ def prox_dir_deriv(Z, tau, H, group_tol=1e-8):
             out[np.ix_(idx, idx)] = project_psd(sub)[0]
         else:
             out[np.ix_(idx, idx)] = -project_psd(-sub)[0]
-    R = dd.eig.basis @ out @ dd.eig.basis.T
+    R = eig.basis @ out @ eig.basis.T
     return 0.5 * (R + R.T)
 
 
@@ -558,8 +549,8 @@ def prox_bsub_element(X, Y, tau, up_choice="zero", low_choice="zero",
     vals = _structured_values(sp, tau)
     # spectra closer than 1e-12 (1 + max |v|) are one group, so the two
     # saturated groups sit exactly on the kinks at +-tau
-    dd = prox_divided_diff(None, tau, group_tol=1e-12,
-                           eig=EigenDecomposition(vals, sp.basis))
+    dd = prox_divided_diff(EigenDecomposition(vals, sp.basis), tau,
+                           group_tol=1e-12)
     T = dd.committed_table(up_choice, low_choice)
     return ProxJacobianElement(sp.basis, T, sp, float(tau))
 

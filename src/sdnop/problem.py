@@ -20,24 +20,18 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidInput
-# grad_moreau_env and nuclear_norm stay importable from this module, where
-# perfbench/tracing.py looks them up; the solver's path uses the
-# *_symmetrized forms
-from .nuclear import (  # noqa: F401
-    grad_moreau_env,
-    grad_moreau_env_symmetrized,
-    moreau_env,
-    nuclear_norm,
-    nuclear_norm_symmetrized,
-    prox_divided_diff,
-)
-from .psd_cone import proj_bsub_element, project_psd
+from .nuclear import envelope_grad, envelope_value, prox_divided_diff
+from .psd_cone import positive_part, theta_matrix
 from .spectral import (
     as_symmetric,
     check_symmetric,
     eig_symmetrized,
     symmetric_part,
 )
+# not called here: perfbench/tracing.py looks these public forms up on
+# this module and wraps them
+from .nuclear import grad_moreau_env, moreau_env, nuclear_norm  # noqa: F401
+from .psd_cone import proj_bsub_element, project_psd  # noqa: F401
 
 __all__ = [
     "QuadraticMatrixMap",
@@ -369,10 +363,12 @@ class ShiftedPoint:
     Everything the augmented Lagrangian and its derivatives need at x comes
     from two spectral operators: the nuclear-norm prox at
     Z = F(x) + Y/c and the PSD projection at M = Gamma - c g(x).  Each is a
-    function of one eigendecomposition, taken here once and shared by the
+    function of one eigendecomposition, taken here once (``eig_Z`` and
+    ``eig_M``) and passed to the operators' decomposition forms by the
     value, the gradient, the Newton element and the multiplier update.
-    ``Z`` and ``M`` are kept symmetrized; a non-finite entry in either is
-    an InvalidInput that names it.  Y and Gamma are not tested for
+    ``Z`` and ``M`` are symmetrized by :func:`spectral.symmetric_part`,
+    which keeps the bits of an exactly symmetric sum; a non-finite entry
+    in either is an InvalidInput that names it.  Y and Gamma are not tested for
     symmetry here: the callers check them once, where they enter
     (``check_multipliers``).  ``sq_norms`` holds
     (np.sum(Y * Y), np.sum(Gamma * Gamma)) for the value; a caller that
@@ -405,12 +401,12 @@ class ShiftedPoint:
     @cached_property
     def Yhat(self):
         """Envelope gradient at Z: the updated nuclear-norm multiplier."""
-        return grad_moreau_env_symmetrized(self.Z, self.tau, self.eig_Z)
+        return envelope_grad(self.eig_Z, self.Z, self.tau)
 
     @cached_property
     def Ghat(self):
         """Projection of M onto the PSD cone: the updated cone multiplier."""
-        return project_psd(self.M, eig=self.eig_M)[0]
+        return positive_part(self.eig_M)
 
     @cached_property
     def jac_F(self):
@@ -456,7 +452,7 @@ def aug_lagrangian_value(problem, x, Y, mu, Gamma, c, *, point=None):
     hx, P = pt.hx, pt.Ghat
     Y_sq, Gamma_sq = pt.sq_norms
     val = problem.f(x)
-    val += moreau_env(pt.Z, pt.tau, eig=pt.eig_Z) - Y_sq / (2.0 * c)
+    val += envelope_value(pt.eig_Z, pt.tau) - Y_sq / (2.0 * c)
     val += float(mu @ hx) + 0.5 * c * float(hx @ hx)
     val += (np.sum(P * P) - Gamma_sq) / (2.0 * c)
     return float(val)
@@ -515,7 +511,7 @@ def newton_matrix_element(problem, x, Y, mu, Gamma, c, group_tol=1e-8, *,
     B-subdifferential element pushed through Dg.  Where the shifted
     spectra sit exactly on a kink, the element commits the zero table on
     the free Hadamard blocks: ``prox_divided_diff``'s table is already 0
-    on its kink blocks, and ``proj_bsub_element``'s default on its zero
+    on its kink blocks, and ``theta_matrix``'s default on its zero
     block.  ``point`` is an optional ShiftedPoint built from the same
     arguments.
 
@@ -531,16 +527,15 @@ def newton_matrix_element(problem, x, Y, mu, Gamma, c, group_tol=1e-8, *,
     if A is None:
         A = hess_xx_lagrangian(problem, x, pt.Yhat, pt.muhat, pt.Ghat)
 
-    dd = prox_divided_diff(pt.Z, pt.tau, group_tol, eig=pt.eig_Z)
+    dd = prox_divided_diff(pt.eig_Z, pt.tau, group_tol)
     A = A + c * _hadamard_gram(pt.eig_Z.basis, pt.jac_F, 1.0 - dd.table,
                                *dd.complement_support)
 
     A = A + c * problem.jac_h_gram
 
-    scale = 1.0 + pt.eig_M.norm
-    elem = proj_bsub_element(pt.M, tol=group_tol * scale, eig=pt.eig_M)
-    A = A + c * _hadamard_gram(elem.basis, pt.jac_g, elem.theta.entries,
-                               *elem.theta.support)
+    theta = theta_matrix(pt.eig_M, tol=group_tol * (1.0 + pt.eig_M.norm))
+    A = A + c * _hadamard_gram(pt.eig_M.basis, pt.jac_g, theta.entries,
+                               *theta.support)
     return 0.5 * (A + A.T)
 
 
@@ -577,12 +572,12 @@ def kkt_residual(problem, x, Y, mu, Gamma, *, point=None):
     ball = max(0.0, float(np.abs(np.linalg.eigvalsh(Ys)).max(initial=0.0))
                - 1.0)
     Fs = symmetric_part(Fx, "F(x)")
-    gap = abs(nuclear_norm_symmetrized(Fs) - float(np.sum(Fx * Ys)))
+    gap = abs(float(np.abs(np.linalg.eigvalsh(Fs)).sum())
+              - float(np.sum(Fx * Ys)))
     sub = max(ball, gap)
     eq = float(np.linalg.norm(hx))
     gs = symmetric_part(gx, "g(x)")
-    cone = float(np.linalg.norm(
-        gx - project_psd(gs, eig=eig_symmetrized(gs))[0]))
+    cone = float(np.linalg.norm(gx - positive_part(eig_symmetrized(gs))))
     Gs = Gamma if point is not None else as_symmetric(Gamma, "Gamma")
     dual = float(max(0.0, -np.linalg.eigvalsh(Gs).min(initial=0.0)))
     comp = float(abs(np.sum(gx * Gamma)))

@@ -3,7 +3,8 @@
 Provides the metric projection, the positive-part divided-difference
 table over a spectrum (the Hadamard table behind every derivative of the
 projection), its directional derivative, and constructible elements of
-its B-subdifferential.
+its B-subdifferential.  The projection and an element's table are
+functions of a decomposition, which the public matrix forms take.
 """
 
 from dataclasses import dataclass
@@ -22,8 +23,10 @@ from .spectral import (
 __all__ = [
     "ThetaMatrix",
     "ProjBsubElement",
+    "positive_part",
     "project_psd",
     "psd_pair_table",
+    "theta_matrix",
     "proj_dir_deriv",
     "proj_bsub_element",
 ]
@@ -67,20 +70,23 @@ class ProjBsubElement:
         return self.basis @ (self.theta.entries * Hh) @ self.basis.T
 
 
-def project_psd(M, eig=None):
-    """Metric projection of a symmetric matrix onto the PSD cone.
+def positive_part(eig):
+    """PSD projection of the matrix that ``eig`` decomposes; the basis may
+    have either sign in each column."""
+    plus = (eig.basis * np.maximum(eig.values, 0.0)) @ eig.basis.T
+    return 0.5 * (plus + plus.T)
 
-    Pass ``eig = eig_sym(M)`` to reuse a decomposition already at hand.
+
+def project_psd(M):
+    """Metric projection of a symmetric matrix onto the PSD cone.
 
     Returns
     -------
     (ndarray, EigenDecomposition)
         The projection and the decomposition of ``M`` used to form it.
     """
-    if eig is None:
-        eig = eig_sym(M)
-    plus = (eig.basis * np.maximum(eig.values, 0.0)) @ eig.basis.T
-    return 0.5 * (plus + plus.T), eig
+    eig = eig_sym(M)
+    return positive_part(eig), eig
 
 
 def psd_pair_table(lam, zero_mask):
@@ -111,8 +117,18 @@ def psd_pair_table(lam, zero_mask):
     return out
 
 
-def _hat(eig, H):
-    return eig.basis.T @ H @ eig.basis
+def theta_matrix(eig, beta_choice="zero", tol=None):
+    """Theta table of :func:`proj_bsub_element`'s element, with the same
+    ``beta_choice`` and ``tol``, at the matrix that ``eig`` decomposes."""
+    part = partition_by_sign(eig, tol)
+    zero = list(part.zero)
+    mask = np.zeros(eig.dim, dtype=bool)
+    mask[zero] = True
+    table = psd_pair_table(eig.values, mask)
+    if zero:
+        table[np.ix_(zero, zero)] = choice_table(beta_choice, len(zero),
+                                                 "beta_choice")
+    return ThetaMatrix(table, part)
 
 
 def proj_dir_deriv(M, H, tol=None):
@@ -126,13 +142,12 @@ def proj_dir_deriv(M, H, tol=None):
     H = as_symmetric(H, "H")
     if H.shape != eig.basis.shape:
         raise InvalidInput("H dimension does not match M")
-    part = partition_by_sign(eig, tol)
-    zero = list(part.zero)
-    Hh = _hat(eig, H)
-    # the pair table is already 1 on the positive rows and 0 on everything
+    theta = theta_matrix(eig, tol=tol)
+    zero = list(theta.partition.zero)
+    Hh = eig.basis.T @ H @ eig.basis
+    # the table is already 1 on the positive rows and 0 on everything
     # touching the negative rows except the damped positive-negative block
-    table = psd_pair_table(eig.values, _zero_mask(eig, part))
-    out = table * Hh
+    out = theta.entries * Hh
     if zero:
         zz = np.ix_(zero, zero)
         out[zz], _ = project_psd(Hh[zz])
@@ -140,13 +155,7 @@ def proj_dir_deriv(M, H, tol=None):
     return 0.5 * (R + R.T)
 
 
-def _zero_mask(eig, part):
-    mask = np.zeros(eig.dim, dtype=bool)
-    mask[list(part.zero)] = True
-    return mask
-
-
-def proj_bsub_element(M, beta_choice="zero", tol=None, eig=None):
+def proj_bsub_element(M, beta_choice="zero", tol=None):
     """Construct an element of the B-subdifferential of the PSD projection.
 
     Parameters
@@ -159,15 +168,6 @@ def proj_bsub_element(M, beta_choice="zero", tol=None, eig=None):
         read, and validated, only when M has a zero block.
     tol : float, optional
         Sign tolerance for the partition.
-    eig : EigenDecomposition, optional
-        ``eig_sym(M)``, to reuse a decomposition already at hand.
     """
-    if eig is None:
-        eig = eig_sym(M)
-    part = partition_by_sign(eig, tol)
-    zero = list(part.zero)
-    table = psd_pair_table(eig.values, _zero_mask(eig, part))
-    if zero:
-        table[np.ix_(zero, zero)] = choice_table(beta_choice, len(zero),
-                                                 "beta_choice")
-    return ProjBsubElement(eig.basis, ThetaMatrix(table, part))
+    eig = eig_sym(M)
+    return ProjBsubElement(eig.basis, theta_matrix(eig, beta_choice, tol))

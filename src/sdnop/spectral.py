@@ -113,11 +113,17 @@ class EigenDecomposition:
 def symmetric_part(A, name):
     """(A + A^T) / 2 of a square matrix, checked finite.
 
-    Halves before adding, so finite entries near the float limit stay
-    finite, and raises InvalidInput naming ``name`` when an entry is not
+    Adds before halving, so a bitwise-symmetric matrix keeps its bits,
+    and halves first only where the sum overflows near the float limit.
+    Raises InvalidInput naming ``name`` when an entry is not
     finite.  Unlike :func:`as_symmetric` it does not test the asymmetry:
     it is for matrices formed from operands that were checked already.
     """
+    with np.errstate(over="ignore", invalid="ignore"):
+        S = A + A.T
+    if np.isfinite(S).all():
+        S *= 0.5
+        return S
     H = 0.5 * A
     S = H + H.T
     if not np.isfinite(S).all():

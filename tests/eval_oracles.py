@@ -21,6 +21,7 @@ block.
 
 import numpy as np
 
+from sdnop import spectral
 from sdnop.nuclear import grad_moreau_env, prox_divided_diff, soft_pair_table
 from sdnop.problem import hess_xx_lagrangian
 from sdnop.psd_cone import proj_bsub_element, project_psd
@@ -130,14 +131,15 @@ def newton_element_einsum(problem, x, Y, mu, Gamma, c, group_tol=1e-8,
         else np.zeros((0, 0))
     A = hess_xx_lagrangian(problem, x, Yhat, muhat, Ghat)
     if problem.q:
-        dd = prox_divided_diff(problem.F(x) + Y / c, tau, group_tol)
+        eig = spectral.eig_sym(problem.F(x) + Y / c)
+        dd = prox_divided_diff(eig, tau, group_tol)
         T = dd.table.copy()
         for k, sign in dd.kink_blocks:
             idx = list(dd.blocks.blocks[k])
             choice = up_choice if sign > 0 else low_choice
             T[np.ix_(idx, idx)] = choice_table(choice, len(idx), "choice")
-        Gs = np.einsum("ra,iab,bs->irs", dd.eig.basis.T, problem.jac_F(x),
-                       dd.eig.basis, optimize=True)
+        Gs = np.einsum("ra,iab,bs->irs", eig.basis.T, problem.jac_F(x),
+                       eig.basis, optimize=True)
         A = A + c * np.einsum("ikl,kl,jkl->ij", Gs, 1.0 - T, Gs,
                               optimize=True)
     if problem.m:

@@ -29,6 +29,7 @@ from sdnop.nuclear import (
     theta_dir_deriv,
     theta_second_dir_deriv,
 )
+from sdnop.spectral import eig_sym
 
 from psi_oracles import (
     critical_cone_equality_gap,
@@ -455,7 +456,7 @@ class TestProxDirDeriv:
             assert errs[2] <= 1e-3 * scale
 
     def test_divided_diff_flags_kinks(self):
-        dd = prox_divided_diff(np.diag([1.0, 0.2, -1.0]), 1.0)
+        dd = prox_divided_diff(eig_sym(np.diag([1.0, 0.2, -1.0])), 1.0)
         signs = dict(dd.kink_blocks)
         assert set(signs.values()) == {1, -1}
 

@@ -6,11 +6,7 @@ import numpy as np
 import pytest
 
 from sdnop.errors import InvalidInput
-from sdnop.nuclear import (
-    grad_moreau_env,
-    grad_moreau_env_symmetrized,
-    prox_divided_diff,
-)
+from sdnop.nuclear import envelope_grad, grad_moreau_env, prox_divided_diff
 from sdnop.spectral import (
     EigenDecomposition,
     as_symmetric,
@@ -20,6 +16,7 @@ from sdnop.spectral import (
     pinv_sym,
     smat,
     svec,
+    symmetric_part,
 )
 
 
@@ -226,7 +223,7 @@ class TestListLoopsMatchNumpy:
         for tau, vals in _oracle_spectra(rng):
             eig = EigenDecomposition(vals, np.eye(vals.size))
             for group_tol in (0.0, 1e-8, 1e-3):
-                dd = prox_divided_diff(None, tau, group_tol, eig=eig)
+                dd = prox_divided_diff(eig, tau, group_tol)
                 reps = dd.blocks.values
                 kink_tol = group_tol * (1.0 + np.abs(reps).max() + tau)
                 flags = np.zeros(reps.size, dtype=np.int8)
@@ -304,5 +301,33 @@ def test_as_symmetric_keeps_exactly_symmetric_input():
     np.testing.assert_array_equal(S, M)
     # so the validating envelope gradient keeps it too
     np.testing.assert_array_equal(
-        grad_moreau_env(M, 0.5),
-        grad_moreau_env_symmetrized(M, 0.5, eig_sym(M)))
+        grad_moreau_env(M, 0.5), envelope_grad(eig_sym(M), M, 0.5))
+
+
+def test_symmetric_part_keeps_exactly_symmetric_input():
+    # adding before halving: 2 a / 2 = a, where halving first would round
+    # an odd multiple of the smallest subnormal
+    least = np.nextafter(0.0, 1.0)
+    for odd in (1, 3, 7):
+        A = np.array([[1.0, odd * least], [odd * least, -2.0]])
+        S = symmetric_part(A, "A")
+        assert S is not A
+        np.testing.assert_array_equal(S, A)
+
+
+def test_symmetric_part_near_float_limit():
+    # a sum that overflows is formed by halving first, without a warning;
+    # a non-finite entry is an InvalidInput that names the matrix
+    big = 1.7e308
+    A = np.array([[big, big], [np.nextafter(big, np.inf), -big]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        S = symmetric_part(A, "A")
+    H = 0.5 * A
+    np.testing.assert_array_equal(S, H + H.T)
+    for bad in (np.nan, np.inf):
+        B = np.eye(2)
+        B[0, 1] = bad
+        with pytest.raises(InvalidInput,
+                           match=r"^B contains non-finite entries$"):
+            symmetric_part(B, "B")

@@ -37,10 +37,14 @@ from sdnop.diagnostics import SWEEP_INNER
 from sdnop.errors import InnerSolveError
 from sdnop.generator import generate_instance
 from sdnop.nuclear import (
+    envelope_grad,
+    envelope_value,
     grad_moreau_env,
     moreau_env,
+    nuclear_norm,
     prox_divided_diff,
     prox_nuclear,
+    soft_threshold,
 )
 from sdnop.problem import (
     MultiplierTriple,
@@ -55,12 +59,18 @@ from sdnop.problem import (
     multiplier_maps,
     newton_matrix_element,
 )
-from sdnop.psd_cone import proj_bsub_element, project_psd
+from sdnop.psd_cone import (
+    ProjBsubElement,
+    positive_part,
+    proj_bsub_element,
+    project_psd,
+    theta_matrix,
+)
 from sdnop.solver import ALMConfig, alm_solve
 from sdnop.spectral import EigenDecomposition, eig_sym
 
 from conftest import make_mixed_instance
-from eval_oracles import newton_element_einsum
+from eval_oracles import newton_element_einsum, prox_table
 
 INSTANCES = os.path.join(os.path.dirname(os.path.dirname(__file__)),
                          "instances")
@@ -146,7 +156,7 @@ def test_committed_kink_choices_match_einsum_oracle(name, choice):
         Y, Gamma = _shifted_at(problem, x, c, z, m, rng)
         pt = ShiftedPoint(problem, x, Y, mu, Gamma, c)
         for group_tol in (1e-8, 1e-3):
-            dd = prox_divided_diff(pt.Z, tau, group_tol, eig=pt.eig_Z)
+            dd = prox_divided_diff(pt.eig_Z, tau, group_tol)
             kinks = {sign: len(dd.blocks.blocks[k])
                      for k, sign in dd.kink_blocks}
             assert kinks == {sign: int(np.sum(z == sign * tau))
@@ -174,11 +184,10 @@ def test_rectangle_edges_match_einsum_oracle(name, layout):
         m = -signs[:problem.p] * rng.uniform(0.5, 2.0, problem.p)
         Y, Gamma = _shifted_at(problem, x, c, z, m, rng)
         pt = ShiftedPoint(problem, x, Y, mu, Gamma, c)
-        elem = proj_bsub_element(pt.M, eig=pt.eig_M)
-        assert elem.theta.support == (0, int(np.sum(m > 0.0)))
+        assert theta_matrix(pt.eig_M).support == (0, int(np.sum(m > 0.0)))
         above = int(np.sum(z > 0.0))
         for group_tol in (0.0, 1e-8, 1e-3):
-            dd = prox_divided_diff(pt.Z, tau, group_tol, eig=pt.eig_Z)
+            dd = prox_divided_diff(pt.eig_Z, tau, group_tol)
             assert dd.complement_support == (above, above)
             _assert_matches_oracle(problem, x, Y, mu, Gamma, c, group_tol)
 
@@ -208,7 +217,7 @@ def test_tables_vanish_outside_their_support():
     for tau, values in _test_spectra(rng):
         eig = EigenDecomposition(values, np.eye(values.size))
         for group_tol in (0.0, 1e-8, 1e-3):
-            dd = prox_divided_diff(None, tau, group_tol, eig=eig)
+            dd = prox_divided_diff(eig, tau, group_tol)
             lo, hi = dd.complement_support
             assert 0 <= lo <= hi <= values.size
             v = np.repeat(dd.blocks.values, [len(b) for b in dd.blocks.blocks])
@@ -223,7 +232,7 @@ def test_tables_vanish_outside_their_support():
                         (tau, values, group_tol)
             for tol in (None, group_tol * (1.0 + eig.norm)):
                 for beta in ("zero", "identity"):
-                    theta = proj_bsub_element(None, beta, tol, eig=eig).theta
+                    theta = theta_matrix(eig, beta, tol)
                     lo, hi = theta.support
                     assert lo == 0
                     assert not theta.entries[hi:, hi:].any()
@@ -317,26 +326,53 @@ def test_eigendecomposition_count_under_forcing(monkeypatch):
 
 
 def test_operators_skip_decomposition_when_given_one(monkeypatch):
+    # each decomposition form runs without an eigensolver and gives the
+    # bits of its public matrix form; the divided-difference table, which
+    # has no matrix form, those of its loop-expansion oracle
     rng = np.random.RandomState(33)
     E = rng.randn(5, 5)
     Z = E + E.T
     eig = eig_sym(Z)
     expected = (moreau_env(Z, 0.3), grad_moreau_env(Z, 0.3),
-                prox_nuclear(Z, 0.3)[0], prox_divided_diff(Z, 0.3).table,
+                prox_nuclear(Z, 0.3)[0], prox_table(eig, 0.3, 1e-8),
                 project_psd(Z)[0], proj_bsub_element(Z).theta.entries)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("decomposed a matrix whose spectrum was given")
 
     monkeypatch.setattr(np.linalg, "eigh", forbidden)
-    got = (moreau_env(Z, 0.3, eig=eig), grad_moreau_env(Z, 0.3, eig=eig),
-           prox_nuclear(Z, 0.3, eig=eig)[0],
-           prox_divided_diff(Z, 0.3, eig=eig).table,
-           project_psd(Z, eig=eig)[0],
-           proj_bsub_element(Z, eig=eig).theta.entries)
+    monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
+    got = (envelope_value(eig, 0.3), envelope_grad(eig, Z, 0.3),
+           soft_threshold(eig, 0.3), prox_divided_diff(eig, 0.3).table,
+           positive_part(eig), theta_matrix(eig).entries)
     assert got[0] == expected[0]
     for a, b in zip(got[1:], expected[1:]):
         np.testing.assert_array_equal(a, b)
+
+
+def test_public_operators_validate_once(monkeypatch):
+    # each public operator validates its matrix once, with the message
+    # it names it by, before it decomposes it
+    counts = []
+    check_symmetric = spectral.check_symmetric
+
+    def counting(M, name="matrix"):
+        counts.append(name)
+        return check_symmetric(M, name)
+
+    monkeypatch.setattr(spectral, "check_symmetric", counting)
+    rng = np.random.RandomState(39)
+    E = rng.randn(4, 4)
+    Z = E + E.T
+    for op, name in ((lambda: prox_nuclear(Z, 0.3), "matrix"),
+                     (lambda: moreau_env(Z, 0.3), "matrix"),
+                     (lambda: grad_moreau_env(Z, 0.3), "matrix"),
+                     (lambda: nuclear_norm(Z), "X"),
+                     (lambda: project_psd(Z), "matrix"),
+                     (lambda: proj_bsub_element(Z), "matrix")):
+        counts.clear()
+        op()
+        assert counts == [name]
 
 
 def test_validation_budget(monkeypatch):
@@ -380,15 +416,15 @@ def newton_element_uncached(problem, x, c, pt):
     Lagrangian curvature from ``hess_xx_lagrangian`` and Jh^T Jh formed
     at x, as before the problem kept them."""
     A = hess_xx_lagrangian(problem, x, pt.Yhat, pt.muhat, pt.Ghat)
-    dd = prox_divided_diff(pt.Z, pt.tau, 0.0, eig=pt.eig_Z)
+    dd = prox_divided_diff(pt.eig_Z, pt.tau, 0.0)
     A = A + c * _hadamard_gram(pt.eig_Z.basis, pt.jac_F,
                                1.0 - dd.committed_table("zero", "zero"),
                                *dd.complement_support)
     J = problem.jac_h(x)
     A = A + c * (J.T @ J)
-    elem = proj_bsub_element(pt.M, tol=0.0, eig=pt.eig_M)
-    A = A + c * _hadamard_gram(elem.basis, pt.jac_g, elem.theta.entries,
-                               *elem.theta.support)
+    theta = theta_matrix(pt.eig_M, tol=0.0)
+    A = A + c * _hadamard_gram(pt.eig_M.basis, pt.jac_g, theta.entries,
+                               *theta.support)
     return 0.5 * (A + A.T)
 
 
@@ -422,16 +458,18 @@ def test_hot_path_equals_validated_path(name):
 def test_hot_path_keeps_subnormal_entries():
     # Z = F(0) + Y/c has a subnormal off-diagonal entry, and Yhat there
     # an odd multiple of the smallest subnormal, which halving would
-    # round; as_symmetric leaves an exactly symmetric matrix unchanged,
-    # so the validated path gives the same bits
+    # round; Z is formed by adding before halving and as_symmetric leaves
+    # an exactly symmetric matrix unchanged, so both keep it and the
+    # validated path gives the same bits
     problem = make_mixed_instance()
     x = np.zeros(problem.n)
     ref = problem.reference.multipliers
     least = np.nextafter(0.0, 1.0)
-    Y = np.array([[0.3, 6 * least], [6 * least, -0.2]])
-    for c, odd in ((2.5, 5), (3.5, 7)):
+    for y, c, odd in ((6, 2.5, 5), (6, 3.5, 7), (3, 1.0, 3)):
+        Y = np.array([[0.3, y * least], [y * least, -0.2]])
         args = (problem, x, Y, ref.mu, ref.Gamma, c)
         pt = ShiftedPoint(*args)
+        assert np.array_equal(pt.Z, problem.F(x) + Y / c)
         assert 0.0 < pt.Z[0, 1] < np.finfo(np.float64).tiny
         assert pt.Yhat[0, 1] == odd * least
         assert np.array_equal(pt.Yhat, grad_moreau_env(pt.Z, 1.0 / c))
@@ -469,14 +507,12 @@ def test_column_signs_change_no_bit(name):
             H = rng.randn(problem.p, problem.p)
             H = H + H.T
             pairs = [
-                (prox_nuclear(pt.Z, tau, eig=e)[0] for e in
+                (soft_threshold(e, tau) for e in (pt.eig_Z, flip.eig_Z)),
+                (positive_part(e) for e in (pt.eig_M, flip.eig_M)),
+                (prox_divided_diff(e, tau, 0.0).table for e in
                  (pt.eig_Z, flip.eig_Z)),
-                (project_psd(pt.M, eig=e)[0] for e in
-                 (pt.eig_M, flip.eig_M)),
-                (prox_divided_diff(pt.Z, tau, 0.0, eig=e).table for e in
-                 (pt.eig_Z, flip.eig_Z)),
-                (proj_bsub_element(pt.M, tol=0.0, eig=e).apply(H) for e in
-                 (pt.eig_M, flip.eig_M)),
+                (ProjBsubElement(e.basis, theta_matrix(e, tol=0.0)).apply(H)
+                 for e in (pt.eig_M, flip.eig_M)),
                 (p.Yhat for p in (pt, flip)),
                 (p.Ghat for p in (pt, flip)),
                 (newton_matrix_element(problem, x, Y, mu, Gamma, c,

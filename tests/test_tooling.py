@@ -89,6 +89,40 @@ def test_module_public_names_resolve():
     assert not missing, missing
 
 
+def _defined_functions(module):
+    """Functions and methods defined in ``module``, by qualified name."""
+    for name, obj in vars(module).items():
+        if getattr(obj, "__module__", None) != module.__name__:
+            continue
+        if inspect.isfunction(obj):
+            yield name, obj
+        elif inspect.isclass(obj):
+            for attr, member in vars(obj).items():
+                if inspect.isfunction(member):
+                    yield f"{name}.{attr}", member
+
+
+def test_spectral_operators_have_one_form():
+    # each spectral operator is one function of a decomposition, which its
+    # public matrix form wraps: no optional ``eig`` argument beside the
+    # matrix, and no ``*_symmetrized`` twin (``eig_symmetrized`` is the
+    # decomposition itself)
+    optional, twins = [], []
+    for info in pkgutil.iter_modules(sdnop.__path__):
+        module = importlib.import_module(f"sdnop.{info.name}")
+        functions = dict(_defined_functions(module))
+        for name, fn in functions.items():
+            eig = inspect.signature(fn).parameters.get("eig")
+            if eig is not None and eig.default is None:
+                optional.append(f"{module.__name__}.{name}")
+        names = set(getattr(module, "__all__", ())) | set(functions)
+        twins += [f"{module.__name__}.{name}" for name in sorted(names)
+                  if name.endswith("_symmetrized")
+                  and name != "eig_symmetrized"]
+    assert not optional, optional
+    assert not twins, twins
+
+
 _NOTED_BY_POINT = ("aug_lagrangian_value", "aug_lagrangian_grad")
 
 
