@@ -14,7 +14,7 @@ sign split encodes strict complementarity of the conic constraint.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional, Tuple
 
 import numpy as np
@@ -325,13 +325,7 @@ class NondegeneracyReport:
     spectrum_multiplicity: bool
 
     def as_dict(self):
-        return {
-            "holds": bool(self.holds),
-            "sigma_min": float(self.sigma_min),
-            "sigma_max": float(self.sigma_max),
-            "rows": int(self.rows),
-            "spectrum_multiplicity": bool(self.spectrum_multiplicity),
-        }
+        return asdict(self)
 
 
 def nondegeneracy_check(problem, x, multipliers, blocks=None):
@@ -428,11 +422,7 @@ class SOSCReport:
     dimension: int
 
     def as_dict(self):
-        return {
-            "holds": bool(self.holds),
-            "min_value": float(self.min_value),
-            "dimension": int(self.dimension),
-        }
+        return asdict(self)
 
 
 def _roundoff(eigs):
@@ -650,23 +640,7 @@ class RateConstants:
     spectrum_multiplicity: bool
 
     def as_dict(self):
-        return {
-            "nu_lower_0": self.nu_lower_0,
-            "nu_upper_0": self.nu_upper_0,
-            "nu_lower": self.nu_lower,
-            "nu_upper": self.nu_upper,
-            "sigma_lower": self.sigma_lower,
-            "sigma_upper": self.sigma_upper,
-            "eta_lower": self.eta_lower,
-            "eta_upper": self.eta_upper,
-            "c0": self.c0,
-            "c_bar": self.c_bar,
-            "kappa0": self.kappa0,
-            "rho0": self.rho0,
-            "rho1": self.rho1,
-            "rho2_proxy": self.rho2_proxy,
-            "spectrum_multiplicity": self.spectrum_multiplicity,
-        }
+        return asdict(self)
 
 
 def rate_constants(problem, x, multipliers, c0=10.0, rotations=32, seed=0,
@@ -792,19 +766,7 @@ class RateFit:
         return _fit_points(self.ratios, self.converged)
 
     def as_dict(self):
-        return {
-            "penalties": list(self.penalties),
-            "ratios": list(self.ratios),
-            "iterations": list(self.iterations),
-            "converged": list(self.converged),
-            "stops": list(self.stops),
-            "slope": self.slope,
-            "intercept": self.intercept,
-            "r_squared": self.r_squared,
-            "rho2_proxy": self.rho2_proxy,
-            "predicted": list(self.predicted),
-            "assumptions_unverified": self.assumptions_unverified,
-        }
+        return asdict(self)
 
 
 def _fit_points(ratios, converged):

@@ -5,10 +5,13 @@ cone, proximal mapping, Moreau envelope, the soft-threshold
 divided-difference table, and constructible generalized-Jacobian elements
 of the prox and of the envelope gradient.  The prox, the envelope and
 the table are functions of an eigendecomposition; the public matrix forms
-validate and decompose their argument, then call them.  Every prox
-Jacobian element is the Hadamard table of :func:`prox_divided_diff` with
-committed slope choices on its kink blocks.  The conjugate of the second directional
-derivative (the curvature correction used by second-order optimality
+validate and decompose their argument, then call them.  The eigenvalue
+derivatives have one body, and the norm's directional derivatives are
+the chain rule of |.| over them, since ||X||_* = sum |l_i(X)|.  Every
+element is a :class:`spectral.HadamardElement`: the prox's table is that
+of :func:`prox_divided_diff` with committed slope choices on its kink
+blocks, the envelope's its complement.  The conjugate of the second
+directional derivative (the curvature correction used by second-order optimality
 conditions) has one evaluator, the bilinear form :func:`curvature_form`
 over a stack of directions; :func:`psi_conjugate` is its one-direction
 case, and every critical-cone test is :func:`critical_blocks_contain`.
@@ -24,12 +27,16 @@ from .psd_cone import project_psd
 from .spectral import (
     DistinctBlocks,
     EigenDecomposition,
+    HadamardElement,
     SignPartition,
     as_symmetric,
     choice_table,
+    compress,
+    default_tol,
     eig_sym,
     eig_symmetrized,
     group_distinct,
+    hadamard_image,
     partition_by_sign,
 )
 
@@ -52,9 +59,7 @@ __all__ = [
     "ProxDividedDiff",
     "prox_divided_diff",
     "prox_dir_deriv",
-    "ProxJacobianElement",
     "prox_bsub_element",
-    "EnvGradBsubElement",
     "grad_env_bsub_element",
     "critical_blocks_contain",
     "critical_cone_theta_contains",
@@ -76,27 +81,18 @@ def nuclear_norm(X):
     return float(np.abs(np.linalg.eigvalsh(as_symmetric(X, "X"))).sum())
 
 
-def theta_dir_deriv(X, H, tol=None):
+def theta_dir_deriv(X, H):
     """Directional derivative of the nuclear norm at X along H.
 
-    Trace of H on the positive eigenspace, minus the trace on the negative
-    eigenspace, plus the nuclear norm of the compression of H to the null
+    The chain rule of |.| over the eigenvalue derivatives of
+    :func:`eig_dir_derivs`: sum sgn(l_i) l'_i off the zero block of X,
+    plus sum |l'_i| on it, the nuclear norm of H compressed to the null
     space.  Linear in H exactly when X is nonsingular.
     """
-    eig = eig_sym(X)
-    H = as_symmetric(H, "H")
-    part = partition_by_sign(eig, tol)
-    Q = eig.basis
-    val = 0.0
-    if part.pos:
-        Qa = Q[:, list(part.pos)]
-        val += np.trace(Qa.T @ H @ Qa)
-    if part.neg:
-        Qc = Q[:, list(part.neg)]
-        val -= np.trace(Qc.T @ H @ Qc)
-    if part.zero:
-        Qb = Q[:, list(part.zero)]
-        val += nuclear_norm(Qb.T @ H @ Qb)
+    blocks, d1, _ = _eig_derivs(X, H)
+    val = _block_signs(blocks) @ d1
+    if blocks.zero_block is not None:
+        val += np.abs(d1[list(blocks.blocks[blocks.zero_block])]).sum()
     return float(val)
 
 
@@ -128,12 +124,8 @@ class SubgradientPartition:
 def _subdiff_defect(X, Y):
     """Largest violation of the subgradient characterization, plus context."""
     eig = eig_sym(X)
-    Y = as_symmetric(Y, "Y")
-    if Y.shape != eig.basis.shape:
-        raise InvalidInput("Y dimension does not match X")
+    Yh = compress(eig.basis, Y, "Y", "X")
     part = partition_by_sign(eig)
-    Q = eig.basis
-    Yh = Q.T @ Y @ Q
     pos, zero, neg = list(part.pos), list(part.zero), list(part.neg)
     defect = 0.0
     if pos:
@@ -278,11 +270,49 @@ def _pinv_weights(blocks, k):
 def _second_order_block(Hh, Wh, blocks, k):
     """Compression V_k = (W - 2 H (X - value_k I)^+ H) to block k, in the
     eigenbasis of X."""
-    idx = list(blocks.blocks[k])
+    blk = _span(blocks.blocks[k])
     d = _pinv_weights(blocks, k)
-    cross = (Hh[idx, :] * d) @ Hh[:, idx]
-    V = Wh[np.ix_(idx, idx)] - 2.0 * cross
+    cross = (Hh[blk, :] * d) @ Hh[:, blk]
+    V = Wh[blk, blk] - 2.0 * cross
     return 0.5 * (V + V.T)
+
+
+def _span(block):
+    """The slice over a block of consecutive indices."""
+    return slice(block[0], block[-1] + 1)
+
+
+def _eig_derivs(X, H, W=None, group_tol=1e-8):
+    """Distinct blocks of X, and the first and, given W, the second
+    directional derivatives of its eigenvalues along (H, W), as
+    :func:`eig_dir_derivs` and :func:`eig_second_dir_derivs` describe."""
+    eig = eig_sym(X)
+    Hh = compress(eig.basis, H, "H", "X")
+    Wh = None if W is None else compress(eig.basis, W, "W", "X")
+    blocks = group_distinct(eig, group_tol)
+    d1 = np.empty(eig.dim)
+    d2 = None if W is None else np.empty(eig.dim)
+    # blocks, and the nested groups within one, are runs of consecutive
+    # indices, so slices reach them and d2[blk] is a view
+    for k, blk in enumerate(map(_span, blocks.blocks)):
+        inner = eig_sym(0.5 * (Hh[blk, blk] + Hh[blk, blk].T))
+        d1[blk] = inner.values
+        if W is None:
+            continue
+        V = _second_order_block(Hh, Wh, blocks, k)
+        Vr = inner.basis.T @ V @ inner.basis
+        for nblk in map(_span, group_distinct(inner, group_tol).blocks):
+            core = 0.5 * (Vr[nblk, nblk] + Vr[nblk, nblk].T)
+            d2[blk][nblk] = np.linalg.eigvalsh(core)[::-1]
+    return blocks, d1, d2
+
+
+def _block_signs(blocks):
+    """Sign of each eigenvalue's block, 0 on the zero block."""
+    signs = np.sign(blocks.values)
+    if blocks.zero_block is not None:
+        signs[blocks.zero_block] = 0.0
+    return np.repeat(signs, [len(blk) for blk in blocks.blocks])
 
 
 def eig_dir_derivs(X, H, group_tol=1e-8):
@@ -291,16 +321,7 @@ def eig_dir_derivs(X, H, group_tol=1e-8):
     Within each block of equal eigenvalues the derivatives are the
     eigenvalues of the compressed direction, in descending order.
     """
-    eig = eig_sym(X)
-    H = as_symmetric(H, "H")
-    blocks = group_distinct(eig, group_tol)
-    Hh = eig.basis.T @ H @ eig.basis
-    out = np.empty(eig.dim)
-    for blk in blocks.blocks:
-        idx = list(blk)
-        sub = 0.5 * (Hh[np.ix_(idx, idx)] + Hh[np.ix_(idx, idx)].T)
-        out[idx] = np.sort(np.linalg.eigvalsh(sub))[::-1]
-    return out
+    return _eig_derivs(X, H, group_tol=group_tol)[1]
 
 
 def eig_second_dir_derivs(X, H, W, group_tol=1e-8):
@@ -311,62 +332,25 @@ def eig_second_dir_derivs(X, H, W, group_tol=1e-8):
     each nested group the second derivative is an eigenvalue of the rotated
     curvature compression.
     """
-    eig = eig_sym(X)
-    H = as_symmetric(H, "H")
-    W = as_symmetric(W, "W")
-    blocks = group_distinct(eig, group_tol)
-    Hh = eig.basis.T @ H @ eig.basis
-    Wh = eig.basis.T @ W @ eig.basis
-    out = np.empty(eig.dim)
-    for k, blk in enumerate(blocks.blocks):
-        idx = list(blk)
-        sub = 0.5 * (Hh[np.ix_(idx, idx)] + Hh[np.ix_(idx, idx)].T)
-        inner = eig_sym(sub)
-        nested = group_distinct(inner, group_tol)
-        V = _second_order_block(Hh, Wh, blocks, k)
-        Vr = inner.basis.T @ V @ inner.basis
-        for nblk in nested.blocks:
-            nidx = list(nblk)
-            core = 0.5 * (Vr[np.ix_(nidx, nidx)] + Vr[np.ix_(nidx, nidx)].T)
-            vals = np.sort(np.linalg.eigvalsh(core))[::-1]
-            out[[idx[i] for i in nidx]] = vals
-    return out
+    return _eig_derivs(X, H, W, group_tol)[2]
 
 
 def theta_second_dir_deriv(X, H, W, group_tol=1e-8):
     """Second directional derivative of the nuclear norm at X along (H, W).
 
-    Signed traces of the curvature compressions over the nonzero blocks,
-    plus a zero-block part split by the sign of the compressed direction:
-    signed traces where it is definite and a nuclear norm where it
-    vanishes.
+    The chain rule of |.| over :func:`eig_second_dir_derivs`: sgn(l_i) l''_i
+    off the zero block of X; on it sgn(l'_i) l''_i, and |l''_i| where the
+    first derivative l'_i vanishes too (within ``default_tol`` of the
+    block's first derivatives).
     """
-    eig = eig_sym(X)
-    H = as_symmetric(H, "H")
-    W = as_symmetric(W, "W")
-    blocks = group_distinct(eig, group_tol)
-    Hh = eig.basis.T @ H @ eig.basis
-    Wh = eig.basis.T @ W @ eig.basis
-    val = 0.0
-    for k in range(len(blocks.blocks)):
-        V = _second_order_block(Hh, Wh, blocks, k)
-        if k == blocks.zero_block:
-            idx = list(blocks.blocks[k])
-            sub = 0.5 * (Hh[np.ix_(idx, idx)] + Hh[np.ix_(idx, idx)].T)
-            inner = eig_sym(sub)
-            split = partition_by_sign(inner)
-            Vr = inner.basis.T @ V @ inner.basis
-            p, z, n = list(split.pos), list(split.zero), list(split.neg)
-            if p:
-                val += np.trace(Vr[np.ix_(p, p)])
-            if n:
-                val -= np.trace(Vr[np.ix_(n, n)])
-            if z:
-                val += nuclear_norm(Vr[np.ix_(z, z)])
-        elif blocks.values[k] > 0.0:
-            val += np.trace(V)
-        else:
-            val -= np.trace(V)
+    blocks, d1, d2 = _eig_derivs(X, H, W, group_tol)
+    val = _block_signs(blocks) @ d2
+    if blocks.zero_block is not None:
+        idx = list(blocks.blocks[blocks.zero_block])
+        first, second = d1[idx], d2[idx]
+        tol = default_tol(first)
+        val += np.where(np.abs(first) > tol, np.sign(first) * second,
+                        np.abs(second)).sum()
     return float(val)
 
 
@@ -481,44 +465,23 @@ def prox_dir_deriv(Z, tau, H, group_tol=1e-8):
     _check_tau(tau)
     eig = eig_sym(Z)
     dd = prox_divided_diff(eig, tau, group_tol)
-    H = as_symmetric(H, "H")
-    Hh = eig.basis.T @ H @ eig.basis
-    out = dd.table * Hh
-    for k, sign in dd.kink_blocks:
-        idx = list(dd.blocks.blocks[k])
-        sub = Hh[np.ix_(idx, idx)]
-        if sign > 0:
-            out[np.ix_(idx, idx)] = project_psd(sub)[0]
-        else:
-            out[np.ix_(idx, idx)] = -project_psd(-sub)[0]
-    R = eig.basis @ out @ eig.basis.T
-    return 0.5 * (R + R.T)
+    Hh = compress(eig.basis, H, "H", "Z")
+    kinks = [(list(dd.blocks.blocks[k]), sign) for k, sign in dd.kink_blocks]
+    return hadamard_image(eig.basis, dd.table, Hh,
+                          _signed_projections(Hh, kinks))
+
+
+def _signed_projections(Hh, kinks):
+    """(idx, sign Pi_+(sign Hh_idx,idx)) for each (idx, sign) of ``kinks``
+    with idx nonempty: the projection of a diagonal block onto the PSD
+    cone for sign +1, onto the NSD cone for sign -1."""
+    return [(idx, sign * project_psd(sign * Hh[np.ix_(idx, idx)])[0])
+            for idx, sign in kinks if idx]
 
 
 # ----------------------------------------------------------------------------
 # generalized Jacobian elements at structured points Z = X + tau Y
 # ----------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ProxJacobianElement:
-    """A generalized-Jacobian element of the prox at Z = X + tau Y.
-
-    Acts as H -> Q (table o (Q^T H Q)) Q^T in the refined basis of the
-    subgradient structure; the table rows follow the five groups (positive,
-    saturated-up, interior, saturated-down, negative) and the two kink
-    blocks carry the committed slope choices.
-    """
-
-    basis: np.ndarray
-    table: np.ndarray
-    structure: SubgradientPartition
-    tau: float
-
-    def apply(self, H):
-        H = as_symmetric(H, "H")
-        Hh = self.basis.T @ H @ self.basis
-        return self.basis @ (self.table * Hh) @ self.basis.T
-
 
 def _structured_values(sp, tau):
     """Spectrum of X + tau Y in the refined basis, descending; the
@@ -540,9 +503,13 @@ def prox_bsub_element(X, Y, tau, up_choice="zero", low_choice="zero",
                       tol=None):
     """B-subdifferential element of the prox at the structured point X + tau Y.
 
-    ``up_choice`` / ``low_choice`` commit the free slope blocks where the
-    shifted spectrum sits exactly on a threshold kink: any Hadamard table
-    with entries in [0, 1] ("zero", "identity", or explicit).
+    A :class:`spectral.HadamardElement` in the refined basis of the
+    subgradient structure (:func:`subdiff_partition`); its table rows
+    follow the five groups (positive, saturated-up, interior,
+    saturated-down, negative).  ``up_choice`` / ``low_choice`` commit the
+    free slope blocks where the shifted spectrum sits exactly on a
+    threshold kink: any Hadamard table with entries in [0, 1] ("zero",
+    "identity", or explicit).
     """
     _check_tau(tau)
     sp = subdiff_partition(X, Y, tol=tol)
@@ -551,39 +518,20 @@ def prox_bsub_element(X, Y, tau, up_choice="zero", low_choice="zero",
     # saturated groups sit exactly on the kinks at +-tau
     dd = prox_divided_diff(EigenDecomposition(vals, sp.basis), tau,
                            group_tol=1e-12)
-    T = dd.committed_table(up_choice, low_choice)
-    return ProxJacobianElement(sp.basis, T, sp, float(tau))
-
-
-@dataclass(frozen=True)
-class EnvGradBsubElement:
-    """Generalized-Hessian element of the Moreau envelope at X + tau Y.
-
-    The exact complement of a prox element: applies (H - W(H)) / tau, so
-    tau * this + the prox element is the identity to round-off.
-    """
-
-    prox_element: ProxJacobianElement
-
-    @property
-    def tau(self):
-        return self.prox_element.tau
-
-    def apply(self, H):
-        H = as_symmetric(H, "H")
-        return (H - self.prox_element.apply(H)) / self.prox_element.tau
-
-    @property
-    def table(self):
-        """Complement Hadamard table (scaled by 1/tau when applied)."""
-        return 1.0 - self.prox_element.table
+    return HadamardElement(sp.basis, dd.committed_table(up_choice, low_choice))
 
 
 def grad_env_bsub_element(X, Y, tau, up_choice="zero", low_choice="zero",
                           tol=None):
+    """Generalized-Hessian element of the Moreau envelope at X + tau Y.
+
+    The complement of :func:`prox_bsub_element`'s element with the same
+    choices: the table (1 - T) / tau in the same basis, so tau * this +
+    the prox element is the identity to round-off.
+    """
     W = prox_bsub_element(X, Y, tau, up_choice=up_choice, low_choice=low_choice,
                           tol=tol)
-    return EnvGradBsubElement(W)
+    return HadamardElement(W.basis, (1.0 - W.table) / tau)
 
 
 # ----------------------------------------------------------------------------
@@ -622,7 +570,7 @@ def critical_cone_theta_contains(X, Y, H, tol=None):
     sp = subdiff_partition(X, Y)
     if tol is None:
         tol = 1e-8 * (1.0 + np.abs(H).max(initial=0.0))
-    return critical_blocks_contain(sp.basis.T @ H @ sp.basis,
+    return critical_blocks_contain(compress(sp.basis, H, "H", "X"),
                                    sp.b_up, sp.b_mid, sp.b_low, tol)
 
 
@@ -634,10 +582,8 @@ def critical_cone_theta_project(X, Y, H):
     block and the up-down coupling, and take definite parts of the two
     saturated diagonal blocks.
     """
-    H = as_symmetric(H, "H")
     sp = subdiff_partition(X, Y)
-    Q = sp.basis
-    Hh = Q.T @ H @ Q
+    Hh = compress(sp.basis, H, "H", "X")
     b = list(sp.partition.zero)
     up, mid, low = list(sp.b_up), list(sp.b_mid), list(sp.b_low)
     for i in mid:
@@ -646,12 +592,8 @@ def critical_cone_theta_project(X, Y, H):
     if up and low:
         Hh[np.ix_(up, low)] = 0.0
         Hh[np.ix_(low, up)] = 0.0
-    if up:
-        Hh[np.ix_(up, up)] = project_psd(Hh[np.ix_(up, up)])[0]
-    if low:
-        Hh[np.ix_(low, low)] = -project_psd(-Hh[np.ix_(low, low)])[0]
-    R = Q @ Hh @ Q.T
-    return 0.5 * (R + R.T)
+    return hadamard_image(sp.basis, 1.0, Hh,
+                          _signed_projections(Hh, ((up, 1), (low, -1))))
 
 
 # ----------------------------------------------------------------------------
@@ -714,7 +656,7 @@ def psi_conjugate(X, H, Y, tol=None, group_tol=1e-8):
     except NotASubgradient:
         raise DomainError("subgradient", _subdiff_defect(X, Y)[0]) from None
     Q = sp.basis
-    Hc = Q.T @ H @ Q
+    Hc = compress(Q, H, "H", "X")
     if not critical_blocks_contain(Hc, sp.b_up, sp.b_mid, sp.b_low,
                                    1e-8 * (1.0 + np.abs(H).max(initial=0.0))):
         raise DomainError("critical_cone", np.nan)

@@ -13,7 +13,7 @@ elements of the augmented Lagrangian, and the local dual function.
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from typing import Optional
 
@@ -323,15 +323,7 @@ class KKTResidual:
         return max(parts)
 
     def as_dict(self):
-        return {
-            "stationarity": self.stationarity,
-            "subgradient": self.subgradient,
-            "equality": self.equality,
-            "cone": self.cone,
-            "dual": self.dual,
-            "complementarity": self.complementarity,
-            "total": self.total,
-        }
+        return {**asdict(self), "total": self.total}
 
 
 @dataclass(frozen=True)

@@ -3,26 +3,27 @@
 Provides the metric projection, the positive-part divided-difference
 table over a spectrum (the Hadamard table behind every derivative of the
 projection), its directional derivative, and constructible elements of
-its B-subdifferential.  The projection and an element's table are
-functions of a decomposition, which the public matrix forms take.
+its B-subdifferential, each a :class:`spectral.HadamardElement` with
+the theta table.  The projection and an element's table are functions
+of a decomposition, which the public matrix forms take.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInput
 from .spectral import (
+    HadamardElement,
     SignPartition,
-    as_symmetric,
     choice_table,
+    compress,
     eig_sym,
+    hadamard_image,
     partition_by_sign,
 )
 
 __all__ = [
     "ThetaMatrix",
-    "ProjBsubElement",
     "positive_part",
     "project_psd",
     "psd_pair_table",
@@ -51,23 +52,6 @@ class ThetaMatrix:
         vanish.  lo is 0."""
         part = self.partition
         return 0, len(part.pos) + len(part.zero)
-
-
-@dataclass(frozen=True)
-class ProjBsubElement:
-    """Element of the B-subdifferential of the PSD projection.
-
-    Acts as H -> P (theta.entries o (P^T H P)) P^T, a self-adjoint
-    positive operator that is also dominated by the identity.
-    """
-
-    basis: np.ndarray
-    theta: ThetaMatrix
-
-    def apply(self, H):
-        H = as_symmetric(H, "H")
-        Hh = self.basis.T @ H @ self.basis
-        return self.basis @ (self.theta.entries * Hh) @ self.basis.T
 
 
 def positive_part(eig):
@@ -139,24 +123,21 @@ def proj_dir_deriv(M, H, tol=None):
     nested PSD projection on the zero block, and zero elsewhere.
     """
     eig = eig_sym(M)
-    H = as_symmetric(H, "H")
-    if H.shape != eig.basis.shape:
-        raise InvalidInput("H dimension does not match M")
+    Hh = compress(eig.basis, H, "H", "M")
     theta = theta_matrix(eig, tol=tol)
-    zero = list(theta.partition.zero)
-    Hh = eig.basis.T @ H @ eig.basis
     # the table is already 1 on the positive rows and 0 on everything
     # touching the negative rows except the damped positive-negative block
-    out = theta.entries * Hh
-    if zero:
-        zz = np.ix_(zero, zero)
-        out[zz], _ = project_psd(Hh[zz])
-    R = eig.basis @ out @ eig.basis.T
-    return 0.5 * (R + R.T)
+    zero = list(theta.partition.zero)
+    nested = [(zero, project_psd(Hh[np.ix_(zero, zero)])[0])] if zero else []
+    return hadamard_image(eig.basis, theta.entries, Hh, nested)
 
 
 def proj_bsub_element(M, beta_choice="zero", tol=None):
     """Construct an element of the B-subdifferential of the PSD projection.
+
+    A :class:`spectral.HadamardElement` in the eigenbasis of M with the
+    table of :func:`theta_matrix`: a self-adjoint positive operator that
+    is also dominated by the identity.
 
     Parameters
     ----------
@@ -170,4 +151,5 @@ def proj_bsub_element(M, beta_choice="zero", tol=None):
         Sign tolerance for the partition.
     """
     eig = eig_sym(M)
-    return ProjBsubElement(eig.basis, theta_matrix(eig, beta_choice, tol))
+    return HadamardElement(eig.basis,
+                           theta_matrix(eig, beta_choice, tol).entries)

@@ -325,13 +325,16 @@ def inner_minimize(problem, y, c, x0, cfg, outer_residual=None):
     scales = _data_scales(problem, x, pt)
     grad = aug_lagrangian_grad(problem, x, y.Y, y.mu, y.Gamma, c, point=pt)
     val = aug_lagrangian_value(problem, x, y.Y, y.mu, y.Gamma, c, point=pt)
-    for it in range(cfg.max_iter):
+    # max_iter steps, and a stop check at each of the max_iter + 1 points
+    for it in range(cfg.max_iter + 1):
         gnorm = float(np.linalg.norm(grad))
         floor = _roundoff_floor(pt, c, scales)
         stop = _inner_stop(gnorm, tol, floor)
         if stop is not None:
             return x, InnerStats(it, gnorm, val, shifted_steps,
                                  steepest_steps, stop, floor, pt)
+        if it == cfg.max_iter:
+            break
         A = newton_matrix_element(problem, x, y.Y, y.mu, y.Gamma, c,
                                   group_tol=_KINK_TOL, point=pt)
         d, shifted, steepest = _newton_direction(A, grad)
@@ -374,12 +377,6 @@ def inner_minimize(problem, y, c, x0, cfg, outer_residual=None):
             )
         x, pt, val = trial, tpt, tval
         grad = aug_lagrangian_grad(problem, x, y.Y, y.mu, y.Gamma, c, point=pt)
-    gnorm = float(np.linalg.norm(grad))
-    floor = _roundoff_floor(pt, c, scales)
-    stop = _inner_stop(gnorm, tol, floor)
-    if stop is not None:
-        return x, InnerStats(cfg.max_iter, gnorm, val, shifted_steps,
-                             steepest_steps, stop, floor, pt)
     raise InnerSolveError(
         f"inner loop exhausted {cfg.max_iter} iterations "
         f"(grad {gnorm:.3e} > {max(tol, floor):.1e})",

@@ -3,7 +3,9 @@
 Everything downstream (projections, prox operators, curvature terms) is
 driven by eigenvalue decompositions of symmetric matrices, index partitions
 of the spectrum by sign, groupings of the spectrum into distinct blocks,
-and the isometric half-vectorization.  This module owns those primitives.
+and the isometric half-vectorization.  This module owns those
+primitives, the compression of a direction into an eigenbasis, and the
+one generalized-derivative element type, :class:`HadamardElement`.
 """
 
 from dataclasses import dataclass
@@ -26,6 +28,9 @@ __all__ = [
     "DistinctBlocks",
     "group_distinct",
     "choice_table",
+    "compress",
+    "hadamard_image",
+    "HadamardElement",
     "svec",
     "smat",
     "pinv_sym",
@@ -258,6 +263,54 @@ def choice_table(choice, k, name):
     if omega.size and (omega.min() < 0.0 or omega.max() > 1.0):
         raise InvalidInput(f"{name} entries must lie in [0, 1]")
     return omega
+
+
+def compress(basis, H, name, of):
+    """basis^T H basis: a direction H compressed into an eigenbasis of
+    the matrix that ``of`` names.
+
+    H is validated and symmetrized by :func:`as_symmetric`.  InvalidInput
+    names it by ``name`` when it is not square, finite and symmetric, and
+    names both when its size differs from the basis's.
+    """
+    H = as_symmetric(H, name)
+    if H.shape != (basis.shape[0],) * 2:
+        raise InvalidInput(f"{name} dimension does not match {of}")
+    return basis.T @ H @ basis
+
+
+def hadamard_image(basis, table, Hh, overlays=()):
+    """basis (table o Hh) basis^T, symmetrized, for a direction Hh
+    compressed into ``basis`` and a table (or a scalar).
+
+    Each (idx, block) of ``overlays`` replaces the diagonal block idx of
+    table o Hh first: a directional derivative of a spectral operator is
+    a Hadamard table off the blocks where the scalar function has a kink,
+    and a nested derivative on them.
+    """
+    out = table * Hh
+    for idx, block in overlays:
+        out[np.ix_(idx, idx)] = block
+    R = basis @ out @ basis.T
+    return 0.5 * (R + R.T)
+
+
+@dataclass(frozen=True)
+class HadamardElement:
+    """Linear operator H -> basis (table o (basis^T H basis)) basis^T.
+
+    Every constructible element of a generalized derivative of a spectral
+    operator (the prox, the envelope gradient, the PSD projection) has
+    this form, for an eigenbasis of the point and a table of divided
+    differences with a committed choice on its kink blocks.
+    """
+
+    basis: np.ndarray
+    table: np.ndarray
+
+    def apply(self, H):
+        Hh = compress(self.basis, H, "H", "the element's basis")
+        return self.basis @ (self.table * Hh) @ self.basis.T
 
 
 def _triangle(q):

@@ -17,12 +17,26 @@ image of a Jacobian stack, the Lagrangian value, and the Newton element
 assembled with einsum over the full tables, with every operator
 decomposing its own argument and a free committed table on each kink
 block.
+
+``nuclear`` forms the nuclear norm's directional derivatives by the
+chain rule of |.| over the eigenvalue derivatives.  ``theta_dir_deriv``,
+``theta_second_dir_deriv``, ``eig_dir_derivs`` and
+``eig_second_dir_derivs`` below are the blockwise forms that came
+before it: signed traces of the compressed direction and curvature over
+the sign partition, nuclear norms where the sign vanishes, and one
+eigenvalue problem per block.
 """
 
 import numpy as np
 
 from sdnop import spectral
-from sdnop.nuclear import grad_moreau_env, prox_divided_diff, soft_pair_table
+from sdnop.nuclear import (
+    _pinv_weights,
+    grad_moreau_env,
+    nuclear_norm,
+    prox_divided_diff,
+    soft_pair_table,
+)
 from sdnop.problem import hess_xx_lagrangian
 from sdnop.psd_cone import proj_bsub_element, project_psd
 from sdnop.spectral import (
@@ -30,6 +44,7 @@ from sdnop.spectral import (
     as_symmetric,
     choice_table,
     group_distinct,
+    partition_by_sign,
 )
 
 
@@ -152,6 +167,109 @@ def newton_element_einsum(problem, x, Y, mu, Gamma, c, group_tol=1e-8,
         P = elem.basis
         Cs = np.einsum("ra,iab,bs->irs", P.T, problem.jac_g(x), P,
                        optimize=True)
-        A = A + c * np.einsum("ikl,kl,jkl->ij", Cs, elem.theta.entries, Cs,
+        A = A + c * np.einsum("ikl,kl,jkl->ij", Cs, elem.table, Cs,
                               optimize=True)
     return 0.5 * (A + A.T)
+
+
+def theta_dir_deriv(X, H):
+    """Trace of H on the positive eigenspace of X, minus the trace on the
+    negative one, plus the nuclear norm of H compressed to the null
+    space."""
+    eig = spectral.eig_sym(X)
+    H = as_symmetric(H, "H")
+    part = partition_by_sign(eig)
+    Q = eig.basis
+    val = 0.0
+    if part.pos:
+        Qa = Q[:, list(part.pos)]
+        val += np.trace(Qa.T @ H @ Qa)
+    if part.neg:
+        Qc = Q[:, list(part.neg)]
+        val -= np.trace(Qc.T @ H @ Qc)
+    if part.zero:
+        Qb = Q[:, list(part.zero)]
+        val += nuclear_norm(Qb.T @ H @ Qb)
+    return float(val)
+
+
+def _second_order_block(Hh, Wh, blocks, k):
+    """Compression of W - 2 H (X - value_k I)^+ H to block k, in the
+    eigenbasis of X."""
+    idx = list(blocks.blocks[k])
+    d = _pinv_weights(blocks, k)
+    cross = (Hh[idx, :] * d) @ Hh[:, idx]
+    V = Wh[np.ix_(idx, idx)] - 2.0 * cross
+    return 0.5 * (V + V.T)
+
+
+def _compressions(X, H, W, group_tol):
+    eig = spectral.eig_sym(X)
+    H = as_symmetric(H, "H")
+    W = as_symmetric(W, "W")
+    blocks = group_distinct(eig, group_tol)
+    return (blocks, eig.basis.T @ H @ eig.basis, eig.basis.T @ W @ eig.basis,
+            eig.dim)
+
+
+def theta_second_dir_deriv(X, H, W, group_tol=1e-8):
+    """Signed traces of the curvature compressions over the nonzero
+    blocks, plus a zero-block part split by the sign of the compressed
+    direction: signed traces where it is definite and a nuclear norm
+    where it vanishes."""
+    blocks, Hh, Wh, _ = _compressions(X, H, W, group_tol)
+    val = 0.0
+    for k in range(len(blocks.blocks)):
+        V = _second_order_block(Hh, Wh, blocks, k)
+        if k == blocks.zero_block:
+            idx = list(blocks.blocks[k])
+            sub = 0.5 * (Hh[np.ix_(idx, idx)] + Hh[np.ix_(idx, idx)].T)
+            inner = spectral.eig_sym(sub)
+            split = partition_by_sign(inner)
+            Vr = inner.basis.T @ V @ inner.basis
+            p, z, n = list(split.pos), list(split.zero), list(split.neg)
+            if p:
+                val += np.trace(Vr[np.ix_(p, p)])
+            if n:
+                val -= np.trace(Vr[np.ix_(n, n)])
+            if z:
+                val += nuclear_norm(Vr[np.ix_(z, z)])
+        elif blocks.values[k] > 0.0:
+            val += np.trace(V)
+        else:
+            val -= np.trace(V)
+    return float(val)
+
+
+def eig_dir_derivs(X, H, group_tol=1e-8):
+    """Eigenvalues of H compressed to each block of X, descending."""
+    eig = spectral.eig_sym(X)
+    H = as_symmetric(H, "H")
+    blocks = group_distinct(eig, group_tol)
+    Hh = eig.basis.T @ H @ eig.basis
+    out = np.empty(eig.dim)
+    for blk in blocks.blocks:
+        idx = list(blk)
+        sub = 0.5 * (Hh[np.ix_(idx, idx)] + Hh[np.ix_(idx, idx)].T)
+        out[idx] = np.sort(np.linalg.eigvalsh(sub))[::-1]
+    return out
+
+
+def eig_second_dir_derivs(X, H, W, group_tol=1e-8):
+    """Eigenvalues of the rotated curvature compression on each nested
+    group of each block of X."""
+    blocks, Hh, Wh, dim = _compressions(X, H, W, group_tol)
+    out = np.empty(dim)
+    for k, blk in enumerate(blocks.blocks):
+        idx = list(blk)
+        sub = 0.5 * (Hh[np.ix_(idx, idx)] + Hh[np.ix_(idx, idx)].T)
+        inner = spectral.eig_sym(sub)
+        nested = group_distinct(inner, group_tol)
+        V = _second_order_block(Hh, Wh, blocks, k)
+        Vr = inner.basis.T @ V @ inner.basis
+        for nblk in nested.blocks:
+            nidx = list(nblk)
+            core = 0.5 * (Vr[np.ix_(nidx, nidx)] + Vr[np.ix_(nidx, nidx)].T)
+            vals = np.sort(np.linalg.eigvalsh(core))[::-1]
+            out[[idx[i] for i in nidx]] = vals
+    return out

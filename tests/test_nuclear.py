@@ -3,7 +3,9 @@
 Oracles: finite differences for every directional derivative, a local grid
 search for the prox/envelope variational characterizations, and a sampled
 maximization for the conjugate curvature term, which is also compared with
-the closed forms kept in ``psi_oracles``.
+the closed forms kept in ``psi_oracles``.  The chain-rule directional
+derivatives are compared with the blockwise forms kept in
+``eval_oracles``.
 """
 
 import numpy as np
@@ -31,6 +33,7 @@ from sdnop.nuclear import (
 )
 from sdnop.spectral import eig_sym
 
+import eval_oracles as blockwise
 from psi_oracles import (
     critical_cone_equality_gap,
     psi_critical,
@@ -577,7 +580,7 @@ class TestBsubElements:
             low_t = rng.rand(len(low), len(low))
             up_t, low_t = 0.5 * (up_t + up_t.T), 0.5 * (low_t + low_t.T)
             W = prox_bsub_element(X, Y, tau, up_choice=up_t, low_choice=low_t)
-            ref = structured_table_oracle(W.structure, tau)
+            ref = structured_table_oracle(sp, tau)
             off = np.ones(ref.shape, dtype=bool)
             off[np.ix_(up, up)] = off[np.ix_(low, low)] = False
             np.testing.assert_allclose(W.table[off], ref[off], rtol=0,
@@ -752,3 +755,101 @@ class TestPsiConjugate:
         with pytest.raises(DomainError) as exc:
             psi_conjugate(X, H, Y)
         assert exc.value.condition == "critical_cone"
+
+
+def chain_rule_case(rng):
+    """X with repeated eigenvalues and a null block of size 0 to 3, and
+    directions H, W.  Half the time H's compression to the null block is
+    rank deficient, or zero, so that some first derivatives there vanish
+    and the |l''| branch of the chain rule runs.  Returns the number of
+    zeros of X too."""
+    levels = rng.choice([-2.0, -0.7, 0.4, 1.3, 2.5], size=rng.randint(1, 4),
+                        replace=False)
+    nonzero = np.repeat(levels, rng.randint(1, 3, size=levels.size))
+    zero = rng.randint(0, 4)
+    lam = np.concatenate([nonzero, np.zeros(zero)])
+    dim = lam.size
+    Q = rand_orth(rng, dim)
+    X = (Q * lam) @ Q.T
+    M = rand_sym(rng, dim)
+    if zero and rng.rand() < 0.5:
+        null = slice(dim - zero, dim)
+        v = rng.randn(zero)
+        M[null, null] = np.outer(v, v) * rng.randint(0, 2)
+    H = Q @ M @ Q.T
+    return 0.5 * (X + X.T), 0.5 * (H + H.T), rand_sym(rng, dim), zero
+
+
+class TestChainRule:
+    def test_theta_derivs_match_blockwise_forms(self):
+        rng = np.random.RandomState(73)
+        vanishing = 0
+        for _ in range(1500):
+            X, H, W, zero = chain_rule_case(rng)
+            np.testing.assert_allclose(
+                theta_dir_deriv(X, H), blockwise.theta_dir_deriv(X, H),
+                rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(
+                theta_second_dir_deriv(X, H, W),
+                blockwise.theta_second_dir_deriv(X, H, W),
+                rtol=1e-12, atol=1e-12)
+            if zero:
+                eig = eig_sym(X)
+                Qb = eig.basis[:, np.abs(eig.values) <= 1e-8]
+                first = np.linalg.eigvalsh(Qb.T @ H @ Qb)
+                vanishing += bool(np.abs(first).min() <= 1e-8)
+        assert vanishing > 400
+
+    def test_eig_derivs_match_blockwise_forms(self):
+        rng = np.random.RandomState(74)
+        for _ in range(500):
+            X, H, W, _ = chain_rule_case(rng)
+            np.testing.assert_allclose(eig_dir_derivs(X, H),
+                                       blockwise.eig_dir_derivs(X, H),
+                                       rtol=1e-14, atol=1e-14)
+            np.testing.assert_allclose(eig_second_dir_derivs(X, H, W),
+                                       blockwise.eig_second_dir_derivs(X, H, W),
+                                       rtol=1e-14, atol=1e-14)
+
+
+class TestDirectionShape:
+    # a direction of the wrong size is named in an InvalidInput, never a
+    # matmul ValueError
+    X = np.diag([1.0, 0.0, -1.0])
+    Y = np.diag([1.0, 0.5, -1.0])
+    S = np.eye(3)
+    BAD = np.eye(2)
+
+    @pytest.mark.parametrize("call, name", [
+        pytest.param(lambda c: theta_dir_deriv(c.X, c.BAD), "H",
+                     id="theta_dir_deriv"),
+        pytest.param(lambda c: eig_dir_derivs(c.X, c.BAD), "H",
+                     id="eig_dir_derivs"),
+        pytest.param(lambda c: eig_second_dir_derivs(c.X, c.S, c.BAD), "W",
+                     id="eig_second_dir_derivs"),
+        pytest.param(lambda c: theta_second_dir_deriv(c.X, c.BAD, c.S), "H",
+                     id="theta_second_dir_deriv"),
+        pytest.param(lambda c: critical_cone_theta_project(c.X, c.Y, c.BAD),
+                     "H", id="critical_cone_theta_project"),
+        pytest.param(lambda c: critical_cone_theta_contains(c.X, c.Y, c.BAD),
+                     "H", id="critical_cone_theta_contains"),
+        pytest.param(lambda c: psi_conjugate(c.X, c.BAD, c.Y), "H",
+                     id="psi_conjugate"),
+    ])
+    def test_direction_at_x(self, call, name):
+        with pytest.raises(InvalidInput,
+                           match=rf"^{name} dimension does not match X$"):
+            call(self)
+
+    def test_prox_dir_deriv(self):
+        with pytest.raises(InvalidInput,
+                           match=r"^H dimension does not match Z$"):
+            prox_dir_deriv(self.X, 0.5, self.BAD)
+
+    @pytest.mark.parametrize("element", [prox_bsub_element,
+                                         grad_env_bsub_element])
+    def test_element_apply(self, element):
+        W = element(self.X, self.Y, 0.5)
+        with pytest.raises(InvalidInput, match=r"^H dimension does not "
+                                               r"match the element's basis$"):
+            W.apply(self.BAD)

@@ -140,6 +140,12 @@ class TestBsubElement:
                 assert np.sum(d1 * Wd1) >= -1e-10
                 assert np.sum(Wd1 * (d1 - Wd1)) >= -1e-10
 
+    def test_mismatched_direction_rejected(self):
+        W = proj_bsub_element(np.diag([1.0, 0.0, -1.0]))
+        with pytest.raises(InvalidInput, match=r"^H dimension does not "
+                                               r"match the element's basis$"):
+            W.apply(np.eye(2))
+
     def test_bad_omega_rejected(self):
         M = np.diag([1.0, 0.0, 0.0])
         with pytest.raises(InvalidInput):

@@ -60,14 +60,13 @@ from sdnop.problem import (
     newton_matrix_element,
 )
 from sdnop.psd_cone import (
-    ProjBsubElement,
     positive_part,
     proj_bsub_element,
     project_psd,
     theta_matrix,
 )
 from sdnop.solver import ALMConfig, alm_solve
-from sdnop.spectral import EigenDecomposition, eig_sym
+from sdnop.spectral import EigenDecomposition, HadamardElement, eig_sym
 
 from conftest import make_mixed_instance
 from eval_oracles import newton_element_einsum, prox_table
@@ -335,7 +334,7 @@ def test_operators_skip_decomposition_when_given_one(monkeypatch):
     eig = eig_sym(Z)
     expected = (moreau_env(Z, 0.3), grad_moreau_env(Z, 0.3),
                 prox_nuclear(Z, 0.3)[0], prox_table(eig, 0.3, 1e-8),
-                project_psd(Z)[0], proj_bsub_element(Z).theta.entries)
+                project_psd(Z)[0], proj_bsub_element(Z).table)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("decomposed a matrix whose spectrum was given")
@@ -511,8 +510,8 @@ def test_column_signs_change_no_bit(name):
                 (positive_part(e) for e in (pt.eig_M, flip.eig_M)),
                 (prox_divided_diff(e, tau, 0.0).table for e in
                  (pt.eig_Z, flip.eig_Z)),
-                (ProjBsubElement(e.basis, theta_matrix(e, tol=0.0)).apply(H)
-                 for e in (pt.eig_M, flip.eig_M)),
+                (HadamardElement(e.basis, theta_matrix(e, tol=0.0).entries)
+                 .apply(H) for e in (pt.eig_M, flip.eig_M)),
                 (p.Yhat for p in (pt, flip)),
                 (p.Ghat for p in (pt, flip)),
                 (newton_matrix_element(problem, x, Y, mu, Gamma, c,

@@ -123,6 +123,30 @@ def test_spectral_operators_have_one_form():
     assert not twins, twins
 
 
+def test_one_element_type():
+    # every generalized-derivative element is a spectral.HadamardElement:
+    # no other class applies an operator, and each *_bsub_element
+    # constructor returns one
+    X, Y = np.diag([1.0, 0.0, -1.0]), np.diag([1.0, 0.5, -1.0])
+    calls = {
+        "prox_bsub_element": (X, Y, 0.5),
+        "grad_env_bsub_element": (X, Y, 0.5),
+        "proj_bsub_element": (X,),
+    }
+    appliers, constructors = [], {}
+    for info in pkgutil.iter_modules(sdnop.__path__):
+        module = importlib.import_module(f"sdnop.{info.name}")
+        for name, fn in _defined_functions(module):
+            if name.endswith(".apply"):
+                appliers.append(f"{module.__name__}.{name}")
+            elif name.endswith("_bsub_element"):
+                constructors[name] = fn
+    assert appliers == ["sdnop.spectral.HadamardElement.apply"], appliers
+    assert sorted(constructors) == sorted(calls)
+    for name, fn in constructors.items():
+        assert type(fn(*calls[name])) is sdnop.spectral.HadamardElement, name
+
+
 _NOTED_BY_POINT = ("aug_lagrangian_value", "aug_lagrangian_grad")
 
 
