@@ -121,10 +121,10 @@ class SubgradientPartition:
     values: np.ndarray  # eigenvalues of X, aligned with basis columns
 
 
-def _subdiff_defect(X, Y):
-    """Largest violation of the subgradient characterization, plus context."""
-    eig = eig_sym(X)
-    Yh = compress(eig.basis, Y, "Y", "X")
+def _subdiff_defect(eig, Yh):
+    """Largest violation of the subgradient characterization by a Y
+    compressed into the eigenbasis ``eig`` of X (``Yh``), and the sign
+    partition of X."""
     part = partition_by_sign(eig)
     pos, zero, neg = list(part.pos), list(part.zero), list(part.neg)
     defect = 0.0
@@ -138,15 +138,15 @@ def _subdiff_defect(X, Y):
     if zero:
         bb = Yh[np.ix_(zero, zero)]
         defect = max(defect, max(0.0, np.abs(np.linalg.eigvalsh(bb)).max() - 1.0))
-    return defect, eig, part, Yh
+    return defect, part
 
 
 def subdiff_contains(X, Y, tol=None):
     """Membership test for the nuclear-norm subdifferential at X."""
     if tol is None:
         tol = 1e-8
-    defect, _, _, _ = _subdiff_defect(X, Y)
-    return defect <= tol
+    eig = eig_sym(X)
+    return _subdiff_defect(eig, compress(eig.basis, Y, "Y", "X"))[0] <= tol
 
 
 def subdiff_partition(X, Y, tol=None):
@@ -157,9 +157,15 @@ def subdiff_partition(X, Y, tol=None):
     NotASubgradient
         If Y fails the membership characterization beyond ``tol``.
     """
-    if tol is None:
-        tol = 1e-8
-    defect, eig, part, Yh = _subdiff_defect(X, Y)
+    eig = eig_sym(X)
+    return _subdiff_structure(eig, compress(eig.basis, Y, "Y", "X"),
+                              1e-8 if tol is None else tol)
+
+
+def _subdiff_structure(eig, Yh, tol):
+    """:func:`subdiff_partition` at the X that ``eig`` decomposes, for a Y
+    compressed into its basis (``Yh``)."""
+    defect, part = _subdiff_defect(eig, Yh)
     if defect > tol:
         raise NotASubgradient(f"subgradient defect {defect:.3e} exceeds {tol:.1e}")
     q = eig.dim
@@ -218,7 +224,7 @@ def envelope_value(eig, tau):
     """Moreau envelope at Z, with ``eig`` and tau as in
     :func:`soft_threshold`."""
     p = _shrink(eig.values, tau)
-    return float(np.abs(p).sum() + np.sum((p - eig.values) ** 2) / (2.0 * tau))
+    return float(np.abs(p).sum() + ((p - eig.values) ** 2).sum() / (2.0 * tau))
 
 
 def envelope_grad(eig, Z, tau):
@@ -380,12 +386,11 @@ def soft_pair_table(vals, tau, kink_flags):
         vals = np.array([tau if f > 0 else -tau if f < 0 else v
                          for v, f in zip(vals.tolist(), flags)])
     pv = _shrink(vals, tau)
-    num = pv[:, None] - pv[None, :]
-    den = vals[:, None] - vals[None, :]
-    out = np.zeros((vals.size, vals.size))
-    np.divide(num, den, out=out, where=den != 0.0)
-    np.fill_diagonal(out, [1.0 if f == 0 and abs(v) > tau else 0.0
-                           for v, f in zip(vals.tolist(), flags)])
+    den = np.subtract.outer(vals, vals)
+    out = np.zeros(den.shape)
+    np.divide(np.subtract.outer(pv, pv), den, out=out, where=den != 0.0)
+    # a flagged value sits on +-tau, so it takes the 0 of the inside
+    out.ravel()[::vals.size + 1] = np.abs(vals) > tau
     return out
 
 
@@ -560,17 +565,30 @@ def critical_blocks_contain(Hc, b_up, b_mid, b_low, tol):
     return True
 
 
+def _direction_setting(X, Y, H):
+    """The decomposition of X, Y and H for a direction H at (X, Y): each
+    validated once, under its own name, and H checked against X before
+    anything tests Y."""
+    eig = eig_sym(X, "X")
+    H = as_symmetric(H, "H")
+    Y = as_symmetric(Y, "Y")
+    for name, M in (("H", H), ("Y", Y)):
+        if M.shape != (eig.dim,) * 2:
+            raise InvalidInput(f"{name} dimension does not match X")
+    return eig, Y, H
+
+
 def critical_cone_theta_contains(X, Y, H, tol=None):
     """Whether H lies in the critical cone of the nuclear norm at (X, Y).
 
     The blockwise test of :func:`critical_blocks_contain` on H compressed
     into the refined basis; ``tol`` defaults to 1e-8 (1 + max |H|).
     """
-    H = as_symmetric(H, "H")
-    sp = subdiff_partition(X, Y)
+    eig, Y, H = _direction_setting(X, Y, H)
+    sp = _subdiff_structure(eig, eig.basis.T @ Y @ eig.basis, 1e-8)
     if tol is None:
         tol = 1e-8 * (1.0 + np.abs(H).max(initial=0.0))
-    return critical_blocks_contain(compress(sp.basis, H, "H", "X"),
+    return critical_blocks_contain(sp.basis.T @ H @ sp.basis,
                                    sp.b_up, sp.b_mid, sp.b_low, tol)
 
 
@@ -582,8 +600,9 @@ def critical_cone_theta_project(X, Y, H):
     block and the up-down coupling, and take definite parts of the two
     saturated diagonal blocks.
     """
-    sp = subdiff_partition(X, Y)
-    Hh = compress(sp.basis, H, "H", "X")
+    eig, Y, H = _direction_setting(X, Y, H)
+    sp = _subdiff_structure(eig, eig.basis.T @ Y @ eig.basis, 1e-8)
+    Hh = sp.basis.T @ H @ sp.basis
     b = list(sp.partition.zero)
     up, mid, low = list(sp.b_up), list(sp.b_mid), list(sp.b_low)
     for i in mid:
@@ -646,17 +665,16 @@ def psi_conjugate(X, H, Y, tol=None, group_tol=1e-8):
         ``tol`` (default 1e-7 (1 + max |Y|)), "critical_cone" when H is
         not in the critical cone.
     """
-    X = as_symmetric(X, "X")
-    H = as_symmetric(H, "H")
-    Y = as_symmetric(Y, "Y")
+    eig, Y, H = _direction_setting(X, Y, H)
     if tol is None:
         tol = 1e-7 * (1.0 + np.abs(Y).max(initial=0.0))
+    Yh = eig.basis.T @ Y @ eig.basis
     try:
-        sp = subdiff_partition(X, Y, tol=tol)
+        sp = _subdiff_structure(eig, Yh, tol)
     except NotASubgradient:
-        raise DomainError("subgradient", _subdiff_defect(X, Y)[0]) from None
+        raise DomainError("subgradient", _subdiff_defect(eig, Yh)[0]) from None
     Q = sp.basis
-    Hc = compress(Q, H, "H", "X")
+    Hc = Q.T @ H @ Q
     if not critical_blocks_contain(Hc, sp.b_up, sp.b_mid, sp.b_low,
                                    1e-8 * (1.0 + np.abs(H).max(initial=0.0))):
         raise DomainError("critical_cone", np.nan)

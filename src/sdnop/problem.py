@@ -349,6 +349,24 @@ def hess_xx_lagrangian(problem, x, Y, mu, Gamma):
     return H + H.T
 
 
+class _lazy:
+    """Attribute computed on first read, like ``functools.cached_property``
+    but without the lock that one takes at every first read before Python
+    3.12.  The result goes into the instance ``__dict__``, which shadows
+    this descriptor from then on."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.name = fn.__name__
+        self.__doc__ = fn.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
+
+
 class ShiftedPoint:
     """Shifted spectra of the augmented Lagrangian at one point x.
 
@@ -365,8 +383,9 @@ class ShiftedPoint:
     (``check_multipliers``).  ``sq_norms`` holds
     (np.sum(Y * Y), np.sum(Gamma * Gamma)) for the value; a caller that
     evaluates many points of one subproblem forms it once and passes it.
-    The envelope gradient Yhat, the projection Ghat, the Jacobians and
-    the gradient are formed on first use; F(x), h(x) and g(x) are kept
+    The envelope gradient Yhat, the projection Ghat, the Jacobians, the
+    gradient and the value are formed on first use, so a point whose
+    value nobody reads never evaluates it; F(x), h(x) and g(x) are kept
     for the KKT residual at the multiplier update.  Every attribute is
     set for every problem: an absent F or g gives a 0x0 Z or M (whose
     decomposition calls no eigensolver) and m = 0 gives empty ``hx`` and
@@ -377,6 +396,8 @@ class ShiftedPoint:
         _check_c(c)
         self.problem = problem
         self.x = x
+        self.mu = mu
+        self.c = c
         self.tau = 1.0 / c
         self.Fx = problem.F(x)
         self.Z = symmetric_part(self.Fx + Y / c, "F(x) + Y/c")
@@ -390,25 +411,25 @@ class ShiftedPoint:
             sq_norms = (np.sum(Y * Y), np.sum(Gamma * Gamma))
         self.sq_norms = sq_norms
 
-    @cached_property
+    @_lazy
     def Yhat(self):
         """Envelope gradient at Z: the updated nuclear-norm multiplier."""
         return envelope_grad(self.eig_Z, self.Z, self.tau)
 
-    @cached_property
+    @_lazy
     def Ghat(self):
         """Projection of M onto the PSD cone: the updated cone multiplier."""
         return positive_part(self.eig_M)
 
-    @cached_property
+    @_lazy
     def jac_F(self):
         return self.problem.jac_F(self.x)
 
-    @cached_property
+    @_lazy
     def jac_g(self):
         return self.problem.jac_g(self.x)
 
-    @cached_property
+    @_lazy
     def grad(self):
         """Gradient in x of the augmented Lagrangian, which is the
         Lagrangian gradient at the multiplier update (Yhat, muhat, Ghat)."""
@@ -416,6 +437,19 @@ class ShiftedPoint:
         return (p.grad_f(x) + adjoint_jac(self.jac_F, self.Yhat)
                 + p.jac_h(x).T @ self.muhat
                 - adjoint_jac(self.jac_g, self.Ghat))
+
+    @_lazy
+    def value(self):
+        """Augmented Lagrangian at x: the objective, the envelope at Z
+        less ||Y||^2 / 2c, the equality terms, and the squared projection
+        of M less ||Gamma||^2, over 2c."""
+        c, hx, P = self.c, self.hx, self.Ghat
+        Y_sq, Gamma_sq = self.sq_norms
+        val = self.problem.f(self.x)
+        val += envelope_value(self.eig_Z, self.tau) - Y_sq / (2.0 * c)
+        val += float(self.mu @ hx) + 0.5 * c * float(hx @ hx)
+        val += ((P * P).sum() - Gamma_sq) / (2.0 * c)
+        return float(val)
 
 
 def check_multipliers(Y, Gamma):
@@ -440,14 +474,7 @@ def aug_lagrangian_value(problem, x, Y, mu, Gamma, c, *, point=None):
     penalty for the semidefinite constraint.  ``point`` is an optional
     ShiftedPoint built from the same arguments, to reuse its spectra.
     """
-    pt = _shifted(problem, x, Y, mu, Gamma, c, point)
-    hx, P = pt.hx, pt.Ghat
-    Y_sq, Gamma_sq = pt.sq_norms
-    val = problem.f(x)
-    val += envelope_value(pt.eig_Z, pt.tau) - Y_sq / (2.0 * c)
-    val += float(mu @ hx) + 0.5 * c * float(hx @ hx)
-    val += (np.sum(P * P) - Gamma_sq) / (2.0 * c)
-    return float(val)
+    return _shifted(problem, x, Y, mu, Gamma, c, point).value
 
 
 def aug_lagrangian_grad(problem, x, Y, mu, Gamma, c, *, point=None):

@@ -94,10 +94,10 @@ def psd_pair_table(lam, zero_mask):
     """
     lam = np.where(zero_mask, 0.0, lam)
     pos = np.maximum(lam, 0.0)
-    num = pos[:, None] + pos[None, :]
-    den = np.abs(lam)[:, None] + np.abs(lam)[None, :]
-    out = np.zeros((lam.size, lam.size))
-    np.divide(num, den, out=out, where=den > 0.0)
+    mag = np.abs(lam)
+    den = np.add.outer(mag, mag)
+    out = np.zeros(den.shape)
+    np.divide(np.add.outer(pos, pos), den, out=out, where=den > 0.0)
     return out
 
 
@@ -105,11 +105,10 @@ def theta_matrix(eig, beta_choice="zero", tol=None):
     """Theta table of :func:`proj_bsub_element`'s element, with the same
     ``beta_choice`` and ``tol``, at the matrix that ``eig`` decomposes."""
     part = partition_by_sign(eig, tol)
-    zero = list(part.zero)
-    mask = np.zeros(eig.dim, dtype=bool)
-    mask[zero] = True
-    table = psd_pair_table(eig.values, mask)
-    if zero:
+    # the partition's zero rows, by the same comparison
+    table = psd_pair_table(eig.values, np.abs(eig.values) <= part.tol)
+    if part.zero:
+        zero = list(part.zero)
         table[np.ix_(zero, zero)] = choice_table(beta_choice, len(zero),
                                                  "beta_choice")
     return ThetaMatrix(table, part)

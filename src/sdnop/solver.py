@@ -129,24 +129,29 @@ class InnerConfig:
 
 @dataclass(frozen=True)
 class InnerStats:
-    """Inner-loop counters; ``point`` is the ShiftedPoint at the returned x,
-    which the multiplier update reuses.
+    """Inner-loop counters; ``point`` is the ShiftedPoint at the last x
+    (the returned x, which the multiplier update reuses, or the failed
+    loop's best iterate).
 
     ``stop`` says how the loop ended: "tol" when the gradient norm met the
     configured tolerance, "floor" when it met only the round-off floor,
     None when it failed.  ``floor`` is the round-off floor at the last
-    point.
+    point, and ``value`` the augmented Lagrangian there, read from
+    ``point``: the loop evaluates it only at points it steps from, so a
+    stop after a gradient-contraction step leaves it to the first read.
     """
 
     iterations: int
     grad_norm: float
-    value: float
     shifted_steps: int
     steepest_steps: int
+    point: ShiftedPoint = field(compare=False, repr=False)
     stop: Optional[str] = None
     floor: float = 0.0
-    point: Optional[ShiftedPoint] = field(default=None, compare=False,
-                                          repr=False)
+
+    @property
+    def value(self):
+        return self.point.value
 
 
 @dataclass(frozen=True)
@@ -224,8 +229,12 @@ def _eigenvalue_below_floor(A, floor):
     case; the spectrum is computed only when that attempt fails.
     """
     if A.size:
+        # A - floor I, by a shift of the diagonal of a copy: off it,
+        # a - 0 is a, signed zeros included
+        B = A.copy()
+        B.ravel()[::A.shape[0] + 1] -= floor
         try:
-            np.linalg.cholesky(A - floor * np.eye(A.shape[0]))
+            np.linalg.cholesky(B)
             return None
         except np.linalg.LinAlgError:
             pass
@@ -303,6 +312,12 @@ def inner_minimize(problem, y, c, x0, cfg, outer_residual=None):
     term.  ``InnerStats.stop`` records which bound was met.  Raises
     InnerSolveError with the best iterate if max_iter is exhausted first,
     and InvalidInput if y.Y or y.Gamma is not a finite symmetric matrix.
+
+    The value is evaluated where a step reads it: at each point the loop
+    steps from, once its stop check has passed, and at each Armijo trial
+    point.  A point reached by a gradient-contraction step where the loop
+    then stops, or runs out of iterations, is not evaluated;
+    ``InnerStats.value`` evaluates it on first read.
     """
     check_multipliers(y.Y, y.Gamma)
     x = np.array(x0, dtype=np.float64)
@@ -324,17 +339,21 @@ def inner_minimize(problem, y, c, x0, cfg, outer_residual=None):
 
     scales = _data_scales(problem, x, pt)
     grad = aug_lagrangian_grad(problem, x, y.Y, y.mu, y.Gamma, c, point=pt)
-    val = aug_lagrangian_value(problem, x, y.Y, y.mu, y.Gamma, c, point=pt)
+    # the value at x, None until a step reads it
+    val = None
     # max_iter steps, and a stop check at each of the max_iter + 1 points
     for it in range(cfg.max_iter + 1):
         gnorm = float(np.linalg.norm(grad))
         floor = _roundoff_floor(pt, c, scales)
         stop = _inner_stop(gnorm, tol, floor)
         if stop is not None:
-            return x, InnerStats(it, gnorm, val, shifted_steps,
-                                 steepest_steps, stop, floor, pt)
+            return x, InnerStats(it, gnorm, shifted_steps, steepest_steps,
+                                 pt, stop, floor)
         if it == cfg.max_iter:
             break
+        if val is None:
+            val = aug_lagrangian_value(problem, x, y.Y, y.mu, y.Gamma, c,
+                                       point=pt)
         A = newton_matrix_element(problem, x, y.Y, y.mu, y.Gamma, c,
                                   group_tol=_KINK_TOL, point=pt)
         d, shifted, steepest = _newton_direction(A, grad)
@@ -353,9 +372,7 @@ def inner_minimize(problem, y, c, x0, cfg, outer_residual=None):
             tgrad = aug_lagrangian_grad(problem, trial, y.Y, y.mu, y.Gamma, c,
                                         point=tpt)
             if float(np.linalg.norm(tgrad)) <= 0.5 * gnorm:
-                x, pt, grad = trial, tpt, tgrad
-                val = aug_lagrangian_value(problem, x, y.Y, y.mu, y.Gamma, c,
-                                           point=pt)
+                x, pt, grad, val = trial, tpt, tgrad, None
                 continue
         t = 1.0
         accepted = False
@@ -372,8 +389,8 @@ def inner_minimize(problem, y, c, x0, cfg, outer_residual=None):
             raise InnerSolveError(
                 f"line search failed at inner iteration {it}",
                 best_x=x,
-                stats=InnerStats(it, gnorm, val, shifted_steps, steepest_steps,
-                                 floor=floor),
+                stats=InnerStats(it, gnorm, shifted_steps, steepest_steps,
+                                 pt, floor=floor),
             )
         x, pt, val = trial, tpt, tval
         grad = aug_lagrangian_grad(problem, x, y.Y, y.mu, y.Gamma, c, point=pt)
@@ -381,8 +398,8 @@ def inner_minimize(problem, y, c, x0, cfg, outer_residual=None):
         f"inner loop exhausted {cfg.max_iter} iterations "
         f"(grad {gnorm:.3e} > {max(tol, floor):.1e})",
         best_x=x,
-        stats=InnerStats(cfg.max_iter, gnorm, val, shifted_steps,
-                         steepest_steps, floor=floor),
+        stats=InnerStats(cfg.max_iter, gnorm, shifted_steps, steepest_steps,
+                         pt, floor=floor),
     )
 
 

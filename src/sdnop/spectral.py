@@ -9,6 +9,7 @@ one generalized-derivative element type, :class:`HadamardElement`.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Tuple
 
 import numpy as np
@@ -37,6 +38,8 @@ __all__ = [
 ]
 
 _SYM_TOL = 1e-8
+# half the largest float: two entries this large still add to a finite sum
+_HALF_MAX = float(np.finfo(np.float64).max) / 2.0
 
 
 def check_symmetric(M, name="matrix"):
@@ -124,6 +127,12 @@ def symmetric_part(A, name):
     finite.  Unlike :func:`as_symmetric` it does not test the asymmetry:
     it is for matrices formed from operands that were checked already.
     """
+    # one scan settles the usual case: entries of magnitude at most
+    # DBL_MAX/2 cannot overflow the sum, and NaN fails the comparison
+    if np.abs(A).max(initial=0.0) <= _HALF_MAX:
+        S = A + A.T
+        S *= 0.5
+        return S
     with np.errstate(over="ignore", invalid="ignore"):
         S = A + A.T
     if np.isfinite(S).all():
@@ -136,13 +145,14 @@ def symmetric_part(A, name):
     return S
 
 
-def eig_sym(M):
+def eig_sym(M, name="matrix"):
     """Eigendecomposition of a symmetric matrix, descending, sign-fixed.
 
-    ``M`` is validated and symmetrized by :func:`as_symmetric` first.  The
-    largest entry of a unit column is not zero, so its sign is +1 or -1.
+    ``M`` is validated and symmetrized by :func:`as_symmetric` first, and
+    named ``name`` in its errors.  The largest entry of a unit column is
+    not zero, so its sign is +1 or -1.
     """
-    eig = eig_symmetrized(as_symmetric(M))
+    eig = eig_symmetrized(as_symmetric(M, name))
     if not eig.dim:
         return eig
     Q = eig.basis
@@ -230,17 +240,27 @@ def group_distinct(eig, group_tol=1e-8):
     if not vals:
         return DistinctBlocks(np.zeros(0), (), None)
     gap_tol = group_tol * (1.0 + max(map(abs, vals)))
-    cuts = [0, *(i for i in range(1, len(vals))
-                 if vals[i - 1] - vals[i] > gap_tol), len(vals)]
-    blocks = tuple(tuple(range(a, b)) for a, b in zip(cuts[:-1], cuts[1:]))
-    if len(blocks) == len(vals):
-        reps = vals
+    cuts = [i for i in range(1, len(vals)) if vals[i - 1] - vals[i] > gap_tol]
+    if len(cuts) == len(vals) - 1:
+        # every block a singleton, as at the solver's group_tol = 0 unless
+        # two eigenvalues are exactly equal
+        blocks, reps, values = _singletons(len(vals)), vals, eig.values.copy()
     else:
+        bounds = [0, *cuts, len(vals)]
+        blocks = tuple(tuple(range(a, b))
+                       for a, b in zip(bounds[:-1], bounds[1:]))
         reps = [vals[b[0]] if len(b) == 1
                 else float(eig.values[b[0]:b[-1] + 1].mean()) for b in blocks]
+        values = np.array(reps)
     zero_block = next((k for k, v in enumerate(reps) if abs(v) <= gap_tol),
                       None)
-    return DistinctBlocks(np.array(reps), blocks, zero_block)
+    return DistinctBlocks(values, blocks, zero_block)
+
+
+@lru_cache(maxsize=None)
+def _singletons(k):
+    """The index tuples (0,), ..., (k - 1,): k singleton blocks."""
+    return tuple((i,) for i in range(k))
 
 
 def choice_table(choice, k, name):

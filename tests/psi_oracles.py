@@ -74,7 +74,7 @@ def psi_critical(X, H, Y, tol=None, group_tol=1e-8):
     """Sigma term through the saturated/interior split (Y a subgradient,
     H critical); raises DomainError off that domain."""
     X, H, Y, tol, eig, blocks, Ks = _setup(X, H, Y, tol, group_tol)
-    defect = _subdiff_defect(X, Y)[0]
+    defect = _subdiff_defect(eig, eig.basis.T @ Y @ eig.basis)[0]
     if defect > tol:
         raise DomainError("subgradient", defect)
     sp = subdiff_partition(X, Y, tol=tol)

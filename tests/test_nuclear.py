@@ -841,6 +841,22 @@ class TestDirectionShape:
                            match=rf"^{name} dimension does not match X$"):
             call(self)
 
+    @pytest.mark.parametrize("call", [
+        pytest.param(lambda X, Y, H: psi_conjugate(X, H, Y),
+                     id="psi_conjugate"),
+        pytest.param(critical_cone_theta_contains,
+                     id="critical_cone_theta_contains"),
+        pytest.param(critical_cone_theta_project,
+                     id="critical_cone_theta_project"),
+    ])
+    def test_direction_checked_before_subgradient_test(self, call):
+        # Y is no subgradient at X (3 on the positive row), so a test of
+        # Y ahead of H's size would raise DomainError or NotASubgradient
+        Y = np.diag([3.0, 0.0, -1.0])
+        with pytest.raises(InvalidInput,
+                           match=r"^H dimension does not match X$"):
+            call(self.X, Y, self.BAD)
+
     def test_prox_dir_deriv(self):
         with pytest.raises(InvalidInput,
                            match=r"^H dimension does not match Z$"):

@@ -152,6 +152,97 @@ class TestInnerMinimize:
         assert stats.grad_norm <= cfg.grad_tol
 
 
+class TestDeferredValue:
+    """The inner loop evaluates the value only where a step reads it: at
+    the points it steps from and at Armijo trial points.  Whatever point
+    it ends at, ``InnerStats.value`` is the value there, bit for bit."""
+
+    C = 10.0
+
+    def _run(self, monkeypatch, problem, x0, cfg):
+        """inner_minimize from x0 at the reference multipliers: the last
+        point, its stats, the error if the loop failed, and whether the
+        loop evaluated the value there itself."""
+        evaluated = []
+        value = solver.aug_lagrangian_value
+
+        def recording(*args, **kwargs):
+            evaluated.append(args[1])
+            return value(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "aug_lagrangian_value", recording)
+        y = problem.reference.multipliers
+        try:
+            x, stats = inner_minimize(problem, y, self.C, x0, cfg)
+            exc = None
+        except InnerSolveError as err:
+            x, stats, exc = err.best_x, err.stats, err
+        monkeypatch.setattr(solver, "aug_lagrangian_value", value)
+        return x, stats, exc, any(z is x for z in evaluated)
+
+    def _fresh_value(self, problem, x):
+        y = problem.reference.multipliers
+        return aug_lagrangian_value(problem, x, y.Y, y.mu, y.Gamma, self.C)
+
+    def _ends(self, monkeypatch, problem, scale, cfg, seed):
+        """Runs from 40 seeded starts at radius ``scale``, keyed by whether
+        the loop failed and whether it evaluated the value at the end."""
+        rng = np.random.RandomState(seed)
+        ends = {}
+        for _ in range(40):
+            x0 = scale * rng.randn(problem.n)
+            x, stats, exc, evaluated = self._run(monkeypatch, problem, x0,
+                                                 cfg)
+            if stats.iterations > 0:
+                ends.setdefault((exc is not None, evaluated), (x, stats))
+        return ends
+
+    def test_stop_at_iteration_zero(self, monkeypatch, mixed_instance):
+        problem = mixed_instance
+        x, stats, exc, evaluated = self._run(
+            monkeypatch, problem, problem.reference.x, InnerConfig())
+        assert exc is None and stats.iterations == 0 and not evaluated
+        assert stats.value == self._fresh_value(problem, x)
+
+    def test_stop_after_contraction_and_armijo_steps(self, monkeypatch,
+                                                     mixed_instance):
+        # near the minimizer the predicted decrease sinks below value
+        # noise and the loop steps on gradient contraction, whose end
+        # point it never evaluates; farther out it ends on Armijo steps
+        problem = mixed_instance
+        ends = {**self._ends(monkeypatch, problem, 1e-7, InnerConfig(), 81),
+                **self._ends(monkeypatch, problem, 1.0, InnerConfig(), 82)}
+        for evaluated in (False, True):
+            x, stats = ends[(False, evaluated)]
+            assert stats.value == self._fresh_value(problem, x)
+
+    def test_failures_keep_the_value_at_the_best_iterate(self, monkeypatch,
+                                                        mixed_instance):
+        # exhaustion after an Armijo step, and after a contraction step
+        # with a tolerance below the round-off floor
+        problem = mixed_instance
+        ends = {**self._ends(monkeypatch, problem, 1.0,
+                             InnerConfig(max_iter=1), 83),
+                **self._ends(monkeypatch, problem, 1.0,
+                             InnerConfig(grad_tol=1e-300, max_iter=3), 84)}
+        for evaluated in (False, True):
+            x, stats = ends[(True, evaluated)]
+            assert stats.value == self._fresh_value(problem, x)
+
+    def test_line_search_failure_keeps_the_value(self, monkeypatch,
+                                                 mixed_instance):
+        # an ascent direction fails every Armijo trial
+        problem = mixed_instance
+        monkeypatch.setattr(solver, "_newton_direction",
+                            lambda A, grad: (1e8 * grad, False, False))
+        x0 = np.array([0.5, -0.4, 0.3])
+        x, stats, exc, evaluated = self._run(monkeypatch, problem, x0,
+                                             InnerConfig())
+        assert str(exc) == "line search failed at inner iteration 0"
+        assert evaluated and np.array_equal(x, x0)
+        assert stats.value == self._fresh_value(problem, x0)
+
+
 class TestForcingDefault:
     """A default solve stops each inner loop at 1e-2 times the previous KKT
     residual; the rate sweep keeps exact inner solves."""

@@ -331,3 +331,91 @@ def test_symmetric_part_near_float_limit():
         with pytest.raises(InvalidInput,
                            match=r"^B contains non-finite entries$"):
             symmetric_part(B, "B")
+
+
+def _symmetric_part_errstate(A):
+    """(A + A^T) / 2 by the one-path form: add under ``np.errstate``, then
+    halve first wherever the sum overflowed."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        S = A + A.T
+    if np.isfinite(S).all():
+        return S * 0.5
+    H = 0.5 * A
+    return H + H.T
+
+
+class TestSymmetricPartGuard:
+    """``symmetric_part`` adds directly when one scan shows no entry above
+    DBL_MAX/2, and takes the ``errstate`` path otherwise; both give the
+    bits of the one-path form."""
+
+    HALF_MAX = np.finfo(np.float64).max / 2.0
+
+    @staticmethod
+    def _guarded_calls(monkeypatch, A):
+        """symmetric_part(A) and how many times it entered np.errstate."""
+        entered = []
+        errstate = np.errstate
+
+        def counting(*args, **kwargs):
+            entered.append(kwargs)
+            return errstate(*args, **kwargs)
+
+        monkeypatch.setattr(np, "errstate", counting)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            S = symmetric_part(A, "A")
+        monkeypatch.setattr(np, "errstate", errstate)
+        return S, len(entered)
+
+    def test_random_matrices(self):
+        rng = np.random.RandomState(51)
+        for _ in range(300):
+            k = rng.randint(0, 9)
+            A = rng.randn(k, k) * 10.0 ** rng.uniform(-300.0, 300.0)
+            S = symmetric_part(A, "A")
+            assert np.array_equal(S.view(np.uint64),
+                                  _symmetric_part_errstate(A).view(np.uint64))
+
+    def test_subnormal_entries(self):
+        rng = np.random.RandomState(52)
+        least = np.nextafter(0.0, 1.0)
+        tiny = np.finfo(np.float64).tiny
+        for _ in range(200):
+            k = rng.randint(1, 6)
+            A = rng.randint(-9, 10, size=(k, k)) * least
+            A[rng.rand(k, k) < 0.3] = tiny * rng.rand()
+            S = symmetric_part(A, "A")
+            assert np.array_equal(S.view(np.uint64),
+                                  _symmetric_part_errstate(A).view(np.uint64))
+
+    def test_half_max_takes_the_direct_sum(self, monkeypatch):
+        h = self.HALF_MAX
+        A = np.array([[h, -h], [h, -h]])
+        S, guarded = self._guarded_calls(monkeypatch, A)
+        assert guarded == 0
+        assert np.array_equal(S, _symmetric_part_errstate(A))
+        assert np.array_equal(S, np.array([[h, 0.0], [0.0, -h]]))
+
+    def test_next_float_above_takes_the_guarded_path(self, monkeypatch):
+        h = self.HALF_MAX
+        above = np.nextafter(h, np.inf)
+        for A in (np.array([[1.0, h], [above, 1.0]]),
+                  np.array([[above, 0.0], [0.0, 1.0]]),
+                  np.array([[1.0, 2.0], [2.0, -above]])):
+            S, guarded = self._guarded_calls(monkeypatch, A)
+            assert guarded == 1
+            assert np.all(np.isfinite(S))
+            assert np.array_equal(S.view(np.uint64),
+                                  _symmetric_part_errstate(A).view(np.uint64))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_named_without_warning(self, bad):
+        for k in (1, 3):
+            B = np.eye(k)
+            B[k - 1, 0] = bad
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                with pytest.raises(InvalidInput,
+                                   match=r"^B contains non-finite entries$"):
+                    symmetric_part(B, "B")

@@ -37,6 +37,8 @@ from sdnop.diagnostics import SWEEP_INNER
 from sdnop.errors import InnerSolveError
 from sdnop.generator import generate_instance
 from sdnop.nuclear import (
+    critical_cone_theta_contains,
+    critical_cone_theta_project,
     envelope_grad,
     envelope_value,
     grad_moreau_env,
@@ -44,6 +46,7 @@ from sdnop.nuclear import (
     nuclear_norm,
     prox_divided_diff,
     prox_nuclear,
+    psi_conjugate,
     soft_threshold,
 )
 from sdnop.problem import (
@@ -372,6 +375,29 @@ def test_public_operators_validate_once(monkeypatch):
         counts.clear()
         op()
         assert counts == [name]
+
+
+def test_direction_functions_validate_once(monkeypatch):
+    # the functions of a direction H at (X, Y) validate each of X, H and Y
+    # once, under its own name, H before anything tests Y; the one other
+    # matrix validated is the null block of Y that the refinement of the
+    # subgradient structure decomposes
+    counts = []
+    check_symmetric = spectral.check_symmetric
+
+    def counting(M, name="matrix"):
+        counts.append(name)
+        return check_symmetric(M, name)
+
+    monkeypatch.setattr(spectral, "check_symmetric", counting)
+    X, Y = np.diag([1.0, 0.0, -1.0]), np.diag([1.0, 0.5, -1.0])
+    H = np.diag([1.0, 0.0, -0.5])  # critical: zero on the interior row
+    for op in (lambda: psi_conjugate(X, H, Y),
+               lambda: critical_cone_theta_contains(X, Y, H),
+               lambda: critical_cone_theta_project(X, Y, H)):
+        counts.clear()
+        op()
+        assert counts == ["X", "H", "Y", "matrix"]
 
 
 def test_validation_budget(monkeypatch):

@@ -176,3 +176,32 @@ def test_traced_point_is_second_positional_argument(monkeypatch,
         assert points, name
         assert all(isinstance(x, np.ndarray) and x.shape == (P.n,)
                    for x in points), name
+
+
+def test_traced_hot_path_counts(monkeypatch):
+    # the benchmark splits its layers by these names: a Newton element
+    # builds one soft-threshold and one PSD pair table, and the inner loop
+    # evaluates the value where a step reads it, through the solver's
+    # name.  A hot path rerouted past a name changes a count here.
+    counts = dict.fromkeys(("value", "element", "soft", "psd"), 0)
+
+    def counting(fn, key):
+        def wrapped(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for module, name, key in (
+            (solver, "aug_lagrangian_value", "value"),
+            (solver, "newton_matrix_element", "element"),
+            (sdnop.nuclear, "soft_pair_table", "soft"),
+            (sdnop.psd_cone, "psd_pair_table", "psd")):
+        monkeypatch.setattr(module, name, counting(getattr(module, name),
+                                                   key))
+    P = problem.load_instance(os.path.join(ROOT, "instances",
+                                           "nondegen_small.json"))
+    _point, trace = solver.alm_solve(P, problem.MultiplierTriple.zeros(P),
+                                     solver.ALMConfig(), np.zeros(P.n))
+    assert counts["element"] == sum(trace.inner_iterations) == 17
+    assert counts["soft"] == counts["psd"] == counts["element"]
+    assert counts["value"] == 22
