@@ -196,34 +196,29 @@ def cmd_solve(args):
     y0 = MultiplierTriple.zeros(problem)
     try:
         point, trace = alm_solve(problem, y0, config, x0)
+        code, stop = EXIT_OK, trace.stop
     except MaxIterations as exc:
         log.error("%s", exc)
-        _log_trace(exc.trace)
-        _write_csv(os.path.join(out, "trace.csv"), _TRACE_COLUMNS,
-                   _trace_rows(exc.trace))
-        _write_json(os.path.join(out, "solution.json"),
-                    _solution_dict(exc.point, False, "max_outer",
-                                   len(exc.trace.residuals),
-                                   exc.trace.penalties[-1]))
-        return EXIT_MAX_OUTER
+        point, trace = exc.point, exc.trace
+        code, stop = EXIT_MAX_OUTER, "max_outer"
     except InnerSolveError as exc:
+        # the partial trace, but no solution
         log.error("inner solve failed: %s", exc)
-        if exc.trace is not None:
-            _log_trace(exc.trace)
-            _write_csv(os.path.join(out, "trace.csv"), _TRACE_COLUMNS,
-                       _trace_rows(exc.trace))
-        return EXIT_INNER
-    _log_trace(trace)
-    _write_csv(os.path.join(out, "trace.csv"), _TRACE_COLUMNS,
-               _trace_rows(trace))
-    penalty = trace.penalties[-1] if trace.penalties else config.c0
-    _write_json(os.path.join(out, "solution.json"),
-                _solution_dict(point, True, trace.stop,
-                               len(trace.residuals), penalty))
-    print("converged: residual %.3e after %d outer iterations%s"
-          % (point.residual.total, len(trace.residuals),
-             " (round-off floor)" if trace.stop == "floor" else ""))
-    return EXIT_OK
+        point, trace, code = None, exc.trace, EXIT_INNER
+    if trace is not None:
+        _log_trace(trace)
+        _write_csv(os.path.join(out, "trace.csv"), _TRACE_COLUMNS,
+                   _trace_rows(trace))
+    if point is not None:
+        penalty = trace.penalties[-1] if trace.penalties else config.c0
+        _write_json(os.path.join(out, "solution.json"),
+                    _solution_dict(point, code == EXIT_OK, stop,
+                                   len(trace.residuals), penalty))
+    if code == EXIT_OK:
+        print("converged: residual %.3e after %d outer iterations%s"
+              % (point.residual.total, len(trace.residuals),
+                 " (round-off floor)" if stop == "floor" else ""))
+    return code
 
 
 def cmd_check(args):

@@ -39,6 +39,7 @@ from .solver import (
     require_resolvable_penalty,
 )
 from .spectral import (
+    GROUP_TOL,
     EigenDecomposition,
     eig_sym,
     partition_by_sign,
@@ -46,8 +47,6 @@ from .spectral import (
     svec,
 )
 
-# relative gap below which eigenvalues (and nuclear weights) form one group
-_GROUP_TOL = 1e-8
 # relative singular-value cutoffs: nondegeneracy needs
 # sigma_min > _RANK_TOL sigma_max; the reduced subspace is the null space of
 # its constraint rows above _BASIS_RANK_TOL times the largest
@@ -55,8 +54,12 @@ _RANK_TOL = 1e-8
 _BASIS_RANK_TOL = 1e-10
 # largest KKT residual at which the second-order check gives a verdict
 _KKT_TOL = 1e-6
+# smallest reduced eigenvalue above which second-order sufficiency holds
+_SOSC_TOL = 1e-10
 # penalties over which rate_constants brackets the curvature model
 _ETA_GRID = (10.0, 100.0, 1000.0, 10000.0)
+# and the model's base weight c0
+_BASE_PENALTY = 10.0
 # rate_sweep: each grid point runs to this KKT residual (or the round-off
 # floor) within _SWEEP_MAX_OUTER outer iterations, and dual distances at or
 # below _RATIO_FLOOR give no ratio
@@ -172,11 +175,11 @@ def cone_blocks(problem, x, multipliers, rng=None):
     scale_F = 1.0 + np.abs(lam_F).max(initial=0.0)
     runs_F = _equal_runs(
         np.column_stack([lam_F, w]),
-        np.array([_GROUP_TOL * scale_F, _GROUP_TOL]),
+        np.array([GROUP_TOL * scale_F, GROUP_TOL]),
     )
     scale_M = 1.0 + eig_M.norm
     runs_M = _equal_runs(
-        eig_M.values.reshape(-1, 1), np.array([_GROUP_TOL * scale_M])
+        eig_M.values.reshape(-1, 1), np.array([GROUP_TOL * scale_M])
     )
     multiplicity = any(len(r) > 1 for r in runs_F + runs_M)
     if rng is not None:
@@ -409,8 +412,7 @@ def sosc_reduced_matrix(problem, x, multipliers, blocks=None, basis=None):
                                 multipliers.Gamma)
     M = basis.T @ hess_L @ basis
     J = np.tensordot(basis.T, b.jac_F_Q, axes=1)
-    M -= curvature_form(EigenDecomposition(b.values_F, b.basis_F), b.Y_Q,
-                        J, _GROUP_TOL)
+    M -= curvature_form(EigenDecomposition(b.values_F, b.basis_F), b.Y_Q, J)
     M += _psd_curvature_matrix(problem, x, multipliers.Gamma, basis)
     return 0.5 * (M + M.T), basis
 
@@ -432,8 +434,9 @@ def _roundoff(eigs):
             * float(np.abs(eigs).max()))
 
 
-def strong_sosc_check(problem, x, multipliers, tol=1e-10, blocks=None):
-    """Strong second-order sufficiency on the reduced subspace.
+def strong_sosc_check(problem, x, multipliers, blocks=None):
+    """Strong second-order sufficiency on the reduced subspace: the
+    smallest eigenvalue of the reduced matrix exceeds 1e-10.
 
     Raises
     ------
@@ -441,7 +444,7 @@ def strong_sosc_check(problem, x, multipliers, tol=1e-10, blocks=None):
         When the KKT residual at (x, multipliers) exceeds 1e-6.
     InvalidInput
         When the smallest eigenvalue of the reduced matrix lies within its
-        round-off, eps * dim * ||M||_2, of ``tol``: data near the float
+        round-off, eps * dim * ||M||_2, of 1e-10: data near the float
         limit leave the verdict to rounding.
     """
     res = kkt_residual(problem, x, multipliers.Y, multipliers.mu,
@@ -455,11 +458,11 @@ def strong_sosc_check(problem, x, multipliers, tol=1e-10, blocks=None):
     eigs = np.linalg.eigvalsh(M)
     min_value = float(eigs[0])
     roundoff = _roundoff(eigs)
-    if not abs(min_value - tol) > roundoff:
+    if not abs(min_value - _SOSC_TOL) > roundoff:
         raise InvalidInput(
             f"second-order verdict below round-off: smallest reduced "
             f"eigenvalue {min_value:.3e}, resolution {roundoff:.1e}")
-    return SOSCReport(min_value > tol, min_value, basis.shape[1])
+    return SOSCReport(min_value > _SOSC_TOL, min_value, basis.shape[1])
 
 
 # ----------------------------------------------------------------------------
@@ -643,8 +646,7 @@ class RateConstants:
         return asdict(self)
 
 
-def rate_constants(problem, x, multipliers, c0=10.0, rotations=32, seed=0,
-                   blocks=None):
+def rate_constants(problem, x, multipliers, rotations=32, blocks=None):
     """Evaluate the constants entering the contraction-rate bound.
 
     The ratio brackets nu_0 are the extremes of the cross-family tables
@@ -656,9 +658,10 @@ def rate_constants(problem, x, multipliers, c0=10.0, rotations=32, seed=0,
     from the cross-family rows.  Both are exact when the relevant spectra
     are simple; with multiplicities the bases are non-unique and
     ``rotations`` random intra-group rotations widen them (flagged in the
-    result).  The uniform curvature bracket (eta) is estimated from the
-    split-penalty curvature model (:func:`split_penalty_matrix`) over
-    c = 10, 100, 1e3, 1e4 with the base weight ``c0``; it is an estimate,
+    result); the rotations draw from a RandomState seeded 0.  The uniform
+    curvature bracket (eta) is estimated from the split-penalty curvature
+    model (:func:`split_penalty_matrix`) over c = 10, 100, 1e3, 1e4 with
+    the base weight c0 = 10, which the result reports; it is an estimate,
     not a certified constant.  Wherever nondegeneracy fails (sigma_min of
     the active-block matrix at most 1e-8 sigma_max, the cutoff of
     :func:`nondegeneracy_check`), ``sigma_upper``, ``c_bar`` and
@@ -677,7 +680,7 @@ def rate_constants(problem, x, multipliers, c0=10.0, rotations=32, seed=0,
 
     sig_lo, sig_hi, nu_lo, nu_hi = _sigma_nu_at(blocks)
     if blocks.multiplicity and rotations > 0:
-        rng = np.random.RandomState(seed)
+        rng = np.random.RandomState(0)
         for _ in range(rotations):
             rotated = cone_blocks(problem, x, multipliers, rng=rng)
             s_lo, s_hi, n_lo, n_hi = _sigma_nu_at(rotated)
@@ -686,6 +689,7 @@ def rate_constants(problem, x, multipliers, c0=10.0, rotations=32, seed=0,
             nu_lo = min(nu_lo, n_lo)
             nu_hi = max(nu_hi, n_hi)
 
+    c0 = _BASE_PENALTY
     eta_lower = float("inf")
     eta_upper = float("-inf")
     model = _curvature_model(problem, x, multipliers, blocks)
@@ -721,7 +725,7 @@ def rate_constants(problem, x, multipliers, c0=10.0, rotations=32, seed=0,
         sigma_upper=sig_hi,
         eta_lower=eta_lower,
         eta_upper=eta_upper,
-        c0=float(c0),
+        c0=c0,
         c_bar=float(c_bar),
         kappa0=float(kappa0),
         rho0=rho0,

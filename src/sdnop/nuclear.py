@@ -25,6 +25,7 @@ import numpy as np
 from .errors import DomainError, InvalidInput, NotASubgradient
 from .psd_cone import project_psd
 from .spectral import (
+    GROUP_TOL,
     DistinctBlocks,
     EigenDecomposition,
     HadamardElement,
@@ -141,15 +142,13 @@ def _subdiff_defect(eig, Yh):
     return defect, part
 
 
-def subdiff_contains(X, Y, tol=None):
+def subdiff_contains(X, Y, tol=1e-8):
     """Membership test for the nuclear-norm subdifferential at X."""
-    if tol is None:
-        tol = 1e-8
     eig = eig_sym(X)
     return _subdiff_defect(eig, compress(eig.basis, Y, "Y", "X"))[0] <= tol
 
 
-def subdiff_partition(X, Y, tol=None):
+def subdiff_partition(X, Y, tol=1e-8):
     """Extract the weight structure of a subgradient Y at X.
 
     Raises
@@ -158,8 +157,7 @@ def subdiff_partition(X, Y, tol=None):
         If Y fails the membership characterization beyond ``tol``.
     """
     eig = eig_sym(X)
-    return _subdiff_structure(eig, compress(eig.basis, Y, "Y", "X"),
-                              1e-8 if tol is None else tol)
+    return _subdiff_structure(eig, compress(eig.basis, Y, "Y", "X"), tol)
 
 
 def _subdiff_structure(eig, Yh, tol):
@@ -288,14 +286,14 @@ def _span(block):
     return slice(block[0], block[-1] + 1)
 
 
-def _eig_derivs(X, H, W=None, group_tol=1e-8):
+def _eig_derivs(X, H, W=None):
     """Distinct blocks of X, and the first and, given W, the second
     directional derivatives of its eigenvalues along (H, W), as
     :func:`eig_dir_derivs` and :func:`eig_second_dir_derivs` describe."""
     eig = eig_sym(X)
     Hh = compress(eig.basis, H, "H", "X")
     Wh = None if W is None else compress(eig.basis, W, "W", "X")
-    blocks = group_distinct(eig, group_tol)
+    blocks = group_distinct(eig)
     d1 = np.empty(eig.dim)
     d2 = None if W is None else np.empty(eig.dim)
     # blocks, and the nested groups within one, are runs of consecutive
@@ -307,7 +305,7 @@ def _eig_derivs(X, H, W=None, group_tol=1e-8):
             continue
         V = _second_order_block(Hh, Wh, blocks, k)
         Vr = inner.basis.T @ V @ inner.basis
-        for nblk in map(_span, group_distinct(inner, group_tol).blocks):
+        for nblk in map(_span, group_distinct(inner).blocks):
             core = 0.5 * (Vr[nblk, nblk] + Vr[nblk, nblk].T)
             d2[blk][nblk] = np.linalg.eigvalsh(core)[::-1]
     return blocks, d1, d2
@@ -321,16 +319,16 @@ def _block_signs(blocks):
     return np.repeat(signs, [len(blk) for blk in blocks.blocks])
 
 
-def eig_dir_derivs(X, H, group_tol=1e-8):
+def eig_dir_derivs(X, H):
     """First directional derivatives of all eigenvalues of X along H.
 
     Within each block of equal eigenvalues the derivatives are the
     eigenvalues of the compressed direction, in descending order.
     """
-    return _eig_derivs(X, H, group_tol=group_tol)[1]
+    return _eig_derivs(X, H)[1]
 
 
-def eig_second_dir_derivs(X, H, W, group_tol=1e-8):
+def eig_second_dir_derivs(X, H, W):
     """Second directional derivatives of the eigenvalues of X along (H, W).
 
     Uses the nested decomposition: within each block of X, directions are
@@ -338,10 +336,10 @@ def eig_second_dir_derivs(X, H, W, group_tol=1e-8):
     each nested group the second derivative is an eigenvalue of the rotated
     curvature compression.
     """
-    return _eig_derivs(X, H, W, group_tol)[2]
+    return _eig_derivs(X, H, W)[2]
 
 
-def theta_second_dir_deriv(X, H, W, group_tol=1e-8):
+def theta_second_dir_deriv(X, H, W):
     """Second directional derivative of the nuclear norm at X along (H, W).
 
     The chain rule of |.| over :func:`eig_second_dir_derivs`: sgn(l_i) l''_i
@@ -349,7 +347,7 @@ def theta_second_dir_deriv(X, H, W, group_tol=1e-8):
     first derivative l'_i vanishes too (within ``default_tol`` of the
     block's first derivatives).
     """
-    blocks, d1, d2 = _eig_derivs(X, H, W, group_tol)
+    blocks, d1, d2 = _eig_derivs(X, H, W)
     val = _block_signs(blocks) @ d2
     if blocks.zero_block is not None:
         idx = list(blocks.blocks[blocks.zero_block])
@@ -429,7 +427,7 @@ class ProxDividedDiff:
         return T
 
 
-def prox_divided_diff(eig, tau, group_tol=1e-8):
+def prox_divided_diff(eig, tau, group_tol=GROUP_TOL):
     """Soft-threshold divided-difference table over the spectrum ``eig``."""
     blocks = group_distinct(eig, group_tol)
     # the kink flags and the support bounds are read off Python lists: at
@@ -465,11 +463,11 @@ def prox_divided_diff(eig, tau, group_tol=1e-8):
     return ProxDividedDiff(table, kinks, blocks, (lo, hi))
 
 
-def prox_dir_deriv(Z, tau, H, group_tol=1e-8):
+def prox_dir_deriv(Z, tau, H):
     """Directional derivative of the nuclear-norm prox at Z along H."""
     _check_tau(tau)
     eig = eig_sym(Z)
-    dd = prox_divided_diff(eig, tau, group_tol)
+    dd = prox_divided_diff(eig, tau)
     Hh = compress(eig.basis, H, "H", "Z")
     kinks = [(list(dd.blocks.blocks[k]), sign) for k, sign in dd.kink_blocks]
     return hadamard_image(eig.basis, dd.table, Hh,
@@ -504,8 +502,7 @@ def _structured_values(sp, tau):
     return vals
 
 
-def prox_bsub_element(X, Y, tau, up_choice="zero", low_choice="zero",
-                      tol=None):
+def prox_bsub_element(X, Y, tau, up_choice="zero", low_choice="zero"):
     """B-subdifferential element of the prox at the structured point X + tau Y.
 
     A :class:`spectral.HadamardElement` in the refined basis of the
@@ -517,7 +514,7 @@ def prox_bsub_element(X, Y, tau, up_choice="zero", low_choice="zero",
     "identity", or explicit).
     """
     _check_tau(tau)
-    sp = subdiff_partition(X, Y, tol=tol)
+    sp = subdiff_partition(X, Y)
     vals = _structured_values(sp, tau)
     # spectra closer than 1e-12 (1 + max |v|) are one group, so the two
     # saturated groups sit exactly on the kinks at +-tau
@@ -526,16 +523,14 @@ def prox_bsub_element(X, Y, tau, up_choice="zero", low_choice="zero",
     return HadamardElement(sp.basis, dd.committed_table(up_choice, low_choice))
 
 
-def grad_env_bsub_element(X, Y, tau, up_choice="zero", low_choice="zero",
-                          tol=None):
+def grad_env_bsub_element(X, Y, tau, up_choice="zero", low_choice="zero"):
     """Generalized-Hessian element of the Moreau envelope at X + tau Y.
 
     The complement of :func:`prox_bsub_element`'s element with the same
     choices: the table (1 - T) / tau in the same basis, so tau * this +
     the prox element is the identity to round-off.
     """
-    W = prox_bsub_element(X, Y, tau, up_choice=up_choice, low_choice=low_choice,
-                          tol=tol)
+    W = prox_bsub_element(X, Y, tau, up_choice, low_choice)
     return HadamardElement(W.basis, (1.0 - W.table) / tau)
 
 
@@ -619,7 +614,7 @@ def critical_cone_theta_project(X, Y, H):
 # conjugate of the second directional derivative (sigma-term)
 # ----------------------------------------------------------------------------
 
-def curvature_form(eig, Yc, J, group_tol=1e-8):
+def curvature_form(eig, Yc, J):
     """Bilinear form of the nuclear-norm curvature term ("sigma term").
 
     ``eig`` holds the descending spectrum of X and an eigenbasis;
@@ -636,7 +631,7 @@ def curvature_form(eig, Yc, J, group_tol=1e-8):
     2 <W o Hc, Yhat Hc>; its (k, k) matrix on the stack is returned
     unsymmetrized.
     """
-    groups = group_distinct(eig, group_tol)
+    groups = group_distinct(eig)
     gid = np.empty(eig.dim, dtype=np.intp)
     for g, blk in enumerate(groups.blocks):
         gid[list(blk)] = g
@@ -647,7 +642,7 @@ def curvature_form(eig, Yc, J, group_tol=1e-8):
     return 2.0 * np.einsum("iab,jab->ij", J * W, Yhat @ J)
 
 
-def psi_conjugate(X, H, Y, tol=None, group_tol=1e-8):
+def psi_conjugate(X, H, Y):
     """Conjugate, at Y, of the second directional derivative of the
     nuclear norm at X along (H, .).
 
@@ -662,12 +657,11 @@ def psi_conjugate(X, H, Y, tol=None, group_tol=1e-8):
     ------
     DomainError
         Condition "subgradient" when Y fails the subgradient test beyond
-        ``tol`` (default 1e-7 (1 + max |Y|)), "critical_cone" when H is
-        not in the critical cone.
+        1e-7 (1 + max |Y|), "critical_cone" when H is not in the critical
+        cone.
     """
     eig, Y, H = _direction_setting(X, Y, H)
-    if tol is None:
-        tol = 1e-7 * (1.0 + np.abs(Y).max(initial=0.0))
+    tol = 1e-7 * (1.0 + np.abs(Y).max(initial=0.0))
     Yh = eig.basis.T @ Y @ eig.basis
     try:
         sp = _subdiff_structure(eig, Yh, tol)
@@ -679,5 +673,5 @@ def psi_conjugate(X, H, Y, tol=None, group_tol=1e-8):
                                    1e-8 * (1.0 + np.abs(H).max(initial=0.0))):
         raise DomainError("critical_cone", np.nan)
     form = curvature_form(EigenDecomposition(sp.values, Q), Q.T @ Y @ Q,
-                          Hc[None], group_tol)
+                          Hc[None])
     return float(form[0, 0])

@@ -520,19 +520,21 @@ def _hadamard_gram(Q, jac, W, lo, hi):
     return (G * R.reshape(-1)) @ G.T
 
 
-def newton_matrix_element(problem, x, Y, mu, Gamma, c, group_tol=1e-8, *,
-                          point=None):
+def newton_matrix_element(problem, x, Y, mu, Gamma, c, *, point=None):
     """One element of the generalized Hessian of the augmented Lagrangian.
 
     Lagrangian curvature at the updated multipliers plus the three
     constraint-curvature blocks: the envelope generalized Hessian pushed
     through DF, the exact equality block c Jh^T Jh, and a projection
-    B-subdifferential element pushed through Dg.  Where the shifted
-    spectra sit exactly on a kink, the element commits the zero table on
-    the free Hadamard blocks: ``prox_divided_diff``'s table is already 0
-    on its kink blocks, and ``theta_matrix``'s default on its zero
-    block.  ``point`` is an optional ShiftedPoint built from the same
-    arguments.
+    B-subdifferential element pushed through Dg.  ``point`` is an
+    optional ShiftedPoint built from the same arguments.
+
+    Kinks are exact (``prox_divided_diff`` at ``group_tol`` 0 and
+    ``theta_matrix`` at ``tol`` 0), and the element commits the zero
+    table on them: the model must be the derivative of the gradient map
+    as computed.  A positive window lets a near-zero eigenvalue take the
+    zero branch while the projection it feeds takes the sign branch, a
+    penalty-weighted rank-one model error that stalls the inner loop.
 
     Both constraint blocks are Hadamard-weighted Gram products taken over
     the support rectangle of their table (see :func:`_hadamard_gram`):
@@ -546,13 +548,13 @@ def newton_matrix_element(problem, x, Y, mu, Gamma, c, group_tol=1e-8, *,
     if A is None:
         A = hess_xx_lagrangian(problem, x, pt.Yhat, pt.muhat, pt.Ghat)
 
-    dd = prox_divided_diff(pt.eig_Z, pt.tau, group_tol)
+    dd = prox_divided_diff(pt.eig_Z, pt.tau, 0.0)
     A = A + c * _hadamard_gram(pt.eig_Z.basis, pt.jac_F, 1.0 - dd.table,
                                *dd.complement_support)
 
     A = A + c * problem.jac_h_gram
 
-    theta = theta_matrix(pt.eig_M, tol=group_tol * (1.0 + pt.eig_M.norm))
+    theta = theta_matrix(pt.eig_M, tol=0.0)
     A = A + c * _hadamard_gram(pt.eig_M.basis, pt.jac_g, theta.entries,
                                *theta.support)
     return 0.5 * (A + A.T)
@@ -675,15 +677,21 @@ def _matrix_map_from_dict(d, n, k, name):
     return QuadraticMatrixMap(A0, Ai, Aij)
 
 
+def _size(data, key):
+    """The dimension ``data[key]``: a JSON integer, nonnegative."""
+    value = data[key]
+    if type(value) is not int or value < 0:
+        raise InvalidInput(f"{key} must be a nonnegative integer, "
+                           f"got {value!r}")
+    return value
+
+
 def instance_from_dict(data):
     """Build a QuadraticProblem from the JSON instance schema."""
     if not isinstance(data, dict):
         raise InvalidInput("instance must be a JSON object")
     try:
-        n = int(data["n"])
-        q = int(data["q"])
-        m = int(data["m"])
-        p = int(data["p"])
+        n, q, m, p = (_size(data, key) for key in ("n", "q", "m", "p"))
         fblock = data["f"]
         f_c0 = float(fblock["c0"])
         f_b = np.asarray(fblock["b"], dtype=np.float64)
@@ -696,6 +704,8 @@ def instance_from_dict(data):
     _finite(f_b, "f.b")
     _finite(f_H, "f.H")
     rows = data.get("h", [])
+    if not isinstance(rows, list):
+        raise InvalidInput(f"h must be a list of rows, got {rows!r}")
     if len(rows) != m:
         raise InvalidInput(f"expected {m} equality rows, got {len(rows)}")
     h_A = np.zeros((m, n))

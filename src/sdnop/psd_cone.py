@@ -102,8 +102,9 @@ def psd_pair_table(lam, zero_mask):
 
 
 def theta_matrix(eig, beta_choice="zero", tol=None):
-    """Theta table of :func:`proj_bsub_element`'s element, with the same
-    ``beta_choice`` and ``tol``, at the matrix that ``eig`` decomposes."""
+    """Theta table at the matrix that ``eig`` decomposes, split by sign
+    at ``tol`` (:func:`spectral.partition_by_sign`); at the default it is
+    :func:`proj_bsub_element`'s with the same ``beta_choice``."""
     part = partition_by_sign(eig, tol)
     # the partition's zero rows, by the same comparison
     table = psd_pair_table(eig.values, np.abs(eig.values) <= part.tol)
@@ -114,16 +115,17 @@ def theta_matrix(eig, beta_choice="zero", tol=None):
     return ThetaMatrix(table, part)
 
 
-def proj_dir_deriv(M, H, tol=None):
+def proj_dir_deriv(M, H):
     """Directional derivative of the PSD projection at M along H.
 
-    Blockwise in the eigenbasis of M: identity on the positive rows,
+    Blockwise in the eigenbasis of M, split by sign at
+    :func:`spectral.default_tol`: identity on the positive rows,
     difference-quotient damping on the positive-negative cross blocks, a
     nested PSD projection on the zero block, and zero elsewhere.
     """
     eig = eig_sym(M)
     Hh = compress(eig.basis, H, "H", "M")
-    theta = theta_matrix(eig, tol=tol)
+    theta = theta_matrix(eig)
     # the table is already 1 on the positive rows and 0 on everything
     # touching the negative rows except the damped positive-negative block
     zero = list(theta.partition.zero)
@@ -131,7 +133,7 @@ def proj_dir_deriv(M, H, tol=None):
     return hadamard_image(eig.basis, theta.entries, Hh, nested)
 
 
-def proj_bsub_element(M, beta_choice="zero", tol=None):
+def proj_bsub_element(M, beta_choice="zero"):
     """Construct an element of the B-subdifferential of the PSD projection.
 
     A :class:`spectral.HadamardElement` in the eigenbasis of M with the
@@ -145,10 +147,8 @@ def proj_bsub_element(M, beta_choice="zero", tol=None):
         The Hadamard block on the zero-zero rows, a free choice inside
         [0, 1]: "zero" damps them out, "identity" passes them through, or
         give an explicit symmetric table with entries in [0, 1].  It is
-        read, and validated, only when M has a zero block.
-    tol : float, optional
-        Sign tolerance for the partition.
+        read, and validated, only when M has a zero block, the
+        eigenvalues within :func:`spectral.default_tol` of 0.
     """
     eig = eig_sym(M)
-    return HadamardElement(eig.basis,
-                           theta_matrix(eig, beta_choice, tol).entries)
+    return HadamardElement(eig.basis, theta_matrix(eig, beta_choice).entries)

@@ -68,14 +68,6 @@ MAX_PENALTY = 1.0 / _EPS
 # the outer loop counts a KKT residual within this multiple of the last
 # inner solve's round-off floor as converged
 _OUTER_FLOOR_FACTOR = 10.0
-# kink classification inside the iteration matrix: the Newton model must be
-# the derivative of the gradient map as computed, so eigenvalues are
-# classified by their computed sign exactly and the free-choice tables apply
-# only on exact machine kinks.  Any positive window here lets a hovering
-# near-zero eigenvalue take the zero branch while the projection it feeds
-# takes the sign branch, leaving a penalty-weighted rank-one error in the
-# model that stalls the inner loop just above tight tolerances.
-_KINK_TOL = 0.0
 
 
 def _require_int(name, value, low):
@@ -355,7 +347,7 @@ def inner_minimize(problem, y, c, x0, cfg, outer_residual=None):
             val = aug_lagrangian_value(problem, x, y.Y, y.mu, y.Gamma, c,
                                        point=pt)
         A = newton_matrix_element(problem, x, y.Y, y.mu, y.Gamma, c,
-                                  group_tol=_KINK_TOL, point=pt)
+                                  point=pt)
         d, shifted, steepest = _newton_direction(A, grad)
         shifted_steps += int(shifted)
         steepest_steps += int(steepest)

@@ -38,6 +38,8 @@ __all__ = [
 ]
 
 _SYM_TOL = 1e-8
+# relative gap below which consecutive eigenvalues form one group
+GROUP_TOL = 1e-8
 # half the largest float: two entries this large still add to a finite sum
 _HALF_MAX = float(np.finfo(np.float64).max) / 2.0
 
@@ -228,7 +230,7 @@ class DistinctBlocks:
     zero_block: Optional[int]
 
 
-def group_distinct(eig, group_tol=1e-8):
+def group_distinct(eig, group_tol=GROUP_TOL):
     """Group consecutive eigenvalues whose gap is below ``group_tol``.
 
     The tolerance is scaled by (1 + largest magnitude); the first block
@@ -366,14 +368,13 @@ def smat(v):
     return M
 
 
-def pinv_sym(M, cutoff=None):
+def pinv_sym(M):
     """Moore-Penrose pseudoinverse of a symmetric matrix.
 
-    Eigenvalues with magnitude at most ``cutoff`` are treated as zero.
-    ``cutoff`` defaults to 1e-12 scaled by (1 + largest magnitude).
+    Eigenvalues with magnitude at most 1e-12 (1 + ||M||_2) are treated
+    as zero.
     """
     eig = eig_sym(M)
-    if cutoff is None:
-        cutoff = 1e-12 * (1.0 + eig.norm)
+    cutoff = 1e-12 * (1.0 + eig.norm)
     inv = np.where(np.abs(eig.values) > cutoff, 1.0 / np.where(eig.values == 0.0, 1.0, eig.values), 0.0)
     return (eig.basis * inv) @ eig.basis.T

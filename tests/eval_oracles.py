@@ -38,7 +38,7 @@ from sdnop.nuclear import (
     soft_pair_table,
 )
 from sdnop.problem import hess_xx_lagrangian
-from sdnop.psd_cone import proj_bsub_element, project_psd
+from sdnop.psd_cone import project_psd, theta_matrix
 from sdnop.spectral import (
     EigenDecomposition,
     as_symmetric,
@@ -134,10 +134,11 @@ def newton_element_einsum(problem, x, Y, mu, Gamma, c, group_tol=1e-8,
                           beta_choice="zero"):
     """Reference assembly of the Newton element: every operator
     decomposes its own argument and the curvature blocks are contracted
-    with einsum over the full tables.  The ``*_choice`` arguments commit
-    the free Hadamard blocks where the shifted spectra sit exactly on a
-    kink (see :func:`spectral.choice_table`); the library's element
-    commits "zero" on each."""
+    with einsum over the full tables.  ``group_tol`` is the relative kink
+    window of both tables, and the ``*_choice`` arguments commit the free
+    Hadamard blocks on the kinks it flags (see
+    :func:`spectral.choice_table`); the library's element takes window 0
+    and commits "zero" on each."""
     tau = 1.0 / c
     Yhat = grad_moreau_env(problem.F(x) + Y / c, tau) if problem.q \
         else np.zeros((0, 0))
@@ -163,11 +164,12 @@ def newton_element_einsum(problem, x, Y, mu, Gamma, c, group_tol=1e-8,
     if problem.p:
         M = Gamma - c * problem.g(x)
         scale = 1.0 + float(np.linalg.norm(M, 2)) if M.size else 1.0
-        elem = proj_bsub_element(M, beta_choice, tol=group_tol * scale)
-        P = elem.basis
+        eig = spectral.eig_sym(M)
+        theta = theta_matrix(eig, beta_choice, tol=group_tol * scale)
+        P = eig.basis
         Cs = np.einsum("ra,iab,bs->irs", P.T, problem.jac_g(x), P,
                        optimize=True)
-        A = A + c * np.einsum("ikl,kl,jkl->ij", Cs, elem.table, Cs,
+        A = A + c * np.einsum("ikl,kl,jkl->ij", Cs, theta.entries, Cs,
                               optimize=True)
     return 0.5 * (A + A.T)
 

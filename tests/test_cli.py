@@ -467,6 +467,35 @@ class TestNonFiniteData:
             capsys.readouterr().err
 
 
+class TestMalformedSizes:
+    # a size that is negative or not a JSON integer, and an h that is not
+    # a list of rows, are named in one line before anything reads them
+    @pytest.mark.parametrize("command", ["solve", "check"])
+    @pytest.mark.parametrize("key, value, fragment", [
+        ("h", 5, "h must be a list of rows, got 5"),
+        ("h", None, "h must be a list of rows, got None"),
+        ("n", -1, "n must be a nonnegative integer, got -1"),
+        ("q", -1, "q must be a nonnegative integer, got -1"),
+        ("m", -2, "m must be a nonnegative integer, got -2"),
+        ("p", -1, "p must be a nonnegative integer, got -1"),
+        ("n", 8.5, "n must be a nonnegative integer, got 8.5"),
+        ("q", "3", "q must be a nonnegative integer, got '3'"),
+        ("m", True, "m must be a nonnegative integer, got True"),
+        ("p", None, "p must be a nonnegative integer, got None"),
+    ])
+    def test_one_line_naming_the_field(self, tmp_path, capsys, command, key,
+                                       value, fragment):
+        def edit(data):
+            data[key] = value
+        path = _mutated(tmp_path, edit)
+        code = cli.main([command, path, "--out", str(tmp_path / "o")])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_INPUT
+        assert captured.err.strip().splitlines() == [
+            f"input error: {fragment}"]
+        assert captured.out == ""
+
+
 # ---------------------------------------------------------------------------
 # mutated instances: a documented exit code, never a traceback
 # ---------------------------------------------------------------------------

@@ -222,7 +222,7 @@ def test_psi_conjugate_is_quadratic_of_sigma_F(case):
     basis = app_cone_basis(problem, x, ref.multipliers, blocks=blocks)
     J = np.tensordot(basis.T, blocks.jac_F_Q, axes=1)
     eig = EigenDecomposition(blocks.values_F, blocks.basis_F)
-    sigma_F = curvature_form(eig, blocks.Y_Q, J, 1e-8)
+    sigma_F = curvature_form(eig, blocks.Y_Q, J)
     X, jac_F = problem.F(x), problem.jac_F(x)
     rng = np.random.RandomState(5)
     critical = 0

@@ -265,9 +265,11 @@ class TestPinv:
             np.testing.assert_allclose(P, P.T, atol=1e-12)
 
     def test_cutoff_zeroes_small_modes(self):
-        M = np.diag([1.0, 1e-9])
-        P = pinv_sym(M, cutoff=1e-6)
+        # modes at most 1e-12 (1 + ||M||_2) count as zero
+        P = pinv_sym(np.diag([1.0, 1e-13]))
         np.testing.assert_allclose(P, np.diag([1.0, 0.0]), atol=1e-12)
+        P = pinv_sym(np.diag([1e6, 1e-7]))
+        np.testing.assert_allclose(P, np.diag([1e-6, 0.0]), atol=1e-18)
 
 
 def test_as_symmetric_averages():

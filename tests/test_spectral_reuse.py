@@ -101,16 +101,15 @@ def _random_points(problem, rng, count):
         yield x, Y, mu, Gamma
 
 
-def _assert_matches_oracle(problem, x, Y, mu, Gamma, c, group_tol,
-                          choice="zero"):
-    # ``choice`` commits the oracle's kink blocks
-    A = newton_matrix_element(problem, x, Y, mu, Gamma, c,
-                              group_tol=group_tol)
-    ref = newton_element_einsum(problem, x, Y, mu, Gamma, c,
-                                group_tol=group_tol, up_choice=choice,
-                                low_choice=choice, beta_choice=choice)
+def _assert_matches_oracle(problem, x, Y, mu, Gamma, c, choice="zero"):
+    # the oracle flags exact kinks only, as the element does; ``choice``
+    # commits its kink blocks
+    A = newton_matrix_element(problem, x, Y, mu, Gamma, c)
+    ref = newton_element_einsum(problem, x, Y, mu, Gamma, c, group_tol=0.0,
+                                up_choice=choice, low_choice=choice,
+                                beta_choice=choice)
     err = np.abs(A - ref).max()
-    assert err <= 1e-12 * np.abs(ref).max(), (c, group_tol, err)
+    assert err <= 1e-12 * np.abs(ref).max(), (c, err)
 
 
 def _with_spectrum(values, rng):
@@ -121,11 +120,9 @@ def _with_spectrum(values, rng):
     return (U * values) @ U.T
 
 
-def _shifted_at(problem, x, c, z_values, m_values, rng):
-    """Multipliers Y and Gamma that put Z = F(x) + Y/c and
-    M = Gamma - c g(x) on the given spectra."""
-    Z = _with_spectrum(z_values, rng)
-    M = _with_spectrum(m_values, rng)
+def _shifted_at(problem, x, c, Z, M):
+    """Multipliers Y and Gamma that put F(x) + Y/c at Z and
+    Gamma - c g(x) at M."""
     return c * (Z - problem.F(x)), M + c * problem.g(x)
 
 
@@ -135,9 +132,7 @@ def test_newton_element_matches_einsum_oracle(name):
     rng = np.random.RandomState(31)
     for c in (1.0, 10.0, 1e3, 1e5):
         for x, Y, mu, Gamma in _random_points(problem, rng, 4):
-            for group_tol in (0.0, 1e-8, 1e-3):
-                _assert_matches_oracle(problem, x, Y, mu, Gamma, c,
-                                       group_tol)
+            _assert_matches_oracle(problem, x, Y, mu, Gamma, c)
 
 
 # the element commits the zero table on every kink block
@@ -145,26 +140,27 @@ def test_newton_element_matches_einsum_oracle(name):
 @pytest.mark.parametrize("name", BUNDLED + tuple(ABSENT))
 def test_committed_kink_choices_match_einsum_oracle(name, choice):
     # double eigenvalues on +tau, on -tau and on 0 of M: the kink blocks
-    # sit inside the rectangle and carry weight 1 in 1 - T
+    # sit inside the rectangle and carry weight 1 in 1 - T.  The element
+    # flags exact kinks only, so Z and M are diagonal and
+    # tau = 1/c a power of two: F(x) + Y/c and Gamma - c g(x) then land
+    # on them exactly, and so do their computed eigenvalues
     problem = _load(name)
-    rng = np.random.RandomState(34)
     ref = problem.reference
     x, mu = ref.x, ref.multipliers.mu
-    for c in (1.0, 10.0, 1e3):
+    for c in (1.0, 4.0, 1024.0):
         tau = 1.0 / c
         z = np.array([tau, tau, -tau, -tau, 2.0, 0.3 * tau, -1.5])
         z = z[:problem.q]
         m = np.array([0.0, 0.0, -1.0, 1.5, -2.0])[:problem.p]
-        Y, Gamma = _shifted_at(problem, x, c, z, m, rng)
+        Y, Gamma = _shifted_at(problem, x, c, np.diag(z), np.diag(m))
         pt = ShiftedPoint(problem, x, Y, mu, Gamma, c)
-        for group_tol in (1e-8, 1e-3):
-            dd = prox_divided_diff(pt.eig_Z, tau, group_tol)
-            kinks = {sign: len(dd.blocks.blocks[k])
-                     for k, sign in dd.kink_blocks}
-            assert kinks == {sign: int(np.sum(z == sign * tau))
-                             for sign in (1, -1) if np.any(z == sign * tau)}
-            _assert_matches_oracle(problem, x, Y, mu, Gamma, c, group_tol,
-                                   choice)
+        dd = prox_divided_diff(pt.eig_Z, tau, 0.0)
+        kinks = {sign: len(dd.blocks.blocks[k]) for k, sign in dd.kink_blocks}
+        assert kinks == {sign: int(np.sum(z == sign * tau))
+                         for sign in (1, -1) if np.any(z == sign * tau)}
+        zero = theta_matrix(pt.eig_M, tol=0.0).partition.zero
+        assert len(zero) == int(np.sum(m == 0.0))
+        _assert_matches_oracle(problem, x, Y, mu, Gamma, c, choice)
 
 
 @pytest.mark.parametrize("layout", ["above", "below", "split"])
@@ -184,14 +180,15 @@ def test_rectangle_edges_match_einsum_oracle(name, layout):
                  "split": np.array([1.0, -1.0] * 4)[:7]}[layout]
         z = signs[:problem.q] * (tau + rng.uniform(0.5, 2.0, problem.q))
         m = -signs[:problem.p] * rng.uniform(0.5, 2.0, problem.p)
-        Y, Gamma = _shifted_at(problem, x, c, z, m, rng)
+        Y, Gamma = _shifted_at(problem, x, c, _with_spectrum(z, rng),
+                               _with_spectrum(m, rng))
         pt = ShiftedPoint(problem, x, Y, mu, Gamma, c)
         assert theta_matrix(pt.eig_M).support == (0, int(np.sum(m > 0.0)))
         above = int(np.sum(z > 0.0))
         for group_tol in (0.0, 1e-8, 1e-3):
             dd = prox_divided_diff(pt.eig_Z, tau, group_tol)
             assert dd.complement_support == (above, above)
-            _assert_matches_oracle(problem, x, Y, mu, Gamma, c, group_tol)
+        _assert_matches_oracle(problem, x, Y, mu, Gamma, c)
 
 
 def _test_spectra(rng):
@@ -437,7 +434,7 @@ def _load_any(name):
 
 
 def newton_element_uncached(problem, x, c, pt):
-    """The Newton element (default choices, group_tol 0) with the
+    """The Newton element (exact kinks, zero tables on them) with the
     Lagrangian curvature from ``hess_xx_lagrangian`` and Jh^T Jh formed
     at x, as before the problem kept them."""
     A = hess_xx_lagrangian(problem, x, pt.Yhat, pt.muhat, pt.Ghat)
@@ -470,7 +467,7 @@ def test_hot_path_equals_validated_path(name):
             assert aug_lagrangian_value(*args, point=pt) == \
                 aug_lagrangian_value(*args)
             assert np.array_equal(
-                newton_matrix_element(*args, group_tol=0.0, point=pt),
+                newton_matrix_element(*args, point=pt),
                 newton_element_uncached(problem, x, c, pt))
             up = multiplier_maps(*args, point=pt)
             update = (problem, x, up.Y, up.mu, up.Gamma)
@@ -540,8 +537,7 @@ def test_column_signs_change_no_bit(name):
                  .apply(H) for e in (pt.eig_M, flip.eig_M)),
                 (p.Yhat for p in (pt, flip)),
                 (p.Ghat for p in (pt, flip)),
-                (newton_matrix_element(problem, x, Y, mu, Gamma, c,
-                                       group_tol=0.0, point=p)
+                (newton_matrix_element(problem, x, Y, mu, Gamma, c, point=p)
                  for p in (pt, flip)),
             ]
             for a, b in pairs:

@@ -123,6 +123,34 @@ def test_spectral_operators_have_one_form():
     assert not twins, twins
 
 
+# the public functions that take a tolerance, each set by some caller to a
+# value other than its default (the Newton element's exact kinks pass 0).
+# Every other tolerance is a constant (README, "Fixed tolerances")
+TOLERANCE_ARGUMENTS = {
+    "sdnop.spectral.partition_by_sign": "tol",
+    "sdnop.spectral.group_distinct": "group_tol",
+    "sdnop.psd_cone.theta_matrix": "tol",
+    "sdnop.nuclear.subdiff_contains": "tol",
+    "sdnop.nuclear.subdiff_partition": "tol",
+    "sdnop.nuclear.prox_divided_diff": "group_tol",
+    "sdnop.nuclear.critical_blocks_contain": "tol",
+    "sdnop.nuclear.critical_cone_theta_contains": "tol",
+}
+
+
+def test_tolerance_arguments_are_listed():
+    found = {}
+    for name in ("spectral", "psd_cone", "nuclear", "problem", "diagnostics"):
+        module = importlib.import_module(f"sdnop.{name}")
+        for qualname, fn in _defined_functions(module):
+            if qualname.split(".")[-1].startswith("_"):
+                continue
+            for param in inspect.signature(fn).parameters:
+                if param in ("tol", "group_tol", "cutoff"):
+                    found[f"{module.__name__}.{qualname}"] = param
+    assert found == TOLERANCE_ARGUMENTS
+
+
 def test_one_element_type():
     # every generalized-derivative element is a spectral.HadamardElement:
     # no other class applies an operator, and each *_bsub_element
