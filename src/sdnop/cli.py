@@ -195,7 +195,8 @@ def cmd_solve(args):
     x0 = np.zeros(problem.n)
     y0 = MultiplierTriple.zeros(problem)
     try:
-        point, trace = alm_solve(problem, y0, config, x0)
+        point, trace = alm_solve(problem, y0, config, x0,
+                                 reference=problem.reference)
         code, stop = EXIT_OK, trace.stop
     except MaxIterations as exc:
         log.error("%s", exc)

@@ -87,7 +87,8 @@ class ConeBlocks:
     ``alpha``/``beta``/``gamma`` split its spectrum by sign.
 
     ``jac_F_Q[l]`` is the l-th coordinate partial of F compressed into the
-    F basis, ``jac_g_P[l]`` the same for g in the M basis.
+    F basis, ``jac_g_P[l]`` the same for g in the M basis.  ``jac_h`` is
+    the problem's ``h_A`` itself, not a copy.
     """
 
     basis_F: np.ndarray
@@ -204,7 +205,7 @@ def cone_blocks(problem, x, multipliers, rng=None):
         # batched congruences Q^T J_l Q: two O(n q^3) products
         jac_F_Q=np.matmul(np.matmul(Q.T, problem.jac_F(x)), Q),
         jac_g_P=np.matmul(np.matmul(P.T, problem.jac_g(x)), P),
-        jac_h=problem.jac_h(x),
+        jac_h=problem.h_A,
         multiplicity=multiplicity,
     )
 
@@ -274,29 +275,20 @@ def _cross_rows(b):
 # nondegeneracy: the stacked active-block matrix and its rank
 # ----------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AQPMatrix:
-    """Active-constraint block matrix in the paired eigenbases.
+def _active_rows(b):
+    """The active-constraint block matrix in the paired eigenbases of one
+    basis; the weight of each row in the curvature model; and the mask of
+    the rows of the families whose table entries the generalized
+    derivative leaves free (weight 0 there, the caller's ``free`` in the
+    model).
 
     Row groups, in order: the equality jacobian; the six blocks of the
     compressed matrix-map jacobian touching the zero eigenspace of F(x)
     (principal blocks half-vectorized); and, negated, the three blocks of
     the compressed cone-map jacobian touching the active eigenspace of the
-    conic constraint.  Full row rank of this matrix is the operational
+    conic constraint.  Full row rank of the matrix is the operational
     form of constraint nondegeneracy.
     """
-
-    matrix: np.ndarray
-    n1: int
-    n2: int
-    blocks: ConeBlocks
-
-
-def _active_rows(b):
-    """The row groups of :class:`AQPMatrix`, stacked, for one basis; the
-    weight of each row in the curvature model; and the mask of the rows
-    of the families whose table entries the generalized derivative leaves
-    free (weight 0 there, the caller's ``free`` in the model)."""
     groups = [(b.jac_h, 1.0)] + [
         (_family_rows(b, which, rows, cols), weight)
         for which, rows, cols, weight in _ACTIVE_FAMILIES]
@@ -306,17 +298,6 @@ def _active_rows(b):
     omega = np.concatenate(
         [np.full(R.shape[0], 0.0 if wt is None else wt) for R, wt in groups])
     return A, omega, free_rows
-
-
-def build_AQP(problem, x, multipliers, blocks=None):
-    """Assemble the active-constraint block matrix at a reference point."""
-    b = blocks if blocks is not None else cone_blocks(problem, x, multipliers)
-    A = _active_rows(b)[0]
-    nb = len(b.b_all)
-    nab = len(b.alpha) + len(b.beta)
-    n1 = b.jac_h.shape[0] + nb * (nb + 1) // 2
-    n2 = n1 + nab * (nab + 1) // 2
-    return AQPMatrix(A, n1, n2, b)
 
 
 @dataclass(frozen=True)
@@ -338,17 +319,19 @@ def nondegeneracy_check(problem, x, multipliers, blocks=None):
     exceeds 1e-8 times the largest; with more rows than primal
     coordinates it fails outright.  Zero rows hold vacuously.
     """
-    A = build_AQP(problem, x, multipliers, blocks=blocks)
-    mult = A.blocks.multiplicity
-    if A.n2 == 0:
-        return NondegeneracyReport(True, float("inf"), 0.0, 0, mult)
-    s = np.linalg.svd(A.matrix, compute_uv=False)
+    b = blocks if blocks is not None else cone_blocks(problem, x, multipliers)
+    A = _active_rows(b)[0]
+    rows, n = A.shape
+    if rows == 0:
+        return NondegeneracyReport(True, float("inf"), 0.0, 0, b.multiplicity)
+    s = np.linalg.svd(A, compute_uv=False)
     sigma_max = float(s[0])
-    if A.n2 > A.matrix.shape[1]:
-        return NondegeneracyReport(False, 0.0, sigma_max, A.n2, mult)
+    if rows > n:
+        return NondegeneracyReport(False, 0.0, sigma_max, rows, b.multiplicity)
     sigma_min = float(s[-1])
     holds = sigma_min > _RANK_TOL * sigma_max
-    return NondegeneracyReport(holds, sigma_min, sigma_max, A.n2, mult)
+    return NondegeneracyReport(holds, sigma_min, sigma_max, rows,
+                               b.multiplicity)
 
 
 # ----------------------------------------------------------------------------

@@ -140,6 +140,8 @@ class QuadraticMatrixMap:
         return J
 
     def hess_contract(self, S):
+        """The (n, n) matrix of pairings of the multiplier S with the
+        second partials: <S, A_ij>, zeros for an affine map."""
         n, k = self.n, self.k
         if self.Aij is None:
             return np.zeros((n, n))
@@ -160,8 +162,9 @@ class QuadraticProblem:
 
     The dimensions are ``n`` (primal), ``q`` (matrix size of F), ``m``
     (equality count) and ``p`` (matrix size of g).  Stacked Jacobians have
-    shape (n, k, k), and ``hess_*_contract`` return the (n, n) matrix of
-    pairings of a multiplier with the second partials.  Evaluations do
+    shape (n, k, k).  The methods are the evaluations that vary with x;
+    what does not is read from the data: the Hessian ``f_H``, the
+    Jacobian ``h_A`` and the maps' ``hess_contract``.  Evaluations do
     not mutate the instance, so they may run concurrently; the only state
     they add is the constants of the data the solver caches on first use
     (``affine_curvature``, ``jac_h_gram``, ``jac_norms``), which every
@@ -212,8 +215,7 @@ class QuadraticProblem:
     @cached_property
     def jac_h_gram(self):
         """Jh^T Jh, the same at every x since h is affine."""
-        J = self.jac_h(None)
-        return J.T @ J
+        return self.h_A.T @ self.h_A
 
     @cached_property
     def jac_norms(self):
@@ -224,7 +226,7 @@ class QuadraticProblem:
                 return None
             return float(np.linalg.norm(qmap.Ai))
         return (stack_norm(self.F_map),
-                float(np.linalg.norm(self.jac_h(None))),
+                float(np.linalg.norm(self.h_A)),
                 stack_norm(self.g_map))
 
     # -- oracle implementation ------------------------------------------------
@@ -234,36 +236,20 @@ class QuadraticProblem:
     def grad_f(self, x):
         return self.f_b + self.f_H @ x
 
-    def hess_f(self, x):
-        return self.f_H.copy()
-
     def F(self, x):
         return self.F_map.value(x)
 
     def jac_F(self, x):
         return self.F_map.jac(x)
 
-    def hess_F_contract(self, x, Y):
-        return self.F_map.hess_contract(Y)
-
     def h(self, x):
         return self.h_A @ x + self.h_r
-
-    def jac_h(self, x):
-        return self.h_A.copy()
-
-    def hess_h_contract(self, x, mu):
-        # h is affine
-        return np.zeros((self.n, self.n))
 
     def g(self, x):
         return self.g_map.value(x)
 
     def jac_g(self, x):
         return self.g_map.jac(x)
-
-    def hess_g_contract(self, x, Gamma):
-        return self.g_map.hess_contract(Gamma)
 
 
 # ----------------------------------------------------------------------------
@@ -285,9 +271,6 @@ class MultiplierTriple:
             np.zeros(problem.m),
             np.zeros((problem.p, problem.p)),
         )
-
-    def copy(self):
-        return MultiplierTriple(self.Y.copy(), self.mu.copy(), self.Gamma.copy())
 
 
 def triple_diff_norm(a, b):
@@ -337,15 +320,23 @@ class KKTPoint:
 # Lagrangian and augmented Lagrangian
 # ----------------------------------------------------------------------------
 
+def _lagrangian_grad(problem, x, jac_F, jac_g, Y, mu, Gamma):
+    """Gradient in x of the Lagrangian, given the Jacobian stacks of F
+    and g at x."""
+    return (problem.grad_f(x) + adjoint_jac(jac_F, Y)
+            + problem.h_A.T @ mu - adjoint_jac(jac_g, Gamma))
+
+
 def grad_x_lagrangian(problem, x, Y, mu, Gamma):
-    return (problem.grad_f(x) + adjoint_jac(problem.jac_F(x), Y)
-            + problem.jac_h(x).T @ mu - adjoint_jac(problem.jac_g(x), Gamma))
+    return _lagrangian_grad(problem, x, problem.jac_F(x), problem.jac_g(x),
+                            Y, mu, Gamma)
 
 
 def hess_xx_lagrangian(problem, x, Y, mu, Gamma):
-    H = 0.5 * (problem.hess_f(x) + problem.hess_F_contract(x, Y)
-               + problem.hess_h_contract(x, mu)
-               - problem.hess_g_contract(x, Gamma))
+    """Hessian in x of the Lagrangian.  ``mu`` does not enter, because h
+    is affine."""
+    H = 0.5 * (problem.f_H + problem.F_map.hess_contract(Y)
+               - problem.g_map.hess_contract(Gamma))
     return H + H.T
 
 
@@ -433,10 +424,8 @@ class ShiftedPoint:
     def grad(self):
         """Gradient in x of the augmented Lagrangian, which is the
         Lagrangian gradient at the multiplier update (Yhat, muhat, Ghat)."""
-        p, x = self.problem, self.x
-        return (p.grad_f(x) + adjoint_jac(self.jac_F, self.Yhat)
-                + p.jac_h(x).T @ self.muhat
-                - adjoint_jac(self.jac_g, self.Ghat))
+        return _lagrangian_grad(self.problem, self.x, self.jac_F, self.jac_g,
+                                self.Yhat, self.muhat, self.Ghat)
 
     @_lazy
     def value(self):
@@ -729,18 +718,24 @@ def instance_from_dict(data):
     reference = None
     ref = data.get("reference_kkt")
     if ref is not None:
+        shapes = {"x": (n,), "Y": (q, q), "mu": (m,), "Gamma": (p, p)}
         try:
-            x = np.asarray(ref["x"], dtype=np.float64)
-            Yr = np.asarray(ref["Y"], dtype=np.float64).reshape(q, q)
-            mur = np.asarray(ref["mu"], dtype=np.float64).reshape(m)
-            Gr = np.asarray(ref["Gamma"], dtype=np.float64).reshape(p, p)
+            parts = {field: np.asarray(ref[field], dtype=np.float64)
+                     for field in shapes}
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidInput(f"malformed reference_kkt: {exc}")
-        if x.shape != (n,):
-            raise InvalidInput("reference_kkt.x has wrong length")
-        for field, value in (("x", x), ("Y", Yr), ("mu", mur), ("Gamma", Gr)):
+        for field, shape in shapes.items():
+            value = parts[field]
+            if value.size == 0 == math.prod(shape):
+                # an absent block's 0x0 multiplier is written as []
+                parts[field] = value.reshape(shape)
+            elif value.shape != shape:
+                raise InvalidInput(f"reference_kkt.{field} must have shape "
+                                   f"{shape}, got {value.shape}")
+        for field, value in parts.items():
             _finite(value, f"reference_kkt.{field}")
-        reference = KKTPoint(x, MultiplierTriple(Yr, mur, Gr))
+        reference = KKTPoint(parts["x"], MultiplierTriple(
+            parts["Y"], parts["mu"], parts["Gamma"]))
     return QuadraticProblem(f_c0, f_b, f_H, F_map, h_A, h_r, g_map, reference)
 
 

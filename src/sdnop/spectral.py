@@ -205,8 +205,8 @@ def partition_by_sign(eig, tol=None):
     """
     if tol is None:
         tol = default_tol(eig.values)
-    if tol < 0:
-        raise InvalidInput("sign tolerance must be nonnegative")
+    if not tol >= 0:
+        raise InvalidInput(f"tol must be a nonnegative number, got {tol!r}")
     # a loop over a Python list: at the solver's sizes one numpy call on
     # the spectrum costs more than the whole loop
     vals = eig.values.tolist()
@@ -237,6 +237,9 @@ def group_distinct(eig, group_tol=GROUP_TOL):
     whose representative lies within it of zero is flagged as the zero
     block.
     """
+    if not group_tol >= 0:
+        raise InvalidInput(
+            f"group_tol must be a nonnegative number, got {group_tol!r}")
     # loops over a Python list, as in partition_by_sign
     vals = eig.values.tolist()
     if not vals:

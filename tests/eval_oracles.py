@@ -159,7 +159,7 @@ def newton_element_einsum(problem, x, Y, mu, Gamma, c, group_tol=1e-8,
         A = A + c * np.einsum("ikl,kl,jkl->ij", Gs, 1.0 - T, Gs,
                               optimize=True)
     if problem.m:
-        J = problem.jac_h(x)
+        J = problem.h_A
         A = A + c * (J.T @ J)
     if problem.p:
         M = Gamma - c * problem.g(x)

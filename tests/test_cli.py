@@ -1,6 +1,8 @@
 """Tests for the command-line front end."""
 
+import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -19,6 +21,13 @@ SADDLE = os.path.join(INSTANCES, "saddle_small.json")
 def _read(path):
     with open(path, "rb") as fh:
         return fh.read()
+
+
+def _trace_distances(out):
+    with open(os.path.join(out, "trace.csv"), newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    return ([float(r["dist_x"]) for r in rows],
+            [float(r["dist_y"]) for r in rows])
 
 
 # ---------------------------------------------------------------------------
@@ -82,6 +91,21 @@ class TestSolve:
         for name in ("solution.json", "trace.csv"):
             assert _read(os.path.join(out_a, name)) == \
                 _read(os.path.join(out_b, name))
+
+    def test_trace_distances_to_the_reference(self, tmp_path):
+        out = str(tmp_path / "run")
+        assert cli.main(["solve", NONDEGEN, "--out", out]) == 0
+        dist_x, dist_y = _trace_distances(out)
+        assert all(map(math.isfinite, dist_x + dist_y))
+        assert dist_x[-1] < dist_x[0]
+
+    def test_trace_distances_without_reference_are_nan(self, tmp_path):
+        def edit(data):
+            del data["reference_kkt"]
+        out = str(tmp_path / "run")
+        assert cli.main(["solve", _mutated(tmp_path, edit), "--out", out]) == 0
+        dist_x, dist_y = _trace_distances(out)
+        assert dist_x and all(map(math.isnan, dist_x + dist_y))
 
     def test_config_overrides(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -468,8 +492,9 @@ class TestNonFiniteData:
 
 
 class TestMalformedSizes:
-    # a size that is negative or not a JSON integer, and an h that is not
-    # a list of rows, are named in one line before anything reads them
+    # a size that is negative or not a JSON integer, an h that is not a
+    # list of rows, and a reference multiplier not of its exact shape are
+    # named in one line before anything reads them
     @pytest.mark.parametrize("command", ["solve", "check"])
     @pytest.mark.parametrize("key, value, fragment", [
         ("h", 5, "h must be a list of rows, got 5"),
@@ -482,11 +507,18 @@ class TestMalformedSizes:
         ("q", "3", "q must be a nonnegative integer, got '3'"),
         ("m", True, "m must be a nonnegative integer, got True"),
         ("p", None, "p must be a nonnegative integer, got None"),
+        ("reference_kkt.Y", [0.0] * 9,
+         "reference_kkt.Y must have shape (3, 3), got (9,)"),
+        ("reference_kkt.mu", [[0.0]],
+         "reference_kkt.mu must have shape (1,), got (1, 1)"),
+        ("reference_kkt.Gamma", [[0.0] * 9],
+         "reference_kkt.Gamma must have shape (3, 3), got (1, 9)"),
     ])
     def test_one_line_naming_the_field(self, tmp_path, capsys, command, key,
                                        value, fragment):
         def edit(data):
-            data[key] = value
+            block, _, field = key.rpartition(".")
+            (data[block] if block else data)[field] = value
         path = _mutated(tmp_path, edit)
         code = cli.main([command, path, "--out", str(tmp_path / "o")])
         captured = capsys.readouterr()
@@ -586,7 +618,8 @@ class TestMutatedInstances:
                     # non-finite, ragged and non-numeric data never load
                     assert code == cli.EXIT_INPUT, case
                 elif command[0] == "solve" and site[0] != "reference_kkt":
-                    # solve ignores the reference block; on the data an
-                    # entry near the float limit never reads as converged,
-                    # not even at a round-off floor that overflowed
+                    # solve reads the reference block only for the trace's
+                    # distances; on the data an entry near the float limit
+                    # never reads as converged, not even at a round-off
+                    # floor that overflowed
                     assert code != cli.EXIT_OK, case

@@ -8,7 +8,6 @@ import pytest
 
 from sdnop.diagnostics import (
     app_cone_basis,
-    build_AQP,
     cone_blocks,
     kappa0_constant,
     nondegeneracy_check,
@@ -17,6 +16,9 @@ from sdnop.diagnostics import (
     sosc_reduced_matrix,
     split_penalty_matrix,
     strong_sosc_check,
+    _ACTIVE_FAMILIES,
+    _active_rows,
+    _family_rows,
     _nu_tables,
     _psd_curvature_matrix,
 )
@@ -214,33 +216,40 @@ class TestBuildAQP:
             QuadraticMatrixMap(G0, np.zeros((n, 2, 2))),
             reference=reference,
         )
-        A = build_AQP(prob, reference.x, reference.multipliers)
-        assert A.matrix.shape == (A.n2, n)
-        np.testing.assert_array_equal(A.matrix, np.zeros_like(A.matrix))
+        A = _active_rows(
+            cone_blocks(prob, reference.x, reference.multipliers))[0]
+        # m = 1, b empty, alpha = {0}, beta empty
+        assert A.shape == (2, n)
+        np.testing.assert_array_equal(A, np.zeros_like(A))
 
     def test_row_counts_match_formulas(self):
         prob = make_full_blocks_instance()
         ref = prob.reference
-        A = build_AQP(prob, ref.x, ref.multipliers)
+        b = cone_blocks(prob, ref.x, ref.multipliers)
+        A = _active_rows(b)[0]
         # m = 1, |b| = 3, |alpha| + |beta| = 2
-        assert A.n1 == 1 + 6
-        assert A.n2 == A.n1 + 3
-        assert A.matrix.shape == (10, prob.n)
+        nb, nab = len(b.b_all), len(b.alpha) + len(b.beta)
+        assert (prob.m, nb, nab) == (1, 3, 2)
+        n_F = sum(_family_rows(b, which, rows, cols).shape[0]
+                  for which, rows, cols, _ in _ACTIVE_FAMILIES if which == "F")
+        assert prob.m + n_F == 1 + 6 == prob.m + nb * (nb + 1) // 2
+        assert A.shape[0] == 1 + 6 + 3 == prob.m + n_F + nab * (nab + 1) // 2
+        assert A.shape == (10, prob.n)
 
     def test_diagonal_g_rows_are_svec_blocks(self):
         prob = make_diagonal_g_instance()
         ref = prob.reference
         blocks = cone_blocks(prob, ref.x, ref.multipliers)
-        A = build_AQP(prob, ref.x, ref.multipliers, blocks=blocks)
+        A = _active_rows(blocks)[0]
         # alpha = {0}, beta = {1}: rows are -svec of the compressed blocks
         jac = prob.jac_g(ref.x)
         al, bt = list(blocks.alpha), list(blocks.beta)
         for l in range(prob.n):
             comp = blocks.basis_M.T @ jac[l] @ blocks.basis_M
             np.testing.assert_allclose(
-                A.matrix[0, l], -svec(comp[np.ix_(al, al)])[0], atol=1e-12)
+                A[0, l], -svec(comp[np.ix_(al, al)])[0], atol=1e-12)
             np.testing.assert_allclose(
-                A.matrix[1, l], -svec(comp[np.ix_(bt, bt)])[0], atol=1e-12)
+                A[1, l], -svec(comp[np.ix_(bt, bt)])[0], atol=1e-12)
 
 
 class TestNondegeneracy:
@@ -285,7 +294,7 @@ class TestNondegeneracy:
         ref = prob.reference
         x = np.asarray(ref.x, dtype=np.float64)
         blocks = cone_blocks(prob, x, ref.multipliers)
-        A = build_AQP(prob, x, ref.multipliers, blocks=blocks)
+        A = _active_rows(blocks)[0]
         Q, P = blocks.basis_F, blocks.basis_M
         fixed = np.zeros(prob.q)
         fixed[list(blocks.a)] = 1.0
@@ -293,7 +302,7 @@ class TestNondegeneracy:
         Y_fixed = Q @ np.diag(fixed) @ Q.T
         rhs = -(prob.grad_f(x)
                 + np.einsum("lij,ij->l", prob.jac_F(x), Y_fixed))
-        theta, *_ = np.linalg.lstsq(A.matrix.T, rhs, rcond=None)
+        theta, *_ = np.linalg.lstsq(A.T, rhs, rcond=None)
         m = prob.m
         mu_rec = theta[:m]
         # zero-block parameters in the row order of the matrix
@@ -337,7 +346,7 @@ class TestNondegeneracy:
         fill_diag(Ghat, al, take(len(al) * (len(al) + 1) // 2))
         fill_diag(Ghat, be, take(len(be) * (len(be) + 1) // 2))
         fill_rect(Ghat, al, be, take(len(al) * len(be)))
-        assert pos == A.n2
+        assert pos == A.shape[0]
         Y_rec = Q @ Yhat @ Q.T
         G_rec = P @ Ghat @ P.T
         np.testing.assert_allclose(mu_rec, ref.multipliers.mu, atol=1e-8)
@@ -381,7 +390,7 @@ class TestAppConeBasis:
         P = eM.basis
         for j in range(basis.shape[1]):
             d = basis[:, j]
-            assert np.linalg.norm(prob.jac_h(x) @ d) <= 1e-9
+            assert np.linalg.norm(prob.h_A @ d) <= 1e-9
             H = Q.T @ apply_jac(prob.jac_F(x), d) @ Q
             assert np.abs(H[np.ix_(list(sp.b_mid), b_all)]).max() <= 1e-9
             assert np.abs(H[np.ix_(list(sp.b_up), list(sp.b_low))]).max() \

@@ -13,10 +13,10 @@ import numpy as np
 import pytest
 
 from sdnop.diagnostics import (
+    _active_rows,
     _cross_tables,
     _nu_tables,
     app_cone_basis,
-    build_AQP,
     cone_blocks,
     split_penalty_matrix,
 )
@@ -70,9 +70,9 @@ def _assert_same_tables(new, old):
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_active_rows_match(case):
-    problem, ref, blocks = _setup(case)
-    A = build_AQP(problem, ref.x, ref.multipliers, blocks=blocks)
-    np.testing.assert_array_equal(A.matrix, oracle.active_rows(blocks))
+    _, _, blocks = _setup(case)
+    np.testing.assert_array_equal(_active_rows(blocks)[0],
+                                  oracle.active_rows(blocks))
 
 
 @pytest.mark.parametrize("case", sorted(CASES))

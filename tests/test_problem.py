@@ -151,7 +151,7 @@ class TestOracleConsistency:
         problem = mixed_quadratic_instance
         rng = np.random.RandomState(83)
         Y = rand_sym(rng, problem.q)
-        M = problem.hess_F_contract(rng.randn(problem.n), Y)
+        M = problem.F_map.hess_contract(Y)
         np.testing.assert_allclose(M, M.T, atol=1e-14)
 
 
@@ -172,7 +172,7 @@ class TestLagrangian:
         x = rng.randn(3)
         Y, G = rand_sym(rng, 2), rand_sym(rng, 2)
         H = hess_xx_lagrangian(problem, x, Y, np.array([0.4]), G)
-        np.testing.assert_allclose(H, problem.hess_f(x), atol=1e-14)
+        np.testing.assert_allclose(H, problem.f_H, atol=1e-14)
 
     def test_gradient_matches_fd(self, mixed_quadratic_instance):
         problem = mixed_quadratic_instance
@@ -275,7 +275,7 @@ class TestAugmentedLagrangian:
         y = MultiplierTriple(np.zeros((0, 0)), mu, np.zeros((0, 0)))
         grad = aug_lagrangian_grad(problem, x, y.Y, y.mu, y.Gamma, c)
         hx = problem.h(x)
-        expect = problem.grad_f(x) + problem.jac_h(x).T @ (mu + c * hx)
+        expect = problem.grad_f(x) + problem.h_A.T @ (mu + c * hx)
         np.testing.assert_allclose(grad, expect, atol=1e-13)
 
     def test_feasible_value_tends_to_composite_objective(self, mixed_instance):
@@ -338,8 +338,8 @@ class TestNewtonMatrixElement:
         c = 9.0
         A = newton_matrix_element(problem, x, np.zeros((0, 0)), mu,
                                   np.zeros((0, 0)), c)
-        J = problem.jac_h(x)
-        np.testing.assert_allclose(A, problem.hess_f(x) + c * J.T @ J, atol=1e-12)
+        J = problem.h_A
+        np.testing.assert_allclose(A, problem.f_H + c * J.T @ J, atol=1e-12)
 
     def test_directional_fd_consistency(self, mixed_quadratic_instance):
         problem = mixed_quadratic_instance

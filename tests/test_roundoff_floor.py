@@ -63,7 +63,7 @@ def _floor_oracle(problem, x0, x, y, c):
     return np.finfo(float).eps * (
         np.linalg.norm(problem.grad_f(x0))
         + c * np.linalg.norm(problem.jac_F(x0).ravel()) * np.linalg.norm(Z, 2)
-        + np.linalg.norm(problem.jac_h(x0)) * np.linalg.norm(pt.muhat)
+        + np.linalg.norm(problem.h_A) * np.linalg.norm(pt.muhat)
         + np.linalg.norm(problem.jac_g(x0).ravel()) * np.linalg.norm(M, 2))
 
 

@@ -7,6 +7,7 @@ import pytest
 
 from sdnop.errors import InvalidInput
 from sdnop.nuclear import envelope_grad, grad_moreau_env, prox_divided_diff
+from sdnop.psd_cone import theta_matrix
 from sdnop.spectral import (
     EigenDecomposition,
     as_symmetric,
@@ -137,6 +138,22 @@ class TestPartition:
         eig = eig_sym(np.diag([1e6, 1e-6]))
         part = partition_by_sign(eig)
         assert part.zero == (1,)
+
+
+@pytest.mark.parametrize("tol", [float("nan"), -1.0], ids=["nan", "negative"])
+@pytest.mark.parametrize("call, name", [
+    (lambda eig, tol: partition_by_sign(eig, tol), "tol"),
+    (lambda eig, tol: group_distinct(eig, tol), "group_tol"),
+    (lambda eig, tol: prox_divided_diff(eig, 0.5, tol), "group_tol"),
+    (lambda eig, tol: theta_matrix(eig, tol=tol), "tol"),
+], ids=["partition_by_sign", "group_distinct", "prox_divided_diff",
+        "theta_matrix"])
+def test_bad_tolerance_is_named(call, name, tol):
+    # NaN compares false both ways: unchecked, it put no eigenvalue in any
+    # sign class and grouped the whole spectrum into one block
+    eig = eig_sym(np.diag([3.0, 1.0, 0.0, -2.0]))
+    with pytest.raises(InvalidInput, match=f"^{name} must be a nonnegative"):
+        call(eig, tol)
 
 
 class TestGroupDistinct:

@@ -442,7 +442,7 @@ def newton_element_uncached(problem, x, c, pt):
     A = A + c * _hadamard_gram(pt.eig_Z.basis, pt.jac_F,
                                1.0 - dd.committed_table("zero", "zero"),
                                *dd.complement_support)
-    J = problem.jac_h(x)
+    J = problem.h_A
     A = A + c * (J.T @ J)
     theta = theta_matrix(pt.eig_M, tol=0.0)
     A = A + c * _hadamard_gram(pt.eig_M.basis, pt.jac_g, theta.entries,

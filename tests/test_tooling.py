@@ -151,6 +151,24 @@ def test_tolerance_arguments_are_listed():
     assert found == TOLERANCE_ARGUMENTS
 
 
+def test_problem_methods_read_x():
+    # a QuadraticProblem method that takes x reads it: what does not vary
+    # with x is data (f_H, h_A) or a map's method (hess_contract), read
+    # there by the callers
+    tree = ast.parse(inspect.getsource(problem.QuadraticProblem))
+    ignoring = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        if "x" not in (arg.arg for arg in node.args.args):
+            continue
+        if not any(isinstance(n, ast.Name) and n.id == "x"
+                   and isinstance(n.ctx, ast.Load)
+                   for stmt in node.body for n in ast.walk(stmt)):
+            ignoring.append(node.name)
+    assert not ignoring, ignoring
+
+
 def test_one_element_type():
     # every generalized-derivative element is a spectral.HadamardElement:
     # no other class applies an operator, and each *_bsub_element
