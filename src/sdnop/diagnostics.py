@@ -14,6 +14,7 @@ sign split encodes strict complementarity of the conic constraint.
 """
 
 import math
+import numbers
 from dataclasses import asdict, dataclass
 from typing import Optional, Tuple
 
@@ -763,6 +764,16 @@ def _fit_points(ratios, converged):
         if ok and math.isfinite(r) and r > 0.0)
 
 
+def check_seed(seed):
+    """Reject a seed that numpy's RandomState would refuse, or would
+    replace by fresh entropy (None): anything but an integer in
+    [0, 2**32).  numpy integers are integers."""
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) \
+            or not 0 <= seed < 2 ** 32:
+        raise InvalidInput(
+            f"seed must be an integer in [0, 2**32), got {seed!r}")
+
+
 def _unit_perturbation(problem, seed):
     """Deterministic unit-norm multiplier displacement for a given seed."""
     rng = np.random.RandomState(seed)
@@ -829,7 +840,8 @@ def rate_sweep(problem, reference, grid, delta=1e-2, seed=0):
 
     Every grid value starts from the reference multipliers displaced by
     ``delta`` along the same deterministic unit direction derived from
-    ``seed``, so the direction-dependent part of the contraction
+    ``seed`` (an integer in [0, 2**32); see ``check_seed``), so the
+    direction-dependent part of the contraction
     constant cancels between grid points.  Each runs with the penalty
     held at its grid value until the KKT residual drops below 1e-12 or,
     at large penalties where 1e-12 lies below what the arithmetic
@@ -860,6 +872,7 @@ def rate_sweep(problem, reference, grid, delta=1e-2, seed=0):
         raise InvalidInput(
             f"perturbation radius delta must be finite and positive, "
             f"got {delta!r}")
+    check_seed(seed)
     ref_res = kkt_residual(problem, reference.x, reference.multipliers.Y,
                            reference.multipliers.mu,
                            reference.multipliers.Gamma)

@@ -26,7 +26,12 @@ saddle
 
 import numpy as np
 
-from .diagnostics import cone_blocks, nondegeneracy_check, sosc_reduced_matrix
+from .diagnostics import (
+    check_seed,
+    cone_blocks,
+    nondegeneracy_check,
+    sosc_reduced_matrix,
+)
 from .errors import InvalidInput
 from .problem import (
     KKTPoint,
@@ -175,7 +180,7 @@ def generate_instance(n, q, m, p, profile="nondegen", seed=0):
         One of ``nondegen``, ``degen``, ``saddle``.
     seed : int
         Drives every random draw; the same seed reproduces the same
-        instance bit for bit.
+        instance bit for bit.  An integer in [0, 2**32).
 
     Returns
     -------
@@ -186,6 +191,7 @@ def generate_instance(n, q, m, p, profile="nondegen", seed=0):
     Raises
     ------
     InvalidInput
+        A seed outside [0, 2**32) or not an integer (None included).
         Dimension combination incompatible with the profile: the block
         matrix needs at most n rows for ``nondegen``, the reduced
         subspace must be nonempty for ``saddle``, and ``degen`` needs
@@ -196,6 +202,7 @@ def generate_instance(n, q, m, p, profile="nondegen", seed=0):
     for name, val in (("n", n), ("q", q), ("m", m), ("p", p)):
         if int(val) != val or val < 0:
             raise InvalidInput(f"{name} must be a nonnegative integer")
+    check_seed(seed)
     n, q, m, p = int(n), int(q), int(m), int(p)
     if n < 1:
         raise InvalidInput("n must be at least 1")

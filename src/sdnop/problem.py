@@ -49,6 +49,7 @@ __all__ = [
     "multiplier_maps",
     "newton_matrix_element",
     "kkt_residual",
+    "ResidualHalves",
     "dual_value_and_grad",
     "instance_from_dict",
     "instance_to_dict",
@@ -274,12 +275,25 @@ class MultiplierTriple:
 
 
 def triple_diff_norm(a, b):
-    """Euclidean norm of the stacked difference of two multiplier triples."""
-    return float(np.sqrt(
-        np.sum((a.Y - b.Y) ** 2)
-        + np.sum((a.mu - b.mu) ** 2)
-        + np.sum((a.Gamma - b.Gamma) ** 2)
-    ))
+    """Euclidean norm of the stacked difference of two multiplier triples.
+
+    The root of the summed squares, except where that sum overflows on
+    finite differences: then the largest difference scales them, so
+    entries near the float limit give a finite norm and no warning.
+    """
+    with np.errstate(over="ignore"):
+        diffs = (a.Y - b.Y, a.mu - b.mu, a.Gamma - b.Gamma)
+        sq = np.sum(diffs[0] ** 2) + np.sum(diffs[1] ** 2) \
+            + np.sum(diffs[2] ** 2)
+    if math.isfinite(sq):
+        return float(np.sqrt(sq))
+    scale = max(float(np.abs(d).max(initial=0.0)) for d in diffs)
+    if not 0.0 < scale < math.inf:
+        # an infinite or NaN difference, which no scale makes finite
+        return float(np.sqrt(sq))
+    with np.errstate(over="ignore"):
+        return float(scale * np.sqrt(
+            sum(np.sum((d / scale) ** 2) for d in diffs)))
 
 
 @dataclass(frozen=True)
@@ -371,9 +385,10 @@ class ShiftedPoint:
     which keeps the bits of an exactly symmetric sum; a non-finite entry
     in either is an InvalidInput that names it.  Y and Gamma are not tested for
     symmetry here: the callers check them once, where they enter
-    (``check_multipliers``).  ``sq_norms`` holds
-    (np.sum(Y * Y), np.sum(Gamma * Gamma)) for the value; a caller that
-    evaluates many points of one subproblem forms it once and passes it.
+    (``check_multipliers``).  ``sq_norms`` holds the terms fixed for a
+    whole subproblem: (np.sum(Y * Y), np.sum(Gamma * Gamma)) for the value
+    and the shift Y/c of Z; a caller that evaluates many points of one
+    subproblem takes it from the first point and passes it on.
     The envelope gradient Yhat, the projection Ghat, the Jacobians, the
     gradient and the value are formed on first use, so a point whose
     value nobody reads never evaluates it; F(x), h(x) and g(x) are kept
@@ -391,7 +406,8 @@ class ShiftedPoint:
         self.c = c
         self.tau = 1.0 / c
         self.Fx = problem.F(x)
-        self.Z = symmetric_part(self.Fx + Y / c, "F(x) + Y/c")
+        Y_shift = Y / c if sq_norms is None else sq_norms[2]
+        self.Z = symmetric_part(self.Fx + Y_shift, "F(x) + Y/c")
         self.eig_Z = eig_symmetrized(self.Z)
         self.hx = problem.h(x)
         self.muhat = mu + c * self.hx
@@ -399,7 +415,7 @@ class ShiftedPoint:
         self.M = symmetric_part(Gamma - c * self.gx, "Gamma - c g(x)")
         self.eig_M = eig_symmetrized(self.M)
         if sq_norms is None:
-            sq_norms = (np.sum(Y * Y), np.sum(Gamma * Gamma))
+            sq_norms = (np.sum(Y * Y), np.sum(Gamma * Gamma), Y_shift)
         self.sq_norms = sq_norms
 
     @_lazy
@@ -433,7 +449,7 @@ class ShiftedPoint:
         less ||Y||^2 / 2c, the equality terms, and the squared projection
         of M less ||Gamma||^2, over 2c."""
         c, hx, P = self.c, self.hx, self.Ghat
-        Y_sq, Gamma_sq = self.sq_norms
+        Y_sq, Gamma_sq, _ = self.sq_norms
         val = self.problem.f(self.x)
         val += envelope_value(self.eig_Z, self.tau) - Y_sq / (2.0 * c)
         val += float(self.mu @ hx) + 0.5 * c * float(hx @ hx)
@@ -571,27 +587,61 @@ def kkt_residual(problem, x, Y, mu, Gamma, *, point=None):
     the round-off of forming them, which can decide a residual near the
     round-off floor.  Without a point, Y and Gamma are validated and
     symmetrized first (see :func:`spectral.as_symmetric`).
+
+    The body is :class:`ResidualHalves`: the components that need no
+    eigendecomposition, then the spectral half, each formed once.
     """
-    if point is None:
-        grad = grad_x_lagrangian(problem, x, Y, mu, Gamma)
-        Fx, hx, gx = problem.F(x), problem.h(x), problem.g(x)
-    else:
-        grad, Fx, hx, gx = point.grad, point.Fx, point.hx, point.gx
-    stat = float(np.linalg.norm(grad))
-    Ys = Y if point is not None else as_symmetric(Y, "Y")
-    ball = max(0.0, float(np.abs(np.linalg.eigvalsh(Ys)).max(initial=0.0))
-               - 1.0)
-    Fs = symmetric_part(Fx, "F(x)")
-    gap = abs(float(np.abs(np.linalg.eigvalsh(Fs)).sum())
-              - float(np.sum(Fx * Ys)))
-    sub = max(ball, gap)
-    eq = float(np.linalg.norm(hx))
-    gs = symmetric_part(gx, "g(x)")
-    cone = float(np.linalg.norm(gx - positive_part(eig_symmetrized(gs))))
-    Gs = Gamma if point is not None else as_symmetric(Gamma, "Gamma")
-    dual = float(max(0.0, -np.linalg.eigvalsh(Gs).min(initial=0.0)))
-    comp = float(abs(np.sum(gx * Gamma)))
-    return KKTResidual(stat, sub, eq, cone, dual, comp)
+    return ResidualHalves(problem, x, Y, mu, Gamma, point=point).residual
+
+
+class ResidualHalves:
+    """The KKT residual at one point, split by cost.
+
+    Built, it holds stationarity, equality and complementarity, which
+    take no eigendecomposition, and it has validated every input in the
+    order the full residual does, so it raises what ``kkt_residual``
+    raises with the same message.  ``residual`` adds the spectral half
+    (subgradient, cone and dual: four eigendecompositions) on first read
+    and returns the KKTResidual, with the bits ``kkt_residual`` gives.
+    The arguments are those of :func:`kkt_residual`.
+    """
+
+    def __init__(self, problem, x, Y, mu, Gamma, *, point=None):
+        if point is None:
+            grad = grad_x_lagrangian(problem, x, Y, mu, Gamma)
+            Fx, hx, gx = problem.F(x), problem.h(x), problem.g(x)
+        else:
+            grad, Fx, hx, gx = point.grad, point.Fx, point.hx, point.gx
+        self.stationarity = float(np.linalg.norm(grad))
+        self.Ys = Y if point is not None else as_symmetric(Y, "Y")
+        self.Fs = symmetric_part(Fx, "F(x)")
+        # the gap's pairing <F(x), Y>; its nuclear norm needs the spectrum
+        self.pairing = float(np.sum(Fx * self.Ys))
+        self.equality = float(np.linalg.norm(hx))
+        self.gx = gx
+        self.gs = symmetric_part(gx, "g(x)")
+        self.Gs = Gamma if point is not None else as_symmetric(Gamma, "Gamma")
+        self.complementarity = float(abs(np.sum(gx * Gamma)))
+
+    def exceeds(self, level):
+        """Whether the largest of the three formed components is finite
+        and above ``level``: then so is the total, unless it is NaN, and
+        no test of the total against ``level`` can pass."""
+        parts = (self.stationarity, self.equality, self.complementarity)
+        return all(map(math.isfinite, parts)) and max(parts) > level
+
+    @_lazy
+    def residual(self):
+        """The full KKTResidual, formed on first read."""
+        ball = max(0.0, float(np.abs(np.linalg.eigvalsh(self.Ys))
+                              .max(initial=0.0)) - 1.0)
+        gap = abs(float(np.abs(np.linalg.eigvalsh(self.Fs)).sum())
+                  - self.pairing)
+        cone = float(np.linalg.norm(
+            self.gx - positive_part(eig_symmetrized(self.gs))))
+        dual = float(max(0.0, -np.linalg.eigvalsh(self.Gs).min(initial=0.0)))
+        return KKTResidual(self.stationarity, max(ball, gap), self.equality,
+                           cone, dual, self.complementarity)
 
 
 # ----------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from .errors import InnerSolveError, InvalidInput, MaxIterations
 from .problem import (
     KKTPoint,
     MultiplierTriple,
+    ResidualHalves,
     ShiftedPoint,
     aug_lagrangian_grad,
     aug_lagrangian_value,
@@ -186,22 +187,35 @@ class ALMTrace:
     supplied.  ``stop`` is "tol" when the run ended on ``outer_tol``,
     "floor" when it ended at the round-off floor, and None while it runs
     or after it failed.
+
+    A row's residual may be left pending by ``alm_solve`` (see there) as
+    its ResidualHalves; ``residuals`` forms each pending row on first
+    read, with the bits an eager run gives it, and keeps it.
     """
 
     penalties: List[float] = field(default_factory=list)
     points: List[np.ndarray] = field(default_factory=list)
     multipliers: List[MultiplierTriple] = field(default_factory=list)
-    residuals: List[object] = field(default_factory=list)
+    _rows: List[object] = field(default_factory=list, repr=False)
     inner_iterations: List[int] = field(default_factory=list)
     dist_x: List[float] = field(default_factory=list)
     dist_y: List[float] = field(default_factory=list)
     stop: Optional[str] = None
 
+    @property
+    def residuals(self):
+        """The KKTResidual of each row, pending rows formed here."""
+        rows = self._rows
+        for k, row in enumerate(rows):
+            if isinstance(row, ResidualHalves):
+                rows[k] = row.residual
+        return rows
+
     def append_row(self, c, x, y, res, inner_iters, dx, dy):
         self.penalties.append(float(c))
         self.points.append(np.array(x))
         self.multipliers.append(y)
-        self.residuals.append(res)
+        self._rows.append(res)
         self.inner_iterations.append(int(inner_iters))
         self.dist_x.append(float(dx))
         self.dist_y.append(float(dy))
@@ -407,6 +421,22 @@ def penalty_update(residual_now, residual_prev, c_k, config):
     return c_k
 
 
+def _outer_residual(problem, x, y, point, defer, level):
+    """KKT residual at (x, y) and its total; see ``kkt_residual`` for
+    ``point``.  With ``defer`` set, the components that need no
+    eigendecomposition come first, and when they already exceed
+    ``level`` the spectral half is left pending: (ResidualHalves, None).
+    """
+    if defer:
+        halves = ResidualHalves(problem, x, y.Y, y.mu, y.Gamma, point=point)
+        if halves.exceeds(level):
+            return halves, None
+        res = halves.residual
+    else:
+        res = kkt_residual(problem, x, y.Y, y.mu, y.Gamma, point=point)
+    return res, res.total
+
+
 def alm_solve(problem, y0, config, x0, reference=None):
     """Run the augmented Lagrangian method from (x0, y0).
 
@@ -420,41 +450,60 @@ def alm_solve(problem, y0, config, x0, reference=None):
     (carrying the trace and last iterate) if max_outer is exhausted, and
     propagates InnerSolveError (with the partial trace attached) if an
     inner solve stalls.
+
+    A residual's spectral half (subgradient, cone and dual, four
+    eigendecompositions) is formed only where something reads its total.
+    With ``grad_tol_rel = 0`` and the penalty at ``c_max``, only the stop
+    tests do.  A row whose stationarity, equality and complementarity
+    are finite, with the largest above max(``outer_tol``, 10 x the inner
+    floor), cannot pass them and keeps its spectral half pending; so
+    does the residual at (x0, y0) when they exceed ``outer_tol``.  The trace, the
+    returned point and MaxIterations form a pending row when read, with
+    the bits of an eager run.  A forced or adaptive run forms every row.
     """
     trace = ALMTrace()
     x = np.array(x0, dtype=np.float64)
     y = y0
     c = config.c0
-    res = kkt_residual(problem, x, y.Y, y.mu, y.Gamma)
-    if res.total <= config.outer_tol:
+    exact = config.inner.grad_tol_rel == 0.0
+    res, total = _outer_residual(problem, x, y, None,
+                                 exact and c == config.c_max,
+                                 config.outer_tol)
+    if total is not None and total <= config.outer_tol:
         trace.stop = "tol"
         return KKTPoint(x, y, res), trace
     res_prev = None
     for _k in range(config.max_outer):
         try:
             x, istats = inner_minimize(problem, y, c, x, config.inner,
-                                       outer_residual=res.total)
+                                       outer_residual=total)
         except InnerSolveError as exc:
             exc.trace = trace
             raise
         y_next = multiplier_maps(problem, x, y.Y, y.mu, y.Gamma, c,
                                  point=istats.point)
-        res = kkt_residual(problem, x, y_next.Y, y_next.mu, y_next.Gamma,
-                           point=istats.point)
+        res, total = _outer_residual(
+            problem, x, y_next, istats.point, exact and c == config.c_max,
+            max(config.outer_tol, _OUTER_FLOOR_FACTOR * istats.floor))
         dx = dy = float("nan")
         if reference is not None:
             dx = float(np.linalg.norm(x - reference.x))
             dy = triple_diff_norm(y_next, reference.multipliers)
         trace.append_row(c, x, y_next, res, istats.iterations, dx, dy)
         y = y_next
-        if res.total <= config.outer_tol:
+        if total is None:
+            # pending: no stop test can pass, and c is at its cap
+            continue
+        if total <= config.outer_tol:
             trace.stop = "tol"
-        elif res.total <= _OUTER_FLOOR_FACTOR * istats.floor < math.inf:
+        elif total <= _OUTER_FLOOR_FACTOR * istats.floor < math.inf:
             trace.stop = "floor"
         if trace.stop is not None:
             return KKTPoint(x, y, res), trace
-        c = penalty_update(res.total, res_prev, c, config)
-        res_prev = res.total
+        c = penalty_update(total, res_prev, c, config)
+        res_prev = total
+    if total is None:
+        res = res.residual
     raise MaxIterations(
         f"outer loop exhausted {config.max_outer} iterations "
         f"(residual {res.total:.3e} > {config.outer_tol:.1e})",

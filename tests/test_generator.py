@@ -131,6 +131,33 @@ class TestValidation:
         with pytest.raises(InvalidInput, match="reduced subspace"):
             generate_instance(2, 0, 2, 0, profile="saddle", seed=1)
 
+    # numpy's RandomState raises ValueError on -1 and 2**32 and TypeError
+    # on 1.5, and draws fresh entropy for None; a bool is no seed either
+    @pytest.mark.parametrize("seed", [-1, 2 ** 32, 1.5, None, True],
+                             ids=["negative", "2**32", "float", "None",
+                                  "bool"])
+    @pytest.mark.parametrize("draw", ["generate", "sweep"])
+    def test_seed_must_be_a_32_bit_integer(self, monkeypatch, draw, seed):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("drew before the seed was checked")
+
+        monkeypatch.setattr(np.random, "RandomState", forbidden)
+        message = r"^seed must be an integer in \[0, 2\*\*32\)"
+        with pytest.raises(InvalidInput, match=message):
+            if draw == "generate":
+                generate_instance(6, 2, 1, 2, seed=seed)
+            else:
+                problem = load_instance(
+                    os.path.join(INSTANCES, "nondegen_small.json"))
+                rate_sweep(problem, problem.reference, (10.0,), seed=seed)
+
+    def test_numpy_integer_seeds_are_accepted(self):
+        expected = generate_instance(6, 2, 1, 2, seed=7)
+        for seed in (np.int64(7), np.uint32(7)):
+            got = generate_instance(6, 2, 1, 2, seed=seed)
+            assert np.array_equal(got.f_b, expected.f_b)
+            assert np.array_equal(got.F_map.Ai, expected.F_map.Ai)
+
     def test_dimension_validation(self):
         with pytest.raises(InvalidInput):
             generate_instance(0, 1, 0, 1, seed=0)

@@ -1,0 +1,136 @@
+"""Golden digests of the CLI's artifacts on the bundled instances.
+
+Each case runs ``python -m sdnop`` in a subprocess with one BLAS thread
+and compares its exit code, and the SHA-256 of every file it writes,
+with the values pinned below.  Any change to a bit of an iterate, a
+residual or a ratio fails here, so a change that means to keep results
+identical is checked by the suite itself; a change that means to alter
+them re-pins the digests and says which moved.  The digests hold for
+one numpy/BLAS build: another build may round differently, and then
+they must be re-pinned from a tree known to be right.
+
+The fixed-penalty exact solve (``c0 = c_max = 100``, ``grad_tol_rel =
+0``) is the path on which ``alm_solve`` leaves a row's spectral half of
+the KKT residual pending until it is read; ``solve`` writes every row,
+so it also checks that a pending row, once formed, has the eager bits.
+"""
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+import sdnop
+
+INSTANCES = os.path.join(os.path.dirname(os.path.dirname(__file__)),
+                         "instances")
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(sdnop.__file__)))
+BUNDLED = ("nondegen_small", "degen_small", "saddle_small")
+FIXED_PENALTY = {"c0": 100, "c_max": 100, "inner": {"grad_tol_rel": 0}}
+
+COMMANDS = {
+    "solve": ["solve"],
+    "solve-fixed": ["solve", "--config", None],
+    "check": ["check"],
+    "rate-sweep": ["rate-sweep", "--seed", "7"],
+}
+
+# (instance, command) -> (exit code, {file name: SHA-256})
+GOLDEN = {
+    ("nondegen_small", "solve"): (0, {
+        "solution.json":
+            "265c891cb06aaf70855c248ed4e6c59bfa6d04cb4ec121b96d775fa4aa2e8417",
+        "trace.csv":
+            "7f92881b647183ca91e7577c88f6eafa9f209eb0d0cd93cfa282a75cc9c2874f",
+    }),
+    ("nondegen_small", "solve-fixed"): (0, {
+        "solution.json":
+            "570bc54cc52b09e0b4acf62861a52880828335696901663786a3fe08f1eb45fd",
+        "trace.csv":
+            "768a06a3282b2b0a6ef697175fb92e37c4ab7ac341db7ce788f3cae5be31d720",
+    }),
+    ("nondegen_small", "check"): (0, {
+        "report.json":
+            "6abe89e8834982cc940edea7e3b78e15e48b83cf4daa00e3c20312f7d14ccb03",
+    }),
+    ("nondegen_small", "rate-sweep"): (0, {
+        "fit.json":
+            "8c011179a586edcf0bc223958b083d397d4985d429a4bc64639023b66fb62c2b",
+        "rate.csv":
+            "ecdc5cc2cb9d8e08caedc3710bc469a05567c45c1a13029af5a84fcd25e3008b",
+    }),
+    ("degen_small", "solve"): (0, {
+        "solution.json":
+            "4b8e4d764d18f45efe03c3e6f773dbb0c6d937776b35dd387669469e8dfac59d",
+        "trace.csv":
+            "cdea4c68fcbc72ac9b2071ed11431af9891de74a8b8e13ec7085e1e4b2ed5385",
+    }),
+    ("degen_small", "solve-fixed"): (0, {
+        "solution.json":
+            "a285ec1836f92aff70c9ca366e8323a953becb12125ff422d2d4d815d3dcdb90",
+        "trace.csv":
+            "76bf36e096c6b44d0a9b2352fb3c9b3de5b8a7342edbb4982abbcfb20436188e",
+    }),
+    ("degen_small", "check"): (0, {
+        "report.json":
+            "61b3bb0b36c52cdfd6769376a90f50c4ae8996f77b2f099fc4d5f01b8057dd57",
+    }),
+    ("degen_small", "rate-sweep"): (0, {
+        "fit.json":
+            "abd13f0832f57f6ca3f86c5aff4e12ba3bae22fff5b95edc14d3546b97a97769",
+        "rate.csv":
+            "67bd46d41212cd27b5ed5f848a3472b4264edb756bed848c1f7e8ce902c31335",
+    }),
+    ("saddle_small", "solve"): (3, {
+        "trace.csv":
+            "dd210820bf5bbd62bd83e5bde03139b645c2ee995bc8902a093f17f1d2ffb1c8",
+    }),
+    ("saddle_small", "solve-fixed"): (3, {
+        "trace.csv":
+            "dd210820bf5bbd62bd83e5bde03139b645c2ee995bc8902a093f17f1d2ffb1c8",
+    }),
+    ("saddle_small", "check"): (0, {
+        "report.json":
+            "3d3f8abd95aee4d0757b470713bbcdf005441b70b0ee0e4b64d0ceec7ea049d9",
+    }),
+    ("saddle_small", "rate-sweep"): (4, {
+        "fit.json":
+            "f525da1a804654a751e4d0856adf6785cbb67cc6ae8690633be03af8029f8086",
+        "rate.csv":
+            "f05cb6fb020914b390d92fffec1e8625ee53df134c14bac99c40713ae335191c",
+    }),
+}
+
+
+def _run(tmp_path, name, command):
+    out = tmp_path / f"{name}-{command}"
+    args = [arg if arg is not None else str(tmp_path / "fixed.json")
+            for arg in COMMANDS[command]]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=SRC)
+    env.pop("SDNOP_LOG", None)
+    proc = subprocess.run(
+        [sys.executable, "-m", "sdnop", args[0],
+         os.path.join(INSTANCES, f"{name}.json"), *args[1:],
+         "--out", str(out)],
+        capture_output=True, text=True, env=env)
+    digests = {}
+    for entry in sorted(os.listdir(out)) if out.exists() else ():
+        with open(out / entry, "rb") as fh:
+            digests[entry] = hashlib.sha256(fh.read()).hexdigest()
+    return proc.returncode, digests
+
+
+def _run_all(tmp_path):
+    (tmp_path / "fixed.json").write_text(json.dumps(FIXED_PENALTY))
+    return {(name, command): _run(tmp_path, name, command)
+            for name in BUNDLED for command in COMMANDS}
+
+
+def test_artifacts_match_golden_digests(tmp_path):
+    got = _run_all(tmp_path)
+    assert got.keys() == GOLDEN.keys()
+    moved = sorted(key for key in GOLDEN if got[key] != GOLDEN[key])
+    assert not moved, {key: (GOLDEN[key], got[key]) for key in moved}

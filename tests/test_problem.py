@@ -322,6 +322,49 @@ class TestMultiplierMaps:
         np.testing.assert_allclose(plus.Gamma, 0.0, atol=1e-14)
 
 
+class TestTripleDiffNorm:
+    @staticmethod
+    def _squares(a, b):
+        # the plain form: the root of the summed squares
+        return float(np.sqrt(
+            np.sum((a.Y - b.Y) ** 2)
+            + np.sum((a.mu - b.mu) ** 2)
+            + np.sum((a.Gamma - b.Gamma) ** 2)
+        ))
+
+    @staticmethod
+    def _triple(rng, q, m, p, scale):
+        return MultiplierTriple(scale * rng.randn(q, q), scale * rng.randn(m),
+                                scale * rng.randn(p, p))
+
+    def test_finite_sums_keep_the_plain_bits(self):
+        rng = np.random.RandomState(61)
+        for q, m, p in ((3, 1, 3), (4, 0, 2), (0, 2, 0), (5, 3, 4)):
+            for scale in (1e-300, 1e-8, 1.0, 1e8, 1e150):
+                a = self._triple(rng, q, m, p, scale)
+                b = self._triple(rng, q, m, p, scale)
+                assert triple_diff_norm(a, b) == self._squares(a, b)
+
+    @pytest.mark.parametrize("entry", [1e308, -1e308, 1.5e154])
+    def test_entry_near_the_float_limit_is_finite(self, entry):
+        ref = MultiplierTriple(np.eye(3), np.array([0.5]), np.eye(3))
+        far = MultiplierTriple(ref.Y.copy(), ref.mu, ref.Gamma)
+        far.Y[0, 0] = entry
+        far.Y[1, 1] = entry
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            d = triple_diff_norm(far, ref)
+        assert d == pytest.approx(np.sqrt(2.0) * abs(entry), rel=1e-14)
+
+    def test_nonfinite_differences_stay_nonfinite(self):
+        ref = MultiplierTriple(np.eye(2), np.zeros(1), np.eye(2))
+        inf = MultiplierTriple(np.full((2, 2), np.inf), np.zeros(1),
+                               np.eye(2))
+        nan = MultiplierTriple(np.eye(2), np.array([np.nan]), np.eye(2))
+        assert triple_diff_norm(inf, ref) == np.inf
+        assert np.isnan(triple_diff_norm(nan, ref))
+
+
 class TestNewtonMatrixElement:
     def test_symmetry(self, mixed_quadratic_instance):
         problem = mixed_quadratic_instance

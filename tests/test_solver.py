@@ -14,6 +14,7 @@ from sdnop import diagnostics, solver
 from sdnop.errors import InnerSolveError, InvalidInput, MaxIterations
 from sdnop.problem import (
     MultiplierTriple,
+    ShiftedPoint,
     aug_lagrangian_value,
     dual_value_and_grad,
     kkt_residual,
@@ -323,6 +324,104 @@ class TestForcingDefault:
         for stats in firsts:
             assert stats.stop == "tol"
             assert stats.grad_norm <= diagnostics.SWEEP_INNER.grad_tol
+
+
+class TestDeferredResidual:
+    """With the penalty fixed and exact inner solves only the stop tests
+    read a residual's total, and a row whose eigendecomposition-free
+    components already rule out a stop keeps its spectral half pending.
+    Whenever a row is read, it has the bits of the eager residual."""
+
+    FIXED = ALMConfig(c0=100.0, c_max=100.0, inner=diagnostics.SWEEP_INNER)
+
+    def _counting(self, monkeypatch):
+        counts = {"eig": 0, "point": 0}
+
+        def counting(fn, key):
+            def wrapped(*args, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(np.linalg, "eigh",
+                            counting(np.linalg.eigh, "eig"))
+        monkeypatch.setattr(np.linalg, "eigvalsh",
+                            counting(np.linalg.eigvalsh, "eig"))
+        monkeypatch.setattr(solver, "ShiftedPoint",
+                            counting(solver.ShiftedPoint, "point"))
+        return counts
+
+    def _load(self, name):
+        """An instance and the zero multipliers its runs start from."""
+        problem = load_instance(os.path.join(INSTANCES, name + ".json"))
+        return problem, MultiplierTriple.zeros(problem)
+
+    def _assert_eager_bits(self, problem, y0, trace, residuals):
+        # each row's residual as the eager run forms it: at the point the
+        # inner solve ends on, built from the multipliers before the row
+        before = [y0] + trace.multipliers[:-1]
+        for x, y, prev, c, res in zip(trace.points, trace.multipliers,
+                                      before, trace.penalties, residuals):
+            pt = ShiftedPoint(problem, x, prev.Y, prev.mu, prev.Gamma, c)
+            eager = kkt_residual(problem, x, y.Y, y.mu, y.Gamma, point=pt)
+            assert res.as_dict() == eager.as_dict()
+
+    # the nondegen run forms its last two rows: the second to last has
+    # stationarity, equality and complementarity below outer_tol 1e-8,
+    # but its cone component is 3.0e-8, so a stop test reads it
+    @pytest.mark.parametrize("name, formed, rows", [
+        ("nondegen_small", 2, 7), ("degen_small", 1, 6)])
+    def test_only_rows_a_stop_test_reads_are_decomposed(
+            self, monkeypatch, name, formed, rows):
+        problem, y0 = self._load(name)
+        counts = self._counting(monkeypatch)
+        point, trace = alm_solve(problem, y0, self.FIXED, np.zeros(problem.n))
+        assert trace.stop == "tol" and len(trace) == rows
+        assert counts["eig"] == 2 * counts["point"] + 4 * formed
+        # reading the trace forms every pending row, once
+        trace.residuals
+        trace.residuals
+        assert counts["eig"] == 2 * counts["point"] + 4 * rows
+        assert trace.residuals[-1] is point.residual
+
+    @pytest.mark.parametrize("name", ["nondegen_small", "degen_small"])
+    def test_rows_have_eager_bits(self, name):
+        problem, y0 = self._load(name)
+        point, trace = alm_solve(problem, y0, self.FIXED, np.zeros(problem.n))
+        self._assert_eager_bits(problem, y0, trace, trace.residuals)
+        assert point.residual.total <= self.FIXED.outer_tol
+
+    def test_max_iterations_forms_the_last_row(self, monkeypatch):
+        problem, y0 = self._load("nondegen_small")
+        counts = self._counting(monkeypatch)
+        config = ALMConfig(c0=100.0, c_max=100.0, max_outer=2,
+                           inner=diagnostics.SWEEP_INNER)
+        with pytest.raises(MaxIterations) as info:
+            alm_solve(problem, y0, config, np.zeros(problem.n))
+        assert counts["eig"] == 2 * counts["point"] + 4
+        exc = info.value
+        self._assert_eager_bits(problem, y0, exc.trace, exc.trace.residuals)
+        assert exc.point.residual is exc.trace.residuals[-1]
+        assert f"residual {exc.point.residual.total:.3e} >" in str(exc)
+
+    @pytest.mark.parametrize("edit, message", [
+        ({"Y": np.array([[1.0, 2.0, 0.0], [0.0, 1.0, 0.0],
+                         [0.0, 0.0, 1.0]])}, "Y is not symmetric"),
+        ({"Y": np.full((3, 3), np.nan)}, "Y contains non-finite entries"),
+        ({"Gamma": np.full((3, 3), np.nan)},
+         "Gamma contains non-finite entries"),
+    ])
+    def test_starting_residual_raises_as_eager(self, edit, message):
+        problem, zeros = self._load("nondegen_small")
+        y0 = MultiplierTriple(**{"Y": zeros.Y, "mu": zeros.mu,
+                                 "Gamma": zeros.Gamma, **edit})
+        raised = []
+        for config in (ALMConfig(), self.FIXED):
+            with pytest.raises(InvalidInput) as info:
+                alm_solve(problem, y0, config, np.zeros(problem.n))
+            raised.append(str(info.value))
+        assert raised[0] == raised[1]
+        assert raised[0].startswith(message)
 
 
 class TestPenaltyUpdate:
