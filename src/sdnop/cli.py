@@ -39,6 +39,7 @@ from .errors import (
     InvalidInput,
     MaxIterations,
     SDNOPError,
+    require_seed,
 )
 from .generator import generate_instance
 from .problem import (
@@ -114,12 +115,12 @@ def _write_json(path, obj):
 
 
 def _trace_rows(trace):
-    for k in range(len(trace.residuals)):
-        res = trace.residuals[k]
-        yield (k + 1, trace.penalties[k], res.total, res.stationarity,
-               res.subgradient, res.equality, res.cone, res.dual,
-               res.complementarity, trace.inner_iterations[k],
-               trace.dist_x[k], trace.dist_y[k])
+    columns = zip(trace.penalties, trace.residuals, trace.inner_iterations,
+                  trace.dist_x, trace.dist_y)
+    for k, (c, res, inner, dx, dy) in enumerate(columns, 1):
+        yield (k, c, res.total, res.stationarity, res.subgradient,
+               res.equality, res.cone, res.dual, res.complementarity,
+               inner, dx, dy)
 
 
 def _log_trace(trace):
@@ -214,10 +215,10 @@ def cmd_solve(args):
         penalty = trace.penalties[-1] if trace.penalties else config.c0
         _write_json(os.path.join(out, "solution.json"),
                     _solution_dict(point, code == EXIT_OK, stop,
-                                   len(trace.residuals), penalty))
+                                   len(trace), penalty))
     if code == EXIT_OK:
         print("converged: residual %.3e after %d outer iterations%s"
-              % (point.residual.total, len(trace.residuals),
+              % (point.residual.total, len(trace),
                  " (round-off floor)" if stop == "floor" else ""))
     return code
 
@@ -321,15 +322,15 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _seed(text):
-    """A seed numpy's RandomState accepts: an integer in [0, 2**32)."""
+    """A seed (``errors.require_seed``); argparse's error names --seed."""
     try:
         value = int(text)
     except ValueError:
-        value = None
-    if value is None or not 0 <= value < 2 ** 32:
-        raise argparse.ArgumentTypeError(
-            f"seed must be an integer in [0, 2**32), got {text!r}")
-    return value
+        value = text
+    try:
+        return require_seed(value)
+    except InvalidInput as exc:
+        raise argparse.ArgumentTypeError(str(exc))
 
 
 def build_parser():

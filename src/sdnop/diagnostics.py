@@ -14,7 +14,6 @@ sign split encodes strict complementarity of the conic constraint.
 """
 
 import math
-import numbers
 from dataclasses import asdict, dataclass
 from typing import Optional, Tuple
 
@@ -26,6 +25,8 @@ from .errors import (
     MaxIterations,
     NotAKKTPoint,
     NotASubgradient,
+    require_positive,
+    require_seed,
 )
 from .nuclear import curvature_form, subdiff_partition
 from .problem import (
@@ -764,16 +765,6 @@ def _fit_points(ratios, converged):
         if ok and math.isfinite(r) and r > 0.0)
 
 
-def check_seed(seed):
-    """Reject a seed that numpy's RandomState would refuse, or would
-    replace by fresh entropy (None): anything but an integer in
-    [0, 2**32).  numpy integers are integers."""
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) \
-            or not 0 <= seed < 2 ** 32:
-        raise InvalidInput(
-            f"seed must be an integer in [0, 2**32), got {seed!r}")
-
-
 def _unit_perturbation(problem, seed):
     """Deterministic unit-norm multiplier displacement for a given seed."""
     rng = np.random.RandomState(seed)
@@ -825,7 +816,7 @@ def _sweep_one(problem, reference, c, delta, u):
         trace, stop, converged = exc.trace, "max_outer", False
     except InnerSolveError as exc:
         trace, stop, converged = exc.trace, "inner_failure", False
-    dists = [float(delta)] + (list(trace.dist_y) if trace is not None else [])
+    dists = [delta] + (list(trace.dist_y) if trace is not None else [])
     ratios = _contraction_ratios(dists, _RATIO_FLOOR)
     iterations = len(trace) if trace is not None else 0
     if converged and ratios:
@@ -840,7 +831,7 @@ def rate_sweep(problem, reference, grid, delta=1e-2, seed=0):
 
     Every grid value starts from the reference multipliers displaced by
     ``delta`` along the same deterministic unit direction derived from
-    ``seed`` (an integer in [0, 2**32); see ``check_seed``), so the
+    ``seed`` (an integer in [0, 2**32); see ``errors.require_seed``), so the
     direction-dependent part of the contraction
     constant cancels between grid points.  Each runs with the penalty
     held at its grid value until the KKT residual drops below 1e-12 or,
@@ -858,21 +849,15 @@ def rate_sweep(problem, reference, grid, delta=1e-2, seed=0):
     the nondegeneracy or second-order check fails (or cannot run) at the
     reference point.
     """
-    grid = [float(c) for c in grid]
+    grid = [require_positive("grid value", c) for c in grid]
     if not grid:
         raise InvalidInput("penalty grid is empty")
     for c in grid:
-        if not (math.isfinite(c) and c > 0.0):
-            raise InvalidInput(
-                f"penalty grid values must be finite and positive, got {c!r}")
-        require_resolvable_penalty("penalty grid values", c)
+        require_resolvable_penalty("grid value", c)
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise InvalidInput("penalty grid must be strictly increasing")
-    if not (math.isfinite(delta) and delta > 0.0):
-        raise InvalidInput(
-            f"perturbation radius delta must be finite and positive, "
-            f"got {delta!r}")
-    check_seed(seed)
+    delta = require_positive("delta", delta)
+    require_seed(seed)
     ref_res = kkt_residual(problem, reference.x, reference.multipliers.Y,
                            reference.multipliers.mu,
                            reference.multipliers.Gamma)

@@ -27,12 +27,11 @@ saddle
 import numpy as np
 
 from .diagnostics import (
-    check_seed,
     cone_blocks,
     nondegeneracy_check,
     sosc_reduced_matrix,
 )
-from .errors import InvalidInput
+from .errors import InvalidInput, require_int, require_seed
 from .problem import (
     KKTPoint,
     MultiplierTriple,
@@ -199,13 +198,9 @@ def generate_instance(n, q, m, p, profile="nondegen", seed=0):
     """
     if profile not in _PROFILES:
         raise InvalidInput(f"unknown profile {profile!r}")
-    for name, val in (("n", n), ("q", q), ("m", m), ("p", p)):
-        if int(val) != val or val < 0:
-            raise InvalidInput(f"{name} must be a nonnegative integer")
-    check_seed(seed)
-    n, q, m, p = int(n), int(q), int(m), int(p)
-    if n < 1:
-        raise InvalidInput("n must be at least 1")
+    n, q, m, p = (require_int("n", n, 1), require_int("q", q),
+                  require_int("m", m), require_int("p", p))
+    require_seed(seed)
     rows = block_matrix_rows(n, q, m, p)
     if profile == "nondegen" and rows > n:
         raise InvalidInput(

@@ -22,7 +22,12 @@ from typing import Tuple
 
 import numpy as np
 
-from .errors import DomainError, InvalidInput, NotASubgradient
+from .errors import (
+    DomainError,
+    InvalidInput,
+    NotASubgradient,
+    require_positive,
+)
 from .psd_cone import project_psd
 from .spectral import (
     GROUP_TOL,
@@ -205,11 +210,6 @@ def _shrink(vals, tau):
     return np.sign(vals) * np.maximum(np.abs(vals) - tau, 0.0)
 
 
-def _check_tau(tau):
-    if not tau > 0.0:
-        raise InvalidInput(f"tau must be positive, got {tau}")
-
-
 def soft_threshold(eig, tau):
     """Nuclear-norm prox at level tau of the matrix Z that ``eig``
     decomposes.  The basis may have either sign in each column; tau > 0
@@ -237,7 +237,7 @@ def prox_nuclear(Z, tau):
     Returns the minimizer of ||X'||_* + ||X' - Z||^2/(2 tau) together with
     the eigendecomposition of Z used to form it.
     """
-    _check_tau(tau)
+    require_positive("tau", tau)
     eig = eig_sym(Z)
     return soft_threshold(eig, tau), eig
 
@@ -247,13 +247,13 @@ def moreau_env(Z, tau):
 
     The quadratic penalty is ||X'-Z||^2/(2 tau).
     """
-    _check_tau(tau)
+    require_positive("tau", tau)
     return envelope_value(eig_sym(Z), tau)
 
 
 def grad_moreau_env(Z, tau):
     """Gradient of the Moreau envelope: the scaled prox residual."""
-    _check_tau(tau)
+    require_positive("tau", tau)
     S = as_symmetric(Z)  # the gradient needs no column sign fix
     return envelope_grad(eig_symmetrized(S), S, tau)
 
@@ -465,7 +465,7 @@ def prox_divided_diff(eig, tau, group_tol=GROUP_TOL):
 
 def prox_dir_deriv(Z, tau, H):
     """Directional derivative of the nuclear-norm prox at Z along H."""
-    _check_tau(tau)
+    require_positive("tau", tau)
     eig = eig_sym(Z)
     dd = prox_divided_diff(eig, tau)
     Hh = compress(eig.basis, H, "H", "Z")
@@ -513,7 +513,7 @@ def prox_bsub_element(X, Y, tau, up_choice="zero", low_choice="zero"):
     threshold kink: any Hadamard table with entries in [0, 1] ("zero",
     "identity", or explicit).
     """
-    _check_tau(tau)
+    require_positive("tau", tau)
     sp = subdiff_partition(X, Y)
     vals = _structured_values(sp, tau)
     # spectra closer than 1e-12 (1 + max |v|) are one group, so the two

@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import InvalidInput
+from .errors import InvalidInput, require_int, require_positive
 from .nuclear import envelope_grad, envelope_value, prox_divided_diff
 from .psd_cone import positive_part, theta_matrix
 from .spectral import (
@@ -58,11 +58,6 @@ __all__ = [
 ]
 
 
-def _check_c(c):
-    if not c > 0.0:
-        raise InvalidInput(f"penalty parameter must be positive, got {c}")
-
-
 def _contract(a, b, shape):
     """Product of two operands flattened to at most two axes, reshaped to
     ``shape``: the product ``np.tensordot`` forms, without its per-call
@@ -82,12 +77,18 @@ def adjoint_jac(jac, S):
 # quadratic maps and the problem oracle
 # ----------------------------------------------------------------------------
 
+def _finite(A, name):
+    """Reject NaN and infinite entries, naming the offending field."""
+    if not np.all(np.isfinite(A)):
+        raise InvalidInput(f"{name} contains non-finite entries")
+    return A
+
+
 def _sym_stack(A, name):
     A = np.asarray(A, dtype=np.float64)
     flat = A.reshape(-1, A.shape[-2], A.shape[-1]) if A.size else ()
     for M in flat:
-        if np.abs(M - M.T).max(initial=0.0) > 1e-8 * (1.0 + np.abs(M).max(initial=0.0)):
-            raise InvalidInput(f"{name} has a non-symmetric slice")
+        check_symmetric(M, name)
     # halve before adding: finite entries near the float limit stay finite
     H = 0.5 * A
     return H + np.swapaxes(H, -2, -1)
@@ -179,8 +180,9 @@ class QuadraticProblem:
     """
 
     def __init__(self, f_c0, f_b, f_H, F_map, h_A, h_r, g_map, reference=None):
-        self.f_c0 = float(f_c0)
-        self.f_b = np.asarray(f_b, dtype=np.float64).reshape(-1)
+        self.f_c0 = _finite(float(f_c0), "f.c0")
+        self.f_b = _finite(np.asarray(f_b, dtype=np.float64).reshape(-1),
+                           "f.b")
         n = self.f_b.size
         self.f_H = as_symmetric(np.asarray(f_H, dtype=np.float64), "f.H")
         if self.f_H.shape != (n, n):
@@ -194,6 +196,8 @@ class QuadraticProblem:
         self.h_r = np.asarray(h_r, dtype=np.float64).reshape(-1)
         if self.h_r.size != self.h_A.shape[0]:
             raise InvalidInput("h rows and constants disagree")
+        _finite(self.h_A, "h.A")
+        _finite(self.h_r, "h.r")
         self.n = n
         self.q = self.F_map.k
         self.m = self.h_A.shape[0]
@@ -399,7 +403,7 @@ class ShiftedPoint:
     """
 
     def __init__(self, problem, x, Y, mu, Gamma, c, *, sq_norms=None):
-        _check_c(c)
+        require_positive("c", c)
         self.problem = problem
         self.x = x
         self.mu = mu
@@ -661,7 +665,7 @@ def dual_value_and_grad(problem, Y, mu, Gamma, c, x0, inner_cfg=None):
     """
     from .solver import InnerConfig, inner_minimize
 
-    _check_c(c)
+    require_positive("c", c)
     cfg = inner_cfg if inner_cfg is not None else InnerConfig()
     y = MultiplierTriple(np.asarray(Y, dtype=np.float64),
                          np.asarray(mu, dtype=np.float64),
@@ -682,13 +686,6 @@ def dual_value_and_grad(problem, Y, mu, Gamma, c, x0, inner_cfg=None):
 # ----------------------------------------------------------------------------
 # JSON instance schema
 # ----------------------------------------------------------------------------
-
-def _finite(A, name):
-    """Reject NaN and infinite entries, naming the offending field."""
-    if not np.all(np.isfinite(A)):
-        raise InvalidInput(f"{name} contains non-finite entries")
-    return A
-
 
 def _matrix_map_from_dict(d, n, k, name):
     if d is None:
@@ -716,21 +713,13 @@ def _matrix_map_from_dict(d, n, k, name):
     return QuadraticMatrixMap(A0, Ai, Aij)
 
 
-def _size(data, key):
-    """The dimension ``data[key]``: a JSON integer, nonnegative."""
-    value = data[key]
-    if type(value) is not int or value < 0:
-        raise InvalidInput(f"{key} must be a nonnegative integer, "
-                           f"got {value!r}")
-    return value
-
-
 def instance_from_dict(data):
     """Build a QuadraticProblem from the JSON instance schema."""
     if not isinstance(data, dict):
         raise InvalidInput("instance must be a JSON object")
     try:
-        n, q, m, p = (_size(data, key) for key in ("n", "q", "m", "p"))
+        n, q, m, p = (require_int(key, data[key])
+                      for key in ("n", "q", "m", "p"))
         fblock = data["f"]
         f_c0 = float(fblock["c0"])
         f_b = np.asarray(fblock["b"], dtype=np.float64)
@@ -739,9 +728,6 @@ def instance_from_dict(data):
         raise InvalidInput(f"malformed instance: {exc}")
     if f_b.shape != (n,) or f_H.shape != (n, n):
         raise InvalidInput("f block dims disagree with n")
-    _finite(f_c0, "f.c0")
-    _finite(f_b, "f.b")
-    _finite(f_H, "f.H")
     rows = data.get("h", [])
     if not isinstance(rows, list):
         raise InvalidInput(f"h must be a list of rows, got {rows!r}")

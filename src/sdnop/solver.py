@@ -17,13 +17,19 @@ traces at a fixed BLAS thread count.
 """
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import List, Optional
 
 import numpy as np
 
-from .errors import InnerSolveError, InvalidInput, MaxIterations
+from .errors import (
+    InnerSolveError,
+    InvalidInput,
+    MaxIterations,
+    require_int,
+    require_nonnegative,
+    require_positive,
+)
 from .problem import (
     KKTPoint,
     MultiplierTriple,
@@ -71,19 +77,6 @@ MAX_PENALTY = 1.0 / _EPS
 _OUTER_FLOOR_FACTOR = 10.0
 
 
-def _require_int(name, value, low):
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise InvalidInput(f"{name} must be an integer, got {value!r}")
-    if value < low:
-        raise InvalidInput(f"{name} must be at least {low}, got {value}")
-
-
-def _require_finite(name, value):
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) \
-            or not math.isfinite(value):
-        raise InvalidInput(f"{name} must be a finite number, got {value!r}")
-
-
 def require_resolvable_penalty(name, c):
     """Reject a penalty above ``MAX_PENALTY``, naming it."""
     if c > MAX_PENALTY:
@@ -111,13 +104,9 @@ class InnerConfig:
     max_iter: int = 100
 
     def __post_init__(self):
-        _require_finite("grad_tol", self.grad_tol)
-        if not self.grad_tol > 0.0:
-            raise InvalidInput("grad_tol must be positive")
-        _require_finite("grad_tol_rel", self.grad_tol_rel)
-        if self.grad_tol_rel < 0.0:
-            raise InvalidInput("grad_tol_rel must be nonnegative")
-        _require_int("max_iter", self.max_iter, 1)
+        require_positive("grad_tol", self.grad_tol)
+        require_nonnegative("grad_tol_rel", self.grad_tol_rel)
+        require_int("max_iter", self.max_iter, 1)
 
 
 @dataclass(frozen=True)
@@ -164,15 +153,11 @@ class ALMConfig:
     c_max: float = 1e12
 
     def __post_init__(self):
-        _require_finite("c0", self.c0)
-        if not self.c0 > 0.0:
-            raise InvalidInput("c0 must be positive")
+        require_positive("c0", self.c0)
         require_resolvable_penalty("c0", self.c0)
-        _require_finite("outer_tol", self.outer_tol)
-        if not self.outer_tol > 0.0:
-            raise InvalidInput("outer_tol must be positive")
-        _require_int("max_outer", self.max_outer, 1)
-        _require_finite("c_max", self.c_max)
+        require_positive("outer_tol", self.outer_tol)
+        require_int("max_outer", self.max_outer, 1)
+        require_positive("c_max", self.c_max)
         require_resolvable_penalty("c_max", self.c_max)
         if not self.c_max >= self.c0:
             raise InvalidInput(f"c_max must be at least c0, got c_max "

@@ -14,7 +14,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import InvalidInput
+from .errors import InvalidInput, require_nonnegative
 
 __all__ = [
     "check_symmetric",
@@ -205,8 +205,8 @@ def partition_by_sign(eig, tol=None):
     """
     if tol is None:
         tol = default_tol(eig.values)
-    if not tol >= 0:
-        raise InvalidInput(f"tol must be a nonnegative number, got {tol!r}")
+    else:
+        require_nonnegative("tol", tol)
     # a loop over a Python list: at the solver's sizes one numpy call on
     # the spectrum costs more than the whole loop
     vals = eig.values.tolist()
@@ -237,9 +237,7 @@ def group_distinct(eig, group_tol=GROUP_TOL):
     whose representative lies within it of zero is flagged as the zero
     block.
     """
-    if not group_tol >= 0:
-        raise InvalidInput(
-            f"group_tol must be a nonnegative number, got {group_tol!r}")
+    require_nonnegative("group_tol", group_tol)
     # loops over a Python list, as in partition_by_sign
     vals = eig.values.tolist()
     if not vals:

@@ -1,0 +1,140 @@
+"""The scalar-argument checks in ``errors.py`` and the public entry points
+that use them: a bad size, penalty, tolerance or grid value raises an
+InvalidInput whose message starts with the argument's name."""
+
+import re
+
+import numpy as np
+import pytest
+
+from sdnop.diagnostics import rate_sweep
+from sdnop.errors import (
+    InvalidInput,
+    require_int,
+    require_nonnegative,
+    require_positive,
+    require_seed,
+)
+from sdnop.generator import generate_instance
+from sdnop.nuclear import (
+    grad_moreau_env,
+    moreau_env,
+    prox_bsub_element,
+    prox_dir_deriv,
+    prox_nuclear,
+)
+from sdnop.problem import (
+    MultiplierTriple,
+    ShiftedPoint,
+    aug_lagrangian_value,
+    dual_value_and_grad,
+)
+from sdnop.solver import ALMConfig, InnerConfig
+from sdnop.spectral import eig_sym, group_distinct, partition_by_sign
+
+from conftest import make_mixed_instance
+
+REAL_BAD = [True, None, "1", float("nan"), float("inf")]
+INT_BAD = REAL_BAD + [2.0]
+
+_Z = np.diag([2.0, 0.5, -1.0])
+_EIG = eig_sym(_Z)
+# a point of the nuclear norm's graph: Y is a subgradient at X
+_X, _Y = np.diag([1.0, 0.0]), np.diag([1.0, 0.5])
+_GENERATE = {"n": 24, "q": 10, "m": 3, "p": 8}
+
+
+def _generate(key, value):
+    generate_instance(**dict(_GENERATE, **{key: value}))
+
+
+def _sweep(**kwargs):
+    problem = make_mixed_instance()
+    rate_sweep(problem, problem.reference, **kwargs)
+
+
+def _at_penalty(call, c):
+    problem = make_mixed_instance()
+    y = MultiplierTriple.zeros(problem)
+    if call is dual_value_and_grad:
+        call(problem, y.Y, y.mu, y.Gamma, c, np.zeros(problem.n))
+    else:
+        call(problem, np.zeros(problem.n), y.Y, y.mu, y.Gamma, c)
+
+
+# (case id, argument name as the message gives it, bad values, call taking
+# the bad value)
+_CASES = [
+    *((f"generate_instance-{key}", key, INT_BAD,
+       lambda v, key=key: _generate(key, v)) for key in _GENERATE),
+    ("rate_sweep-grid", "grid value", REAL_BAD,
+     lambda v: _sweep(grid=[v])),
+    ("rate_sweep-delta", "delta", REAL_BAD,
+     lambda v: _sweep(grid=[10.0], delta=v)),
+    ("prox_nuclear", "tau", REAL_BAD, lambda v: prox_nuclear(_Z, v)),
+    ("moreau_env", "tau", REAL_BAD, lambda v: moreau_env(_Z, v)),
+    ("grad_moreau_env", "tau", REAL_BAD, lambda v: grad_moreau_env(_Z, v)),
+    ("prox_dir_deriv", "tau", REAL_BAD,
+     lambda v: prox_dir_deriv(_Z, v, np.eye(3))),
+    ("prox_bsub_element", "tau", REAL_BAD,
+     lambda v: prox_bsub_element(_X, _Y, v)),
+    *((call.__name__, "c", REAL_BAD, lambda v, call=call: _at_penalty(call, v))
+      for call in (ShiftedPoint, aug_lagrangian_value, dual_value_and_grad)),
+    ("group_distinct", "group_tol", REAL_BAD,
+     lambda v: group_distinct(_EIG, v)),
+    # None is the default: a tolerance scaled to the spectrum
+    ("partition_by_sign", "tol", [v for v in REAL_BAD if v is not None],
+     lambda v: partition_by_sign(_EIG, v)),
+    *((f"InnerConfig-{key}", key, INT_BAD if key == "max_iter" else REAL_BAD,
+       lambda v, key=key: InnerConfig(**{key: v}))
+      for key in ("grad_tol", "grad_tol_rel", "max_iter")),
+    *((f"ALMConfig-{key}", key, INT_BAD if key == "max_outer" else REAL_BAD,
+       lambda v, key=key: ALMConfig(**{key: v}))
+      for key in ("c0", "outer_tol", "max_outer", "c_max")),
+]
+
+
+@pytest.mark.parametrize("name, value, call", [
+    pytest.param(name, value, call, id=f"{case}-{value!r}")
+    for case, name, values, call in _CASES for value in values
+])
+def test_bad_scalar_argument_is_named(name, value, call):
+    with pytest.raises(InvalidInput, match=rf"^{re.escape(name)} must be "):
+        call(value)
+
+
+class TestChecks:
+    def test_values_come_back(self):
+        assert require_int("n", 3) == 3
+        n = require_int("n", np.int64(3), 1)
+        assert n == 3 and type(n) is int
+        assert require_positive("c", 10.0) == 10.0
+        c = require_positive("c", np.float64(10.0))
+        assert c == 10.0 and type(c) is float
+        assert require_positive("c", 10) == 10.0
+        assert require_nonnegative("tol", 0.0) == 0.0
+        assert require_nonnegative("tol", 0) == 0.0
+        assert require_seed(np.uint32(7)) == 7
+
+    @pytest.mark.parametrize("check, value, message", [
+        (require_int, -1, "n must be a nonnegative integer, got -1"),
+        (require_positive, 0.0, "n must be a positive finite number, "
+                                "got 0.0"),
+        (require_positive, -np.inf, "n must be a positive finite number, "
+                                    "got -inf"),
+        (require_positive, 10 ** 400, "n must be a positive finite number"),
+        (require_nonnegative, -1e-300, "n must be a nonnegative finite "
+                                       "number, got -1e-300"),
+        (require_nonnegative, np.bool_(True), "n must be a nonnegative "
+                                              "finite number"),
+    ])
+    def test_messages(self, check, value, message):
+        with pytest.raises(InvalidInput, match=f"^{re.escape(message)}"):
+            check("n", value)
+
+    def test_positive_lower_bound(self):
+        assert require_int("max_iter", 1, 1) == 1
+        with pytest.raises(InvalidInput,
+                           match=r"^max_iter must be an integer of at "
+                                 r"least 1, got 0$"):
+            require_int("max_iter", 0, 1)

@@ -13,6 +13,11 @@ The fixed-penalty exact solve (``c0 = c_max = 100``, ``grad_tol_rel =
 0``) is the path on which ``alm_solve`` leaves a row's spectral half of
 the KKT residual pending until it is read; ``solve`` writes every row,
 so it also checks that a pending row, once formed, has the eager bits.
+
+The generated cases pin the generator, which builds the benchmark's
+inputs: ``generate`` at (24, 10, 3, 8), seed 7, in each profile, then
+``solve``, ``check`` and ``rate-sweep --seed 7`` on the instance it
+wrote.
 """
 
 import hashlib
@@ -104,17 +109,78 @@ GOLDEN = {
     }),
 }
 
+PROFILES = ("nondegen", "degen", "saddle")
+GENERATE = ["--n", "24", "--q", "10", "--m", "3", "--p", "8", "--seed", "7"]
+# (profile, command) -> (exit code, {file name: SHA-256})
+GENERATED = {
+    ("nondegen", "generate"): (0, {
+        "instance.json":
+            "02821ec1fe22bfd02427c5e21fe0bf0b10db82d5c271de42b5c821463b3210e2",
+    }),
+    ("nondegen", "solve"): (0, {
+        "solution.json":
+            "a3dc9b53327af4236d733c179a9d07cb7c6586baa8d294f55b8cd85c054ec3ac",
+        "trace.csv":
+            "798611e2dca082e2afa6b6eaa79ac7edf6f19ff5c583f8d5bf1c572d64ba3e11",
+    }),
+    ("nondegen", "check"): (0, {
+        "report.json":
+            "c82e23ab74839c575ae7c156cbbb6839c5a8357fd42a5521b5600c0629a2d351",
+    }),
+    ("nondegen", "rate-sweep"): (0, {
+        "fit.json":
+            "06ef27e6c2a1d14a41849e2e47130cc09d12304270d9b8576fae231574369314",
+        "rate.csv":
+            "f06ea59aa40e193a1da993810c813cb0794e353ee9258bba96dc6e47b4589f69",
+    }),
+    ("degen", "generate"): (0, {
+        "instance.json":
+            "0bc1f273eb1823800f25d05a79ac8a329c5bb6ddaebdb0628dae316b5028cd31",
+    }),
+    ("degen", "solve"): (0, {
+        "solution.json":
+            "0e1ef87bcb13347ca6f7c935ffec1c01af3962bcec15defc59eeb7acf4ba8ea7",
+        "trace.csv":
+            "c744db534a962a49f53d87cea527ddcc0ea45291a4058147b9bc9b09bd119f65",
+    }),
+    ("degen", "check"): (0, {
+        "report.json":
+            "ee9c2b27189d0fb4f8d6cf97fb953591fe6a7ef05be09daa76cdde1abbcc5007",
+    }),
+    ("degen", "rate-sweep"): (0, {
+        "fit.json":
+            "5c500f2a59447d5049a4e1081998284ebafde3a80830c2d12892850145bdee3e",
+        "rate.csv":
+            "62c4a5cc3f491c78677bf65a31ea05179f85626a192f280dfdd92d7eabf741b5",
+    }),
+    ("saddle", "generate"): (0, {
+        "instance.json":
+            "53e86bc83c2655546be57f15b6fe0a5d34059eaa8515625ef3676bd03edb8d4c",
+    }),
+    ("saddle", "solve"): (3, {
+        "trace.csv":
+            "dd210820bf5bbd62bd83e5bde03139b645c2ee995bc8902a093f17f1d2ffb1c8",
+    }),
+    ("saddle", "check"): (0, {
+        "report.json":
+            "5898d1ecb1826356f83f3ddfb1c7f4beee45320f4bce8a70c1064ed8e167fa7a",
+    }),
+    ("saddle", "rate-sweep"): (4, {
+        "fit.json":
+            "f525da1a804654a751e4d0856adf6785cbb67cc6ae8690633be03af8029f8086",
+        "rate.csv":
+            "f05cb6fb020914b390d92fffec1e8625ee53df134c14bac99c40713ae335191c",
+    }),
+}
 
-def _run(tmp_path, name, command):
-    out = tmp_path / f"{name}-{command}"
-    args = [arg if arg is not None else str(tmp_path / "fixed.json")
-            for arg in COMMANDS[command]]
+
+def _sdnop(out, argv):
+    """Run ``python -m sdnop`` with ``argv`` and ``--out out``; return its
+    exit code and the SHA-256 of every file it wrote."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=SRC)
     env.pop("SDNOP_LOG", None)
     proc = subprocess.run(
-        [sys.executable, "-m", "sdnop", args[0],
-         os.path.join(INSTANCES, f"{name}.json"), *args[1:],
-         "--out", str(out)],
+        [sys.executable, "-m", "sdnop", *argv, "--out", str(out)],
         capture_output=True, text=True, env=env)
     digests = {}
     for entry in sorted(os.listdir(out)) if out.exists() else ():
@@ -123,10 +189,32 @@ def _run(tmp_path, name, command):
     return proc.returncode, digests
 
 
+def _run(tmp_path, name, command):
+    args = [arg if arg is not None else str(tmp_path / "fixed.json")
+            for arg in COMMANDS[command]]
+    return _sdnop(tmp_path / f"{name}-{command}",
+                  [args[0], os.path.join(INSTANCES, f"{name}.json"),
+                   *args[1:]])
+
+
 def _run_all(tmp_path):
     (tmp_path / "fixed.json").write_text(json.dumps(FIXED_PENALTY))
     return {(name, command): _run(tmp_path, name, command)
             for name in BUNDLED for command in COMMANDS}
+
+
+def _run_generated(tmp_path):
+    got = {}
+    for profile in PROFILES:
+        made = tmp_path / f"generated-{profile}"
+        got[(profile, "generate")] = _sdnop(
+            made, ["generate", *GENERATE, "--profile", profile])
+        instance = str(made / "instance.json")
+        for command in ("solve", "check", "rate-sweep"):
+            got[(profile, command)] = _sdnop(
+                tmp_path / f"{profile}-{command}",
+                [COMMANDS[command][0], instance, *COMMANDS[command][1:]])
+    return got
 
 
 def test_artifacts_match_golden_digests(tmp_path):
@@ -134,3 +222,10 @@ def test_artifacts_match_golden_digests(tmp_path):
     assert got.keys() == GOLDEN.keys()
     moved = sorted(key for key in GOLDEN if got[key] != GOLDEN[key])
     assert not moved, {key: (GOLDEN[key], got[key]) for key in moved}
+
+
+def test_generated_artifacts_match_golden_digests(tmp_path):
+    got = _run_generated(tmp_path)
+    assert got.keys() == GENERATED.keys()
+    moved = sorted(key for key in GENERATED if got[key] != GENERATED[key])
+    assert not moved, {key: (GENERATED[key], got[key]) for key in moved}

@@ -128,6 +128,45 @@ class TestQuadraticMatrixMap:
         assert mp.A0[0, 0] == 1e308
         assert mp.Ai[0, 1, 1] == -1e308
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["Ai", "Aij"])
+    def test_rejects_non_finite_coefficients(self, name, bad):
+        # a non-finite slice passed the asymmetry test, whose gap is NaN
+        stacks = {"Ai": np.zeros((2, 2, 2)), "Aij": np.zeros((2, 2, 2, 2))}
+        stacks[name][1, ..., 0, 0] = bad
+        with pytest.raises(InvalidInput,
+                           match=rf"^{name} contains non-finite entries$"):
+            QuadraticMatrixMap(np.eye(2), stacks["Ai"], stacks["Aij"])
+        with pytest.raises(InvalidInput,
+                           match=r"^Ai contains non-finite entries$"):
+            QuadraticMatrixMap(np.eye(2), np.full((1, 2, 2), bad))
+
+    def test_asymmetric_slice_is_named(self):
+        Ai = np.zeros((2, 2, 2))
+        Ai[1, 0, 1] = 1.0
+        with pytest.raises(InvalidInput, match=r"^Ai is not symmetric "
+                                               r"\(asymmetry 1\.000e\+00\)$"):
+            QuadraticMatrixMap(np.eye(2), Ai)
+
+
+class TestProblemData:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field, name", [
+        ("f_c0", "f.c0"), ("f_b", "f.b"), ("h_A", "h.A"), ("h_r", "h.r"),
+    ])
+    def test_non_finite_data_is_named(self, field, name, bad):
+        # only the JSON loader looked: a NaN in f.b surfaced as a failed
+        # line search, and one in h as a NaN residual
+        data = {"f_c0": 0.0, "f_b": np.zeros(2), "f_H": np.eye(2),
+                "F_map": None, "h_A": np.ones((1, 2)), "h_r": np.zeros(1),
+                "g_map": None}
+        data[field] = np.array(data[field], dtype=np.float64)
+        data[field].flat[-1] = bad
+        with pytest.raises(InvalidInput,
+                           match=rf"^{re.escape(name)} contains non-finite "
+                                 rf"entries$"):
+            QuadraticProblem(**data)
+
 
 class TestOracleConsistency:
     def test_adjoint_identity(self, mixed_quadratic_instance):
