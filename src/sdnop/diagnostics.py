@@ -516,6 +516,7 @@ def split_penalty_matrix(problem, x, multipliers, c_base, c, free=0.0,
     With ``c_base == c`` this reproduces the regularized Newton matrix of
     the method at the reference point.
     """
+    c_base, c = require_positive("c_base", c_base), require_positive("c", c)
     if not 0.0 <= free <= 1.0:
         raise InvalidInput("free table entries must lie in [0, 1]")
     b = blocks if blocks is not None else cone_blocks(problem, x, multipliers)

@@ -243,14 +243,12 @@ def generate_instance(n, q, m, p, profile="nondegen", seed=0):
             - np.einsum("lij,ij->l", g_Ai, Gbar)
         reference = KKTPoint(np.zeros(n),
                              MultiplierTriple(Ybar, mubar, Gbar))
+        F_map = QuadraticMatrixMap(F0, F_Ai)
+        g_map = QuadraticMatrixMap(g0, g_Ai)
 
         def build(f_H):
-            return QuadraticProblem(
-                0.0, -grad, f_H,
-                QuadraticMatrixMap(F0, F_Ai), h_A, np.zeros(m),
-                QuadraticMatrixMap(g0, g_Ai),
-                reference=reference,
-            )
+            return QuadraticProblem(0.0, -grad, f_H, F_map, h_A, np.zeros(m),
+                                    g_map, reference=reference)
 
         base = build(np.zeros((n, n)))
         # the blocks read F, h and g only, which base and problem share

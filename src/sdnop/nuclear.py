@@ -26,6 +26,7 @@ from .errors import (
     DomainError,
     InvalidInput,
     NotASubgradient,
+    require_nonnegative,
     require_positive,
 )
 from .psd_cone import project_psd
@@ -149,6 +150,7 @@ def _subdiff_defect(eig, Yh):
 
 def subdiff_contains(X, Y, tol=1e-8):
     """Membership test for the nuclear-norm subdifferential at X."""
+    tol = require_nonnegative("tol", tol)
     eig = eig_sym(X)
     return _subdiff_defect(eig, compress(eig.basis, Y, "Y", "X"))[0] <= tol
 
@@ -161,6 +163,7 @@ def subdiff_partition(X, Y, tol=1e-8):
     NotASubgradient
         If Y fails the membership characterization beyond ``tol``.
     """
+    tol = require_nonnegative("tol", tol)
     eig = eig_sym(X)
     return _subdiff_structure(eig, compress(eig.basis, Y, "Y", "X"), tol)
 
@@ -548,6 +551,7 @@ def critical_blocks_contain(Hc, b_up, b_mid, b_low, tol):
     decouple, and their diagonal blocks are PSD (up) and NSD (down), all
     within ``tol``.
     """
+    tol = require_nonnegative("tol", tol)
     up, mid, low = list(b_up), list(b_mid), list(b_low)
     if mid and np.abs(Hc[np.ix_(mid, up + mid + low)]).max() > tol:
         return False
@@ -579,6 +583,7 @@ def critical_cone_theta_contains(X, Y, H, tol=None):
     The blockwise test of :func:`critical_blocks_contain` on H compressed
     into the refined basis; ``tol`` defaults to 1e-8 (1 + max |H|).
     """
+    tol = None if tol is None else require_nonnegative("tol", tol)
     eig, Y, H = _direction_setting(X, Y, H)
     sp = _subdiff_structure(eig, eig.basis.T @ Y @ eig.basis, 1e-8)
     if tol is None:

@@ -23,6 +23,7 @@ from .errors import InvalidInput, require_int, require_positive
 from .nuclear import envelope_grad, envelope_value, prox_divided_diff
 from .psd_cone import positive_part, theta_matrix
 from .spectral import (
+    SYM_TOL,
     as_symmetric,
     check_symmetric,
     eig_symmetrized,
@@ -77,18 +78,34 @@ def adjoint_jac(jac, S):
 # quadratic maps and the problem oracle
 # ----------------------------------------------------------------------------
 
-def _finite(A, name):
-    """Reject NaN and infinite entries, naming the offending field."""
-    if not np.all(np.isfinite(A)):
+def _array(value, name, shape, finite=True):
+    """``value`` as a float64 array of ``shape``, in which an axis given by
+    a letter may have any length, with finite entries unless ``finite`` is
+    false (a symmetry test checks them); else InvalidInput naming ``name``."""
+    try:
+        A = np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidInput(f"{name} must be numeric: {exc}") from None
+    if A.ndim != len(shape) or any(want != got for want, got in
+                                   zip(shape, A.shape) if type(want) is int):
+        text = ", ".join(map(str, shape)) + ("," if len(shape) == 1 else "")
+        raise InvalidInput(f"{name} must have shape ({text}), got {A.shape}")
+    if finite and not np.isfinite(A).all():
         raise InvalidInput(f"{name} contains non-finite entries")
     return A
 
 
 def _sym_stack(A, name):
-    A = np.asarray(A, dtype=np.float64)
-    flat = A.reshape(-1, A.shape[-2], A.shape[-1]) if A.size else ()
-    for M in flat:
-        check_symmetric(M, name)
+    """The symmetric parts of a stack (..., k, k), each slice checked by the
+    rule of :func:`spectral.check_symmetric` in one pass over the stack;
+    that function names the first slice that fails."""
+    top = np.abs(A).max(axis=(-2, -1), initial=0.0)
+    with np.errstate(invalid="ignore"):  # inf - inf, in a failing slice
+        gap = np.abs(A - np.swapaxes(A, -2, -1)).max(axis=(-2, -1),
+                                                     initial=0.0)
+    bad = ~np.isfinite(top) | (gap > SYM_TOL * (1.0 + top))
+    if bad.any():
+        check_symmetric(A[tuple(np.argwhere(bad)[0])], name)
     # halve before adding: finite entries near the float limit stay finite
     H = 0.5 * A
     return H + np.swapaxes(H, -2, -1)
@@ -100,7 +117,8 @@ class QuadraticMatrixMap:
     All coefficient matrices are symmetric k-by-k; ``Aij`` is optional
     (affine map) and must be symmetric under swapping i and j.  Quadratic
     maps have exact constant second derivatives, which keeps oracle error
-    out of rate experiments.
+    out of rate experiments.  The constructor checks each coefficient's
+    shape, finiteness and symmetry once, naming it (``Ai``, ...).
 
     Each contraction with x or with a matrix is one product of a flat
     view of the stack, (n, k*k) for ``Ai`` and (n, n*k*k) or (n*n, k*k)
@@ -108,18 +126,16 @@ class QuadraticMatrixMap:
     """
 
     def __init__(self, A0, Ai, Aij=None):
+        A0 = _array(A0, "A0", ("k", "k"), finite=False)
         self.A0 = as_symmetric(A0, "A0")
-        self.Ai = _sym_stack(Ai, "Ai")
         k = self.A0.shape[0]
+        self.Ai = _sym_stack(_array(Ai, "Ai", ("n", k, k), finite=False), "Ai")
         n = self.Ai.shape[0]
-        if self.Ai.shape != (n, k, k):
-            raise InvalidInput(f"Ai must be (n, {k}, {k}), got {self.Ai.shape}")
         if Aij is None:
             self.Aij = None
         else:
+            Aij = _array(Aij, "Aij", (n, n, k, k), finite=False)
             self.Aij = _sym_stack(Aij, "Aij")
-            if self.Aij.shape != (n, n, k, k):
-                raise InvalidInput(f"Aij must be ({n}, {n}, {k}, {k})")
             if np.abs(self.Aij - np.swapaxes(self.Aij, 0, 1)).max(initial=0.0) > 1e-12:
                 raise InvalidInput("Aij must be symmetric in the index pair")
             self._Aij_flat = self.Aij.reshape(n, n * k * k)
@@ -151,16 +167,17 @@ class QuadraticMatrixMap:
                          np.asarray(S).reshape(-1), (n, n))
 
 
-def _empty_map(n, k):
-    return QuadraticMatrixMap(np.zeros((k, k)), np.zeros((n, k, k)))
-
-
 class QuadraticProblem:
     """Serializable instance with quadratic f, F, g and affine h.
 
     ``f`` is c0 + b.x + (1/2) x.H.x; ``h`` rows are affine (A x + r); F and
     g are QuadraticMatrixMap.  An optional reference KKT point rides along
     for diagnostics and rate experiments.
+
+    This constructor and :class:`QuadraticMatrixMap`'s are the one place
+    that checks instance data: each field's shape (n from ``f_b``, m from
+    ``h_r``), finiteness and symmetry, once, naming it as the JSON does
+    (``f.b``, ``h.A``, ``reference_kkt.Y``, ...).
 
     The dimensions are ``n`` (primal), ``q`` (matrix size of F), ``m``
     (equality count) and ``p`` (matrix size of g).  Stacked Jacobians have
@@ -180,28 +197,28 @@ class QuadraticProblem:
     """
 
     def __init__(self, f_c0, f_b, f_H, F_map, h_A, h_r, g_map, reference=None):
-        self.f_c0 = _finite(float(f_c0), "f.c0")
-        self.f_b = _finite(np.asarray(f_b, dtype=np.float64).reshape(-1),
-                           "f.b")
+        self.f_c0 = float(_array(f_c0, "f.c0", ()))
+        self.f_b = _array(f_b, "f.b", ("n",))
         n = self.f_b.size
-        self.f_H = as_symmetric(np.asarray(f_H, dtype=np.float64), "f.H")
-        if self.f_H.shape != (n, n):
-            raise InvalidInput(f"f.H must be {n}x{n}, got {self.f_H.shape}")
-        self.F_map = F_map if F_map is not None else _empty_map(n, 0)
-        self.g_map = g_map if g_map is not None else _empty_map(n, 0)
-        if self.F_map.n != n or self.g_map.n != n:
-            raise InvalidInput("map coefficient count does not match dim n")
-        self.h_A = np.asarray(h_A, dtype=np.float64).reshape(-1, n) if np.size(h_A) \
-            else np.zeros((0, n))
-        self.h_r = np.asarray(h_r, dtype=np.float64).reshape(-1)
-        if self.h_r.size != self.h_A.shape[0]:
-            raise InvalidInput("h rows and constants disagree")
-        _finite(self.h_A, "h.A")
-        _finite(self.h_r, "h.r")
+        f_H = _array(f_H, "f.H", (n, n), finite=False)
+        self.f_H = as_symmetric(f_H, "f.H")
+        empty = QuadraticMatrixMap(np.zeros((0, 0)), np.zeros((n, 0, 0)))
+        self.F_map = F_map if F_map is not None else empty
+        self.g_map = g_map if g_map is not None else empty
+        for name, qmap in (("F", self.F_map), ("g", self.g_map)):
+            _array(qmap.Ai, f"{name}.Ai", (n, qmap.k, qmap.k), finite=False)
+        self.h_r = _array(h_r, "h.r", ("m",))
+        self.h_A = _array(h_A, "h.A", (self.h_r.size, n))
         self.n = n
         self.q = self.F_map.k
-        self.m = self.h_A.shape[0]
+        self.m = self.h_r.size
         self.p = self.g_map.k
+        if reference is not None:
+            y = reference.multipliers
+            for field, value, shape in (
+                    ("x", reference.x, (n,)), ("Y", y.Y, (self.q,) * 2),
+                    ("mu", y.mu, (self.m,)), ("Gamma", y.Gamma, (self.p,) * 2)):
+                _array(value, f"reference_kkt.{field}", shape)
         self.reference = reference
 
     # -- constants of the data ------------------------------------------------
@@ -687,66 +704,47 @@ def dual_value_and_grad(problem, Y, mu, Gamma, c, x0, inner_cfg=None):
 # JSON instance schema
 # ----------------------------------------------------------------------------
 
-def _matrix_map_from_dict(d, n, k, name):
+def _matrix_map_from_dict(d, name):
+    """The map of the JSON block ``name`` (F or g), None where it is absent."""
     if d is None:
         return None
     try:
-        A0 = np.asarray(d["A0"], dtype=np.float64)
-        Ai = np.asarray(d["Ai"], dtype=np.float64)
-        Aij = d.get("Aij")
-    except (KeyError, TypeError, ValueError) as exc:
+        A0, Ai, Aij = d["A0"], d["Ai"], d.get("Aij")
+    except (KeyError, TypeError) as exc:
         raise InvalidInput(f"bad {name} block: {exc}")
-    if A0.shape != (k, k):
-        raise InvalidInput(f"{name}.A0 must be {k}x{k}, got {A0.shape}")
-    if Ai.shape != (n, k, k):
-        raise InvalidInput(f"{name}.Ai must be ({n},{k},{k}), got {Ai.shape}")
-    _finite(A0, f"{name}.A0")
-    _finite(Ai, f"{name}.Ai")
-    if Aij is not None:
-        try:
-            Aij = np.asarray(Aij, dtype=np.float64)
-        except (TypeError, ValueError) as exc:
-            raise InvalidInput(f"bad {name}.Aij: {exc}")
-        if Aij.shape != (n, n, k, k):
-            raise InvalidInput(f"{name}.Aij must be ({n},{n},{k},{k})")
-        _finite(Aij, f"{name}.Aij")
-    return QuadraticMatrixMap(A0, Ai, Aij)
+    try:
+        return QuadraticMatrixMap(A0, Ai, Aij)
+    except InvalidInput as exc:
+        raise InvalidInput(f"{name}.{exc}") from None
 
 
 def instance_from_dict(data):
-    """Build a QuadraticProblem from the JSON instance schema."""
+    """Build a QuadraticProblem from the JSON instance schema.
+
+    The constructors check the data; this checks only what the JSON adds:
+    the declared n, q, m and p, h as rows [A | r], and [] for an absent
+    block's 0x0 reference multiplier."""
     if not isinstance(data, dict):
         raise InvalidInput("instance must be a JSON object")
     try:
-        n, q, m, p = (require_int(key, data[key])
-                      for key in ("n", "q", "m", "p"))
-        fblock = data["f"]
-        f_c0 = float(fblock["c0"])
-        f_b = np.asarray(fblock["b"], dtype=np.float64)
-        f_H = np.asarray(fblock["H"], dtype=np.float64)
-    except (KeyError, TypeError, ValueError) as exc:
+        n, q, m, p = dims = tuple(require_int(key, data[key])
+                                  for key in ("n", "q", "m", "p"))
+        f = [data["f"][key] for key in ("c0", "b", "H")]
+        rows = data.get("h", [])
+    except (KeyError, TypeError) as exc:
         raise InvalidInput(f"malformed instance: {exc}")
-    if f_b.shape != (n,) or f_H.shape != (n, n):
-        raise InvalidInput("f block dims disagree with n")
-    rows = data.get("h", [])
     if not isinstance(rows, list):
         raise InvalidInput(f"h must be a list of rows, got {rows!r}")
-    if len(rows) != m:
-        raise InvalidInput(f"expected {m} equality rows, got {len(rows)}")
-    h_A = np.zeros((m, n))
-    h_r = np.zeros(m)
-    for i, row in enumerate(rows):
-        try:
-            row = np.asarray(row, dtype=np.float64)
-        except (TypeError, ValueError) as exc:
-            raise InvalidInput(f"bad h row {i}: {exc}")
-        if row.shape != (n + 1,):
-            raise InvalidInput(f"h row {i} must have {n + 1} entries")
-        _finite(row, f"h row {i}")
-        h_A[i] = row[:n]
-        h_r[i] = row[n]
-    F_map = _matrix_map_from_dict(data.get("F"), n, q, "F")
-    g_map = _matrix_map_from_dict(data.get("g"), n, p, "g")
+    # [A | r]; an absent h, [], has no row to give its width n + 1
+    h = _array(rows, "h", ("m", "n + 1"), finite=False) if rows \
+        else np.zeros((0, n + 1))
+    if not h.shape[1]:
+        raise InvalidInput(f"h must have shape (m, n + 1), got {h.shape}")
+    bad = ~np.isfinite(h).all(axis=1)
+    if bad.any():
+        raise InvalidInput(f"h row {bad.argmax()} contains non-finite entries")
+    F_map = _matrix_map_from_dict(data.get("F"), "F")
+    g_map = _matrix_map_from_dict(data.get("g"), "g")
     if q and F_map is None:
         raise InvalidInput("q > 0 but no F block")
     if p and g_map is None:
@@ -754,25 +752,22 @@ def instance_from_dict(data):
     reference = None
     ref = data.get("reference_kkt")
     if ref is not None:
-        shapes = {"x": (n,), "Y": (q, q), "mu": (m,), "Gamma": (p, p)}
         try:
-            parts = {field: np.asarray(ref[field], dtype=np.float64)
-                     for field in shapes}
+            x, Y, mu, Gamma = (np.asarray(ref[key], dtype=np.float64)
+                               for key in ("x", "Y", "mu", "Gamma"))
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidInput(f"malformed reference_kkt: {exc}")
-        for field, shape in shapes.items():
-            value = parts[field]
-            if value.size == 0 == math.prod(shape):
-                # an absent block's 0x0 multiplier is written as []
-                parts[field] = value.reshape(shape)
-            elif value.shape != shape:
-                raise InvalidInput(f"reference_kkt.{field} must have shape "
-                                   f"{shape}, got {value.shape}")
-        for field, value in parts.items():
-            _finite(value, f"reference_kkt.{field}")
-        reference = KKTPoint(parts["x"], MultiplierTriple(
-            parts["Y"], parts["mu"], parts["Gamma"]))
-    return QuadraticProblem(f_c0, f_b, f_H, F_map, h_A, h_r, g_map, reference)
+        # an absent block's 0x0 multiplier is written as []
+        Y, Gamma = (M.reshape(0, 0) if k == 0 == M.size else M
+                    for M, k in ((Y, q), (Gamma, p)))
+        reference = KKTPoint(x, MultiplierTriple(Y, mu, Gamma))
+    problem = QuadraticProblem(*f, F_map, h[:, :-1], h[:, -1], g_map,
+                               reference)
+    built = (problem.n, problem.q, problem.m, problem.p)
+    if built != dims:
+        raise InvalidInput(f"declared dims (n, q, m, p) = {dims} disagree "
+                           f"with the data's {built}")
+    return problem
 
 
 def _matrix_map_to_dict(mp):

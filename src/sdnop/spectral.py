@@ -37,7 +37,7 @@ __all__ = [
     "pinv_sym",
 ]
 
-_SYM_TOL = 1e-8
+SYM_TOL = 1e-8
 # relative gap below which consecutive eigenvalues form one group
 GROUP_TOL = 1e-8
 # half the largest float: two entries this large still add to a finite sum
@@ -62,7 +62,7 @@ def check_symmetric(M, name="matrix"):
         if not np.isfinite(top):
             raise InvalidInput(f"{name} contains non-finite entries")
         gap = np.abs(M - M.T).max()
-        if gap > _SYM_TOL * (1.0 + top):
+        if gap > SYM_TOL * (1.0 + top):
             raise InvalidInput(f"{name} is not symmetric (asymmetry {gap:.3e})")
     return M
 

@@ -9,7 +9,9 @@ block by block, and lists its kinks from a Python list of the flags.
 The functions below are the formulas those replaced: ``np.tensordot``
 contractions, a stable argsort reorder, a loop-built block index and a
 loop over the numpy flags for the kinks.  Each rewrite must agree with
-its oracle bit for bit.
+its oracle bit for bit.  ``sym_stack_loop`` is the check of a coefficient
+stack that ``problem._sym_stack`` makes in one pass: one
+``check_symmetric`` call per slice.
 
 ``apply_jac``, ``lagrangian`` and ``newton_element_einsum`` are the
 reference formulas the tests check the library against: the directional
@@ -42,6 +44,7 @@ from sdnop.psd_cone import project_psd, theta_matrix
 from sdnop.spectral import (
     EigenDecomposition,
     as_symmetric,
+    check_symmetric,
     choice_table,
     group_distinct,
     partition_by_sign,
@@ -71,6 +74,15 @@ def map_hess_contract(mp, S):
 
 def adjoint_jac(jac, S):
     return np.tensordot(jac, S, axes=([1, 2], [0, 1]))
+
+
+def sym_stack_loop(A, name):
+    A = np.asarray(A, dtype=np.float64)
+    flat = A.reshape(-1, A.shape[-2], A.shape[-1]) if A.size else ()
+    for M in flat:
+        check_symmetric(M, name)
+    H = 0.5 * A
+    return H + np.swapaxes(H, -2, -1)
 
 
 def eig_sym(M):

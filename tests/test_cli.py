@@ -492,9 +492,10 @@ class TestNonFiniteData:
 
 
 class TestMalformedSizes:
-    # a size that is negative or not a JSON integer, an h that is not a
-    # list of rows, and a reference multiplier not of its exact shape are
-    # named in one line before anything reads them
+    # a size that is negative, not a JSON integer or not the data's, an h
+    # that is not a list of rows, and a map coefficient or reference
+    # multiplier not of its exact shape are named in one line before
+    # anything reads them
     @pytest.mark.parametrize("command", ["solve", "check"])
     @pytest.mark.parametrize("key, value, fragment", [
         ("h", 5, "h must be a list of rows, got 5"),
@@ -513,6 +514,11 @@ class TestMalformedSizes:
          "reference_kkt.mu must have shape (1,), got (1, 1)"),
         ("reference_kkt.Gamma", [[0.0] * 9],
          "reference_kkt.Gamma must have shape (3, 3), got (1, 9)"),
+        ("m", 2, "declared dims (n, q, m, p) = (8, 3, 2, 3) disagree with "
+                 "the data's (8, 3, 1, 3)"),
+        ("F.A0", [[0.0] * 3] * 2, "F.A0 must be square, got shape (2, 3)"),
+        ("g.Ai", [[[0.0] * 3] * 3] * 7,
+         "g.Ai must have shape (8, 3, 3), got (7, 3, 3)"),
     ])
     def test_one_line_naming_the_field(self, tmp_path, capsys, command, key,
                                        value, fragment):

@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from sdnop.diagnostics import rate_sweep
+from sdnop.diagnostics import rate_sweep, split_penalty_matrix
 from sdnop.errors import (
     InvalidInput,
     require_int,
@@ -17,11 +17,15 @@ from sdnop.errors import (
 )
 from sdnop.generator import generate_instance
 from sdnop.nuclear import (
+    critical_blocks_contain,
+    critical_cone_theta_contains,
     grad_moreau_env,
     moreau_env,
     prox_bsub_element,
     prox_dir_deriv,
     prox_nuclear,
+    subdiff_contains,
+    subdiff_partition,
 )
 from sdnop.problem import (
     MultiplierTriple,
@@ -51,6 +55,12 @@ def _generate(key, value):
 def _sweep(**kwargs):
     problem = make_mixed_instance()
     rate_sweep(problem, problem.reference, **kwargs)
+
+
+def _split(c_base=10.0, c=10.0):
+    problem = make_mixed_instance()
+    ref = problem.reference
+    split_penalty_matrix(problem, ref.x, ref.multipliers, c_base, c)
 
 
 def _at_penalty(call, c):
@@ -85,6 +95,18 @@ _CASES = [
     # None is the default: a tolerance scaled to the spectrum
     ("partition_by_sign", "tol", [v for v in REAL_BAD if v is not None],
      lambda v: partition_by_sign(_EIG, v)),
+    ("subdiff_contains", "tol", REAL_BAD,
+     lambda v: subdiff_contains(_X, _Y, v)),
+    ("subdiff_partition", "tol", REAL_BAD,
+     lambda v: subdiff_partition(_X, _Y, v)),
+    ("critical_blocks_contain", "tol", REAL_BAD,
+     lambda v: critical_blocks_contain(np.zeros((2, 2)), [], [0], [], v)),
+    # None is the default: 1e-8 (1 + max |H|)
+    ("critical_cone_theta_contains", "tol",
+     [v for v in REAL_BAD if v is not None],
+     lambda v: critical_cone_theta_contains(_X, _Y, np.zeros((2, 2)), v)),
+    *((f"split_penalty_matrix-{key}", key, REAL_BAD,
+       lambda v, key=key: _split(**{key: v})) for key in ("c_base", "c")),
     *((f"InnerConfig-{key}", key, INT_BAD if key == "max_iter" else REAL_BAD,
        lambda v, key=key: InnerConfig(**{key: v}))
       for key in ("grad_tol", "grad_tol_rel", "max_iter")),

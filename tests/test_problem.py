@@ -12,6 +12,7 @@ from sdnop.errors import InvalidInput
 from sdnop.generator import generate_instance
 from sdnop.nuclear import nuclear_norm
 from sdnop.problem import (
+    _sym_stack,
     KKTPoint,
     KKTResidual,
     MultiplierTriple,
@@ -34,7 +35,7 @@ from sdnop.problem import (
 )
 
 from conftest import make_mixed_instance
-from eval_oracles import apply_jac, lagrangian
+from eval_oracles import apply_jac, lagrangian, sym_stack_loop
 
 NONDEGEN = os.path.join(os.path.dirname(os.path.dirname(__file__)),
                         "instances", "nondegen_small.json")
@@ -148,8 +149,96 @@ class TestQuadraticMatrixMap:
                                                r"\(asymmetry 1\.000e\+00\)$"):
             QuadraticMatrixMap(np.eye(2), Ai)
 
+    @pytest.mark.parametrize("name, Ai, Aij", [
+        ("Ai", np.zeros(3), None), ("Ai", np.zeros(()), None),
+        ("Ai", np.zeros((2, 3, 3)), None), ("Ai", [[["x"]]], None),
+        ("Aij", np.zeros((2, 2, 2)), np.zeros((2, 2, 2))),
+        ("A0", np.zeros((2, 2, 2)), None),
+    ], ids=["Ai-1d", "Ai-0d", "Ai-k", "Ai-string", "Aij-3d", "A0-string"])
+    def test_malformed_coefficients_are_named(self, name, Ai, Aij):
+        # a 1-D or 0-D Ai raised IndexError from the symmetry loop
+        A0 = "x" if name == "A0" else np.eye(2)
+        with pytest.raises(InvalidInput, match=rf"^{name} must "):
+            QuadraticMatrixMap(A0, Ai, Aij)
+
+
+def _stack_outcome(check, A):
+    """What a stack check makes of ``A``: its message, or its output's
+    shape and bits."""
+    try:
+        out = check(A.copy(), "Ai")
+    except InvalidInput as exc:
+        return str(exc)
+    return out.shape, out.tobytes()
+
+
+def _symmetric_stack(rng, shape, scale=1.0):
+    A = rng.uniform(-1.0, 1.0, shape) * scale
+    return np.triu(A) + np.swapaxes(np.triu(A, 1), -2, -1)
+
+
+class TestSymStack:
+    # the one-pass check of a coefficient stack against the per-slice
+    # check_symmetric loop it replaced
+    SHAPES = [(5, 4, 4), (3, 3, 2, 2), (1, 1, 1), (0, 3, 3), (4, 0, 0),
+              (0, 0, 2, 2), (2, 2, 0, 0)]
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("scale", [1.0, 1e-310, 1e308])
+    def test_accepted_stacks_give_the_same_bits(self, shape, scale):
+        rng = np.random.RandomState(61)
+        A = _symmetric_stack(rng, shape, scale)
+        # round-off asymmetry, within the tolerance
+        A = A + 1e-12 * scale * rng.uniform(-1.0, 1.0, shape)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = _stack_outcome(_sym_stack, A)
+        assert not isinstance(got, str), got
+        assert got == _stack_outcome(sym_stack_loop, A)
+
+    @pytest.mark.parametrize("shape", [(6, 3, 3), (3, 2, 4, 4)])
+    def test_same_verdict_near_the_tolerance(self, shape):
+        rng = np.random.RandomState(62)
+        verdicts = set()
+        for _ in range(200):
+            A = _symmetric_stack(rng, shape, rng.choice([1.0, 1e3]))
+            i = np.unravel_index(rng.randint(np.prod(shape[:-2])),
+                                 shape[:-2])
+            top = np.abs(A[i]).max()
+            A[i][0, -1] += rng.choice([0.5, 0.999, 1.001, 2.0]) \
+                * 1e-8 * (1.0 + top)
+            got = _stack_outcome(_sym_stack, A)
+            assert got == _stack_outcome(sym_stack_loop, A)
+            verdicts.add(isinstance(got, str))
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("shape", [(7, 3, 3), (3, 3, 2, 2)])
+    def test_same_first_bad_slice(self, shape):
+        # one asymmetric, one NaN and one infinite slice, anywhere
+        rng = np.random.RandomState(63)
+        count = int(np.prod(shape[:-2]))
+        named = set()
+        for _ in range(60):
+            A = _symmetric_stack(rng, shape)
+            slices = A.reshape(-1, *shape[-2:])
+            asym, nan, inf = rng.choice(count, 3, replace=False)
+            slices[asym][0, 1] += 1.0 + rng.rand()
+            slices[nan][rng.randint(shape[-1]), 0] = np.nan
+            slices[inf][1, 1] = rng.choice([np.inf, -np.inf])
+            got = _stack_outcome(_sym_stack, A)
+            assert got == _stack_outcome(sym_stack_loop, A)
+            named.add(got.split(" ")[1])
+        assert named == {"is", "contains"}
+
 
 class TestProblemData:
+    @staticmethod
+    def _data(**fields):
+        data = {"f_c0": 0.0, "f_b": np.zeros(2), "f_H": np.eye(2),
+                "F_map": None, "h_A": np.ones((1, 2)), "h_r": np.zeros(1),
+                "g_map": None}
+        return {**data, **fields}
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("field, name", [
         ("f_c0", "f.c0"), ("f_b", "f.b"), ("h_A", "h.A"), ("h_r", "h.r"),
@@ -157,15 +246,39 @@ class TestProblemData:
     def test_non_finite_data_is_named(self, field, name, bad):
         # only the JSON loader looked: a NaN in f.b surfaced as a failed
         # line search, and one in h as a NaN residual
-        data = {"f_c0": 0.0, "f_b": np.zeros(2), "f_H": np.eye(2),
-                "F_map": None, "h_A": np.ones((1, 2)), "h_r": np.zeros(1),
-                "g_map": None}
+        data = self._data()
         data[field] = np.array(data[field], dtype=np.float64)
         data[field].flat[-1] = bad
         with pytest.raises(InvalidInput,
                            match=rf"^{re.escape(name)} contains non-finite "
                                  rf"entries$"):
             QuadraticProblem(**data)
+
+    @pytest.mark.parametrize("field, value, name", [
+        ("f_b", np.zeros((2, 2)), "f.b"),
+        ("f_c0", "x", "f.c0"),
+        ("f_H", np.eye(3), "f.H"),
+        ("h_A", np.ones((1, 3)), "h.A"),
+        ("h_r", np.zeros((1, 1)), "h.r"),
+        ("reference", (np.zeros(3), np.zeros((0, 0)), np.zeros(1),
+                       np.zeros((0, 0))), "reference_kkt.x"),
+        ("reference", (np.zeros(2), np.zeros((1, 1)), np.zeros(1),
+                       np.zeros((0, 0))), "reference_kkt.Y"),
+        ("reference", (np.zeros(2), np.zeros((0, 0)), np.array([np.nan]),
+                       np.zeros((0, 0))), "reference_kkt.mu"),
+        ("reference", (np.zeros(2), np.zeros((0, 0)), np.zeros(1),
+                       np.zeros(0)), "reference_kkt.Gamma"),
+    ], ids=["f_b-2d", "f_c0-string", "f_H-n", "h_A-width", "h_r-2d",
+            "ref-x-shape", "ref-Y-shape", "ref-mu-nan", "ref-Gamma-shape"])
+    def test_malformed_data_is_named(self, field, value, name):
+        # the constructor took a 2-D f_b, any reference, and raised a
+        # bare ValueError on a wrong-width h_A or a non-numeric f_c0
+        if field == "reference":
+            x, Y, mu, Gamma = value
+            value = KKTPoint(x, MultiplierTriple(Y, mu, Gamma))
+        with pytest.raises(InvalidInput,
+                           match=rf"^{re.escape(name)} (must|contains) "):
+            QuadraticProblem(**self._data(**{field: value}))
 
 
 class TestOracleConsistency:

@@ -423,6 +423,27 @@ def test_validation_budget(monkeypatch):
     assert (counts["check"], counts["inner"]) == (18, 8)
 
 
+def test_generation_validation_budget(monkeypatch):
+    # a coefficient stack is checked in one pass, not one check_symmetric
+    # call per slice: building an instance makes the same few calls
+    # (A0, f_H and the diagnostics' matrices) whatever n is
+    calls = []
+    check_symmetric = spectral.check_symmetric
+
+    def counting(M, name="matrix"):
+        calls.append(name)
+        return check_symmetric(M, name)
+
+    for module in (spectral, problem_module):
+        monkeypatch.setattr(module, "check_symmetric", counting)
+    counts = []
+    for n in (40, 80):
+        calls.clear()
+        generate_instance(n, 16, 4, 14, profile="nondegen", seed=1)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] <= 13
+
+
 # the bundled instances, the absent-block shapes, and F and g with Aij
 QUADRATIC = "mixed-quadratic"
 
