@@ -28,11 +28,11 @@ from dataclasses import fields
 import numpy as np
 
 from .diagnostics import (
+    _strong_sosc_check,
     cone_blocks,
     nondegeneracy_check,
     rate_constants,
     rate_sweep,
-    strong_sosc_check,
 )
 from .errors import (
     InnerSolveError,
@@ -233,7 +233,7 @@ def cmd_check(args):
     res = kkt_residual(problem, ref.x, y.Y, y.mu, y.Gamma)
     blocks = cone_blocks(problem, ref.x, y)
     nondeg = nondegeneracy_check(problem, ref.x, y, blocks=blocks)
-    sosc = strong_sosc_check(problem, ref.x, y, blocks=blocks)
+    sosc = _strong_sosc_check(problem, ref.x, y, res, blocks)
     try:
         constants = rate_constants(problem, ref.x, y, blocks=blocks).as_dict()
     except SDNOPError as exc:

@@ -431,9 +431,19 @@ def strong_sosc_check(problem, x, multipliers, blocks=None):
         When the smallest eigenvalue of the reduced matrix lies within its
         round-off, eps * dim * ||M||_2, of 1e-10: data near the float
         limit leave the verdict to rounding.
+
+    The KKT residual is formed here.  ``rate_sweep`` and ``sdnop check``
+    form it first for their own tests and pass it to the body,
+    ``_strong_sosc_check``, so that it is formed once.
     """
     res = kkt_residual(problem, x, multipliers.Y, multipliers.mu,
                        multipliers.Gamma)
+    return _strong_sosc_check(problem, x, multipliers, res, blocks)
+
+
+def _strong_sosc_check(problem, x, multipliers, res, blocks):
+    """:func:`strong_sosc_check` given ``res``, the KKT residual at
+    (x, multipliers), for a caller that has formed it already."""
     if res.total > _KKT_TOL:
         raise NotAKKTPoint(
             f"KKT residual {res.total:.3e} exceeds {_KKT_TOL:.1e}")
@@ -870,8 +880,8 @@ def rate_sweep(problem, reference, grid, delta=1e-2, seed=0):
         blocks = cone_blocks(problem, reference.x, reference.multipliers)
         nondeg = nondegeneracy_check(problem, reference.x,
                                      reference.multipliers, blocks=blocks)
-        sosc = strong_sosc_check(problem, reference.x, reference.multipliers,
-                                 blocks=blocks)
+        sosc = _strong_sosc_check(problem, reference.x,
+                                  reference.multipliers, ref_res, blocks)
         unverified = not (nondeg.holds and sosc.holds)
     except (NotAKKTPoint, NotASubgradient, InvalidInput):
         unverified = True

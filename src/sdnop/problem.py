@@ -404,35 +404,38 @@ class ShiftedPoint:
     value, the gradient, the Newton element and the multiplier update.
     ``Z`` and ``M`` are symmetrized by :func:`spectral.symmetric_part`,
     which keeps the bits of an exactly symmetric sum; a non-finite entry
-    in either is an InvalidInput that names it.  Y and Gamma are not tested for
-    symmetry here: the callers check them once, where they enter
-    (``check_multipliers``).  ``sq_norms`` holds the terms fixed for a
-    whole subproblem: (np.sum(Y * Y), np.sum(Gamma * Gamma)) for the value
-    and the shift Y/c of Z; a caller that evaluates many points of one
-    subproblem takes it from the first point and passes it on.
-    The envelope gradient Yhat, the projection Ghat, the Jacobians, the
-    gradient and the value are formed on first use, so a point whose
-    value nobody reads never evaluates it; F(x), h(x) and g(x) are kept
-    for the KKT residual at the multiplier update.  Every attribute is
-    set for every problem: an absent F or g gives a 0x0 Z or M (whose
-    decomposition calls no eigensolver) and m = 0 gives empty ``hx`` and
-    ``muhat``.
+    in either is an InvalidInput that names it, so a point proves F(x)
+    and g(x) finite.  Y and Gamma are not tested for symmetry here: the
+    callers check them once, where they enter (``check_multipliers``).
+    ``sq_norms`` holds the terms fixed for a whole subproblem:
+    (np.sum(Y * Y), np.sum(Gamma * Gamma)) for the value and the shift
+    Y/c of Z; a caller that evaluates many points of one subproblem takes
+    it from the first point and passes it on.  The envelope gradient
+    Yhat, the projection Ghat, the Jacobians, the gradient and the value
+    are formed on first use, so a point whose value nobody reads never
+    evaluates it.  F(x), h(x) and g(x) are kept for the KKT residual at
+    the multiplier update and for the first point of the next
+    subproblem, at the same x, which takes them as ``_maps`` instead of
+    forming them again.  Every attribute is set for every problem: an
+    absent F or g gives a 0x0 Z or M (whose decomposition calls no
+    eigensolver) and m = 0 gives empty ``hx`` and ``muhat``.
     """
 
-    def __init__(self, problem, x, Y, mu, Gamma, c, *, sq_norms=None):
+    def __init__(self, problem, x, Y, mu, Gamma, c, *, sq_norms=None,
+                 _maps=None):
         require_positive("c", c)
         self.problem = problem
         self.x = x
         self.mu = mu
         self.c = c
         self.tau = 1.0 / c
-        self.Fx = problem.F(x)
+        self.Fx = problem.F(x) if _maps is None else _maps[0]
         Y_shift = Y / c if sq_norms is None else sq_norms[2]
         self.Z = symmetric_part(self.Fx + Y_shift, "F(x) + Y/c")
         self.eig_Z = eig_symmetrized(self.Z)
-        self.hx = problem.h(x)
+        self.hx = problem.h(x) if _maps is None else _maps[1]
         self.muhat = mu + c * self.hx
-        self.gx = problem.g(x)
+        self.gx = problem.g(x) if _maps is None else _maps[2]
         self.M = symmetric_part(Gamma - c * self.gx, "Gamma - c g(x)")
         self.eig_M = eig_symmetrized(self.M)
         if sq_norms is None:
@@ -625,6 +628,11 @@ class ResidualHalves:
     (subgradient, cone and dual: four eigendecompositions) on first read
     and returns the KKTResidual, with the bits ``kkt_residual`` gives.
     The arguments are those of :func:`kkt_residual`.
+
+    With a point, the finite Z and M it decomposed prove F(x) and g(x)
+    finite, so their symmetric parts and the pairing <F(x), Y> are
+    formed with the spectral half, and a row left pending never forms
+    them.  Without one, F(x) and g(x) are checked here, in order.
     """
 
     def __init__(self, problem, x, Y, mu, Gamma, *, point=None):
@@ -634,15 +642,23 @@ class ResidualHalves:
         else:
             grad, Fx, hx, gx = point.grad, point.Fx, point.hx, point.gx
         self.stationarity = float(np.linalg.norm(grad))
+        self.Fx, self.gx = Fx, gx
         self.Ys = Y if point is not None else as_symmetric(Y, "Y")
-        self.Fs = symmetric_part(Fx, "F(x)")
-        # the gap's pairing <F(x), Y>; its nuclear norm needs the spectrum
-        self.pairing = float(np.sum(Fx * self.Ys))
+        if point is None:
+            # no finite Z and M vouch for F(x) and g(x): check them now,
+            # where the full residual names them
+            self.Fs, self.gs
         self.equality = float(np.linalg.norm(hx))
-        self.gx = gx
-        self.gs = symmetric_part(gx, "g(x)")
         self.Gs = Gamma if point is not None else as_symmetric(Gamma, "Gamma")
         self.complementarity = float(abs(np.sum(gx * Gamma)))
+
+    @_lazy
+    def Fs(self):
+        return symmetric_part(self.Fx, "F(x)")
+
+    @_lazy
+    def gs(self):
+        return symmetric_part(self.gx, "g(x)")
 
     def exceeds(self, level):
         """Whether the largest of the three formed components is finite
@@ -656,8 +672,10 @@ class ResidualHalves:
         """The full KKTResidual, formed on first read."""
         ball = max(0.0, float(np.abs(np.linalg.eigvalsh(self.Ys))
                               .max(initial=0.0)) - 1.0)
+        # the gap: the nuclear norm of F(x) less its pairing <F(x), Y>
+        pairing = float(np.sum(self.Fx * self.Ys))
         gap = abs(float(np.abs(np.linalg.eigvalsh(self.Fs)).sum())
-                  - self.pairing)
+                  - pairing)
         cone = float(np.linalg.norm(
             self.gx - positive_part(eig_symmetrized(self.gs))))
         dual = float(max(0.0, -np.linalg.eigvalsh(self.Gs).min(initial=0.0)))

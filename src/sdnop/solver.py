@@ -119,8 +119,9 @@ class InnerStats:
     configured tolerance, "floor" when it met only the round-off floor,
     None when it failed.  ``floor`` is the round-off floor at the last
     point, and ``value`` the augmented Lagrangian there, read from
-    ``point``: the loop evaluates it only at points it steps from, so a
-    stop after a gradient-contraction step leaves it to the first read.
+    ``point``: the loop evaluates the value only where a test reads it
+    (see ``inner_minimize``), so a last point it did not evaluate is
+    evaluated on the first read.
     """
 
     iterations: int
@@ -292,6 +293,24 @@ def _inner_stop(gnorm, tol, floor):
     return None
 
 
+@dataclass(frozen=True)
+class _MultiplierUpdate(MultiplierTriple):
+    """The multiplier update ``alm_solve`` formed at ``point``, passed to
+    the next inner solve, which starts at the same x: Y and Gamma are
+    square and exactly symmetric by construction."""
+
+    point: ShiftedPoint = field(compare=False, repr=False)
+
+
+def _check_formed_multipliers(Y, Gamma):
+    """``check_multipliers`` for a Y and Gamma formed square and exactly
+    symmetric by a multiplier update: only finiteness is left to test,
+    with its message and in its order."""
+    for name, M in (("Y", Y), ("Gamma", Gamma)):
+        if not np.isfinite(M).all():
+            raise InvalidInput(f"{name} contains non-finite entries")
+
+
 def inner_minimize(problem, y, c, x0, cfg, outer_residual=None):
     """Minimize the augmented Lagrangian in x at the multiplier block y.
 
@@ -304,13 +323,26 @@ def inner_minimize(problem, y, c, x0, cfg, outer_residual=None):
     InnerSolveError with the best iterate if max_iter is exhausted first,
     and InvalidInput if y.Y or y.Gamma is not a finite symmetric matrix.
 
-    The value is evaluated where a step reads it: at each point the loop
-    steps from, once its stop check has passed, and at each Armijo trial
-    point.  A point reached by a gradient-contraction step where the loop
-    then stops, or runs out of iterations, is not evaluated;
-    ``InnerStats.value`` evaluates it on first read.
+    The value is evaluated only where a test reads it: at each Armijo
+    trial point, and at the point a step leaves from when its slope
+    -grad.d exceeds 1e-12 (the contraction branch's bound is
+    1e-12 (1 + |val|)) or the Armijo search runs.  A slope within 1e-12
+    takes the contraction branch whatever the value, so a NaN value no
+    longer fails such a step when its full step halves the gradient
+    norm; when it does not, that full step's point is the search's first
+    trial.  ``InnerStats.value`` evaluates an unevaluated last point on
+    first read.
+
+    A y that ``alm_solve`` formed at x0 (a ``_MultiplierUpdate``) is
+    exactly symmetric, so it is tested only for finiteness, and the
+    F(x), h(x) and g(x) of the point it was formed at start the solve.
     """
-    check_multipliers(y.Y, y.Gamma)
+    if isinstance(y, _MultiplierUpdate):
+        _check_formed_multipliers(y.Y, y.Gamma)
+        maps = (y.point.Fx, y.point.hx, y.point.gx)
+    else:
+        check_multipliers(y.Y, y.Gamma)
+        maps = None
     x = np.array(x0, dtype=np.float64)
     tol = cfg.grad_tol
     if outer_residual is not None and math.isfinite(outer_residual):
@@ -321,7 +353,7 @@ def inner_minimize(problem, y, c, x0, cfg, outer_residual=None):
     # one ShiftedPoint per evaluated point; an accepted trial point's state
     # becomes the current one, so its gradient and Newton element reuse it.
     # The multiplier norms of the value are formed once, at the first
-    pt = ShiftedPoint(problem, x, y.Y, y.mu, y.Gamma, c)
+    pt = ShiftedPoint(problem, x, y.Y, y.mu, y.Gamma, c, _maps=maps)
     sq_norms = pt.sq_norms
 
     def at(z):
@@ -330,7 +362,7 @@ def inner_minimize(problem, y, c, x0, cfg, outer_residual=None):
 
     scales = _data_scales(problem, x, pt)
     grad = aug_lagrangian_grad(problem, x, y.Y, y.mu, y.Gamma, c, point=pt)
-    # the value at x, None until a step reads it
+    # the value at x, None until a test reads it
     val = None
     # max_iter steps, and a stop check at each of the max_iter + 1 points
     for it in range(cfg.max_iter + 1):
@@ -342,22 +374,24 @@ def inner_minimize(problem, y, c, x0, cfg, outer_residual=None):
                                  pt, stop, floor)
         if it == cfg.max_iter:
             break
-        if val is None:
-            val = aug_lagrangian_value(problem, x, y.Y, y.mu, y.Gamma, c,
-                                       point=pt)
         A = newton_matrix_element(problem, x, y.Y, y.mu, y.Gamma, c,
                                   point=pt)
         d, shifted, steepest = _newton_direction(A, grad)
         shifted_steps += int(shifted)
         steepest_steps += int(steepest)
         slope = float(grad @ d)
-        # absorb round-off: near the minimum the true decrease sinks below
-        # the resolution of O(|val|) function values
-        noise = 1e-14 * (1.0 + abs(val))
-        if -slope <= 1e-12 * (1.0 + abs(val)):
-            # predicted decrease is within value noise, so the Armijo test
-            # can no longer measure progress; accept the full step on
-            # gradient contraction instead
+        # a predicted decrease within value noise leaves the Armijo test
+        # unable to measure progress; accept the full step on gradient
+        # contraction instead.  1 + |val| >= 1, so a slope within 1e-12
+        # decides that without the value
+        tiny = -slope <= 1e-12
+        if not tiny:
+            if val is None:
+                val = aug_lagrangian_value(problem, x, y.Y, y.mu, y.Gamma,
+                                           c, point=pt)
+            tiny = -slope <= 1e-12 * (1.0 + abs(val))
+        tpt = None
+        if tiny:
             trial = x + d
             tpt = at(trial)
             tgrad = aug_lagrangian_grad(problem, trial, y.Y, y.mu, y.Gamma, c,
@@ -365,17 +399,26 @@ def inner_minimize(problem, y, c, x0, cfg, outer_residual=None):
             if float(np.linalg.norm(tgrad)) <= 0.5 * gnorm:
                 x, pt, grad, val = trial, tpt, tgrad, None
                 continue
+        if val is None:
+            val = aug_lagrangian_value(problem, x, y.Y, y.mu, y.Gamma, c,
+                                       point=pt)
+        # absorb round-off: near the minimum the true decrease sinks below
+        # the resolution of O(|val|) function values
+        noise = 1e-14 * (1.0 + abs(val))
         t = 1.0
         accepted = False
         for _ in range(_MAX_BACKTRACKS):
             trial = x + t * d
-            tpt = at(trial)
+            # a rejected full step is the first trial: x + 1.0 d is x + d
+            if tpt is None:
+                tpt = at(trial)
             tval = aug_lagrangian_value(problem, trial, y.Y, y.mu, y.Gamma, c,
                                         point=tpt)
             if tval <= val + _ARMIJO_SLOPE * t * slope + noise:
                 accepted = True
                 break
             t *= _BACKTRACK
+            tpt = None
         if not accepted:
             raise InnerSolveError(
                 f"line search failed at inner iteration {it}",
@@ -475,7 +518,8 @@ def alm_solve(problem, y0, config, x0, reference=None):
             dx = float(np.linalg.norm(x - reference.x))
             dy = triple_diff_norm(y_next, reference.multipliers)
         trace.append_row(c, x, y_next, res, istats.iterations, dx, dy)
-        y = y_next
+        y = _MultiplierUpdate(y_next.Y, y_next.mu, y_next.Gamma,
+                              istats.point)
         if total is None:
             # pending: no stop test can pass, and c is at its cap
             continue
@@ -484,7 +528,7 @@ def alm_solve(problem, y0, config, x0, reference=None):
         elif total <= _OUTER_FLOOR_FACTOR * istats.floor < math.inf:
             trace.stop = "floor"
         if trace.stop is not None:
-            return KKTPoint(x, y, res), trace
+            return KKTPoint(x, y_next, res), trace
         c = penalty_update(total, res_prev, c, config)
         res_prev = total
     if total is None:
@@ -492,6 +536,6 @@ def alm_solve(problem, y0, config, x0, reference=None):
     raise MaxIterations(
         f"outer loop exhausted {config.max_outer} iterations "
         f"(residual {res.total:.3e} > {config.outer_tol:.1e})",
-        point=KKTPoint(x, y, res),
+        point=KKTPoint(x, y_next, res),
         trace=trace,
     )

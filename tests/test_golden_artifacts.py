@@ -26,6 +26,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import sdnop
@@ -229,3 +230,91 @@ def test_generated_artifacts_match_golden_digests(tmp_path):
     assert got.keys() == GENERATED.keys()
     moved = sorted(key for key in GENERATED if got[key] != GENERATED[key])
     assert not moved, {key: (GENERATED[key], got[key]) for key in moved}
+
+
+# ----------------------------------------------------------------------------
+# golden iterates at the benchmark sizes, in process
+# ----------------------------------------------------------------------------
+
+SOLVE_DIMS = (40, 16, 4, 14)
+SWEEP_DIMS = (24, 10, 3, 8)
+SWEEP_GRID = (10.0, 100.0, 1000.0, 10000.0)
+# name -> SHA-256 of the run's iterates (see _iterate_digests)
+ITERATES = {
+    "alm_solve nondegen start 0":
+        "a749d30c982bbe77e7cad025ab354c4077f8835aa0704ee66becc25b8abe8d63",
+    "alm_solve nondegen start 1":
+        "a986d1cf75925966b8e51137fd4b11b34818399d7db20e3bb50ba4ba3e60276d",
+    "alm_solve degen start 0":
+        "ee1f2a4827889887d633c4c8b67fdee2604473ab2723ca7649e49f103f2c7d51",
+    "alm_solve degen start 1":
+        "e5a592d9019b9512122f2a6f596bc4e5060c6d0e13c51d9c1859bc1573c08de6",
+    "rate_sweep nondegen":
+        "7cd49bf27937e8164cc1eb8156bd097ce895da91c20caa54ec8e25aa5ee050da",
+}
+
+
+def _feed(h, *values):
+    """Hash each value's exact bits: arrays and floats as float64 bytes,
+    anything else by its repr."""
+    for v in values:
+        if isinstance(v, (np.ndarray, float)):
+            h.update(np.ascontiguousarray(v, dtype=np.float64).tobytes())
+        else:
+            h.update(repr(v).encode())
+
+
+def _solve_digest(P, x0):
+    """Digest of an adaptive ``alm_solve`` from (x0, 0): the final point,
+    every trace row, the inner counts and the stop reason."""
+    point, trace = sdnop.alm_solve(P, sdnop.MultiplierTriple.zeros(P),
+                                   sdnop.ALMConfig(), x0,
+                                   reference=P.reference)
+    h = hashlib.sha256()
+    y = point.multipliers
+    _feed(h, point.x, y.Y, y.mu, y.Gamma, point.residual.as_dict())
+    for k, res in enumerate(trace.residuals):
+        y = trace.multipliers[k]
+        _feed(h, trace.penalties[k], trace.points[k], y.Y, y.mu, y.Gamma,
+              res.as_dict(), trace.inner_iterations[k], trace.dist_x[k],
+              trace.dist_y[k])
+    _feed(h, trace.stop)
+    return h.hexdigest()
+
+
+def _iterate_digests():
+    """The digests ``ITERATES`` pins: an adaptive solve of the generated
+    nondegen and degen instances at the solve benchmark's size, seed 7,
+    from two seeded starts within radius 1 of the reference point, and
+    the rate sweep of the generated nondegen instance at the sweep
+    benchmark's size, seed 7, perturbation seed 7."""
+    got = {}
+    for profile in ("nondegen", "degen"):
+        P = sdnop.generate_instance(*SOLVE_DIMS, profile=profile, seed=7)
+        for start in (0, 1):
+            rng = np.random.RandomState(start)
+            u = rng.randn(P.n)
+            x0 = P.reference.x + rng.uniform(0.0, 1.0) * u / np.linalg.norm(u)
+            got[f"alm_solve {profile} start {start}"] = _solve_digest(P, x0)
+    P = sdnop.generate_instance(*SWEEP_DIMS, profile="nondegen", seed=7)
+    fit = sdnop.rate_sweep(P, P.reference, SWEEP_GRID, seed=7)
+    h = hashlib.sha256()
+    _feed(h, json.dumps(fit.as_dict(), sort_keys=True))
+    got["rate_sweep nondegen"] = h.hexdigest()
+    return got
+
+
+def test_iterates_match_golden_digests():
+    # in a subprocess, so that the BLAS runs on one thread as above
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=SRC)
+    code = ("import json, sys; sys.path.insert(0, sys.argv[1]); "
+            "import test_golden_artifacts as t; "
+            "print(json.dumps(t._iterate_digests()))")
+    proc = subprocess.run(
+        [sys.executable, "-c", code, os.path.dirname(__file__)],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout)
+    moved = sorted(key for key in ITERATES if got.get(key) != ITERATES[key])
+    assert got.keys() == ITERATES.keys()
+    assert not moved, {key: (ITERATES[key], got[key]) for key in moved}

@@ -10,12 +10,13 @@ import os
 import numpy as np
 import pytest
 
-from sdnop import diagnostics, solver
+from sdnop import diagnostics, generator, solver
 from sdnop.errors import InnerSolveError, InvalidInput, MaxIterations
 from sdnop.problem import (
     MultiplierTriple,
     ShiftedPoint,
     aug_lagrangian_value,
+    check_multipliers,
     dual_value_and_grad,
     kkt_residual,
     load_instance,
@@ -154,9 +155,11 @@ class TestInnerMinimize:
 
 
 class TestDeferredValue:
-    """The inner loop evaluates the value only where a step reads it: at
-    the points it steps from and at Armijo trial points.  Whatever point
-    it ends at, ``InnerStats.value`` is the value there, bit for bit."""
+    """The inner loop evaluates the value only where a test reads it: at
+    Armijo trial points, and at the point a step leaves from when the
+    step runs the Armijo search or its slope exceeds 1e-12.  Whatever
+    point it ends at, ``InnerStats.value`` is the value there, bit for
+    bit."""
 
     C = 10.0
 
@@ -242,6 +245,115 @@ class TestDeferredValue:
         assert str(exc) == "line search failed at inner iteration 0"
         assert evaluated and np.array_equal(x, x0)
         assert stats.value == self._fresh_value(problem, x0)
+
+    def test_nan_value_leaves_tiny_slope_steps_to_contraction(
+            self, monkeypatch, mixed_instance):
+        # a step whose slope is within 1e-12 takes the contraction branch
+        # without reading the value, so a NaN value no longer fails it;
+        # a larger slope reads the value, and NaN fails every Armijo trial
+        problem = mixed_instance
+        y = problem.reference.multipliers
+        calls = []
+
+        def nan_value(*args, **kwargs):
+            calls.append(args[1])
+            return float("nan")
+
+        monkeypatch.setattr(solver, "aug_lagrangian_value", nan_value)
+        rng = np.random.RandomState(85)
+        near = problem.reference.x + 1e-7 * rng.randn(problem.n)
+        _x, stats = inner_minimize(problem, y, self.C, near, InnerConfig())
+        assert stats.stop == "tol" and stats.iterations > 0
+        assert calls == []
+        with pytest.raises(InnerSolveError) as info:
+            inner_minimize(problem, y, self.C, np.array([0.5, -0.4, 0.3]),
+                           InnerConfig())
+        assert str(info.value) == "line search failed at inner iteration 0"
+        assert len(calls) == 1 + 60
+
+
+class TestSweepWork:
+    """The work of the benchmark's rate sweep: generated nondegen
+    (24, 10, 3, 8), seed 7, perturbation seed 7, c = 10 ... 1e4."""
+
+    def _sweep(self, monkeypatch):
+        """The sweep's eigendecomposition count and its inner loops' event
+        log: ("point", key) per ShiftedPoint, ("step", point) per Newton
+        element, ("slope", grad . d) per direction and ("value", point)
+        per value evaluation."""
+        problem = generator.generate_instance(24, 10, 3, 8, seed=7)
+        eigs = [0]
+        events = []
+
+        def counting(fn):
+            def wrapped(*args, **kwargs):
+                eigs[0] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        def logging(fn, kind):
+            def wrapped(*args, **kwargs):
+                events.append((kind, kwargs["point"]))
+                return fn(*args, **kwargs)
+            return wrapped
+
+        def shifted(problem, x, Y, mu, Gamma, c, **kwargs):
+            key = tuple(np.asarray(v).tobytes() for v in (x, Y, mu, Gamma))
+            events.append(("point", key + (c,)))
+            return ShiftedPoint(problem, x, Y, mu, Gamma, c, **kwargs)
+
+        def direction(A, grad, _fn=solver._newton_direction):
+            out = _fn(A, grad)
+            events.append(("slope", float(grad @ out[0])))
+            return out
+
+        for name in ("eigh", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name,
+                                counting(getattr(np.linalg, name)))
+        monkeypatch.setattr(solver, "ShiftedPoint", shifted)
+        monkeypatch.setattr(solver, "_newton_direction", direction)
+        for name, kind in (("newton_matrix_element", "step"),
+                           ("aug_lagrangian_value", "value")):
+            monkeypatch.setattr(solver, name,
+                                logging(getattr(solver, name), kind))
+        fit = diagnostics.rate_sweep(problem, problem.reference,
+                                     (10.0, 100.0, 1000.0, 10000.0), seed=7)
+        assert all(fit.converged)
+        return eigs[0], events
+
+    def test_work_is_pinned(self, monkeypatch):
+        # each point is decomposed once (a full step that fails to halve
+        # the gradient is the first Armijo trial), and so is the
+        # reference residual
+        eigs, events = self._sweep(monkeypatch)
+        assert eigs == 240
+        keys = [key for kind, key in events if kind == "point"]
+        assert all(a != b for a, b in zip(keys, keys[1:]))
+
+    def test_value_only_where_a_test_reads_it(self, monkeypatch):
+        # every value at a trial point belongs to an Armijo search; a step
+        # evaluates the value at its start for that search, or, with a
+        # slope above 1e-12, for the test of the slope against value
+        # noise.  A slope within 1e-12 skips that test: such a step reads
+        # no value unless its full step fails to halve the gradient
+        _eigs, events = self._sweep(monkeypatch)
+        steps = []
+        for kind, key in events:
+            if kind == "step":
+                steps.append([key, None, []])
+            elif kind == "slope":
+                steps[-1][1] = key
+            elif kind == "value":
+                steps[-1][2].append(key)
+        searched = noise_tests = 0
+        for start, slope, values in steps:
+            if any(pt is not start for pt in values):
+                searched += 1
+            elif values:
+                assert -slope > 1e-12
+                noise_tests += 1
+        tiny = sum(1 for _, slope, _ in steps if -slope <= 1e-12)
+        assert (len(steps), tiny, searched, noise_tests) == (66, 46, 24, 1)
 
 
 class TestForcingDefault:
@@ -422,6 +534,24 @@ class TestDeferredResidual:
             raised.append(str(info.value))
         assert raised[0] == raised[1]
         assert raised[0].startswith(message)
+
+
+    @pytest.mark.parametrize("bad", ["Y", "Gamma", "both"])
+    def test_formed_multipliers_raise_as_checked(self, bad):
+        # alm_solve tests the multipliers it formed only for finiteness,
+        # with the message and the order of the full check
+        Y, Gamma = np.eye(3), np.eye(2)
+        if bad in ("Y", "both"):
+            Y = np.full((3, 3), np.inf)
+        if bad in ("Gamma", "both"):
+            Gamma = np.diag([1.0, np.nan])
+        raised = []
+        for check in (check_multipliers, solver._check_formed_multipliers):
+            with pytest.raises(InvalidInput) as info:
+                check(Y, Gamma)
+            raised.append(str(info.value))
+        assert raised[0] == raised[1]
+        assert raised[0].startswith("Gamma" if bad == "Gamma" else "Y")
 
 
 class TestPenaltyUpdate:

@@ -398,11 +398,12 @@ def test_direction_functions_validate_once(monkeypatch):
 
 
 def test_validation_budget(monkeypatch):
-    # Y and Gamma are validated where they enter: once by each inner
-    # solve and once by the residual at the start, which has no point.
-    # Every other matrix of a solve is formed by the library, and only
-    # checked finite where it is symmetrized
-    counts = {"check": 0, "inner": 0}
+    # Y and Gamma are validated where they enter: once by the residual at
+    # the start, which has no point, and once by the first inner solve.
+    # Every other matrix of a solve is formed by the library: the later
+    # inner solves test the multipliers alm_solve formed only for
+    # finiteness, and the rest is checked finite where it is symmetrized
+    counts = {"check": 0, "inner": 0, "finite": 0}
 
     def counting(fn, key):
         def wrapped(*args, **kwargs):
@@ -416,11 +417,13 @@ def test_validation_budget(monkeypatch):
         monkeypatch.setattr(module, "check_symmetric", check)
     monkeypatch.setattr(solver, "inner_minimize",
                         counting(solver.inner_minimize, "inner"))
+    monkeypatch.setattr(solver, "_check_formed_multipliers",
+                        counting(solver._check_formed_multipliers, "finite"))
     _point, trace = alm_solve(problem, MultiplierTriple.zeros(problem),
                               ALMConfig(), np.zeros(problem.n))
     assert counts["inner"] == len(trace)
-    assert counts["check"] == 2 * counts["inner"] + 2
-    assert (counts["check"], counts["inner"]) == (18, 8)
+    assert counts["finite"] == counts["inner"] - 1
+    assert (counts["check"], counts["inner"]) == (4, 8)
 
 
 def test_generation_validation_budget(monkeypatch):
