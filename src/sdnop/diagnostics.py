@@ -31,6 +31,7 @@ from .errors import (
 from .nuclear import curvature_form, subdiff_partition
 from .problem import (
     MultiplierTriple,
+    check_multipliers,
     hess_xx_lagrangian,
     kkt_residual,
 )
@@ -47,6 +48,7 @@ from .spectral import (
     partition_by_sign,
     pinv_sym,
     svec,
+    symmetric_part,
 )
 
 # relative singular-value cutoffs: nondegeneracy needs
@@ -156,16 +158,14 @@ def cone_blocks(problem, x, multipliers, rng=None):
     Raises
     ------
     InvalidInput
-        On dimension mismatches between the multipliers and the problem.
+        When the multipliers do not fit the problem (see
+        :func:`problem.check_multipliers`).
     NotASubgradient
         When Y is not a subgradient of the nuclear norm at F(x).
     """
     x = np.asarray(x, dtype=np.float64)
     Y, mu, Gamma = multipliers.Y, multipliers.mu, multipliers.Gamma
-    if np.shape(mu) != (problem.m,):
-        raise InvalidInput("mu dimension does not match the problem")
-    if np.shape(Gamma) != (problem.p, problem.p):
-        raise InvalidInput("Gamma dimension does not match the problem")
+    check_multipliers(problem, Y, mu, Gamma)
     part = subdiff_partition(problem.F(x), Y)
     Q = part.basis
     lam_F = part.values
@@ -780,11 +780,9 @@ def _unit_perturbation(problem, seed):
     """Deterministic unit-norm multiplier displacement for a given seed."""
     rng = np.random.RandomState(seed)
     q, m, p = problem.q, problem.m, problem.p
-    DY = rng.randn(q, q)
-    DY = 0.5 * (DY + DY.T)
+    DY = symmetric_part(rng.randn(q, q), "DY")
     dmu = rng.randn(m)
-    DG = rng.randn(p, p)
-    DG = 0.5 * (DG + DG.T)
+    DG = symmetric_part(rng.randn(p, p), "DG")
     norm = math.sqrt(
         float(np.sum(DY * DY)) + float(dmu @ dmu) + float(np.sum(DG * DG)))
     if norm == 0.0:

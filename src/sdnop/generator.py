@@ -39,6 +39,7 @@ from .problem import (
     QuadraticProblem,
     kkt_residual,
 )
+from .spectral import symmetric_part
 
 _PROFILES = ("nondegen", "degen", "saddle")
 _MAX_ATTEMPTS = 40
@@ -130,7 +131,8 @@ def _designed_tensors(rng, n, k, frame, support, slots):
     out = np.zeros((n, k, k))
     if not support:
         return out
-    comp = {l: _NOISE_SCALE * _sym(rng.randn(k, k)) for l in support}
+    comp = {l: _NOISE_SCALE * symmetric_part(rng.randn(k, k), "noise")
+            for l in support}
     for r, (i, j) in enumerate(slots):
         C = comp[support[r % len(support)]]
         C[i, j] += _SLOT_SCALE
@@ -138,10 +140,6 @@ def _designed_tensors(rng, n, k, frame, support, slots):
     for l, C in comp.items():
         out[l] = frame @ C @ frame.T
     return out
-
-
-def _sym(Z):
-    return 0.5 * (Z + Z.T)
 
 
 def _support_pools(n, q, p, f_need, g_need):

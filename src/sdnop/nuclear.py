@@ -182,8 +182,7 @@ def _subdiff_structure(eig, Yh, tol):
     zero = list(part.zero)
     b_up, b_mid, b_low = [], [], []
     if zero:
-        bb = 0.5 * (Yh[np.ix_(zero, zero)] + Yh[np.ix_(zero, zero)].T)
-        sub = eig_sym(bb)
+        sub = eig_sym(Yh[np.ix_(zero, zero)])
         wb = np.clip(sub.values, -1.0, 1.0)
         w[zero] = wb
         basis[:, zero] = basis[:, zero] @ sub.basis
@@ -302,7 +301,7 @@ def _eig_derivs(X, H, W=None):
     # blocks, and the nested groups within one, are runs of consecutive
     # indices, so slices reach them and d2[blk] is a view
     for k, blk in enumerate(map(_span, blocks.blocks)):
-        inner = eig_sym(0.5 * (Hh[blk, blk] + Hh[blk, blk].T))
+        inner = eig_sym(Hh[blk, blk])
         d1[blk] = inner.values
         if W is None:
             continue

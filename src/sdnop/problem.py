@@ -14,7 +14,6 @@ elements of the augmented Lagrangian, and the local dual function.
 import json
 import math
 from dataclasses import asdict, dataclass
-from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -95,10 +94,28 @@ def _array(value, name, shape, finite=True):
     return A
 
 
+class _lazy:
+    """Attribute computed on first read, like ``functools.cached_property``
+    but without the lock that one takes at every first read before Python
+    3.12.  The result goes into the instance ``__dict__``, which shadows
+    this descriptor from then on."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.name = fn.__name__
+        self.__doc__ = fn.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
+
+
 def _sym_stack(A, name):
-    """The symmetric parts of a stack (..., k, k), each slice checked by the
-    rule of :func:`spectral.check_symmetric` in one pass over the stack;
-    that function names the first slice that fails."""
+    """:func:`spectral.symmetric_part` of a stack (..., k, k), each slice
+    checked first by the rule of :func:`spectral.check_symmetric` in one
+    pass over the stack; that function names the first slice that fails."""
     top = np.abs(A).max(axis=(-2, -1), initial=0.0)
     with np.errstate(invalid="ignore"):  # inf - inf, in a failing slice
         gap = np.abs(A - np.swapaxes(A, -2, -1)).max(axis=(-2, -1),
@@ -106,9 +123,7 @@ def _sym_stack(A, name):
     bad = ~np.isfinite(top) | (gap > SYM_TOL * (1.0 + top))
     if bad.any():
         check_symmetric(A[tuple(np.argwhere(bad)[0])], name)
-    # halve before adding: finite entries near the float limit stay finite
-    H = 0.5 * A
-    return H + np.swapaxes(H, -2, -1)
+    return symmetric_part(A, name)
 
 
 class QuadraticMatrixMap:
@@ -202,9 +217,10 @@ class QuadraticProblem:
         n = self.f_b.size
         f_H = _array(f_H, "f.H", (n, n), finite=False)
         self.f_H = as_symmetric(f_H, "f.H")
-        empty = QuadraticMatrixMap(np.zeros((0, 0)), np.zeros((n, 0, 0)))
-        self.F_map = F_map if F_map is not None else empty
-        self.g_map = g_map if g_map is not None else empty
+        # formed only for an absent map, so a full instance checks no 0x0 one
+        self.F_map, self.g_map = (
+            QuadraticMatrixMap(np.zeros((0, 0)), np.zeros((n, 0, 0)))
+            if qmap is None else qmap for qmap in (F_map, g_map))
         for name, qmap in (("F", self.F_map), ("g", self.g_map)):
             _array(qmap.Ai, f"{name}.Ai", (n, qmap.k, qmap.k), finite=False)
         self.h_r = _array(h_r, "h.r", ("m",))
@@ -224,7 +240,7 @@ class QuadraticProblem:
     # -- constants of the data ------------------------------------------------
     # formed on first use by the same expressions the oracles evaluate, so
     # with the same bits, and kept: the solver reads them at every point
-    @cached_property
+    @_lazy
     def affine_curvature(self):
         """Hessian in x of the Lagrangian when F and g have no ``Aij``:
         then it is the same at every point and multiplier.  None
@@ -234,12 +250,12 @@ class QuadraticProblem:
         y = MultiplierTriple.zeros(self)
         return hess_xx_lagrangian(self, np.zeros(self.n), y.Y, y.mu, y.Gamma)
 
-    @cached_property
+    @_lazy
     def jac_h_gram(self):
         """Jh^T Jh, the same at every x since h is affine."""
         return self.h_A.T @ self.h_A
 
-    @cached_property
+    @_lazy
     def jac_norms(self):
         """Frobenius norms of the Jacobian stacks DF, Jh and Dg where they
         are the same at every x; None for a map with ``Aij``."""
@@ -368,29 +384,12 @@ def grad_x_lagrangian(problem, x, Y, mu, Gamma):
 
 
 def hess_xx_lagrangian(problem, x, Y, mu, Gamma):
-    """Hessian in x of the Lagrangian.  ``mu`` does not enter, because h
+    """Hessian in x of the Lagrangian, symmetrized by
+    :func:`spectral.symmetric_part`.  ``mu`` does not enter, because h
     is affine."""
-    H = 0.5 * (problem.f_H + problem.F_map.hess_contract(Y)
-               - problem.g_map.hess_contract(Gamma))
-    return H + H.T
-
-
-class _lazy:
-    """Attribute computed on first read, like ``functools.cached_property``
-    but without the lock that one takes at every first read before Python
-    3.12.  The result goes into the instance ``__dict__``, which shadows
-    this descriptor from then on."""
-
-    def __init__(self, fn):
-        self.fn = fn
-        self.name = fn.__name__
-        self.__doc__ = fn.__doc__
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.name] = self.fn(obj)
-        return value
+    return symmetric_part(problem.f_H + problem.F_map.hess_contract(Y)
+                          - problem.g_map.hess_contract(Gamma),
+                          "Hessian of the Lagrangian")
 
 
 class ShiftedPoint:
@@ -481,17 +480,24 @@ class ShiftedPoint:
         return float(val)
 
 
-def check_multipliers(Y, Gamma):
-    """Reject a Y or Gamma that is not square, finite and symmetric to
-    round-off (see :func:`spectral.check_symmetric`), naming it."""
-    check_symmetric(Y, "Y")
-    check_symmetric(Gamma, "Gamma")
+def check_multipliers(problem, Y, mu, Gamma):
+    """Reject, naming it, the first of Y, mu and Gamma that is not finite,
+    of the problem's size and, for Y and Gamma, symmetric to round-off
+    (see :func:`spectral.check_symmetric`)."""
+    if check_symmetric(Y, "Y").shape != (problem.q,) * 2:
+        raise InvalidInput("Y dimension does not match the problem")
+    if np.shape(mu) != (problem.m,):
+        raise InvalidInput("mu dimension does not match the problem")
+    if not np.isfinite(mu).all():
+        raise InvalidInput("mu contains non-finite entries")
+    if check_symmetric(Gamma, "Gamma").shape != (problem.p,) * 2:
+        raise InvalidInput("Gamma dimension does not match the problem")
 
 
 def _shifted(problem, x, Y, mu, Gamma, c, point):
     if point is not None:
         return point
-    check_multipliers(Y, Gamma)
+    check_multipliers(problem, Y, mu, Gamma)
     return ShiftedPoint(problem, x, Y, mu, Gamma, c)
 
 
@@ -609,8 +615,9 @@ def kkt_residual(problem, x, Y, mu, Gamma, *, point=None):
     Y and Gamma are then taken as formed, exactly symmetric, and still
     decomposed: the spectra of Z and M give their eigenvalues only up to
     the round-off of forming them, which can decide a residual near the
-    round-off floor.  Without a point, Y and Gamma are validated and
-    symmetrized first (see :func:`spectral.as_symmetric`).
+    round-off floor.  Without a point, Y, mu and Gamma are checked first
+    (see :func:`check_multipliers`), then Y and Gamma symmetrized (see
+    :func:`spectral.symmetric_part`).
 
     The body is :class:`ResidualHalves`: the components that need no
     eigendecomposition, then the spectral half, each formed once.
@@ -632,25 +639,27 @@ class ResidualHalves:
     With a point, the finite Z and M it decomposed prove F(x) and g(x)
     finite, so their symmetric parts and the pairing <F(x), Y> are
     formed with the spectral half, and a row left pending never forms
-    them.  Without one, F(x) and g(x) are checked here, in order.
+    them.  Without one, the multipliers and then F(x) and g(x) are
+    checked here, in order.
     """
 
     def __init__(self, problem, x, Y, mu, Gamma, *, point=None):
         if point is None:
+            check_multipliers(problem, Y, mu, Gamma)
             grad = grad_x_lagrangian(problem, x, Y, mu, Gamma)
-            Fx, hx, gx = problem.F(x), problem.h(x), problem.g(x)
-        else:
-            grad, Fx, hx, gx = point.grad, point.Fx, point.hx, point.gx
-        self.stationarity = float(np.linalg.norm(grad))
-        self.Fx, self.gx = Fx, gx
-        self.Ys = Y if point is not None else as_symmetric(Y, "Y")
-        if point is None:
+            self.Fx, hx, self.gx = problem.F(x), problem.h(x), problem.g(x)
             # no finite Z and M vouch for F(x) and g(x): check them now,
             # where the full residual names them
             self.Fs, self.gs
+            self.Ys = symmetric_part(Y, "Y")
+            self.Gs = symmetric_part(Gamma, "Gamma")
+        else:
+            grad, self.Fx, hx, self.gx = (point.grad, point.Fx, point.hx,
+                                          point.gx)
+            self.Ys, self.Gs = Y, Gamma
+        self.stationarity = float(np.linalg.norm(grad))
         self.equality = float(np.linalg.norm(hx))
-        self.Gs = Gamma if point is not None else as_symmetric(Gamma, "Gamma")
-        self.complementarity = float(abs(np.sum(gx * Gamma)))
+        self.complementarity = float(abs(np.sum(self.gx * Gamma)))
 
     @_lazy
     def Fs(self):

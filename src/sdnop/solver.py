@@ -303,9 +303,9 @@ class _MultiplierUpdate(MultiplierTriple):
 
 
 def _check_formed_multipliers(Y, Gamma):
-    """``check_multipliers`` for a Y and Gamma formed square and exactly
-    symmetric by a multiplier update: only finiteness is left to test,
-    with its message and in its order."""
+    """``check_multipliers`` for a Y and Gamma that a multiplier update
+    formed exactly symmetric and of the problem's sizes: only their
+    finiteness is left to test, with its message and in its order."""
     for name, M in (("Y", Y), ("Gamma", Gamma)):
         if not np.isfinite(M).all():
             raise InvalidInput(f"{name} contains non-finite entries")
@@ -341,7 +341,7 @@ def inner_minimize(problem, y, c, x0, cfg, outer_residual=None):
         _check_formed_multipliers(y.Y, y.Gamma)
         maps = (y.point.Fx, y.point.hx, y.point.gx)
     else:
-        check_multipliers(y.Y, y.Gamma)
+        check_multipliers(problem, y.Y, y.mu, y.Gamma)
         maps = None
     x = np.array(x0, dtype=np.float64)
     tol = cfg.grad_tol

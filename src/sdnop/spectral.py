@@ -69,18 +69,12 @@ def check_symmetric(M, name="matrix"):
 
 def as_symmetric(M, name="matrix"):
     """Validate (see :func:`check_symmetric`) and symmetrize a square
-    matrix.
+    matrix by :func:`symmetric_part`.
 
     Returns a new array.  A matrix that is symmetric bit for bit comes
-    back unchanged: halving would lose the last bit of a subnormal entry.
+    back with its bits, subnormal entries included.
     """
-    M = check_symmetric(M, name)
-    bits = M.view(np.uint64)
-    if np.array_equal(bits, bits.T):
-        return M.copy()
-    # halve before adding, so finite entries near the float limit stay finite
-    H = 0.5 * M
-    return H + H.T
+    return symmetric_part(check_symmetric(M, name), name)
 
 
 def default_tol(values):
@@ -121,27 +115,26 @@ class EigenDecomposition:
 
 
 def symmetric_part(A, name):
-    """(A + A^T) / 2 of a square matrix, checked finite.
+    """(A + A^T) / 2 of a square matrix or of each slice of a stack
+    (..., k, k), checked finite: the library's one symmetrization rule.
 
-    Adds before halving, so a bitwise-symmetric matrix keeps its bits,
-    and halves first only where the sum overflows near the float limit.
-    Raises InvalidInput naming ``name`` when an entry is not
-    finite.  Unlike :func:`as_symmetric` it does not test the asymmetry:
-    it is for matrices formed from operands that were checked already.
+    Adds before halving, so the result is symmetric bit for bit and an
+    exactly symmetric matrix keeps its bits, subnormals included; only an
+    entry whose sum overflows is halved first.  Raises InvalidInput
+    naming ``name`` when an entry is not finite.  Unlike
+    :func:`as_symmetric` it does not test the asymmetry: it is for
+    matrices formed from operands that were checked already.
     """
+    At = A.swapaxes(-1, -2)
     # one scan settles the usual case: entries of magnitude at most
     # DBL_MAX/2 cannot overflow the sum, and NaN fails the comparison
     if np.abs(A).max(initial=0.0) <= _HALF_MAX:
-        S = A + A.T
+        S = A + At
         S *= 0.5
         return S
     with np.errstate(over="ignore", invalid="ignore"):
-        S = A + A.T
-    if np.isfinite(S).all():
-        S *= 0.5
-        return S
-    H = 0.5 * A
-    S = H + H.T
+        S = (A + At) * 0.5
+        S = np.where(np.isfinite(S), S, 0.5 * A + 0.5 * At)
     if not np.isfinite(S).all():
         raise InvalidInput(f"{name} contains non-finite entries")
     return S

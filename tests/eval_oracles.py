@@ -10,8 +10,8 @@ The functions below are the formulas those replaced: ``np.tensordot``
 contractions, a stable argsort reorder, a loop-built block index and a
 loop over the numpy flags for the kinks.  Each rewrite must agree with
 its oracle bit for bit.  ``sym_stack_loop`` is the check of a coefficient
-stack that ``problem._sym_stack`` makes in one pass: one
-``check_symmetric`` call per slice.
+stack that ``problem._sym_stack`` makes in one pass: one ``as_symmetric``
+call per slice.
 
 ``apply_jac``, ``lagrangian`` and ``newton_element_einsum`` are the
 reference formulas the tests check the library against: the directional
@@ -44,7 +44,6 @@ from sdnop.psd_cone import project_psd, theta_matrix
 from sdnop.spectral import (
     EigenDecomposition,
     as_symmetric,
-    check_symmetric,
     choice_table,
     group_distinct,
     partition_by_sign,
@@ -78,11 +77,10 @@ def adjoint_jac(jac, S):
 
 def sym_stack_loop(A, name):
     A = np.asarray(A, dtype=np.float64)
-    flat = A.reshape(-1, A.shape[-2], A.shape[-1]) if A.size else ()
-    for M in flat:
-        check_symmetric(M, name)
-    H = 0.5 * A
-    return H + np.swapaxes(H, -2, -1)
+    out = np.empty_like(A)
+    for idx in np.ndindex(A.shape[:-2]):
+        out[idx] = as_symmetric(A[idx], name)
+    return out
 
 
 def eig_sym(M):

@@ -34,6 +34,8 @@ from sdnop.problem import (
     triple_diff_norm,
 )
 
+from sdnop.spectral import as_symmetric, symmetric_part
+
 from conftest import make_mixed_instance
 from eval_oracles import apply_jac, lagrangian, sym_stack_loop
 
@@ -229,6 +231,61 @@ class TestSymStack:
             assert got == _stack_outcome(sym_stack_loop, A)
             named.add(got.split(" ")[1])
         assert named == {"is", "contains"}
+
+
+def _add_then_halve(A):
+    """(A + A^T) 0.5 of a matrix or of each slice of a stack, halved first
+    only where the sum overflows."""
+    At = np.swapaxes(A, -2, -1)
+    with np.errstate(over="ignore"):
+        S = (A + At) * 0.5
+    return np.where(np.isfinite(S), S, 0.5 * A + 0.5 * At)
+
+
+class TestOneSymmetrizationRule:
+    def test_subnormal_coefficients_keep_their_bits(self):
+        # halving first made the Ai entry 0.0
+        qmap = QuadraticMatrixMap(np.full((1, 1), 5e-324),
+                                  np.full((1, 1, 1), 5e-324))
+        assert qmap.A0[0, 0] == 5e-324
+        assert qmap.Ai[0, 0, 0] == 5e-324
+
+    # the entries' scale and their round-off asymmetry: subnormal,
+    # ordinary, large, and beyond DBL_MAX/2, where some sums overflow
+    @pytest.mark.parametrize("scale, asym", [
+        (1e-320, 1e-320), (1.0, 1e-12), (1e300, 1e288), (1.5e308, 1.5e296)])
+    def test_every_path_adds_then_halves(self, scale, asym):
+        rng = np.random.RandomState(71)
+        n, k = 3, 4
+
+        def near_symmetric(shape):
+            return (_symmetric_stack(rng, shape, scale)
+                    + asym * rng.uniform(-1.0, 1.0, shape))
+
+        Ai = near_symmetric((n, k, k))
+        Aij = near_symmetric((n, n, k, k))
+        upper = np.triu_indices(n, 1)
+        Aij[upper[::-1]] = Aij[upper]  # symmetric in the index pair
+        f_H = near_symmetric((n, n))
+        Y = 1e-3 / k ** 2 * rng.uniform(-1.0, 1.0, (k, k))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            qmap = QuadraticMatrixMap(Ai[0], Ai, Aij)
+            problem = QuadraticProblem(0.0, np.zeros(n), f_H, qmap,
+                                       np.zeros((0, n)), np.zeros(0), None)
+            hess = hess_xx_lagrangian(problem, np.zeros(n), Y, np.zeros(0),
+                                      np.zeros((0, 0)))
+            pairs = [
+                (symmetric_part(Ai, "Ai"), Ai),
+                (as_symmetric(Ai[0], "A0"), Ai[0]),
+                (qmap.A0, Ai[0]),
+                (qmap.Ai, Ai),
+                (qmap.Aij, Aij),
+                (problem.f_H, f_H),
+                (hess, problem.f_H + qmap.hess_contract(Y)),
+            ]
+        for got, A in pairs:
+            assert got.tobytes() == _add_then_halve(A).tobytes()
 
 
 class TestProblemData:

@@ -6,6 +6,7 @@ solve.
 """
 
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from sdnop import diagnostics, generator, solver
 from sdnop.errors import InnerSolveError, InvalidInput, MaxIterations
 from sdnop.problem import (
     MultiplierTriple,
+    QuadraticProblem,
     ShiftedPoint,
     aug_lagrangian_value,
     check_multipliers,
@@ -545,13 +547,139 @@ class TestDeferredResidual:
             Y = np.full((3, 3), np.inf)
         if bad in ("Gamma", "both"):
             Gamma = np.diag([1.0, np.nan])
+        def full_check(Y, Gamma):
+            sizes = SimpleNamespace(q=3, m=0, p=2)
+            check_multipliers(sizes, Y, np.zeros(0), Gamma)
+
         raised = []
-        for check in (check_multipliers, solver._check_formed_multipliers):
+        for check in (full_check, solver._check_formed_multipliers):
             with pytest.raises(InvalidInput) as info:
                 check(Y, Gamma)
             raised.append(str(info.value))
         assert raised[0] == raised[1]
         assert raised[0].startswith("Gamma" if bad == "Gamma" else "Y")
+
+
+class TestMultiplierShapes:
+    # every entry point names a Y, mu or Gamma that does not fit the
+    # problem; numpy's reshape and matmul errors used to reach the caller
+    ENTRIES = {
+        "alm_solve": lambda P, y: alm_solve(P, y, ALMConfig(),
+                                            P.reference.x),
+        "kkt_residual": lambda P, y: kkt_residual(P, P.reference.x, y.Y,
+                                                  y.mu, y.Gamma),
+        "dual_value_and_grad": lambda P, y: dual_value_and_grad(
+            P, y.Y, y.mu, y.Gamma, 10.0, P.reference.x),
+        "strong_sosc_check": lambda P, y: diagnostics.strong_sosc_check(
+            P, P.reference.x, y),
+    }
+
+    @staticmethod
+    def _edited(field, edit):
+        problem = load_instance(os.path.join(INSTANCES,
+                                             "nondegen_small.json"))
+        y = problem.reference.multipliers
+        fields = {"Y": y.Y, "mu": y.mu, "Gamma": y.Gamma}
+        fields[field] = edit(fields[field])
+        return problem, MultiplierTriple(**fields)
+
+    @pytest.mark.parametrize("entry", sorted(ENTRIES))
+    @pytest.mark.parametrize("field", ["Y", "mu", "Gamma"])
+    @pytest.mark.parametrize("step", [-1, 1])
+    def test_wrong_size_is_named(self, entry, field, step):
+        def resized(value):
+            size = value.shape[0] + step
+            return np.eye(size) if value.ndim == 2 else np.zeros(size)
+
+        problem, y = self._edited(field, resized)
+        with pytest.raises(InvalidInput, match=rf"^{field} dimension does "
+                                               r"not match the problem$"):
+            self.ENTRIES[entry](problem, y)
+
+    @pytest.mark.parametrize("entry", sorted(ENTRIES))
+    def test_nan_mu_is_named(self, entry):
+        # alm_solve reported it as "F(x) + Y/c contains non-finite entries"
+        problem, y = self._edited("mu", lambda mu: np.full(mu.shape, np.nan))
+        with pytest.raises(InvalidInput,
+                           match=r"^mu contains non-finite entries$"):
+            self.ENTRIES[entry](problem, y)
+
+
+def _shift_rung(lmin):
+    """Doublings of the initial Levenberg shift that clear the
+    definiteness floor at the smallest eigenvalue ``lmin``."""
+    k = 0
+    while lmin + solver._SHIFT_INITIAL * 2.0 ** k < solver._PD_FLOOR:
+        k += 1
+    return k
+
+
+class TestLevenbergShift:
+    # the converging runs that take shifted Newton steps: no benchmark run
+    # and no other test does, so these pin the ladder's live cases
+
+    @staticmethod
+    def _steps(monkeypatch):
+        """Record (shifted, steepest, smallest eigenvalue) of each Newton
+        direction."""
+        steps = []
+        newton_direction = solver._newton_direction
+
+        def recording(A, grad):
+            d, shifted, steepest = newton_direction(A, grad)
+            steps.append((shifted, steepest,
+                          float(np.linalg.eigvalsh(A).min())))
+            return d, shifted, steepest
+
+        monkeypatch.setattr(solver, "_newton_direction", recording)
+        return steps
+
+    @staticmethod
+    def _with_f_H(problem, f_H):
+        return QuadraticProblem(problem.f_c0, problem.f_b, f_H,
+                                problem.F_map, problem.h_A, problem.h_r,
+                                problem.g_map, reference=problem.reference)
+
+    @pytest.mark.parametrize("seed, steps_taken, outer",
+                             [(0, 13, 10), (1, 13, 10), (2, 19, 9)])
+    def test_linear_objective_takes_the_first_rung(self, monkeypatch, seed,
+                                                   steps_taken, outer):
+        # with f.H = 0 every Newton element is singular to round-off
+        generated = generator.generate_instance(24, 10, 3, 8,
+                                                profile="nondegen", seed=seed)
+        problem = self._with_f_H(generated, np.zeros((24, 24)))
+        steps = self._steps(monkeypatch)
+        _, trace = alm_solve(problem, MultiplierTriple.zeros(problem),
+                             ALMConfig(), np.zeros(24))
+        assert trace.stop == "tol" and len(trace) == outer
+        assert sum(trace.inner_iterations) == len(steps) == steps_taken
+        for shifted, steepest, lmin in steps:
+            assert shifted and not steepest
+            assert _shift_rung(lmin) == 0
+
+    def test_negative_curvature_takes_the_last_rung(self, monkeypatch):
+        # ROADMAP item 9's nonconvex variant: f.H = t B B^T - s (I - B B^T)
+        # with B the reduced-subspace basis at the reference, t = 1 and
+        # s = 0.03, from a far start with zero multipliers
+        generated = generator.generate_instance(24, 10, 3, 8,
+                                                profile="nondegen", seed=3)
+        ref = generated.reference
+        _, B = diagnostics.sosc_reduced_matrix(generated, ref.x,
+                                               ref.multipliers)
+        BB = B @ B.T
+        problem = self._with_f_H(generated,
+                                 BB - 0.03 * (np.eye(24) - BB))
+        x0 = 0.3 * np.random.RandomState(3007).randn(24) / np.sqrt(24)
+        steps = self._steps(monkeypatch)
+        _, trace = alm_solve(problem, MultiplierTriple.zeros(problem),
+                             ALMConfig(), x0)
+        assert trace.stop == "tol" and len(trace) == 10
+        assert sum(trace.inner_iterations) == len(steps) == 19
+        assert not any(steepest for _, steepest, _ in steps)
+        shifted = [lmin for flag, _, lmin in steps if flag]
+        assert len(shifted) == 1
+        assert round(shifted[0], 5) == -9.90e-3
+        assert _shift_rung(shifted[0]) == solver._MAX_SHIFT_DOUBLINGS
 
 
 class TestPenaltyUpdate:
