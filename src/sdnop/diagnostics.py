@@ -30,7 +30,9 @@ from .errors import (
 )
 from .nuclear import curvature_form, subdiff_partition
 from .problem import (
+    KKTPoint,
     MultiplierTriple,
+    _array,
     check_multipliers,
     hess_xx_lagrangian,
     kkt_residual,
@@ -93,6 +95,12 @@ class ConeBlocks:
     ``jac_F_Q[l]`` is the l-th coordinate partial of F compressed into the
     F basis, ``jac_g_P[l]`` the same for g in the M basis.  ``jac_h`` is
     the problem's ``h_A`` itself, not a copy.
+
+    ``multiplicity`` is informational: it is set when two consecutive
+    columns of ``basis_F`` share eigenvalue and weight, or two of
+    ``basis_M`` share an eigenvalue (within 1e-8 (1 + the largest
+    magnitude), and 1e-8 for the weight), so that the bases are not
+    unique.  No constant of this module depends on the choice.
     """
 
     basis_F: np.ndarray
@@ -119,51 +127,30 @@ class ConeBlocks:
         return self.b_up + self.b_mid + self.b_low
 
 
-def _equal_runs(keys, tols):
-    """Consecutive index runs where every key coordinate stays within tol."""
-    k = keys.shape[0]
-    runs = []
-    start = 0
-    for i in range(1, k):
-        if np.any(np.abs(keys[i] - keys[i - 1]) > tols):
-            runs.append(tuple(range(start, i)))
-            start = i
-    if k:
-        runs.append(tuple(range(start, k)))
-    return runs
+def _repeats(keys, tols):
+    """Whether two consecutive rows of ``keys`` agree within ``tols`` in
+    every coordinate."""
+    return bool((np.abs(np.diff(keys, axis=0)) <= tols).all(axis=1).any())
 
 
-def _rotate_within(basis, runs, rng):
-    out = basis.copy()
-    for run in runs:
-        if len(run) < 2:
-            continue
-        G = rng.randn(len(run), len(run))
-        O, _ = np.linalg.qr(G)
-        out[:, list(run)] = out[:, list(run)] @ O
-    return out
-
-
-def cone_blocks(problem, x, multipliers, rng=None):
+def cone_blocks(problem, x, multipliers):
     """Assemble the joint eigen-structure at (x, multipliers).
 
-    Parameters
-    ----------
-    rng : numpy.random.RandomState, optional
-        When given, the basis columns are rotated by random orthogonal
-        blocks inside every eigen-group that leaves both decompositions
-        invariant (equal eigenvalue and equal weight).  Used to bracket
-        basis-dependent constants when the spectrum has multiplicities.
+    Inside a run of equal eigenvalue (and, for F, equal weight) the basis
+    columns are fixed only up to a rotation.  Every verdict and constant
+    this module derives is invariant under such rotations, so the basis the
+    eigensolver returns serves; ``multiplicity`` records whether such a
+    run exists.
 
     Raises
     ------
     InvalidInput
-        When the multipliers do not fit the problem (see
-        :func:`problem.check_multipliers`).
+        When x is not a finite vector of length n, or the multipliers do
+        not fit the problem (see :func:`problem.check_multipliers`).
     NotASubgradient
         When Y is not a subgradient of the nuclear norm at F(x).
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = _array(x, "x", (problem.n,))
     Y, mu, Gamma = multipliers.Y, multipliers.mu, multipliers.Gamma
     check_multipliers(problem, Y, mu, Gamma)
     part = subdiff_partition(problem.F(x), Y)
@@ -176,18 +163,12 @@ def cone_blocks(problem, x, multipliers, rng=None):
     P = eig_M.basis
 
     scale_F = 1.0 + np.abs(lam_F).max(initial=0.0)
-    runs_F = _equal_runs(
-        np.column_stack([lam_F, w]),
-        np.array([GROUP_TOL * scale_F, GROUP_TOL]),
-    )
     scale_M = 1.0 + eig_M.norm
-    runs_M = _equal_runs(
-        eig_M.values.reshape(-1, 1), np.array([GROUP_TOL * scale_M])
-    )
-    multiplicity = any(len(r) > 1 for r in runs_F + runs_M)
-    if rng is not None:
-        Q = _rotate_within(Q, runs_F, rng)
-        P = _rotate_within(P, runs_M, rng)
+    multiplicity = (
+        _repeats(np.column_stack([lam_F, w]),
+                 np.array([GROUP_TOL * scale_F, GROUP_TOL]))
+        or _repeats(eig_M.values.reshape(-1, 1),
+                    np.array([GROUP_TOL * scale_M])))
 
     return ConeBlocks(
         basis_F=Q,
@@ -557,7 +538,7 @@ def _curvature_model(problem, x, multipliers, b):
 
 
 def _sigma_nu_at(blocks):
-    """Singular-value and cross-block spectral brackets for one basis.
+    """Singular-value and cross-block spectral brackets.
 
     The nu bracket is the spectrum of the Gram matrix C C^T of the
     cross-family rows, which is positive semidefinite: a smallest
@@ -618,8 +599,9 @@ class RateConstants:
     ``rho1`` bounds the primal distance ratio and scales like twice
     ``rho0``; the dual-side constant has no computable closed form, so
     ``rho2_proxy`` is NaN here and gets fitted from an empirical sweep.
-    Values are estimates when ``spectrum_multiplicity`` is set (the bases
-    are then non-unique and the extrema are bracketed by sampling).
+    The nu_0, sigma and nu brackets do not depend on the choice of basis
+    inside a repeated eigenvalue; ``spectrum_multiplicity`` only reports
+    that one exists (see :class:`ConeBlocks`).
     """
 
     nu_lower_0: float
@@ -642,7 +624,7 @@ class RateConstants:
         return asdict(self)
 
 
-def rate_constants(problem, x, multipliers, rotations=32, blocks=None):
+def rate_constants(problem, x, multipliers, blocks=None):
     """Evaluate the constants entering the contraction-rate bound.
 
     The ratio brackets nu_0 are the extremes of the cross-family tables
@@ -651,19 +633,18 @@ def rate_constants(problem, x, multipliers, rotations=32, blocks=None):
     for the cone family); each family's squared maximum enters rho0 with
     its factor from ``_CROSS_FAMILIES``.  The singular-value bracket
     sigma comes from the active-block matrix and the spectral bracket nu
-    from the cross-family rows.  Both are exact when the relevant spectra
-    are simple; with multiplicities the bases are non-unique and
-    ``rotations`` random intra-group rotations widen them (flagged in the
-    result); the rotations draw from a RandomState seeded 0.  The uniform
-    curvature bracket (eta) is estimated from the split-penalty curvature
-    model (:func:`split_penalty_matrix`) over c = 10, 100, 1e3, 1e4 with
-    the base weight c0 = 10, which the result reports; it is an estimate,
-    not a certified constant.  Wherever nondegeneracy fails (sigma_min of
-    the active-block matrix at most 1e-8 sigma_max, the cutoff of
-    :func:`nondegeneracy_check`), ``sigma_upper``, ``c_bar`` and
+    from the cross-family rows.  All three are spectral functions of the
+    blocks: a rotation inside a run of equal eigenvalue and weight maps
+    each family's rows orthogonally, and the tables are constant on such
+    runs, so they are exact whatever basis the eigensolver returns.  The
+    uniform curvature bracket (eta) is estimated from the split-penalty
+    curvature model (:func:`split_penalty_matrix`) over c = 10, 100, 1e3,
+    1e4 with the base weight c0 = 10, which the result reports; it is an
+    estimate, not a certified constant.  Wherever nondegeneracy fails
+    (sigma_min of the active-block matrix at most 1e-8 sigma_max, the
+    cutoff of :func:`nondegeneracy_check`), ``sigma_upper``, ``c_bar`` and
     ``kappa0`` are infinite and ``rho0``/``rho1`` NaN.  ``blocks`` is an
-    optional :func:`cone_blocks` at (x, multipliers) to reuse; the rotated
-    brackets build their own.
+    optional :func:`cone_blocks` at (x, multipliers) to reuse.
     """
     if blocks is None:
         blocks = cone_blocks(problem, x, multipliers)
@@ -673,17 +654,7 @@ def rate_constants(problem, x, multipliers, rotations=32, blocks=None):
         nu_upper_0 = max(hi for _, hi in nus.values())
     else:
         nu_lower_0 = nu_upper_0 = 0.0
-
     sig_lo, sig_hi, nu_lo, nu_hi = _sigma_nu_at(blocks)
-    if blocks.multiplicity and rotations > 0:
-        rng = np.random.RandomState(0)
-        for _ in range(rotations):
-            rotated = cone_blocks(problem, x, multipliers, rng=rng)
-            s_lo, s_hi, n_lo, n_hi = _sigma_nu_at(rotated)
-            sig_lo = min(sig_lo, s_lo)
-            sig_hi = max(sig_hi, s_hi)
-            nu_lo = min(nu_lo, n_lo)
-            nu_hi = max(nu_hi, n_hi)
 
     c0 = _BASE_PENALTY
     eta_lower = float("inf")
@@ -858,6 +829,14 @@ def rate_sweep(problem, reference, grid, delta=1e-2, seed=0):
     the nondegeneracy or second-order check fails (or cannot run) at the
     reference point.
     """
+    if not isinstance(reference, KKTPoint):
+        raise InvalidInput(f"reference must be a KKTPoint, got "
+                           f"{type(reference).__name__}")
+    try:
+        grid = list(grid)
+    except TypeError:
+        raise InvalidInput(
+            f"grid must be a sequence of penalties, got {grid!r}") from None
     grid = [require_positive("grid value", c) for c in grid]
     if not grid:
         raise InvalidInput("penalty grid is empty")

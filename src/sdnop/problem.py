@@ -495,8 +495,12 @@ def check_multipliers(problem, Y, mu, Gamma):
 
 
 def _shifted(problem, x, Y, mu, Gamma, c, point):
+    """``point``, or a ShiftedPoint from arguments checked here: x a
+    finite vector of length n, the multipliers by
+    :func:`check_multipliers`."""
     if point is not None:
         return point
+    x = _array(x, "x", (problem.n,))
     check_multipliers(problem, Y, mu, Gamma)
     return ShiftedPoint(problem, x, Y, mu, Gamma, c)
 
@@ -615,8 +619,9 @@ def kkt_residual(problem, x, Y, mu, Gamma, *, point=None):
     Y and Gamma are then taken as formed, exactly symmetric, and still
     decomposed: the spectra of Z and M give their eigenvalues only up to
     the round-off of forming them, which can decide a residual near the
-    round-off floor.  Without a point, Y, mu and Gamma are checked first
-    (see :func:`check_multipliers`), then Y and Gamma symmetrized (see
+    round-off floor.  Without a point, x is checked to be a finite vector
+    of length n, Y, mu and Gamma are checked (see
+    :func:`check_multipliers`), then Y and Gamma symmetrized (see
     :func:`spectral.symmetric_part`).
 
     The body is :class:`ResidualHalves`: the components that need no
@@ -639,12 +644,13 @@ class ResidualHalves:
     With a point, the finite Z and M it decomposed prove F(x) and g(x)
     finite, so their symmetric parts and the pairing <F(x), Y> are
     formed with the spectral half, and a row left pending never forms
-    them.  Without one, the multipliers and then F(x) and g(x) are
+    them.  Without one, x, the multipliers and then F(x) and g(x) are
     checked here, in order.
     """
 
     def __init__(self, problem, x, Y, mu, Gamma, *, point=None):
         if point is None:
+            x = _array(x, "x", (problem.n,))
             check_multipliers(problem, Y, mu, Gamma)
             grad = grad_x_lagrangian(problem, x, Y, mu, Gamma)
             self.Fx, hx, self.gx = problem.F(x), problem.h(x), problem.g(x)

@@ -35,6 +35,7 @@ from .problem import (
     MultiplierTriple,
     ResidualHalves,
     ShiftedPoint,
+    _array,
     aug_lagrangian_grad,
     aug_lagrangian_value,
     check_multipliers,
@@ -321,7 +322,8 @@ def inner_minimize(problem, y, c, x0, cfg, outer_residual=None):
     An ``outer_residual`` that is None, infinite or NaN drops the middle
     term.  ``InnerStats.stop`` records which bound was met.  Raises
     InnerSolveError with the best iterate if max_iter is exhausted first,
-    and InvalidInput if y.Y or y.Gamma is not a finite symmetric matrix.
+    and InvalidInput if y.Y or y.Gamma is not a finite symmetric matrix
+    or x0 is not a finite vector of length n.
 
     The value is evaluated only where a test reads it: at each Armijo
     trial point, and at the point a step leaves from when its slope
@@ -334,14 +336,16 @@ def inner_minimize(problem, y, c, x0, cfg, outer_residual=None):
     first read.
 
     A y that ``alm_solve`` formed at x0 (a ``_MultiplierUpdate``) is
-    exactly symmetric, so it is tested only for finiteness, and the
-    F(x), h(x) and g(x) of the point it was formed at start the solve.
+    exactly symmetric, so it is tested only for finiteness, x0 is its
+    iterate and is not tested, and the F(x), h(x) and g(x) of the point
+    it was formed at start the solve.
     """
     if isinstance(y, _MultiplierUpdate):
         _check_formed_multipliers(y.Y, y.Gamma)
         maps = (y.point.Fx, y.point.hx, y.point.gx)
     else:
         check_multipliers(problem, y.Y, y.mu, y.Gamma)
+        x0 = _array(x0, "x0", (problem.n,))
         maps = None
     x = np.array(x0, dtype=np.float64)
     tol = cfg.grad_tol
@@ -490,7 +494,7 @@ def alm_solve(problem, y0, config, x0, reference=None):
     the bits of an eager run.  A forced or adaptive run forms every row.
     """
     trace = ALMTrace()
-    x = np.array(x0, dtype=np.float64)
+    x = np.array(_array(x0, "x0", (problem.n,)))
     y = y0
     c = config.c0
     exact = config.inner.grad_tol_rel == 0.0

@@ -2,12 +2,21 @@
 that use them: a bad size, penalty, tolerance or grid value raises an
 InvalidInput whose message starts with the argument's name."""
 
+import os
 import re
+import warnings
 
 import numpy as np
 import pytest
 
-from sdnop.diagnostics import rate_sweep, split_penalty_matrix
+from sdnop.diagnostics import (
+    cone_blocks,
+    nondegeneracy_check,
+    rate_constants,
+    rate_sweep,
+    split_penalty_matrix,
+    strong_sosc_check,
+)
 from sdnop.errors import (
     InvalidInput,
     require_int,
@@ -28,12 +37,15 @@ from sdnop.nuclear import (
     subdiff_partition,
 )
 from sdnop.problem import (
+    KKTPoint,
     MultiplierTriple,
     ShiftedPoint,
     aug_lagrangian_value,
     dual_value_and_grad,
+    kkt_residual,
+    load_instance,
 )
-from sdnop.solver import ALMConfig, InnerConfig
+from sdnop.solver import ALMConfig, InnerConfig, alm_solve, inner_minimize
 from sdnop.spectral import eig_sym, group_distinct, partition_by_sign
 
 from conftest import make_mixed_instance
@@ -160,3 +172,70 @@ class TestChecks:
                            match=r"^max_iter must be an integer of at "
                                  r"least 1, got 0$"):
             require_int("max_iter", 0, 1)
+
+
+# ----------------------------------------------------------------------------
+# malformed primal points
+# ----------------------------------------------------------------------------
+
+_NONDEGEN = os.path.join(os.path.dirname(os.path.dirname(__file__)),
+                         "instances", "nondegen_small.json")
+
+
+def _probe(call, x):
+    """Call a public entry point on nondegen_small at the point x."""
+    problem = load_instance(_NONDEGEN)
+    y = problem.reference.multipliers
+    if call is alm_solve:
+        return call(problem, y, ALMConfig(), x)
+    if call is inner_minimize:
+        return call(problem, y, 10.0, x, InnerConfig())
+    if call is dual_value_and_grad:
+        return call(problem, y.Y, y.mu, y.Gamma, 10.0, x)
+    if call is kkt_residual:
+        return call(problem, x, y.Y, y.mu, y.Gamma)
+    if call is aug_lagrangian_value:
+        return call(problem, x, y.Y, y.mu, y.Gamma, 10.0)
+    if call is rate_sweep:
+        return call(problem, KKTPoint(x, y), (10.0,))
+    return call(problem, x, y)
+
+
+# each entry point, and the name its message gives the point
+_POINT_CALLS = [
+    (alm_solve, "x0"), (inner_minimize, "x0"), (dual_value_and_grad, "x0"),
+    (kkt_residual, "x"), (aug_lagrangian_value, "x"), (cone_blocks, "x"),
+    (nondegeneracy_check, "x"), (strong_sosc_check, "x"),
+    (rate_constants, "x"), (rate_sweep, "x"),
+]
+_BAD_POINTS = {
+    "short": np.zeros(3),
+    "nan": np.full(8, np.nan),
+    "inf": np.full(8, np.inf),
+    "text": "0",
+}
+
+
+@pytest.mark.parametrize("bad", sorted(_BAD_POINTS))
+@pytest.mark.parametrize("call, name", _POINT_CALLS,
+                         ids=[call.__name__ for call, _ in _POINT_CALLS])
+def test_malformed_point_is_named(call, name, bad):
+    # rejected where it enters, before any arithmetic on it can warn
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInput,
+                           match=rf"^{name} (must|contains) "):
+            _probe(call, _BAD_POINTS[bad])
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"grid": 10.0}, "grid must be a sequence of penalties, got 10.0"),
+    ({"grid": None}, "grid must be a sequence of penalties, got None"),
+    ({"reference": None, "grid": (10.0,)},
+     "reference must be a KKTPoint, got NoneType"),
+], ids=["grid-float", "grid-None", "reference-None"])
+def test_rate_sweep_arguments_are_named(kwargs, message):
+    problem = make_mixed_instance()
+    kwargs = dict({"reference": problem.reference}, **kwargs)
+    with pytest.raises(InvalidInput, match=f"^{re.escape(message)}$"):
+        rate_sweep(problem, **kwargs)

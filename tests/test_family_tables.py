@@ -25,10 +25,15 @@ from sdnop.problem import load_instance
 
 import family_oracles as oracle
 from conftest import (
+    REPEATED_SPECTRA,
+    make_block_instance,
     make_full_blocks_instance,
     make_mixed_instance,
+    make_repeated_blocks_instance,
     make_repeated_eigenvalue_instance,
     make_weighted_zero_instance,
+    rotated_blocks,
+    spectrum_runs,
 )
 
 INSTANCES = os.path.join(os.path.dirname(os.path.dirname(__file__)),
@@ -55,9 +60,11 @@ def _setup(case):
     build, rotation_seed = CASES[case]
     problem = build()
     ref = problem.reference
-    rng = (np.random.RandomState(rotation_seed)
-           if rotation_seed is not None else None)
-    blocks = cone_blocks(problem, ref.x, ref.multipliers, rng=rng)
+    if rotation_seed is None:
+        blocks = cone_blocks(problem, ref.x, ref.multipliers)
+    else:
+        blocks = rotated_blocks(problem, ref.x, ref.multipliers,
+                                np.random.RandomState(rotation_seed))
     return problem, ref, blocks
 
 
@@ -110,3 +117,62 @@ def test_curvature_model_matches(case, c, free):
                                           c_base, c, free, blocks)
         scale = np.abs(old).max()
         assert np.abs(new - old).max() <= 1e-13 * scale
+
+
+# ----------------------------------------------------------------------------
+# the multiplicity flag against the run rule it replaced
+# ----------------------------------------------------------------------------
+
+def _run_rule(blocks):
+    """Whether some run of ``spectrum_runs`` has two or more indices."""
+    return any(len(run) > 1 for runs in spectrum_runs(blocks) for run in runs)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_multiplicity_matches_run_rule(case):
+    _, _, blocks = _setup(case)
+    assert blocks.multiplicity == _run_rule(blocks)
+
+
+# one repeated group per index class on the spectra of
+# make_full_blocks_instance: F eigenvalues, weights, M eigenvalues
+_ONE_REPEAT = {
+    "a": ([1.5, 1.5, 0, 0, 0, -1.2], [1, 1, 1, 0.3, -1, -1], [0.8, 0, -1.1]),
+    "b_up": ([1.5, 0, 0, 0, 0, -1.2], [1, 1, 1, 0.3, -1, -1], [0.8, 0, -1.1]),
+    "b_mid": ([1.5, 0, 0, 0, 0, -1.2], [1, 1, 0.3, 0.3, -1, -1],
+              [0.8, 0, -1.1]),
+    "b_low": ([1.5, 0, 0, 0, 0, -1.2], [1, 1, 0.3, -1, -1, -1],
+              [0.8, 0, -1.1]),
+    "c_neg": ([1.5, 0, 0, 0, -1.2, -1.2], [1, 1, 0.3, -1, -1, -1],
+              [0.8, 0, -1.1]),
+    "alpha": ([1.5, 0, 0, 0, -1.2], [1, 1, 0.3, -1, -1],
+              [0.8, 0.8, 0, -1.1]),
+    "beta": ([1.5, 0, 0, 0, -1.2], [1, 1, 0.3, -1, -1], [0.8, 0, 0, -1.1]),
+    "gamma": ([1.5, 0, 0, 0, -1.2], [1, 1, 0.3, -1, -1],
+              [0.8, 0, -1.1, -1.1]),
+}
+
+
+_FLAG_CASES = {
+    **{family: (lambda spectra=spectra: make_block_instance(*spectra, 12),
+                True)
+       for family, spectra in _ONE_REPEAT.items()},
+    # equal eigenvalue 0 of F with distinct weights: no repeat
+    "equal_values": (make_full_blocks_instance, False),
+    **{name: (lambda name=name: make_repeated_blocks_instance(name), True)
+       for name in REPEATED_SPECTRA},
+    "F_absent": (lambda: generate_instance(8, 0, 3, 3, seed=7), False),
+    "g_absent": (lambda: generate_instance(8, 3, 3, 0, seed=7), False),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_FLAG_CASES))
+def test_multiplicity_on_constructed_spectra(case):
+    build, expected = _FLAG_CASES[case]
+    problem = build()
+    ref = problem.reference
+    blocks = cone_blocks(problem, ref.x, ref.multipliers)
+    if case in _ONE_REPEAT:
+        # the repeat lands in the class it is built for
+        assert len(getattr(blocks, case)) == 2
+    assert blocks.multiplicity == _run_rule(blocks) == expected

@@ -680,6 +680,13 @@ class TestKKTResidual:
             point = ShiftedPoint(problem, np.zeros(problem.n), y.Y, y.mu,
                                  y.Gamma, 10.0)
             setattr(point, field, np.full_like(getattr(point, field), np.nan))
+        else:
+            # without a point x is checked finite where it enters, so the
+            # map itself gives a non-finite value at a finite x
+            x = np.zeros(problem.n)
+            method = {"Fx": "F", "gx": "g"}[field]
+            shape = getattr(problem, method)(x).shape
+            setattr(problem, method, lambda x: np.full(shape, np.nan))
         name = {"Fx": "F(x)", "gx": "g(x)"}[field]
         with pytest.raises(InvalidInput,
                            match=rf"^{re.escape(name)} contains non-finite"):

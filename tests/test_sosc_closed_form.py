@@ -21,7 +21,11 @@ from sdnop.nuclear import curvature_form, psi_conjugate
 from sdnop.problem import hess_xx_lagrangian, load_instance
 from sdnop.spectral import EigenDecomposition, group_distinct, pinv_sym
 
-from conftest import make_full_blocks_instance, make_mixed_instance
+from conftest import (
+    make_full_blocks_instance,
+    make_mixed_instance,
+    rotated_blocks,
+)
 from eval_oracles import apply_jac
 from family_oracles import critical_member
 from psi_oracles import psi_critical, psi_full
@@ -104,7 +108,7 @@ def _bundled(name):
 def _rotate_value_groups(blocks, rng):
     """Rotate the F basis inside every eigenvalue group of F(x).
 
-    ``cone_blocks(..., rng=...)`` rotates only inside runs of equal
+    ``rotated_blocks`` (conftest) rotates only inside runs of equal
     eigenvalue *and* equal multiplier weight, where the multiplier block
     is a multiple of the identity, so its same-group blocks of Y_Q stay
     diagonal.  Rotating across the whole group makes them full, which
@@ -129,9 +133,9 @@ CASES = {
     "full_nondegen": (lambda: make_full_blocks_instance("nondegen"), None),
     "full_degen": (lambda: make_full_blocks_instance("degen"), None),
     "full_nondegen_rotated": (
-        lambda: make_full_blocks_instance("nondegen"), "cone_blocks"),
+        lambda: make_full_blocks_instance("nondegen"), "runs"),
     "full_degen_rotated": (
-        lambda: make_full_blocks_instance("degen"), "cone_blocks"),
+        lambda: make_full_blocks_instance("degen"), "runs"),
     "full_nondegen_group_rotated": (
         lambda: make_full_blocks_instance("nondegen"), "groups"),
     "full_degen_group_rotated": (
@@ -150,8 +154,10 @@ def _setup(case):
     ref = problem.reference
     x = np.asarray(ref.x, dtype=np.float64)
     rng = np.random.RandomState(3)
-    blocks = cone_blocks(problem, x, ref.multipliers,
-                         rng=rng if variant == "cone_blocks" else None)
+    if variant == "runs":
+        blocks = rotated_blocks(problem, x, ref.multipliers, rng)
+    else:
+        blocks = cone_blocks(problem, x, ref.multipliers)
     basis = app_cone_basis(problem, x, ref.multipliers, blocks=blocks)
     if variant == "groups":
         blocks = _rotate_value_groups(blocks, rng)

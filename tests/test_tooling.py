@@ -138,17 +138,39 @@ TOLERANCE_ARGUMENTS = {
 }
 
 
-def test_tolerance_arguments_are_listed():
+# the public functions that take a seed, a random state or a sample count.
+# The diagnostics' brackets and verdicts are spectral functions of the
+# data and sample nothing; the sweep's seed picks its perturbation
+# direction
+SAMPLING_ARGUMENTS = {
+    "sdnop.diagnostics.rate_sweep": "seed",
+}
+
+
+def _public_arguments(names):
+    """Public functions of the numerical modules that take an argument in
+    ``names``, by qualified name."""
     found = {}
-    for name in ("spectral", "psd_cone", "nuclear", "problem", "diagnostics"):
+    for name in ("spectral", "psd_cone", "nuclear", "problem", "solver",
+                 "diagnostics"):
         module = importlib.import_module(f"sdnop.{name}")
         for qualname, fn in _defined_functions(module):
             if qualname.split(".")[-1].startswith("_"):
                 continue
             for param in inspect.signature(fn).parameters:
-                if param in ("tol", "group_tol", "cutoff"):
+                if param in names:
                     found[f"{module.__name__}.{qualname}"] = param
-    assert found == TOLERANCE_ARGUMENTS
+    return found
+
+
+def test_tolerance_arguments_are_listed():
+    assert _public_arguments(("tol", "group_tol", "cutoff")) == \
+        TOLERANCE_ARGUMENTS
+
+
+def test_sampling_arguments_are_listed():
+    assert _public_arguments(("seed", "rng", "rotations")) == \
+        SAMPLING_ARGUMENTS
 
 
 def test_problem_methods_read_x():
