@@ -832,6 +832,7 @@ def rate_sweep(problem, reference, grid, delta=1e-2, seed=0):
     if not isinstance(reference, KKTPoint):
         raise InvalidInput(f"reference must be a KKTPoint, got "
                            f"{type(reference).__name__}")
+    _array(reference.x, "reference.x", (problem.n,))
     try:
         grid = list(grid)
     except TypeError:

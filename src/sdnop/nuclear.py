@@ -65,6 +65,7 @@ __all__ = [
     "soft_pair_table",
     "ProxDividedDiff",
     "prox_divided_diff",
+    "prox_support_table",
     "prox_dir_deriv",
     "prox_bsub_element",
     "grad_env_bsub_element",
@@ -364,33 +365,29 @@ def theta_second_dir_deriv(X, H, W):
 # divided differences and directional derivative of the prox
 # ----------------------------------------------------------------------------
 
-def soft_pair_table(vals, tau, kink_flags):
+def soft_pair_table(vals, tau, lo=0, hi=None):
     """Difference-quotient table of the scalar soft threshold at level tau.
 
-    ``vals`` holds distinct eigenvalue representatives.  Off-diagonal entry
-    (k, l) is (p(v_k) - p(v_l)) / (v_k - v_l) with p the soft threshold.
-    Diagonal entries carry the slope (1 outside [-tau, tau], 0 inside);
-    entries whose ``kink_flags`` is nonzero (+1 at +tau, -1 at -tau) get 0,
-    and the caller overlays its committed slope element there.
-    ``kink_flags`` is a sequence of integers, one per value.
+    Entry (i, j) pairs row value v_i, i in [0, hi), with column value
+    v_j, j in [lo, r): (p(v_i) - p(v_j)) / (v_i - v_j) with p the soft
+    threshold, and where v_i == v_j the slope of p there, 1 outside
+    [-tau, tau] and 0 on or inside it.  So a value exactly on +-tau takes
+    the committed zero of the kink, and a caller that wants the one-sided
+    limit there snaps a value near the kink onto it first.  The defaults
+    give the full square table.
 
     Returns
     -------
-    ndarray, shape (r, r)
+    ndarray, shape (hi, r - lo)
     """
     vals = np.asarray(vals, dtype=np.float64)
-    flags = [int(f) for f in kink_flags]
-    # the flags and the diagonal are Python lists: at the solver's sizes
-    # one numpy call on these short arrays costs more than the whole loop
-    if any(flags):
-        vals = np.array([tau if f > 0 else -tau if f < 0 else v
-                         for v, f in zip(vals.tolist(), flags)])
+    rows, cols = vals[:hi], vals[lo:]
     pv = _shrink(vals, tau)
-    den = np.subtract.outer(vals, vals)
-    out = np.zeros(den.shape)
-    np.divide(np.subtract.outer(pv, pv), den, out=out, where=den != 0.0)
-    # a flagged value sits on +-tau, so it takes the 0 of the inside
-    out.ravel()[::vals.size + 1] = np.abs(vals) > tau
+    den = np.subtract.outer(rows, cols)
+    out = np.empty(den.shape)
+    out[...] = (np.abs(rows) > tau)[:, None]
+    np.divide(np.subtract.outer(pv[:hi], pv[lo:]), den, out=out,
+              where=den != 0.0)
     return out
 
 
@@ -441,7 +438,10 @@ def prox_divided_diff(eig, tau, group_tol=GROUP_TOL):
     below = [v + tau for v in reps]
     flags = [-1 if abs(b) <= kink_tol else 1 if abs(a) <= kink_tol else 0
              for a, b in zip(above, below)]
-    table = soft_pair_table(blocks.values, tau, flags)
+    # a flagged block is snapped onto its kink, where the table takes the
+    # committed zero
+    table = soft_pair_table([tau if f > 0 else -tau if f < 0 else v
+                             for v, f in zip(reps, flags)], tau)
     if len(reps) < eig.dim:
         # blocks are consecutive runs: repeat each row and column of the
         # block table once per eigenvalue of its block
@@ -463,6 +463,28 @@ def prox_divided_diff(eig, tau, group_tol=GROUP_TOL):
     lo = blocks.blocks[n_up - 1][-1] + 1 if n_up else 0
     hi = blocks.blocks[-n_low][0] if n_low else eig.dim
     return ProxDividedDiff(table, kinks, blocks, (lo, hi))
+
+
+def prox_support_table(eig, tau):
+    """The table of ``prox_divided_diff(eig, tau, 0.0)`` on the support
+    rectangle of its complement, straight from the spectrum.
+
+    At exact kinks the grouped table is a pair rule of the eigenvalues
+    (see :func:`soft_pair_table`): two equal ones take the slope, one on
+    +-tau the committed zero.  So one pair table over rows [0, hi) and
+    columns [lo, k) gives ``table[:hi, lo:]``, with (lo, hi) the
+    ``complement_support``: lo eigenvalues lie above tau and k - hi below
+    -tau.  Returns (that rectangle, lo), or None where three or more
+    eigenvalues are exactly equal: the grouped table pairs the others
+    with the mean of such a run, which can round off its value.
+    """
+    vals = eig.values.tolist()
+    # descending, so a run of three shows as equal values two apart
+    if any(a == b for a, b in zip(vals, vals[2:])):
+        return None
+    lo = sum(v > tau for v in vals)
+    hi = len(vals) - sum(v < -tau for v in vals)
+    return soft_pair_table(eig.values, tau, lo, hi), lo
 
 
 def prox_dir_deriv(Z, tau, H):

@@ -19,8 +19,13 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidInput, require_int, require_positive
-from .nuclear import envelope_grad, envelope_value, prox_divided_diff
-from .psd_cone import positive_part, theta_matrix
+from .nuclear import (
+    envelope_grad,
+    envelope_value,
+    prox_divided_diff,
+    prox_support_table,
+)
+from .psd_cone import positive_part, theta_support_table
 from .spectral import (
     SYM_TOL,
     as_symmetric,
@@ -64,6 +69,12 @@ def _contract(a, b, shape):
     index bookkeeping.  Every contraction of a coefficient stack is this
     one call, so an overflowing one warns once, whichever map it is."""
     return np.dot(a, b).reshape(shape)
+
+
+def _vector_norm(v):
+    """Euclidean norm of a float vector: the body of ``np.linalg.norm``
+    for one, sqrt(v . v), without the wrapper's dispatch."""
+    return math.sqrt(v.dot(v))
 
 
 def adjoint_jac(jac, S):
@@ -201,7 +212,8 @@ class QuadraticProblem:
     Jacobian ``h_A`` and the maps' ``hess_contract``.  Evaluations do
     not mutate the instance, so they may run concurrently; the only state
     they add is the constants of the data the solver caches on first use
-    (``affine_curvature``, ``jac_h_gram``, ``jac_norms``), which every
+    (``affine_curvature``, ``curvature_bounds``, ``jac_h_gram``,
+    ``jac_norms``), which every
     evaluation computes alike.  So the data must not be changed after a
     solve has read them.
 
@@ -249,6 +261,18 @@ class QuadraticProblem:
             return None
         y = MultiplierTriple.zeros(self)
         return hess_xx_lagrangian(self, np.zeros(self.n), y.Y, y.mu, y.Gamma)
+
+    @_lazy
+    def curvature_bounds(self):
+        """(Gershgorin lower bound on the smallest eigenvalue, Frobenius
+        norm) of ``affine_curvature``; None where that is None or n is
+        0.  The solver's definiteness certificate reads them."""
+        H = self.affine_curvature
+        if H is None or not self.n:
+            return None
+        d = H.diagonal()
+        radius = np.abs(H).sum(axis=1) - np.abs(d)
+        return float((d - radius).min()), float(np.linalg.norm(H))
 
     @_lazy
     def jac_h_gram(self):
@@ -320,8 +344,8 @@ def triple_diff_norm(a, b):
     """
     with np.errstate(over="ignore"):
         diffs = (a.Y - b.Y, a.mu - b.mu, a.Gamma - b.Gamma)
-        sq = np.sum(diffs[0] ** 2) + np.sum(diffs[1] ** 2) \
-            + np.sum(diffs[2] ** 2)
+        sq = (diffs[0] ** 2).sum() + (diffs[1] ** 2).sum() \
+            + (diffs[2] ** 2).sum()
     if math.isfinite(sq):
         return float(np.sqrt(sq))
     scale = max(float(np.abs(d).max(initial=0.0)) for d in diffs)
@@ -330,7 +354,7 @@ def triple_diff_norm(a, b):
         return float(np.sqrt(sq))
     with np.errstate(over="ignore"):
         return float(scale * np.sqrt(
-            sum(np.sum((d / scale) ** 2) for d in diffs)))
+            sum(((d / scale) ** 2).sum() for d in diffs)))
 
 
 @dataclass(frozen=True)
@@ -407,9 +431,10 @@ class ShiftedPoint:
     and g(x) finite.  Y and Gamma are not tested for symmetry here: the
     callers check them once, where they enter (``check_multipliers``).
     ``sq_norms`` holds the terms fixed for a whole subproblem:
-    (np.sum(Y * Y), np.sum(Gamma * Gamma)) for the value and the shift
-    Y/c of Z; a caller that evaluates many points of one subproblem takes
-    it from the first point and passes it on.  The envelope gradient
+    (np.sum(Y * Y), np.sum(Gamma * Gamma)) for the value, the shift Y/c
+    of Z, and the equality block c Jh^T Jh of the Newton element; a
+    caller that evaluates many points of one subproblem takes it from the
+    first point and passes it on.  The envelope gradient
     Yhat, the projection Ghat, the Jacobians, the gradient and the value
     are formed on first use, so a point whose value nobody reads never
     evaluates it.  F(x), h(x) and g(x) are kept for the KKT residual at
@@ -438,7 +463,8 @@ class ShiftedPoint:
         self.M = symmetric_part(Gamma - c * self.gx, "Gamma - c g(x)")
         self.eig_M = eig_symmetrized(self.M)
         if sq_norms is None:
-            sq_norms = (np.sum(Y * Y), np.sum(Gamma * Gamma), Y_shift)
+            sq_norms = (np.sum(Y * Y), np.sum(Gamma * Gamma), Y_shift,
+                        c * problem.jac_h_gram)
         self.sq_norms = sq_norms
 
     @_lazy
@@ -472,7 +498,7 @@ class ShiftedPoint:
         less ||Y||^2 / 2c, the equality terms, and the squared projection
         of M less ||Gamma||^2, over 2c."""
         c, hx, P = self.c, self.hx, self.Ghat
-        Y_sq, Gamma_sq, _ = self.sq_norms
+        Y_sq, Gamma_sq = self.sq_norms[:2]
         val = self.problem.f(self.x)
         val += envelope_value(self.eig_Z, self.tau) - Y_sq / (2.0 * c)
         val += float(self.mu @ hx) + 0.5 * c * float(hx @ hx)
@@ -540,23 +566,38 @@ def multiplier_maps(problem, x, Y, mu, Gamma, c, *, point=None):
 # generalized Hessian of the augmented Lagrangian
 # ----------------------------------------------------------------------------
 
+def _rectangle_gram(Q, jac, R, lo):
+    """Matrix of pairings <G_i, R o G_j> over a Jacobian stack, where
+    G_i = Q[:, :hi]^T J_i Q[:, lo:] is the congruence of J_i to the
+    rectangle rows [0, hi) x columns [lo, k) that the weights R cover:
+    one batched congruence of the stack, then one Hadamard-weighted Gram
+    product.  An empty rectangle gives zeros."""
+    G = np.matmul(np.matmul(Q[:, :R.shape[0]].T, jac), Q[:, lo:])
+    G = G.reshape(jac.shape[0], -1)
+    return (G * R.reshape(-1)) @ G.T
+
+
+def _mirror_weights(W, lo):
+    """Rectangle weights of a symmetric table whose rows [0, hi) x
+    columns [lo, k) are ``W``: twice each entry, except once on the
+    middle block [lo, hi)^2.  Outside the middle block the rectangle
+    holds one pair of each mirror pair, so its weights count twice."""
+    R = 2.0 * W
+    mid = W.shape[0] - lo
+    R[lo:, :mid] = W[lo:, :mid]
+    return R
+
+
 def _hadamard_gram(Q, jac, W, lo, hi):
     """Matrix of pairings <Q^T J_i Q, W o (Q^T J_j Q)> over a Jacobian stack.
 
     The symmetric table W must vanish on the corner blocks [0, lo)^2 and
     [hi, k)^2, with lo <= hi.  Every pair that can carry weight then has
     itself or its mirror image in the rectangle rows [0, hi) x columns
-    [lo, k): one batched congruence Q[:, :hi]^T J_i Q[:, lo:] of the
-    stack, then one Hadamard-weighted Gram product over the rectangle.
-    Outside the middle block [lo, hi)^2 the rectangle holds one pair of
-    each mirror pair, so its weights count twice.  An empty rectangle
-    gives zeros.
+    [lo, k), so the product is :func:`_rectangle_gram` over W's
+    rectangle with :func:`_mirror_weights`.
     """
-    G = np.matmul(np.matmul(Q[:, :hi].T, jac), Q[:, lo:])
-    G = G.reshape(jac.shape[0], -1)
-    R = 2.0 * W[:hi, lo:]
-    R[lo:, :hi - lo] = W[lo:hi, lo:hi]
-    return (G * R.reshape(-1)) @ G.T
+    return _rectangle_gram(Q, jac, _mirror_weights(W[:hi, lo:], lo), lo)
 
 
 def newton_matrix_element(problem, x, Y, mu, Gamma, c, *, point=None):
@@ -578,24 +619,35 @@ def newton_matrix_element(problem, x, Y, mu, Gamma, c, *, point=None):
     Both constraint blocks are Hadamard-weighted Gram products taken over
     the support rectangle of their table (see :func:`_hadamard_gram`):
     1 - T vanishes, to round-off, where both eigenvalues shrink on the
-    same side of the threshold, and theta where both are negative.  The
-    Lagrangian curvature of affine F and g, and Jh^T Jh, are the
-    problem's constants.
+    same side of the threshold, and theta where both are negative.  At
+    exact kinks both tables are pair rules of the eigenvalues, so only
+    the rectangle is formed, from the spectrum
+    (:func:`nuclear.prox_support_table`,
+    :func:`psd_cone.theta_support_table`); a run of three or more equal
+    eigenvalues of Z takes the grouped table of ``prox_divided_diff``.
+    The Lagrangian curvature of affine F and g is the problem's
+    constant, and c Jh^T Jh the subproblem's (``ShiftedPoint.sq_norms``).
     """
     pt = _shifted(problem, x, Y, mu, Gamma, c, point)
     A = problem.affine_curvature
     if A is None:
         A = hess_xx_lagrangian(problem, x, pt.Yhat, pt.muhat, pt.Ghat)
 
-    dd = prox_divided_diff(pt.eig_Z, pt.tau, 0.0)
-    A = A + c * _hadamard_gram(pt.eig_Z.basis, pt.jac_F, 1.0 - dd.table,
-                               *dd.complement_support)
+    Q = pt.eig_Z.basis
+    rect = prox_support_table(pt.eig_Z, pt.tau)
+    if rect is None:
+        dd = prox_divided_diff(pt.eig_Z, pt.tau, 0.0)
+        A = A + c * _hadamard_gram(Q, pt.jac_F, 1.0 - dd.table,
+                                   *dd.complement_support)
+    else:
+        T, lo = rect
+        R = _mirror_weights(1.0 - T, lo)
+        A = A + c * _rectangle_gram(Q, pt.jac_F, R, lo)
 
-    A = A + c * problem.jac_h_gram
+    A = A + pt.sq_norms[3]
 
-    theta = theta_matrix(pt.eig_M, tol=0.0)
-    A = A + c * _hadamard_gram(pt.eig_M.basis, pt.jac_g, theta.entries,
-                               *theta.support)
+    R = _mirror_weights(theta_support_table(pt.eig_M), 0)
+    A = A + c * _rectangle_gram(pt.eig_M.basis, pt.jac_g, R, 0)
     return 0.5 * (A + A.T)
 
 
@@ -663,9 +715,9 @@ class ResidualHalves:
             grad, self.Fx, hx, self.gx = (point.grad, point.Fx, point.hx,
                                           point.gx)
             self.Ys, self.Gs = Y, Gamma
-        self.stationarity = float(np.linalg.norm(grad))
-        self.equality = float(np.linalg.norm(hx))
-        self.complementarity = float(abs(np.sum(self.gx * Gamma)))
+        self.stationarity = _vector_norm(grad)
+        self.equality = _vector_norm(hx)
+        self.complementarity = float(abs((self.gx * Gamma).sum()))
 
     @_lazy
     def Fs(self):

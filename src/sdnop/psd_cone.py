@@ -28,6 +28,7 @@ __all__ = [
     "project_psd",
     "psd_pair_table",
     "theta_matrix",
+    "theta_support_table",
     "proj_dir_deriv",
     "proj_bsub_element",
 ]
@@ -73,31 +74,33 @@ def project_psd(M):
     return positive_part(eig), eig
 
 
-def psd_pair_table(lam, zero_mask):
+def psd_pair_table(lam, hi=None):
     """Difference-quotient table of t -> max(t, 0) on eigenvalue pairs.
 
-    Entry (i, j) is (max(lam_i,0) + max(lam_j,0)) / (|lam_i| + |lam_j|),
-    the slope of the positive part between lam_i and -lam_j.  Pairs where
-    both eigenvalues are flagged zero get 0; the caller overlays whatever
-    element of the interval [0, 1] it has committed to on that block.
+    Entry (i, j), for rows i in [0, hi) and every column j, is
+    (max(lam_i,0) + max(lam_j,0)) / (|lam_i| + |lam_j|), the slope of the
+    positive part between lam_i and -lam_j.  Pairs of two zeros get 0;
+    a caller that treats small eigenvalues as zero snaps them to 0 first
+    and overlays whatever element of the interval [0, 1] it has committed
+    to on that block.
 
     Parameters
     ----------
     lam : ndarray, shape (p,)
         Eigenvalues.
-    zero_mask : ndarray of bool, shape (p,)
-        Marks eigenvalues treated as exactly zero.
+    hi : int, optional
+        Rows to form; all p by default.
 
     Returns
     -------
-    ndarray, shape (p, p)
+    ndarray, shape (hi, p)
     """
-    lam = np.where(zero_mask, 0.0, lam)
+    lam = np.asarray(lam, dtype=np.float64)
     pos = np.maximum(lam, 0.0)
     mag = np.abs(lam)
-    den = np.add.outer(mag, mag)
+    den = np.add.outer(mag[:hi], mag)
     out = np.zeros(den.shape)
-    np.divide(np.add.outer(pos, pos), den, out=out, where=den > 0.0)
+    np.divide(np.add.outer(pos[:hi], pos), den, out=out, where=den > 0.0)
     return out
 
 
@@ -106,13 +109,24 @@ def theta_matrix(eig, beta_choice="zero", tol=None):
     at ``tol`` (:func:`spectral.partition_by_sign`); at the default it is
     :func:`proj_bsub_element`'s with the same ``beta_choice``."""
     part = partition_by_sign(eig, tol)
-    # the partition's zero rows, by the same comparison
-    table = psd_pair_table(eig.values, np.abs(eig.values) <= part.tol)
+    # the partition's zero rows, by the same comparison, snapped to 0
+    table = psd_pair_table(np.where(np.abs(eig.values) <= part.tol, 0.0,
+                                    eig.values))
     if part.zero:
         zero = list(part.zero)
         table[np.ix_(zero, zero)] = choice_table(beta_choice, len(zero),
                                                  "beta_choice")
     return ThetaMatrix(table, part)
+
+
+def theta_support_table(eig):
+    """The rows [0, hi) of ``theta_matrix(eig, tol=0.0).entries``, hi its
+    support bound, straight from the spectrum: at tol 0 only exact zeros
+    form the zero block, where the pair table and the committed zero
+    choice both give 0, so one pair table over the hi nonnegative
+    eigenvalues' rows is those rows."""
+    hi = sum(v >= 0.0 for v in eig.values.tolist())
+    return psd_pair_table(eig.values, hi)
 
 
 def proj_dir_deriv(M, H):

@@ -36,6 +36,7 @@ from .problem import (
     ResidualHalves,
     ShiftedPoint,
     _array,
+    _vector_norm,
     aug_lagrangian_grad,
     aug_lagrangian_value,
     check_multipliers,
@@ -235,10 +236,50 @@ def _eigenvalue_below_floor(A, floor):
     return lmin if lmin < floor else None
 
 
-def _newton_direction(A, grad):
-    """Levenberg-shifted Newton direction; returns (d, shifted, steepest)."""
+def _definiteness_certified(problem, c):
+    """Whether every Newton element at penalty c is certified to clear
+    ``_PD_FLOOR`` by its structure, so that no step need test it.
+
+    With F and g affine the element is the constant Lagrangian Hessian H
+    plus c times three Gram products, each positive semidefinite up to
+    its round-off: Jh^T Jh, and those of DF and Dg, whose rectangle
+    weights (1 - T and theta, doubled off the middle block) lie in
+    [0, 2] as computed.  So lambda_min(A) is at least the Gershgorin
+    bound of H (``QuadraticProblem.curvature_bounds``) less
+
+        kappa eps (||H||_F + c (2 ||DF||_F^2 + ||Jh||_F^2 + 2 ||Dg||_F^2)),
+
+    and kappa = 4 (n^2 + q^2 + p^2 + m + 1) covers, with a factor 2 to
+    spare, in units of eps = 2u: the rounding of the Gershgorin sums
+    (n^1.5 u ||H||_F), each Gram product's accumulation over at most
+    q^2, p^2 or m terms (gamma_L times the weighted squared norms), the
+    scalings, sums, symmetrization and shift (a few u), and Cholesky's
+    backward error: by Demmel's condition (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, 2nd ed., Section 10.1, Theorem
+    10.7) Cholesky of the shifted element runs to completion once its
+    smallest eigenvalue exceeds n gamma_{n+1} ||A||_2, and ||A||_2 is at
+    most the bracket above.  Where the Gershgorin bound less ``_PD_FLOOR``
+    exceeds the bound, the Cholesky trial of ``_newton_direction`` cannot
+    fail.  False for F or g with ``Aij`` and for n = 0.
+    """
+    bounds = problem.curvature_bounds
+    if bounds is None:
+        return False
+    lower, h_norm = bounds
+    dF, jh, dg = problem.jac_norms
+    kappa = 4.0 * (problem.n ** 2 + problem.q ** 2 + problem.p ** 2
+                   + problem.m + 1)
+    scale = h_norm + c * (2.0 * dF * dF + jh * jh + 2.0 * dg * dg)
+    return lower - _PD_FLOOR > kappa * _EPS * scale
+
+
+def _newton_direction(A, grad, certified):
+    """Levenberg-shifted Newton direction; returns (d, shifted, steepest).
+
+    ``certified`` (see ``_definiteness_certified``) skips the definiteness
+    test: A is known to clear the floor."""
     shifted = False
-    lmin = _eigenvalue_below_floor(A, _PD_FLOOR)
+    lmin = None if certified else _eigenvalue_below_floor(A, _PD_FLOOR)
     if lmin is not None:
         shift = _SHIFT_INITIAL
         doublings = 0
@@ -365,12 +406,13 @@ def inner_minimize(problem, y, c, x0, cfg, outer_residual=None):
                             sq_norms=sq_norms)
 
     scales = _data_scales(problem, x, pt)
+    certified = _definiteness_certified(problem, c)
     grad = aug_lagrangian_grad(problem, x, y.Y, y.mu, y.Gamma, c, point=pt)
     # the value at x, None until a test reads it
     val = None
     # max_iter steps, and a stop check at each of the max_iter + 1 points
     for it in range(cfg.max_iter + 1):
-        gnorm = float(np.linalg.norm(grad))
+        gnorm = _vector_norm(grad)
         floor = _roundoff_floor(pt, c, scales)
         stop = _inner_stop(gnorm, tol, floor)
         if stop is not None:
@@ -380,7 +422,7 @@ def inner_minimize(problem, y, c, x0, cfg, outer_residual=None):
             break
         A = newton_matrix_element(problem, x, y.Y, y.mu, y.Gamma, c,
                                   point=pt)
-        d, shifted, steepest = _newton_direction(A, grad)
+        d, shifted, steepest = _newton_direction(A, grad, certified)
         shifted_steps += int(shifted)
         steepest_steps += int(steepest)
         slope = float(grad @ d)
@@ -400,7 +442,7 @@ def inner_minimize(problem, y, c, x0, cfg, outer_residual=None):
             tpt = at(trial)
             tgrad = aug_lagrangian_grad(problem, trial, y.Y, y.mu, y.Gamma, c,
                                         point=tpt)
-            if float(np.linalg.norm(tgrad)) <= 0.5 * gnorm:
+            if _vector_norm(tgrad) <= 0.5 * gnorm:
                 x, pt, grad, val = trial, tpt, tgrad, None
                 continue
         if val is None:
@@ -519,7 +561,7 @@ def alm_solve(problem, y0, config, x0, reference=None):
             max(config.outer_tol, _OUTER_FLOOR_FACTOR * istats.floor))
         dx = dy = float("nan")
         if reference is not None:
-            dx = float(np.linalg.norm(x - reference.x))
+            dx = _vector_norm(x - reference.x)
             dy = triple_diff_norm(y_next, reference.multipliers)
         trace.append_row(c, x, y_next, res, istats.iterations, dx, dy)
         y = _MultiplierUpdate(y_next.Y, y_next.mu, y_next.Gamma,

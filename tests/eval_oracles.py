@@ -13,6 +13,10 @@ its oracle bit for bit.  ``sym_stack_loop`` is the check of a coefficient
 stack that ``problem._sym_stack`` makes in one pass: one ``as_symmetric``
 call per slice.
 
+``rectangle_weights`` is the weighting of the support-rectangle Gram
+product as formed from a full table, before the Newton element built
+its tables on the rectangle alone.
+
 ``apply_jac``, ``lagrangian`` and ``newton_element_einsum`` are the
 reference formulas the tests check the library against: the directional
 image of a Jacobian stack, the Lagrangian value, and the Newton element
@@ -113,12 +117,24 @@ def prox_table(eig, tau, group_tol):
     ``eig``, expanded to eigenvalue-index pairs through a block index
     filled block by block."""
     blocks = group_distinct(eig, group_tol)
-    small = soft_pair_table(blocks.values, tau,
-                            _kink_flags(blocks, tau, group_tol))
+    flags = _kink_flags(blocks, tau, group_tol)
+    small = soft_pair_table(np.where(flags > 0, tau,
+                                     np.where(flags < 0, -tau, blocks.values)),
+                            tau)
     expand = np.empty(eig.dim, dtype=int)
     for k, blk in enumerate(blocks.blocks):
         expand[list(blk)] = k
     return small[np.ix_(expand, expand)]
+
+
+def rectangle_weights(W, lo, hi):
+    """The weights a Gram product over the support rectangle rows
+    [0, hi) x columns [lo, k) gives the full symmetric table W, formed
+    from the full table: twice W's rectangle, once its middle block
+    [lo, hi)^2."""
+    R = 2.0 * W[:hi, lo:]
+    R[lo:, :hi - lo] = W[lo:hi, lo:hi]
+    return R
 
 
 def kink_blocks(eig, tau, group_tol):

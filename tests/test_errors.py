@@ -206,7 +206,7 @@ _POINT_CALLS = [
     (alm_solve, "x0"), (inner_minimize, "x0"), (dual_value_and_grad, "x0"),
     (kkt_residual, "x"), (aug_lagrangian_value, "x"), (cone_blocks, "x"),
     (nondegeneracy_check, "x"), (strong_sosc_check, "x"),
-    (rate_constants, "x"), (rate_sweep, "x"),
+    (rate_constants, "x"), (rate_sweep, "reference.x"),
 ]
 _BAD_POINTS = {
     "short": np.zeros(3),

@@ -240,7 +240,8 @@ class TestDeferredValue:
         # an ascent direction fails every Armijo trial
         problem = mixed_instance
         monkeypatch.setattr(solver, "_newton_direction",
-                            lambda A, grad: (1e8 * grad, False, False))
+                            lambda A, grad, certified: (1e8 * grad, False,
+                                                        False))
         x0 = np.array([0.5, -0.4, 0.3])
         x, stats, exc, evaluated = self._run(monkeypatch, problem, x0,
                                              InnerConfig())
@@ -304,8 +305,8 @@ class TestSweepWork:
             events.append(("point", key + (c,)))
             return ShiftedPoint(problem, x, Y, mu, Gamma, c, **kwargs)
 
-        def direction(A, grad, _fn=solver._newton_direction):
-            out = _fn(A, grad)
+        def direction(A, grad, certified, _fn=solver._newton_direction):
+            out = _fn(A, grad, certified)
             events.append(("slope", float(grad @ out[0])))
             return out
 
@@ -621,12 +622,13 @@ class TestLevenbergShift:
     @staticmethod
     def _steps(monkeypatch):
         """Record (shifted, steepest, smallest eigenvalue) of each Newton
-        direction."""
+        direction; none of these elements may be certified definite."""
         steps = []
         newton_direction = solver._newton_direction
 
-        def recording(A, grad):
-            d, shifted, steepest = newton_direction(A, grad)
+        def recording(A, grad, certified):
+            assert not certified
+            d, shifted, steepest = newton_direction(A, grad, certified)
             steps.append((shifted, steepest,
                           float(np.linalg.eigvalsh(A).min())))
             return d, shifted, steepest
@@ -680,6 +682,113 @@ class TestLevenbergShift:
         assert len(shifted) == 1
         assert round(shifted[0], 5) == -9.90e-3
         assert _shift_rung(shifted[0]) == solver._MAX_SHIFT_DOUBLINGS
+
+
+class TestDefinitenessCertificate:
+    """Where the structural certificate holds, the Cholesky trial it skips
+    would have passed: checked at every Newton step of the runs below."""
+
+    @staticmethod
+    def _checked(monkeypatch):
+        """Count the certified and the uncertified Newton steps, and test
+        the skipped definiteness trial at each certified one."""
+        counts = {True: 0, False: 0}
+        newton_direction = solver._newton_direction
+
+        def checking(A, grad, certified):
+            if certified:
+                assert solver._eigenvalue_below_floor(
+                    A, solver._PD_FLOOR) is None
+            counts[certified] += 1
+            return newton_direction(A, grad, certified)
+
+        monkeypatch.setattr(solver, "_newton_direction", checking)
+        return counts
+
+    @staticmethod
+    def _solve(problem, x0, config=None):
+        """An adaptive solve from (x0, 0); a failed one counts too."""
+        try:
+            alm_solve(problem, MultiplierTriple.zeros(problem),
+                      config or ALMConfig(), x0)
+        except (InnerSolveError, MaxIterations):
+            pass
+
+    @pytest.mark.parametrize("name", ["nondegen_small", "degen_small"])
+    def test_bundled(self, monkeypatch, name):
+        problem = load_instance(os.path.join(INSTANCES, f"{name}.json"))
+        counts = self._checked(monkeypatch)
+        self._solve(problem, np.zeros(problem.n))
+        assert counts[True] > 0 and counts[False] == 0
+
+    def test_saddle_stays_uncertified(self, monkeypatch):
+        problem = load_instance(os.path.join(INSTANCES, "saddle_small.json"))
+        counts = self._checked(monkeypatch)
+        with pytest.raises(InnerSolveError):
+            alm_solve(problem, MultiplierTriple.zeros(problem), ALMConfig(),
+                      np.zeros(problem.n))
+        assert counts[True] == 0 and counts[False] == 100
+
+    def test_quadratic_maps_stay_uncertified(self, monkeypatch,
+                                             mixed_quadratic_instance):
+        problem = mixed_quadratic_instance
+        assert problem.curvature_bounds is None
+        counts = self._checked(monkeypatch)
+        self._solve(problem, np.ones(problem.n))
+        assert counts[True] == 0 and counts[False] > 0
+
+    @pytest.mark.parametrize("dims", [(24, 10, 3, 8), (40, 16, 4, 14)])
+    @pytest.mark.parametrize("profile", ["nondegen", "degen", "saddle"])
+    def test_generated(self, monkeypatch, dims, profile):
+        problem = generator.generate_instance(*dims, profile=profile, seed=7)
+        counts = self._checked(monkeypatch)
+        self._solve(problem, np.zeros(problem.n))
+        if profile == "saddle":
+            assert counts[True] == 0 and counts[False] > 0
+        else:
+            assert counts[True] > 0 and counts[False] == 0
+
+    def test_benchmark_inputs(self, monkeypatch):
+        # the solve inputs of seed 1, drawn as the benchmark draws them,
+        # and the sweep
+        counts = self._checked(monkeypatch)
+        for k, profile in enumerate(("nondegen", "degen") * 2):
+            rng = np.random.RandomState([1, 0, k])
+            seed = int(rng.randint(0, 2 ** 31 - 1))
+            problem = generator.generate_instance(40, 16, 4, 14,
+                                                  profile=profile, seed=seed)
+            rng = np.random.RandomState([1, 1, k])
+            u = rng.randn(problem.n)
+            self._solve(problem, problem.reference.x
+                        + rng.uniform(0.0, 1.0) * u / np.linalg.norm(u))
+        assert counts == {True: 12 * 4, False: 0}
+        problem = generator.generate_instance(24, 10, 3, 8, seed=7)
+        diagnostics.rate_sweep(problem, problem.reference,
+                               (10.0, 100.0, 1000.0, 10000.0), seed=7)
+        assert counts == {True: 12 * 4 + 66, False: 0}
+
+    def test_large_penalties(self, monkeypatch):
+        # adaptive runs from large penalties near the reference: at
+        # c = 1e8 the run converges; at c = 5e10, close to where the
+        # certificate lapses on this instance (about 8.8e10), every step
+        # is certified and an inner loop exhausts its 100 steps; at
+        # c = 1e11 every step runs the trial
+        problem = generator.generate_instance(24, 10, 3, 8, seed=7)
+        rng = np.random.RandomState(5)
+        x0 = [problem.reference.x + 1e-2 * rng.randn(problem.n)
+              / np.sqrt(problem.n) for _ in range(3)]
+        counts = self._checked(monkeypatch)
+        alm_solve(problem, MultiplierTriple.zeros(problem),
+                  ALMConfig(c0=1e8, outer_tol=1e-14), x0[0])
+        assert counts[True] > 0
+        certified = counts[True]
+        for c0, x in ((5e10, x0[1]), (1e11, x0[2])):
+            with pytest.raises(InnerSolveError):
+                alm_solve(problem, MultiplierTriple.zeros(problem),
+                          ALMConfig(c0=c0, outer_tol=1e-14), x)
+        assert counts[True] >= certified + 100 and counts[False] >= 100
+        assert solver._definiteness_certified(problem, 5e10)
+        assert not solver._definiteness_certified(problem, 1e11)
 
 
 class TestPenaltyUpdate:

@@ -301,13 +301,15 @@ def test_data_constants_call_no_stamped_numpy(monkeypatch,
     fresh.append(mixed_quadratic_instance)
     for P in fresh:
         # formed afresh below, whatever read them before
-        for name in ("affine_curvature", "jac_h_gram", "jac_norms"):
+        for name in ("affine_curvature", "curvature_bounds", "jac_h_gram",
+                     "jac_norms"):
             P.__dict__.pop(name, None)
     for module, name in STAMPED:
         monkeypatch.setattr(module, name,
                             stamped(name, getattr(module, name)))
     for P in fresh:
-        P.affine_curvature, P.jac_h_gram, P.jac_norms
+        P.affine_curvature, P.curvature_bounds, P.jac_h_gram, P.jac_norms
     assert calls == []
     assert fresh[-1].affine_curvature is None
+    assert fresh[-1].curvature_bounds is None
     assert fresh[-1].jac_norms[0] is None
