@@ -234,17 +234,21 @@ def _family_rows(b, which, rows, cols):
     negated cone map of the active-block matrix.  ``rows`` and ``cols`` name
     index sets of ``b``: the (rows, cols) block of every partial is
     column-stacked, and with ``cols`` None the principal block on ``rows``
-    is half-vectorized by :func:`svec`.
+    is half-vectorized by :func:`svec`.  Each block is gathered in one
+    indexing step; an empty family is a (0, n) block.
     """
     jac = b.jac_F_Q if which == "F" else b.jac_g_P
     n = jac.shape[0]
-    r = list(getattr(b, rows))
+    r = getattr(b, rows)
+    s = r if cols is None else getattr(b, cols)
+    if not r or not s:
+        return np.zeros((0, n))
     if cols is None:
-        out = svec(jac[:, r][:, :, r]).T
+        out = svec(jac[:, np.array(r)[:, None], r]).T
     else:
-        s = list(getattr(b, cols))
-        sub = jac[:, r][:, :, s]
-        out = np.transpose(sub, (0, 2, 1)).reshape(n, len(r) * len(s)).T
+        # entry (k, a, b) is the (r[b], s[a]) entry of partial k: each
+        # partial's block, column-stacked
+        out = jac[:, r, np.array(s)[:, None]].reshape(n, -1).T
     return -out if which == "-g" else out
 
 

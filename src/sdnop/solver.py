@@ -12,6 +12,8 @@ stop at the round-off floor of the gradient,
 eps (||grad f|| + c ||DF|| ||Z||_2 + ||Jh|| ||muhat|| + ||Dg|| ||M||_2),
 where Z and M are the shifted matrices of the current point: with a large
 penalty an absolute tolerance can lie below what the arithmetic resolves.
+The inner loop also stops where a Newton step no longer halves a gradient
+already within a few floors of it.
 Everything here is deterministic: identical inputs produce bit-identical
 traces at a fixed BLAS thread count.
 """
@@ -77,6 +79,11 @@ MAX_PENALTY = 1.0 / _EPS
 # the outer loop counts a KKT residual within this multiple of the last
 # inner solve's round-off floor as converged
 _OUTER_FLOOR_FACTOR = 10.0
+# an inner solve also stops at the floor when a Newton step's full step
+# fails to halve a gradient norm already within this multiple of it:
+# progress has stagnated at round-off.  At most _OUTER_FLOOR_FACTOR, so a
+# subproblem stopped this way can still pass the outer floor test
+_STAGNATION_FACTOR = 4.0
 
 
 def require_resolvable_penalty(name, c):
@@ -98,7 +105,8 @@ class InnerConfig:
     residual forces nothing, and ``grad_tol_rel = 0`` makes every solve
     exact, as rate experiments need.  The loop also
     stops once the gradient norm reaches its round-off floor, which
-    large penalties can lift above ``grad_tol`` (see ``inner_minimize``).
+    large penalties can lift above ``grad_tol``, or stagnates just above
+    it (see ``inner_minimize``).
     """
 
     grad_tol: float = 1e-12
@@ -118,12 +126,13 @@ class InnerStats:
     loop's best iterate).
 
     ``stop`` says how the loop ended: "tol" when the gradient norm met the
-    configured tolerance, "floor" when it met only the round-off floor,
-    None when it failed.  ``floor`` is the round-off floor at the last
-    point, and ``value`` the augmented Lagrangian there, read from
-    ``point``: the loop evaluates the value only where a test reads it
-    (see ``inner_minimize``), so a last point it did not evaluate is
-    evaluated on the first read.
+    configured tolerance, "floor" when it met only the round-off floor or
+    stagnated within ``_STAGNATION_FACTOR`` times it (see
+    ``inner_minimize``), None when it failed.  ``floor`` is the round-off
+    floor at the last point, and ``value`` the augmented Lagrangian
+    there, read from ``point``: the loop evaluates the value only where a
+    test reads it (see ``inner_minimize``), so a last point it did not
+    evaluate is evaluated on the first read.
     """
 
     iterations: int
@@ -361,7 +370,13 @@ def inner_minimize(problem, y, c, x0, cfg, outer_residual=None):
     gradient's round-off floor at the current point (see
     ``_roundoff_floor``; the data scales in it are taken once, at x0).
     An ``outer_residual`` that is None, infinite or NaN drops the middle
-    term.  ``InnerStats.stop`` records which bound was met.  Raises
+    term.  It also stops at the floor when progress stagnates at
+    round-off: when a Newton step's full step fails to halve a gradient
+    norm already within ``_STAGNATION_FACTOR`` times the floor, the point
+    the step left from is returned (Nocedal & Wright, *Numerical
+    Optimization*, 2nd ed., Sections 3.5 and 7.1, on stopping where the
+    computed gradient no longer resolves progress).
+    ``InnerStats.stop`` records which bound was met.  Raises
     InnerSolveError with the best iterate if max_iter is exhausted first,
     and InvalidInput if y.Y or y.Gamma is not a finite symmetric matrix
     or x0 is not a finite vector of length n.
@@ -445,6 +460,11 @@ def inner_minimize(problem, y, c, x0, cfg, outer_residual=None):
             if _vector_norm(tgrad) <= 0.5 * gnorm:
                 x, pt, grad, val = trial, tpt, tgrad, None
                 continue
+            # stagnation at round-off: a Newton step cannot halve a
+            # gradient this close to its floor, so x is as good as it gets
+            if gnorm <= _STAGNATION_FACTOR * floor < math.inf:
+                return x, InnerStats(it, gnorm, shifted_steps,
+                                     steepest_steps, pt, "floor", floor)
         if val is None:
             val = aug_lagrangian_value(problem, x, y.Y, y.mu, y.Gamma, c,
                                        point=pt)

@@ -329,12 +329,16 @@ class HadamardElement:
         return self.basis @ (self.table * Hh) @ self.basis.T
 
 
+@lru_cache(maxsize=None)
 def _triangle(q):
     """Row and column indices of the upper triangle of a q x q matrix,
     column by column, and the isometric scale of each entry (sqrt(2) off
-    the diagonal, 1 on it)."""
+    the diagonal, 1 on it); cached, so read-only."""
     j, i = np.tril_indices(q)
-    return i, j, np.where(i == j, 1.0, np.sqrt(2.0))
+    out = (i, j, np.where(i == j, 1.0, np.sqrt(2.0)))
+    for a in out:
+        a.flags.writeable = False
+    return out
 
 
 def svec(M):

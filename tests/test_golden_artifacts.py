@@ -130,9 +130,9 @@ GENERATED = {
     }),
     ("nondegen", "rate-sweep"): (0, {
         "fit.json":
-            "06ef27e6c2a1d14a41849e2e47130cc09d12304270d9b8576fae231574369314",
+            "2c93483c37fe0f009dc27fb0fbaa89252c04e1b6a2e503b683950ac623f80b19",
         "rate.csv":
-            "f06ea59aa40e193a1da993810c813cb0794e353ee9258bba96dc6e47b4589f69",
+            "0be97717fe3d985bf6c3d6c4f5209c5f9bf5ad669cec81e19d13b85037f3a0f7",
     }),
     ("degen", "generate"): (0, {
         "instance.json":
@@ -250,7 +250,7 @@ ITERATES = {
     "alm_solve degen start 1":
         "e5a592d9019b9512122f2a6f596bc4e5060c6d0e13c51d9c1859bc1573c08de6",
     "rate_sweep nondegen":
-        "7cd49bf27937e8164cc1eb8156bd097ce895da91c20caa54ec8e25aa5ee050da",
+        "edf3f8fddc450695b2019a9187ad137b0d8a1ce1e92b8c0ed771a55f6674ac69",
 }
 
 

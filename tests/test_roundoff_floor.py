@@ -15,7 +15,7 @@ import os
 import numpy as np
 import pytest
 
-from sdnop import cli
+from sdnop import cli, solver
 from sdnop.diagnostics import (
     SWEEP_INNER,
     _contraction_ratios,
@@ -26,12 +26,14 @@ from sdnop.generator import generate_instance
 from sdnop.problem import (
     MultiplierTriple,
     ShiftedPoint,
+    aug_lagrangian_grad,
     load_instance,
     save_instance,
 )
 from sdnop.solver import (
     ALMConfig,
     InnerConfig,
+    _STAGNATION_FACTOR,
     _inner_stop,
     alm_solve,
     inner_minimize,
@@ -93,16 +95,96 @@ class TestInnerStop:
 
     def test_large_penalty_stops_at_floor(self, sweep_instance):
         # at c=1e4 the gradient cannot get below about 2e-12, so the
-        # absolute 1e-12 alone would run 100 steps and fail
+        # absolute 1e-12 alone would run 100 steps and fail; the loop
+        # stops where a step no longer halves a gradient within
+        # _STAGNATION_FACTOR of the floor (see TestStagnationStop)
         problem = sweep_instance
         y = _perturbed_start(problem)
         x0 = problem.reference.x
         x, stats = inner_minimize(problem, y, 1e4, x0, InnerConfig())
         assert stats.stop == "floor"
-        assert 1e-12 < stats.grad_norm <= stats.floor
+        assert 1e-12 < stats.grad_norm <= _STAGNATION_FACTOR * stats.floor
         assert stats.iterations < 10
         assert stats.floor == pytest.approx(
             _floor_oracle(problem, x0, x, y, 1e4), rel=1e-12)
+
+
+class TestStagnationStop:
+    """A Newton step whose full step fails to halve a gradient norm
+    already within ``_STAGNATION_FACTOR`` of the round-off floor ends the
+    inner solve "floor" at the point it left from."""
+
+    @staticmethod
+    def _logged(monkeypatch):
+        """Log each Newton step as (x, grad, d)."""
+        steps = []
+        element = solver.newton_matrix_element
+        direction = solver._newton_direction
+
+        def logging_element(problem, x, *args, **kwargs):
+            steps.append([np.array(x)])
+            return element(problem, x, *args, **kwargs)
+
+        def logging_direction(A, grad, certified):
+            out = direction(A, grad, certified)
+            steps[-1] += [grad, out[0]]
+            return out
+
+        monkeypatch.setattr(solver, "newton_matrix_element", logging_element)
+        monkeypatch.setattr(solver, "_newton_direction", logging_direction)
+        return steps
+
+    @staticmethod
+    def _halved(problem, y, c, steps):
+        """Whether each step's full step x + d halves the gradient norm."""
+        return [np.linalg.norm(aug_lagrangian_grad(problem, x + d, y.Y, y.mu,
+                                                   y.Gamma, c))
+                <= 0.5 * np.linalg.norm(grad)
+                for x, grad, d in steps]
+
+    def test_large_penalty_stops_at_pre_step_point(self, sweep_instance,
+                                                   monkeypatch):
+        # the sweep's first inner solve at c=1e4: the second step's full
+        # step takes the gradient norm only from 1.36e-11 to 7.4e-12, and
+        # the norm already lies within 4 floors of 5.98e-12
+        problem = sweep_instance
+        y = _perturbed_start(problem)
+        x0 = problem.reference.x
+        steps = self._logged(monkeypatch)
+        x, stats = inner_minimize(problem, y, 1e4, x0, SWEEP_INNER)
+        assert self._halved(problem, y, 1e4, steps) == [True, False]
+        assert stats.stop == "floor"
+        assert stats.iterations == len(steps) - 1
+        last_x, last_grad, _ = steps[-1]
+        assert np.array_equal(x, last_x)
+        assert stats.grad_norm == np.linalg.norm(last_grad)
+        assert stats.floor < stats.grad_norm \
+            <= _STAGNATION_FACTOR * stats.floor
+        assert stats.floor == pytest.approx(
+            _floor_oracle(problem, x0, x, y, 1e4), rel=1e-12)
+
+    def test_idle_where_full_steps_halve(self, sweep_instance, monkeypatch):
+        # every inner solve of the sweep's c=100 point halves the gradient
+        # at each full step and stops on the tolerance
+        problem = sweep_instance
+        y = _perturbed_start(problem)
+        steps = self._logged(monkeypatch)
+        stops = []
+        inner = solver.inner_minimize
+
+        def logging_inner(problem, y, c, x0, cfg, outer_residual=None):
+            start = len(steps)
+            x, stats = inner(problem, y, c, x0, cfg, outer_residual)
+            stops.append(stats.stop)
+            assert all(self._halved(problem, y, c, steps[start:]))
+            return x, stats
+
+        monkeypatch.setattr(solver, "inner_minimize", logging_inner)
+        config = ALMConfig(c0=100.0, c_max=100.0, outer_tol=1e-12,
+                           max_outer=60, inner=SWEEP_INNER)
+        _, trace = alm_solve(problem, y, config, problem.reference.x)
+        assert trace.stop == "tol"
+        assert stops == ["tol"] * len(trace) == ["tol"] * 8
 
 
 class TestOuterStop:

@@ -191,6 +191,13 @@ def test_problem_methods_read_x():
     assert not ignoring, ignoring
 
 
+def test_stagnation_stop_can_pass_the_outer_floor_test():
+    # an inner solve that stagnates ends with a gradient norm of up to
+    # _STAGNATION_FACTOR floors; the outer loop converges on a residual
+    # within _OUTER_FLOOR_FACTOR floors, so it can accept that subproblem
+    assert 1.0 <= solver._STAGNATION_FACTOR <= solver._OUTER_FLOOR_FACTOR
+
+
 def test_one_element_type():
     # every generalized-derivative element is a spectral.HadamardElement:
     # no other class applies an operator, and each *_bsub_element
