@@ -10,11 +10,16 @@ derivatives have one body, and the norm's directional derivatives are
 the chain rule of |.| over them, since ||X||_* = sum |l_i(X)|.  Every
 element is a :class:`spectral.HadamardElement`: the prox's table is that
 of :func:`prox_divided_diff` with committed slope choices on its kink
-blocks, the envelope's its complement.  The conjugate of the second
-directional derivative (the curvature correction used by second-order optimality
-conditions) has one evaluator, the bilinear form :func:`curvature_form`
-over a stack of directions; :func:`psi_conjugate` is its one-direction
-case, and every critical-cone test is :func:`critical_blocks_contain`.
+blocks, the envelope's its complement.  At exact kinks (``group_tol``
+0) that table is the pair rule of the eigenvalues themselves, since a
+run of equal eigenvalues keeps its value as its block's representative,
+so the solver's Newton element forms only the rectangle it reads,
+straight from the spectrum (:func:`prox_support_table`).  The conjugate
+of the second directional derivative (the curvature correction used by
+second-order optimality conditions) has one evaluator, the bilinear
+form :func:`curvature_form` over a stack of directions;
+:func:`psi_conjugate` is its one-direction case, and every critical-cone
+test is :func:`critical_blocks_contain`.
 """
 
 from dataclasses import dataclass
@@ -395,23 +400,17 @@ def soft_pair_table(vals, tau, lo=0, hi=None):
 class ProxDividedDiff:
     """Divided-difference table of the soft threshold over a spectrum.
 
-    ``table`` is expanded to eigenvalue-index pairs; ``kink_blocks`` lists
-    (block position, sign) for blocks sitting exactly on a threshold kink,
-    where the scalar table cannot represent the one-sided derivative and
-    the assembler substitutes a definite-part projection or a committed
-    slope table (:meth:`committed_table`).
-
-    ``complement_support`` holds bounds (lo, hi) such that 1 - table
-    vanishes to round-off on [0, lo)^2 and [hi, k)^2: lo counts the
-    eigenvalues in unflagged blocks above tau, k - hi those in unflagged
-    blocks below -tau, where the soft threshold has slope 1.  Kink blocks
-    lie between, since a committed slope table can be anything there.
+    ``table`` pairs eigenvalue indices, each eigenvalue taking its
+    block's representative; ``kink_blocks`` lists (block position, sign)
+    for blocks sitting exactly on a threshold kink, where the scalar
+    table cannot represent the one-sided derivative and the assembler
+    substitutes a definite-part projection or a committed slope table
+    (:meth:`committed_table`).
     """
 
     table: np.ndarray
     kink_blocks: Tuple[Tuple[int, int], ...]
     blocks: DistinctBlocks
-    complement_support: Tuple[int, int]
 
     def committed_table(self, up_choice, low_choice):
         """Copy of ``table`` with the committed slope tables overlaid on
@@ -429,59 +428,38 @@ class ProxDividedDiff:
 def prox_divided_diff(eig, tau, group_tol=GROUP_TOL):
     """Soft-threshold divided-difference table over the spectrum ``eig``."""
     blocks = group_distinct(eig, group_tol)
-    # the kink flags and the support bounds are read off Python lists: at
-    # the solver's sizes one numpy call on these short arrays costs more
-    # than the whole loop
+    # the kink flags are read off a Python list: at the solver's sizes one
+    # numpy call on this short array costs more than the whole loop
     reps = blocks.values.tolist()
     kink_tol = group_tol * (1.0 + max(map(abs, reps), default=0.0) + tau)
-    above = [v - tau for v in reps]
-    below = [v + tau for v in reps]
-    flags = [-1 if abs(b) <= kink_tol else 1 if abs(a) <= kink_tol else 0
-             for a, b in zip(above, below)]
+    flags = [-1 if abs(v + tau) <= kink_tol
+             else 1 if abs(v - tau) <= kink_tol else 0 for v in reps]
     # a flagged block is snapped onto its kink, where the table takes the
-    # committed zero
-    table = soft_pair_table([tau if f > 0 else -tau if f < 0 else v
-                             for v, f in zip(reps, flags)], tau)
-    if len(reps) < eig.dim:
-        # blocks are consecutive runs: repeat each row and column of the
-        # block table once per eigenvalue of its block
-        sizes = [len(blk) for blk in blocks.blocks]
-        table = np.repeat(np.repeat(table, sizes, axis=0), sizes, axis=1)
-    # reps descend and a flagged block lies within kink_tol of +-tau, so
-    # the unflagged blocks above tau, those more than kink_tol above it,
-    # are a prefix and those below -tau a suffix
+    # committed zero, and each eigenvalue takes its block's value, so two
+    # of one block pair by the slope rule
+    snapped = [tau if f > 0 else -tau if f < 0 else v
+               for v, f in zip(reps, flags)]
+    table = soft_pair_table([v for v, blk in zip(snapped, blocks.blocks)
+                             for _ in blk], tau)
     kinks = tuple((k, f) for k, f in enumerate(flags) if f)
-    n_up = n_low = 0
-    for a in above:
-        if a <= kink_tol:
-            break
-        n_up += 1
-    for b in reversed(below):
-        if b >= -kink_tol:
-            break
-        n_low += 1
-    lo = blocks.blocks[n_up - 1][-1] + 1 if n_up else 0
-    hi = blocks.blocks[-n_low][0] if n_low else eig.dim
-    return ProxDividedDiff(table, kinks, blocks, (lo, hi))
+    return ProxDividedDiff(table, kinks, blocks)
 
 
 def prox_support_table(eig, tau):
     """The table of ``prox_divided_diff(eig, tau, 0.0)`` on the support
     rectangle of its complement, straight from the spectrum.
 
-    At exact kinks the grouped table is a pair rule of the eigenvalues
-    (see :func:`soft_pair_table`): two equal ones take the slope, one on
-    +-tau the committed zero.  So one pair table over rows [0, hi) and
-    columns [lo, k) gives ``table[:hi, lo:]``, with (lo, hi) the
-    ``complement_support``: lo eigenvalues lie above tau and k - hi below
-    -tau.  Returns (that rectangle, lo), or None where three or more
-    eigenvalues are exactly equal: the grouped table pairs the others
-    with the mean of such a run, which can round off its value.
+    At ``group_tol`` 0 a block is a run of equal eigenvalues, represented
+    by their value, and a kink block sits exactly on +-tau, so the table
+    is the pair rule of the eigenvalues (see :func:`soft_pair_table`):
+    two equal ones take the slope, one on +-tau the committed zero.  Its
+    complement 1 - T vanishes, to round-off, where both eigenvalues lie
+    beyond the same kink, where the soft threshold has slope 1: on
+    [0, lo)^2 for the lo eigenvalues above tau and on [hi, k)^2 for the
+    k - hi below -tau.  One pair table over rows [0, hi) and columns
+    [lo, k) is ``table[:hi, lo:]``; returns (that rectangle, lo).
     """
     vals = eig.values.tolist()
-    # descending, so a run of three shows as equal values two apart
-    if any(a == b for a, b in zip(vals, vals[2:])):
-        return None
     lo = sum(v > tau for v in vals)
     hi = len(vals) - sum(v < -tau for v in vals)
     return soft_pair_table(eig.values, tau, lo, hi), lo
@@ -651,9 +629,10 @@ def curvature_form(eig, Yc, J):
         2 sum_k < Y_kk, sum_{l != k} Hc_kl Hc_kl^T / (v_l - v_k) >,
 
     summed over the distinct eigenvalue groups of
-    :func:`spectral.group_distinct` with representatives v_k (the group
-    means).  With W[a, c] = 1/(v_{g(c)} - v_{g(a)}) across groups (0
-    inside one) and Yhat the same-group diagonal blocks of Yc, this is
+    :func:`spectral.group_distinct` with representatives v_k (see
+    :class:`spectral.DistinctBlocks`).  With
+    W[a, c] = 1/(v_{g(c)} - v_{g(a)}) across groups (0 inside one) and
+    Yhat the same-group diagonal blocks of Yc, this is
     2 <W o Hc, Yhat Hc>; its (k, k) matrix on the stack is returned
     unsymmetrized.
     """

@@ -19,12 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidInput, require_int, require_positive
-from .nuclear import (
-    envelope_grad,
-    envelope_value,
-    prox_divided_diff,
-    prox_support_table,
-)
+from .nuclear import envelope_grad, envelope_value, prox_support_table
 from .psd_cone import positive_part, theta_support_table
 from .spectral import (
     SYM_TOL,
@@ -36,6 +31,7 @@ from .spectral import (
 # not called here: perfbench/tracing.py looks these public forms up on
 # this module and wraps them
 from .nuclear import grad_moreau_env, moreau_env, nuclear_norm  # noqa: F401
+from .nuclear import prox_divided_diff  # noqa: F401
 from .psd_cone import proj_bsub_element, project_psd  # noqa: F401
 
 __all__ = [
@@ -588,18 +584,6 @@ def _mirror_weights(W, lo):
     return R
 
 
-def _hadamard_gram(Q, jac, W, lo, hi):
-    """Matrix of pairings <Q^T J_i Q, W o (Q^T J_j Q)> over a Jacobian stack.
-
-    The symmetric table W must vanish on the corner blocks [0, lo)^2 and
-    [hi, k)^2, with lo <= hi.  Every pair that can carry weight then has
-    itself or its mirror image in the rectangle rows [0, hi) x columns
-    [lo, k), so the product is :func:`_rectangle_gram` over W's
-    rectangle with :func:`_mirror_weights`.
-    """
-    return _rectangle_gram(Q, jac, _mirror_weights(W[:hi, lo:], lo), lo)
-
-
 def newton_matrix_element(problem, x, Y, mu, Gamma, c, *, point=None):
     """One element of the generalized Hessian of the augmented Lagrangian.
 
@@ -617,14 +601,15 @@ def newton_matrix_element(problem, x, Y, mu, Gamma, c, *, point=None):
     penalty-weighted rank-one model error that stalls the inner loop.
 
     Both constraint blocks are Hadamard-weighted Gram products taken over
-    the support rectangle of their table (see :func:`_hadamard_gram`):
-    1 - T vanishes, to round-off, where both eigenvalues shrink on the
-    same side of the threshold, and theta where both are negative.  At
-    exact kinks both tables are pair rules of the eigenvalues, so only
-    the rectangle is formed, from the spectrum
-    (:func:`nuclear.prox_support_table`,
-    :func:`psd_cone.theta_support_table`); a run of three or more equal
-    eigenvalues of Z takes the grouped table of ``prox_divided_diff``.
+    the support rectangle of their table, rows [0, hi) x columns [lo, k)
+    (:func:`_rectangle_gram`): 1 - T vanishes, to round-off, on [0, lo)^2
+    and [hi, k)^2, where both eigenvalues shrink on the same side of the
+    threshold, and theta on [hi, p)^2, where both are negative.  Every
+    pair that carries weight then has itself or its mirror image in the
+    rectangle, weighted by :func:`_mirror_weights`.  At exact kinks both
+    tables are pair rules of the eigenvalues, so only the rectangle is
+    formed, from the spectrum (:func:`nuclear.prox_support_table`,
+    :func:`psd_cone.theta_support_table`).
     The Lagrangian curvature of affine F and g is the problem's
     constant, and c Jh^T Jh the subproblem's (``ShiftedPoint.sq_norms``).
     """
@@ -633,16 +618,9 @@ def newton_matrix_element(problem, x, Y, mu, Gamma, c, *, point=None):
     if A is None:
         A = hess_xx_lagrangian(problem, x, pt.Yhat, pt.muhat, pt.Ghat)
 
-    Q = pt.eig_Z.basis
-    rect = prox_support_table(pt.eig_Z, pt.tau)
-    if rect is None:
-        dd = prox_divided_diff(pt.eig_Z, pt.tau, 0.0)
-        A = A + c * _hadamard_gram(Q, pt.jac_F, 1.0 - dd.table,
-                                   *dd.complement_support)
-    else:
-        T, lo = rect
-        R = _mirror_weights(1.0 - T, lo)
-        A = A + c * _rectangle_gram(Q, pt.jac_F, R, lo)
+    T, lo = prox_support_table(pt.eig_Z, pt.tau)
+    R = _mirror_weights(1.0 - T, lo)
+    A = A + c * _rectangle_gram(pt.eig_Z.basis, pt.jac_F, R, lo)
 
     A = A + pt.sq_norms[3]
 

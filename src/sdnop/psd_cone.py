@@ -46,14 +46,6 @@ class ThetaMatrix:
     entries: np.ndarray
     partition: SignPartition
 
-    @property
-    def support(self):
-        """Bounds (lo, hi) with ``entries`` exactly zero on [hi, p)^2: the
-        negative rows of the descending spectrum, whose positive parts
-        vanish.  lo is 0."""
-        part = self.partition
-        return 0, len(part.pos) + len(part.zero)
-
 
 def positive_part(eig):
     """PSD projection of the matrix that ``eig`` decomposes; the basis may
@@ -120,11 +112,12 @@ def theta_matrix(eig, beta_choice="zero", tol=None):
 
 
 def theta_support_table(eig):
-    """The rows [0, hi) of ``theta_matrix(eig, tol=0.0).entries``, hi its
-    support bound, straight from the spectrum: at tol 0 only exact zeros
-    form the zero block, where the pair table and the committed zero
-    choice both give 0, so one pair table over the hi nonnegative
-    eigenvalues' rows is those rows."""
+    """The rows [0, hi) of ``theta_matrix(eig, tol=0.0).entries``,
+    straight from the spectrum, hi the number of nonnegative eigenvalues:
+    the table is exactly zero on [hi, p)^2, where both positive parts
+    vanish.  At tol 0 only exact zeros form the zero block, where the
+    pair table and the committed zero choice both give 0, so one pair
+    table over the hi nonnegative eigenvalues' rows is those rows."""
     hi = sum(v >= 0.0 for v in eig.values.tolist())
     return psd_pair_table(eig.values, hi)
 

@@ -213,9 +213,10 @@ def partition_by_sign(eig, tol=None):
 class DistinctBlocks:
     """Grouping of a descending spectrum into blocks of equal eigenvalues.
 
-    ``values`` holds one representative per block (the block mean),
-    ``blocks`` the index tuples, and ``zero_block`` the position of the
-    block sitting at zero, if any.
+    ``values`` holds one representative per block: the block's value
+    where all its eigenvalues are equal, else their mean.  ``blocks``
+    holds the index tuples, and ``zero_block`` the position of the block
+    sitting at zero, if any.
     """
 
     values: np.ndarray
@@ -228,7 +229,9 @@ def group_distinct(eig, group_tol=GROUP_TOL):
 
     The tolerance is scaled by (1 + largest magnitude); the first block
     whose representative lies within it of zero is flagged as the zero
-    block.
+    block.  A block of exactly equal eigenvalues is represented by their
+    value, which their mean can round off; any other block by the mean.
+    So at ``group_tol`` 0 every representative is an eigenvalue.
     """
     require_nonnegative("group_tol", group_tol)
     # loops over a Python list, as in partition_by_sign
@@ -245,7 +248,8 @@ def group_distinct(eig, group_tol=GROUP_TOL):
         bounds = [0, *cuts, len(vals)]
         blocks = tuple(tuple(range(a, b))
                        for a, b in zip(bounds[:-1], bounds[1:]))
-        reps = [vals[b[0]] if len(b) == 1
+        # descending, so equal ends make the whole block equal
+        reps = [vals[b[0]] if vals[b[0]] == vals[b[-1]]
                 else float(eig.values[b[0]:b[-1] + 1].mean()) for b in blocks]
         values = np.array(reps)
     zero_block = next((k for k, v in enumerate(reps) if abs(v) <= gap_tol),

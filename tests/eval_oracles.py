@@ -3,19 +3,22 @@
 ``problem.QuadraticMatrixMap`` and ``problem.adjoint_jac`` contract flat
 views of the coefficient stacks with one matrix product,
 ``spectral.eig_sym`` reverses ``eigh``'s ascending order instead of
-sorting, and ``nuclear.prox_divided_diff`` repeats the rows and columns
-of its block table instead of gathering them through an index built
-block by block, and lists its kinks from a Python list of the flags.
-The functions below are the formulas those replaced: ``np.tensordot``
-contractions, a stable argsort reorder, a loop-built block index and a
-loop over the numpy flags for the kinks.  Each rewrite must agree with
+sorting, and ``nuclear.prox_divided_diff`` forms one pair table over
+the spectrum with each eigenvalue snapped to its block's value, instead
+of gathering a block table through an index built block by block, and
+lists its kinks from a Python list of the flags.  The functions below
+are the formulas those replaced: ``np.tensordot`` contractions, a stable
+argsort reorder, a loop-built block index and a loop over the numpy
+flags for the kinks.  Each rewrite must agree with
 its oracle bit for bit.  ``sym_stack_loop`` is the check of a coefficient
 stack that ``problem._sym_stack`` makes in one pass: one ``as_symmetric``
 call per slice.
 
 ``rectangle_weights`` is the weighting of the support-rectangle Gram
 product as formed from a full table, before the Newton element built
-its tables on the rectangle alone.
+its tables on the rectangle alone, and ``hadamard_gram`` that Gram
+product of a full table with the support bounds it is given: the
+reference the Newton element is checked against byte for byte.
 
 ``apply_jac``, ``lagrangian`` and ``newton_element_einsum`` are the
 reference formulas the tests check the library against: the directional
@@ -43,7 +46,7 @@ from sdnop.nuclear import (
     prox_divided_diff,
     soft_pair_table,
 )
-from sdnop.problem import hess_xx_lagrangian
+from sdnop.problem import _rectangle_gram, hess_xx_lagrangian
 from sdnop.psd_cone import project_psd, theta_matrix
 from sdnop.spectral import (
     EigenDecomposition,
@@ -135,6 +138,16 @@ def rectangle_weights(W, lo, hi):
     R = 2.0 * W[:hi, lo:]
     R[lo:, :hi - lo] = W[lo:hi, lo:hi]
     return R
+
+
+def hadamard_gram(Q, jac, W, lo, hi):
+    """Matrix of pairings <Q^T J_i Q, W o (Q^T J_j Q)> over a Jacobian
+    stack, for a symmetric table W that vanishes on the corner blocks
+    [0, lo)^2 and [hi, k)^2 (lo <= hi): every pair that can carry weight
+    has itself or its mirror image in the rectangle rows [0, hi) x
+    columns [lo, k), so the product is ``problem._rectangle_gram`` over
+    the :func:`rectangle_weights` of W."""
+    return _rectangle_gram(Q, jac, rectangle_weights(W, lo, hi), lo)
 
 
 def kink_blocks(eig, tau, group_tol):

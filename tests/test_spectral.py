@@ -178,6 +178,18 @@ class TestGroupDistinct:
             np.testing.assert_array_equal(blocks.values, means)
             assert blocks.values is not eig.values
 
+    def test_constant_run_keeps_its_value(self):
+        # the mean of three copies of 0.1 is 0.10000000000000002, of three
+        # of 0.7 0.6999999999999998; a run of equal eigenvalues is
+        # represented by its value, within a merged block or alone
+        for vals in ([0.1] * 3, [0.1] * 4, [0.7] * 3,
+                     [0.7] * 3 + [0.1] * 4 + [-1.0]):
+            eig = EigenDecomposition(np.array(vals), np.eye(len(vals)))
+            for group_tol in (0.0, 1e-8):
+                blocks = group_distinct(eig, group_tol)
+                assert blocks.values.tolist() == sorted(set(vals),
+                                                        reverse=True)
+
     def test_random_blocks_cover_all_indices(self):
         rng = np.random.RandomState(6)
         for _ in range(50):
@@ -229,7 +241,10 @@ class TestListLoopsMatchNumpy:
                              + 1), vals.size]
                 blocks = tuple(tuple(range(a, b))
                                for a, b in zip(cuts[:-1], cuts[1:]))
-                reps = np.array([vals[b[0]:b[-1] + 1].mean() for b in blocks])
+                # the mean, or the value of a run of equal eigenvalues
+                reps = np.array([
+                    vals[b[0]] if np.all(vals[list(b)] == vals[b[0]])
+                    else vals[b[0]:b[-1] + 1].mean() for b in blocks])
                 zero = np.flatnonzero(np.abs(reps) <= gap_tol)
                 assert got.blocks == blocks
                 np.testing.assert_array_equal(got.values, reps)

@@ -16,13 +16,14 @@ as LAPACK returns them.  Each is checked to give the bits of the
 validated, uncached path.
 
 The assembly takes each Hadamard-weighted Gram product over the support
-rectangle its table owner reports: 1 - T vanishes, to round-off, on the
-corner blocks where both eigenvalues shrink on the same side of the
-threshold, and theta on the block where both are negative.  The oracle
-sums over every entry, so it is checked at random points, at points whose
-spectra sit on the kinks with the committed zero choice, at spectra that
-leave the rectangle empty or without a middle block, and with F or g
-absent.  The owners' bounds are checked against their tables directly.
+rectangle of its table: 1 - T vanishes, to round-off, on the corner
+blocks where both eigenvalues shrink on the same side of the threshold,
+and theta on the block where both are negative.  The oracle sums over
+every entry, so it is checked at random points, at points whose spectra
+sit on the kinks with the committed zero choice, at spectra that leave
+the rectangle empty or without a middle block, and with F or g absent.
+The bounds, counted here from the spectrum and the kink flags, are
+checked against the tables directly.
 """
 
 import os
@@ -52,7 +53,6 @@ from sdnop.nuclear import (
 from sdnop.problem import (
     MultiplierTriple,
     ShiftedPoint,
-    _hadamard_gram,
     aug_lagrangian_grad,
     aug_lagrangian_value,
     grad_x_lagrangian,
@@ -72,7 +72,7 @@ from sdnop.solver import ALMConfig, alm_solve
 from sdnop.spectral import EigenDecomposition, HadamardElement, eig_sym
 
 from conftest import make_mixed_instance
-from eval_oracles import newton_element_einsum, prox_table
+from eval_oracles import hadamard_gram, newton_element_einsum, prox_table
 
 INSTANCES = os.path.join(os.path.dirname(os.path.dirname(__file__)),
                          "instances")
@@ -87,6 +87,27 @@ def _load(name):
     if name in ABSENT:
         return generate_instance(*ABSENT[name], profile="nondegen", seed=7)
     return load_instance(os.path.join(INSTANCES, name + ".json"))
+
+
+def _complement_support(dd, tau):
+    """Bounds (lo, hi) such that 1 - dd.table vanishes, to round-off, on
+    [0, lo)^2 and [hi, k)^2: lo counts the eigenvalues in unflagged
+    blocks above tau, k - hi those in unflagged blocks below -tau, where
+    the soft threshold has slope 1.  At ``group_tol`` 0 they are the
+    eigenvalues above tau and below -tau."""
+    kinks = {k for k, _ in dd.kink_blocks}
+    size = {-1: 0, 0: 0, 1: 0}
+    for k, (v, blk) in enumerate(zip(dd.blocks.values.tolist(),
+                                     dd.blocks.blocks)):
+        side = 0 if k in kinks else (v > tau) - (v < -tau)
+        size[side] += len(blk)
+    return size[1], dd.table.shape[0] - size[-1]
+
+
+def _theta_support(theta):
+    """hi with theta's entries exactly zero on [hi, p)^2, where both
+    eigenvalues are negative: the count of the positive and zero rows."""
+    return len(theta.partition.pos) + len(theta.partition.zero)
 
 
 def _random_points(problem, rng, count):
@@ -183,11 +204,11 @@ def test_rectangle_edges_match_einsum_oracle(name, layout):
         Y, Gamma = _shifted_at(problem, x, c, _with_spectrum(z, rng),
                                _with_spectrum(m, rng))
         pt = ShiftedPoint(problem, x, Y, mu, Gamma, c)
-        assert theta_matrix(pt.eig_M).support == (0, int(np.sum(m > 0.0)))
+        assert _theta_support(theta_matrix(pt.eig_M)) == int(np.sum(m > 0.0))
         above = int(np.sum(z > 0.0))
         for group_tol in (0.0, 1e-8, 1e-3):
             dd = prox_divided_diff(pt.eig_Z, tau, group_tol)
-            assert dd.complement_support == (above, above)
+            assert _complement_support(dd, tau) == (above, above)
         _assert_matches_oracle(problem, x, Y, mu, Gamma, c)
 
 
@@ -217,7 +238,7 @@ def test_tables_vanish_outside_their_support():
         eig = EigenDecomposition(values, np.eye(values.size))
         for group_tol in (0.0, 1e-8, 1e-3):
             dd = prox_divided_diff(eig, tau, group_tol)
-            lo, hi = dd.complement_support
+            lo, hi = _complement_support(dd, tau)
             assert 0 <= lo <= hi <= values.size
             v = np.repeat(dd.blocks.values, [len(b) for b in dd.blocks.blocks])
             gap = np.abs(v[:, None] - v[None, :])
@@ -232,8 +253,7 @@ def test_tables_vanish_outside_their_support():
             for tol in (None, group_tol * (1.0 + eig.norm)):
                 for beta in ("zero", "identity"):
                     theta = theta_matrix(eig, beta, tol)
-                    lo, hi = theta.support
-                    assert lo == 0
+                    hi = _theta_support(theta)
                     assert not theta.entries[hi:, hi:].any()
 
 
@@ -458,19 +478,23 @@ def _load_any(name):
 
 
 def newton_element_uncached(problem, x, c, pt):
-    """The Newton element (exact kinks, zero tables on them) with the
-    Lagrangian curvature from ``hess_xx_lagrangian`` and Jh^T Jh formed
-    at x, as before the problem kept them."""
+    """The Newton element (exact kinks, zero tables on them) from the full
+    tables, with the Lagrangian curvature from ``hess_xx_lagrangian`` and
+    Jh^T Jh formed at x, as before the problem kept them.  The support
+    bounds are counted on the spectra: the eigenvalues of Z beyond +-tau,
+    and the nonnegative ones of M."""
     A = hess_xx_lagrangian(problem, x, pt.Yhat, pt.muhat, pt.Ghat)
+    z = pt.eig_Z.values
     dd = prox_divided_diff(pt.eig_Z, pt.tau, 0.0)
-    A = A + c * _hadamard_gram(pt.eig_Z.basis, pt.jac_F,
-                               1.0 - dd.committed_table("zero", "zero"),
-                               *dd.complement_support)
+    A = A + c * hadamard_gram(pt.eig_Z.basis, pt.jac_F,
+                              1.0 - dd.committed_table("zero", "zero"),
+                              int(np.sum(z > pt.tau)),
+                              z.size - int(np.sum(z < -pt.tau)))
     J = problem.h_A
     A = A + c * (J.T @ J)
     theta = theta_matrix(pt.eig_M, tol=0.0)
-    A = A + c * _hadamard_gram(pt.eig_M.basis, pt.jac_g, theta.entries,
-                               *theta.support)
+    A = A + c * hadamard_gram(pt.eig_M.basis, pt.jac_g, theta.entries, 0,
+                              int(np.sum(pt.eig_M.values >= 0.0)))
     return 0.5 * (A + A.T)
 
 

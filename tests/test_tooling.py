@@ -42,6 +42,28 @@ def _wrapped():
     return module.WRAPPED
 
 
+def test_imports_kept_for_the_tracer():
+    # problem.py imports some public forms only so that the tracer can
+    # wrap them there: the names it imports and never reads are exactly
+    # the tracer's sdnop.problem names that it neither defines nor calls
+    with open(problem.__file__) as fh:
+        tree = ast.parse(fh.read())
+    imported, read, called, defined = set(), set(), set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported.update((alias.asname or alias.name).split(".")[0]
+                            for alias in node.names)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            called.add(node.func.id)
+    traced = {attr for mod, attr, _, _ in _wrapped()
+              if mod == "sdnop.problem"}
+    assert imported - read == traced - defined - called
+
+
 def test_traced_names_resolve():
     wrapped = _wrapped()
     missing = [f"{mod}.{attr}" for mod, attr, _, _ in wrapped
@@ -123,9 +145,12 @@ def test_spectral_operators_have_one_form():
     assert not twins, twins
 
 
-# the public functions that take a tolerance, each set by some caller to a
-# value other than its default (the Newton element's exact kinks pass 0).
-# Every other tolerance is a constant (README, "Fixed tolerances")
+# the public functions that take a tolerance.  In the package
+# prox_bsub_element passes group_tol 1e-12 to prox_divided_diff, which
+# passes it on to group_distinct, and each caller of
+# critical_blocks_contain gives its own tol; the others only tests set
+# to a value other than their default.  Every other tolerance is a
+# constant (README, "Fixed tolerances")
 TOLERANCE_ARGUMENTS = {
     "sdnop.spectral.partition_by_sign": "tol",
     "sdnop.spectral.group_distinct": "group_tol",
