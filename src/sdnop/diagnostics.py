@@ -32,7 +32,7 @@ from .nuclear import curvature_form, subdiff_partition
 from .problem import (
     KKTPoint,
     MultiplierTriple,
-    _array,
+    _primal_point,
     check_multipliers,
     hess_xx_lagrangian,
     kkt_residual,
@@ -150,7 +150,7 @@ def cone_blocks(problem, x, multipliers):
     NotASubgradient
         When Y is not a subgradient of the nuclear norm at F(x).
     """
-    x = _array(x, "x", (problem.n,))
+    x = _primal_point(problem, x, "x")
     Y, mu, Gamma = multipliers.Y, multipliers.mu, multipliers.Gamma
     check_multipliers(problem, Y, mu, Gamma)
     part = subdiff_partition(problem.F(x), Y)
@@ -360,23 +360,26 @@ def _psd_curvature_matrix(problem, x, Gamma, D):
     return 2.0 * np.einsum("iab,jba->ij", GGp, G)
 
 
-def sosc_reduced_matrix(problem, x, multipliers, blocks=None, basis=None):
+def sosc_reduced_matrix(problem, x, multipliers, blocks=None):
     """Reduced symmetric matrix of the second-order test.
 
-    The test value q(d) is a quadratic form, so on the columns B of
-    ``basis`` its matrix is assembled in closed form,
+    The test value q(d) is a quadratic form, so on the columns B of the
+    orthonormal :func:`app_cone_basis` of the reduced subspace its matrix
+    is assembled in closed form,
 
         M = B^T (hess_L - Sigma_F + Sigma_g) B,
 
     where Sigma_F is the nuclear-norm curvature
     (:func:`nuclear.curvature_form`) and Sigma_g the cone curvature
-    2 sym <Gamma, Dg b_i g(x)^+ Dg b_j>.  The basis defaults to the
-    orthonormal :func:`app_cone_basis` of the reduced subspace.  Returns
-    (matrix, basis).
+    2 sym <Gamma, Dg b_i g(x)^+ Dg b_j>.  Returns (matrix, basis).
     """
     b = blocks if blocks is not None else cone_blocks(problem, x, multipliers)
-    if basis is None:
-        basis = app_cone_basis(problem, x, multipliers, blocks=b)
+    basis = app_cone_basis(problem, x, multipliers, blocks=b)
+    return _reduced_matrix(problem, x, multipliers, b, basis), basis
+
+
+def _reduced_matrix(problem, x, multipliers, b, basis):
+    """:func:`sosc_reduced_matrix`'s M on the columns of ``basis``."""
     x = np.asarray(x, dtype=np.float64)
     hess_L = hess_xx_lagrangian(problem, x, multipliers.Y, multipliers.mu,
                                 multipliers.Gamma)
@@ -384,7 +387,7 @@ def sosc_reduced_matrix(problem, x, multipliers, blocks=None, basis=None):
     J = np.tensordot(basis.T, b.jac_F_Q, axes=1)
     M -= curvature_form(EigenDecomposition(b.values_F, b.basis_F), b.Y_Q, J)
     M += _psd_curvature_matrix(problem, x, multipliers.Gamma, basis)
-    return 0.5 * (M + M.T), basis
+    return 0.5 * (M + M.T)
 
 
 @dataclass(frozen=True)
@@ -404,7 +407,7 @@ def _roundoff(eigs):
             * float(np.abs(eigs).max()))
 
 
-def strong_sosc_check(problem, x, multipliers, blocks=None):
+def strong_sosc_check(problem, x, multipliers):
     """Strong second-order sufficiency on the reduced subspace: the
     smallest eigenvalue of the reduced matrix exceeds 1e-10.
 
@@ -423,7 +426,7 @@ def strong_sosc_check(problem, x, multipliers, blocks=None):
     """
     res = kkt_residual(problem, x, multipliers.Y, multipliers.mu,
                        multipliers.Gamma)
-    return _strong_sosc_check(problem, x, multipliers, res, blocks)
+    return _strong_sosc_check(problem, x, multipliers, res, None)
 
 
 def _strong_sosc_check(problem, x, multipliers, res, blocks):
@@ -494,14 +497,13 @@ def _nu_tables(blocks):
             for key, t in _cross_tables(blocks).items() if t.size}
 
 
-def split_penalty_matrix(problem, x, multipliers, c_base, c, free=0.0,
-                         blocks=None):
+def split_penalty_matrix(problem, x, multipliers, c_base, c):
     """Curvature model with separately weighted row and table terms.
 
     With A the active-block rows (weights omega: 1 on the equality and
-    principal blocks, 2 on the off-diagonal blocks, ``free`` on the
-    principal blocks whose table entries the generalized derivative
-    leaves unconstrained in [0, 1]) and C the cross-family rows with
+    principal blocks, 2 on the off-diagonal blocks, 0 on the principal
+    blocks whose table entries the generalized derivative leaves
+    unconstrained in [0, 1]) and C the cross-family rows with
     their divided-difference weights delta (:func:`_cross_tables` at
     penalty ``c``: tau dw / (dl + tau dw) over the structured spectra,
     tau = 1/c, and alpha / (alpha + c (-gamma)) for the cone family),
@@ -512,14 +514,13 @@ def split_penalty_matrix(problem, x, multipliers, c_base, c, free=0.0,
     the method at the reference point.
     """
     c_base, c = require_positive("c_base", c_base), require_positive("c", c)
-    if not 0.0 <= free <= 1.0:
-        raise InvalidInput("free table entries must lie in [0, 1]")
-    b = blocks if blocks is not None else cone_blocks(problem, x, multipliers)
-    return _curvature_model(problem, x, multipliers, b)(c_base, c, free)
+    b = cone_blocks(problem, x, multipliers)
+    return _curvature_model(problem, x, multipliers, b)(c_base, c, 0.0)
 
 
 def _curvature_model(problem, x, multipliers, b):
-    """:func:`split_penalty_matrix` as a function of (c_base, c, free).
+    """:func:`split_penalty_matrix` as a function of (c_base, c, free),
+    ``free`` the weight of the unconstrained principal blocks.
 
     The Lagrangian Hessian, the active-block rows and the cross-family
     rows are built once; each call forms only the weights omega and delta.
@@ -602,7 +603,7 @@ class RateConstants:
 
     ``rho1`` bounds the primal distance ratio and scales like twice
     ``rho0``; the dual-side constant has no computable closed form, so
-    ``rho2_proxy`` is NaN here and gets fitted from an empirical sweep.
+    it is fitted from an empirical sweep (``RateFit.rho2_proxy``).
     The nu_0, sigma and nu brackets do not depend on the choice of basis
     inside a repeated eigenvalue; ``spectrum_multiplicity`` only reports
     that one exists (see :class:`ConeBlocks`).
@@ -621,7 +622,6 @@ class RateConstants:
     kappa0: float
     rho0: float
     rho1: float
-    rho2_proxy: float
     spectrum_multiplicity: bool
 
     def as_dict(self):
@@ -701,7 +701,6 @@ def rate_constants(problem, x, multipliers, blocks=None):
         kappa0=float(kappa0),
         rho0=rho0,
         rho1=rho1,
-        rho2_proxy=float("nan"),
         spectrum_multiplicity=blocks.multiplicity,
     )
 
@@ -836,7 +835,7 @@ def rate_sweep(problem, reference, grid, delta=1e-2, seed=0):
     if not isinstance(reference, KKTPoint):
         raise InvalidInput(f"reference must be a KKTPoint, got "
                            f"{type(reference).__name__}")
-    _array(reference.x, "reference.x", (problem.n,))
+    _primal_point(problem, reference.x, "reference.x")
     try:
         grid = list(grid)
     except TypeError:

@@ -154,24 +154,22 @@ def _subdiff_defect(eig, Yh):
     return defect, part
 
 
-def subdiff_contains(X, Y, tol=1e-8):
-    """Membership test for the nuclear-norm subdifferential at X."""
-    tol = require_nonnegative("tol", tol)
+def subdiff_contains(X, Y):
+    """Whether Y is a nuclear-norm subgradient at X, to within 1e-8."""
     eig = eig_sym(X)
-    return _subdiff_defect(eig, compress(eig.basis, Y, "Y", "X"))[0] <= tol
+    return _subdiff_defect(eig, compress(eig.basis, Y, "Y", "X"))[0] <= 1e-8
 
 
-def subdiff_partition(X, Y, tol=1e-8):
+def subdiff_partition(X, Y):
     """Extract the weight structure of a subgradient Y at X.
 
     Raises
     ------
     NotASubgradient
-        If Y fails the membership characterization beyond ``tol``.
+        If Y fails the membership characterization beyond 1e-8.
     """
-    tol = require_nonnegative("tol", tol)
     eig = eig_sym(X)
-    return _subdiff_structure(eig, compress(eig.basis, Y, "Y", "X"), tol)
+    return _subdiff_structure(eig, compress(eig.basis, Y, "Y", "X"), 1e-8)
 
 
 def _subdiff_structure(eig, Yh, tol):
@@ -576,19 +574,17 @@ def _direction_setting(X, Y, H):
     return eig, Y, H
 
 
-def critical_cone_theta_contains(X, Y, H, tol=None):
+def critical_cone_theta_contains(X, Y, H):
     """Whether H lies in the critical cone of the nuclear norm at (X, Y).
 
     The blockwise test of :func:`critical_blocks_contain` on H compressed
-    into the refined basis; ``tol`` defaults to 1e-8 (1 + max |H|).
+    into the refined basis, within 1e-8 (1 + max |H|).
     """
-    tol = None if tol is None else require_nonnegative("tol", tol)
     eig, Y, H = _direction_setting(X, Y, H)
     sp = _subdiff_structure(eig, eig.basis.T @ Y @ eig.basis, 1e-8)
-    if tol is None:
-        tol = 1e-8 * (1.0 + np.abs(H).max(initial=0.0))
     return critical_blocks_contain(sp.basis.T @ H @ sp.basis,
-                                   sp.b_up, sp.b_mid, sp.b_low, tol)
+                                   sp.b_up, sp.b_mid, sp.b_low,
+                                   1e-8 * (1.0 + np.abs(H).max(initial=0.0)))
 
 
 def critical_cone_theta_project(X, Y, H):

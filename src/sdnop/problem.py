@@ -101,6 +101,19 @@ def _array(value, name, shape, finite=True):
     return A
 
 
+def _primal_point(problem, x, name):
+    """:func:`_array` for a point of length n, which also refuses, before
+    any warning, a finite x at which f, its gradient, F, h or g overflows."""
+    x = _array(x, name, (problem.n,))
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            problem.f(x), problem.grad_f(x), problem.F(x), problem.h(x)
+            problem.g(x)
+    except FloatingPointError:
+        raise InvalidInput(f"{name} is too large: the maps overflow") from None
+    return x
+
+
 class _lazy:
     """Attribute computed on first read, like ``functools.cached_property``
     but without the lock that one takes at every first read before Python
@@ -522,7 +535,7 @@ def _shifted(problem, x, Y, mu, Gamma, c, point):
     :func:`check_multipliers`."""
     if point is not None:
         return point
-    x = _array(x, "x", (problem.n,))
+    x = _primal_point(problem, x, "x")
     check_multipliers(problem, Y, mu, Gamma)
     return ShiftedPoint(problem, x, Y, mu, Gamma, c)
 
@@ -593,8 +606,8 @@ def newton_matrix_element(problem, x, Y, mu, Gamma, c, *, point=None):
     B-subdifferential element pushed through Dg.  ``point`` is an
     optional ShiftedPoint built from the same arguments.
 
-    Kinks are exact (``prox_divided_diff`` at ``group_tol`` 0 and
-    ``theta_matrix`` at ``tol`` 0), and the element commits the zero
+    Kinks are exact (``prox_support_table`` and
+    ``theta_support_table``), and the element commits the zero
     table on them: the model must be the derivative of the gradient map
     as computed.  A positive window lets a near-zero eigenvalue take the
     zero branch while the projection it feeds takes the sign branch, a
@@ -680,7 +693,7 @@ class ResidualHalves:
 
     def __init__(self, problem, x, Y, mu, Gamma, *, point=None):
         if point is None:
-            x = _array(x, "x", (problem.n,))
+            x = _primal_point(problem, x, "x")
             check_multipliers(problem, Y, mu, Gamma)
             grad = grad_x_lagrangian(problem, x, Y, mu, Gamma)
             self.Fx, hx, self.gx = problem.F(x), problem.h(x), problem.g(x)
@@ -732,25 +745,23 @@ class ResidualHalves:
 # local dual function
 # ----------------------------------------------------------------------------
 
-def dual_value_and_grad(problem, Y, mu, Gamma, c, x0, inner_cfg=None):
+def dual_value_and_grad(problem, Y, mu, Gamma, c, x0):
     """Local dual value and its gradient at the multiplier block (Y, mu, Gamma).
 
     Minimizes the augmented Lagrangian in x from x0 and differentiates the
     dual: the gradient components are the scaled multiplier moves, so one
     dual gradient-ascent step with stepsize c reproduces multiplier_maps
-    exactly.  The inner solve gets no outer residual, so it runs to the
-    absolute ``grad_tol`` (or the round-off floor) whatever
-    ``grad_tol_rel`` is.  Returns (value, gradient triple, inner
-    minimizer).
+    exactly.  The inner solve, at the default :class:`solver.InnerConfig`
+    and with no outer residual, runs to the absolute ``grad_tol`` (or the
+    round-off floor).  Returns (value, gradient triple, inner minimizer).
     """
     from .solver import InnerConfig, inner_minimize
 
     require_positive("c", c)
-    cfg = inner_cfg if inner_cfg is not None else InnerConfig()
     y = MultiplierTriple(np.asarray(Y, dtype=np.float64),
                          np.asarray(mu, dtype=np.float64),
                          np.asarray(Gamma, dtype=np.float64))
-    xc, stats = inner_minimize(problem, y, c, x0, cfg)
+    xc, stats = inner_minimize(problem, y, c, x0, InnerConfig())
     val = aug_lagrangian_value(problem, xc, y.Y, y.mu, y.Gamma, c,
                                point=stats.point)
     plus = multiplier_maps(problem, xc, y.Y, y.mu, y.Gamma, c,

@@ -96,11 +96,11 @@ def psd_pair_table(lam, hi=None):
     return out
 
 
-def theta_matrix(eig, beta_choice="zero", tol=None):
-    """Theta table at the matrix that ``eig`` decomposes, split by sign
-    at ``tol`` (:func:`spectral.partition_by_sign`); at the default it is
-    :func:`proj_bsub_element`'s with the same ``beta_choice``."""
-    part = partition_by_sign(eig, tol)
+def theta_matrix(eig, beta_choice="zero"):
+    """Theta table at the matrix that ``eig`` decomposes, with the sign
+    split of :func:`spectral.partition_by_sign`: :func:`proj_bsub_element`'s
+    table with the same ``beta_choice``."""
+    part = partition_by_sign(eig)
     # the partition's zero rows, by the same comparison, snapped to 0
     table = psd_pair_table(np.where(np.abs(eig.values) <= part.tol, 0.0,
                                     eig.values))
@@ -112,10 +112,10 @@ def theta_matrix(eig, beta_choice="zero", tol=None):
 
 
 def theta_support_table(eig):
-    """The rows [0, hi) of ``theta_matrix(eig, tol=0.0).entries``,
+    """The rows [0, hi) of the theta table split by sign at 0,
     straight from the spectrum, hi the number of nonnegative eigenvalues:
     the table is exactly zero on [hi, p)^2, where both positive parts
-    vanish.  At tol 0 only exact zeros form the zero block, where the
+    vanish.  Split at 0, only exact zeros form the zero block, where the
     pair table and the committed zero choice both give 0, so one pair
     table over the hi nonnegative eigenvalues' rows is those rows."""
     hi = sum(v >= 0.0 for v in eig.values.tolist())

@@ -37,7 +37,7 @@ from .problem import (
     MultiplierTriple,
     ResidualHalves,
     ShiftedPoint,
-    _array,
+    _primal_point,
     _vector_norm,
     aug_lagrangian_grad,
     aug_lagrangian_value,
@@ -401,7 +401,7 @@ def inner_minimize(problem, y, c, x0, cfg, outer_residual=None):
         maps = (y.point.Fx, y.point.hx, y.point.gx)
     else:
         check_multipliers(problem, y.Y, y.mu, y.Gamma)
-        x0 = _array(x0, "x0", (problem.n,))
+        x0 = _primal_point(problem, x0, "x0")
         maps = None
     x = np.array(x0, dtype=np.float64)
     tol = cfg.grad_tol
@@ -556,7 +556,7 @@ def alm_solve(problem, y0, config, x0, reference=None):
     the bits of an eager run.  A forced or adaptive run forms every row.
     """
     trace = ALMTrace()
-    x = np.array(_array(x0, "x0", (problem.n,)))
+    x = np.array(_primal_point(problem, x0, "x0"))
     y = y0
     c = config.c0
     exact = config.inner.grad_tol_rel == 0.0

@@ -187,19 +187,10 @@ class SignPartition:
     tol: float
 
 
-def partition_by_sign(eig, tol=None):
-    """Partition the eigenvalue indices of ``eig`` into (pos, zero, neg).
-
-    Parameters
-    ----------
-    eig : EigenDecomposition
-    tol : float, optional
-        Absolute cutoff; defaults to ``default_tol(eig.values)``.
-    """
-    if tol is None:
-        tol = default_tol(eig.values)
-    else:
-        require_nonnegative("tol", tol)
+def partition_by_sign(eig):
+    """Partition the eigenvalue indices of ``eig`` into (pos, zero, neg),
+    with the cutoff ``default_tol(eig.values)``, 1e-8 (1 + max |l_i|)."""
+    tol = default_tol(eig.values)
     # a loop over a Python list: at the solver's sizes one numpy call on
     # the spectrum costs more than the whole loop
     vals = eig.values.tolist()

@@ -14,6 +14,13 @@ its oracle bit for bit.  ``sym_stack_loop`` is the check of a coefficient
 stack that ``problem._sym_stack`` makes in one pass: one ``as_symmetric``
 call per slice.
 
+``theta_table`` is ``psd_cone.theta_matrix``'s table split by sign at
+any cutoff, where the library splits at 1e-8 (1 + max |l_i|) only:
+``psd_pair_table`` on the spectrum with the eigenvalues within the
+cutoff snapped to 0, and the committed choice on that zero block.  At
+cutoff 0 it is the full table the Newton element's support rectangle
+is cut from.
+
 ``rectangle_weights`` is the weighting of the support-rectangle Gram
 product as formed from a full table, before the Newton element built
 its tables on the rectangle alone, and ``hadamard_gram`` that Gram
@@ -47,7 +54,7 @@ from sdnop.nuclear import (
     soft_pair_table,
 )
 from sdnop.problem import _rectangle_gram, hess_xx_lagrangian
-from sdnop.psd_cone import project_psd, theta_matrix
+from sdnop.psd_cone import project_psd, psd_pair_table
 from sdnop.spectral import (
     EigenDecomposition,
     as_symmetric,
@@ -130,6 +137,18 @@ def prox_table(eig, tau, group_tol):
     return small[np.ix_(expand, expand)]
 
 
+def theta_table(eig, tol, beta_choice="zero"):
+    """Theta table of the matrix that ``eig`` decomposes, with the
+    eigenvalues within ``tol`` of 0 as its zero block."""
+    zero = np.abs(eig.values) <= tol
+    table = psd_pair_table(np.where(zero, 0.0, eig.values))
+    if zero.any():
+        idx = np.flatnonzero(zero)
+        table[np.ix_(idx, idx)] = choice_table(beta_choice, idx.size,
+                                               "beta_choice")
+    return table
+
+
 def rectangle_weights(W, lo, hi):
     """The weights a Gram product over the support rectangle rows
     [0, hi) x columns [lo, k) gives the full symmetric table W, formed
@@ -204,11 +223,11 @@ def newton_element_einsum(problem, x, Y, mu, Gamma, c, group_tol=1e-8,
         M = Gamma - c * problem.g(x)
         scale = 1.0 + float(np.linalg.norm(M, 2)) if M.size else 1.0
         eig = spectral.eig_sym(M)
-        theta = theta_matrix(eig, beta_choice, tol=group_tol * scale)
+        theta = theta_table(eig, group_tol * scale, beta_choice)
         P = eig.basis
         Cs = np.einsum("ra,iab,bs->irs", P.T, problem.jac_g(x), P,
                        optimize=True)
-        A = A + c * np.einsum("ikl,kl,jkl->ij", Cs, theta.entries, Cs,
+        A = A + c * np.einsum("ikl,kl,jkl->ij", Cs, theta, Cs,
                               optimize=True)
     return 0.5 * (A + A.T)
 

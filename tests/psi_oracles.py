@@ -23,6 +23,7 @@ from sdnop.errors import DomainError
 from sdnop.nuclear import (
     _pinv_weights,
     _subdiff_defect,
+    _subdiff_structure,
     critical_cone_theta_contains,
     nuclear_norm,
     subdiff_partition,
@@ -77,7 +78,7 @@ def psi_critical(X, H, Y, tol=None, group_tol=1e-8):
     defect = _subdiff_defect(eig, eig.basis.T @ Y @ eig.basis)[0]
     if defect > tol:
         raise DomainError("subgradient", defect)
-    sp = subdiff_partition(X, Y, tol=tol)
+    sp = _subdiff_structure(eig, eig.basis.T @ Y @ eig.basis, tol)
     if not critical_cone_theta_contains(X, Y, H):
         raise DomainError("critical_cone", np.nan)
     total = _signed_traces(blocks, Ks)

@@ -76,8 +76,7 @@ def test_reference_checks_hold(dims):
     blocks = cone_blocks(problem, ref.x, ref.multipliers)
     assert nondegeneracy_check(problem, ref.x, ref.multipliers,
                                blocks=blocks).holds
-    assert strong_sosc_check(problem, ref.x, ref.multipliers,
-                             blocks=blocks).holds
+    assert strong_sosc_check(problem, ref.x, ref.multipliers).holds
 
 
 @pytest.mark.parametrize("dims", SHAPES, ids=_ids)

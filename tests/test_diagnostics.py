@@ -18,9 +18,11 @@ from sdnop.diagnostics import (
     strong_sosc_check,
     _ACTIVE_FAMILIES,
     _active_rows,
+    _curvature_model,
     _family_rows,
     _nu_tables,
     _psd_curvature_matrix,
+    _reduced_matrix,
     _sigma_nu_at,
 )
 from sdnop.errors import (
@@ -543,12 +545,13 @@ class TestStrongSOSC:
         ref = prob.reference
         M, basis = sosc_reduced_matrix(prob, ref.x, ref.multipliers)
         np.testing.assert_allclose(M, M.T, atol=1e-10)
+        blocks = cone_blocks(prob, ref.x, ref.multipliers)
         # polarization consistency: probing with column differences must
         # reproduce the same off-diagonal entries
         for i, j in ((0, 1), (1, 3), (2, 4)):
             probe = (basis[:, i] - basis[:, j]).reshape(-1, 1)
-            Mij, _ = sosc_reduced_matrix(prob, ref.x, ref.multipliers,
-                                         basis=probe)
+            Mij = _reduced_matrix(prob, ref.x, ref.multipliers, blocks,
+                                  probe)
             np.testing.assert_allclose(
                 Mij[0, 0], M[i, i] + M[j, j] - 2.0 * M[i, j], atol=1e-9)
 
@@ -567,9 +570,13 @@ class TestSplitPenaltyMatrix:
             (0.0, "identity", "identity", "zero"),
             (1.0, "zero", "zero", "identity"),
         )
+        model = _curvature_model(prob, x, mult,
+                                 cone_blocks(prob, x, mult))
         for c in (10.0, 1000.0):
+            np.testing.assert_array_equal(
+                split_penalty_matrix(prob, x, mult, c, c), model(c, c, 0.0))
             for free, up, low, beta in pairs:
-                B = split_penalty_matrix(prob, x, mult, c, c, free=free)
+                B = model(c, c, free)
                 N = newton_element_einsum(
                     prob, x, mult.Y, mult.mu, mult.Gamma, c,
                     up_choice=up, low_choice=low, beta_choice=beta)
@@ -593,13 +600,6 @@ class TestSplitPenaltyMatrix:
         low = split_penalty_matrix(prob, x, ref.multipliers, c0, c)
         high = split_penalty_matrix(prob, x, ref.multipliers, c, c)
         assert np.linalg.eigvalsh(high - low).min() >= -1e-8
-
-    def test_invalid_free_value_rejected(self):
-        prob = make_full_blocks_instance()
-        ref = prob.reference
-        with pytest.raises(InvalidInput):
-            split_penalty_matrix(prob, ref.x, ref.multipliers, 10.0, 10.0,
-                                 free=1.5)
 
 
 # ----------------------------------------------------------------------------
@@ -700,7 +700,6 @@ class TestRateConstants:
             assert rc.nu_upper >= rc.nu_lower >= 0.0
             assert rc.nu_upper_0 >= rc.nu_lower_0 >= 0.0
             assert rc.eta_upper >= rc.eta_lower
-            assert math.isnan(rc.rho2_proxy)
 
     def test_brackets_are_basis_invariant(self):
         # a rotation inside a run of equal eigenvalue and weight maps each

@@ -27,14 +27,11 @@ from sdnop.errors import (
 from sdnop.generator import generate_instance
 from sdnop.nuclear import (
     critical_blocks_contain,
-    critical_cone_theta_contains,
     grad_moreau_env,
     moreau_env,
     prox_bsub_element,
     prox_dir_deriv,
     prox_nuclear,
-    subdiff_contains,
-    subdiff_partition,
 )
 from sdnop.problem import (
     KKTPoint,
@@ -46,7 +43,7 @@ from sdnop.problem import (
     load_instance,
 )
 from sdnop.solver import ALMConfig, InnerConfig, alm_solve, inner_minimize
-from sdnop.spectral import eig_sym, group_distinct, partition_by_sign
+from sdnop.spectral import eig_sym, group_distinct
 
 from conftest import make_mixed_instance
 
@@ -104,19 +101,8 @@ _CASES = [
       for call in (ShiftedPoint, aug_lagrangian_value, dual_value_and_grad)),
     ("group_distinct", "group_tol", REAL_BAD,
      lambda v: group_distinct(_EIG, v)),
-    # None is the default: a tolerance scaled to the spectrum
-    ("partition_by_sign", "tol", [v for v in REAL_BAD if v is not None],
-     lambda v: partition_by_sign(_EIG, v)),
-    ("subdiff_contains", "tol", REAL_BAD,
-     lambda v: subdiff_contains(_X, _Y, v)),
-    ("subdiff_partition", "tol", REAL_BAD,
-     lambda v: subdiff_partition(_X, _Y, v)),
     ("critical_blocks_contain", "tol", REAL_BAD,
      lambda v: critical_blocks_contain(np.zeros((2, 2)), [], [0], [], v)),
-    # None is the default: 1e-8 (1 + max |H|)
-    ("critical_cone_theta_contains", "tol",
-     [v for v in REAL_BAD if v is not None],
-     lambda v: critical_cone_theta_contains(_X, _Y, np.zeros((2, 2)), v)),
     *((f"split_penalty_matrix-{key}", key, REAL_BAD,
        lambda v, key=key: _split(**{key: v})) for key in ("c_base", "c")),
     *((f"InnerConfig-{key}", key, INT_BAD if key == "max_iter" else REAL_BAD,
@@ -213,6 +199,8 @@ _BAD_POINTS = {
     "nan": np.full(8, np.nan),
     "inf": np.full(8, np.inf),
     "text": "0",
+    # finite, but f, F, h or g overflows at it
+    "huge": np.full(8, 1e308),
 }
 
 
@@ -224,7 +212,7 @@ def test_malformed_point_is_named(call, name, bad):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(InvalidInput,
-                           match=rf"^{name} (must|contains) "):
+                           match=rf"^{name} (must|contains|is) "):
             _probe(call, _BAD_POINTS[bad])
 
 

@@ -15,10 +15,10 @@ import pytest
 from sdnop.diagnostics import (
     _active_rows,
     _cross_tables,
+    _curvature_model,
     _nu_tables,
     app_cone_basis,
     cone_blocks,
-    split_penalty_matrix,
 )
 from sdnop.generator import generate_instance
 from sdnop.problem import load_instance
@@ -110,9 +110,9 @@ def test_delta_tables_match(case, c):
 @pytest.mark.parametrize("free", (0.0, 1.0))
 def test_curvature_model_matches(case, c, free):
     problem, ref, blocks = _setup(case)
+    model = _curvature_model(problem, ref.x, ref.multipliers, blocks)
     for c_base in (10.0, c):
-        new = split_penalty_matrix(problem, ref.x, ref.multipliers, c_base,
-                                   c, free=free, blocks=blocks)
+        new = model(c_base, c, free)
         old = oracle.split_penalty_matrix(problem, ref.x, ref.multipliers,
                                           c_base, c, free, blocks)
         scale = np.abs(old).max()

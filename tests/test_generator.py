@@ -94,7 +94,7 @@ class TestProfiles:
         nd = nondegeneracy_check(problem, ref.x, ref.multipliers,
                                  blocks=blocks)
         assert nd.holds and nd.sigma_min > 1e-6
-        so = strong_sosc_check(problem, ref.x, ref.multipliers, blocks=blocks)
+        so = strong_sosc_check(problem, ref.x, ref.multipliers)
         assert so.holds and so.min_value > 0.5
 
     def test_nondegen_shape_sweep(self):

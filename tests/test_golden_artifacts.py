@@ -60,7 +60,7 @@ GOLDEN = {
     }),
     ("nondegen_small", "check"): (0, {
         "report.json":
-            "6abe89e8834982cc940edea7e3b78e15e48b83cf4daa00e3c20312f7d14ccb03",
+            "990000ec83de3d641a89c67927bea95b66ada98535ef03939bf2d1e54d4db0b3",
     }),
     ("nondegen_small", "rate-sweep"): (0, {
         "fit.json":
@@ -82,7 +82,7 @@ GOLDEN = {
     }),
     ("degen_small", "check"): (0, {
         "report.json":
-            "61b3bb0b36c52cdfd6769376a90f50c4ae8996f77b2f099fc4d5f01b8057dd57",
+            "58ebce3e1c6991ff3357fcdf9031329c0cd4b2311fb216423bc0ecc0c739e8ac",
     }),
     ("degen_small", "rate-sweep"): (0, {
         "fit.json":
@@ -100,7 +100,7 @@ GOLDEN = {
     }),
     ("saddle_small", "check"): (0, {
         "report.json":
-            "3d3f8abd95aee4d0757b470713bbcdf005441b70b0ee0e4b64d0ceec7ea049d9",
+            "3507bf7a9d917dd53f8e80a56e3d4b82fb4973c5d7dadfe9f5e8140d55c1a7e6",
     }),
     ("saddle_small", "rate-sweep"): (4, {
         "fit.json":
@@ -126,7 +126,7 @@ GENERATED = {
     }),
     ("nondegen", "check"): (0, {
         "report.json":
-            "c82e23ab74839c575ae7c156cbbb6839c5a8357fd42a5521b5600c0629a2d351",
+            "22be4c6d7c22fb0ee6edc873111f07b0e8055cfc8f5a3e12599529f7855324a9",
     }),
     ("nondegen", "rate-sweep"): (0, {
         "fit.json":
@@ -146,7 +146,7 @@ GENERATED = {
     }),
     ("degen", "check"): (0, {
         "report.json":
-            "ee9c2b27189d0fb4f8d6cf97fb953591fe6a7ef05be09daa76cdde1abbcc5007",
+            "20919050074e4efabf9339e930a041eade075bcf03fc70389c9bc1f10b28ba72",
     }),
     ("degen", "rate-sweep"): (0, {
         "fit.json":
@@ -164,7 +164,7 @@ GENERATED = {
     }),
     ("saddle", "check"): (0, {
         "report.json":
-            "5898d1ecb1826356f83f3ddfb1c7f4beee45320f4bce8a70c1064ed8e167fa7a",
+            "755decb0bc2ee38ce40d3a93a3cf14f80568aa794320c2083c128e21d324acda",
     }),
     ("saddle", "rate-sweep"): (4, {
         "fit.json":

@@ -62,13 +62,15 @@ def test_psd_table_known_values():
 
 
 def test_psd_table_masked_entries_treated_as_zero():
-    # a tiny eigenvalue outside theta_matrix's zero tolerance uses the raw
-    # formula, one inside it is snapped to 0 first
-    eig = EigenDecomposition(np.array([2.0, 1e-14]), np.eye(2))
+    # a tiny eigenvalue outside theta_matrix's zero tolerance, 1e-8 (1 +
+    # max |l_i|) = 3e-8 here, uses the raw formula, one inside it is
+    # snapped to 0 first
+    eig = EigenDecomposition(np.array([2.0, 1e-7]), np.eye(2))
     raw = psd_pair_table(eig.values)
     assert raw[0, 1] == 1.0 and raw[1, 1] == 1.0
-    T = theta_matrix(eig, tol=1e-15).entries
-    np.testing.assert_array_equal(T, raw)
+    np.testing.assert_array_equal(theta_matrix(eig).entries, raw)
+    eig = EigenDecomposition(np.array([2.0, 1e-14]), np.eye(2))
+    assert psd_pair_table(eig.values)[1, 1] == 1.0
     T = theta_matrix(eig).entries
     assert T[0, 1] == 1.0 and T[1, 1] == 0.0
 

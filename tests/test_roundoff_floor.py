@@ -25,6 +25,8 @@ from sdnop.diagnostics import (
 from sdnop.generator import generate_instance
 from sdnop.problem import (
     MultiplierTriple,
+    QuadraticMatrixMap,
+    QuadraticProblem,
     ShiftedPoint,
     aug_lagrangian_grad,
     load_instance,
@@ -34,7 +36,9 @@ from sdnop.solver import (
     ALMConfig,
     InnerConfig,
     _STAGNATION_FACTOR,
+    _data_scales,
     _inner_stop,
+    _roundoff_floor,
     alm_solve,
     inner_minimize,
 )
@@ -211,6 +215,64 @@ class TestOuterStop:
         assert trace.stop == "floor"
         assert len(trace) == iterations
         assert 1e-12 < point.residual.total < 1e-10
+
+
+def _rotation(rng, k):
+    """A seeded random orthogonal k x k matrix."""
+    Q, R = np.linalg.qr(rng.randn(k, k))
+    return Q * np.sign(np.diag(R))
+
+
+def _rotate(qmap, Q):
+    return QuadraticMatrixMap(Q.T @ qmap.A0 @ Q,
+                              np.einsum("ab,ibc,cd->iad", Q.T, qmap.Ai, Q))
+
+
+class TestFloorReferee:
+    """The floor against the gradient's measured round-off.
+
+    Rotating F's coefficients and Y by one orthogonal Q, and g's and
+    Gamma by another, leaves the problem and its gradient the same in
+    exact arithmetic and changes only the rounding.  At the point where
+    a fixed-penalty exact solve stopped, the largest gradient difference
+    over ``ROTATIONS`` such rotations measures the noise the floor stands
+    for.  Measured on these instances: floor / noise 0.71-1.07.  KAPPA
+    bounds the ratio both ways; a floor scaled by 10 or by 0.1 falls
+    outside it.
+    """
+
+    ROTATIONS = 12
+    KAPPA = 4.0
+
+    @pytest.mark.parametrize("dims", [(24, 10, 3, 8), (40, 16, 4, 14)])
+    def test_floor_matches_rotation_noise(self, dims):
+        problem = generate_instance(*dims, profile="nondegen", seed=7)
+        start = _perturbed_start(problem)
+        for c in SWEEP_GRID:
+            config = ALMConfig(c0=c, c_max=c, outer_tol=1e-12,
+                               max_outer=60, inner=SWEEP_INNER)
+            _, trace = alm_solve(problem, start, config, problem.reference.x)
+            # the last inner solve stopped at x with the multipliers
+            # before the last update
+            x = trace.points[-1]
+            y = trace.multipliers[-2] if len(trace) > 1 else start
+            pt = ShiftedPoint(problem, x, y.Y, y.mu, y.Gamma, c)
+            floor = _roundoff_floor(pt, c, _data_scales(problem, x, pt))
+            grad = aug_lagrangian_grad(problem, x, y.Y, y.mu, y.Gamma, c)
+            rng = np.random.RandomState(11)
+            noise = 0.0
+            for _ in range(self.ROTATIONS):
+                QF = _rotation(rng, problem.q)
+                Qg = _rotation(rng, problem.p)
+                rotated = QuadraticProblem(
+                    problem.f_c0, problem.f_b, problem.f_H,
+                    _rotate(problem.F_map, QF), problem.h_A, problem.h_r,
+                    _rotate(problem.g_map, Qg))
+                other = aug_lagrangian_grad(rotated, x, QF.T @ y.Y @ QF,
+                                            y.mu, Qg.T @ y.Gamma @ Qg, c)
+                noise = max(noise, float(np.linalg.norm(other - grad)))
+            assert 1.0 / self.KAPPA <= floor / noise <= self.KAPPA, \
+                (c, floor, noise)
 
 
 class TestSweep:

@@ -1,10 +1,12 @@
 """Closed-form reduced second-order matrix against a polarization oracle.
 
 ``sosc_reduced_matrix`` assembles M = B^T (hess_L - Sigma_F + Sigma_g) B
-in one batched pass.  The oracle below is the construction it replaced:
-the second-order test value q(d) evaluated direction by direction, with
-the nuclear-norm curvature summed in a loop over eigenvalue-group pairs,
-and the matrix recovered from the polarization probes q(b_i + b_j).  The
+in one batched pass, by its body ``_reduced_matrix``, which the tests
+below call on given blocks and basis.  The oracle below is the
+construction it replaced: the second-order test value q(d) evaluated
+direction by direction, with the nuclear-norm curvature summed in a loop
+over eigenvalue-group pairs, and the matrix recovered from the
+polarization probes q(b_i + b_j).  The
 last test checks that ``psi_conjugate`` along a critical direction is the
 quadratic of the nuclear curvature form Sigma_F.
 """
@@ -15,7 +17,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from sdnop.diagnostics import app_cone_basis, cone_blocks, sosc_reduced_matrix
+from sdnop.diagnostics import _reduced_matrix, app_cone_basis, cone_blocks
 from sdnop.generator import generate_instance
 from sdnop.nuclear import curvature_form, psi_conjugate
 from sdnop.problem import hess_xx_lagrangian, load_instance
@@ -168,9 +170,7 @@ def _setup(case):
         noise = rng.randn(*blocks.Y_Q.shape)
         blocks = replace(blocks, Y_Q=blocks.Y_Q + noise + noise.T)
     q_of = _quadratic_probe(problem, x, ref.multipliers, blocks)
-    M, out_basis = sosc_reduced_matrix(problem, x, ref.multipliers,
-                                       blocks=blocks, basis=basis)
-    assert out_basis is basis
+    M = _reduced_matrix(problem, x, ref.multipliers, blocks, basis)
     return blocks, basis, q_of, M
 
 

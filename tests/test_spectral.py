@@ -7,7 +7,6 @@ import pytest
 
 from sdnop.errors import InvalidInput
 from sdnop.nuclear import envelope_grad, grad_moreau_env, prox_divided_diff
-from sdnop.psd_cone import theta_matrix
 from sdnop.spectral import (
     EigenDecomposition,
     as_symmetric,
@@ -128,11 +127,6 @@ class TestPartition:
         assert part.zero == (1,)
         assert part.neg == (2,)
 
-    def test_negative_tol_rejected(self):
-        eig = eig_sym(np.eye(2))
-        with pytest.raises(InvalidInput):
-            partition_by_sign(eig, tol=-1.0)
-
     def test_tolerance_scales(self):
         # 1e-6 is zero next to an eigenvalue of 1e6 under the relative default
         eig = eig_sym(np.diag([1e6, 1e-6]))
@@ -142,15 +136,12 @@ class TestPartition:
 
 @pytest.mark.parametrize("tol", [float("nan"), -1.0], ids=["nan", "negative"])
 @pytest.mark.parametrize("call, name", [
-    (lambda eig, tol: partition_by_sign(eig, tol), "tol"),
     (lambda eig, tol: group_distinct(eig, tol), "group_tol"),
     (lambda eig, tol: prox_divided_diff(eig, 0.5, tol), "group_tol"),
-    (lambda eig, tol: theta_matrix(eig, tol=tol), "tol"),
-], ids=["partition_by_sign", "group_distinct", "prox_divided_diff",
-        "theta_matrix"])
+], ids=["group_distinct", "prox_divided_diff"])
 def test_bad_tolerance_is_named(call, name, tol):
-    # NaN compares false both ways: unchecked, it put no eigenvalue in any
-    # sign class and grouped the whole spectrum into one block
+    # NaN compares false both ways: unchecked, it grouped the whole
+    # spectrum into one block
     eig = eig_sym(np.diag([3.0, 1.0, 0.0, -2.0]))
     with pytest.raises(InvalidInput, match=f"^{name} must be a nonnegative"):
         call(eig, tol)
@@ -222,13 +213,11 @@ class TestListLoopsMatchNumpy:
         rng = np.random.RandomState(41)
         for _, vals in _oracle_spectra(rng):
             eig = EigenDecomposition(vals, np.eye(vals.size))
-            for tol in (None, 0.0, 1e-10, 1e-3):
-                part = partition_by_sign(eig, tol)
-                cut = 1e-8 * (1.0 + np.abs(vals).max()) if tol is None \
-                    else tol
-                assert part.pos == tuple(np.flatnonzero(vals > cut))
-                assert part.zero == tuple(np.flatnonzero(np.abs(vals) <= cut))
-                assert part.neg == tuple(np.flatnonzero(vals < -cut))
+            part = partition_by_sign(eig)
+            cut = 1e-8 * (1.0 + np.abs(vals).max())
+            assert part.pos == tuple(np.flatnonzero(vals > cut))
+            assert part.zero == tuple(np.flatnonzero(np.abs(vals) <= cut))
+            assert part.neg == tuple(np.flatnonzero(vals < -cut))
 
     def test_group_distinct(self):
         rng = np.random.RandomState(42)

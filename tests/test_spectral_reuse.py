@@ -72,7 +72,12 @@ from sdnop.solver import ALMConfig, alm_solve
 from sdnop.spectral import EigenDecomposition, HadamardElement, eig_sym
 
 from conftest import make_mixed_instance
-from eval_oracles import hadamard_gram, newton_element_einsum, prox_table
+from eval_oracles import (
+    hadamard_gram,
+    newton_element_einsum,
+    prox_table,
+    theta_table,
+)
 
 INSTANCES = os.path.join(os.path.dirname(os.path.dirname(__file__)),
                          "instances")
@@ -179,8 +184,7 @@ def test_committed_kink_choices_match_einsum_oracle(name, choice):
         kinks = {sign: len(dd.blocks.blocks[k]) for k, sign in dd.kink_blocks}
         assert kinks == {sign: int(np.sum(z == sign * tau))
                          for sign in (1, -1) if np.any(z == sign * tau)}
-        zero = theta_matrix(pt.eig_M, tol=0.0).partition.zero
-        assert len(zero) == int(np.sum(m == 0.0))
+        assert np.sum(pt.eig_M.values == 0.0) == np.sum(m == 0.0)
         _assert_matches_oracle(problem, x, Y, mu, Gamma, c, choice)
 
 
@@ -250,11 +254,10 @@ def test_tables_vanish_outside_their_support():
                 for corner in (np.s_[:lo, :lo], np.s_[hi:, hi:]):
                     assert np.all(np.abs(W[corner]) <= bound[corner]), \
                         (tau, values, group_tol)
-            for tol in (None, group_tol * (1.0 + eig.norm)):
-                for beta in ("zero", "identity"):
-                    theta = theta_matrix(eig, beta, tol)
-                    hi = _theta_support(theta)
-                    assert not theta.entries[hi:, hi:].any()
+        for beta in ("zero", "identity"):
+            theta = theta_matrix(eig, beta)
+            hi = _theta_support(theta)
+            assert not theta.entries[hi:, hi:].any()
 
 
 @pytest.mark.parametrize("name", BUNDLED)
@@ -492,8 +495,8 @@ def newton_element_uncached(problem, x, c, pt):
                               z.size - int(np.sum(z < -pt.tau)))
     J = problem.h_A
     A = A + c * (J.T @ J)
-    theta = theta_matrix(pt.eig_M, tol=0.0)
-    A = A + c * hadamard_gram(pt.eig_M.basis, pt.jac_g, theta.entries, 0,
+    A = A + c * hadamard_gram(pt.eig_M.basis, pt.jac_g,
+                              theta_table(pt.eig_M, 0.0), 0,
                               int(np.sum(pt.eig_M.values >= 0.0)))
     return 0.5 * (A + A.T)
 
@@ -581,8 +584,8 @@ def test_column_signs_change_no_bit(name):
                 (positive_part(e) for e in (pt.eig_M, flip.eig_M)),
                 (prox_divided_diff(e, tau, 0.0).table for e in
                  (pt.eig_Z, flip.eig_Z)),
-                (HadamardElement(e.basis, theta_matrix(e, tol=0.0).entries)
-                 .apply(H) for e in (pt.eig_M, flip.eig_M)),
+                (HadamardElement(e.basis, theta_table(e, 0.0)).apply(H)
+                 for e in (pt.eig_M, flip.eig_M)),
                 (p.Yhat for p in (pt, flip)),
                 (p.Ghat for p in (pt, flip)),
                 (newton_matrix_element(problem, x, Y, mu, Gamma, c, point=p)

@@ -5,11 +5,11 @@ eigenvalues, so the Newton element forms only the rectangle its Gram
 products read, straight from the spectrum (``prox_support_table``,
 ``theta_support_table``), and weights it by ``problem._mirror_weights``.
 Here that is checked, byte for byte, against the grouped full tables
-(``prox_divided_diff`` at ``group_tol`` 0, ``theta_matrix`` at ``tol``
-0), cut and weighted by ``eval_oracles.rectangle_weights``: on the test
-spectra of ``test_spectral_reuse`` (values on +-tau and at 0, near-equal
-pairs, exact ties) and on spectra built from exact ties of two, three
-and more.  A run of equal eigenvalues is represented by its own value
+(``prox_divided_diff`` at ``group_tol`` 0, ``eval_oracles.theta_table``
+split at 0), cut and weighted by ``eval_oracles.rectangle_weights``: on
+the test spectra of ``test_spectral_reuse`` (values on +-tau and at 0,
+near-equal pairs, exact ties) and on spectra built from exact ties of
+two, three and more.  A run of equal eigenvalues is represented by its own value
 (``spectral.group_distinct``), which the run's mean can round off, so
 the grouped table is the pair rule of the eigenvalues on runs of three
 too.  The element is checked against the full-table assembly at points
@@ -32,10 +32,10 @@ from sdnop.problem import (
     instance_to_dict,
     newton_matrix_element,
 )
-from sdnop.psd_cone import theta_matrix, theta_support_table
+from sdnop.psd_cone import theta_support_table
 from sdnop.spectral import EigenDecomposition
 
-from eval_oracles import rectangle_weights
+from eval_oracles import rectangle_weights, theta_table
 from test_spectral_reuse import (
     BUNDLED,
     _load,
@@ -92,12 +92,12 @@ def test_rectangles_match_full_tables():
                           rectangle_weights(1.0 - dd.table, lo, hi)), \
             (tau, values)
         # theta vanishes where both eigenvalues are negative
-        theta = theta_matrix(eig, tol=0.0)
+        theta = theta_table(eig, 0.0)
         hi = sum(v >= 0.0 for v in vals)
         table = theta_support_table(eig)
-        assert _same_bits(table, theta.entries[:hi])
+        assert _same_bits(table, theta[:hi])
         assert _same_bits(_mirror_weights(table, 0),
-                          rectangle_weights(theta.entries, 0, hi))
+                          rectangle_weights(theta, 0, hi))
     assert min(seen.values()) >= 5, seen
 
 

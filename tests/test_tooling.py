@@ -145,21 +145,17 @@ def test_spectral_operators_have_one_form():
     assert not twins, twins
 
 
-# the public functions that take a tolerance.  In the package
-# prox_bsub_element passes group_tol 1e-12 to prox_divided_diff, which
-# passes it on to group_distinct, and each caller of
-# critical_blocks_contain gives its own tol; the others only tests set
-# to a value other than their default.  Every other tolerance is a
-# constant (README, "Fixed tolerances")
+# the public functions that take a tolerance, each because a caller in
+# the package sets it: prox_bsub_element passes group_tol 1e-12 to
+# prox_divided_diff, so that its saturated groups sit exactly on the
+# kinks, and prox_divided_diff passes its group_tol on to group_distinct;
+# critical_blocks_contain sees only a compressed direction, so each
+# caller passes 1e-8 (1 + max |H|) of the direction it holds.  Every
+# other tolerance is a constant (README, "Fixed tolerances")
 TOLERANCE_ARGUMENTS = {
-    "sdnop.spectral.partition_by_sign": "tol",
     "sdnop.spectral.group_distinct": "group_tol",
-    "sdnop.psd_cone.theta_matrix": "tol",
-    "sdnop.nuclear.subdiff_contains": "tol",
-    "sdnop.nuclear.subdiff_partition": "tol",
     "sdnop.nuclear.prox_divided_diff": "group_tol",
     "sdnop.nuclear.critical_blocks_contain": "tol",
-    "sdnop.nuclear.critical_cone_theta_contains": "tol",
 }
 
 
@@ -196,6 +192,61 @@ def test_tolerance_arguments_are_listed():
 def test_sampling_arguments_are_listed():
     assert _public_arguments(("seed", "rng", "rotations")) == \
         SAMPLING_ARGUMENTS
+
+
+# defaulted parameters of public functions that no call in the package
+# sets, each kept on purpose: the *_choice arguments select the paper's
+# B-subdifferential elements, a free choice inside [0, 1] that the
+# package commits to "zero" and a caller may make otherwise; the console
+# script calls main() and tests pass argv
+UNSET_DEFAULTS = {
+    "sdnop.psd_cone.proj_bsub_element": {"beta_choice"},
+    "sdnop.nuclear.grad_env_bsub_element": {"up_choice", "low_choice"},
+    "sdnop.cli.main": {"argv"},
+}
+
+
+def _sets(call, params, name):
+    """Whether an ast.Call passes the parameter ``name`` of a signature
+    whose parameter names are ``params``: by position, by keyword, or
+    through a * or ** unpacking."""
+    return (any(isinstance(arg, ast.Starred) for arg in call.args)
+            or len(call.args) > params.index(name)
+            or any(kw.arg in (None, name) for kw in call.keywords))
+
+
+def test_every_default_is_set_by_the_package():
+    # a call is matched to a function by the name it calls, a plain name
+    # or an attribute; the CLI counts as a caller
+    package = os.path.dirname(sdnop.__file__)
+    calls = {}
+    for info in pkgutil.iter_modules(sdnop.__path__):
+        with open(os.path.join(package, f"{info.name}.py")) as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr",
+                                                        None))
+                calls.setdefault(name, []).append(node)
+    unset = {}
+    for name in ("spectral", "psd_cone", "nuclear", "problem", "solver",
+                 "diagnostics", "generator", "cli"):
+        module = importlib.import_module(f"sdnop.{name}")
+        for qualname, fn in _defined_functions(module):
+            short = qualname.split(".")[-1]
+            if short.startswith("_"):
+                continue
+            sig = inspect.signature(fn).parameters
+            # a method's calls do not pass self
+            params = list(sig)[1 if "." in qualname else 0:]
+            for param, spec in sig.items():
+                if spec.default is inspect.Parameter.empty:
+                    continue
+                if not any(_sets(call, params, param)
+                           for call in calls.get(short, ())):
+                    unset.setdefault(f"{module.__name__}.{qualname}",
+                                     set()).add(param)
+    assert unset == UNSET_DEFAULTS
 
 
 def test_problem_methods_read_x():
