@@ -44,6 +44,7 @@ from .errors import (
 from .generator import generate_instance
 from .problem import (
     MultiplierTriple,
+    _read_json,
     kkt_residual,
     load_instance,
     save_instance,
@@ -161,11 +162,7 @@ def _build_config(args):
     """ALMConfig from the optional --config JSON plus flag overrides."""
     data = {}
     if args.config is not None:
-        with open(args.config, "r") as fh:
-            try:
-                data = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise InvalidInput(f"config is not valid JSON: {exc}")
+        data = _read_json(args.config, "config")
         if not isinstance(data, dict):
             raise InvalidInput("config must be a JSON object")
     _check_keys(data, ALMConfig, "")

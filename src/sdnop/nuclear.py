@@ -426,8 +426,9 @@ class ProxDividedDiff:
 def prox_divided_diff(eig, tau, group_tol=GROUP_TOL):
     """Soft-threshold divided-difference table over the spectrum ``eig``."""
     blocks = group_distinct(eig, group_tol)
-    # the kink flags are read off a Python list: at the solver's sizes one
-    # numpy call on this short array costs more than the whole loop
+    # the kink flags are read off a Python list, as in
+    # spectral.partition_by_sign: the spectra this serves, the elements
+    # and directional derivatives of the public API, are short
     reps = blocks.values.tolist()
     kink_tol = group_tol * (1.0 + max(map(abs, reps), default=0.0) + tau)
     flags = [-1 if abs(v + tau) <= kink_tol

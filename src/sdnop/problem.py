@@ -653,8 +653,7 @@ def kkt_residual(problem, x, Y, mu, Gamma, *, point=None):
     nuclear-norm subdifferential (dual-ball feasibility plus the pairing
     gap), which is continuous in (x, Y); a blockwise eigenstructure test
     would jump when eigenvalues of F(x) cross zero.  F(x) and g(x) are
-    symmetrized and decomposed as formed; a non-finite one is an
-    InvalidInput that names it.
+    symmetrized and decomposed as formed.
 
     ``point`` is an optional ShiftedPoint at x whose multiplier update
     (``multiplier_maps``) is (Y, mu, Gamma).  Its gradient is then the
@@ -684,11 +683,11 @@ class ResidualHalves:
     and returns the KKTResidual, with the bits ``kkt_residual`` gives.
     The arguments are those of :func:`kkt_residual`.
 
-    With a point, the finite Z and M it decomposed prove F(x) and g(x)
-    finite, so their symmetric parts and the pairing <F(x), Y> are
-    formed with the spectral half, and a row left pending never forms
-    them.  Without one, x, the multipliers and then F(x) and g(x) are
-    checked here, in order.
+    F(x) and g(x) are proven finite where they are formed: by the finite
+    Z and M of a point, else by the check of x (``_primal_point``).  So
+    their symmetric parts and the pairing <F(x), Y> are formed with the
+    spectral half, never for a row left pending.  Without a point, x and
+    then the multipliers are checked here, in order.
     """
 
     def __init__(self, problem, x, Y, mu, Gamma, *, point=None):
@@ -697,9 +696,6 @@ class ResidualHalves:
             check_multipliers(problem, Y, mu, Gamma)
             grad = grad_x_lagrangian(problem, x, Y, mu, Gamma)
             self.Fx, hx, self.gx = problem.F(x), problem.h(x), problem.g(x)
-            # no finite Z and M vouch for F(x) and g(x): check them now,
-            # where the full residual names them
-            self.Fs, self.gs
             self.Ys = symmetric_part(Y, "Y")
             self.Gs = symmetric_part(Gamma, "Gamma")
         else:
@@ -709,14 +705,6 @@ class ResidualHalves:
         self.stationarity = _vector_norm(grad)
         self.equality = _vector_norm(hx)
         self.complementarity = float(abs((self.gx * Gamma).sum()))
-
-    @_lazy
-    def Fs(self):
-        return symmetric_part(self.Fx, "F(x)")
-
-    @_lazy
-    def gs(self):
-        return symmetric_part(self.gx, "g(x)")
 
     def exceeds(self, level):
         """Whether the largest of the three formed components is finite
@@ -732,10 +720,10 @@ class ResidualHalves:
                               .max(initial=0.0)) - 1.0)
         # the gap: the nuclear norm of F(x) less its pairing <F(x), Y>
         pairing = float(np.sum(self.Fx * self.Ys))
-        gap = abs(float(np.abs(np.linalg.eigvalsh(self.Fs)).sum())
-                  - pairing)
-        cone = float(np.linalg.norm(
-            self.gx - positive_part(eig_symmetrized(self.gs))))
+        gap = abs(float(np.abs(np.linalg.eigvalsh(
+            symmetric_part(self.Fx, "F(x)"))).sum()) - pairing)
+        cone = float(np.linalg.norm(self.gx - positive_part(
+            eig_symmetrized(symmetric_part(self.gx, "g(x)")))))
         dual = float(max(0.0, -np.linalg.eigvalsh(self.Gs).min(initial=0.0)))
         return KKTResidual(self.stationarity, max(ball, gap), self.equality,
                            cone, dual, self.complementarity)
@@ -879,13 +867,19 @@ def instance_to_dict(problem):
     return data
 
 
-def load_instance(path):
-    with open(path, "r") as fh:
+def _read_json(path, name):
+    """The JSON document in the file at ``path``; InvalidInput naming
+    ``name`` if it is not UTF-8 JSON or nests too deep to parse."""
+    with open(path, "r", encoding="utf-8") as fh:
         try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InvalidInput(f"not valid JSON: {exc}")
-    return instance_from_dict(data)
+            return json.load(fh)
+        except (UnicodeDecodeError, json.JSONDecodeError,
+                RecursionError) as exc:
+            raise InvalidInput(f"{name} is not valid JSON: {exc}") from None
+
+
+def load_instance(path):
+    return instance_from_dict(_read_json(path, "instance"))
 
 
 def save_instance(problem, path):

@@ -32,6 +32,7 @@ from .errors import (
     require_nonnegative,
     require_positive,
 )
+from . import problem as _problem
 from .problem import (
     KKTPoint,
     MultiplierTriple,
@@ -122,8 +123,8 @@ class InnerConfig:
 @dataclass(frozen=True)
 class InnerStats:
     """Inner-loop counters; ``point`` is the ShiftedPoint at the last x
-    (the returned x, which the multiplier update reuses, or the failed
-    loop's best iterate).
+    (the returned x, which the multiplier update and the next subproblem
+    reuse, or the failed loop's best iterate).
 
     ``stop`` says how the loop ended: "tol" when the gradient norm met the
     configured tolerance, "floor" when it met only the round-off floor or
@@ -344,15 +345,6 @@ def _inner_stop(gnorm, tol, floor):
     return None
 
 
-@dataclass(frozen=True)
-class _MultiplierUpdate(MultiplierTriple):
-    """The multiplier update ``alm_solve`` formed at ``point``, passed to
-    the next inner solve, which starts at the same x: Y and Gamma are
-    square and exactly symmetric by construction."""
-
-    point: ShiftedPoint = field(compare=False, repr=False)
-
-
 def _check_formed_multipliers(Y, Gamma):
     """``check_multipliers`` for a Y and Gamma that a multiplier update
     formed exactly symmetric and of the problem's sizes: only their
@@ -391,14 +383,20 @@ def inner_minimize(problem, y, c, x0, cfg, outer_residual=None):
     trial.  ``InnerStats.value`` evaluates an unevaluated last point on
     first read.
 
-    A y that ``alm_solve`` formed at x0 (a ``_MultiplierUpdate``) is
-    exactly symmetric, so it is tested only for finiteness, x0 is its
-    iterate and is not tested, and the F(x), h(x) and g(x) of the point
-    it was formed at start the solve.
+    ``x0`` may instead be the ShiftedPoint a previous solve ended at
+    (``InnerStats.point``), with y the multiplier update formed there:
+    ``alm_solve``'s warm start.  That y is tested only for finiteness,
+    and the point's F(x), h(x) and g(x) start the solve; a y that is not
+    the point's update is an InvalidInput.
     """
-    if isinstance(y, _MultiplierUpdate):
+    if isinstance(x0, _problem.ShiftedPoint):
+        if not (y.Y is x0.Yhat and y.mu is x0.muhat
+                and y.Gamma is x0.Ghat):
+            raise InvalidInput("y must be the multiplier update formed "
+                               "at the point x0")
         _check_formed_multipliers(y.Y, y.Gamma)
-        maps = (y.point.Fx, y.point.hx, y.point.gx)
+        maps = (x0.Fx, x0.hx, x0.gx)
+        x0 = x0.x
     else:
         check_multipliers(problem, y.Y, y.mu, y.Gamma)
         x0 = _primal_point(problem, x0, "x0")
@@ -540,6 +538,7 @@ def alm_solve(problem, y0, config, x0, reference=None):
     ``outer_tol``; ``ALMTrace.stop`` records which.  Each inner solve is
     forced by the residual before it, the first by the residual at
     (x0, y0), while the penalty first grows after two outer residuals.
+    Each later inner solve starts warm, where the last one ended.
     Returns (KKTPoint, ALMTrace) on convergence.  Raises MaxIterations
     (carrying the trace and last iterate) if max_outer is exhausted, and
     propagates InnerSolveError (with the partial trace attached) if an
@@ -556,7 +555,7 @@ def alm_solve(problem, y0, config, x0, reference=None):
     the bits of an eager run.  A forced or adaptive run forms every row.
     """
     trace = ALMTrace()
-    x = np.array(_primal_point(problem, x0, "x0"))
+    x = start = np.array(_primal_point(problem, x0, "x0"))
     y = y0
     c = config.c0
     exact = config.inner.grad_tol_rel == 0.0
@@ -569,7 +568,7 @@ def alm_solve(problem, y0, config, x0, reference=None):
     res_prev = None
     for _k in range(config.max_outer):
         try:
-            x, istats = inner_minimize(problem, y, c, x, config.inner,
+            x, istats = inner_minimize(problem, y, c, start, config.inner,
                                        outer_residual=total)
         except InnerSolveError as exc:
             exc.trace = trace
@@ -584,8 +583,8 @@ def alm_solve(problem, y0, config, x0, reference=None):
             dx = _vector_norm(x - reference.x)
             dy = triple_diff_norm(y_next, reference.multipliers)
         trace.append_row(c, x, y_next, res, istats.iterations, dx, dy)
-        y = _MultiplierUpdate(y_next.Y, y_next.mu, y_next.Gamma,
-                              istats.point)
+        # the warm start: the next subproblem starts where this one ended
+        y, start = y_next, istats.point
         if total is None:
             # pending: no stop test can pass, and c is at its cap
             continue

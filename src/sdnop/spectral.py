@@ -191,8 +191,9 @@ def partition_by_sign(eig):
     """Partition the eigenvalue indices of ``eig`` into (pos, zero, neg),
     with the cutoff ``default_tol(eig.values)``, 1e-8 (1 + max |l_i|)."""
     tol = default_tol(eig.values)
-    # a loop over a Python list: at the solver's sizes one numpy call on
-    # the spectrum costs more than the whole loop
+    # a loop over a Python list: for the spectra of fewer than about 50
+    # eigenvalues that the diagnostics and the subgradient structure
+    # split, one numpy call costs more than the whole loop
     vals = eig.values.tolist()
     pos = tuple(i for i, v in enumerate(vals) if v > tol)
     neg = tuple(i for i, v in enumerate(vals) if v < -tol)
@@ -231,27 +232,15 @@ def group_distinct(eig, group_tol=GROUP_TOL):
         return DistinctBlocks(np.zeros(0), (), None)
     gap_tol = group_tol * (1.0 + max(map(abs, vals)))
     cuts = [i for i in range(1, len(vals)) if vals[i - 1] - vals[i] > gap_tol]
-    if len(cuts) == len(vals) - 1:
-        # every block a singleton, as at the solver's group_tol = 0 unless
-        # two eigenvalues are exactly equal
-        blocks, reps, values = _singletons(len(vals)), vals, eig.values.copy()
-    else:
-        bounds = [0, *cuts, len(vals)]
-        blocks = tuple(tuple(range(a, b))
-                       for a, b in zip(bounds[:-1], bounds[1:]))
-        # descending, so equal ends make the whole block equal
-        reps = [vals[b[0]] if vals[b[0]] == vals[b[-1]]
-                else float(eig.values[b[0]:b[-1] + 1].mean()) for b in blocks]
-        values = np.array(reps)
+    bounds = [0, *cuts, len(vals)]
+    blocks = tuple(tuple(range(a, b))
+                   for a, b in zip(bounds[:-1], bounds[1:]))
+    # descending, so equal ends make the whole block equal
+    reps = [vals[b[0]] if vals[b[0]] == vals[b[-1]]
+            else float(eig.values[b[0]:b[-1] + 1].mean()) for b in blocks]
     zero_block = next((k for k, v in enumerate(reps) if abs(v) <= gap_tol),
                       None)
-    return DistinctBlocks(values, blocks, zero_block)
-
-
-@lru_cache(maxsize=None)
-def _singletons(k):
-    """The index tuples (0,), ..., (k - 1,): k singleton blocks."""
-    return tuple((i,) for i in range(k))
+    return DistinctBlocks(np.array(reps), blocks, zero_block)
 
 
 def choice_table(choice, k, name):

@@ -10,6 +10,8 @@ import sys
 import pytest
 
 from sdnop import cli
+from sdnop.generator import generate_instance
+from sdnop.problem import save_instance
 
 INSTANCES = os.path.join(os.path.dirname(os.path.dirname(__file__)),
                          "instances")
@@ -51,6 +53,24 @@ class TestSolve:
         code = cli.main(["solve", str(bad), "--out", str(tmp_path / "o")])
         assert code == 1
         assert "not valid JSON" in capsys.readouterr().err
+
+    # a file json cannot decode (not UTF-8) or nests too deep for its
+    # parser is an input error, not a traceback
+    @pytest.mark.parametrize("flag, content", [
+        (None, b"\xff\xfe{}"), (None, b"[" * 200_000),
+        ("--config", b"\xff\xfe{}")],
+        ids=["not-utf8", "deep", "config-not-utf8"])
+    def test_unreadable_json_is_input_error(self, tmp_path, capsys, flag,
+                                            content):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        source = [str(bad)] if flag is None else [NONDEGEN, flag, str(bad)]
+        code = cli.main(["solve", *source, "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        name = "instance" if flag is None else "config"
+        assert err.startswith(f"input error: {name} is not valid JSON: ")
+        assert err.count("\n") == 1
 
     def test_inconsistent_dims_is_input_error(self, tmp_path, capsys):
         data = json.loads(_read(NONDEGEN))
@@ -260,6 +280,15 @@ class TestRateSweep:
         code = cli.main(["rate-sweep", NONDEGEN, "--grid", "10,zap",
                          "--out", str(tmp_path / "o")])
         assert code == 1
+
+    def test_no_multiplier_coordinates(self, tmp_path, capsys):
+        path = str(tmp_path / "bare.json")
+        save_instance(generate_instance(4, 0, 0, 0, seed=7), path)
+        code = cli.main(["rate-sweep", path, "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "input error: problem has no multiplier coordinates to "
+            "perturb\n")
 
     def test_missing_reference(self, tmp_path):
         data = json.loads(_read(NONDEGEN))

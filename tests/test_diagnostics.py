@@ -657,6 +657,19 @@ class TestRateConstants:
         np.testing.assert_allclose(rc.nu_lower_0, 0.25, atol=1e-12)
         np.testing.assert_allclose(rc.nu_upper_0, 0.25, atol=1e-12)
 
+    def test_no_cross_rows_gives_zero_brackets(self):
+        # generated nondegen (6, 1, 1, 1) seed 7 has no cross-family row:
+        # every ratio table is empty and the cross-family matrix C has no
+        # rows, so both nu brackets and the rate constants are 0
+        prob = generate_instance(6, 1, 1, 1, "nondegen", seed=7)
+        ref = prob.reference
+        blocks = cone_blocks(prob, ref.x, ref.multipliers)
+        assert _nu_tables(blocks) == {}
+        rc = rate_constants(prob, ref.x, ref.multipliers, blocks=blocks)
+        assert (rc.nu_lower_0, rc.nu_upper_0, rc.nu_lower,
+                rc.nu_upper) == (0.0, 0.0, 0.0, 0.0)
+        assert (rc.rho0, rc.rho1) == (0.0, 0.0)
+
     def test_no_bound_where_nondegeneracy_fails(self):
         # a 1e-10 nudge to the collinear equality row leaves the active
         # matrix at sigma_min / sigma_max ~ 7.6e-12: nondegeneracy fails,
@@ -731,6 +744,14 @@ class TestRateConstants:
 # ----------------------------------------------------------------------------
 
 class TestRateSweep:
+    def test_no_multiplier_coordinates_is_refused(self):
+        # generated (4, 0, 0, 0) has no Y, mu or Gamma to perturb
+        prob = generate_instance(4, 0, 0, 0, seed=7)
+        with pytest.raises(InvalidInput) as info:
+            rate_sweep(prob, prob.reference, (10.0, 100.0), seed=7)
+        assert str(info.value) == ("problem has no multiplier coordinates "
+                                   "to perturb")
+
     def test_contraction_follows_inverse_penalty(self, mixed_instance):
         ref = mixed_instance.reference
         fit = rate_sweep(mixed_instance, ref,

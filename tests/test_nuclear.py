@@ -77,6 +77,17 @@ def make_subgradient_pair(rng, pos, zero, neg, w_mid=None):
     return 0.5 * (X + X.T), 0.5 * (Y + Y.T)
 
 
+def make_saturated_pair(rng):
+    """:func:`make_subgradient_pair` with both saturated groups: w_mid
+    holds one or two +1 and one or two -1 beside up to two interior
+    weights, so complementarity is not strict in the nuclear block."""
+    w_mid = rng.permutation(np.concatenate([
+        np.ones(rng.randint(1, 3)), -np.ones(rng.randint(1, 3)),
+        rng.uniform(-0.8, 0.8, rng.randint(0, 3))]))
+    return make_subgradient_pair(rng, rng.randint(0, 3), w_mid.size,
+                                 rng.randint(0, 3), w_mid=w_mid)
+
+
 def structured_table_oracle(sp, tau):
     """Prox Jacobian table at X + tau Y from its subgradient structure, one
     eigenvalue pair at a time: quotients of the soft threshold, slopes on
@@ -603,9 +614,21 @@ class TestCriticalCone:
         assert critical_cone_theta_contains(X, Y, np.diag([0.0, 1.0]))
         assert not critical_cone_theta_contains(X, Y, np.diag([0.0, -1.0]))
 
+    @staticmethod
+    def _cross_check(X, Y, H):
+        """Membership of H, checked against the equality characterization
+        (a zero gap in the cone, a positive one outside it)."""
+        member = critical_cone_theta_contains(X, Y, H)
+        gap = critical_cone_equality_gap(X, Y, H)
+        if member:
+            assert abs(gap) <= 1e-6 * (1.0 + np.abs(H).max())
+        else:
+            assert gap > 0.0
+        return member
+
     def test_equality_characterization_cross_check(self):
         rng = np.random.RandomState(72)
-        agree_in = agree_out = 0
+        members = []
         for _ in range(500):
             pos = rng.randint(0, 3)
             zero = rng.randint(1, 4)
@@ -616,25 +639,42 @@ class TestCriticalCone:
             H = rand_sym(rng, pos + zero + neg)
             if rng.rand() < 0.5:
                 H = critical_cone_theta_project(X, Y, H)
-            member = critical_cone_theta_contains(X, Y, H)
-            gap = critical_cone_equality_gap(X, Y, H)
-            if member:
-                assert abs(gap) <= 1e-6 * (1.0 + np.abs(H).max())
-                agree_in += 1
-            else:
-                assert gap > 0.0
-                agree_out += 1
-        assert agree_in > 50 and agree_out > 50
+            members.append(self._cross_check(X, Y, H))
+        # both saturated groups: the up-low coupling and the signs of the
+        # two saturated blocks decide membership too.  A third of the
+        # directions are projected, a third projected and then pushed out
+        # of the cone by a definite bump on one saturated block alone
+        rng = np.random.RandomState(74)
+        saturated = []
+        for _ in range(300):
+            X, Y = make_saturated_pair(rng)
+            H = rand_sym(rng, X.shape[0])
+            kind = rng.randint(3)
+            if kind:
+                H = critical_cone_theta_project(X, Y, H)
+            if kind == 2:
+                sp = subdiff_partition(X, Y)
+                idx, sign = ((sp.b_low, 1.0) if rng.rand() < 0.5
+                             else (sp.b_up, -1.0))
+                B = sp.basis[:, list(idx)]
+                H = H + sign * (1.0 + np.linalg.norm(H)) * (B @ B.T)
+            saturated.append(self._cross_check(X, Y, H))
+        for found in (members, saturated):
+            assert 50 < sum(found) < len(found) - 50
 
     def test_projection_lands_in_cone(self):
-        rng = np.random.RandomState(73)
-        for _ in range(100):
-            X, Y = make_subgradient_pair(rng, 1, rng.randint(1, 3), 1)
-            H = rand_sym(rng, X.shape[0])
-            P = critical_cone_theta_project(X, Y, H)
-            assert critical_cone_theta_contains(X, Y, P)
-            # projection is idempotent
-            np.testing.assert_allclose(critical_cone_theta_project(X, Y, P), P, atol=1e-10)
+        # the second set has both saturated groups, whose coupling the
+        # projection zeroes
+        for seed, draw in ((73, lambda rng: make_subgradient_pair(
+                rng, 1, rng.randint(1, 3), 1)), (75, make_saturated_pair)):
+            rng = np.random.RandomState(seed)
+            for _ in range(100):
+                X, Y = draw(rng)
+                H = rand_sym(rng, X.shape[0])
+                P = critical_cone_theta_project(X, Y, H)
+                assert critical_cone_theta_contains(X, Y, P)
+                # projection is idempotent
+                np.testing.assert_allclose(critical_cone_theta_project(X, Y, P), P, atol=1e-10)
 
 
 class TestPsiConjugate:

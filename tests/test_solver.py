@@ -563,6 +563,27 @@ class TestDeferredResidual:
         assert raised[0] == raised[1]
         assert raised[0].startswith("Gamma" if bad == "Gamma" else "Y")
 
+    def test_warm_start_needs_the_points_update(self):
+        # a ShiftedPoint as x0 starts the solve from its x and maps, with
+        # the multiplier update formed there, and refuses any other y,
+        # equal copies included
+        problem, y0 = self._load("nondegen_small")
+        cfg = diagnostics.SWEEP_INNER
+        x, stats = inner_minimize(problem, y0, 10.0, np.zeros(problem.n),
+                                  cfg)
+        pt = stats.point
+        y = multiplier_maps(problem, x, y0.Y, y0.mu, y0.Gamma, 10.0,
+                            point=pt)
+        warm, _ = inner_minimize(problem, y, 100.0, pt, cfg)
+        cold, _ = inner_minimize(problem, y, 100.0, x, cfg)
+        assert warm.tobytes() == cold.tobytes()
+        for other in (y0, MultiplierTriple(y.Y.copy(), y.mu, y.Gamma),
+                      MultiplierTriple(y.Y, y.mu.copy(), y.Gamma),
+                      MultiplierTriple(y.Y, y.mu, y.Gamma.copy())):
+            with pytest.raises(InvalidInput, match="^y must be the "
+                               "multiplier update formed at the point x0"):
+                inner_minimize(problem, other, 100.0, pt, cfg)
+
 
 class TestMultiplierShapes:
     # every entry point names a Y, mu or Gamma that does not fit the
