@@ -406,8 +406,9 @@ def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except (InvalidInput, OSError, np.linalg.LinAlgError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
+    except (InvalidInput, OSError, np.linalg.LinAlgError, MemoryError) as exc:
+        print(f"input error: {str(exc) or type(exc).__name__}",
+              file=sys.stderr)
         return EXIT_INPUT
     except SDNOPError as exc:
         # anything the subcommand did not turn into an exit code itself,

@@ -497,33 +497,24 @@ def _nu_tables(blocks):
             for key, t in _cross_tables(blocks).items() if t.size}
 
 
-def split_penalty_matrix(problem, x, multipliers, c_base, c):
-    """Curvature model with separately weighted row and table terms.
+def _curvature_model(problem, x, multipliers, b):
+    """Curvature model with separately weighted row and table terms, as a
+    function of (c_base, c, free).
 
     With A the active-block rows (weights omega: 1 on the equality and
-    principal blocks, 2 on the off-diagonal blocks, 0 on the principal
-    blocks whose table entries the generalized derivative leaves
-    unconstrained in [0, 1]) and C the cross-family rows with
+    principal blocks, 2 on the off-diagonal blocks, ``free`` on the
+    principal blocks whose table entries the generalized derivative
+    leaves unconstrained in [0, 1]) and C the cross-family rows with
     their divided-difference weights delta (:func:`_cross_tables` at
     penalty ``c``: tau dw / (dl + tau dw) over the structured spectra,
     tau = 1/c, and alpha / (alpha + c (-gamma)) for the cone family),
 
         hess_L + c_base A^T (omega o A) + 2 c C^T (delta o C).
 
-    With ``c_base == c`` this reproduces the regularized Newton matrix of
-    the method at the reference point.
-    """
-    c_base, c = require_positive("c_base", c_base), require_positive("c", c)
-    b = cone_blocks(problem, x, multipliers)
-    return _curvature_model(problem, x, multipliers, b)(c_base, c, 0.0)
-
-
-def _curvature_model(problem, x, multipliers, b):
-    """:func:`split_penalty_matrix` as a function of (c_base, c, free),
-    ``free`` the weight of the unconstrained principal blocks.
-
-    The Lagrangian Hessian, the active-block rows and the cross-family
-    rows are built once; each call forms only the weights omega and delta.
+    With ``c_base == c`` and ``free`` 0 or 1 it reproduces a regularized
+    Newton matrix of the method at the reference point.  The Lagrangian
+    Hessian, the active-block rows and the cross-family rows are built
+    once; each call forms only the weights omega and delta.
     """
     x = np.asarray(x, dtype=np.float64)
     hess = hess_xx_lagrangian(problem, x, multipliers.Y, multipliers.mu,
@@ -642,7 +633,7 @@ def rate_constants(problem, x, multipliers, blocks=None):
     each family's rows orthogonally, and the tables are constant on such
     runs, so they are exact whatever basis the eigensolver returns.  The
     uniform curvature bracket (eta) is estimated from the split-penalty
-    curvature model (:func:`split_penalty_matrix`) over c = 10, 100, 1e3,
+    curvature model (:func:`_curvature_model`) over c = 10, 100, 1e3,
     1e4 with the base weight c0 = 10, which the result reports; it is an
     estimate, not a certified constant.  Wherever nondegeneracy fails
     (sigma_min of the active-block matrix at most 1e-8 sigma_max, the

@@ -240,12 +240,10 @@ def envelope_grad(eig, Z, tau):
 def prox_nuclear(Z, tau):
     """Proximal mapping of the nuclear norm: eigenvalue soft-thresholding.
 
-    Returns the minimizer of ||X'||_* + ||X' - Z||^2/(2 tau) together with
-    the eigendecomposition of Z used to form it.
+    Returns the minimizer of ||X'||_* + ||X' - Z||^2/(2 tau).
     """
     require_positive("tau", tau)
-    eig = eig_sym(Z)
-    return soft_threshold(eig, tau), eig
+    return soft_threshold(eig_sym(Z), tau)
 
 
 def moreau_env(Z, tau):
@@ -479,7 +477,7 @@ def _signed_projections(Hh, kinks):
     """(idx, sign Pi_+(sign Hh_idx,idx)) for each (idx, sign) of ``kinks``
     with idx nonempty: the projection of a diagonal block onto the PSD
     cone for sign +1, onto the NSD cone for sign -1."""
-    return [(idx, sign * project_psd(sign * Hh[np.ix_(idx, idx)])[0])
+    return [(idx, sign * project_psd(sign * Hh[np.ix_(idx, idx)]))
             for idx, sign in kinks if idx]
 
 

@@ -8,13 +8,10 @@ the theta table.  The projection and an element's table are functions
 of a decomposition, which the public matrix forms take.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .spectral import (
     HadamardElement,
-    SignPartition,
     choice_table,
     compress,
     eig_sym,
@@ -23,7 +20,6 @@ from .spectral import (
 )
 
 __all__ = [
-    "ThetaMatrix",
     "positive_part",
     "project_psd",
     "psd_pair_table",
@@ -34,19 +30,6 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ThetaMatrix:
-    """Hadamard multiplier table of a projection B-subdifferential element.
-
-    Off the zero-zero block the entries are the positive-part difference
-    quotients (max(l_i,0)+max(l_j,0))/(|l_i|+|l_j|); the zero-zero block
-    holds whatever element of [0,1] the constructor committed to.
-    """
-
-    entries: np.ndarray
-    partition: SignPartition
-
-
 def positive_part(eig):
     """PSD projection of the matrix that ``eig`` decomposes; the basis may
     have either sign in each column."""
@@ -55,15 +38,8 @@ def positive_part(eig):
 
 
 def project_psd(M):
-    """Metric projection of a symmetric matrix onto the PSD cone.
-
-    Returns
-    -------
-    (ndarray, EigenDecomposition)
-        The projection and the decomposition of ``M`` used to form it.
-    """
-    eig = eig_sym(M)
-    return positive_part(eig), eig
+    """Metric projection of a symmetric matrix onto the PSD cone."""
+    return positive_part(eig_sym(M))
 
 
 def psd_pair_table(lam, hi=None):
@@ -99,7 +75,9 @@ def psd_pair_table(lam, hi=None):
 def theta_matrix(eig, beta_choice="zero"):
     """Theta table at the matrix that ``eig`` decomposes, with the sign
     split of :func:`spectral.partition_by_sign`: :func:`proj_bsub_element`'s
-    table with the same ``beta_choice``."""
+    table with the same ``beta_choice``: the positive-part difference
+    quotients (max(l_i,0)+max(l_j,0))/(|l_i|+|l_j|) off the zero-zero
+    block, and the element of [0, 1] ``beta_choice`` commits to on it."""
     part = partition_by_sign(eig)
     # the partition's zero rows, by the same comparison, snapped to 0
     table = psd_pair_table(np.where(np.abs(eig.values) <= part.tol, 0.0,
@@ -108,7 +86,7 @@ def theta_matrix(eig, beta_choice="zero"):
         zero = list(part.zero)
         table[np.ix_(zero, zero)] = choice_table(beta_choice, len(zero),
                                                  "beta_choice")
-    return ThetaMatrix(table, part)
+    return table
 
 
 def theta_support_table(eig):
@@ -132,12 +110,11 @@ def proj_dir_deriv(M, H):
     """
     eig = eig_sym(M)
     Hh = compress(eig.basis, H, "H", "M")
-    theta = theta_matrix(eig)
     # the table is already 1 on the positive rows and 0 on everything
     # touching the negative rows except the damped positive-negative block
-    zero = list(theta.partition.zero)
-    nested = [(zero, project_psd(Hh[np.ix_(zero, zero)])[0])] if zero else []
-    return hadamard_image(eig.basis, theta.entries, Hh, nested)
+    zero = list(partition_by_sign(eig).zero)
+    nested = [(zero, project_psd(Hh[np.ix_(zero, zero)]))] if zero else []
+    return hadamard_image(eig.basis, theta_matrix(eig), Hh, nested)
 
 
 def proj_bsub_element(M, beta_choice="zero"):
@@ -158,4 +135,4 @@ def proj_bsub_element(M, beta_choice="zero"):
         eigenvalues within :func:`spectral.default_tol` of 0.
     """
     eig = eig_sym(M)
-    return HadamardElement(eig.basis, theta_matrix(eig, beta_choice).entries)
+    return HadamardElement(eig.basis, theta_matrix(eig, beta_choice))

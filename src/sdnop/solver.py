@@ -232,17 +232,16 @@ def _eigenvalue_below_floor(A, floor):
     One Cholesky attempt on A - floor I settles the usual positive-definite
     case; the spectrum is computed only when that attempt fails.
     """
-    if A.size:
-        # A - floor I, by a shift of the diagonal of a copy: off it,
-        # a - 0 is a, signed zeros included
-        B = A.copy()
-        B.ravel()[::A.shape[0] + 1] -= floor
-        try:
-            np.linalg.cholesky(B)
-            return None
-        except np.linalg.LinAlgError:
-            pass
-    lmin = float(np.linalg.eigvalsh(A).min()) if A.size else 0.0
+    # A - floor I, by a shift of the diagonal of a copy: off it, a - 0 is
+    # a, signed zeros included
+    B = A.copy()
+    B.ravel()[::A.shape[0] + 1] -= floor
+    try:
+        np.linalg.cholesky(B)
+        return None
+    except np.linalg.LinAlgError:
+        pass
+    lmin = float(np.linalg.eigvalsh(A).min())
     return lmin if lmin < floor else None
 
 

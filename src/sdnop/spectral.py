@@ -116,14 +116,18 @@ class EigenDecomposition:
 
 def symmetric_part(A, name):
     """(A + A^T) / 2 of a square matrix or of each slice of a stack
-    (..., k, k), checked finite: the library's one symmetrization rule.
+    (..., k, k), checked finite: the symmetrization of the data, the
+    multipliers and the matrices formed from them.
 
     Adds before halving, so the result is symmetric bit for bit and an
     exactly symmetric matrix keeps its bits, subnormals included; only an
     entry whose sum overflows is halved first.  Raises InvalidInput
     naming ``name`` when an entry is not finite.  Unlike
     :func:`as_symmetric` it does not test the asymmetry: it is for
-    matrices formed from operands that were checked already.
+    matrices formed from operands that were checked already.  Eight
+    products of finite factors form 0.5 (X + X^T) inline instead (README,
+    ``sdnop.spectral``): on a finite sum, these bits without the overflow
+    guard or the finiteness check.
     """
     At = A.swapaxes(-1, -2)
     # one scan settles the usual case: entries of magnitude at most

@@ -201,7 +201,7 @@ def newton_element_einsum(problem, x, Y, mu, Gamma, c, group_tol=1e-8,
     Yhat = grad_moreau_env(problem.F(x) + Y / c, tau) if problem.q \
         else np.zeros((0, 0))
     muhat = mu + c * problem.h(x) if problem.m else np.zeros(0)
-    Ghat = project_psd(Gamma - c * problem.g(x))[0] if problem.p \
+    Ghat = project_psd(Gamma - c * problem.g(x)) if problem.p \
         else np.zeros((0, 0))
     A = hess_xx_lagrangian(problem, x, Yhat, muhat, Ghat)
     if problem.q:

@@ -155,8 +155,8 @@ def test_criterion_1_projection_suite():
             worst_dom = max(worst_dom, -float(np.sum(VD1 * (D1 - VD1))))
 
         Hd = unit_sym(rng, dim)
-        P1, _ = project_psd(M + t * Hd)
-        P0, _ = project_psd(M)
+        P1 = project_psd(M + t * Hd)
+        P0 = project_psd(M)
         fd = (P1 - P0) / t
         worst_fd = max(worst_fd,
                        float(np.linalg.norm(fd - proj_dir_deriv(M, Hd))))
@@ -183,7 +183,7 @@ def test_criterion_2_prox_envelope_suite():
         dim = rng.randint(2, 8)
         Z = rand_sym(rng, dim, scale=1.5)
         tau = rng.uniform(0.1, 1.5)
-        P, _ = prox_nuclear(Z, tau)
+        P = prox_nuclear(Z, tau)
         if not subdiff_contains(P, (Z - P) / tau):
             opt_ok = False
 
@@ -194,7 +194,7 @@ def test_criterion_2_prox_envelope_suite():
         neg = rng.randint(1, 3)
         X, Y = make_subgradient_pair(rng, pos, zero, neg)
         tau = rng.uniform(0.2, 2.0)
-        P, _ = prox_nuclear(X + tau * Y, tau)
+        P = prox_nuclear(X + tau * Y, tau)
         worst_fix = max(worst_fix, float(np.linalg.norm(P - X)))
 
     worst_env = 0.0

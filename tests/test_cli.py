@@ -350,6 +350,25 @@ class TestGenerate:
         report = json.loads(_read(os.path.join(out, "report.json")))
         assert report["second_order"]["holds"] is False
 
+    # an allocation numpy refuses (--n 200000000 asks for 284 PiB) is an
+    # input error, not a traceback.  The refusal is simulated: whether
+    # numpy refuses at once or the system overcommits depends on the
+    # machine.  A MemoryError that Python raises itself has no message
+    @pytest.mark.parametrize("exc, line", [
+        (MemoryError("Unable to allocate 284. PiB"),
+         "input error: Unable to allocate 284. PiB"),
+        (MemoryError(), "input error: MemoryError")], ids=["numpy", "bare"])
+    def test_refused_allocation_is_input_error(self, tmp_path, capsys,
+                                               monkeypatch, exc, line):
+        def refuse(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(cli, "generate_instance", refuse)
+        code = cli.main(["generate", "--n", "200000000", "--q", "0", "--m",
+                         "0", "--p", "0", "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert capsys.readouterr().err == line + "\n"
+
 
 # ---------------------------------------------------------------------------
 # bad command lines, config values and sweep arguments: exit 1, one line

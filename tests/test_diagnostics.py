@@ -14,7 +14,6 @@ from sdnop.diagnostics import (
     rate_constants,
     rate_sweep,
     sosc_reduced_matrix,
-    split_penalty_matrix,
     strong_sosc_check,
     _ACTIVE_FAMILIES,
     _active_rows,
@@ -573,8 +572,6 @@ class TestSplitPenaltyMatrix:
         model = _curvature_model(prob, x, mult,
                                  cone_blocks(prob, x, mult))
         for c in (10.0, 1000.0):
-            np.testing.assert_array_equal(
-                split_penalty_matrix(prob, x, mult, c, c), model(c, c, 0.0))
             for free, up, low, beta in pairs:
                 B = model(c, c, free)
                 N = newton_element_einsum(
@@ -586,19 +583,21 @@ class TestSplitPenaltyMatrix:
         ref = mixed_instance.reference
         x = np.asarray(ref.x, dtype=np.float64)
         mult = ref.multipliers
-        B = split_penalty_matrix(mixed_instance, x, mult, 100.0, 100.0)
+        model = _curvature_model(mixed_instance, x, mult,
+                                 cone_blocks(mixed_instance, x, mult))
         N = newton_element_einsum(
             mixed_instance, x, mult.Y, mult.mu, mult.Gamma, 100.0,
             up_choice="identity", low_choice="identity", beta_choice="zero")
-        np.testing.assert_allclose(B, N, atol=1e-10)
+        np.testing.assert_allclose(model(100.0, 100.0, 0.0), N, atol=1e-10)
 
     def test_growing_base_weight_increases_curvature(self):
         prob = make_full_blocks_instance()
         ref = prob.reference
         x = np.asarray(ref.x, dtype=np.float64)
         c0, c = 10.0, 1000.0
-        low = split_penalty_matrix(prob, x, ref.multipliers, c0, c)
-        high = split_penalty_matrix(prob, x, ref.multipliers, c, c)
+        model = _curvature_model(prob, x, ref.multipliers,
+                                 cone_blocks(prob, x, ref.multipliers))
+        low, high = model(c0, c, 0.0), model(c, c, 0.0)
         assert np.linalg.eigvalsh(high - low).min() >= -1e-8
 
 

@@ -14,7 +14,6 @@ from sdnop.diagnostics import (
     nondegeneracy_check,
     rate_constants,
     rate_sweep,
-    split_penalty_matrix,
     strong_sosc_check,
 )
 from sdnop.errors import (
@@ -66,12 +65,6 @@ def _sweep(**kwargs):
     rate_sweep(problem, problem.reference, **kwargs)
 
 
-def _split(c_base=10.0, c=10.0):
-    problem = make_mixed_instance()
-    ref = problem.reference
-    split_penalty_matrix(problem, ref.x, ref.multipliers, c_base, c)
-
-
 def _at_penalty(call, c):
     problem = make_mixed_instance()
     y = MultiplierTriple.zeros(problem)
@@ -103,8 +96,6 @@ _CASES = [
      lambda v: group_distinct(_EIG, v)),
     ("critical_blocks_contain", "tol", REAL_BAD,
      lambda v: critical_blocks_contain(np.zeros((2, 2)), [], [0], [], v)),
-    *((f"split_penalty_matrix-{key}", key, REAL_BAD,
-       lambda v, key=key: _split(**{key: v})) for key in ("c_base", "c")),
     *((f"InnerConfig-{key}", key, INT_BAD if key == "max_iter" else REAL_BAD,
        lambda v, key=key: InnerConfig(**{key: v}))
       for key in ("grad_tol", "grad_tol_rel", "max_iter")),

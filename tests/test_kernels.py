@@ -68,10 +68,10 @@ def test_psd_table_masked_entries_treated_as_zero():
     eig = EigenDecomposition(np.array([2.0, 1e-7]), np.eye(2))
     raw = psd_pair_table(eig.values)
     assert raw[0, 1] == 1.0 and raw[1, 1] == 1.0
-    np.testing.assert_array_equal(theta_matrix(eig).entries, raw)
+    np.testing.assert_array_equal(theta_matrix(eig), raw)
     eig = EigenDecomposition(np.array([2.0, 1e-14]), np.eye(2))
     assert psd_pair_table(eig.values)[1, 1] == 1.0
-    T = theta_matrix(eig).entries
+    T = theta_matrix(eig)
     assert T[0, 1] == 1.0 and T[1, 1] == 0.0
 
 

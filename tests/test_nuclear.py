@@ -230,20 +230,20 @@ class TestSubdifferential:
 
 class TestProx:
     def test_known_soft_threshold(self):
-        X, _ = prox_nuclear(np.diag([3.0, -0.5]), 1.0)
+        X = prox_nuclear(np.diag([3.0, -0.5]), 1.0)
         np.testing.assert_allclose(X, np.diag([2.0, 0.0]), atol=1e-14)
 
     def test_small_matrices_map_to_zero(self):
         rng = np.random.RandomState(48)
         Z = rand_sym(rng, 3)
         Z *= 0.5 / np.abs(np.linalg.eigvalsh(Z)).max()
-        X, _ = prox_nuclear(Z, 1.0)
+        X = prox_nuclear(Z, 1.0)
         np.testing.assert_allclose(X, 0.0, atol=1e-14)
 
     def test_structured_fixed_point(self):
         X0 = np.diag([1.0, 0.0, -2.0])
         Y0 = np.diag([1.0, 0.3, -1.0])
-        X, _ = prox_nuclear(X0 + 0.7 * Y0, 0.7)
+        X = prox_nuclear(X0 + 0.7 * Y0, 0.7)
         np.testing.assert_allclose(X, X0, atol=1e-12)
 
     def test_optimality_via_subdifferential(self):
@@ -252,7 +252,7 @@ class TestProx:
             k = rng.randint(2, 6)
             Z = rand_sym(rng, k, scale=2.0)
             tau = rng.rand() + 0.1
-            X, _ = prox_nuclear(Z, tau)
+            X = prox_nuclear(Z, tau)
             assert subdiff_contains(X, (Z - X) / tau)
 
     def test_local_grid_optimality(self):
@@ -260,7 +260,7 @@ class TestProx:
         rng = np.random.RandomState(50)
         Z = rand_sym(rng, 2, scale=2.0)
         tau = 0.8
-        X, _ = prox_nuclear(Z, tau)
+        X = prox_nuclear(Z, tau)
         best = nuclear_norm(X) + np.sum((X - Z) ** 2) / (2.0 * tau)
         for _ in range(500):
             D = rand_sym(rng, 2) * 10.0 ** rng.uniform(-3, 0)
@@ -290,7 +290,7 @@ class TestMoreau:
         Z = rand_sym(rng, 3, scale=2.0)
         tau = 0.6
         env = moreau_env(Z, tau)
-        X, _ = prox_nuclear(Z, tau)
+        X = prox_nuclear(Z, tau)
         attained = nuclear_norm(X) + np.sum((X - Z) ** 2) / (2.0 * tau)
         assert env == pytest.approx(attained, abs=1e-12)
         for _ in range(100):
@@ -464,7 +464,7 @@ class TestProxDirDeriv:
             D = prox_dir_deriv(Z, tau, H)
             errs = []
             for t in (1e-4, 1e-5, 1e-6):
-                fd = (prox_nuclear(Z + t * H, tau)[0] - prox_nuclear(Z, tau)[0]) / t
+                fd = (prox_nuclear(Z + t * H, tau) - prox_nuclear(Z, tau)) / t
                 errs.append(np.linalg.norm(fd - D))
             scale = 1.0 + np.linalg.norm(H) ** 2
             assert errs[2] <= 1e-3 * scale

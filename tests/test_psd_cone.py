@@ -24,9 +24,9 @@ def rand_sym_with_kernel(rng, k, rank_zero):
 
 class TestProjection:
     def test_known_values(self):
-        P, _ = project_psd(np.diag([2.0, -3.0]))
+        P = project_psd(np.diag([2.0, -3.0]))
         np.testing.assert_allclose(P, np.diag([2.0, 0.0]), atol=1e-14)
-        P, _ = project_psd(np.array([[0.0, 2.0], [2.0, 0.0]]))
+        P = project_psd(np.array([[0.0, 2.0], [2.0, 0.0]]))
         np.testing.assert_allclose(P, np.ones((2, 2)), atol=1e-12)
 
     def test_psd_fixed_point(self):
@@ -34,14 +34,14 @@ class TestProjection:
         for _ in range(20):
             A = rng.randn(4, 4)
             M = A @ A.T
-            P, _ = project_psd(M)
+            P = project_psd(M)
             np.testing.assert_allclose(P, M, atol=1e-10)
 
     def test_variational_characterization(self):
         rng = np.random.RandomState(21)
         for _ in range(100):
             M = rand_sym(rng, rng.randint(2, 7))
-            P, _ = project_psd(M)
+            P = project_psd(M)
             assert np.linalg.eigvalsh(P).min() >= -1e-10
             # residual M - P is orthogonal to P and has no positive part
             assert abs(np.sum(P * (P - M))) <= 1e-8
@@ -52,8 +52,8 @@ class TestProjection:
         for _ in range(100):
             k = rng.randint(2, 6)
             M1, M2 = rand_sym(rng, k), rand_sym(rng, k)
-            P1, _ = project_psd(M1)
-            P2, _ = project_psd(M2)
+            P1 = project_psd(M1)
+            P2 = project_psd(M2)
             assert np.linalg.norm(P1 - P2) <= np.linalg.norm(M1 - M2) + 1e-12
 
 
@@ -75,7 +75,7 @@ class TestDirDeriv:
         rng = np.random.RandomState(24)
         for _ in range(20):
             H = rand_sym(rng, 4)
-            expected, _ = project_psd(H)
+            expected = project_psd(H)
             np.testing.assert_allclose(proj_dir_deriv(np.zeros((4, 4)), H), expected, atol=1e-10)
 
     def test_positive_homogeneity(self):
@@ -96,7 +96,7 @@ class TestDirDeriv:
             D = proj_dir_deriv(M, H)
             errs = []
             for t in (1e-4, 1e-5, 1e-6):
-                fd = (project_psd(M + t * H)[0] - project_psd(M)[0]) / t
+                fd = (project_psd(M + t * H) - project_psd(M)) / t
                 errs.append(np.linalg.norm(fd - D))
             scale = 1.0 + np.linalg.norm(H) ** 2
             assert errs[2] <= 1e-4 * scale

@@ -12,7 +12,12 @@ import numpy as np
 import pytest
 
 from sdnop import diagnostics, generator, solver
-from sdnop.errors import InnerSolveError, InvalidInput, MaxIterations
+from sdnop.errors import (
+    InnerSolveError,
+    InvalidInput,
+    MaxIterations,
+    SDNOPError,
+)
 from sdnop.problem import (
     MultiplierTriple,
     QuadraticProblem,
@@ -813,6 +818,44 @@ class TestDefinitenessCertificate:
         assert counts[True] >= certified + 100 and counts[False] >= 100
         assert solver._definiteness_certified(problem, 5e10)
         assert not solver._definiteness_certified(problem, 1e11)
+
+
+# the solver's working range (ROADMAP item 23): the outcome of a
+# fixed-penalty solve, c0 = c_max = c with zero multipliers, from a start
+# within 1e-2 of the reference, pinned as it is today, failures included.
+# A change that widens the range, or refuses large penalties at input,
+# re-pins this table
+WORKING_PENALTIES = (1e6, 1e9, 1e10, 1e11, 1e12, 1e14)
+_FAIL = "InnerSolveError"
+WORKING_RANGE = {
+    "nondegen_small": ("tol", "floor", "floor", "floor", _FAIL, _FAIL),
+    "degen_small": ("tol", "floor", "floor", "floor", _FAIL, _FAIL),
+    "generated-nondegen": ("tol", "floor", _FAIL, _FAIL, _FAIL, _FAIL),
+    "generated-degen": ("tol", "floor", _FAIL, _FAIL, _FAIL, _FAIL),
+}
+
+
+class TestWorkingRange:
+    @pytest.mark.parametrize("name", sorted(WORKING_RANGE))
+    def test_fixed_penalty_outcomes(self, name):
+        if name.startswith("generated-"):
+            problem = generator.generate_instance(
+                24, 10, 3, 8, profile=name.split("-")[1], seed=7)
+        else:
+            problem = load_instance(os.path.join(INSTANCES, f"{name}.json"))
+        rng = np.random.RandomState(5)
+        x0 = problem.reference.x + 1e-2 * rng.randn(problem.n) \
+            / np.sqrt(problem.n)
+        outcomes = []
+        for c in WORKING_PENALTIES:
+            try:
+                _point, trace = alm_solve(
+                    problem, MultiplierTriple.zeros(problem),
+                    ALMConfig(c0=c, c_max=c), x0)
+                outcomes.append(trace.stop)
+            except SDNOPError as exc:
+                outcomes.append(type(exc).__name__)
+        assert tuple(outcomes) == WORKING_RANGE[name]
 
 
 class TestPenaltyUpdate:

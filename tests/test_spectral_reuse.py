@@ -69,7 +69,12 @@ from sdnop.psd_cone import (
     theta_matrix,
 )
 from sdnop.solver import ALMConfig, alm_solve
-from sdnop.spectral import EigenDecomposition, HadamardElement, eig_sym
+from sdnop.spectral import (
+    EigenDecomposition,
+    HadamardElement,
+    eig_sym,
+    partition_by_sign,
+)
 
 from conftest import make_mixed_instance
 from eval_oracles import (
@@ -109,10 +114,11 @@ def _complement_support(dd, tau):
     return size[1], dd.table.shape[0] - size[-1]
 
 
-def _theta_support(theta):
-    """hi with theta's entries exactly zero on [hi, p)^2, where both
+def _theta_support(eig):
+    """hi with the theta table exactly zero on [hi, p)^2, where both
     eigenvalues are negative: the count of the positive and zero rows."""
-    return len(theta.partition.pos) + len(theta.partition.zero)
+    part = partition_by_sign(eig)
+    return len(part.pos) + len(part.zero)
 
 
 def _random_points(problem, rng, count):
@@ -208,7 +214,7 @@ def test_rectangle_edges_match_einsum_oracle(name, layout):
         Y, Gamma = _shifted_at(problem, x, c, _with_spectrum(z, rng),
                                _with_spectrum(m, rng))
         pt = ShiftedPoint(problem, x, Y, mu, Gamma, c)
-        assert _theta_support(theta_matrix(pt.eig_M)) == int(np.sum(m > 0.0))
+        assert _theta_support(pt.eig_M) == int(np.sum(m > 0.0))
         above = int(np.sum(z > 0.0))
         for group_tol in (0.0, 1e-8, 1e-3):
             dd = prox_divided_diff(pt.eig_Z, tau, group_tol)
@@ -255,9 +261,8 @@ def test_tables_vanish_outside_their_support():
                     assert np.all(np.abs(W[corner]) <= bound[corner]), \
                         (tau, values, group_tol)
         for beta in ("zero", "identity"):
-            theta = theta_matrix(eig, beta)
-            hi = _theta_support(theta)
-            assert not theta.entries[hi:, hi:].any()
+            hi = _theta_support(eig)
+            assert not theta_matrix(eig, beta)[hi:, hi:].any()
 
 
 @pytest.mark.parametrize("name", BUNDLED)
@@ -356,8 +361,8 @@ def test_operators_skip_decomposition_when_given_one(monkeypatch):
     Z = E + E.T
     eig = eig_sym(Z)
     expected = (moreau_env(Z, 0.3), grad_moreau_env(Z, 0.3),
-                prox_nuclear(Z, 0.3)[0], prox_table(eig, 0.3, 1e-8),
-                project_psd(Z)[0], proj_bsub_element(Z).table)
+                prox_nuclear(Z, 0.3), prox_table(eig, 0.3, 1e-8),
+                project_psd(Z), proj_bsub_element(Z).table)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("decomposed a matrix whose spectrum was given")
@@ -366,7 +371,7 @@ def test_operators_skip_decomposition_when_given_one(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
     got = (envelope_value(eig, 0.3), envelope_grad(eig, Z, 0.3),
            soft_threshold(eig, 0.3), prox_divided_diff(eig, 0.3).table,
-           positive_part(eig), theta_matrix(eig).entries)
+           positive_part(eig), theta_matrix(eig))
     assert got[0] == expected[0]
     for a, b in zip(got[1:], expected[1:]):
         np.testing.assert_array_equal(a, b)

@@ -8,7 +8,8 @@ reordered signature or a keyword call would corrupt the trial count.  The
 ``__all__`` of the package and of each module is what
 ``from ... import *`` reads.  Every name the package exports is used by
 the package itself or by the acceptance suite, or is on a short list of
-names kept on purpose.
+names kept on purpose, and every public function or class of a
+numerical module is exported or read somewhere in the package.
 """
 
 import ast
@@ -77,8 +78,9 @@ def test_public_names_resolve():
     assert not missing, missing
 
 
-def _referenced_names(path):
-    """Names a source file reads, looks up as attributes or imports."""
+def _referenced_names(path, imports=True):
+    """Names a source file reads or looks up as attributes, and, with
+    ``imports``, the names it imports."""
     with open(path) as fh:
         tree = ast.parse(fh.read())
     names = set()
@@ -87,18 +89,42 @@ def _referenced_names(path):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
-        elif isinstance(node, ast.ImportFrom):
+        elif imports and isinstance(node, ast.ImportFrom):
             names.update(alias.name for alias in node.names)
     return names
 
 
-def test_public_names_are_used():
+def _package_paths():
     package = os.path.dirname(sdnop.__file__)
-    paths = [os.path.join(package, f"{info.name}.py")
-             for info in pkgutil.iter_modules(sdnop.__path__)]
-    used = set().union(*map(_referenced_names, paths + [ACCEPTANCE]))
+    return [os.path.join(package, f"{info.name}.py")
+            for info in pkgutil.iter_modules(sdnop.__path__)]
+
+
+def test_public_names_are_used():
+    used = set().union(*map(_referenced_names,
+                            _package_paths() + [ACCEPTANCE]))
     unused = sorted(set(sdnop.__all__) - used - KEPT_UNUSED)
     assert not unused, unused
+
+
+def test_every_public_function_has_a_caller():
+    # a public module-level function or class of a numerical module is
+    # exported by the package or read by name somewhere in it: an import
+    # alone is no caller
+    read = set().union(*(_referenced_names(path, imports=False)
+                         for path in _package_paths()))
+    uncalled = []
+    for name in ("spectral", "psd_cone", "nuclear", "problem", "solver",
+                 "diagnostics", "generator"):
+        module = importlib.import_module(f"sdnop.{name}")
+        for attr, obj in vars(module).items():
+            if (attr.startswith("_")
+                    or getattr(obj, "__module__", None) != module.__name__
+                    or not (inspect.isfunction(obj) or inspect.isclass(obj))):
+                continue
+            if attr not in sdnop.__all__ and attr not in read:
+                uncalled.append(f"{module.__name__}.{attr}")
+    assert not uncalled, uncalled
 
 
 def test_module_public_names_resolve():
