@@ -9,6 +9,10 @@ identity tuned against the reduced second-order matrix, which lets one
 profile satisfy the second-order condition with a unit margin and
 another violate it outright.
 
+Each call makes one draw and checks it.  The templates pass the checks
+by construction; a draw that failed one would raise ``InvalidInput``,
+not be redrawn.
+
 Profiles
 --------
 nondegen
@@ -42,7 +46,6 @@ from .problem import (
 from .spectral import symmetric_part
 
 _PROFILES = ("nondegen", "degen", "saddle")
-_MAX_ATTEMPTS = 40
 
 # Magnitudes are deliberately small and the coefficient tensors sparse:
 # the round-off floor of the augmented-Lagrangian gradient grows like
@@ -93,21 +96,25 @@ def _g_spectrum(p):
     return gamma, gval
 
 
-def _zero_block_count(q):
-    return 1 if q >= 2 else 0
-
-
-def _active_cone_count(p):
-    if p == 0:
-        return 0
-    return 2 if p >= 3 else 1
+def _designed_slots(q, p):
+    """Designed entries ``(f_slots, g_slots)`` as eigenframe positions,
+    one per active-block row: F(0)'s zero eigenvalue once q >= 2, and the
+    upper triangle of g(0)'s zero block, one boundary eigenvalue joined
+    by a degenerate one once p >= 3."""
+    f_slots = [(q // 2, q // 2)] if q >= 2 else []
+    if p >= 3:
+        g_slots = [(0, 0), (1, 1), (0, 1)]
+    elif p >= 1:
+        g_slots = [(0, 0)]
+    else:
+        g_slots = []
+    return f_slots, g_slots
 
 
 def block_matrix_rows(n, q, m, p):
     """Row count of the active-block matrix for the generator templates."""
-    b = _zero_block_count(q)
-    ab = _active_cone_count(p)
-    return m + b * (b + 1) // 2 + ab * (ab + 1) // 2
+    f_slots, g_slots = _designed_slots(q, p)
+    return m + len(f_slots) + len(g_slots)
 
 
 def _random_basis(rng, k):
@@ -192,7 +199,11 @@ def generate_instance(n, q, m, p, profile="nondegen", seed=0):
         Dimension combination incompatible with the profile: the block
         matrix needs at most n rows for ``nondegen``, the reduced
         subspace must be nonempty for ``saddle``, and ``degen`` needs
-        an equality row to make collinear.
+        an equality row to make collinear.  The draw fails its check:
+        reference residual above 1e-12, or for ``nondegen`` a block
+        matrix short of full row rank or with margin at most 1e-6.
+    MemoryError
+        The n x n Hessian, allocated before any other array, is refused.
     """
     if profile not in _PROFILES:
         raise InvalidInput(f"unknown profile {profile!r}")
@@ -207,79 +218,67 @@ def generate_instance(n, q, m, p, profile="nondegen", seed=0):
     if profile == "degen" and m == 0:
         raise InvalidInput("degen profile needs at least one equality row")
 
+    # the largest array first, so that a refused size does no other work
+    zero_H = np.zeros((n, n))
     f_values, f_weights = _f_spectrum(q)
     g_gamma, g_values = _g_spectrum(p)
-    # designed entries: the diagonal of the zero block of F, and the
-    # boundary/degenerate blocks of the complementarity gap matrix
-    f_slots = [(q // 2, q // 2)] if q >= 2 else []
-    if p >= 3:
-        g_slots = [(0, 0), (1, 1), (0, 1)]
-    elif p >= 1:
-        g_slots = [(0, 0)]
-    else:
-        g_slots = []
+    f_slots, g_slots = _designed_slots(q, p)
     f_pool, g_pool = _support_pools(n, q, p, len(f_slots), len(g_slots))
     rng = np.random.RandomState(seed)
-    last_reason = ""
-    for _ in range(_MAX_ATTEMPTS):
-        QF = _random_basis(rng, q)
-        PM = _random_basis(rng, p)
-        F0 = QF @ np.diag(f_values) @ QF.T
-        Ybar = QF @ np.diag(f_weights) @ QF.T
-        g0 = PM @ np.diag(g_values) @ PM.T
-        Gbar = PM @ np.diag(g_gamma) @ PM.T
-        F_Ai = _designed_tensors(rng, n, q, QF, f_pool, f_slots)
-        g_Ai = _designed_tensors(rng, n, p, PM, g_pool, g_slots)
-        h_A = _ROW_SCALE * rng.randn(m, n)
-        mubar = _ROW_SCALE * rng.randn(m)
-        if profile == "degen":
-            if m >= 2:
-                h_A[-1] = h_A[0]
-            else:
-                h_A[0] = 0.0
-        grad = np.einsum("lij,ij->l", F_Ai, Ybar) + h_A.T @ mubar \
-            - np.einsum("lij,ij->l", g_Ai, Gbar)
-        reference = KKTPoint(np.zeros(n),
-                             MultiplierTriple(Ybar, mubar, Gbar))
-        F_map = QuadraticMatrixMap(F0, F_Ai)
-        g_map = QuadraticMatrixMap(g0, g_Ai)
-
-        def build(f_H):
-            return QuadraticProblem(0.0, -grad, f_H, F_map, h_A, np.zeros(m),
-                                    g_map, reference=reference)
-
-        base = build(np.zeros((n, n)))
-        # the blocks read F, h and g only, which base and problem share
-        blocks = cone_blocks(base, reference.x, reference.multipliers)
-        M0, basis = sosc_reduced_matrix(base, reference.x,
-                                        reference.multipliers, blocks=blocks)
-        if profile == "saddle" and basis.shape[1] == 0:
-            raise InvalidInput(
-                "reduced subspace is empty at these dimensions, so the "
-                "second-order condition cannot fail; increase n")
-        if M0.size:
-            evals = np.linalg.eigvalsh(M0)
-            if profile == "saddle":
-                t = -(1.0 + max(float(evals[-1]), 0.0))
-            else:
-                t = 1.0 + max(0.0, -float(evals[0]))
+    QF = _random_basis(rng, q)
+    PM = _random_basis(rng, p)
+    F0 = QF @ np.diag(f_values) @ QF.T
+    Ybar = QF @ np.diag(f_weights) @ QF.T
+    g0 = PM @ np.diag(g_values) @ PM.T
+    Gbar = PM @ np.diag(g_gamma) @ PM.T
+    F_Ai = _designed_tensors(rng, n, q, QF, f_pool, f_slots)
+    g_Ai = _designed_tensors(rng, n, p, PM, g_pool, g_slots)
+    h_A = _ROW_SCALE * rng.randn(m, n)
+    mubar = _ROW_SCALE * rng.randn(m)
+    if profile == "degen":
+        if m >= 2:
+            h_A[-1] = h_A[0]
         else:
-            t = 1.0
-        problem = build(t * np.eye(n))
+            h_A[0] = 0.0
+    grad = np.einsum("lij,ij->l", F_Ai, Ybar) + h_A.T @ mubar \
+        - np.einsum("lij,ij->l", g_Ai, Gbar)
+    reference = KKTPoint(np.zeros(n), MultiplierTriple(Ybar, mubar, Gbar))
+    F_map = QuadraticMatrixMap(F0, F_Ai)
+    g_map = QuadraticMatrixMap(g0, g_Ai)
 
-        res = kkt_residual(problem, reference.x, reference.multipliers.Y,
-                           reference.multipliers.mu,
-                           reference.multipliers.Gamma)
-        if res.total > 1e-12:
-            last_reason = f"first-order residual {res.total:.2e}"
-            continue
-        if profile == "nondegen":
-            rep = nondegeneracy_check(problem, reference.x,
-                                      reference.multipliers, blocks=blocks)
-            if not rep.holds or rep.sigma_min <= 1e-6:
-                last_reason = f"rank margin {rep.sigma_min:.2e}"
-                continue
-        return problem
-    raise RuntimeError(
-        f"no verifying instance in {_MAX_ATTEMPTS} attempts "
-        f"(last failure: {last_reason})")
+    def build(f_H):
+        return QuadraticProblem(0.0, -grad, f_H, F_map, h_A, np.zeros(m),
+                                g_map, reference=reference)
+
+    base = build(zero_H)
+    # the blocks read F, h and g only, which base and problem share
+    blocks = cone_blocks(base, reference.x, reference.multipliers)
+    M0, basis = sosc_reduced_matrix(base, reference.x, reference.multipliers,
+                                    blocks=blocks)
+    if profile == "saddle" and basis.shape[1] == 0:
+        raise InvalidInput(
+            "reduced subspace is empty at these dimensions, so the "
+            "second-order condition cannot fail; increase n")
+    if M0.size:
+        evals = np.linalg.eigvalsh(M0)
+        if profile == "saddle":
+            t = -(1.0 + max(float(evals[-1]), 0.0))
+        else:
+            t = 1.0 + max(0.0, -float(evals[0]))
+    else:
+        t = 1.0
+    problem = build(t * np.eye(n))
+
+    res = kkt_residual(problem, reference.x, reference.multipliers.Y,
+                       reference.multipliers.mu, reference.multipliers.Gamma)
+    if res.total > 1e-12:
+        raise InvalidInput("generated instance fails its first-order check: "
+                           f"residual {res.total:.2e} above 1e-12")
+    if profile == "nondegen":
+        rep = nondegeneracy_check(problem, reference.x,
+                                  reference.multipliers, blocks=blocks)
+        if not rep.holds or rep.sigma_min <= 1e-6:
+            raise InvalidInput(
+                "generated instance fails its nondegeneracy check: rank "
+                f"margin {rep.sigma_min:.2e}, full rank above 1e-6 needed")
+    return problem

@@ -6,10 +6,11 @@ import math
 import os
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import pytest
 
-from sdnop import cli
+from sdnop import cli, generator
 from sdnop.generator import generate_instance
 from sdnop.problem import save_instance
 
@@ -369,6 +370,19 @@ class TestGenerate:
         assert code == 1
         assert capsys.readouterr().err == line + "\n"
 
+    def test_failed_draw_check_is_input_error(self, tmp_path, capsys,
+                                              monkeypatch):
+        # the generator checks its one draw and does not redraw
+        monkeypatch.setattr(generator, "kkt_residual",
+                            lambda *args: SimpleNamespace(total=1e-9))
+        code = cli.main(["generate", "--n", "8", "--q", "3", "--m", "1",
+                         "--p", "3", "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "input error: generated instance fails its first-order check: "
+            "residual 1.00e-09 above 1e-12\n")
+        assert not os.path.exists(tmp_path / "o" / "instance.json")
+
 
 # ---------------------------------------------------------------------------
 # bad command lines, config values and sweep arguments: exit 1, one line
@@ -388,6 +402,11 @@ _INPUT_ERRORS = [
                  id="config-outer_tol-null"),
     pytest.param(["solve", NONDEGEN], {"penalty_mode": "fixed"},
                  "'penalty_mode'", id="config-removed-key"),
+    pytest.param(["solve", NONDEGEN], [1.0, 2.0],
+                 "config must be a JSON object", id="config-array"),
+    pytest.param(["solve", NONDEGEN], {"inner": 3},
+                 "config key 'inner' must be a JSON object",
+                 id="config-inner-int"),
     pytest.param(["solve", NONDEGEN, "--tol", "inf"], None,
                  "outer_tol must be", id="tol-inf"),
     pytest.param(["solve", NONDEGEN, "--c0", "inf"], None, "c0 must be",
@@ -399,6 +418,8 @@ _INPUT_ERRORS = [
                  id="grid-inf"),
     pytest.param(["rate-sweep", NONDEGEN, "--delta", "inf"], None, "delta",
                  id="delta-inf"),
+    pytest.param(["rate-sweep", NONDEGEN, "--grid", ","], None,
+                 "grid is empty", id="grid-empty"),
     # penalties above 1/eps, which the arithmetic cannot resolve
     pytest.param(["rate-sweep", NONDEGEN, "--grid", "1e300"], None,
                  "got 1e+300", id="grid-above-1/eps"),

@@ -1,10 +1,14 @@
 """Tests for the synthetic instance generator."""
 
+import dataclasses
 import os
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from sdnop import generator
 from sdnop.diagnostics import (
     cone_blocks,
     nondegeneracy_check,
@@ -106,6 +110,77 @@ class TestProfiles:
             ref = problem.reference
             nd = nondegeneracy_check(problem, ref.x, ref.multipliers)
             assert nd.holds, (n, q, m, p)
+
+    def test_empty_reduced_subspace_keeps_unit_curvature(self):
+        # the one cone row fills n = 1, so there is no reduced matrix to
+        # tune the curvature against
+        problem = generate_instance(1, 0, 0, 1, profile="nondegen", seed=7)
+        np.testing.assert_array_equal(problem.f_H, np.eye(1))
+        assert _residual(problem) <= 1e-12
+        ref = problem.reference
+        assert nondegeneracy_check(problem, ref.x, ref.multipliers).holds
+
+    @pytest.mark.parametrize("shape, profile", [
+        ((1, 1, 0, 1), "nondegen"),  # F's pool gives way to g's
+        ((2, 2, 1, 3), "degen"),     # the two pools share a coordinate
+    ])
+    def test_pools_that_do_not_fit_side_by_side(self, shape, profile):
+        problem = generate_instance(*shape, profile=profile, seed=7)
+        assert _residual(problem) <= 1e-12
+        ref = problem.reference
+        nd = nondegeneracy_check(problem, ref.x, ref.multipliers)
+        assert nd.holds == (profile == "nondegen")
+
+
+# ---------------------------------------------------------------------------
+# one draw, checked
+# ---------------------------------------------------------------------------
+
+class TestOneDraw:
+    def test_failed_first_order_check_is_input_error(self, monkeypatch):
+        monkeypatch.setattr(generator, "kkt_residual",
+                            lambda *args: SimpleNamespace(total=3e-12))
+        with pytest.raises(InvalidInput,
+                           match=r"first-order check: residual 3\.00e-12"):
+            generate_instance(8, 3, 1, 3, profile="saddle", seed=7)
+
+    @pytest.mark.parametrize("holds, sigma_min", [(True, 1e-6),
+                                                  (False, 0.4)])
+    def test_failed_rank_check_is_input_error(self, monkeypatch, holds,
+                                              sigma_min):
+        real = generator.nondegeneracy_check
+
+        def weak(*args, **kwargs):
+            return dataclasses.replace(real(*args, **kwargs), holds=holds,
+                                       sigma_min=sigma_min)
+
+        monkeypatch.setattr(generator, "nondegeneracy_check", weak)
+        message = f"nondegeneracy check: rank margin {sigma_min:.2e}"
+        with pytest.raises(InvalidInput, match=message):
+            generate_instance(8, 3, 1, 3, profile="nondegen", seed=7)
+        # the other profiles are not held to full rank
+        generate_instance(8, 3, 1, 3, profile="degen", seed=7)
+
+    def test_refused_hessian_fails_before_length_n_work(self, monkeypatch):
+        # the refusal is simulated, since whether numpy refuses a huge
+        # array at once depends on the machine's overcommit policy
+        zeros = np.zeros
+
+        def refusing(shape, *args, **kwargs):
+            if (isinstance(shape, tuple) and len(shape) == 2
+                    and shape[0] * shape[1] > 1e9):
+                raise MemoryError(f"refused {shape}")
+            return zeros(shape, *args, **kwargs)
+
+        monkeypatch.setattr(np, "zeros", refusing)
+        tracemalloc.start()
+        try:
+            with pytest.raises(MemoryError):
+                generate_instance(10 ** 7, 0, 0, 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
 
 
 # ---------------------------------------------------------------------------

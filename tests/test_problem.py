@@ -734,6 +734,18 @@ class TestInstanceSchema:
         with pytest.raises(InvalidInput):
             instance_from_dict(bad2)
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda data: data["F"].pop("Ai"), "bad F block: 'Ai'"),
+        (lambda data: data.update(h=[[]]),
+         "h must have shape (m, n + 1), got (1, 0)"),
+        (lambda data: data.pop("g"), "p > 0 but no g block"),
+    ], ids=["F-without-Ai", "h-rows-of-width-0", "p-without-g"])
+    def test_rejects_with_the_cause_named(self, edit, message):
+        data = instance_to_dict(generate_instance(8, 3, 1, 3, seed=7))
+        edit(data)
+        with pytest.raises(InvalidInput, match=f"^{re.escape(message)}$"):
+            instance_from_dict(data)
+
 
 class TestDualFunction:
     def test_gradient_ascent_identity(self, mixed_instance):

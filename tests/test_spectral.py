@@ -10,6 +10,7 @@ from sdnop.nuclear import envelope_grad, grad_moreau_env, prox_divided_diff
 from sdnop.spectral import (
     EigenDecomposition,
     as_symmetric,
+    choice_table,
     eig_sym,
     group_distinct,
     partition_by_sign,
@@ -442,3 +443,11 @@ class TestSymmetricPartGuard:
                 with pytest.raises(InvalidInput,
                                    match=r"^B contains non-finite entries$"):
                     symmetric_part(B, "B")
+
+
+class TestChoiceTable:
+    def test_asymmetric_table_is_refused(self):
+        table = np.array([[0.5, 0.2], [0.3, 0.5]])
+        with pytest.raises(InvalidInput,
+                           match=r"^beta table must be symmetric$"):
+            choice_table(table, 2, "beta")

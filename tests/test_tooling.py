@@ -9,10 +9,14 @@ reordered signature or a keyword call would corrupt the trial count.  The
 ``from ... import *`` reads.  Every name the package exports is used by
 the package itself or by the acceptance suite, or is on a short list of
 names kept on purpose, and every public function or class of a
-numerical module is exported or read somewhere in the package.
+numerical module is exported or read somewhere in the package.  The
+package raises only its own error types, which the command line reports
+in one line.
 """
 
+import argparse
 import ast
+import builtins
 import importlib
 import importlib.util
 import inspect
@@ -23,6 +27,7 @@ import numpy as np
 
 import sdnop
 from sdnop import problem, solver
+from sdnop.errors import SDNOPError
 
 ROOT = os.path.dirname(os.path.dirname(__file__))
 TRACING = os.path.join(ROOT, "perfbench", "tracing.py")
@@ -125,6 +130,68 @@ def test_every_public_function_has_a_caller():
             if attr not in sdnop.__all__ and attr not in read:
                 uncalled.append(f"{module.__name__}.{attr}")
     assert not uncalled, uncalled
+
+
+# raises of a foreign type, each on purpose: argparse turns this one into
+# a usage error that names --seed, which main reports as an input error
+FOREIGN_RAISES = {
+    ("sdnop.cli", "_seed"): argparse.ArgumentTypeError,
+}
+
+
+def _raise_sites(tree):
+    """(enclosing function, raised expression) of each raise statement;
+    the expression is None for a bare re-raise."""
+    sites = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.FunctionDef):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Raise):
+                sites.append((scope, child.exc))
+            visit(child, scope)
+
+    visit(tree, None)
+    return sites
+
+
+def _raised_type(module, exc):
+    """The object a raised expression names in ``module``: the callee of
+    a call, or a plain or dotted name; None when it names nothing there."""
+    node = exc.func if isinstance(exc, ast.Call) else exc
+    attrs = []
+    while isinstance(node, ast.Attribute):
+        attrs.append(node.attr)
+        node = node.value
+    if not isinstance(node, ast.Name):
+        return None
+    obj = vars(module).get(node.id, getattr(builtins, node.id, None))
+    for attr in reversed(attrs):
+        obj = getattr(obj, attr, None)
+    return obj
+
+
+def test_package_raises_only_its_own_errors():
+    # every raise in the package is a bare re-raise or raises an
+    # SDNOPError subclass, which cli.main reports without a traceback
+    foreign = []
+    for info in pkgutil.iter_modules(sdnop.__path__):
+        module = importlib.import_module(f"sdnop.{info.name}")
+        with open(module.__file__) as fh:
+            tree = ast.parse(fh.read())
+        for scope, exc in _raise_sites(tree):
+            if exc is None:
+                continue
+            raised = _raised_type(module, exc)
+            if inspect.isclass(raised) and (
+                    issubclass(raised, SDNOPError)
+                    or raised is FOREIGN_RAISES.get((module.__name__, scope))):
+                continue
+            foreign.append(
+                f"{module.__name__}.{scope}: {ast.unparse(exc)[:60]}")
+    assert not foreign, foreign
 
 
 def test_module_public_names_resolve():
