@@ -299,12 +299,18 @@ class NondegeneracyReport:
         return asdict(self)
 
 
+def _nondegenerate(s, rows, n):
+    """The nondegeneracy cutoff on the descending singular values ``s`` of
+    a rows x n active-block matrix: rows <= n and s[-1] > 1e-8 s[0]."""
+    return rows <= n and s[-1] > _RANK_TOL * s[0]
+
+
 def nondegeneracy_check(problem, x, multipliers, blocks=None):
     """Test constraint nondegeneracy via the active-block matrix rank.
 
-    The check holds when the smallest singular value of the stacked matrix
-    exceeds 1e-8 times the largest; with more rows than primal
-    coordinates it fails outright.  Zero rows hold vacuously.
+    The check holds on the cutoff of :func:`_nondegenerate`: with more
+    rows than primal coordinates it fails outright, sigma_min reported 0.
+    Zero rows hold vacuously.
     """
     b = blocks if blocks is not None else cone_blocks(problem, x, multipliers)
     A = _active_rows(b)[0]
@@ -312,13 +318,9 @@ def nondegeneracy_check(problem, x, multipliers, blocks=None):
     if rows == 0:
         return NondegeneracyReport(True, float("inf"), 0.0, 0, b.multiplicity)
     s = np.linalg.svd(A, compute_uv=False)
-    sigma_max = float(s[0])
-    if rows > n:
-        return NondegeneracyReport(False, 0.0, sigma_max, rows, b.multiplicity)
-    sigma_min = float(s[-1])
-    holds = sigma_min > _RANK_TOL * sigma_max
-    return NondegeneracyReport(holds, sigma_min, sigma_max, rows,
-                               b.multiplicity)
+    sigma_min = float(s[-1]) if rows <= n else 0.0
+    return NondegeneracyReport(bool(_nondegenerate(s, rows, n)), sigma_min,
+                               float(s[0]), rows, b.multiplicity)
 
 
 # ----------------------------------------------------------------------------
@@ -387,7 +389,7 @@ def _reduced_matrix(problem, x, multipliers, b, basis):
     J = np.tensordot(basis.T, b.jac_F_Q, axes=1)
     M -= curvature_form(EigenDecomposition(b.values_F, b.basis_F), b.Y_Q, J)
     M += _psd_curvature_matrix(problem, x, multipliers.Gamma, basis)
-    return 0.5 * (M + M.T)
+    return symmetric_part(M, "reduced matrix")
 
 
 @dataclass(frozen=True)
@@ -491,9 +493,8 @@ def _cross_tables(b, c=None):
 
 
 def _nu_tables(blocks):
-    """The nonempty ratio tables of :func:`_cross_tables` as (min, max)
-    pairs."""
-    return {key: (float(t.min()), float(t.max()))
+    """The nonempty :func:`_cross_tables` ratio tables as (min, max)."""
+    return {key: (t.min(), t.max())
             for key, t in _cross_tables(blocks).items() if t.size}
 
 
@@ -528,13 +529,14 @@ def _curvature_model(problem, x, multipliers, b):
             [t.flatten(order="F") for t in _cross_tables(b, c).values()])
         out = (hess + c_base * A.T @ (omega[:, None] * A)
                + 2.0 * c * C.T @ (delta[:, None] * C))
-        return 0.5 * (out + out.T)
+        return symmetric_part(out, "curvature model")
 
     return model
 
 
 def _sigma_nu_at(blocks):
-    """Singular-value and cross-block spectral brackets.
+    """Singular-value and cross-block spectral brackets in float64, inf
+    past the float range (under the caller's ``np.errstate``).
 
     The nu bracket is the spectrum of the Gram matrix C C^T of the
     cross-family rows, which is positive semidefinite: a smallest
@@ -543,21 +545,20 @@ def _sigma_nu_at(blocks):
     """
     A = _active_rows(blocks)[0]
     C = _cross_rows(blocks)
-    n = A.shape[1]
-    n2 = A.shape[0]
+    n2, n = A.shape
     R_tilde = np.eye(n)
-    sig_lo, sig_hi = 1.0, 1.0
+    sig_lo = sig_hi = np.float64(1.0)
     if n2:
         U, s, Vt = np.linalg.svd(A, full_matrices=True)
-        if n2 > n or s[-1] <= _RANK_TOL * s[0]:
+        if not _nondegenerate(s, n2, n):
             # nondegeneracy fails: the inverse-square bound does not exist
-            sig_lo = min(1.0, float(s[0] ** -2.0)) if s[0] > 0 else 1.0
-            sig_hi = float("inf")
+            sig_lo = np.minimum(1.0, s[0] ** -2.0)
+            sig_hi = np.float64(np.inf)
             R_tilde = None
         else:
             inv2 = s ** -2.0
-            sig_lo = min(1.0, float(inv2.min()))
-            sig_hi = max(1.0, float(inv2.max()))
+            sig_lo = np.minimum(1.0, inv2.min())
+            sig_hi = np.maximum(1.0, inv2.max())
             top = (Vt.T[:, :n2] / s[None, :]) @ U.T
             R_tilde = np.hstack([top, Vt.T[:, n2:]])
     if C.shape[0] == 0:
@@ -580,11 +581,14 @@ def _gram_floor(eigs):
 
 
 def kappa0_constant(sigma_lower, sigma_upper, eta_lower, eta_upper):
-    """Lipschitz-type constant sqrt(2)(s_hi + (s_lo e_lo)^-2 (s_hi e_hi)^2)."""
-    prod_lo = sigma_lower * eta_lower
-    if prod_lo == 0.0 or not math.isfinite(sigma_upper):
-        return float("inf")
-    return math.sqrt(2.0) * (
+    """Lipschitz-type constant sqrt(2)(s_hi + (s_lo e_lo)^-2 (s_hi e_hi)^2)
+    in float64, inf past the float range; inf too for a zero s_lo e_lo or
+    an infinite s_hi, where IEEE would give inf * 0 = NaN for e_hi = 0."""
+    prod_lo = np.float64(sigma_lower) * eta_lower
+    sigma_upper = np.float64(sigma_upper)
+    if prod_lo == 0.0 or not np.isfinite(sigma_upper):
+        return np.float64(np.inf)
+    return np.sqrt(2.0) * (
         sigma_upper + prod_lo ** -2.0 * (sigma_upper * eta_upper) ** 2.0)
 
 
@@ -635,63 +639,61 @@ def rate_constants(problem, x, multipliers, blocks=None):
     uniform curvature bracket (eta) is estimated from the split-penalty
     curvature model (:func:`_curvature_model`) over c = 10, 100, 1e3,
     1e4 with the base weight c0 = 10, which the result reports; it is an
-    estimate, not a certified constant.  Wherever nondegeneracy fails
-    (sigma_min of the active-block matrix at most 1e-8 sigma_max, the
-    cutoff of :func:`nondegeneracy_check`), ``sigma_upper``, ``c_bar`` and
-    ``kappa0`` are infinite and ``rho0``/``rho1`` NaN.  ``blocks`` is an
-    optional :func:`cone_blocks` at (x, multipliers) to reuse.
+    estimate, not a certified constant.  All of it is IEEE float64 under
+    one ``np.errstate``: a bound past the float range reads inf, as
+    ``c_bar`` and ``kappa0`` do on data whose jacobians are scaled by
+    1e-100 though nondegeneracy holds, and a curvature model past it is an
+    InvalidInput.  Wherever nondegeneracy fails (:func:`_nondegenerate`),
+    ``sigma_upper``, ``c_bar`` and ``kappa0`` are infinite and
+    ``rho0``/``rho1`` NaN.  ``blocks`` is an optional :func:`cone_blocks`
+    at (x, multipliers) to reuse.
     """
     if blocks is None:
         blocks = cone_blocks(problem, x, multipliers)
-    nus = _nu_tables(blocks)
-    if nus:
-        nu_lower_0 = min(lo for lo, _ in nus.values())
-        nu_upper_0 = max(hi for _, hi in nus.values())
-    else:
-        nu_lower_0 = nu_upper_0 = 0.0
-    sig_lo, sig_hi, nu_lo, nu_hi = _sigma_nu_at(blocks)
-
-    c0 = _BASE_PENALTY
-    eta_lower = float("inf")
-    eta_upper = float("-inf")
-    model = _curvature_model(problem, x, multipliers, blocks)
-    for c in _ETA_GRID:
-        low = model(c0, c, 0.0)
-        high = model(c0, c, 1.0)
-        eta_lower = min(eta_lower, float(np.linalg.eigvalsh(low)[0]))
-        eta_upper = max(eta_upper, float(np.linalg.eigvalsh(high)[-1]))
-
-    c_bar = max(
-        (2.0 + math.sqrt(2.0)) * c0,
-        (sig_hi * eta_upper - c0) ** 2 / c0,
-        (sig_lo * eta_lower / 2.0 - c0) ** 2 / c0,
-    )
-    kappa0 = kappa0_constant(sig_lo, sig_hi, eta_lower, eta_upper)
-    terms = [128.0 * nu_upper_0 ** 2, 4.0 * kappa0 ** 2]
-    for key, _, _, _, factor in _CROSS_FAMILIES:
-        if factor is not None and key in nus:
-            terms.append(factor * nus[key][1] ** 2)
-    if eta_lower > 0.0 and math.isfinite(sig_hi):
-        rho0 = math.sqrt(
-            nu_hi * sig_hi * sig_lo ** -2.0 * eta_lower ** -2.0 * max(terms))
+    with np.errstate(all="ignore"):
+        nus = _nu_tables(blocks)
+        if nus:
+            nu_lower_0 = min(lo for lo, _ in nus.values())
+            nu_upper_0 = max(hi for _, hi in nus.values())
+        else:
+            nu_lower_0 = nu_upper_0 = np.float64(0.0)
+        c0 = _BASE_PENALTY
+        model = _curvature_model(problem, x, multipliers, blocks)
+        eta_lower = min(np.linalg.eigvalsh(model(c0, c, 0.0))[0]
+                        for c in _ETA_GRID)
+        eta_upper = max(np.linalg.eigvalsh(model(c0, c, 1.0))[-1]
+                        for c in _ETA_GRID)
+        sig_lo, sig_hi, nu_lo, nu_hi = _sigma_nu_at(blocks)
+        c_bar = max(
+            (2.0 + np.sqrt(2.0)) * c0,
+            (sig_hi * eta_upper - c0) ** 2 / c0,
+            (sig_lo * eta_lower / 2.0 - c0) ** 2 / c0,
+        )
+        kappa0 = kappa0_constant(sig_lo, sig_hi, eta_lower, eta_upper)
+        terms = [128.0 * nu_upper_0 ** 2, 4.0 * kappa0 ** 2]
+        for key, _, _, _, factor in _CROSS_FAMILIES:
+            if factor is not None and key in nus:
+                terms.append(factor * nus[key][1] ** 2)
+        if eta_lower > 0.0 and np.isfinite(sig_hi):
+            rho0 = np.sqrt(nu_hi * sig_hi * sig_lo ** -2.0
+                           * eta_lower ** -2.0 * max(terms))
+        else:
+            rho0 = np.nan
         rho1 = 2.0 * rho0
-    else:
-        rho0 = float("nan")
-        rho1 = float("nan")
     return RateConstants(
-        nu_lower_0=nu_lower_0,
-        nu_upper_0=nu_upper_0,
-        nu_lower=nu_lo,
-        nu_upper=nu_hi,
-        sigma_lower=sig_lo,
-        sigma_upper=sig_hi,
-        eta_lower=eta_lower,
-        eta_upper=eta_upper,
+        nu_lower_0=float(nu_lower_0),
+        nu_upper_0=float(nu_upper_0),
+        nu_lower=float(nu_lo),
+        nu_upper=float(nu_hi),
+        sigma_lower=float(sig_lo),
+        sigma_upper=float(sig_hi),
+        eta_lower=float(eta_lower),
+        eta_upper=float(eta_upper),
         c0=c0,
         c_bar=float(c_bar),
         kappa0=float(kappa0),
-        rho0=rho0,
-        rho1=rho1,
+        rho0=float(rho0),
+        rho1=float(rho1),
         spectrum_multiplicity=blocks.multiplicity,
     )
 

@@ -111,7 +111,7 @@ def _designed_slots(q, p):
     return f_slots, g_slots
 
 
-def block_matrix_rows(n, q, m, p):
+def block_matrix_rows(q, m, p):
     """Row count of the active-block matrix for the generator templates."""
     f_slots, g_slots = _designed_slots(q, p)
     return m + len(f_slots) + len(g_slots)
@@ -210,7 +210,7 @@ def generate_instance(n, q, m, p, profile="nondegen", seed=0):
     n, q, m, p = (require_int("n", n, 1), require_int("q", q),
                   require_int("m", m), require_int("p", p))
     require_seed(seed)
-    rows = block_matrix_rows(n, q, m, p)
+    rows = block_matrix_rows(q, m, p)
     if profile == "nondegen" and rows > n:
         raise InvalidInput(
             f"block matrix has {rows} rows but only {n} columns; "

@@ -50,6 +50,7 @@ from .spectral import (
     group_distinct,
     hadamard_image,
     partition_by_sign,
+    symmetric_part,
 )
 
 __all__ = [
@@ -281,8 +282,7 @@ def _second_order_block(Hh, Wh, blocks, k):
     blk = _span(blocks.blocks[k])
     d = _pinv_weights(blocks, k)
     cross = (Hh[blk, :] * d) @ Hh[:, blk]
-    V = Wh[blk, blk] - 2.0 * cross
-    return 0.5 * (V + V.T)
+    return symmetric_part(Wh[blk, blk] - 2.0 * cross, "second-order block")
 
 
 def _span(block):
@@ -310,7 +310,7 @@ def _eig_derivs(X, H, W=None):
         V = _second_order_block(Hh, Wh, blocks, k)
         Vr = inner.basis.T @ V @ inner.basis
         for nblk in map(_span, group_distinct(inner).blocks):
-            core = 0.5 * (Vr[nblk, nblk] + Vr[nblk, nblk].T)
+            core = symmetric_part(Vr[nblk, nblk], "second-order block")
             d2[blk][nblk] = np.linalg.eigvalsh(core)[::-1]
     return blocks, d1, d2
 

@@ -124,10 +124,9 @@ def symmetric_part(A, name):
     entry whose sum overflows is halved first.  Raises InvalidInput
     naming ``name`` when an entry is not finite.  Unlike
     :func:`as_symmetric` it does not test the asymmetry: it is for
-    matrices formed from operands that were checked already.  Eight
-    products of finite factors form 0.5 (X + X^T) inline instead (README,
-    ``sdnop.spectral``): on a finite sum, these bits without the overflow
-    guard or the finiteness check.
+    matrices formed from checked operands.  Only the per-step
+    ``soft_threshold``, ``positive_part`` and ``newton_matrix_element``
+    form 0.5 (X + X^T) inline: the same bits on a finite sum.
     """
     At = A.swapaxes(-1, -2)
     # one scan settles the usual case: entries of magnitude at most
@@ -295,8 +294,7 @@ def hadamard_image(basis, table, Hh, overlays=()):
     out = table * Hh
     for idx, block in overlays:
         out[np.ix_(idx, idx)] = block
-    R = basis @ out @ basis.T
-    return 0.5 * (R + R.T)
+    return symmetric_part(basis @ out @ basis.T, "directional derivative")
 
 
 @dataclass(frozen=True)

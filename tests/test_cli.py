@@ -8,11 +8,12 @@ import subprocess
 import sys
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from sdnop import cli, generator
 from sdnop.generator import generate_instance
-from sdnop.problem import save_instance
+from sdnop.problem import instance_to_dict, save_instance
 
 INSTANCES = os.path.join(os.path.dirname(os.path.dirname(__file__)),
                          "instances")
@@ -201,6 +202,87 @@ class TestCheck:
         assert proc.stderr.strip().splitlines() == [
             "error: NotASubgradient: subgradient defect 2.000e+00 "
             "exceeds 1.0e-08"]
+
+
+def _scaled_instance(tmp_path, profile, scale):
+    """Generated (8, 3, 1, 3) seed 7 with the jacobians of F, g and h
+    scaled by ``scale`` and f.b reset so that stationarity holds exactly
+    at the reference point, the origin."""
+    data = instance_to_dict(generate_instance(8, 3, 1, 3, profile, seed=7))
+    ref = data["reference_kkt"]
+    F_Ai = scale * np.array(data["F"]["Ai"])
+    g_Ai = scale * np.array(data["g"]["Ai"])
+    h = scale * np.array(data["h"])
+    data["F"]["Ai"], data["g"]["Ai"], data["h"] = (
+        F_Ai.tolist(), g_Ai.tolist(), h.tolist())
+    data["f"]["b"] = (-(np.einsum("ikl,kl->i", F_Ai, ref["Y"])
+                        + h[:, :-1].T @ ref["mu"]
+                        - np.einsum("ikl,kl->i", g_Ai, ref["Gamma"]))).tolist()
+    path = tmp_path / f"{profile}_{scale:g}.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def _check_quietly(tmp_path, instance):
+    """Run ``sdnop check`` in a fresh process: it exits 0, prints one
+    line and writes nothing to stderr, not even a warning.  Returns the
+    report."""
+    out = tmp_path / "o"
+    proc = subprocess.run(
+        [sys.executable, "-m", "sdnop", "check", instance, "--out", str(out)],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert len(proc.stdout.splitlines()) == 1
+    return json.loads(_read(out / "report.json"))
+
+
+class TestCheckPastFloatRange:
+    # every bound is float64: one past the float range reads null, like
+    # the sentinels of a failed nondegeneracy check, even where
+    # nondegeneracy holds.  Pinned for nondegen: (c_bar, kappa0,
+    # sigma_upper) with None for null
+    PINNED = {
+        1e-60: (2.523253862950406e+241, 3.5684198342947814e+242,
+                1.5884753265160898e+121),
+        1e-100: (None, None, 1.5884753265160878e+201),
+        1e-160: (None, None, None),
+    }
+
+    @pytest.mark.parametrize("scale", sorted(PINNED))
+    @pytest.mark.parametrize("profile", ["nondegen", "degen"])
+    def test_scaled_jacobians(self, tmp_path, profile, scale):
+        report = _check_quietly(tmp_path,
+                                _scaled_instance(tmp_path, profile, scale))
+        constants = report["constants"]
+        assert report["nondegeneracy"]["holds"] is (profile == "nondegen")
+        if profile == "nondegen":
+            got = tuple(constants[k]
+                        for k in ("c_bar", "kappa0", "sigma_upper"))
+            want = self.PINNED[scale]
+            assert [g is None for g in got] == [w is None for w in want]
+            for g, w in zip(got, want):
+                if w is not None:
+                    assert g == pytest.approx(w, rel=1e-12)
+        else:
+            assert constants["sigma_upper"] is None
+
+    def test_curvature_model_past_float_range(self, tmp_path):
+        # zero multipliers at F(0) = 0 make a KKT point that no jacobian
+        # scale moves; at 1e160 the curvature model overflows, so no
+        # constant exists while both verdicts still do
+        data = instance_to_dict(generate_instance(8, 3, 1, 3, seed=7))
+        ref = data["reference_kkt"]
+        for key in ("Y", "mu", "Gamma"):
+            ref[key] = np.zeros_like(np.array(ref[key])).tolist()
+        data["F"]["A0"] = np.zeros_like(np.array(data["F"]["A0"])).tolist()
+        data["F"]["Ai"] = (1e160 * np.array(data["F"]["Ai"])).tolist()
+        data["f"]["b"] = [0.0] * data["n"]
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(data))
+        report = _check_quietly(tmp_path, str(path))
+        assert report["second_order"]["holds"] is True
+        assert report["constants"] is None
 
 
 # ---------------------------------------------------------------------------

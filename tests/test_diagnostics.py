@@ -689,6 +689,11 @@ class TestRateConstants:
         np.testing.assert_allclose(kappa0_constant(1.0, 1.0, 1.0, 1.0),
                                    2.0 * math.sqrt(2.0), atol=1e-14)
 
+    def test_kappa0_without_curvature_is_infinite(self):
+        # a zero eta bracket leaves no Lipschitz bound: inf, not the
+        # inf * 0 = NaN of the formula
+        assert kappa0_constant(1.0, 1.0, 0.0, 0.0) == math.inf
+
     def test_positivity_and_threshold_invariants(self):
         hand_built = [make_mixed_instance(), make_full_blocks_instance()]
         # the generated reference points have more cross-family rows than

@@ -299,16 +299,16 @@ class TestRowBudget:
         # one zero eigenvalue once q >= 2; one boundary plus one
         # degenerate cone eigenvalue once p >= 3, a single boundary
         # eigenvalue for 1 <= p <= 2
-        assert block_matrix_rows(8, 3, 1, 3) == 1 + 1 + 3
-        assert block_matrix_rows(5, 0, 2, 3) == 2 + 0 + 3
-        assert block_matrix_rows(4, 1, 0, 0) == 0
-        assert block_matrix_rows(4, 2, 0, 1) == 1 + 1
+        assert block_matrix_rows(3, 1, 3) == 1 + 1 + 3
+        assert block_matrix_rows(0, 2, 3) == 2 + 0 + 3
+        assert block_matrix_rows(1, 0, 0) == 0
+        assert block_matrix_rows(2, 0, 1) == 1 + 1
 
     def test_matches_diagnostic_row_count(self):
         problem = generate_instance(8, 3, 1, 3, seed=7)
         ref = problem.reference
         nd = nondegeneracy_check(problem, ref.x, ref.multipliers)
-        assert nd.rows == block_matrix_rows(8, 3, 1, 3)
+        assert nd.rows == block_matrix_rows(3, 1, 3)
 
 
 # ---------------------------------------------------------------------------

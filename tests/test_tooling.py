@@ -194,6 +194,62 @@ def test_package_raises_only_its_own_errors():
     assert not foreign, foreign
 
 
+# the per-step kernels that form 0.5 (X + X.T) inline; every other
+# symmetrization in the package goes through spectral.symmetric_part
+INLINE_SYMMETRIZATIONS = {"soft_threshold", "positive_part",
+                          "newton_matrix_element"}
+
+
+def _is_inline_symmetrization(node):
+    """Whether ``node`` is 0.5 * (X + X.T), in either factor order and
+    either term order."""
+    if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)):
+        return False
+    for half, total in ((node.left, node.right), (node.right, node.left)):
+        if not (isinstance(half, ast.Constant) and half.value == 0.5
+                and isinstance(total, ast.BinOp)
+                and isinstance(total.op, ast.Add)):
+            continue
+        for X, XT in ((total.left, total.right), (total.right, total.left)):
+            if (isinstance(XT, ast.Attribute) and XT.attr == "T"
+                    and ast.dump(XT.value) == ast.dump(X)):
+                return True
+    return False
+
+
+def _inline_symmetrizations(tree):
+    """The innermost enclosing function of each inline 0.5 (X + X.T)."""
+    scopes = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.FunctionDef):
+                visit(child, child.name)
+                continue
+            if _is_inline_symmetrization(child):
+                scopes.append(scope)
+            visit(child, scope)
+
+    visit(tree, None)
+    return scopes
+
+
+def test_inline_symmetrization_only_in_the_kernels():
+    found = [_inline_symmetrizations(ast.parse(src)) for src in (
+        "def f(X):\n    return 0.5 * (X + X.T)",
+        "def g(V):\n    return (V[a, b].T + V[a, b]) * 0.5",
+        "def h(X, Y):\n    return 0.5 * (X + Y.T)")]
+    assert found == [["f"], ["g"], []]
+    stray = []
+    for path in _package_paths():
+        with open(path) as fh:
+            tree = ast.parse(fh.read())
+        stray += [f"{os.path.basename(path)}: {scope}"
+                  for scope in _inline_symmetrizations(tree)
+                  if scope not in INLINE_SYMMETRIZATIONS]
+    assert not stray, stray
+
+
 def test_module_public_names_resolve():
     missing = []
     for info in pkgutil.iter_modules(sdnop.__path__):
